@@ -14,7 +14,7 @@ import sys
 from .curves import act_curve, curve_from_splitting
 from .errors import FormatError, SemanticError
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
-from .linalg import rank
+from .linalg import rank  # noqa: F401  (kept importable as tngeom.cli.rank for code that wraps it)
 from .jsonio import (
     certificate_to_obj,
     dumps,
@@ -82,9 +82,9 @@ def cmd_stabilizer(args) -> int:
             group_dim = sum(s * s for s in obj["shape"])
     field = _resolve_field(args, group_dim)
     t = tensor_from_obj(obj, field)
-    sysm = build_system(t).matrix
-    orbit = rank(sysm)
-    report = {"stab_dim": sysm.cols - orbit, "orbit_dim": orbit}
+    system = build_system(t)
+    orbit = system.orbit_dim()
+    report = {"stab_dim": system.group_dim - orbit, "orbit_dim": orbit}
     report.update(field_label(field))
     _emit(args, report)
     return 0
@@ -97,7 +97,9 @@ def cmd_certify(args) -> int:
     else:
         s = diagonal_splitting(args.e, field)
     cert = certify_not_closed(s, args.e)
-    _emit(args, certificate_to_obj(cert))
+    report = certificate_to_obj(cert)
+    report.update(field_label(field))
+    _emit(args, report)
     return 0 if cert.certified else 1
 
 
@@ -111,6 +113,8 @@ def cmd_dim(args) -> int:
         "formula_dim": formula if formula is not None else "unknown",
         "agree": (jac == formula) if formula is not None else None,
     }
+    report.update(field_label(field))
+    report["seed"] = args.seed
     _emit(args, report)
     return 0
 

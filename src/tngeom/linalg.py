@@ -1,20 +1,21 @@
 """Exact matrices and elimination over the rationals or a prime field.
 
 Rank is the workhorse: stabilizer and Jacobian computations reduce to the
-rank of a sparse exact matrix.  In rational mode rows are cleared to
-integers and eliminated fraction-free (cross multiply, then divide each row
-by its content), which keeps entries at the size of minors or below.  In
-prime field mode ordinary division based elimination is used.
+rank of a sparse exact matrix.  One elimination kernel serves both fields.
+In rational mode rows are cleared to integers and eliminated fraction-free
+(cross multiply, then divide each row by its content), which keeps entries
+at the size of minors or below.  In prime field mode the rows hold raw
+integer residues and the pivot row is scaled to 1.
 
-Matrices are immutable after construction.  Entries are stored dense in
-row-major order; the elimination routines work on sparse per-row dicts and
-skip structural zeros, so large mostly-zero systems stay cheap.
+Matrices are immutable after construction and store only their nonzero
+entries, keyed by row-major flat index, so a large mostly-zero system
+costs memory in proportion to its nonzeros.  The dense ``entries`` tuple
+is built on demand.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import SemanticError, ShapeError, SingularMatrixError
@@ -24,20 +25,30 @@ RANDOM_ENTRY_BOUND = 10**6
 
 
 class Matrix:
-    """Immutable exact matrix over a fixed field."""
+    """Immutable exact matrix over a fixed field, holding only its nonzero entries."""
 
-    __slots__ = ("rows", "cols", "entries", "field")
+    __slots__ = ("rows", "cols", "field", "_nz")
 
     def __init__(self, rows: int, cols: int, entries, field: Field = QQ):
+        vals = [field.coerce(x) for x in entries]
+        if len(vals) != rows * cols:
+            raise ShapeError(f"expected {rows * cols} entries, got {len(vals)}")
+        self._fill(rows, cols, {k: v for k, v in enumerate(vals) if v}, field)
+
+    def _fill(self, rows: int, cols: int, nz: dict, field: Field) -> None:
         if rows < 0 or cols < 0:
             raise ShapeError("matrix dimensions must be nonnegative")
-        ent = tuple(field.coerce(x) for x in entries)
-        if len(ent) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {len(ent)}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", ent)
         object.__setattr__(self, "field", field)
+        object.__setattr__(self, "_nz", nz)
+
+    @classmethod
+    def _from_flat(cls, rows: int, cols: int, nz: dict, field: Field) -> "Matrix":
+        """Wrap a {flat_index: nonzero field scalar} dict without copying it."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, nz, field)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -52,27 +63,62 @@ class Matrix:
         return cls(rows, cols, [x for r in data for x in r], field)
 
     @classmethod
+    def from_nonzeros(cls, rows: int, cols: int, items, field: Field = QQ) -> "Matrix":
+        """Matrix with the given entries and zeros elsewhere.
+
+        items maps (i, j) to a value, as a dict or as an iterable of
+        ((i, j), value) pairs; a later pair for the same cell wins.
+        """
+        nz = {}
+        for (i, j), val in items.items() if isinstance(items, dict) else items:
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ShapeError(f"index ({i},{j}) outside {rows}x{cols}")
+            v = field.coerce(val)
+            if v:
+                nz[i * cols + j] = v
+            else:
+                nz.pop(i * cols + j, None)
+        return cls._from_flat(rows, cols, nz, field)
+
+    @classmethod
     def identity(cls, n: int, field: Field = QQ) -> "Matrix":
-        return cls(n, n, [field.one if i == j else field.zero for i in range(n) for j in range(n)], field)
+        one = field.one
+        return cls._from_flat(n, n, {i * n + i: one for i in range(n)}, field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: Field = QQ) -> "Matrix":
-        return cls(rows, cols, [field.zero] * (rows * cols), field)
+        return cls._from_flat(rows, cols, {}, field)
+
+    @property
+    def entries(self) -> tuple:
+        """All rows * cols entries in row-major order, built on each access."""
+        data = [self.field.zero] * (self.rows * self.cols)
+        for k, v in self._nz.items():
+            data[k] = v
+        return tuple(data)
+
+    def nonzeros(self):
+        """((i, j), value) for every nonzero entry, in row-major order."""
+        nz = self._nz
+        for k in sorted(nz):
+            yield divmod(k, self.cols), nz[k]
 
     def at(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise ShapeError(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + j]
+        return self._nz.get(i * self.cols + j, self.field.zero)
 
     def row(self, i: int) -> list:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        base, zero = i * self.cols, self.field.zero
+        return [self._nz.get(base + j, zero) for j in range(self.cols)]
 
     def to_rows(self) -> list[list]:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        ent = [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, ent, self.field)
+        r, c = self.rows, self.cols
+        nz = {(k % c) * r + k // c: v for k, v in self._nz.items()}
+        return Matrix._from_flat(c, r, nz, self.field)
 
     def _check_same_field(self, other: "Matrix"):
         if self.field != other.field:
@@ -82,57 +128,59 @@ class Matrix:
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in addition")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)], self.field)
+        nz = dict(self._nz)
+        for k, v in other._nz.items():
+            s = nz[k] + v if k in nz else v
+            if s:
+                nz[k] = s
+            else:
+                del nz[k]
+        return Matrix._from_flat(self.rows, self.cols, nz, self.field)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + (-other)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.entries], self.field)
+        return Matrix._from_flat(self.rows, self.cols, {k: -v for k, v in self._nz.items()}, self.field)
 
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
-        return Matrix(self.rows, self.cols, [s * a for a in self.entries], self.field)
+        nz = {k: s * v for k, v in self._nz.items()} if s else {}
+        return Matrix._from_flat(self.rows, self.cols, nz, self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.field.zero
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = [zero] * other.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if not a:
-                    continue
-                orow = orows[k]
-                for j in range(other.cols):
-                    b = orow[j]
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.extend(acc)
-        return Matrix(self.rows, other.cols, out, self.field)
+        orows = _row_dicts(other)
+        ncols = other.cols
+        nz: dict = {}
+        for i, row in _row_dicts(self).items():
+            base = i * ncols
+            for k, a in row.items():
+                for j, b in orows.get(k, {}).items():
+                    pos = base + j
+                    s = nz[pos] + a * b if pos in nz else a * b
+                    if s:
+                        nz[pos] = s
+                    else:
+                        del nz[pos]
+        return Matrix._from_flat(self.rows, ncols, nz, self.field)
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
         v = [self.field.coerce(x) for x in vec]
-        out = []
-        for i in range(self.rows):
-            acc = self.field.zero
-            base = i * self.cols
-            for j, x in enumerate(v):
-                if x:
-                    acc = acc + self.entries[base + j] * x
-            out.append(acc)
+        out = [self.field.zero] * self.rows
+        for (i, j), a in self.nonzeros():
+            x = v[j]
+            if x:
+                out[i] = out[i] + a * x
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.entries)
+        return not self._nz
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -141,153 +189,149 @@ class Matrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self._nz == other._nz
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries, self.field))
+        return hash((self.rows, self.cols, frozenset(self._nz.items()), self.field))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
+def _row_dicts(m: Matrix) -> dict[int, dict]:
+    """Nonzero rows as {i: {j: value}}, rows and columns in increasing order."""
+    out: dict[int, dict] = {}
+    for (i, j), v in m.nonzeros():
+        row = out.get(i)
+        if row is None:
+            row = out[i] = {}
+        row[j] = v
+    return out
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major convention, so kron(A, B) acts on vec(M) as A M B^T."""
     a._check_same_field(b)
-    ent = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            for j in range(a.cols):
-                aij = a.entries[i * a.cols + j]
-                for l in range(b.cols):
-                    ent.append(aij * b.entries[k * b.cols + l])
-    return Matrix(a.rows * b.rows, a.cols * b.cols, ent, a.field)
+    ncols = a.cols * b.cols
+    b_nz = list(b.nonzeros())
+    nz = {}
+    for (i, j), va in a.nonzeros():
+        for (k, l), vb in b_nz:
+            nz[(i * b.rows + k) * ncols + j * b.cols + l] = va * vb
+    return Matrix._from_flat(a.rows * b.rows, ncols, nz, a.field)
 
 
-def _sparse_rows(m: Matrix) -> list[dict]:
-    out = []
-    for i in range(m.rows):
-        base = i * m.cols
-        row = {j: m.entries[base + j] for j in range(m.cols) if m.entries[base + j]}
-        if row:
-            out.append(row)
-    return out
+def _eliminate(rows: list[dict], prime: int | None) -> int:
+    """Rank of sparse integer rows: fraction-free over Q, residues mod prime.
 
+    With prime None the rows are primitive integer rows.  Each update is
+    pivot*row - entry*pivot_row followed by division of the row by its
+    content; by the Sylvester identity the content absorbs at least the
+    previous pivot, so growth stays at minor scale.  The pivot is the
+    entry with the least (row length, |value|, row position, column), so
+    the rows that are cheapest to combine go first and small pivots keep
+    entries small.  Mod a prime the entries are residues in [0, prime) and
+    the pivot is the first column of any shortest row.
 
-def _int_rows(m: Matrix) -> list[dict]:
-    """Clear denominators and content so every surviving row is primitive integer."""
-    out = []
-    for i in range(m.rows):
-        base = i * m.cols
-        row = {j: m.entries[base + j] for j in range(m.cols) if m.entries[base + j]}
-        if not row:
-            continue
-        mult = lcm(*(v.denominator for v in row.values()))
-        ints = {j: int(v * mult) for j, v in row.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        out.append(ints)
-    return out
-
-
-def _rank_int(rows: list[dict]) -> int:
-    """Fraction-free elimination on primitive integer rows.
-
-    Each update is pivot*row - entry*pivot_row followed by division of the
-    row by its content; by the Sylvester identity the content absorbs at
-    least the previous pivot, so growth stays at minor scale.
+    Rows wait in buckets keyed by (length, least |entry|), the second part
+    0 mod a prime, and every column knows the rows that hold it, so a step
+    reads one bucket and updates only the rows that contain the pivot
+    column.
     """
-    active = [r for r in rows if r]
-    rank = 0
-    while active:
-        best = None
-        for ri, row in enumerate(active):
-            n = len(row)
-            for c, v in row.items():
-                cand = (n, v if v >= 0 else -v, ri, c)
-                if best is None or cand < best:
-                    best = cand
-        _, _, ri, pc = best
-        pivot_row = active.pop(ri)
-        pv = pivot_row[pc]
-        rank += 1
-        survivors = []
-        for row in active:
-            rv = row.pop(pc, None)
-            if rv is None:
-                if row:
-                    survivors.append(row)
-                continue
-            out = {c: pv * v for c, v in row.items()}
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                nv = out.get(c, 0) - rv * v
-                if nv:
-                    out[c] = nv
-                else:
-                    out.pop(c, None)
-            if out:
-                g = 0
-                for v in out.values():
-                    g = gcd(g, v)
-                    if g == 1:
-                        break
-                if g > 1:
-                    out = {c: v // g for c, v in out.items()}
-                survivors.append(out)
-        active = survivors
-    return rank
+    exact = prime is None
+    buckets: dict[tuple[int, int], set[int]] = {}
+    where: dict[int, tuple[int, int]] = {}
+    by_col: dict[int, set[int]] = {}
 
+    def place(r: int, row: dict) -> None:
+        key = (len(row), min(map(abs, row.values())) if exact else 0)
+        where[r] = key
+        buckets.setdefault(key, set()).add(r)
 
-def _rank_field(rows: list[dict]) -> int:
-    """Division-based elimination; used for prime field scalars."""
-    active = [dict(r) for r in rows if r]
-    rank = 0
-    while active:
-        best = None
-        for ri, row in enumerate(active):
-            n = len(row)
+    for r, row in enumerate(rows):
+        if row:
+            place(r, row)
             for c in row:
-                cand = (n, ri, c)
-                if best is None or cand < best:
-                    best = cand
-        _, ri, pc = best
-        pivot_row = active.pop(ri)
-        pv = pivot_row[pc]
+                by_col.setdefault(c, set()).add(r)
+    rank = 0
+    while buckets:
+        key = min(buckets)
+        bucket = buckets[key]
+        if exact:
+            r = min(bucket)
+            bucket.remove(r)
+        else:
+            r = bucket.pop()
+        if not bucket:
+            del buckets[key]
+        del where[r]
+        prow, rows[r] = rows[r], None
+        pc = min(c for c, v in prow.items() if abs(v) == key[1]) if exact else min(prow)
         rank += 1
-        survivors = []
-        for row in active:
-            rv = row.pop(pc, None)
-            if rv is None:
-                if row:
-                    survivors.append(row)
-                continue
-            factor = rv / pv
-            for c, v in pivot_row.items():
-                if c == pc:
-                    continue
-                nv = row.get(c, 0) - factor * v
-                if nv:
-                    row[c] = nv
+        pv = prow.pop(pc)
+        for c in prow:
+            by_col[c].discard(r)
+        targets = by_col.pop(pc)
+        targets.discard(r)
+        if not exact:
+            inv = pow(pv, -1, prime)
+            prow = {c: v * inv % prime for c, v in prow.items()}
+        for t in targets:
+            row = rows[t]
+            rv = row.pop(pc)
+            if exact:
+                new = {c: pv * v for c, v in row.items()}
+                for c, v in prow.items():
+                    nv = new.get(c, 0) - rv * v
+                    if nv:
+                        new[c] = nv
+                    else:
+                        new.pop(c, None)
+                g = gcd(*new.values())
+                if g > 1:
+                    new = {c: v // g for c, v in new.items()}
+            else:
+                new = row
+                for c, v in prow.items():
+                    nv = (new.get(c, 0) - rv * v) % prime
+                    if nv:
+                        new[c] = nv
+                    else:
+                        new.pop(c, None)
+            for c in prow:
+                if c in new:
+                    by_col[c].add(t)
                 else:
-                    row.pop(c, None)
-            if row:
-                survivors.append(row)
-        active = survivors
+                    by_col[c].discard(t)
+            key = where.pop(t)
+            buckets[key].discard(t)
+            if not buckets[key]:
+                del buckets[key]
+            rows[t] = new or None
+            if new:
+                place(t, new)
     return rank
 
 
 def rank(m: Matrix) -> int:
     """Exact rank; independent of row and column order."""
-    if isinstance(m.field, RationalField):
-        return _rank_int(_int_rows(m))
-    return _rank_field(_sparse_rows(m))
+    prime = m.field.prime
+    rows = list(_row_dicts(m).values())
+    for row in rows:
+        if prime is not None:
+            for c, v in row.items():
+                row[c] = v.val
+            continue
+        # clear denominators and content so every row is primitive integer
+        mult = lcm(*(v.denominator for v in row.values()))
+        for c, v in row.items():
+            row[c] = int(v * mult)
+        g = gcd(*row.values())
+        if g > 1:
+            for c, v in row.items():
+                row[c] = v // g
+    return _eliminate(rows, prime)
 
 
 def kernel_dim(m: Matrix) -> int:
@@ -297,46 +341,26 @@ def kernel_dim(m: Matrix) -> int:
 
 def _rref(m: Matrix) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form as sparse rows plus ordered pivot columns."""
-    active = _sparse_rows(m)
+    zero, one = m.field.zero, m.field.one
+    active = list(_row_dicts(m).values())
     done: list[tuple[int, dict]] = []
     while active:
-        best = None
-        for ri, row in enumerate(active):
-            n = len(row)
-            for c in row:
-                cand = (c, n, ri)
-                if best is None or cand < best:
-                    best = cand
-        pc, _, ri = best
+        # lowest column first, then the shortest row holding it
+        pc, _, ri = min((c, len(row), ri) for ri, row in enumerate(active) for c in row)
         pivot_row = active.pop(ri)
-        pv = pivot_row[pc]
+        pv = pivot_row.pop(pc)
         pivot_row = {c: v / pv for c, v in pivot_row.items()}
-        survivors = []
-        for row in active:
+        for row in active + [r for _, r in done]:
             rv = row.pop(pc, None)
             if rv is not None:
                 for c, v in pivot_row.items():
-                    if c == pc:
-                        continue
-                    nv = row.get(c, m.field.zero) - rv * v
+                    nv = row.get(c, zero) - rv * v
                     if nv:
                         row[c] = nv
                     else:
                         row.pop(c, None)
-            if row:
-                survivors.append(row)
-        active = survivors
-        for _, drow in done:
-            rv = drow.pop(pc, None)
-            if rv is not None:
-                for c, v in pivot_row.items():
-                    if c == pc:
-                        continue
-                    nv = drow.get(c, m.field.zero) - rv * v
-                    if nv:
-                        drow[c] = nv
-                    else:
-                        drow.pop(c, None)
+        active = [row for row in active if row]
+        pivot_row[pc] = one
         done.append((pc, pivot_row))
     done.sort(key=lambda t: t[0])
     return [r for _, r in done], [p for p, _ in done]
@@ -365,21 +389,13 @@ def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
     n = m.rows
-    aug = Matrix(
-        n,
-        2 * n,
-        [m.entries[i * n + j] if j < n else (m.field.one if j == n + i else m.field.zero) for i in range(n) for j in range(2 * n)],
-        m.field,
-    )
-    rows, pivots = _rref(aug)
+    items = {(i, n + i): m.field.one for i in range(n)}
+    items.update(m.nonzeros())
+    rows, pivots = _rref(Matrix.from_nonzeros(n, 2 * n, items, m.field))
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    zero = m.field.zero
-    ent = []
-    for i in range(n):
-        row = rows[i]
-        ent.extend(row.get(n + j, zero) for j in range(n))
-    return Matrix(n, n, ent, m.field)
+    nz = {i * n + c - n: v for i in range(n) for c, v in rows[i].items() if c >= n}
+    return Matrix._from_flat(n, n, nz, m.field)
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -406,8 +422,5 @@ def rank_modulo_primes(m: Matrix, primes: list[int]) -> list[int]:
     """Rank of the same rational matrix reduced mod each given prime."""
     if not isinstance(m.field, RationalField):
         raise SemanticError("rank_modulo_primes expects a rational matrix")
-    out = []
-    for p in primes:
-        fp = PrimeField(p)
-        out.append(rank(Matrix(m.rows, m.cols, m.entries, fp)))
-    return out
+    items = dict(m.nonzeros())
+    return [rank(Matrix.from_nonzeros(m.rows, m.cols, items, PrimeField(p))) for p in primes]

@@ -56,26 +56,23 @@ def build_system(t: Tensor) -> StabilizerSystem:
     E_kl in slot j.
     """
     shape = t.shape
-    nrows = prod(shape)
     offsets = []
     total = 0
     for s in shape:
         offsets.append(total)
         total += s * s
-    f = t.field
-    data = [f.zero] * (nrows * total)
+    strides = [prod(shape[j + 1 :]) for j in range(len(shape))]
+    # each (row, column) pair is reached from exactly one tensor entry
+    items = {}
     for idx, val in t.nonzeros():
+        flat = lin_index(idx, shape)
         for j, vj in enumerate(shape):
             l = idx[j]
+            base = flat - l * strides[j]
             col_base = offsets[j] + l
-            pre = list(idx)
             for k in range(vj):
-                pre[j] = k
-                row = lin_index(tuple(pre), shape)
-                pos = row * total + col_base + k * vj
-                data[pos] = data[pos] + val
-            pre[j] = l
-    return StabilizerSystem(Matrix(nrows, total, data, f), shape, tuple(offsets))
+                items[base + k * strides[j], col_base + k * vj] = val
+    return StabilizerSystem(Matrix.from_nonzeros(prod(shape), total, items, t.field), shape, tuple(offsets))
 
 
 def stabilizer_dim(t: Tensor) -> int:

@@ -208,12 +208,8 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
     if m.field != t.field:
         raise SemanticError("map and tensor live over different fields")
     cols_nz: list[list[tuple[int, object]]] = [[] for _ in range(m.cols)]
-    for i in range(m.rows):
-        base = i * m.cols
-        for k in range(m.cols):
-            v = m.entries[base + k]
-            if v:
-                cols_nz[k].append((i, v))
+    for (i, k), v in m.nonzeros():
+        cols_nz[k].append((i, v))
     new_shape = tuple(m.rows if k == axis else s for k, s in enumerate(t.shape))
     stride = _strides(t.shape)[axis]
     out = [t.field.zero] * prod(new_shape)
@@ -269,13 +265,11 @@ def flatten(t: Tensor, axis: int) -> Matrix:
     keep = [k for k in range(t.order) if k != axis]
     rest_shape = tuple(t.shape[k] for k in keep)
     ncols = prod(rest_shape) if rest_shape else 1
-    data = [t.field.zero] * (t.shape[axis] * ncols)
-    for flat, v in enumerate(t.entries):
-        if v:
-            idx = multi_index(flat, t.shape)
-            col = lin_index(tuple(idx[k] for k in keep), rest_shape) if rest_shape else 0
-            data[idx[axis] * ncols + col] = v
-    return Matrix(t.shape[axis], ncols, data, t.field)
+    items = {}
+    for idx, v in t.nonzeros():
+        col = lin_index(tuple(idx[k] for k in keep), rest_shape) if rest_shape else 0
+        items[idx[axis], col] = v
+    return Matrix.from_nonzeros(t.shape[axis], ncols, items, t.field)
 
 
 def mlrank(t: Tensor) -> tuple[int, ...]:

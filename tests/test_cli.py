@@ -78,7 +78,8 @@ def test_certify_identity_splitting_inconclusive(triangle_files, capsys):
 def test_dim_report(triangle_files, capsys):
     code, out, _ = run(["dim", triangle_files["graph"], "--seed", "3"], capsys)
     assert code == 0
-    assert json.loads(out) == {"jacobian_dim": 37, "formula_dim": 37, "agree": True}
+    assert json.loads(out) == {"jacobian_dim": 37, "formula_dim": 37, "agree": True,
+                               "field": "rational", "prime": None, "seed": 3}
 
 
 def test_dim_unknown_formula(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,104 @@ def test_matrix_validation():
         Matrix.identity(2) + random_matrix(2, 2, seed=0, field=FP)
     with pytest.raises(ShapeError):
         Matrix.identity(2) @ Matrix.identity(3)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Integer row lists, sparse or dense, with zero, duplicate and scaled rows."""
+    rows, cols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    keep = draw(st.integers(1, 4))  # an entry is nonzero with odds keep/4
+    data = []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "fresh", "zero", "duplicate", "multiple"]))
+        if kind == "zero":
+            data.append([0] * cols)
+        elif kind != "fresh" and data:
+            src = data[draw(st.integers(0, len(data) - 1))]
+            k = 1 if kind == "duplicate" else draw(st.integers(2, 6))
+            data.append([k * x for x in src])
+        else:
+            data.append([draw(st.integers(-9, 9)) if draw(st.integers(1, 4)) <= keep else 0
+                         for _ in range(cols)])
+    return rows, cols, data
+
+
+def _minor_bound(data) -> float:
+    """Product of the row norms: bounds the absolute value of every minor."""
+    out = 1.0
+    for row in data:
+        out *= max(1.0, sum(x * x for x in row) ** 0.5)
+    return out
+
+
+@given(structured_matrices())
+def test_rank_kernel_matches_oracle_over_q(case):
+    rows, cols, data = case
+    m = Matrix(rows, cols, [x for r in data for x in r])
+    assert rank(m) == naive_rank(data)
+    # rows divided by different integers: clearing denominators keeps the rank
+    scaled = Matrix.from_rows([[Fraction(x, 2 + i % 3) for x in r] for i, r in enumerate(data)]) if rows else m
+    assert rank(scaled) == naive_rank(data)
+
+
+@given(structured_matrices())
+def test_rank_kernel_matches_oracle_mod_p(case):
+    rows, cols, data = case
+    # below the prime no nonzero minor vanishes mod p, so both ranks agree
+    if _minor_bound(data) >= FP.prime:
+        return
+    m = Matrix(rows, cols, [x for r in data for x in r], FP)
+    assert rank(m) == naive_rank(data)
+
+
+@pytest.mark.parametrize("field", [QQ, FP])
+def test_rank_kernel_fill_in(field):
+    # sparse rows gain columns as they are combined; those must be eliminated too
+    assert rank(Matrix.from_rows([[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [0, 1, 0, 0, 1]], field)) == 3
+    for seed in range(300):
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        data = [[rng.randint(-9, 9) if rng.random() < 0.4 else 0 for _ in range(cols)] for _ in range(rows)]
+        if field is QQ or _minor_bound(data) < FP.prime:
+            assert rank(Matrix.from_rows(data, field)) == naive_rank(data)
+
+
+def test_rank_mod_p_sees_vanishing_minors():
+    p = FP.prime
+    m = [[1, 1, 0], [1, 1 + p, 0], [0, 0, 3 * p]]
+    assert naive_rank(m) == 3
+    assert rank(Matrix.from_rows(m, FP)) == 1
+    # determinant p: the second row is half the first only mod p
+    assert rank(Matrix.from_rows([[2, 1], [1, (p + 1) // 2]], FP)) == 1
+
+
+def test_rank_of_empty_shapes():
+    for rows, cols in [(0, 4), (0, 0), (3, 0)]:
+        assert rank(Matrix(rows, cols, [])) == 0
+        assert rank(Matrix.zeros(rows, cols, FP)) == 0
+        assert kernel_dim(Matrix(rows, cols, [])) == cols
+
+
+def test_from_nonzeros_matches_dense():
+    dense = [[0, 2, 0], [0, 0, 0], [Fraction(-1, 3), 0, 5]]
+    items = {(i, j): v for i, r in enumerate(dense) for j, v in enumerate(r) if v}
+    items[(1, 1)] = 0  # explicit zeros are not stored
+    m = Matrix.from_nonzeros(3, 3, items)
+    assert m == Matrix(3, 3, [x for r in dense for x in r])
+    assert hash(m) == hash(Matrix.from_rows(dense))
+    assert m.entries == tuple(Fraction(x) for r in dense for x in r)
+    assert list(m.nonzeros()) == [((0, 1), 2), ((2, 0), Fraction(-1, 3)), ((2, 2), 5)]
+    assert Matrix.from_nonzeros(3, 3, {(1, 2): 7}, FP).at(1, 2) == FP.coerce(7)
+    with pytest.raises(ShapeError):
+        Matrix.from_nonzeros(2, 2, {(2, 0): 1})
+
+
+@given(structured_matrices())
+def test_entries_round_trip(case):
+    rows, cols, data = case
+    flat = [x for r in data for x in r]
+    m = Matrix(rows, cols, flat, FP)
+    assert Matrix.from_nonzeros(rows, cols, dict(m.nonzeros()), FP) == m
+    assert Matrix(rows, cols, m.entries, FP) == m
+    assert m.entries == tuple(FP.coerce(x) for x in flat)
+    assert m.to_rows() == [[FP.coerce(x) for x in r] for r in data]

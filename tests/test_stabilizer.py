@@ -150,3 +150,11 @@ def test_scalar_lower_bound():
 def test_prime_field_backend_agrees():
     for make in (lambda f: mmult(2, 2, 2, f), lambda f: m_tilde_formula(2, f)):
         assert stabilizer_dim(make(QQ)) == stabilizer_dim(make(FP))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_mmult_system_is_sparse(e):
+    # every one of the e^3 nonzeros of mmult reaches sum(shape) = 3e^2 cells
+    m = build_system(mmult(e, e, e)).matrix
+    assert (m.rows, m.cols) == (e**6, 3 * e**4)
+    assert sum(1 for _ in m.nonzeros()) == 3 * e**5

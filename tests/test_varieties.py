@@ -1,7 +1,8 @@
 import pytest
 
+from tngeom import varieties
 from tngeom.errors import SemanticError, ShapeError
-from tngeom.fields import QQ
+from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, kron, random_invertible, rank
 from tngeom.networks import (
     NetworkGraph,
@@ -90,6 +91,14 @@ def test_tns_dim_supercritical_triangle():
     assert tns_dim(g, seed=0) == 41
 
 
+@pytest.mark.parametrize("samples", [(37, 36), (36, 37)])
+def test_tns_dim_returns_the_larger_sample(monkeypatch, samples):
+    # a sampled rank never exceeds the generic rank, so the larger one wins
+    ranks = iter(samples)
+    monkeypatch.setattr(varieties, "_jacobian_rank", lambda g, seed, field: next(ranks))
+    assert tns_dim(loop_graph((2, 2, 2)), seed=0) == 37
+
+
 def test_loop_endomorphism_readout():
     g = loop_graph((2, 2, 2))
     inst = identity_instance(g)
@@ -129,6 +138,15 @@ def test_certificate_diagonal_e2():
     assert cert.mlrank_mtilde == (4, 4, 4)
     assert cert.leading_power == 1
     assert cert.reason is None
+
+
+def test_certificate_diagonal_e6_over_fp():
+    # the stabilizers 3e^2 - 1 and 4e^2 - 2e of the paper's table, one size further
+    cert = certify_not_closed(diagonal_splitting(6, PrimeField(2**31 - 1)), 6)
+    assert cert.certified
+    assert (cert.stab_mmult, cert.stab_mtilde) == (107, 132)
+    assert cert.mlrank_mtilde == (36, 36, 36)
+    assert cert.leading_power == 1
 
 
 def test_certificate_identity_splitting_inconclusive():
