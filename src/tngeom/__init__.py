@@ -1,7 +1,7 @@
 """Exact-arithmetic toolkit for tensors built by contracting networks.
 
 The pieces, bottom up: exact fields (rationals and large prime fields),
-exact-rank linear algebra, dense tensors with group and derivation
+exact-rank linear algebra, sparse tensors with group and derivation
 actions, graphs with vertex/edge dimensions and their contraction map,
 named tensor constructors (cyclic trace tensors, splittings, the
 explicit boundary tensor), symmetry-algebra systems, matrix curves with

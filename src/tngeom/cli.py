@@ -30,7 +30,7 @@ from .jsonio import (
 from .networks import contract_network, expected_dim, reduce_valence_one
 from .stabilizer import build_system
 from .varieties import certify_not_closed, tns_dim
-from .zoo import diagonal_splitting, mmult
+from .zoo import Splitting, diagonal_splitting, mmult
 
 # past this many unknowns the prime backend is picked unless --field says otherwise
 AUTO_PRIME_THRESHOLD = 800
@@ -90,15 +90,19 @@ def cmd_stabilizer(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
+def _splitting(args) -> Splitting:
+    """The --splitting file, or the diagonal splitting, over the field resolved for size e."""
     field = _resolve_field(args, 3 * args.e**4)
     if args.splitting:
-        s = splitting_from_obj(load_path(args.splitting), field)
-    else:
-        s = diagonal_splitting(args.e, field)
+        return splitting_from_obj(load_path(args.splitting), field)
+    return diagonal_splitting(args.e, field)
+
+
+def cmd_certify(args) -> int:
+    s = _splitting(args)
     cert = certify_not_closed(s, args.e)
     report = certificate_to_obj(cert)
-    report.update(field_label(field))
+    report.update(field_label(s.field))
     _emit(args, report)
     return 0 if cert.certified else 1
 
@@ -134,12 +138,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    field = _resolve_field(args, 3 * args.e**4)
-    if args.splitting:
-        s = splitting_from_obj(load_path(args.splitting), field)
-    else:
-        s = diagonal_splitting(args.e, field)
-    m = mmult(args.e, args.e, args.e, field)
+    s = _splitting(args)
+    m = mmult(args.e, args.e, args.e, s.field)
     expansion = act_curve(m, curve_from_splitting(s))
     terms = [{"power": p, "tensor": tensor_to_obj(t)} for p, t in expansion.terms]
     if not terms:

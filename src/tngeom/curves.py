@@ -63,15 +63,7 @@ class MatrixCurve:
             raise SemanticError("cannot evaluate negative powers at t = 0")
         acc = Matrix.zeros(self.size, self.size, f)
         for p, m in self.terms:
-            if p >= 0:
-                coeff = f.one
-                for _ in range(p):
-                    coeff = coeff * t
-            else:
-                coeff = f.one / t
-                for _ in range(-p - 1):
-                    coeff = coeff / t
-            acc = acc + m.scale(coeff)
+            acc = acc + m.scale(t**p)
         return acc
 
     def shifted(self, k: int) -> "MatrixCurve":
@@ -107,15 +99,7 @@ class TensorLaurent:
         t = f.coerce(t_value)
         acc = None
         for p, tensor in self.terms:
-            if p < 0:
-                coeff = f.one / t
-                for _ in range(-p - 1):
-                    coeff = coeff / t
-            else:
-                coeff = f.one
-                for _ in range(p):
-                    coeff = coeff * t
-            term = tensor.scale(coeff)
+            term = tensor.scale(t**p)
             acc = term if acc is None else acc + term
         return acc
 

@@ -7,7 +7,8 @@ instances carrying their modulus; operator overloading lets all matrix and
 tensor code run unchanged over either backend.
 
 A field object (``QQ`` or ``PrimeField(p)``) is responsible for coercing
-ints, Fractions and serialized strings into its scalar type.
+ints and Fractions into its scalar type.  Serialized scalars are parsed
+and printed in one place, ``jsonio.parse_scalar`` and ``scalar_to_str``.
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ class Fp:
     def __neg__(self):
         return Fp(-self.val, self.p)
 
+    def __pow__(self, k: int):
+        if k < 0 and not self.val:
+            raise ZeroDivisionError("zero has no inverse in a prime field")
+        return Fp(pow(self.val, k, self.p), self.p)
+
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.val == other.val
@@ -123,15 +129,6 @@ class RationalField:
         if isinstance(x, Fp):
             raise FieldMismatchError("cannot coerce prime field scalar to rational")
         return Fraction(x)
-
-    def parse(self, s: str) -> Fraction:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SemanticError(f"bad rational literal {s!r}") from exc
-
-    def to_str(self, x) -> str:
-        return str(x)
 
     @property
     def zero(self) -> Fraction:
@@ -175,16 +172,6 @@ class PrimeField:
                 raise SemanticError(f"denominator of {x} vanishes mod {self.prime}")
             return Fp(x.numerator * pow(x.denominator, -1, self.prime), self.prime)
         raise FieldMismatchError(f"cannot coerce {type(x).__name__} into prime field")
-
-    def parse(self, s: str):
-        try:
-            frac = Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise SemanticError(f"bad scalar literal {s!r}") from exc
-        return self.coerce(frac)
-
-    def to_str(self, x) -> str:
-        return str(self.coerce(x).val)
 
     @property
     def zero(self) -> Fp:

@@ -7,16 +7,16 @@ In rational mode rows are cleared to integers and eliminated fraction-free
 at the size of minors or below.  In prime field mode the rows hold raw
 integer residues and the pivot row is scaled to 1.
 
-Matrices are immutable after construction and store only their nonzero
-entries, keyed by row-major flat index, so a large mostly-zero system
-costs memory in proportion to its nonzeros.  The dense ``entries`` tuple
-is built on demand.
+Matrices, like tensors, are immutable ``SparseArray`` values that store
+only their nonzero entries, keyed by row-major flat index, so a large
+mostly-zero system costs memory in proportion to its nonzeros.  The dense
+``entries`` tuple is built on demand.
 """
 
 from __future__ import annotations
 
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import SemanticError, ShapeError, SingularMatrixError
 from .fields import QQ, Field, PrimeField, RationalField
@@ -24,34 +24,135 @@ from .fields import QQ, Field, PrimeField, RationalField
 RANDOM_ENTRY_BOUND = 10**6
 
 
-class Matrix:
-    """Immutable exact matrix over a fixed field, holding only its nonzero entries."""
+def lin_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
+    flat = 0
+    for i, s in zip(idx, shape):
+        if not 0 <= i < s:
+            raise ShapeError(f"index {idx} outside shape {shape}")
+        flat = flat * s + i
+    return flat
 
-    __slots__ = ("rows", "cols", "field", "_nz")
 
-    def __init__(self, rows: int, cols: int, entries, field: Field = QQ):
+def multi_index(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
+    for s in reversed(shape):
+        flat, r = divmod(flat, s)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+class SparseArray:
+    """Immutable exact array over a fixed field, holding only its nonzero
+    entries as {row-major flat index: value}.  Matrix and Tensor share it."""
+
+    __slots__ = ("shape", "field", "_nz")
+
+    def __init__(self, shape: tuple[int, ...], entries, field: Field = QQ):
         vals = [field.coerce(x) for x in entries]
-        if len(vals) != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries, got {len(vals)}")
-        self._fill(rows, cols, {k: v for k, v in enumerate(vals) if v}, field)
+        if len(vals) != prod(shape):
+            raise ShapeError(f"expected {prod(shape)} entries for shape {shape}, got {len(vals)}")
+        self._fill(shape, {k: v for k, v in enumerate(vals) if v}, field)
 
-    def _fill(self, rows: int, cols: int, nz: dict, field: Field) -> None:
-        if rows < 0 or cols < 0:
-            raise ShapeError("matrix dimensions must be nonnegative")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
+    def _fill(self, shape: tuple[int, ...], nz: dict, field: Field) -> None:
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_nz", nz)
 
     @classmethod
-    def _from_flat(cls, rows: int, cols: int, nz: dict, field: Field) -> "Matrix":
+    def _from_flat(cls, shape: tuple[int, ...], nz: dict, field: Field):
         """Wrap a {flat_index: nonzero field scalar} dict without copying it."""
-        m = object.__new__(cls)
-        m._fill(rows, cols, nz, field)
-        return m
+        a = object.__new__(cls)
+        a._fill(shape, nz, field)
+        return a
+
+    @staticmethod
+    def _flat_items(shape: tuple[int, ...], items, field: Field) -> dict:
+        """{flat_index: value} from a dict or pairs of (index tuple, value); later pairs win."""
+        nz = {}
+        for idx, val in items.items() if isinstance(items, dict) else items:
+            k = lin_index(tuple(idx), shape)
+            v = field.coerce(val)
+            if v:
+                nz[k] = v
+            else:
+                nz.pop(k, None)
+        return nz
 
     def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def entries(self) -> tuple:
+        """All entries in row-major order, built on each access."""
+        data = [self.field.zero] * prod(self.shape)
+        for k, v in self._nz.items():
+            data[k] = v
+        return tuple(data)
+
+    def nonzeros(self):
+        """(index tuple, value) for every nonzero entry, in row-major order."""
+        nz = self._nz
+        for k in sorted(nz):
+            yield multi_index(k, self.shape), nz[k]
+
+    def is_zero(self) -> bool:
+        return not self._nz
+
+    def _compat(self, other) -> None:
+        if type(other) is not type(self):
+            raise SemanticError(f"expected a {type(self).__name__}")
+        if self.field != other.field:
+            raise SemanticError(f"{type(self).__name__} operands live over different fields")
+        if self.shape != other.shape:
+            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
+
+    def __add__(self, other):
+        self._compat(other)
+        nz = dict(self._nz)
+        for k, v in other._nz.items():
+            s = nz[k] + v if k in nz else v
+            if s:
+                nz[k] = s
+            else:
+                del nz[k]
+        return self._from_flat(self.shape, nz, self.field)
+
+    def __sub__(self, other):
+        self._compat(other)
+        return self + -other
+
+    def __neg__(self):
+        return self._from_flat(self.shape, {k: -v for k, v in self._nz.items()}, self.field)
+
+    def scale(self, s):
+        s = self.field.coerce(s)
+        nz = {k: s * v for k, v in self._nz.items()} if s else {}
+        return self._from_flat(self.shape, nz, self.field)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.field == other.field and self.shape == other.shape and self._nz == other._nz
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.shape, frozenset(self._nz.items()), self.field))
+
+
+class Matrix(SparseArray):
+    """Immutable exact matrix; shape is (rows, cols)."""
+
+    __slots__ = ()
+
+    def __init__(self, rows: int, cols: int, entries, field: Field = QQ):
+        super().__init__(_matrix_shape(rows, cols), entries, field)
+
+    @property
+    def rows(self) -> int:
+        return self.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.shape[1]
 
     @classmethod
     def from_rows(cls, data, field: Field = QQ) -> "Matrix":
@@ -69,44 +170,20 @@ class Matrix:
         items maps (i, j) to a value, as a dict or as an iterable of
         ((i, j), value) pairs; a later pair for the same cell wins.
         """
-        nz = {}
-        for (i, j), val in items.items() if isinstance(items, dict) else items:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ShapeError(f"index ({i},{j}) outside {rows}x{cols}")
-            v = field.coerce(val)
-            if v:
-                nz[i * cols + j] = v
-            else:
-                nz.pop(i * cols + j, None)
-        return cls._from_flat(rows, cols, nz, field)
+        shape = _matrix_shape(rows, cols)
+        return cls._from_flat(shape, cls._flat_items(shape, items, field), field)
 
     @classmethod
     def identity(cls, n: int, field: Field = QQ) -> "Matrix":
         one = field.one
-        return cls._from_flat(n, n, {i * n + i: one for i in range(n)}, field)
+        return cls._from_flat((n, n), {i * n + i: one for i in range(n)}, field)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, field: Field = QQ) -> "Matrix":
-        return cls._from_flat(rows, cols, {}, field)
-
-    @property
-    def entries(self) -> tuple:
-        """All rows * cols entries in row-major order, built on each access."""
-        data = [self.field.zero] * (self.rows * self.cols)
-        for k, v in self._nz.items():
-            data[k] = v
-        return tuple(data)
-
-    def nonzeros(self):
-        """((i, j), value) for every nonzero entry, in row-major order."""
-        nz = self._nz
-        for k in sorted(nz):
-            yield divmod(k, self.cols), nz[k]
+        return cls._from_flat(_matrix_shape(rows, cols), {}, field)
 
     def at(self, i: int, j: int):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise ShapeError(f"index ({i},{j}) outside {self.rows}x{self.cols}")
-        return self._nz.get(i * self.cols + j, self.field.zero)
+        return self._nz.get(lin_index((i, j), self.shape), self.field.zero)
 
     def row(self, i: int) -> list:
         base, zero = i * self.cols, self.field.zero
@@ -116,40 +193,13 @@ class Matrix:
         return [self.row(i) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        r, c = self.rows, self.cols
+        r, c = self.shape
         nz = {(k % c) * r + k // c: v for k, v in self._nz.items()}
-        return Matrix._from_flat(c, r, nz, self.field)
-
-    def _check_same_field(self, other: "Matrix"):
-        if self.field != other.field:
-            raise SemanticError("matrices live over different fields")
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        nz = dict(self._nz)
-        for k, v in other._nz.items():
-            s = nz[k] + v if k in nz else v
-            if s:
-                nz[k] = s
-            else:
-                del nz[k]
-        return Matrix._from_flat(self.rows, self.cols, nz, self.field)
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix._from_flat(self.rows, self.cols, {k: -v for k, v in self._nz.items()}, self.field)
-
-    def scale(self, s) -> "Matrix":
-        s = self.field.coerce(s)
-        nz = {k: s * v for k, v in self._nz.items()} if s else {}
-        return Matrix._from_flat(self.rows, self.cols, nz, self.field)
+        return Matrix._from_flat((c, r), nz, self.field)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_same_field(other)
+        if self.field != other.field:
+            raise SemanticError("Matrix operands live over different fields")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         orows = _row_dicts(other)
@@ -165,7 +215,7 @@ class Matrix:
                         nz[pos] = s
                     else:
                         del nz[pos]
-        return Matrix._from_flat(self.rows, ncols, nz, self.field)
+        return Matrix._from_flat((self.rows, ncols), nz, self.field)
 
     def apply(self, vec: list) -> list:
         """Matrix times column vector."""
@@ -179,47 +229,40 @@ class Matrix:
                 out[i] = out[i] + a * x
         return out
 
-    def is_zero(self) -> bool:
-        return not self._nz
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return (
-            self.field == other.field
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self._nz == other._nz
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._nz.items()), self.field))
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+
+
+def _matrix_shape(rows: int, cols: int) -> tuple[int, int]:
+    if rows < 0 or cols < 0:
+        raise ShapeError("matrix dimensions must be nonnegative")
+    return rows, cols
 
 
 def _row_dicts(m: Matrix) -> dict[int, dict]:
     """Nonzero rows as {i: {j: value}}, rows and columns in increasing order."""
     out: dict[int, dict] = {}
-    for (i, j), v in m.nonzeros():
+    nz, cols = m._nz, m.cols
+    for k in sorted(nz):
+        i, j = divmod(k, cols)
         row = out.get(i)
         if row is None:
             row = out[i] = {}
-        row[j] = v
+        row[j] = nz[k]
     return out
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; row-major convention, so kron(A, B) acts on vec(M) as A M B^T."""
-    a._check_same_field(b)
+    if a.field != b.field:
+        raise SemanticError("Matrix operands live over different fields")
     ncols = a.cols * b.cols
     b_nz = list(b.nonzeros())
     nz = {}
     for (i, j), va in a.nonzeros():
         for (k, l), vb in b_nz:
             nz[(i * b.rows + k) * ncols + j * b.cols + l] = va * vb
-    return Matrix._from_flat(a.rows * b.rows, ncols, nz, a.field)
+    return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
 
 
 def _eliminate(rows: list[dict], prime: int | None) -> int:
@@ -395,7 +438,7 @@ def inverse(m: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)) or len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     nz = {i * n + c - n: v for i in range(n) for c, v in rows[i].items() if c >= n}
-    return Matrix._from_flat(n, n, nz, m.field)
+    return Matrix._from_flat((n, n), nz, m.field)
 
 
 def is_invertible(m: Matrix) -> bool:

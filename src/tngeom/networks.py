@@ -22,13 +22,14 @@ from math import prod
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
 from .linalg import Matrix, inverse
-from .tensors import (
+from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable here for code that wraps them)
     INSTANCE_ENTRY_BOUND,
     Tensor,
     contract_pair,
     lin_index,
     mode_apply,
     outer,
+    tensordot,
     transpose_axes,
 )
 
@@ -227,41 +228,22 @@ def identity_instance(g: NetworkGraph, field: Field = QQ) -> TNSInstance:
 def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
     """Contract all edges; the result keeps one axis per vertex, in graph order.
 
-    Vertex tensors are absorbed one at a time and each edge is contracted
-    as soon as both endpoint tensors are present (lowest edge id first).
-    The result does not depend on the absorption order.
+    Vertex tensors are absorbed one at a time, and each absorption
+    contracts every edge the new tensor shares with the ones before it in
+    a single pairwise pass.  The result does not depend on the absorption
+    order.
     """
     g = inst.graph
     order = [v.id for v in g.vertices] if vertex_order is None else list(vertex_order)
     if sorted(order) != sorted(v.id for v in g.vertices):
         raise SemanticError("vertex_order must enumerate every vertex exactly once")
-    cur = None
-    labels: list[tuple] = []
-    for vid in order:
-        t = inst.tensors[vid]
-        cur = t if cur is None else outer(cur, t)
-        labels += g.axis_labels(vid)
-        while True:
-            seen: dict[int, int] = {}
-            pair = None
-            for pos, lab in enumerate(labels):
-                if lab[0] != "e":
-                    continue
-                eid = lab[1]
-                if eid in seen:
-                    if pair is None or eid < pair[0]:
-                        pair = (eid, seen[eid], pos)
-                else:
-                    seen[eid] = pos
-            if pair is None:
-                break
-            _, a, b = pair
-            cur = contract_pair(cur, a, b)
-            del labels[b]
-            del labels[a]
-    want = [("v", v.id) for v in g.vertices]
-    perm = [labels.index(lab) for lab in want]
-    return transpose_axes(cur, perm)
+    cur, labels = inst.tensors[order[0]], g.axis_labels(order[0])
+    for vid in order[1:]:
+        new = g.axis_labels(vid)
+        shared = [lab for lab in new if lab in labels]
+        cur = tensordot(cur, inst.tensors[vid], [(labels.index(lab), new.index(lab)) for lab in shared])
+        labels = [lab for lab in labels + new if lab not in shared]
+    return transpose_axes(cur, [labels.index(("v", v.id)) for v in g.vertices])
 
 
 def flip_edge(obj, edge_id: int):
@@ -391,10 +373,8 @@ def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstanc
         e_dim = fine.edge(m.edge).dim
         field = tensors[m.target].field
 
-        emb = [field.zero] * (d_z * e_dim)
-        for i in range(d_z):
-            emb[i * e_dim + i] = field.one
-        tensors[m.removed] = Tensor((d_z, e_dim), emb, field)
+        emb = {i * e_dim + i: field.one for i in range(d_z)}
+        tensors[m.removed] = Tensor._from_flat((d_z, e_dim), emb, field)
 
         fused = tensors.pop(m.target)
         old_labels = coarse.axis_labels(m.target)
@@ -404,7 +384,7 @@ def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstanc
             for lab in new_labels
         )
         slot = {lab: p for p, lab in enumerate(new_labels)}
-        data = [field.zero] * prod(new_shape)
+        data = {}
         for idx, val in fused.nonzeros():
             a, j = divmod(idx[0], d_w)
             new_idx = [0] * len(new_labels)
@@ -413,7 +393,7 @@ def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstanc
             for p, lab in enumerate(old_labels[1:], start=1):
                 new_idx[slot[lab]] = idx[p]
             data[lin_index(tuple(new_idx), new_shape)] = val
-        tensors[m.target] = Tensor(new_shape, data, field)
+        tensors[m.target] = Tensor._from_flat(new_shape, data, field)
     return TNSInstance(g, tensors)
 
 

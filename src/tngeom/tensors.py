@@ -1,10 +1,12 @@
-"""Dense exact tensors with the multilinear operations the rest of the
-package is built from: outer products, edge contractions, flattenings,
-multilinear rank, endomorphism actions and the induced derivation action.
+"""Sparse exact tensors with the multilinear operations the rest of the
+package is built from: pairwise contraction (tensordot, and outer products
+and single-tensor traces on top of it), flattenings, multilinear rank,
+endomorphism actions and the induced derivation action.
 
 Conventions, fixed once and used everywhere:
 
-* entries are stored row-major (last index fastest);
+* entries are keyed row-major (last index fastest), and only nonzeros are
+  stored, in the same ``SparseArray`` form as matrices;
 * a matrix space factor of size r x c is linearized as row*c + col;
 * flattening along axis j keeps the remaining axes in their original order.
 """
@@ -15,109 +17,45 @@ import random
 from math import prod
 
 from .errors import SemanticError, ShapeError
-from .fields import QQ, Field, RationalField
-from .linalg import Matrix, rank
+from .fields import QQ, Field
+from .linalg import Matrix, SparseArray, lin_index, multi_index, rank
 
 INSTANCE_ENTRY_BOUND = 999  # random tensors stay small to keep exact ranks cheap
 
 
-def lin_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
-    flat = 0
-    for i, s in zip(idx, shape):
-        if not 0 <= i < s:
-            raise ShapeError(f"index {idx} outside shape {shape}")
-        flat = flat * s + i
-    return flat
+def _tensor_shape(shape) -> tuple[int, ...]:
+    shape = tuple(int(s) for s in shape)
+    if any(s < 1 for s in shape):
+        raise ShapeError(f"axis dimensions must be positive: {shape}")
+    return shape
 
 
-def multi_index(flat: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for s in reversed(shape):
-        flat, r = divmod(flat, s)
-        out.append(r)
-    return tuple(reversed(out))
+class Tensor(SparseArray):
+    """Immutable exact tensor over a field, holding only its nonzero entries."""
 
-
-class Tensor:
-    """Immutable dense tensor over an exact field."""
-
-    __slots__ = ("shape", "entries", "field")
+    __slots__ = ()
 
     def __init__(self, shape, entries, field: Field = QQ):
-        shape = tuple(int(s) for s in shape)
-        if any(s < 1 for s in shape):
-            raise ShapeError(f"axis dimensions must be positive: {shape}")
-        ent = tuple(field.coerce(x) for x in entries)
-        if len(ent) != prod(shape):
-            raise ShapeError(f"expected {prod(shape)} entries for shape {shape}, got {len(ent)}")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "entries", ent)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
+        super().__init__(_tensor_shape(shape), entries, field)
 
     @classmethod
     def zeros(cls, shape, field: Field = QQ) -> "Tensor":
-        return cls(shape, [field.zero] * prod(tuple(shape)), field)
+        return cls._from_flat(_tensor_shape(shape), {}, field)
 
     @classmethod
     def from_nonzeros(cls, shape, items, field: Field = QQ) -> "Tensor":
-        shape = tuple(shape)
-        data = [field.zero] * prod(shape)
-        for idx, val in dict(items).items():
-            data[lin_index(tuple(idx), shape)] = field.coerce(val)
-        return cls(shape, data, field)
+        shape = _tensor_shape(shape)
+        return cls._from_flat(shape, cls._flat_items(shape, items, field), field)
 
     @property
     def order(self) -> int:
         return len(self.shape)
 
     def at(self, idx) -> object:
-        return self.entries[lin_index(tuple(idx), self.shape)]
-
-    def nonzeros(self):
-        for flat, v in enumerate(self.entries):
-            if v:
-                yield multi_index(flat, self.shape), v
-
-    def is_zero(self) -> bool:
-        return not any(self.entries)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._compat(other)
-        return Tensor(self.shape, [a + b for a, b in zip(self.entries, other.entries)], self.field)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        self._compat(other)
-        return Tensor(self.shape, [a - b for a, b in zip(self.entries, other.entries)], self.field)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.shape, [-a for a in self.entries], self.field)
-
-    def scale(self, s) -> "Tensor":
-        s = self.field.coerce(s)
-        return Tensor(self.shape, [s * a for a in self.entries], self.field)
-
-    def _compat(self, other: "Tensor"):
-        if not isinstance(other, Tensor):
-            raise SemanticError("expected a Tensor")
-        if self.field != other.field:
-            raise SemanticError("tensors live over different fields")
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch: {self.shape} vs {other.shape}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return self.field == other.field and self.shape == other.shape and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.shape, self.entries, self.field))
+        return self._nz.get(lin_index(tuple(idx), self.shape), self.field.zero)
 
     def __repr__(self):
-        nnz = sum(1 for v in self.entries if v)
-        return f"Tensor(shape={self.shape}, nnz={nnz}, field={self.field!r})"
+        return f"Tensor(shape={self.shape}, nnz={len(self._nz)}, field={self.field!r})"
 
 
 def _strides(shape: tuple[int, ...]) -> list[int]:
@@ -127,19 +65,52 @@ def _strides(shape: tuple[int, ...]) -> list[int]:
     return st
 
 
-def outer(a: Tensor, b: Tensor) -> Tensor:
+def _grouped(t: Tensor, axes: list[int]) -> tuple[dict, tuple[int, ...]]:
+    """Nonzeros keyed by their indices on the given axes, each stored as
+    (row-major index over the other axes, value), and the other axes' shape."""
+    free = [k for k in range(t.order) if k not in axes]
+    groups: dict[tuple, list] = {}
+    for flat, v in t._nz.items():
+        idx = multi_index(flat, t.shape)
+        rest = 0
+        for k in free:
+            rest = rest * t.shape[k] + idx[k]
+        groups.setdefault(tuple(idx[k] for k in axes), []).append((rest, v))
+    return groups, tuple(t.shape[k] for k in free)
+
+
+def tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
+    """Contract axis i of a with axis j of b for every (i, j) in pairs, in one pass.
+
+    The result keeps the uncontracted axes of a, then those of b, each in
+    their original order; with no pairs it is the outer product.
+    """
     if a.field != b.field:
         raise SemanticError("tensors live over different fields")
-    size_b = prod(b.shape)
-    data = [a.field.zero] * (prod(a.shape) * size_b)
-    for fa, va in enumerate(a.entries):
-        if not va:
-            continue
-        base = fa * size_b
-        for fb, vb in enumerate(b.entries):
-            if vb:
-                data[base + fb] = va * vb
-    return Tensor(a.shape + b.shape, data, a.field)
+    axes_a = [i for i, _ in pairs]
+    axes_b = [j for _, j in pairs]
+    for axes, t in ((axes_a, a), (axes_b, b)):
+        if len(set(axes)) != len(axes) or not all(0 <= k < t.order for k in axes):
+            raise ShapeError(f"bad contraction axes {axes} for order {t.order}")
+    for i, j in zip(axes_a, axes_b):
+        if a.shape[i] != b.shape[j]:
+            raise ShapeError(f"contracted axes must agree: {a.shape[i]} vs {b.shape[j]}")
+    groups_a, shape_a = _grouped(a, axes_a)
+    groups_b, shape_b = _grouped(b, axes_b)
+    size_b = prod(shape_b)
+    out: dict[int, object] = {}
+    for key, items_a in groups_a.items():
+        items_b = groups_b.get(key, ())
+        for fa, va in items_a:
+            base = fa * size_b
+            for fb, vb in items_b:
+                s = out.get(base + fb)
+                out[base + fb] = va * vb if s is None else s + va * vb
+    return Tensor._from_flat(shape_a + shape_b, {k: v for k, v in out.items() if v}, a.field)
+
+
+def outer(a: Tensor, b: Tensor) -> Tensor:
+    return tensordot(a, b, ())
 
 
 def transpose_axes(t: Tensor, perm) -> Tensor:
@@ -147,36 +118,23 @@ def transpose_axes(t: Tensor, perm) -> Tensor:
     if sorted(perm) != list(range(t.order)):
         raise ShapeError(f"{perm} is not a permutation of {t.order} axes")
     new_shape = tuple(t.shape[p] for p in perm)
-    data = [t.field.zero] * len(t.entries)
-    for flat, v in enumerate(t.entries):
-        if v:
-            idx = multi_index(flat, t.shape)
-            data[lin_index(tuple(idx[p] for p in perm), new_shape)] = v
-    return Tensor(new_shape, data, t.field)
+    step = [0] * t.order
+    for q, s in zip(perm, _strides(new_shape)):
+        step[q] = s
+    nz = {sum(i * s for i, s in zip(multi_index(flat, t.shape), step)): v for flat, v in t._nz.items()}
+    return Tensor._from_flat(new_shape, nz, t.field)
 
 
 def merge_axes(t: Tensor, a: int, b: int) -> Tensor:
-    """Fuse axes a and b (a-major) into a single axis placed at position a."""
+    """Fuse axes a and b (a-major) into a single axis placed at position min(a, b)."""
     if a == b:
         raise ShapeError("cannot merge an axis with itself")
-    if b < a:
-        t = transpose_axes(t, [b if k == a else a if k == b else k for k in range(t.order)])
-        a, b = b, a
-    new_shape = []
-    for k, s in enumerate(t.shape):
-        if k == a:
-            new_shape.append(t.shape[a] * t.shape[b])
-        elif k != b:
-            new_shape.append(s)
-    new_shape = tuple(new_shape)
-    data = [t.field.zero] * len(t.entries)
-    for flat, v in enumerate(t.entries):
-        if v:
-            idx = multi_index(flat, t.shape)
-            fused = idx[a] * t.shape[b] + idx[b]
-            rest = [fused if k == a else idx[k] for k in range(t.order) if k != b]
-            data[lin_index(tuple(rest), new_shape)] = v
-    return Tensor(new_shape, data, t.field)
+    rest = [k for k in range(t.order) if k not in (a, b)]
+    lo = min(a, b)
+    # with b right after a the fused index is the row-major pair, so the keys carry over
+    moved = transpose_axes(t, rest[:lo] + [a, b] + rest[lo:])
+    shape = moved.shape[:lo] + (t.shape[a] * t.shape[b],) + moved.shape[lo + 2 :]
+    return Tensor._from_flat(shape, moved._nz, t.field)
 
 
 def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
@@ -184,19 +142,10 @@ def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
     n = t.order
     if axis_a == axis_b or not (0 <= axis_a < n and 0 <= axis_b < n):
         raise ShapeError(f"bad axis pair ({axis_a},{axis_b}) for order {n}")
-    if t.shape[axis_a] != t.shape[axis_b]:
-        raise ShapeError(f"contracted axes must agree: {t.shape[axis_a]} vs {t.shape[axis_b]}")
-    keep = [k for k in range(n) if k not in (axis_a, axis_b)]
-    new_shape = tuple(t.shape[k] for k in keep) or (1,)
-    scalar_out = not keep
-    data = [t.field.zero] * prod(new_shape)
-    for flat, v in enumerate(t.entries):
-        if v:
-            idx = multi_index(flat, t.shape)
-            if idx[axis_a] == idx[axis_b]:
-                pos = 0 if scalar_out else lin_index(tuple(idx[k] for k in keep), new_shape)
-                data[pos] = data[pos] + v
-    return Tensor(new_shape, data, t.field)
+    d = t.shape[axis_a]
+    ident = Tensor._from_flat((d, d), {i * d + i: t.field.one for i in range(d)}, t.field)
+    out = tensordot(t, ident, [(axis_a, 0), (axis_b, 1)])
+    return out if out.order else Tensor._from_flat((1,), out._nz, t.field)
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
@@ -207,24 +156,22 @@ def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:
         raise ShapeError(f"map expects dimension {m.cols}, axis has {t.shape[axis]}")
     if m.field != t.field:
         raise SemanticError("map and tensor live over different fields")
-    cols_nz: list[list[tuple[int, object]]] = [[] for _ in range(m.cols)]
+    cols_nz: dict[int, list[tuple[int, object]]] = {}
     for (i, k), v in m.nonzeros():
-        cols_nz[k].append((i, v))
+        cols_nz.setdefault(k, []).append((i, v))
     new_shape = tuple(m.rows if k == axis else s for k, s in enumerate(t.shape))
     stride = _strides(t.shape)[axis]
-    out = [t.field.zero] * prod(new_shape)
     dim = t.shape[axis]
-    for flat, v in enumerate(t.entries):
-        if not v:
-            continue
-        k = (flat // stride) % dim
-        base = flat - k * stride
-        hi, lo = divmod(base, stride * dim)
+    out: dict[int, object] = {}
+    for flat, v in t._nz.items():
+        hi, lo = divmod(flat, stride)
+        hi, k = divmod(hi, dim)
         nbase = hi * stride * m.rows + lo
-        for i, c in cols_nz[k]:
+        for i, c in cols_nz.get(k, ()):
             pos = nbase + i * stride
-            out[pos] = out[pos] + c * v
-    return Tensor(new_shape, out, t.field)
+            s = out.get(pos)
+            out[pos] = c * v if s is None else s + c * v
+    return Tensor._from_flat(new_shape, {p: x for p, x in out.items() if x}, t.field)
 
 
 def apply_end(t: Tensor, maps) -> Tensor:
@@ -262,14 +209,15 @@ def flatten(t: Tensor, axis: int) -> Matrix:
     """Flattening along one axis: rows indexed by that axis, columns by the rest."""
     if not (0 <= axis < t.order):
         raise ShapeError(f"axis {axis} outside order {t.order}")
-    keep = [k for k in range(t.order) if k != axis]
-    rest_shape = tuple(t.shape[k] for k in keep)
-    ncols = prod(rest_shape) if rest_shape else 1
-    items = {}
-    for idx, v in t.nonzeros():
-        col = lin_index(tuple(idx[k] for k in keep), rest_shape) if rest_shape else 0
-        items[idx[axis], col] = v
-    return Matrix.from_nonzeros(t.shape[axis], ncols, items, t.field)
+    stride = _strides(t.shape)[axis]
+    dim = t.shape[axis]
+    ncols = prod(t.shape) // dim
+    nz = {}
+    for flat, v in t._nz.items():
+        hi, lo = divmod(flat, stride)
+        hi, i = divmod(hi, dim)
+        nz[i * ncols + hi * stride + lo] = v
+    return Matrix._from_flat((dim, ncols), nz, t.field)
 
 
 def mlrank(t: Tensor) -> tuple[int, ...]:
@@ -316,7 +264,3 @@ def random_tensor(shape, seed: int, field: Field = QQ, bound: int = INSTANCE_ENT
     rng = random.Random(seed)
     return Tensor(tuple(shape), [rng.randint(-bound, bound) for _ in range(prod(tuple(shape)))], field)
 
-
-def tensor_rank_upper(t: Tensor) -> int:  # pragma: no cover - diagnostic helper
-    """Cheap upper bound: number of nonzero entries."""
-    return sum(1 for v in t.entries if v)

@@ -17,7 +17,7 @@ from .fields import QQ, Field
 from .linalg import Matrix, rank
 from .networks import NetworkGraph, TNSInstance, contract_network, random_instance
 from .stabilizer import stabilizer_dim
-from .tensors import Tensor, apply_end, mlrank, transpose_axes
+from .tensors import Tensor, apply_end, flatten, mlrank, transpose_axes
 from .zoo import Splitting, imm_loop, m_tilde_formula, mmult
 
 # samples used by tns_dim to confirm genericity are this far apart
@@ -62,13 +62,11 @@ def _jacobian_entries(inst: TNSInstance, shapes):
     for v, shape in zip(g.vertices, shapes):
         size = prod(shape)
         for b in range(size):
-            basis = Tensor(shape, [f.one if k == b else f.zero for k in range(size)], f)
             tensors = dict(inst.tensors)
-            tensors[v.id] = basis
+            tensors[v.id] = Tensor._from_flat(shape, {b: f.one}, f)
             out = contract_network(TNSInstance(g, tensors))
-            for flat, val in enumerate(out.entries):
-                if val:
-                    yield (flat, col), val
+            for flat, val in out._nz.items():
+                yield (flat, col), val
             col += 1
 
 
@@ -119,8 +117,7 @@ def loop_endomorphisms(inst: TNSInstance) -> tuple[list[int], list[Matrix]]:
         vdim = g.vertex(u).dim
         if vdim != a * b:
             raise SemanticError(f"vertex {u} is not critical: {vdim} != {a}*{b}")
-        t = inst.tensors[u]
-        maps.append(Matrix(vdim, a * b, list(t.entries), t.field))
+        maps.append(flatten(inst.tensors[u], 0))
     return walk, maps
 
 

@@ -110,16 +110,6 @@ class Splitting:
         return self.x0.field
 
 
-def _coordinate_projector(side: int, keep, field: Field) -> Matrix:
-    """Projector on side x side matrices keeping the given (row, col) cells."""
-    n = side * side
-    ent = [field.zero] * (n * n)
-    for i, j in keep:
-        k = i * side + j
-        ent[k * n + k] = field.one
-    return Matrix(n, n, ent, field)
-
-
 def diagonal_splitting(e: int, field: Field = QQ) -> Splitting:
     """Diagonal cells on factors 1 and 2, off-diagonal cells on factor 3.
 
@@ -132,9 +122,9 @@ def diagonal_splitting(e: int, field: Field = QQ) -> Splitting:
     diag = [(i, i) for i in range(e)]
     off = [(i, j) for i in range(e) for j in range(e) if i != j]
     return Splitting(
-        _coordinate_projector(e, diag, field),
-        _coordinate_projector(e, diag, field),
-        _coordinate_projector(e, off, field),
+        _rect_projector(e, e, diag, field),
+        _rect_projector(e, e, diag, field),
+        _rect_projector(e, e, off, field),
     )
 
 
@@ -153,12 +143,9 @@ def _block_cells(rsplit: tuple[int, int], csplit: tuple[int, int], anti: bool):
 
 
 def _rect_projector(rows: int, cols: int, keep, field: Field) -> Matrix:
+    """Projector on rows x cols matrices keeping the given (row, col) cells."""
     n = rows * cols
-    ent = [field.zero] * (n * n)
-    for i, j in keep:
-        k = i * cols + j
-        ent[k * n + k] = field.one
-    return Matrix(n, n, ent, field)
+    return Matrix.from_nonzeros(n, n, {(i * cols + j, i * cols + j): 1 for i, j in keep}, field)
 
 
 def block_splitting(e1p: int, e1pp: int, e2p: int, e2pp: int, e3p: int, e3pp: int, field: Field = QQ) -> Splitting:

@@ -71,6 +71,17 @@ def test_contraction_matches_brute_force_triangle(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_contraction_matches_brute_force_chain(seed):
     inst = random_instance(chain_graph((2, 4, 3), (2, 3)), seed=seed, bound=9)
+    want = brute_force_contract(inst)
+    # [1, 3, 2] absorbs vertex 3 while it shares no edge with vertex 1
+    for order in (None, [1, 3, 2]):
+        got = contract_network(inst, vertex_order=order)
+        assert {idx: Fraction(v) for idx, v in got.nonzeros()} == want
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_contraction_matches_brute_force_parallel_edges(seed):
+    # two vertices joined by two edges, both contracted in one pass
+    inst = random_instance(loop_graph((2, 3)), seed=seed, bound=9)
     got = contract_network(inst)
     want = brute_force_contract(inst)
     assert {idx: Fraction(v) for idx, v in got.nonzeros()} == want

@@ -208,3 +208,30 @@ def test_tensor_validation_and_field_mix():
         random_tensor((2,), seed=1) + random_tensor((2,), seed=1, field=fp)
     with pytest.raises(SemanticError):
         mode_apply(random_tensor((2,), seed=1), random_matrix(2, 2, seed=0, field=fp), 0)
+
+
+def test_sparse_tensor_far_too_large_to_hold_densely():
+    n = 10**4
+    shape = (n, n, n)
+    items = {(0, 0, 5): 2, (7, 7, 1): 3, (n - 1, 3, 0): -1}
+    t = Tensor.from_nonzeros(shape, items)
+    swap = Matrix.from_nonzeros(n, n, {(0, 7): 1, (7, 0): 1, (n - 1, n - 1): 4})
+    assert dict(mode_apply(t, swap, 0).nonzeros()) == {(7, 0, 5): 2, (0, 7, 1): 3, (n - 1, 3, 0): -4}
+    tt = transpose_axes(t, (2, 0, 1))
+    assert tt.shape == shape and dict(tt.nonzeros()) == {(5, 0, 0): 2, (1, 7, 7): 3, (0, n - 1, 3): -1}
+    traced = contract_pair(t, 0, 1)
+    assert traced.shape == (n,) and dict(traced.nonzeros()) == {(5,): 2, (1,): 3}
+    f = flatten(t, 2)
+    assert (f.rows, f.cols) == (n, n * n)
+    assert dict(f.nonzeros()) == {(5, 0): 2, (1, 7 * n + 7): 3, (0, (n - 1) * n + 3): -1}
+    same = Tensor.from_nonzeros(shape, dict(reversed(list(items.items()))))
+    assert t == same and hash(t) == hash(same)
+    assert t != tt and t != t.scale(2)
+
+
+def test_matrix_and_two_axis_tensor_differ():
+    m = Matrix.from_rows([[1, 2], [0, 3]])
+    t = Tensor((2, 2), [1, 2, 0, 3])
+    assert m.shape == t.shape and m.entries == t.entries
+    assert m != t and t != m
+    assert flatten(t, 0) == m
