@@ -10,7 +10,6 @@ non-closedness certificate.
 """
 
 from .errors import (
-    DegenerateSampleError,
     FieldMismatchError,
     FormatError,
     SemanticError,

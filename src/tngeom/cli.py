@@ -119,6 +119,7 @@ def cmd_dim(args) -> int:
     }
     report.update(field_label(field))
     report["seed"] = args.seed
+    report["jacobian_dim_bound"] = "lower"
     _emit(args, report)
     return 0
 

@@ -28,7 +28,3 @@ class FieldMismatchError(SemanticError):
 
 class SingularMatrixError(SemanticError):
     """A map required to be invertible is singular."""
-
-
-class DegenerateSampleError(TngeomError, RuntimeError):
-    """Repeated random samples disagreed; genericity assumption failed."""

@@ -239,11 +239,18 @@ def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
         raise SemanticError("vertex_order must enumerate every vertex exactly once")
     cur, labels = inst.tensors[order[0]], g.axis_labels(order[0])
     for vid in order[1:]:
-        new = g.axis_labels(vid)
-        shared = [lab for lab in new if lab in labels]
-        cur = tensordot(cur, inst.tensors[vid], [(labels.index(lab), new.index(lab)) for lab in shared])
-        labels = [lab for lab in labels + new if lab not in shared]
+        cur, labels = absorb(cur, labels, inst.tensors[vid], g.axis_labels(vid))
     return transpose_axes(cur, [labels.index(("v", v.id)) for v in g.vertices])
+
+
+def absorb(a: Tensor, labels_a, b: Tensor, labels_b) -> tuple[Tensor, list]:
+    """Contract two axis-labelled tensors over every label they share, in one pass.
+
+    Returns the result and its labels: a's open labels, then b's.
+    """
+    shared = [lab for lab in labels_b if lab in labels_a]
+    out = tensordot(a, b, [(labels_a.index(lab), labels_b.index(lab)) for lab in shared])
+    return out, [lab for lab in labels_a + labels_b if lab not in shared]
 
 
 def flip_edge(obj, edge_id: int):
@@ -416,24 +423,23 @@ def _secant_dim(a: int, b: int, r: int) -> int:
     return min(r * (a + b - r), a * b)
 
 
-def _cycle_edge_sequence(g: NetworkGraph):
-    """Edge dims in cycle order starting at the smallest vertex, or None."""
+def cycle_edges(g: NetworkGraph):
+    """Edges in cycle order starting at the smallest vertex, or None.
+
+    The walk leaves the start vertex along its first outgoing edge when it
+    has one, so on a directed loop it follows the edge directions.
+    """
     if len(g.vertices) < 2 or len(g.edges) != len(g.vertices):
         return None
     if any(g.degree(v.id) != 2 for v in g.vertices):
         return None
-    start = min(v.id for v in g.vertices)
+    vid = start = min(v.id for v in g.vertices)
+    e = (g.out_edges(start) or g.incident(start))[0]
     seq = []
-    prev_edge = None
-    vid = start
-    for _ in range(len(g.edges)):
-        nxt = [e for e in g.incident(vid) if e.id != (prev_edge.id if prev_edge else None)]
-        if prev_edge is None:
-            nxt = [g.incident(vid)[0]]
-        e = nxt[0]
+    for _ in g.edges:
         seq.append(e)
         vid = e.head if e.tail == vid else e.tail
-        prev_edge = e
+        e = next(x for x in g.incident(vid) if x.id != e.id)
     if vid != start or len({e.id for e in seq}) != len(g.edges):
         return None
     return seq
@@ -465,7 +471,7 @@ def expected_dim(g: NetworkGraph) -> int | None:
         r = prod(e.dim for e in g1.edges)
         return _secant_dim(a, b, r)
     g2, offset = supercritical_truncate(g1)
-    seq = _cycle_edge_sequence(g2)
+    seq = cycle_edges(g2)
     if seq is not None and len(seq) >= 3:
         if all(classify_vertex(g2, v.id) == "critical" for v in g2.vertices):
             dims = [e.dim for e in seq]

@@ -4,10 +4,24 @@ Covers bounded-multilinear-rank membership, conciseness, the Jacobian
 dimension of a contraction family at a random point, the endomorphism
 description of loop families, and the non-closedness certificate built
 from a splitting curve.
+
+The Jacobian is read off vertex environments: the environment of a
+vertex is every other vertex tensor contracted, with that vertex's edges
+left open, and all of them come from one prefix and one suffix sweep
+(Pfeifer, Haegeman and Verstraete, arXiv 1304.6112).  Over a prime field
+the rank may instead be taken on a sketch: min(rows, columns) + 4 random
+rank-one combinations of the Jacobian's rows, each built from the same
+sweeps on a network whose vertex axes are capped by random covectors.
+The sketch is used when its dense cell count is below the Jacobian's
+nonzero count, which the graph fixes before anything is built.  Every
+sampled rank is a lower bound on the dimension: rank is lower
+semicontinuous, a sketch S J has rank at most that of J, and a rank mod p
+is at most the rank over Q.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import prod
 
@@ -15,13 +29,15 @@ from .curves import act_curve, curve_from_splitting, leading_term
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
 from .linalg import Matrix, rank
-from .networks import NetworkGraph, TNSInstance, contract_network, random_instance
+from .networks import NetworkGraph, TNSInstance, absorb, contract_network, cycle_edges, random_instance
 from .stabilizer import stabilizer_dim
-from .tensors import Tensor, apply_end, flatten, mlrank, transpose_axes
+from .tensors import Tensor, apply_end, flatten, mlrank, tensordot, transpose_axes
 from .zoo import Splitting, imm_loop, m_tilde_formula, mmult
 
 # samples used by tns_dim to confirm genericity are this far apart
 SEED_STRIDE = 1000003
+# rows of the Fp sketch beyond min(rows, columns) of the Jacobian it stands for
+SKETCH_SLACK = 4
 
 
 def sub_membership(t: Tensor, bounds) -> bool:
@@ -42,36 +58,100 @@ def is_concise(t: Tensor) -> bool:
 def contraction_jacobian(inst: TNSInstance) -> Matrix:
     """Differential of the contraction map at the given instance.
 
-    One column per vertex-tensor coordinate: by multilinearity, the
-    partial derivative in coordinate b of slot j is the contraction with
-    T_j replaced by the b-th basis tensor.  Rows run over the contracted
-    tensor's coordinates.
+    Rows run over the contracted tensor's coordinates, columns over the
+    vertex-tensor coordinates, vertex by vertex.  The contraction is
+    linear in each vertex tensor, so the column of coordinate (i, a) of
+    vertex v is delta(x_v, i) * E_v[x_others, a], where the environment
+    E_v is every other vertex tensor contracted, with v's edges left open.
     """
     g = inst.graph
-    shapes = [g.tensor_shape(v.id) for v in g.vertices]
-    nrows = prod(v.dim for v in g.vertices)
-    ncols = sum(prod(s) for s in shapes)
-    return Matrix.from_nonzeros(nrows, ncols, _jacobian_entries(inst, shapes), inst.field)
+    vids = [v.id for v in g.vertices]
+    dims = [v.dim for v in g.vertices]
+    sizes = [prod(g.tensor_shape(vid)) for vid in vids]
+    ncols = sum(sizes)
+    envs = _environments([(inst.tensors[vid], g.axis_labels(vid)) for vid in vids])
+    nz = {}
+    offset = 0
+    for k, (vid, dv, (env, labels)) in enumerate(zip(vids, dims, envs)):
+        after = prod(dims[k + 1 :])
+        asize = sizes[k] // dv
+        env = _aligned(env, labels, [("v", u) for u in vids if u != vid] + g.axis_labels(vid)[1:])
+        for flat, val in env._nz.items():
+            rest, a = divmod(flat, asize)
+            before, xa = divmod(rest, after)
+            row = before * dv * after + xa
+            for i in range(dv):
+                nz[(row + i * after) * ncols + offset + i * asize + a] = val
+        offset += sizes[k]
+    return Matrix._from_flat((prod(dims), ncols), nz, inst.field)
 
 
-def _jacobian_entries(inst: TNSInstance, shapes):
-    """((row, column), value) for the nonzeros of the Jacobian, column by column."""
-    g = inst.graph
-    f = inst.field
-    col = 0
-    for v, shape in zip(g.vertices, shapes):
-        size = prod(shape)
-        for b in range(size):
-            tensors = dict(inst.tensors)
-            tensors[v.id] = Tensor._from_flat(shape, {b: f.one}, f)
-            out = contract_network(TNSInstance(g, tensors))
-            for flat, val in out._nz.items():
-                yield (flat, col), val
-            col += 1
+def _environments(pieces) -> list[tuple[Tensor, list]]:
+    """Environment of each (tensor, axis labels) piece: all the other
+    pieces contracted over the labels they share.
+
+    One prefix sweep and one suffix sweep over the pieces, then one
+    contraction per piece joins the prefix before it to the suffix after
+    it, as in the forward and backward pass of backpropagation
+    (Pfeifer, Haegeman and Verstraete, arXiv 1304.6112).
+    """
+    f = pieces[0][0].field
+    unit = (Tensor._from_flat((), {0: f.one}, f), [])
+    prefix = [unit]
+    for t, labels in pieces[:-1]:
+        prefix.append(absorb(*prefix[-1], t, labels))
+    suffix = [unit]
+    for t, labels in reversed(pieces[1:]):
+        suffix.append(absorb(t, labels, *suffix[-1]))
+    return [absorb(*a, *b) for a, b in zip(prefix, reversed(suffix))]
+
+
+def _aligned(t: Tensor, labels, order) -> Tensor:
+    return transpose_axes(t, [labels.index(lab) for lab in order])
+
+
+def _jacobian_sketch(inst: TNSInstance, nrows: int, rng: random.Random) -> Matrix:
+    """nrows random rank-one combinations of the Jacobian's rows, over Fp.
+
+    Row k is the gradient of <w_k1 (x) ... (x) w_kn, T(x)> for random
+    covectors w_kv on the vertex spaces.  Capping every vertex axis with
+    its covector leaves a network on the edges alone, and the block of
+    vertex v is w_kv (x) env_v, where env_v is that capped network with v
+    left out.
+    """
+    g, f = inst.graph, inst.field
+    vids = [v.id for v in g.vertices]
+    edge_labels = [g.axis_labels(vid)[1:] for vid in vids]
+    sizes = [prod(g.tensor_shape(vid)) for vid in vids]
+    ncols = sum(sizes)
+    nz = {}
+    for k in range(nrows):
+        covecs = [[rng.randrange(f.prime) for _ in range(v.dim)] for v in g.vertices]
+        capped = [(tensordot(Tensor((len(w),), w, f), inst.tensors[vid], [(0, 0)]), labels)
+                  for w, vid, labels in zip(covecs, vids, edge_labels)]
+        col = k * ncols
+        for w, (env, labels), order, size in zip(covecs, _environments(capped), edge_labels, sizes):
+            asize = size // len(w)
+            for a, val in _aligned(env, labels, order)._nz.items():
+                for i, wi in enumerate(w):
+                    if wi:
+                        nz[col + i * asize + a] = val * wi
+            col += size
+    return Matrix._from_flat((nrows, ncols), nz, f)
 
 
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
-    return rank(contraction_jacobian(random_instance(g, seed, field)))
+    """Rank of the Jacobian at the seeded instance, or over Fp of its row
+    sketch when the sketch has fewer cells than the Jacobian has nonzeros."""
+    inst = random_instance(g, seed, field)
+    nrows = prod(v.dim for v in g.vertices)
+    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    sketch_rows = min(nrows, ncols) + SKETCH_SLACK
+    nnz = nrows * sum(g.edge_product(v.id) for v in g.vertices)
+    if field.prime is not None and sketch_rows * ncols < nnz:
+        # a stream of its own: covectors drawn from the instance's stream would correlate with its entries
+        return rank(_jacobian_sketch(inst, sketch_rows, random.Random(f"jacobian-sketch:{seed}")))
+    return rank(contraction_jacobian(inst))
 
 
 def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> int:
@@ -80,6 +160,8 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> int:
     The rank is taken at two random instances and the larger one is
     returned.  Rank is lower semicontinuous, so no sample exceeds the
     generic rank and the maximum is the better lower bound of the two.
+    A row sketch S J has rank at most that of J, and a rank mod p at most
+    the rank over Q, so over Fp the result is a lower bound as well.
     """
     r0 = _jacobian_rank(g, seed, field)
     r1 = _jacobian_rank(g, seed + SEED_STRIDE, field)
@@ -90,15 +172,10 @@ def _cycle_walk(g: NetworkGraph) -> list[int]:
     for v in g.vertices:
         if len(g.in_edges(v.id)) != 1 or len(g.out_edges(v.id)) != 1:
             raise SemanticError("needs a directed loop: one edge in, one out per vertex")
-    start = min(v.id for v in g.vertices)
-    walk = []
-    vid = start
-    for _ in range(len(g.vertices)):
-        walk.append(vid)
-        vid = g.out_edges(vid)[0].head
-    if vid != start or len(set(walk)) != len(g.vertices):
+    seq = cycle_edges(g)
+    if seq is None:
         raise SemanticError("graph is not a single directed loop")
-    return walk
+    return [e.tail for e in seq]
 
 
 def loop_endomorphisms(inst: TNSInstance) -> tuple[list[int], list[Matrix]]:

@@ -155,3 +155,31 @@ def kron_oracle(a, b):
 
 def prod_shape(shape) -> int:
     return prod(shape)
+
+
+def per_coordinate_jacobian(inst):
+    """Jacobian of the contraction map, one full contraction per column.
+
+    The contraction is multilinear, so the partial derivative in
+    coordinate b of vertex v is the contraction with v's tensor replaced
+    by the b-th basis tensor.  Rows run over the contracted tensor's
+    coordinates, columns over the vertex tensors' coordinates, vertex by
+    vertex.
+    """
+    from tngeom import Matrix, Tensor, TNSInstance, contract_network
+    from tngeom.linalg import lin_index
+
+    g, f = inst.graph, inst.field
+    nrows = prod(v.dim for v in g.vertices)
+    shapes = [g.tensor_shape(v.id) for v in g.vertices]
+    items = {}
+    col = 0
+    for v, shape in zip(g.vertices, shapes):
+        for b in range(prod(shape)):
+            tensors = dict(inst.tensors)
+            tensors[v.id] = Tensor._from_flat(shape, {b: f.one}, f)
+            out = contract_network(TNSInstance(g, tensors))
+            for idx, val in out.nonzeros():
+                items[(lin_index(idx, out.shape), col)] = val
+            col += 1
+    return Matrix.from_nonzeros(nrows, sum(prod(s) for s in shapes), items, f)

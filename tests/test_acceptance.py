@@ -1,13 +1,11 @@
 """Acceptance gate.
 
 One test per shipping criterion; `pytest -v` prints one pass/fail line
-for each.  Criterion 3 is expected to fail: the closed-form boundary
-tensor double counts the all-diagonal trace monomials, so it differs
-from the computed curve limit on exactly the e all-diagonal entries
-(values 2 vs 1).  The two tensors have identical stabilizer dimension,
-identical multilinear rank, and are equivalent under the product group,
-but they are not equal entry for entry.  The failure message carries
-the full diff.
+for each.  Criterion 3 checks that the leading term of the
+diagonal-splitting curve equals the closed-form boundary tensor
+`m_tilde_formula` entry for entry at e = 2 and 3.  If they ever differ,
+the failure message carries the full diff and the invariants the two
+tensors still share.
 """
 from __future__ import annotations
 
@@ -78,11 +76,9 @@ def test_criterion_03_curve_limit_equals_closed_form_entrywise():
                 f"entries (limit value, closed-form value): {diff}. "
                 f"Shared invariants: stabilizer_dim {stabilizer_dim(limit)} == "
                 f"{stabilizer_dim(formula)}, mlrank {mlrank(limit)} == "
-                f"{mlrank(formula)}. The closed form counts the all-diagonal "
-                f"trace monomials twice (once inside each of two projected "
-                f"trace terms), giving coefficient 2 where the limit has 1; "
-                f"the tensors agree after rescaling one diagonal block, so "
-                f"they lie in the same group orbit but are not identical."
+                f"{mlrank(formula)}. The limit must equal m_tilde_formula "
+                f"entry for entry: the sum of the three mixed projected "
+                f"traces, each coefficient 1 on disjoint supports."
             )
 
 

@@ -79,7 +79,8 @@ def test_dim_report(triangle_files, capsys):
     code, out, _ = run(["dim", triangle_files["graph"], "--seed", "3"], capsys)
     assert code == 0
     assert json.loads(out) == {"jacobian_dim": 37, "formula_dim": 37, "agree": True,
-                               "field": "rational", "prime": None, "seed": 3}
+                               "field": "rational", "prime": None, "seed": 3, "jacobian_dim_bound": "lower"}
+    assert list(json.loads(out))[-2:] == ["seed", "jacobian_dim_bound"]
 
 
 def test_dim_unknown_formula(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tngeom import varieties
@@ -12,6 +14,7 @@ from tngeom.networks import (
     expected_dim,
     flip_edge,
     identity_instance,
+    loop_dim_formula,
     loop_graph,
     random_instance,
 )
@@ -27,6 +30,36 @@ from tngeom.varieties import (
     tns_dim,
 )
 from tngeom.zoo import Splitting, block_splitting, diagonal_splitting, imm_loop, mmult
+
+from oracles import per_coordinate_jacobian
+
+FP = PrimeField(2**31 - 1)
+
+
+def _random_tree(seed):
+    """Tree on five vertices with random edge orientations and small dimensions."""
+    rng = random.Random(seed)
+    vertices = [(1, rng.randint(1, 3))]
+    edges = []
+    for vid in range(2, 6):
+        parent = rng.randint(1, vid - 1)
+        tail, head = (parent, vid) if rng.random() < 0.5 else (vid, parent)
+        vertices.append((vid, rng.randint(1, 3)))
+        edges.append((vid - 1, tail, head, rng.randint(1, 2)))
+    return NetworkGraph.build(vertices, edges)
+
+
+JACOBIAN_GRAPHS = {
+    "loop222": loop_graph((2, 2, 2)),
+    "loop232": loop_graph((2, 3, 2)),
+    "loop2222": loop_graph((2, 2, 2, 2)),
+    "chain3663": chain_graph((3, 6, 6, 3), (3, 2, 3)),
+    "chain353": chain_graph((3, 5, 3), (2, 2)),
+    "tree": _random_tree(7),
+    "parallel": loop_graph((2, 3)),
+    "superloop": loop_graph((2, 2, 2), vertex_dims=(5, 4, 4)),
+    "isolated": NetworkGraph.build([(1, 3), (2, 2), (3, 4)], [(1, 1, 3, 2)]),
+}
 
 
 def test_sub_membership_basics():
@@ -71,6 +104,68 @@ def test_jacobian_shape():
     assert rank(jac) == 37
 
 
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+@pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
+def test_jacobian_matches_per_coordinate_oracle(name, field):
+    inst = random_instance(JACOBIAN_GRAPHS[name], seed=3, field=field, bound=9)
+    assert contraction_jacobian(inst) == per_coordinate_jacobian(inst)
+
+
+@pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
+def test_sketch_rows_are_product_covectors_times_jacobian(name):
+    g = JACOBIAN_GRAPHS[name]
+    inst = random_instance(g, seed=1, field=FP)
+    sketch = varieties._jacobian_sketch(inst, 3, random.Random(5))
+    # the covectors as the sketch draws them: row by row, vertex by vertex
+    rng = random.Random(5)
+    rows = []
+    for _ in range(3):
+        row = [1]
+        for v in g.vertices:
+            w = [rng.randrange(FP.prime) for _ in range(v.dim)]
+            row = [x * y for x in row for y in w]
+        rows.append(row)
+    assert sketch == Matrix.from_rows(rows, FP) @ contraction_jacobian(inst)
+
+
+@pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
+def test_sketch_rank_bounded_by_jacobian_rank(name):
+    g = JACOBIAN_GRAPHS[name]
+    for seed in range(3):
+        inst = random_instance(g, seed=seed, field=FP)
+        jac = contraction_jacobian(inst)
+        full = rank(jac)
+        sketch = varieties._jacobian_sketch(inst, min(jac.shape) + 4, random.Random(seed))
+        assert sketch.shape == (min(jac.shape) + 4, jac.cols)
+        assert rank(sketch) == full
+        # too few rows to reach the rank: still never above it
+        assert rank(varieties._jacobian_sketch(inst, full // 2, random.Random(seed))) <= full
+
+
+SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 against 384 Jacobian nonzeros
+
+
+@pytest.mark.parametrize("g, field, want, sketched", [
+    (loop_graph((2,) * 5), FP, 61, True),
+    (SEGRE6, FP, 7, True),
+    (SEGRE6, QQ, 7, False),
+    (loop_graph((2,) * 4), FP, 49, False),
+    (loop_graph((2, 3, 2)), FP, 72, False),
+])
+def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketched):
+    used = []
+    sketch, jacobian = varieties._jacobian_sketch, varieties.contraction_jacobian
+    monkeypatch.setattr(varieties, "_jacobian_sketch", lambda *a: used.append("sketch") or sketch(*a))
+    monkeypatch.setattr(varieties, "contraction_jacobian", lambda *a: used.append("full") or jacobian(*a))
+    assert tns_dim(g, seed=0, field=field) == want
+    assert used == ["sketch" if sketched else "full"] * 2
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_tns_dim_long_loops_over_fp(n):
+    assert tns_dim(loop_graph((2,) * n), seed=0, field=FP) == loop_dim_formula((2,) * n)
+
+
 def test_tns_dim_frozen_loop_values():
     assert tns_dim(loop_graph((2, 2, 2)), seed=0) == 37
     assert tns_dim(loop_graph((2, 2, 2, 2)), seed=0) == 49
@@ -105,6 +200,14 @@ def test_loop_endomorphism_readout():
     walk, maps = loop_endomorphisms(inst)
     assert walk == [1, 2, 3]
     assert all(m == Matrix.identity(4) for m in maps)
+
+
+def test_loop_walk_follows_edge_directions():
+    # vertex 1's lowest-id edge comes in, so the walk must leave by the other one
+    g = NetworkGraph.build([(1, 4), (2, 4), (3, 4)], [(1, 3, 1, 2), (2, 1, 2, 2), (3, 2, 3, 2)])
+    walk, _ = loop_endomorphisms(random_instance(g, seed=0, bound=9))
+    assert walk == [1, 2, 3]
+    assert expected_dim(g) == 37
 
 
 @pytest.mark.parametrize("seed", range(20))
