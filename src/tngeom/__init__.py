@@ -25,6 +25,7 @@ from .linalg import (
     kernel_basis,
     kernel_dim,
     kron,
+    lifted_kernel,
     random_invertible,
     random_matrix,
     rank,

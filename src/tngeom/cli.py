@@ -28,7 +28,7 @@ from .jsonio import (
     tensor_to_obj,
 )
 from .networks import contract_network, expected_dim, reduce_valence_one
-from .stabilizer import build_system
+from .stabilizer import build_system, check_system_size
 from .varieties import certify_not_closed, tns_dim
 from .zoo import Splitting, diagonal_splitting, mmult
 
@@ -92,6 +92,7 @@ def cmd_stabilizer(args) -> int:
 
 def _splitting(args) -> Splitting:
     """The --splitting file, or the diagonal splitting, over the field resolved for size e."""
+    check_system_size(3 * args.e**5)  # the stabilizer system of mmult(e, e, e), before anything is built
     field = _resolve_field(args, 3 * args.e**4)
     if args.splitting:
         return splitting_from_obj(load_path(args.splitting), field)

@@ -7,6 +7,21 @@ In rational mode rows are cleared to integers and eliminated fraction-free
 at the size of minors or below.  In prime field mode the rows hold raw
 integer residues and the pivot row is scaled to 1.
 
+Fraction-free elimination costs more as its entries grow, so a kernel
+over Q whose vectors have small entries is cheaper to find mod a prime:
+``lifted_kernel`` eliminates once mod p, back-solves one kernel vector
+per free column (1 there, 0 at the other free columns), lifts every
+entry to a fraction by rational reconstruction and checks A x = 0 exactly
+over the integers.  The count is exact by two bounds.  Vectors that pass
+the check lie in the kernel over Q, and they are independent, so the
+nullity over Q is at least their number, cols - rank mod p.  A minor that
+is nonzero mod p is nonzero over Q, so rank over Q is at least rank mod
+p, and the nullity over Q is at most that number.  If an entry does not
+lift or a check fails (a kernel of large height, or a prime that divides
+a minor and drops the rank mod p), it returns None and the caller falls
+back to the exact elimination.  ``kernel_basis`` uses the same
+back-solve, over Q or the prime field of the matrix.
+
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
 mostly-zero system costs memory in proportion to its nonzeros.  The dense
@@ -16,10 +31,11 @@ mostly-zero system costs memory in proportion to its nonzeros.  The dense
 from __future__ import annotations
 
 import random
-from math import gcd, lcm, prod
+from fractions import Fraction
+from math import gcd, isqrt, lcm, prod
 
 from .errors import SemanticError, ShapeError, SingularMatrixError
-from .fields import QQ, Field, PrimeField, RationalField
+from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField
 
 RANDOM_ENTRY_BOUND = 10**6
 
@@ -265,7 +281,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
 
 
-def _eliminate(rows: list[dict], prime: int | None) -> int:
+def _eliminate(rows: list[dict], prime: int | None, pivots: list | None = None) -> int:
     """Rank of sparse integer rows: fraction-free over Q, residues mod prime.
 
     With prime None the rows are primitive integer rows.  Each update is
@@ -281,6 +297,10 @@ def _eliminate(rows: list[dict], prime: int | None) -> int:
     0 mod a prime, and every column knows the rows that hold it, so a step
     reads one bucket and updates only the rows that contain the pivot
     column.
+
+    Given a pivots list, each step appends (pivot column, pivot value,
+    the pivot row's other entries), for a back-solve; mod a prime the row
+    is normalised and the value is 1.
     """
     exact = prime is None
     buckets: dict[tuple[int, int], set[int]] = {}
@@ -320,6 +340,9 @@ def _eliminate(rows: list[dict], prime: int | None) -> int:
         if not exact:
             inv = pow(pv, -1, prime)
             prow = {c: v * inv % prime for c, v in prow.items()}
+            pv = 1
+        if pivots is not None:
+            pivots.append((pc, pv, prow))
         for t in targets:
             row = rows[t]
             rv = row.pop(pc)
@@ -357,29 +380,141 @@ def _eliminate(rows: list[dict], prime: int | None) -> int:
     return rank
 
 
-def rank(m: Matrix) -> int:
-    """Exact rank; independent of row and column order."""
-    prime = m.field.prime
+def _integer_rows(m: Matrix) -> list[dict]:
+    """Nonzero rows of a rational matrix, each scaled to primitive integers."""
     rows = list(_row_dicts(m).values())
     for row in rows:
-        if prime is not None:
-            for c, v in row.items():
-                row[c] = v.val
-            continue
-        # clear denominators and content so every row is primitive integer
         mult = lcm(*(v.denominator for v in row.values()))
         for c, v in row.items():
-            row[c] = int(v * mult)
+            row[c] = v.numerator * (mult // v.denominator)
         g = gcd(*row.values())
         if g > 1:
             for c, v in row.items():
                 row[c] = v // g
-    return _eliminate(rows, prime)
+    return rows
+
+
+def _field_rows(m: Matrix) -> tuple[list[dict], int | None]:
+    """Nonzero rows as the elimination kernel takes them, and the prime or None."""
+    prime = m.field.prime
+    if prime is None:
+        return _integer_rows(m), None
+    rows = list(_row_dicts(m).values())
+    for row in rows:
+        for c, v in row.items():
+            row[c] = v.val
+    return rows, prime
+
+
+def rank(m: Matrix) -> int:
+    """Exact rank; independent of row and column order."""
+    return _eliminate(*_field_rows(m))
 
 
 def kernel_dim(m: Matrix) -> int:
     """Dimension of the right kernel."""
     return m.cols - rank(m)
+
+
+def _back_solve(pivots: list, cols: int, prime: int | None) -> tuple[list[int], dict[int, dict]]:
+    """Kernel of eliminated rows: the free columns, and {column c: {free f: x_f[c]}}.
+
+    x_f is the kernel vector that is 1 at free column f and 0 at the other
+    free columns.  A pivot row holds no pivot column chosen before it, so
+    solving the rows last to first finds the other columns of each row
+    already solved.  Values are Fractions over Q and residues mod prime.
+    """
+    taken = {pc for pc, _, _ in pivots}
+    free = [c for c in range(cols) if c not in taken]
+    one = 1 if prime else Fraction(1)
+    x = {f: {f: one} for f in free}
+    for pc, pv, prow in reversed(pivots):
+        acc: dict = {}
+        for c, v in prow.items():
+            for f, w in x[c].items():
+                acc[f] = acc.get(f, 0) - v * w
+        if prime:
+            x[pc] = {f: r for f, s in acc.items() if (r := s % prime)}
+        else:
+            x[pc] = {f: s / pv for f, s in acc.items() if s}
+    return free, x
+
+
+def _kernel_vectors(free: list[int], x: dict[int, dict]) -> list[dict]:
+    """The kernel vectors of a back-solve as {column: nonzero value}, in free column order."""
+    vecs: dict[int, dict] = {f: {} for f in free}
+    for c, col in x.items():
+        for f, v in col.items():
+            vecs[f][c] = v
+    return list(vecs.values())
+
+
+def kernel_basis(m: Matrix) -> list[list]:
+    """Basis of the right kernel, one coordinate vector per free column."""
+    rows, prime = _field_rows(m)
+    pivots: list = []
+    _eliminate(rows, prime, pivots)
+    basis = []
+    for vec in _kernel_vectors(*_back_solve(pivots, m.cols, prime)):
+        dense = [m.field.zero] * m.cols
+        for c, v in vec.items():
+            dense[c] = m.field.coerce(v)
+        basis.append(dense)
+    return basis
+
+
+def _lift_residue(r: int, prime: int, bound: int) -> Fraction | None:
+    """The a/b with |a|, b <= bound and a = b*r mod prime, or None (Wang 1981).
+
+    The half extended Euclid stops at the first remainder within the
+    bound; with 2*bound**2 < prime there is at most one such fraction.
+    """
+    r0, r1, t0, t1 = prime, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def lifted_kernel(m: Matrix, prime: int = DEFAULT_PRIME) -> list[dict] | None:
+    """Exact kernel basis of a rational matrix from one elimination mod prime, or None.
+
+    The rows are cleared to primitive integers and eliminated mod prime.
+    Each back-solved kernel vector, 1 at its free column and 0 at the
+    other free columns, is lifted by rational reconstruction and checked,
+    A x = 0 over the integers.  The vectors come back sparse, as {column:
+    nonzero Fraction}, and their number is the exact nullity (see the
+    module docstring).  None means an entry did not lift or a check
+    failed, and the caller falls back to ``rank`` or ``kernel_basis``.
+    """
+    if not isinstance(m.field, RationalField):
+        raise SemanticError("lifted_kernel expects a rational matrix")
+    residues = [res for row in _integer_rows(m) if (res := {c: r for c, v in row.items() if (r := v % prime)})]
+    pivots: list = []
+    _eliminate(residues, prime, pivots)
+    free, x = _back_solve(pivots, m.cols, prime)
+    del residues, pivots  # freed before the check builds the integer rows again
+    bound = isqrt(prime // 2)
+    denom = dict.fromkeys(free, 1)
+    for col in x.values():
+        for f, r in col.items():
+            q = _lift_residue(r, prime, bound)
+            if q is None:
+                return None
+            col[f] = q
+            denom[f] = lcm(denom[f], q.denominator)
+    # each x_f times the lcm of its denominators, as integers, column by column
+    scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()] for c, col in x.items()}
+    for row in _integer_rows(m):
+        acc: dict[int, int] = {}
+        for c, v in row.items():
+            for f, w in scaled.get(c, ()):
+                acc[f] = acc.get(f, 0) + v * w
+        if any(acc.values()):
+            return None
+    return _kernel_vectors(free, x)
 
 
 def _rref(m: Matrix) -> tuple[list[dict], list[int]]:
@@ -407,24 +542,6 @@ def _rref(m: Matrix) -> tuple[list[dict], list[int]]:
         done.append((pc, pivot_row))
     done.sort(key=lambda t: t[0])
     return [r for _, r in done], [p for p, _ in done]
-
-
-def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right kernel, one coordinate vector per free column."""
-    rows, pivots = _rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    zero, one = m.field.zero, m.field.one
-    basis = []
-    for f in free:
-        vec = [zero] * m.cols
-        vec[f] = one
-        for p, row in zip(pivots, rows):
-            coeff = row.get(f)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
 
 
 def inverse(m: Matrix) -> Matrix:

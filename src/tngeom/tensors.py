@@ -68,15 +68,19 @@ def _strides(shape: tuple[int, ...]) -> list[int]:
 def _grouped(t: Tensor, axes: list[int]) -> tuple[dict, tuple[int, ...]]:
     """Nonzeros keyed by their indices on the given axes, each stored as
     (row-major index over the other axes, value), and the other axes' shape."""
+    shape = t.shape
     free = [k for k in range(t.order) if k not in axes]
+    free_shape = tuple(shape[k] for k in free)
+    strides = _strides(shape)
+    key_axes = [(strides[k], shape[k]) for k in axes]
+    rest_axes = [(strides[k], shape[k], s) for k, s in zip(free, _strides(free_shape))]
     groups: dict[tuple, list] = {}
     for flat, v in t._nz.items():
-        idx = multi_index(flat, t.shape)
         rest = 0
-        for k in free:
-            rest = rest * t.shape[k] + idx[k]
-        groups.setdefault(tuple(idx[k] for k in axes), []).append((rest, v))
-    return groups, tuple(t.shape[k] for k in free)
+        for st, n, s in rest_axes:
+            rest += flat // st % n * s
+        groups.setdefault(tuple([flat // st % n for st, n in key_axes]), []).append((rest, v))
+    return groups, free_shape
 
 
 def tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:

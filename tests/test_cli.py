@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tngeom import jsonio
+from tngeom import cli, jsonio, stabilizer, varieties, zoo
 from tngeom.cli import main
 from tngeom.linalg import Matrix
 from tngeom.networks import chain_graph, identity_instance, loop_graph, random_instance
@@ -65,6 +65,30 @@ def test_certify_default_splitting(capsys):
     rep = json.loads(out)
     assert rep["conclusion"] == "not_closed_certified"
     assert (rep["stab_mmult"], rep["stab_mtilde"]) == (11, 12)
+
+
+def test_certify_refuses_a_system_over_budget_before_building(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("built a tensor for a refused size")
+
+    for mod, name in ((cli, "mmult"), (varieties, "mmult"), (zoo, "mmult"), (cli, "diagonal_splitting")):
+        monkeypatch.setattr(mod, name, boom)
+    for cmd in ("certify", "limit"):
+        code, out, err = run([cmd, "--e", "1000"], capsys)
+        assert code == 3 and out == ""
+        assert "nonzeros" in err
+
+
+def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
+    # 3334 nonzeros of a 100x100x100 tensor give 3334 * 300 system nonzeros
+    assert 3334 * 300 > stabilizer.MAX_SYSTEM_NNZ
+    path = tmp_path / "big.json"
+    entries = [{"idx": [i % 100, i // 100, 0], "val": "1"} for i in range(3334)]
+    path.write_text(json.dumps({"shape": [100, 100, 100], "entries": entries}))
+    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
+    code, out, err = run(["stabilizer", path], capsys)
+    assert code == 3 and out == ""
+    assert "over the budget" in err
 
 
 def test_certify_identity_splitting_inconclusive(triangle_files, capsys):

@@ -9,11 +9,13 @@ from tngeom.errors import SemanticError, ShapeError, SingularMatrixError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import (
     Matrix,
+    _lift_residue,
     inverse,
     is_invertible,
     kernel_basis,
     kernel_dim,
     kron,
+    lifted_kernel,
     random_invertible,
     random_matrix,
     rank,
@@ -68,14 +70,91 @@ def test_kernel_basis_examples():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_kernel_basis_spans_kernel(seed):
-    m = random_matrix(3, 6, seed=seed, bound=10)
-    basis = kernel_basis(m)
-    assert len(basis) == kernel_dim(m)
-    for v in basis:
+    for field in (QQ, FP):
+        m = random_matrix(3, 6, seed=seed, bound=10, field=field)
+        basis = kernel_basis(m)
+        assert len(basis) == kernel_dim(m)
+        for v in basis:
+            assert all(x == 0 for x in m.apply(v))
+        # vectors are independent: stack them and check full rank
+        if basis:
+            assert rank(Matrix.from_rows(basis, field)) == len(basis)
+
+
+def _planted_kernel_matrix(rng: random.Random, free: int, bound: int, cols: int) -> Matrix:
+    """R [I | -C] P with R of full column rank, so the kernel is spanned by the
+    columns of [C; I] moved by P: integer vectors of height at most bound."""
+    piv = cols - free
+    c = [[rng.randint(-bound, bound) for _ in range(free)] for _ in range(piv)]
+    base = [[int(i == j) for j in range(piv)] + [-x for x in c[i]] for i in range(piv)]
+    extra = rng.randint(0, 3)
+    r = [[int(i == j) for j in range(piv)] for i in range(piv)]
+    r += [[rng.randint(-9, 9) for _ in range(piv)] for _ in range(extra)]
+    rng.shuffle(r)
+    perm = list(range(cols))
+    rng.shuffle(perm)
+    rows = []
+    for coeffs in r:
+        row = [sum(a * base[i][j] for i, a in enumerate(coeffs)) for j in range(cols)]
+        d = rng.randint(1, 6)
+        rows.append([Fraction(row[perm[j]], d) for j in range(cols)])
+    return Matrix.from_rows(rows)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 3))
+def test_lifted_kernel_agrees_with_exact_elimination(seed, free, bound):
+    rng = random.Random(seed)
+    m = _planted_kernel_matrix(rng, free, bound, free + rng.randint(1, 6))
+    basis = lifted_kernel(m)
+    assert basis is not None
+    assert len(basis) == free == kernel_dim(m) == m.cols - naive_rank(matrix_rows(m))
+    dense = [[vec.get(c, 0) for c in range(m.cols)] for vec in basis]
+    for vec, v in zip(basis, dense):
+        assert all(vec.values())
         assert all(x == 0 for x in m.apply(v))
-    # vectors are independent: stack them and check full rank
-    if basis:
-        assert rank(Matrix.from_rows(basis)) == len(basis)
+    assert rank(Matrix.from_rows(dense)) == free
+
+
+def test_lifted_kernel_full_rank_and_empty():
+    assert lifted_kernel(Matrix.identity(3)) == []
+    assert lifted_kernel(Matrix.zeros(2, 3)) == [{0: 1}, {1: 1}, {2: 1}]
+    assert lifted_kernel(Matrix.zeros(0, 2)) == [{0: 1}, {1: 1}]
+
+
+@given(st.integers(-32767, 32767), st.integers(1, 32767))
+def test_lift_residue_inverts_reduction_within_the_bound(a, b):
+    p = 2**31 - 1
+    assert _lift_residue(a * pow(b, -1, p) % p, p, 32767) == Fraction(a, b)
+
+
+def test_lift_residue_refuses_past_the_bound():
+    p = 2**31 - 1
+    assert _lift_residue(40000, p, 32767) is None
+    assert _lift_residue(pow(40000, -1, p), p, 32767) is None
+    assert _lift_residue(6, 7, 1) == -1
+
+
+def test_lifted_kernel_falls_back_past_the_height_bound():
+    # (40000, 1) spans the kernel; 40000 > sqrt(p/2) = 32767, and no a/b
+    # with |a|, b <= 32767 is 40000 mod p, so the entry does not lift
+    m = Matrix.from_rows([[1, -40000]])
+    assert lifted_kernel(m) is None
+    assert lifted_kernel(Matrix.from_rows([[1, -32767]])) == [{0: 32767, 1: 1}]
+    assert kernel_basis(m) == [[40000, 1]]
+
+
+def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor():
+    # det = 7: mod 7 the rank drops to 1 and the kernel vector (-1, 1) lifts,
+    # but the exact check finds A x = (0, 7)
+    m = Matrix.from_rows([[1, 1], [1, 8]])
+    assert lifted_kernel(m, prime=7) is None
+    assert lifted_kernel(m) == []
+    assert rank(m) == 2
+
+
+def test_lifted_kernel_rejects_prime_field_matrices():
+    with pytest.raises(SemanticError):
+        lifted_kernel(Matrix.identity(2, FP))
 
 
 @pytest.mark.parametrize("seed", range(5))

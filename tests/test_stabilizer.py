@@ -1,10 +1,12 @@
 import pytest
 
-from tngeom.errors import ShapeError
+from tngeom import stabilizer
+from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, kron, random_invertible, random_matrix, rank
 from tngeom.stabilizer import (
     build_system,
+    check_system_size,
     loop_pair_generators,
     orbit_dim,
     stabilizer_contains_expected,
@@ -77,10 +79,8 @@ def test_limit_tensor_stabilizer_frozen_values():
     assert orbit_dim(m_tilde_formula(2)) == 36
 
 
-def test_stabilizer_tuples_annihilate():
-    t = mmult(2, 2, 2)
-    tuples = stabilizer_tuples(t)
-    assert len(tuples) == 11
+def _assert_tuples_form_stabilizer_basis(t, tuples, dim):
+    assert len(tuples) == dim
     for mats in tuples:
         assert leibniz_act(t, list(mats)).is_zero()
     rows = []
@@ -89,7 +89,35 @@ def test_stabilizer_tuples_annihilate():
         for m in mats:
             row.extend(m.entries)
         rows.append(row)
-    assert rank(Matrix.from_rows(rows)) == 11
+    assert rank(Matrix.from_rows(rows, t.field)) == dim
+
+
+def test_stabilizer_tuples_annihilate():
+    for t, dim in ((mmult(2, 2, 2), 11), (mmult(3, 3, 3), 26), (m_tilde_formula(3), 30)):
+        # over Q the tuples come from the kernel lifted from one prime
+        assert len(build_system(t).lifted_basis()) == dim
+        _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), dim)
+
+
+def test_stabilizer_falls_back_to_exact_elimination(monkeypatch):
+    t = mmult(2, 2, 2)
+    monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m: None)
+    assert build_system(t).lifted_basis() is None
+    assert (stabilizer_dim(t), orbit_dim(t)) == (11, 37)
+    _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
+
+
+def test_stabilizer_tuples_over_fp():
+    t = mmult(2, 2, 2, FP)
+    assert build_system(t).lifted_basis() is None
+    _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
+
+
+def test_system_size_guard():
+    # the trace tensor's system has 3e^5 nonzeros: e = 12 fits, e = 13 does not
+    check_system_size(3 * 12**5)
+    with pytest.raises(SemanticError, match="nonzeros"):
+        check_system_size(3 * 13**5)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])

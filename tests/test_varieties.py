@@ -252,6 +252,14 @@ def test_certificate_diagonal_e6_over_fp():
     assert cert.leading_power == 1
 
 
+@pytest.mark.parametrize("e", range(2, 7))
+def test_certificate_stabilizer_pair_over_q(e):
+    # exact over Q: lifted from one prime and checked, or eliminated fraction-free
+    cert = certify_not_closed(diagonal_splitting(e, QQ), e)
+    assert cert.certified
+    assert (cert.stab_mmult, cert.stab_mtilde) == (3 * e * e - 1, 4 * e * e - 2 * e)
+
+
 def test_certificate_identity_splitting_inconclusive():
     ident = Matrix.identity(4)
     cert = certify_not_closed(Splitting(ident, ident, ident), 2)
