@@ -92,7 +92,6 @@ def cmd_stabilizer(args) -> int:
 
 def _splitting(args) -> Splitting:
     """The --splitting file, or the diagonal splitting, over the field resolved for size e."""
-    check_system_size(3 * args.e**5)  # the stabilizer system of mmult(e, e, e), before anything is built
     field = _resolve_field(args, 3 * args.e**4)
     if args.splitting:
         return splitting_from_obj(load_path(args.splitting), field)
@@ -100,6 +99,7 @@ def _splitting(args) -> Splitting:
 
 
 def cmd_certify(args) -> int:
+    check_system_size(3 * args.e**5)  # the stabilizer system of mmult(e, e, e), before anything is built
     s = _splitting(args)
     cert = certify_not_closed(s, args.e)
     report = certificate_to_obj(cert)

@@ -19,8 +19,9 @@ is nonzero mod p is nonzero over Q, so rank over Q is at least rank mod
 p, and the nullity over Q is at most that number.  If an entry does not
 lift or a check fails (a kernel of large height, or a prime that divides
 a minor and drops the rank mod p), it returns None and the caller falls
-back to the exact elimination.  ``kernel_basis`` uses the same
-back-solve, over Q or the prime field of the matrix.
+back to the exact elimination.  ``kernel_basis`` returns the lifted
+kernel over Q when it holds; otherwise it runs the same back-solve after
+the exact elimination, or after the one mod the matrix's own prime.
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -450,12 +451,19 @@ def _kernel_vectors(free: list[int], x: dict[int, dict]) -> list[dict]:
 
 
 def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right kernel, one coordinate vector per free column."""
-    rows, prime = _field_rows(m)
-    pivots: list = []
-    _eliminate(rows, prime, pivots)
+    """Basis of the right kernel, one coordinate vector per free column.
+
+    Over Q the kernel lifted from one prime is tried first
+    (``lifted_kernel``); if it fails, the rows are eliminated exactly.
+    """
+    vecs = lifted_kernel(m) if isinstance(m.field, RationalField) else None
+    if vecs is None:
+        rows, prime = _field_rows(m)
+        pivots: list = []
+        _eliminate(rows, prime, pivots)
+        vecs = _kernel_vectors(*_back_solve(pivots, m.cols, prime))
     basis = []
-    for vec in _kernel_vectors(*_back_solve(pivots, m.cols, prime)):
+    for vec in vecs:
         dense = [m.field.zero] * m.cols
         for c, v in vec.items():
             dense[c] = m.field.coerce(v)
@@ -478,19 +486,21 @@ def _lift_residue(r: int, prime: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def lifted_kernel(m: Matrix, prime: int = DEFAULT_PRIME) -> list[dict] | None:
-    """Exact kernel basis of a rational matrix from one elimination mod prime, or None.
+def lifted_kernel(m: Matrix) -> list[dict] | None:
+    """Exact kernel basis of a rational matrix from one elimination mod p, or None.
 
-    The rows are cleared to primitive integers and eliminated mod prime.
-    Each back-solved kernel vector, 1 at its free column and 0 at the
-    other free columns, is lifted by rational reconstruction and checked,
-    A x = 0 over the integers.  The vectors come back sparse, as {column:
-    nonzero Fraction}, and their number is the exact nullity (see the
-    module docstring).  None means an entry did not lift or a check
-    failed, and the caller falls back to ``rank`` or ``kernel_basis``.
+    The rows are cleared to primitive integers and eliminated mod
+    p = DEFAULT_PRIME.  Each back-solved kernel vector, 1 at its free
+    column and 0 at the other free columns, is lifted by rational
+    reconstruction and checked, A x = 0 over the integers.  The vectors
+    come back sparse, as {column: nonzero Fraction}, and their number is
+    the exact nullity (see the module docstring).  None means an entry
+    did not lift or a check failed, and the caller falls back to the
+    exact elimination.
     """
     if not isinstance(m.field, RationalField):
         raise SemanticError("lifted_kernel expects a rational matrix")
+    prime = DEFAULT_PRIME
     residues = [res for row in _integer_rows(m) if (res := {c: r for c, v in row.items() if (r := v % prime)})]
     pivots: list = []
     _eliminate(residues, prime, pivots)

@@ -17,18 +17,57 @@ from .fields import RationalField
 from .linalg import Matrix, kernel_basis, kron, lifted_kernel, rank
 from .tensors import Tensor, leibniz_act, lin_index
 
-# Budget on the nonzeros of a stabilizer system, checked before anything is
-# built.  On a 2-core host with Python 3.11, peak RSS of `certify --field
-# rational` grew by 0.61, 0.62 and 0.66 KB per nonzero of the mmult system at
-# e = 8, 10 and 12, so this is about 0.7 GB; certify fits up to e = 12
-# (3e^5 = 746496 nonzeros).
+# Budgets on a stabilizer system.  MAX_SYSTEM_NNZ caps its nonzeros and is
+# checked before anything is built.  MAX_SYSTEM_FILL caps the cells its
+# elimination can hold (``elimination_fill``), checked before the matrix is
+# built: a dense system fills towards rows x columns, far past its nonzeros.
+# On a 2-core host with Python 3.11, peak RSS of `certify --field rational`
+# grew by 0.61 to 0.66 KB per system nonzero at e = 8, 10 and 12 (e = 12,
+# 746496 nonzeros and 2.7e6 cells, took 0.5 GB), and `stabilizer` on a
+# dense 20 x 20 x 20 tensor (9.6e6 cells) peaked at 486 MB.  Neither budget
+# bounds time: that dense tensor took 311 s.
 MAX_SYSTEM_NNZ = 10**6
+MAX_SYSTEM_FILL = 10**7
 
 
-def check_system_size(nnz: int) -> None:
-    """Refuse a system of more than MAX_SYSTEM_NNZ nonzeros before it is allocated."""
+def check_system_size(nnz: int, fill: int = 0) -> None:
+    """Refuse a system over either budget before it is allocated."""
     if nnz > MAX_SYSTEM_NNZ:
         raise SemanticError(f"stabilizer system would have {nnz} nonzeros, over the budget of {MAX_SYSTEM_NNZ}")
+    if fill > MAX_SYSTEM_FILL:
+        raise SemanticError(
+            f"eliminating the stabilizer system could fill {fill} cells, over the budget of {MAX_SYSTEM_FILL}"
+        )
+
+
+def elimination_fill(pairs, rows: int, cols: int) -> int:
+    """Most cells an elimination of the sparse system with these (row, column) nonzeros can hold.
+
+    A row update adds a row that shares a column, so a row never leaves
+    the columns of its connected component in the row-column graph, and
+    the bound is the sum over components of rows times columns.  The
+    components are only searched when min(rows, nonzeros) * cols is over
+    the budget.
+    """
+    if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
+        return min(rows, len(pairs)) * cols
+    parent: dict[int, int] = {}
+
+    def root(a: int) -> int:
+        while (p := parent.setdefault(a, a)) != a:
+            g = parent[p]
+            parent[a] = g
+            a = g
+        return a
+
+    for r, c in pairs:
+        a, b = root(r), root(rows + c)
+        if a != b:
+            parent[a] = b
+    sizes: dict[int, list[int]] = {}
+    for node in parent:
+        sizes.setdefault(root(node), [0, 0])[node >= rows] += 1
+    return sum(nr * nc for nr, nc in sizes.values())
 
 
 @dataclass(frozen=True)
@@ -51,13 +90,10 @@ class StabilizerSystem:
         return self.matrix.cols - self.orbit_dim()
 
     def orbit_dim(self) -> int:
-        basis = self.lifted_basis()
+        """Rank of the system; over Q from the kernel lifted from one prime
+        (``linalg.lifted_kernel``), or by exact elimination if the lift fails."""
+        basis = lifted_kernel(self.matrix) if isinstance(self.matrix.field, RationalField) else None
         return rank(self.matrix) if basis is None else self.matrix.cols - len(basis)
-
-    def lifted_basis(self) -> list[dict] | None:
-        """Kernel basis over Q lifted from one prime (``linalg.lifted_kernel``);
-        None over Fp, or when the lift fails its exact check."""
-        return lifted_kernel(self.matrix) if isinstance(self.matrix.field, RationalField) else None
 
     def column_label(self, col: int) -> tuple[int, int, int]:
         """Map a column index back to (slot, row, col) of the elementary matrix."""
@@ -93,6 +129,7 @@ def build_system(t: Tensor) -> StabilizerSystem:
             col_base = offsets[j] + l
             for k in range(vj):
                 items[base + k * strides[j], col_base + k * vj] = val
+    check_system_size(len(items), elimination_fill(items, prod(shape), total))
     return StabilizerSystem(Matrix.from_nonzeros(prod(shape), total, items, t.field), shape, tuple(offsets))
 
 
@@ -109,10 +146,7 @@ def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:
     sys = build_system(t)
     f = t.field
     out = []
-    basis = sys.lifted_basis()
-    if basis is not None:
-        basis = [[vec.get(c, f.zero) for c in range(sys.matrix.cols)] for vec in basis]
-    for vec in kernel_basis(sys.matrix) if basis is None else basis:
+    for vec in kernel_basis(sys.matrix):
         mats = []
         for j, vj in enumerate(sys.shape):
             seg = vec[sys.offsets[j] : sys.offsets[j] + vj * vj]

@@ -73,10 +73,9 @@ def test_certify_refuses_a_system_over_budget_before_building(monkeypatch, capsy
 
     for mod, name in ((cli, "mmult"), (varieties, "mmult"), (zoo, "mmult"), (cli, "diagonal_splitting")):
         monkeypatch.setattr(mod, name, boom)
-    for cmd in ("certify", "limit"):
-        code, out, err = run([cmd, "--e", "1000"], capsys)
-        assert code == 3 and out == ""
-        assert "nonzeros" in err
+    code, out, err = run(["certify", "--e", "1000"], capsys)
+    assert code == 3 and out == ""
+    assert "nonzeros" in err
 
 
 def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
@@ -89,6 +88,20 @@ def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
     code, out, err = run(["stabilizer", path], capsys)
     assert code == 3 and out == ""
     assert "over the budget" in err
+
+
+def test_stabilizer_refuses_a_system_that_could_fill_over_budget(tmp_path, monkeypatch, capsys):
+    # a dense 2x2x200 tensor: 163200 system nonzeros, under their budget, but
+    # one component of 800 rows and 40008 columns that elimination can fill
+    n = 200
+    assert 4 * n * (n + 4) <= stabilizer.MAX_SYSTEM_NNZ < 800 * 40008
+    path = tmp_path / "thin.json"
+    entries = [{"idx": [a, b, k], "val": "1"} for a in range(2) for b in range(2) for k in range(n)]
+    path.write_text(json.dumps({"shape": [2, 2, n], "entries": entries}))
+    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
+    code, out, err = run(["stabilizer", path], capsys)
+    assert code == 3 and out == ""
+    assert f"fill {800 * 40008} cells" in err
 
 
 def test_certify_identity_splitting_inconclusive(triangle_files, capsys):

@@ -144,11 +144,11 @@ def test_lifted_kernel_falls_back_past_the_height_bound():
 
 
 def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor():
-    # det = 7: mod 7 the rank drops to 1 and the kernel vector (-1, 1) lifts,
-    # but the exact check finds A x = (0, 7)
-    m = Matrix.from_rows([[1, 1], [1, 8]])
-    assert lifted_kernel(m, prime=7) is None
-    assert lifted_kernel(m) == []
+    # det = 2^31 - 1 = p: mod p the rank drops to 1 and the kernel vector
+    # (-1, 1) lifts, but the exact check finds A x = (0, p)
+    m = Matrix.from_rows([[1, 1], [1, 2**31]])
+    assert lifted_kernel(m) is None
+    assert kernel_basis(m) == []
     assert rank(m) == 2
 
 

@@ -1,12 +1,13 @@
 import pytest
 
-from tngeom import stabilizer
+from tngeom import linalg, stabilizer
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, kron, random_invertible, random_matrix, rank
+from tngeom.linalg import Matrix, kron, lifted_kernel, random_invertible, random_matrix, rank
 from tngeom.stabilizer import (
     build_system,
     check_system_size,
+    elimination_fill,
     loop_pair_generators,
     orbit_dim,
     stabilizer_contains_expected,
@@ -95,22 +96,20 @@ def _assert_tuples_form_stabilizer_basis(t, tuples, dim):
 def test_stabilizer_tuples_annihilate():
     for t, dim in ((mmult(2, 2, 2), 11), (mmult(3, 3, 3), 26), (m_tilde_formula(3), 30)):
         # over Q the tuples come from the kernel lifted from one prime
-        assert len(build_system(t).lifted_basis()) == dim
+        assert len(lifted_kernel(build_system(t).matrix)) == dim
         _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), dim)
 
 
 def test_stabilizer_falls_back_to_exact_elimination(monkeypatch):
     t = mmult(2, 2, 2)
     monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m: None)
-    assert build_system(t).lifted_basis() is None
+    monkeypatch.setattr(linalg, "lifted_kernel", lambda m: None)
     assert (stabilizer_dim(t), orbit_dim(t)) == (11, 37)
     _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
 
 
 def test_stabilizer_tuples_over_fp():
-    t = mmult(2, 2, 2, FP)
-    assert build_system(t).lifted_basis() is None
-    _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
+    _assert_tuples_form_stabilizer_basis(mmult(2, 2, 2, FP), stabilizer_tuples(mmult(2, 2, 2, FP)), 11)
 
 
 def test_system_size_guard():
@@ -118,6 +117,47 @@ def test_system_size_guard():
     check_system_size(3 * 12**5)
     with pytest.raises(SemanticError, match="nonzeros"):
         check_system_size(3 * 13**5)
+    check_system_size(0, stabilizer.MAX_SYSTEM_FILL)
+    with pytest.raises(SemanticError, match="fill"):
+        check_system_size(0, stabilizer.MAX_SYSTEM_FILL + 1)
+
+
+def _component_fill(m: Matrix) -> int:
+    """Sum over connected components of the row-column graph of rows times columns, by search."""
+    pairs = [divmod(f, m.cols) for f in m._nz]
+    adj: dict = {}
+    for r, c in pairs:
+        adj.setdefault(("r", r), []).append(("c", c))
+        adj.setdefault(("c", c), []).append(("r", r))
+    seen, total = set(), 0
+    for start in adj:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, count = [start], {"r": 0, "c": 0}
+        while stack:
+            node = stack.pop()
+            count[node[0]] += 1
+            for nxt in adj[node]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        total += count["r"] * count["c"]
+    return total
+
+
+@pytest.mark.parametrize(
+    "t", [mmult(2, 2, 2), mmult(3, 3, 3), m_tilde_formula(3), random_tensor((3, 4, 2), seed=2), imm_loop((2, 3, 2))]
+)
+def test_elimination_fill_sums_components(monkeypatch, t):
+    m = build_system(t).matrix
+    pairs = [divmod(f, m.cols) for f in m._nz]
+    # with a zero budget the components are always searched
+    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", 0)
+    assert elimination_fill(pairs, m.rows, m.cols) == _component_fill(m)
+    # a dense tensor's system is one component, rows times columns
+    if all(t._nz.get(i) for i in range(m.rows)):
+        assert elimination_fill(pairs, m.rows, m.cols) == m.rows * m.cols
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])
