@@ -9,6 +9,7 @@ orbit dimension is the rank of the same system.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 
@@ -46,8 +47,8 @@ def elimination_fill(pairs, rows: int, cols: int) -> int:
     A row update adds a row that shares a column, so a row never leaves
     the columns of its connected component in the row-column graph, and
     the bound is the sum over components of rows times columns.  The
-    components are only searched when min(rows, nonzeros) * cols is over
-    the budget.
+    components, found by union-find over the columns of each row, are only
+    searched when min(rows, nonzeros) * cols is over the budget.
     """
     if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
         return min(rows, len(pairs)) * cols
@@ -60,13 +61,18 @@ def elimination_fill(pairs, rows: int, cols: int) -> int:
             a = g
         return a
 
+    first: dict[int, int] = {}  # row -> its first column
     for r, c in pairs:
-        a, b = root(r), root(rows + c)
-        if a != b:
-            parent[a] = b
+        f = first.setdefault(r, c)
+        if f != c:
+            a, b = root(f), root(c)
+            if a != b:
+                parent[a] = b
     sizes: dict[int, list[int]] = {}
-    for node in parent:
-        sizes.setdefault(root(node), [0, 0])[node >= rows] += 1
+    for c in {c for _, c in pairs}:
+        sizes.setdefault(root(c), [0, 0])[1] += 1
+    for c, n in Counter(first.values()).items():
+        sizes[root(c)][0] += n
     return sum(nr * nc for nr, nc in sizes.values())
 
 
