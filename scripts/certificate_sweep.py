@@ -6,8 +6,8 @@ power of the splitting curve, and the final conclusion, then prints one
 table row.  The stabilizer system of the trace tensor has e^6 rows,
 3e^4 columns and 3e^5 nonzeros; over the rationals its kernel is lifted
 from one prime and checked exactly.  On a 2-core machine with Python
-3.11, e = 4, 5, 6, 7, 8 took 0.06, 0.19, 0.47, 0.99 and 1.9 s over the
-rationals and 0.03, 0.09, 0.25, 0.54 and 1.0 s with --field fp.
+3.11, e = 4, 5, 6, 7, 8 took 0.06, 0.17, 0.43, 0.92 and 1.7 s over the
+rationals and 0.02, 0.05, 0.13, 0.37 and 0.92 s with --field fp.
 Systems past 10^6 nonzeros are refused, so e stops at 12.
 """
 from __future__ import annotations
