@@ -17,7 +17,8 @@ from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 from .linalg import rank  # noqa: F401  (kept importable as tngeom.cli.rank for code that wraps it)
 from .jsonio import (
     certificate_to_obj,
-    dumps,
+    dump,
+    dumps,  # noqa: F401  (kept importable as tngeom.cli.dumps for code that wraps it)
     field_label,
     graph_from_obj,
     graph_to_obj,
@@ -59,12 +60,11 @@ def _resolve_field(args, group_dim: int | None = None) -> Field:
 
 
 def _emit(args, obj) -> None:
-    text = dumps(obj)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            dump(obj, fh)
     else:
-        sys.stdout.write(text)
+        dump(obj, sys.stdout)
 
 
 def cmd_contract(args) -> int:

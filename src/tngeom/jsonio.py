@@ -30,6 +30,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def dump(obj, fh) -> None:
+    """Write dumps(obj) to a text stream in pieces, never holding the whole text.
+
+    With indent set, json.dumps runs the same pure-Python encoder whose
+    pieces iterencode yields, so the bytes are the same.
+    """
+    fh.writelines(json.JSONEncoder(indent=2).iterencode(obj))
+    fh.write("\n")
+
+
 def loads(text: str):
     try:
         return json.loads(text)

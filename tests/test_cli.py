@@ -120,6 +120,24 @@ def test_dim_report(triangle_files, capsys):
     assert list(json.loads(out))[-2:] == ["seed", "jacobian_dim_bound"]
 
 
+@pytest.mark.parametrize("field", ["rational", "fp"])
+def test_dim_refuses_a_graph_over_budget_before_drawing(tmp_path, monkeypatch, capsys, field):
+    p = tmp_path / "loop8.json"
+    p.write_text(jsonio.dumps(jsonio.graph_to_obj(loop_graph((8,) * 4))))
+    monkeypatch.setattr(varieties, "random_instance", None)  # drawing an instance would raise
+    code, out, err = run(["dim", p, "--field", field], capsys)
+    assert code == 3 and out == ""
+    assert "over the budget" in err
+
+
+def test_reports_stream_the_bytes_of_dumps(tmp_path, triangle_files, capsys):
+    out = tmp_path / "contract.json"
+    assert run(["contract", triangle_files["instance"], "--out", out], capsys)[0] == 0
+    _, stdout, _ = run(["contract", triangle_files["instance"]], capsys)
+    want = jsonio.dumps(jsonio.tensor_to_obj(mmult(2, 2, 2)))
+    assert out.read_text() == stdout == want
+
+
 def test_dim_unknown_formula(tmp_path, capsys):
     g = chain_graph((3, 5, 3), (2, 2))
     p = tmp_path / "chain.json"

@@ -9,7 +9,10 @@ from tngeom.errors import SemanticError, ShapeError, SingularMatrixError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import (
     Matrix,
+    _eliminate,
     _lift_residue,
+    _packed_rank,
+    annihilates,
     inverse,
     is_invertible,
     kernel_basis,
@@ -19,6 +22,7 @@ from tngeom.linalg import (
     random_invertible,
     random_matrix,
     rank,
+    rank_mod_p,
     rank_modulo_primes,
 )
 
@@ -273,6 +277,67 @@ def test_rank_kernel_matches_oracle_mod_p(case):
         return
     m = Matrix(rows, cols, [x for r in data for x in r], FP)
     assert rank(m) == naive_rank(data)
+
+
+@given(structured_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
+def test_packed_rank_matches_sparse_kernel_and_oracle(case, prime):
+    rows, cols, data = case
+    dicts = [{c: x for c, x in enumerate(r) if x} for r in data]
+    residues = [res for d in dicts if (res := {c: r for c, x in d.items() if (r := x % prime)})]
+    assert _packed_rank(dicts, cols, prime) == _eliminate(residues, prime)
+    if prime == FP.prime and _minor_bound(data) < prime:
+        assert _packed_rank(dicts, cols, prime) == naive_rank(data)
+        assert rank_mod_p(Matrix(rows, cols, [x for r in data for x in r])) == naive_rank(data)
+
+
+def test_packed_rank_empty_shapes():
+    for rows, cols in [(0, 4), (0, 0), (3, 0)]:
+        assert rank_mod_p(Matrix(rows, cols, [])) == 0
+        assert rank_mod_p(Matrix.zeros(rows, cols, FP)) == 0
+    assert _packed_rank([{}, {}], 3, FP.prime) == 0
+
+
+@pytest.mark.parametrize("prime", [2, 3, 7, FP.prime])
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_packed_rank_widest_slots(prime, n):
+    # Pivot rows e_k - (e_{k+1} + ... + e_n) are stored as 1 and p - 1.  The
+    # last row is 1 - k at column k, so each pivot in turn meets v = 1 and
+    # adds (p - 1)**2 to every later slot: column n takes n of them.
+    pivots = [{k: 1, **{j: prime - 1 for j in range(k + 1, n + 1)}} for k in range(n)]
+    last = {k: r for k in range(n) if (r := (1 - k) % prime)}
+    last[n] = prime - 1
+    rows = pivots + [last]
+    want = _eliminate([dict(r) for r in rows], prime)
+    assert _packed_rank(rows, n + 1, prime) == want
+    dense = [[r.get(c, 0) for c in range(n + 1)] for r in rows]
+    if prime == FP.prime:
+        assert want == naive_rank(dense)
+    # entries p - 1 off the diagonal: -(J - I), of determinant +-(n - 1) != 0 mod a large p
+    full = [{c: prime - 1 for c in range(n) if c != r} for r in range(n)]
+    assert _packed_rank(full, n, prime) == _eliminate([dict(r) for r in full if r], prime)
+    if prime == FP.prime:
+        assert _packed_rank(full, n, prime) == (n if n > 1 else 0)
+
+
+def test_rank_mod_p_matches_rank_over_fp():
+    for seed in range(5):
+        m = random_matrix(9, 7, seed=seed, field=FP)
+        assert rank_mod_p(m) == rank(m)
+    # over Q a prime dividing a minor lowers the rank mod p: a lower bound
+    p = FP.prime
+    m = Matrix.from_rows([[1, 1], [1, 1 + p]])
+    assert rank(m) == 2 and rank_mod_p(m) == 1
+
+
+def test_annihilates():
+    a = Matrix.from_rows([[1, 2, 3], [Fraction(1, 2), 1, Fraction(3, 2)]])
+    assert annihilates(a, Matrix.from_rows([[1, 1, -1], [Fraction(-2, 7), Fraction(1, 7), 0]]))
+    assert not annihilates(a, Matrix.from_rows([[1, 1, -1], [1, 0, 0]]))
+    assert annihilates(a, Matrix.zeros(0, 3))
+    with pytest.raises(ShapeError):
+        annihilates(a, Matrix.zeros(1, 2))
+    with pytest.raises(SemanticError):
+        annihilates(Matrix.identity(2, FP), Matrix.identity(2, FP))
 
 
 @pytest.mark.parametrize("field", [QQ, FP])

@@ -5,7 +5,7 @@ import pytest
 from tngeom import varieties
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, kron, random_invertible, rank
+from tngeom.linalg import Matrix, annihilates, kron, random_invertible, rank, rank_mod_p
 from tngeom.networks import (
     NetworkGraph,
     TNSInstance,
@@ -13,6 +13,7 @@ from tngeom.networks import (
     contract_network,
     expected_dim,
     flip_edge,
+    gauge_transform,
     identity_instance,
     loop_dim_formula,
     loop_graph,
@@ -22,8 +23,10 @@ from tngeom.stabilizer import orbit_dim
 from tngeom.tensors import Tensor, apply_end, mlrank, outer, random_tensor
 from tngeom.varieties import (
     certify_not_closed,
+    check_jacobian_size,
     contraction_jacobian,
     end_orbit_consistency,
+    gauge_rows,
     is_concise,
     loop_endomorphisms,
     sub_membership,
@@ -145,20 +148,152 @@ def test_sketch_rank_bounded_by_jacobian_rank(name):
 SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 against 384 Jacobian nonzeros
 
 
-@pytest.mark.parametrize("g, field, want, sketched", [
+@pytest.mark.parametrize("g, field, want, sketch_only", [
     (loop_graph((2,) * 5), FP, 61, True),
     (SEGRE6, FP, 7, True),
     (SEGRE6, QQ, 7, False),
     (loop_graph((2,) * 4), FP, 49, False),
     (loop_graph((2, 3, 2)), FP, 72, False),
 ])
-def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketched):
+def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketch_only):
     used = []
     sketch, jacobian = varieties._jacobian_sketch, varieties.contraction_jacobian
     monkeypatch.setattr(varieties, "_jacobian_sketch", lambda *a: used.append("sketch") or sketch(*a))
     monkeypatch.setattr(varieties, "contraction_jacobian", lambda *a: used.append("full") or jacobian(*a))
     assert tns_dim(g, seed=0, field=field) == want
-    assert used == ["sketch" if sketched else "full"] * 2
+    if sketch_only:
+        per_sample = ["sketch"]
+    elif field is QQ:
+        # SEGRE6 over Q: the sketch mod p gives the lower bound, then the full Jacobian is built for the check
+        per_sample = ["sketch", "full"]
+    else:
+        per_sample = ["full"]
+    assert used == per_sample * 2
+
+
+@pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
+def test_gauge_rows_lie_in_jacobian_kernel(name):
+    inst = random_instance(JACOBIAN_GRAPHS[name], seed=3, bound=9)
+    jac, gauge = per_coordinate_jacobian(inst), gauge_rows(inst)
+    assert gauge.rows == sum(e.dim**2 for e in inst.graph.edges) and gauge.cols == jac.cols
+    assert (jac @ gauge.transpose()).is_zero()
+    assert annihilates(jac, gauge)
+
+
+def test_gauge_rows_are_gauge_transform_tangents():
+    # for a != b, I + E_ab acts on the tail and its inverse transpose
+    # I - E_ba on the head, so the instance moves by exactly its gauge row
+    g = JACOBIAN_GRAPHS["tree"]
+    inst = random_instance(g, seed=2, bound=9)
+    gauge = gauge_rows(inst)
+    row = 0
+    for e in g.edges:
+        for a in range(e.dim):
+            for b in range(e.dim):
+                if a != b:
+                    act = Matrix.from_nonzeros(e.dim, e.dim, {**{(i, i): 1 for i in range(e.dim)}, (a, b): 1})
+                    moved = gauge_transform(inst, e.id, act)
+                    step = [x for v in g.vertices for x in (moved.tensors[v.id] - inst.tensors[v.id]).entries]
+                    assert step == gauge.row(row)
+                row += 1
+    assert row == gauge.rows
+
+
+@pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
+def test_mod_p_instance_is_the_reduction_of_the_q_instance(name):
+    g = JACOBIAN_GRAPHS[name]
+    q, p = random_instance(g, seed=4, field=QQ), random_instance(g, seed=4, field=FP)
+    for v in g.vertices:
+        assert [FP.coerce(x) for x in q.tensors[v.id].entries] == list(p.tensors[v.id].entries)
+    assert [FP.coerce(x) for x in contraction_jacobian(q).entries] == list(contraction_jacobian(p).entries)
+
+
+def _count_exact_ranks(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(varieties, "rank", lambda m: calls.append(m.shape) or rank(m))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["loop222", "loop232", "loop2222", "chain3663", "superloop"])
+def test_rank_over_q_closes_on_the_gauge_bound(monkeypatch, name):
+    g = JACOBIAN_GRAPHS[name]
+    calls = _count_exact_ranks(monkeypatch)
+    got = varieties._jacobian_rank(g, 5, QQ)
+    assert calls == []
+    assert got == rank(contraction_jacobian(random_instance(g, seed=5)))
+
+
+def test_corrupted_gauge_row_fails_the_check_and_falls_back(monkeypatch):
+    g = loop_graph((2, 2, 2))
+    good = gauge_rows
+
+    def corrupted(inst):
+        # row 1 is edge 1 with (a, b) = (0, 1), outside the one relation among
+        # the rows (the sum of the identities over the loop's edges is zero),
+        # so moving one of its entries keeps the rank but leaves the kernel
+        m = good(inst)
+        nz = dict(m._nz)
+        k = min(c for c in nz if c // m.cols == 1)
+        nz[k] = nz[k] + 1
+        return Matrix._from_flat(m.shape, nz, m.field)
+
+    monkeypatch.setattr(varieties, "gauge_rows", corrupted)
+    inst = random_instance(g, seed=0)
+    assert rank_mod_p(corrupted(inst)) == rank_mod_p(good(inst))
+    assert not annihilates(contraction_jacobian(inst), corrupted(inst))
+    calls = _count_exact_ranks(monkeypatch)
+    assert varieties._jacobian_rank(g, 0, QQ) == rank(contraction_jacobian(inst)) == 37
+    assert calls == [(64, 48)]
+
+
+def _tree_with_subcritical_leaves(seed):
+    """Tree on five vertices, random orientations, each leaf one dimension below its edge."""
+    rng = random.Random(seed)
+    dims, edges = {1: rng.randint(2, 4)}, []
+    for vid in range(2, 6):
+        parent = rng.randint(1, vid - 1)
+        tail, head = (parent, vid) if rng.random() < 0.5 else (vid, parent)
+        dims[vid] = rng.randint(2, 4)
+        edges.append((vid - 1, tail, head, rng.randint(2, 3)))
+    for _, tail, head, d in edges:
+        for v in (tail, head):
+            if sum(v in (t, h) for _, t, h, _ in edges) == 1:
+                dims[v] = d - 1
+    return NetworkGraph.build(list(dims.items()), edges)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, seed):
+    g = _tree_with_subcritical_leaves(seed)
+    calls = _count_exact_ranks(monkeypatch)
+    want = rank(contraction_jacobian(random_instance(g, seed=seed)))
+    assert varieties._jacobian_rank(g, seed, QQ) == want
+    assert len(calls) == 1
+
+
+def test_tns_dim_pins_over_q_and_fp():
+    assert tns_dim(loop_graph((3, 3, 3)), seed=0) == 217 == loop_dim_formula((3, 3, 3))
+    assert tns_dim(loop_graph((3,) * 4), seed=0, field=FP) == 289 == loop_dim_formula((3,) * 4)
+    assert tns_dim(loop_graph((2,) * 6), seed=0) == 73 == loop_dim_formula((2,) * 6)
+
+
+def test_jacobian_size_budget():
+    for g in [loop_graph((2,) * 7), loop_graph((4, 4, 4)), SEGRE6, *JACOBIAN_GRAPHS.values()]:
+        check_jacobian_size(g, QQ)
+        check_jacobian_size(g, FP)
+    check_jacobian_size(loop_graph((2,) * 8), FP)
+    with pytest.raises(SemanticError, match="over the budget"):
+        check_jacobian_size(loop_graph((2,) * 8), QQ)
+
+
+def test_tns_dim_refuses_a_graph_over_budget_before_drawing(monkeypatch):
+    def boom(*args):
+        raise AssertionError("drew an instance for a refused size")
+
+    monkeypatch.setattr(varieties, "random_instance", boom)
+    for field in (QQ, FP):
+        with pytest.raises(SemanticError, match="over the budget"):
+            tns_dim(loop_graph((8,) * 4), field=field)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
