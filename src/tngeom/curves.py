@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import SemanticError, ShapeError
 from .fields import Field
 from .linalg import Matrix
 from .tensors import Tensor, apply_end
 from .zoo import Splitting
+
+
+def _power(t, p: int):
+    """t**p in t's field; a rational int is raised as a Fraction, so a negative power stays exact."""
+    return Fraction(t) ** p if isinstance(t, int) else t**p
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ class MatrixCurve:
             raise SemanticError("cannot evaluate negative powers at t = 0")
         acc = Matrix.zeros(self.size, self.size, f)
         for p, m in self.terms:
-            acc = acc + m.scale(t**p)
+            acc = acc + m.scale(_power(t, p))
         return acc
 
     def shifted(self, k: int) -> "MatrixCurve":
@@ -99,7 +105,7 @@ class TensorLaurent:
         t = f.coerce(t_value)
         acc = None
         for p, tensor in self.terms:
-            term = tensor.scale(t**p)
+            term = tensor.scale(_power(t, p))
             acc = term if acc is None else acc + term
         return acc
 

@@ -1,8 +1,12 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Two backends share one interface.  Rational scalars are plain
-``fractions.Fraction`` values, which the standard library already keeps in
-reduced form with positive denominator.  Prime field scalars are ``Fp``
+Two backends share one interface.  Rational scalars are plain Python
+values: an ``int`` when the denominator is 1, and otherwise a
+``fractions.Fraction``, which the standard library keeps in reduced form
+with positive denominator.  Integer arithmetic is several times cheaper
+than Fraction arithmetic, and most tensors hold integers.  Dividing two
+ints gives a float, so code that divides rational scalars divides
+Fractions (``Fraction(a, b)``).  Prime field scalars are ``Fp``
 instances carrying their modulus; operator overloading lets all matrix and
 tensor code run unchanged over either backend.
 
@@ -116,27 +120,20 @@ class Fp:
 
 
 class RationalField:
-    """Field of rationals; scalars are fractions.Fraction."""
+    """Field of rationals; scalars are ints, or Fractions whose denominator is not 1."""
 
     name = "rational"
     prime = None
+    zero = 0
+    one = 1
 
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
+    def coerce(self, x) -> int | Fraction:
+        if type(x) is int:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
         if isinstance(x, Fp):
             raise FieldMismatchError("cannot coerce prime field scalar to rational")
-        return Fraction(x)
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+        q = x if isinstance(x, Fraction) else Fraction(x)
+        return q.numerator if q.denominator == 1 else q
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -225,6 +225,12 @@ def identity_instance(g: NetworkGraph, field: Field = QQ) -> TNSInstance:
     return TNSInstance(g, tensors)
 
 
+def require_vertices(g: NetworkGraph) -> None:
+    """Refuse a network with no vertices: it has no tensor to contract or differentiate."""
+    if not g.vertices:
+        raise SemanticError("the network has no vertices")
+
+
 def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
     """Contract all edges; the result keeps one axis per vertex, in graph order.
 
@@ -234,6 +240,7 @@ def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
     order.
     """
     g = inst.graph
+    require_vertices(g)
     order = [v.id for v in g.vertices] if vertex_order is None else list(vertex_order)
     if sorted(order) != sorted(v.id for v in g.vertices):
         raise SemanticError("vertex_order must enumerate every vertex exactly once")

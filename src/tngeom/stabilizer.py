@@ -15,7 +15,7 @@ from math import prod
 
 from .errors import SemanticError, ShapeError
 from .fields import RationalField
-from .linalg import Matrix, kernel_basis, kron, lifted_kernel, rank
+from .linalg import Matrix, components, kernel_basis, kron, lifted_kernel, rank
 from .tensors import Tensor, leibniz_act, lin_index
 
 # Budgets on a stabilizer system.  MAX_SYSTEM_NNZ caps its nonzeros and is
@@ -24,9 +24,10 @@ from .tensors import Tensor, leibniz_act, lin_index
 # built: a dense system fills towards rows x columns, far past its nonzeros.
 # On a 2-core host with Python 3.11, peak RSS of `certify --field rational`
 # grew by 0.61 to 0.66 KB per system nonzero at e = 8, 10 and 12 (e = 12,
-# 746496 nonzeros and 2.7e6 cells, took 0.5 GB), and `stabilizer` on a
-# dense 20 x 20 x 20 tensor (9.6e6 cells) peaked at 486 MB.  Neither budget
-# bounds time: that dense tensor took 311 s.
+# 746496 nonzeros and 2.7e6 cells, took 0.5 GB).  `stabilizer` on a dense
+# 20 x 20 x 20 tensor (9.6e6 cells) peaked at 150 MB and took 99 s: its
+# elimination mod p holds packed dense rows.  The fill budget bounds the
+# exact fallback, which fills sparse rows.  Neither budget bounds time.
 MAX_SYSTEM_NNZ = 10**6
 MAX_SYSTEM_FILL = 10**7
 
@@ -47,33 +48,18 @@ def elimination_fill(pairs, rows: int, cols: int) -> int:
     A row update adds a row that shares a column, so a row never leaves
     the columns of its connected component in the row-column graph, and
     the bound is the sum over components of rows times columns.  The
-    components, found by union-find over the columns of each row, are only
-    searched when min(rows, nonzeros) * cols is over the budget.
+    components (``linalg.components``) are only searched when
+    min(rows, nonzeros) * cols is over the budget.
     """
     if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
         return min(rows, len(pairs)) * cols
-    parent: dict[int, int] = {}
-
-    def root(a: int) -> int:
-        while (p := parent.setdefault(a, a)) != a:
-            g = parent[p]
-            parent[a] = g
-            a = g
-        return a
-
-    first: dict[int, int] = {}  # row -> its first column
+    by_row: dict[int, list[int]] = {}
     for r, c in pairs:
-        f = first.setdefault(r, c)
-        if f != c:
-            a, b = root(f), root(c)
-            if a != b:
-                parent[a] = b
-    sizes: dict[int, list[int]] = {}
-    for c in {c for _, c in pairs}:
-        sizes.setdefault(root(c), [0, 0])[1] += 1
-    for c, n in Counter(first.values()).items():
-        sizes[root(c)][0] += n
-    return sum(nr * nc for nr, nc in sizes.values())
+        by_row.setdefault(r, []).append(c)
+    label = components(by_row.values(), cols)
+    comp_cols = Counter(label)
+    comp_rows = Counter(label[row[0]] for row in by_row.values())
+    return sum(n * comp_cols[a] for a, n in comp_rows.items())
 
 
 @dataclass(frozen=True)
@@ -135,8 +121,11 @@ def build_system(t: Tensor) -> StabilizerSystem:
             col_base = offsets[j] + l
             for k in range(vj):
                 items[base + k * strides[j], col_base + k * vj] = val
-    check_system_size(len(items), elimination_fill(items, prod(shape), total))
-    return StabilizerSystem(Matrix.from_nonzeros(prod(shape), total, items, t.field), shape, tuple(offsets))
+    rows = prod(shape)
+    check_system_size(len(items), elimination_fill(items, rows, total))
+    # every value is a nonzero scalar of t's field, so the cells need no checks
+    nz = {r * total + c: v for (r, c), v in items.items()}
+    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets))
 
 
 def stabilizer_dim(t: Tensor) -> int:

@@ -26,10 +26,10 @@ contraction is constant; J G^T = 0 is checked exactly over the integers,
 so the nullity of J over Q is at least the rank of G mod p.  When r plus
 that rank is the column count, rank_Q(J) = r.  On loops, supercritical
 loops and critical chains the gauge orbit is the whole kernel and the
-bounds close.  Otherwise, as on trees whose leaves are below their edge
-dimension, the sample falls back to the exact rank of J, and the work
-mod p is lost: 6 to 60 % on top of it on eight random such 6-vertex
-trees (0.52 -> 0.55 s on the largest, 0.015 -> 0.024 s on a small one).
+bounds close.  Otherwise the sample falls back to the exact rank of J,
+and the work mod p is lost.  A graph with a leaf below its edge
+dimension, where the bounds cannot close, skips that work and takes the
+exact rank at once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,15 @@ from .curves import act_curve, curve_from_splitting, leading_term
 from .errors import SemanticError, ShapeError
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 from .linalg import Matrix, annihilates, rank, rank_mod_p
-from .networks import NetworkGraph, TNSInstance, absorb, contract_network, cycle_edges, random_instance
+from .networks import (
+    NetworkGraph,
+    TNSInstance,
+    absorb,
+    contract_network,
+    cycle_edges,
+    random_instance,
+    require_vertices,
+)
 from .stabilizer import stabilizer_dim
 from .tensors import Tensor, apply_end, flatten, mlrank, tensordot, transpose_axes
 from .zoo import Splitting, imm_loop, m_tilde_formula, mmult
@@ -216,6 +224,18 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[int, bool, int]:
     return sketch_rows, True, sketch_rows * ncols + (nnz if field.prime is None else 0)
 
 
+def _gauge_may_close(g: NetworkGraph) -> bool:
+    """False when a leaf's dimension is below its edge's.
+
+    The contraction then does not change when the rest of the network
+    moves, along that edge's index, within the kernel of the leaf's
+    tensor.  The gauge orbit does not hold those moves, so the bounds of
+    ``_jacobian_rank`` do not meet.  A wrong answer only costs time: the
+    exact rank is taken either way.
+    """
+    return not any(g.degree(v.id) == 1 and v.dim < g.incident(v.id)[0].dim for v in g.vertices)
+
+
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     """Rank of the Jacobian at the seeded instance (see the module docstring).
 
@@ -224,11 +244,14 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     on the instance's reduction mod DEFAULT_PRIME (the same draws), and it
     is returned only when r plus the rank mod p of the gauge rows G is the
     column count and J G^T = 0 holds over the integers; otherwise the
-    exact rank of J is.
+    exact rank of J is.  A graph on which the bounds cannot meet
+    (``_gauge_may_close``) goes straight to the exact rank.
     """
     sketch_rows, sketched, _ = _jacobian_plan(g, field)
     exact = field.prime is None
     inst = random_instance(g, seed, field)
+    if exact and not _gauge_may_close(g):
+        return rank(contraction_jacobian(inst))
     jac = None
     if sketched:
         modp = random_instance(g, seed, PrimeField(DEFAULT_PRIME)) if exact else inst
@@ -267,6 +290,7 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> int:
     Over Q each sample rank is exact.  A graph over the size budget is
     refused before any instance is drawn (``check_jacobian_size``).
     """
+    require_vertices(g)
     check_jacobian_size(g, field)
     r0 = _jacobian_rank(g, seed, field)
     r1 = _jacobian_rank(g, seed + SEED_STRIDE, field)

@@ -39,6 +39,25 @@ def naive_rank(rows: list[list[Fraction]]) -> int:
     return rank
 
 
+def naive_rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Row-reduce a dense copy of integer rows mod p; count the nonzero rows."""
+    m = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                c = m[r][col]
+                m[r] = [(a - c * b) % p for a, b in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
 def naive_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     """Solve a square nonsingular system by Gauss-Jordan over Fraction."""
     n = len(a)

@@ -193,6 +193,15 @@ def test_exit_3_on_semantic_error(tmp_path, capsys):
     assert code == 3 and "self loop" in err
 
 
+@pytest.mark.parametrize("command", ["contract", "dim"])
+def test_exit_3_on_a_network_without_vertices(tmp_path, capsys, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": [], "tensors": {}}))
+    code, out, err = run([command, path], capsys)
+    assert code == 3 and out == ""
+    assert "no vertices" in err
+
+
 def test_exit_3_on_shape_mismatch(tmp_path, triangle_files, capsys):
     # splitting for e=2 fed into an e=3 run
     code, _, err = run(["certify", "--e", "3", "--splitting", triangle_files["idsplit"]], capsys)

@@ -43,6 +43,18 @@ def test_curve_evaluation():
         neg.evaluate(0)
 
 
+def test_negative_powers_stay_exact():
+    # an integer t is a rational int, and t**-k must not become a float
+    x = Matrix.from_rows([[3, 0], [1, -6]])
+    m = MatrixCurve(((-2, x), (0, Matrix.identity(2)))).evaluate(3)
+    assert m == Matrix.from_rows([[Fraction(4, 3), 0], [Fraction(1, 9), Fraction(1, 3)]])
+    assert all(type(v) in (int, Fraction) for v in m.entries)
+    t = Tensor((2,), [3, 9])
+    laurent = TensorLaurent(((-1, t), (1, t))).evaluate(2)
+    assert laurent == Tensor((2,), [Fraction(15, 2), Fraction(45, 2)])
+    assert all(type(v) in (int, Fraction) for v in laurent.entries)
+
+
 def test_constant_curves_reproduce_tensor():
     t = random_tensor((2, 2, 2), seed=2, bound=9)
     curves = [MatrixCurve.constant(Matrix.identity(2)) for _ in range(3)]

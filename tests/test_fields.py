@@ -74,6 +74,16 @@ def test_fraction_coercion_into_prime_field():
         FP.coerce(Fraction(1, P))
 
 
+def test_rational_scalars_are_ints_when_integral():
+    for x, want in [(3, 3), (Fraction(6, 3), 2), ("4/2", 2), (True, 1), (Fraction(0), 0)]:
+        q = QQ.coerce(x)
+        assert type(q) is int and q == want
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2) and QQ.coerce("-7/2") == Fraction(-7, 2)
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    with pytest.raises(FieldMismatchError):
+        QQ.coerce(Fp(1, P))
+
+
 def test_field_equality_and_scalars():
     assert QQ == QQ and FP == PrimeField(P)
     assert FP != PrimeField(2**61 - 1) and QQ != FP

@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tngeom import linalg
 from tngeom.errors import SemanticError, ShapeError, SingularMatrixError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import (
     Matrix,
+    _back_solve,
     _eliminate,
+    _eliminate_mod_p,
+    _kernel_vectors,
     _lift_residue,
-    _packed_rank,
     annihilates,
+    components,
     inverse,
     is_invertible,
     kernel_basis,
@@ -26,7 +30,7 @@ from tngeom.linalg import (
     rank_modulo_primes,
 )
 
-from oracles import kron_oracle, matrix_rows, naive_rank
+from oracles import kron_oracle, matrix_rows, naive_rank, naive_rank_mod_p
 
 FP = PrimeField(2**31 - 1)
 
@@ -168,6 +172,22 @@ def test_inverse_round_trip(seed):
     assert inverse(m) @ m == Matrix.identity(5)
 
 
+def test_rational_results_hold_no_floats(monkeypatch):
+    # rational ints divide as Fractions, and integral results come back as ints
+    m = Matrix.from_rows([[2, 1], [4, 3]])
+    inv = inverse(m)
+    assert inv == Matrix.from_rows([[Fraction(3, 2), Fraction(-1, 2)], [-2, 1]])
+    assert [type(v) for v in inv.entries] == [Fraction, Fraction, int, int]
+    # -5/3 has no exact float, so a float anywhere on the way would show
+    a = Matrix.from_rows([[3, 5, 0], [0, 0, 4]])
+    for lifted in (True, False):
+        if not lifted:
+            monkeypatch.setattr(linalg, "lifted_kernel", lambda m: None)
+        (vec,) = kernel_basis(a)
+        assert vec == [Fraction(-5, 3), 1, 0]
+        assert [type(v) for v in vec] == [Fraction, int, int]
+
+
 def test_inverse_rejects_singular():
     assert not is_invertible(Matrix.from_rows([[1, 2], [2, 4]]))
     with pytest.raises(SingularMatrixError):
@@ -279,14 +299,18 @@ def test_rank_kernel_matches_oracle_mod_p(case):
     assert rank(m) == naive_rank(data)
 
 
+def _residues(data, prime: int) -> list[dict]:
+    return [{c: r for c, x in enumerate(row) if (r := x % prime)} for row in data]
+
+
 @given(structured_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
 def test_packed_rank_matches_sparse_kernel_and_oracle(case, prime):
     rows, cols, data = case
-    dicts = [{c: x for c, x in enumerate(r) if x} for r in data]
-    residues = [res for d in dicts if (res := {c: r for c, x in d.items() if (r := x % prime)})]
-    assert _packed_rank(dicts, cols, prime) == _eliminate(residues, prime)
+    got = _eliminate_mod_p(_residues(data, prime), cols, prime)
+    assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
-        assert _packed_rank(dicts, cols, prime) == naive_rank(data)
+        # no minor vanishes mod p, so the fraction-free kernel over Q agrees
+        assert got == _eliminate([{c: x for c, x in enumerate(r) if x} for r in data]) == naive_rank(data)
         assert rank_mod_p(Matrix(rows, cols, [x for r in data for x in r])) == naive_rank(data)
 
 
@@ -294,7 +318,7 @@ def test_packed_rank_empty_shapes():
     for rows, cols in [(0, 4), (0, 0), (3, 0)]:
         assert rank_mod_p(Matrix(rows, cols, [])) == 0
         assert rank_mod_p(Matrix.zeros(rows, cols, FP)) == 0
-    assert _packed_rank([{}, {}], 3, FP.prime) == 0
+    assert _eliminate_mod_p([{}, {}], 3, FP.prime) == 0
 
 
 @pytest.mark.parametrize("prime", [2, 3, 7, FP.prime])
@@ -302,21 +326,87 @@ def test_packed_rank_empty_shapes():
 def test_packed_rank_widest_slots(prime, n):
     # Pivot rows e_k - (e_{k+1} + ... + e_n) are stored as 1 and p - 1.  The
     # last row is 1 - k at column k, so each pivot in turn meets v = 1 and
-    # adds (p - 1)**2 to every later slot: column n takes n of them.
+    # adds (p - 1)**2 to every later slot: column n takes n of them.  All
+    # rows share columns, so they form one component, eliminated in order.
     pivots = [{k: 1, **{j: prime - 1 for j in range(k + 1, n + 1)}} for k in range(n)]
     last = {k: r for k in range(n) if (r := (1 - k) % prime)}
     last[n] = prime - 1
     rows = pivots + [last]
-    want = _eliminate([dict(r) for r in rows], prime)
-    assert _packed_rank(rows, n + 1, prime) == want
     dense = [[r.get(c, 0) for c in range(n + 1)] for r in rows]
+    want = naive_rank_mod_p(dense, prime)
+    assert _eliminate_mod_p(rows, n + 1, prime) == want
     if prime == FP.prime:
         assert want == naive_rank(dense)
     # entries p - 1 off the diagonal: -(J - I), of determinant +-(n - 1) != 0 mod a large p
     full = [{c: prime - 1 for c in range(n) if c != r} for r in range(n)]
-    assert _packed_rank(full, n, prime) == _eliminate([dict(r) for r in full if r], prime)
+    got = _eliminate_mod_p(full, n, prime)
+    assert got == naive_rank_mod_p([[r.get(c, 0) for c in range(n)] for r in full], prime)
     if prime == FP.prime:
-        assert _packed_rank(full, n, prime) == (n if n > 1 else 0)
+        assert got == (n if n > 1 else 0)
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """Integer rows of a block-diagonal matrix with its rows and columns permuted.
+
+    Blocks of one column are singleton columns; blocks hold zero and
+    duplicate rows, and empty rows and empty columns are added."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        r, c = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        block = []
+        for _ in range(r):
+            if block and draw(st.booleans()):
+                block.append(list(block[draw(st.integers(0, len(block) - 1))]))
+            else:
+                block.append([draw(st.integers(-9, 9)) for _ in range(c)])
+        blocks.append(block)
+    cols = sum(len(b[0]) for b in blocks) + draw(st.integers(0, 2))
+    data, at = [], 0
+    for b in blocks:
+        for row in b:
+            data.append([0] * at + row + [0] * (cols - at - len(row)))
+        at += len(b[0])
+    data += [[0] * cols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(range(len(data))))
+    perm = draw(st.permutations(range(cols)))
+    return len(data), cols, [[data[i][perm[j]] for j in range(cols)] for i in rows]
+
+
+@given(block_diagonal_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
+def test_component_elimination_on_block_diagonal_matrices(case, prime):
+    rows, cols, data = case
+    pivots: list = []
+    got = _eliminate_mod_p(_residues(data, prime), cols, prime, pivots)
+    assert got == naive_rank_mod_p(data, prime)
+    if prime == FP.prime and _minor_bound(data) < prime:
+        assert got == naive_rank(data)
+    # the back-solved vectors span the kernel mod p
+    vecs = _kernel_vectors(*_back_solve(pivots, cols, prime))
+    assert len(vecs) == cols - got
+    for vec in vecs:
+        assert all(sum(row[c] * v for c, v in vec.items()) % prime == 0 for row in data)
+    dense = [[vec.get(c, 0) for c in range(cols)] for vec in vecs]
+    assert naive_rank_mod_p(dense, prime) == len(vecs)
+    if prime == FP.prime:
+        m = Matrix(rows, cols, [x for r in data for x in r], FP)
+        assert rank(m) == got
+        basis = kernel_basis(m)
+        assert len(basis) == cols - got
+        for v in basis:
+            assert all(x == 0 for x in m.apply(v))
+        if basis:
+            assert rank(Matrix.from_rows(basis, FP)) == len(basis)
+
+
+def test_components_label_columns_joined_by_rows():
+    label = components([{0: 1, 3: 2}, {}, {5: 1}, {4: 1, 3: 1}, {1: 1}, {6: 1, 5: 2}], 7)
+    groups: dict = {}
+    for c, a in enumerate(label):
+        groups.setdefault(a, []).append(c)
+    assert sorted(groups.values()) == [[0, 3, 4], [1], [2], [5, 6]]
+    assert all(label[a] == a for a in groups)  # each label is a column of its component
+    assert components([], 2) == [0, 1]
 
 
 def test_rank_mod_p_matches_rank_over_fp():

@@ -100,6 +100,19 @@ def test_stabilizer_tuples_annihilate():
         _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), dim)
 
 
+@pytest.mark.parametrize("e", range(2, 7))
+def test_lift_holds_on_the_trace_tensor_and_its_limit(e):
+    # the kernel lifted from one prime is checked exactly, so no fallback runs
+    for t, dim in ((mmult(e, e, e), 3 * e * e - 1), (m_tilde_formula(e), 4 * e * e - 2 * e)):
+        assert len(lifted_kernel(build_system(t).matrix)) == dim
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_lift_holds_on_dense_random_tensors(n):
+    # a concise generic tensor keeps only the rescalings (a, b, c) with a + b + c = 0
+    assert len(lifted_kernel(build_system(random_tensor((n, n, n), seed=n)).matrix)) == 2
+
+
 def test_stabilizer_falls_back_to_exact_elimination(monkeypatch):
     t = mmult(2, 2, 2)
     monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m: None)

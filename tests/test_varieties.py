@@ -267,8 +267,12 @@ def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, 
     g = _tree_with_subcritical_leaves(seed)
     calls = _count_exact_ranks(monkeypatch)
     want = rank(contraction_jacobian(random_instance(g, seed=seed)))
+    # the bounds cannot close on such a leaf, so no rank mod p is taken first
+    modular = []
+    monkeypatch.setattr(varieties, "rank_mod_p", lambda m: modular.append(m.shape) or rank_mod_p(m))
     assert varieties._jacobian_rank(g, seed, QQ) == want
     assert len(calls) == 1
+    assert modular == []
 
 
 def test_tns_dim_pins_over_q_and_fp():
