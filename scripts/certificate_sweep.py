@@ -7,10 +7,11 @@ table row.  The stabilizer system of the trace tensor has e^6 rows,
 3e^4 columns and 3e^5 nonzeros; it falls apart into many small connected
 components, each eliminated mod p on its own, and over the rationals its
 kernel is lifted from one prime and checked exactly.  On a 2-core
-machine with Python 3.11, e = 4, 5, 6, 7, 8 took 0.05, 0.16, 0.38, 0.83
-and 1.55 s over the rationals and 0.02, 0.07, 0.17, 0.39 and 0.83 s with
---field fp, medians of three runs.  Systems past 10^6 nonzeros are
-refused, so e stops at 12.
+machine with Python 3.11, e = 4, 5, 6, 7, 8 took 0.01, 0.03, 0.09, 0.18
+and 0.35 s over the rationals and 0.01, 0.02, 0.06, 0.13 and 0.28 s with
+--field fp, medians of three runs.  Only the rationals certify: mod p
+the limit's stabilizer dimension is an upper bound.  Systems past 10^6
+nonzeros are refused, so e stops at 12.
 """
 from __future__ import annotations
 

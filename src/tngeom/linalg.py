@@ -17,6 +17,16 @@ rank mod p bounds the rank from below, and ``annihilates``, a check of
 A B^T = 0 over the integers, bounds the nullity from below by the rank
 of B when B's rows are known to be kernel vectors.
 
+Rows are read mod p in one pass and reduced in place
+(``_residue_rows``), so one set of rows is held.  Over Q an int entry
+is reduced as it is, with no lcm or content pass; only a matrix that
+holds a Fraction has each row multiplied by the lcm of its denominators
+first (``_integral_rows``), so no denominator is inverted mod p.  Each
+row read is a nonzero integer multiple of its row over Q, so the rank
+mod p is still at most the rank over Q, and A x = 0 holds for the rows
+read exactly when it holds for A.  A row that vanishes mod p can only
+lower the rank mod p; a lift then fails its check and falls back.
+
 The exact rank over Q is a fraction-free sparse elimination
 (``_eliminate``): rows are cleared to integers, and each update cross
 multiplies and then divides the row by its content, which keeps entries
@@ -47,6 +57,7 @@ mostly-zero system costs memory in proportion to its nonzeros.  The dense
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -234,10 +245,10 @@ class Matrix(SparseArray):
             raise SemanticError("Matrix operands live over different fields")
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        orows = _row_dicts(other)
+        orows = dict(_rows(other))
         ncols = other.cols
         nz: dict = {}
-        for i, row in _row_dicts(self).items():
+        for i, row in _rows(self):
             base = i * ncols
             for k, a in row.items():
                 for j, b in orows.get(k, {}).items():
@@ -271,17 +282,19 @@ def _matrix_shape(rows: int, cols: int) -> tuple[int, int]:
     return rows, cols
 
 
-def _row_dicts(m: Matrix) -> dict[int, dict]:
-    """Nonzero rows as {i: {j: value}}, rows and columns in increasing order."""
-    out: dict[int, dict] = {}
+def _rows(m: Matrix):
+    """Nonzero rows as (i, {j: value}), one at a time, rows and columns in increasing order."""
     nz, cols = m._nz, m.cols
+    last, row = -1, {}
     for k in sorted(nz):
         i, j = divmod(k, cols)
-        row = out.get(i)
-        if row is None:
-            row = out[i] = {}
+        if i != last:
+            if row:
+                yield last, row
+            last, row = i, {}
         row[j] = nz[k]
-    return out
+    if row:
+        yield last, row
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -403,20 +416,22 @@ def components(rows, cols: int) -> list[int]:
     return [root(c) for c in range(cols)]
 
 
-def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None) -> int:
-    """Rank mod prime of rows of nonzero residues {column: residue}, one component at a time.
+def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None,
+                     labels: Sequence[int] | None = None) -> int:
+    """Rank mod prime of rows of residues {column: residue}, one component at a time.
 
     A row update only combines rows that share a column, so no row leaves
     the columns of its connected component (``components``) and the rank
     is the sum of the ranks of the components.  A component of one column
-    has rank 1 if a row holds it and 0 otherwise; every other component is
-    eliminated densely on its own columns (``_packed_eliminate``).
+    has rank 1 if a row holds it with a nonzero residue, else 0; every other
+    one is eliminated densely on its own columns (``_packed_eliminate``).
+    Given labels, the components of the rows' columns, the search is skipped.
 
     Given a pivots list, each pivot row is appended as (pivot column, 1,
     {other column: residue}).  A pivot row holds no pivot column found
     before it, which is what ``_back_solve`` needs.
     """
-    label = components(rows, cols)
+    label = components(rows, cols) if labels is None else labels
     groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows)
     for c, a in enumerate(label):
         groups.setdefault(a, ([], []))[0].append(c)
@@ -428,7 +443,7 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     for ccols, crows in groups.values():
         if len(ccols) > 1:
             rank += _packed_eliminate(crows, ccols, prime, pivots)
-        elif crows:
+        elif any(row[ccols[0]] for row in crows):
             rank += 1
             if pivots is not None:
                 pivots.append((ccols[0], 1, {}))
@@ -494,13 +509,20 @@ def _packed_eliminate(rows: list[dict], cols: list[int], prime: int, pivots: lis
     return len(found)
 
 
+def _integral_rows(m: Matrix):
+    """Nonzero rows of a rational matrix, one at a time, each times the lcm of its denominators."""
+    ints = set(map(type, m._nz.values())) <= {int}  # then every denominator is 1
+    for _, row in _rows(m):
+        if not ints:
+            mult = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+        yield row
+
+
 def _integer_rows(m: Matrix) -> list[dict]:
     """Nonzero rows of a rational matrix, each scaled to primitive integers."""
-    rows = list(_row_dicts(m).values())
+    rows = list(_integral_rows(m))
     for row in rows:
-        mult = lcm(*(v.denominator for v in row.values()))
-        for c, v in row.items():
-            row[c] = v.numerator * (mult // v.denominator)
         g = gcd(*row.values())
         if g > 1:
             for c, v in row.items():
@@ -509,43 +531,50 @@ def _integer_rows(m: Matrix) -> list[dict]:
 
 
 def _residue_rows(m: Matrix) -> tuple[list[dict], int]:
-    """Nonzero rows of nonzero residues mod a prime, and the prime.
+    """Nonzero rows of residues mod a prime, each reduced in place, and the prime.
 
     Over Fp the prime is the field's.  Over Q it is DEFAULT_PRIME, and the
-    rows are first cleared to primitive integers, so none of them vanishes
-    mod p.
+    rows are read as integers (``_integral_rows``), so no denominator is
+    inverted mod p; an entry divisible by p leaves a zero residue.
     """
     prime = m.field.prime
     if prime is None:
         prime = DEFAULT_PRIME
-        return [res for row in _integer_rows(m) if (res := {c: r for c, v in row.items() if (r := v % prime)})], prime
-    rows = list(_row_dicts(m).values())
+        rows = list(_integral_rows(m))
+        for row in rows:
+            for c, v in row.items():
+                row[c] = v % prime
+        return rows, prime
+    rows = [row for _, row in _rows(m)]
     for row in rows:
         for c, v in row.items():
             row[c] = v.val
     return rows, prime
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix, labels: Sequence[int] | None = None) -> int:
     """Exact rank; independent of row and column order.
 
-    Over Q by fraction-free elimination, over Fp by ``rank_mod_p``.
+    Over Q by fraction-free elimination, over Fp by ``rank_mod_p``, which
+    takes the labels.
     """
     if m.field.prime is None:
         return _eliminate(_integer_rows(m))
-    return rank_mod_p(m)
+    return rank_mod_p(m, labels)
 
 
-def rank_mod_p(m: Matrix) -> int:
+def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None) -> int:
     """Rank mod p, component by component (``_eliminate_mod_p``).
 
-    Over Fp this is the exact rank.  A rational matrix has its rows
-    cleared to primitive integers and is ranked mod DEFAULT_PRIME; that is
-    a lower bound on its rank over Q, since a minor that is nonzero mod p
-    is nonzero over Q.
+    Over Fp this is the exact rank.  A rational matrix is ranked mod
+    DEFAULT_PRIME with its rows scaled to integers; that is a lower bound
+    on its rank over Q, since a minor that is nonzero mod p is nonzero over
+    Q, and scaling a row by a nonzero integer scales its minors alike.
+    labels, the column components of m (``components``) if they are
+    known, spare the search.
     """
     rows, prime = _residue_rows(m)
-    return _eliminate_mod_p(rows, m.cols, prime)
+    return _eliminate_mod_p(rows, m.cols, prime, labels=labels)
 
 
 def kernel_dim(m: Matrix) -> int:
@@ -625,25 +654,25 @@ def _lift_residue(r: int, prime: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def lifted_kernel(m: Matrix) -> list[dict] | None:
+def lifted_kernel(m: Matrix, labels: Sequence[int] | None = None) -> list[dict] | None:
     """Exact kernel basis of a rational matrix from one elimination mod p, or None.
 
-    The rows are cleared to primitive integers and eliminated mod
-    p = DEFAULT_PRIME.  Each back-solved kernel vector, 1 at its free
-    column and 0 at the other free columns, is lifted by rational
-    reconstruction and checked, A x = 0 over the integers.  The vectors
-    come back sparse, as {column: nonzero Fraction}, and their number is
-    the exact nullity (see the module docstring).  None means an entry
-    did not lift or a check failed, and the caller falls back to the
-    exact elimination.
+    The rows are read mod p = DEFAULT_PRIME (``_residue_rows``) and
+    eliminated, with labels as ``rank_mod_p`` takes them.  Each
+    back-solved kernel vector, 1 at its free column and 0 at the other
+    free columns, is lifted by rational reconstruction and checked,
+    A x = 0 over the integers.  The vectors come back sparse, as
+    {column: nonzero Fraction}, and their number is the exact nullity
+    (see the module docstring).  None means an entry did not lift or a
+    check failed, and the caller falls back to the exact elimination.
     """
     if not isinstance(m.field, RationalField):
         raise SemanticError("lifted_kernel expects a rational matrix")
     residues, prime = _residue_rows(m)
     pivots: list = []
-    _eliminate_mod_p(residues, m.cols, prime, pivots)
+    _eliminate_mod_p(residues, m.cols, prime, pivots, labels)
+    del residues  # freed before the back-solve; the pivot rows are copies
     free, x = _back_solve(pivots, m.cols, prime)
-    del residues, pivots  # freed before the check builds the integer rows again
     bound = isqrt(prime // 2)
     denom = dict.fromkeys(free, 1)
     for col in x.values():
@@ -655,10 +684,10 @@ def lifted_kernel(m: Matrix) -> list[dict] | None:
             denom[f] = lcm(denom[f], q.denominator)
     # each x_f times the lcm of its denominators, as integers, column by column
     scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()] for c, col in x.items()}
-    return _kernel_vectors(free, x) if _annihilates(_integer_rows(m), scaled) else None
+    return _kernel_vectors(free, x) if _annihilates(_integral_rows(m), scaled) else None
 
 
-def _annihilates(rows: list[dict], by_col: dict[int, list]) -> bool:
+def _annihilates(rows, by_col: dict[int, list]) -> bool:
     """True when each integer row r has sum_c r[c] * x[c] == 0 for every
     vector x, the vectors given column by column as {c: [(x, x[c])]}."""
     for row in rows:
@@ -674,25 +703,25 @@ def _annihilates(rows: list[dict], by_col: dict[int, list]) -> bool:
 def annihilates(a: Matrix, b: Matrix) -> bool:
     """True when A B^T = 0 over Q, i.e. every row of b lies in the right kernel of a.
 
-    Checked exactly over the integers, on the rows of both matrices
-    cleared to primitive integers, which scales each product by a nonzero
-    integer.
+    Checked exactly over the integers, on the rows of both matrices read
+    as integers (``_integral_rows``), which scales each product by a
+    nonzero integer.
     """
     if not isinstance(a.field, RationalField) or b.field != a.field:
         raise SemanticError("annihilates expects two rational matrices")
     if a.cols != b.cols:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}")
     by_col: dict[int, list] = {}
-    for k, row in enumerate(_integer_rows(b)):
+    for k, row in enumerate(_integral_rows(b)):
         for c, v in row.items():
             by_col.setdefault(c, []).append((k, v))
-    return _annihilates(_integer_rows(a), by_col)
+    return _annihilates(_integral_rows(a), by_col)
 
 
 def _rref(m: Matrix) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form as sparse rows plus ordered pivot columns."""
     zero, one = m.field.zero, m.field.one
-    active = list(_row_dicts(m).values())
+    active = [row for _, row in _rows(m)]
     done: list[tuple[int, dict]] = []
     while active:
         # lowest column first, then the shortest row holding it

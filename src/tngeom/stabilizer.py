@@ -22,9 +22,9 @@ from .tensors import Tensor, leibniz_act, lin_index
 # checked before anything is built.  MAX_SYSTEM_FILL caps the cells its
 # elimination can hold (``elimination_fill``), checked before the matrix is
 # built: a dense system fills towards rows x columns, far past its nonzeros.
-# On a 2-core host with Python 3.11, peak RSS of `certify --field rational`
-# grew by 0.61 to 0.66 KB per system nonzero at e = 8, 10 and 12 (e = 12,
-# 746496 nonzeros and 2.7e6 cells, took 0.5 GB).  `stabilizer` on a dense
+# On a 2-core host with Python 3.11, peak RSS of `certify` over Q grew by
+# 0.39 to 0.43 KB per system nonzero at e = 8, 10 and 12 (e = 12, 746496
+# nonzeros and 2.7e6 cells, took 330 MB).  `stabilizer` on a dense
 # 20 x 20 x 20 tensor (9.6e6 cells) peaked at 150 MB and took 99 s: its
 # elimination mod p holds packed dense rows.  The fill budget bounds the
 # exact fallback, which fills sparse rows.  Neither budget bounds time.
@@ -42,14 +42,15 @@ def check_system_size(nnz: int, fill: int = 0) -> None:
         )
 
 
-def elimination_fill(pairs, rows: int, cols: int) -> int:
+def elimination_fill(pairs, rows: int, cols: int, labels: list | None = None) -> int:
     """Most cells an elimination of the sparse system with these (row, column) nonzeros can hold.
 
     A row update adds a row that shares a column, so a row never leaves
     the columns of its connected component in the row-column graph, and
     the bound is the sum over components of rows times columns.  The
     components (``linalg.components``) are only searched when
-    min(rows, nonzeros) * cols is over the budget.
+    min(rows, nonzeros) * cols is over the budget; then, given a labels
+    list, the label of each column is appended to it.
     """
     if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
         return min(rows, len(pairs)) * cols
@@ -57,6 +58,8 @@ def elimination_fill(pairs, rows: int, cols: int) -> int:
     for r, c in pairs:
         by_row.setdefault(r, []).append(c)
     label = components(by_row.values(), cols)
+    if labels is not None:
+        labels += label
     comp_cols = Counter(label)
     comp_rows = Counter(label[row[0]] for row in by_row.values())
     return sum(n * comp_cols[a] for a, n in comp_rows.items())
@@ -67,12 +70,15 @@ class StabilizerSystem:
     """Linear system whose kernel is the stabilizer algebra of a tensor.
 
     Rows are indexed by tensor coordinates, columns by (slot, elementary
-    matrix) pairs laid out slot by slot, each slot row-major.
+    matrix) pairs laid out slot by slot, each slot row-major.  labels are
+    the column components (``linalg.components``) when the size check
+    searched them, and spare the elimination its own search.
     """
 
     matrix: Matrix
     shape: tuple[int, ...]
     offsets: tuple[int, ...]
+    labels: tuple[int, ...] | None = None
 
     @property
     def group_dim(self) -> int:
@@ -84,8 +90,9 @@ class StabilizerSystem:
     def orbit_dim(self) -> int:
         """Rank of the system; over Q from the kernel lifted from one prime
         (``linalg.lifted_kernel``), or by exact elimination if the lift fails."""
-        basis = lifted_kernel(self.matrix) if isinstance(self.matrix.field, RationalField) else None
-        return rank(self.matrix) if basis is None else self.matrix.cols - len(basis)
+        m, labels = self.matrix, self.labels
+        basis = lifted_kernel(m, labels) if isinstance(m.field, RationalField) else None
+        return rank(m, labels) if basis is None else m.cols - len(basis)
 
     def column_label(self, col: int) -> tuple[int, int, int]:
         """Map a column index back to (slot, row, col) of the elementary matrix."""
@@ -121,11 +128,11 @@ def build_system(t: Tensor) -> StabilizerSystem:
             col_base = offsets[j] + l
             for k in range(vj):
                 items[base + k * strides[j], col_base + k * vj] = val
-    rows = prod(shape)
-    check_system_size(len(items), elimination_fill(items, rows, total))
+    rows, labels = prod(shape), []
+    check_system_size(len(items), elimination_fill(items, rows, total, labels))
     # every value is a nonzero scalar of t's field, so the cells need no checks
     nz = {r * total + c: v for (r, c), v in items.items()}
-    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets))
+    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets), tuple(labels) or None)
 
 
 def stabilizer_dim(t: Tensor) -> int:

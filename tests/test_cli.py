@@ -67,6 +67,21 @@ def test_certify_default_splitting(capsys):
     assert (rep["stab_mmult"], rep["stab_mtilde"]) == (11, 12)
 
 
+def test_certify_is_exact_by_default(capsys):
+    # 3e^4 = 1875 unknowns at e = 5; the default field stays Q at every size
+    code, out, _ = run(["certify", "--e", "5"], capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["field"], rep["prime"]) == ("rational", None)
+    assert (rep["stab_mmult"], rep["stab_mtilde"], rep["conclusion"]) == (74, 90, "not_closed_certified")
+
+
+@pytest.mark.parametrize("argv", [["contract", "x"], ["stabilizer", "x"], ["certify", "--e", "2"], ["dim", "x"],
+                                  ["reduce", "x"], ["limit", "--e", "2"]])
+def test_field_defaults_to_rational(argv):
+    assert cli.make_parser().parse_args(argv).field == "rational"
+
+
 def test_certify_refuses_a_system_over_budget_before_building(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise AssertionError("built a tensor for a refused size")
@@ -76,6 +91,15 @@ def test_certify_refuses_a_system_over_budget_before_building(monkeypatch, capsy
     code, out, err = run(["certify", "--e", "1000"], capsys)
     assert code == 3 and out == ""
     assert "nonzeros" in err
+
+
+def test_stabilizer_is_exact_by_default_on_a_large_tensor(tmp_path, capsys):
+    # the unit tensor of size 17: group dimension 3 * 17^2 = 867, stabilizer the 2n-dimensional torus
+    path = tmp_path / "unit17.json"
+    path.write_text(json.dumps({"shape": [17, 17, 17], "entries": [{"idx": [i, i, i], "val": "1"} for i in range(17)]}))
+    code, out, _ = run(["stabilizer", path], capsys)
+    assert code == 0
+    assert json.loads(out) == {"stab_dim": 34, "orbit_dim": 833, "field": "rational", "prime": None}
 
 
 def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
@@ -170,6 +194,18 @@ def test_limit_report(capsys):
     # off-diagonal projections has a zero trace when e = 2
     assert [t["power"] for t in rep["terms"]] == [1, 3]
     assert rep["leading_term"] == rep["terms"][0]["tensor"]
+
+
+def test_limit_refuses_an_e_over_budget_before_building(monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise AssertionError("built a tensor for a refused size")
+
+    for name in ("mmult", "diagonal_splitting"):
+        monkeypatch.setattr(cli, name, boom)
+    assert 1000**3 > cli.MAX_LIMIT_NNZ
+    code, out, err = run(["limit", "--e", "1000"], capsys)
+    assert code == 3 and out == ""
+    assert "over the budget" in err
 
 
 def test_exit_2_on_bad_json(tmp_path, capsys):

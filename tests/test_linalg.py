@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tngeom import linalg
@@ -89,9 +89,18 @@ def test_kernel_basis_spans_kernel(seed):
             assert rank(Matrix.from_rows(basis, field)) == len(basis)
 
 
-def _planted_kernel_matrix(rng: random.Random, free: int, bound: int, cols: int) -> Matrix:
+P = 2**31 - 1
+TWISTS = (None, "denominator divisible by p", "integer row of multiples of p", "ints and Fractions in one row")
+
+
+def _planted_kernel_matrix(rng: random.Random, free: int, bound: int, cols: int, twist: str | None = None) -> Matrix:
     """R [I | -C] P with R of full column rank, so the kernel is spanned by the
-    columns of [C; I] moved by P: integer vectors of height at most bound."""
+    columns of [C; I] moved by P: integer vectors of height at most bound.
+
+    A twist rescales the first row (by 1/p, or to integers that are all
+    multiples of p) or appends base_0 / 3 + base_1 moved by P; none of them
+    changes the kernel over Q.
+    """
     piv = cols - free
     c = [[rng.randint(-bound, bound) for _ in range(free)] for _ in range(piv)]
     base = [[int(i == j) for j in range(piv)] + [-x for x in c[i]] for i in range(piv)]
@@ -106,21 +115,39 @@ def _planted_kernel_matrix(rng: random.Random, free: int, bound: int, cols: int)
         row = [sum(a * base[i][j] for i, a in enumerate(coeffs)) for j in range(cols)]
         d = rng.randint(1, 6)
         rows.append([Fraction(row[perm[j]], d) for j in range(cols)])
+    if twist == "denominator divisible by p":
+        rows[0] = [x / P for x in rows[0]]
+    elif twist == "integer row of multiples of p":
+        rows[0] = [x * 60 * P for x in rows[0]]  # 60 = lcm(1..6) clears every d
+    elif twist == "ints and Fractions in one row":
+        # piv >= 2 for this twist: 1/3 at pivot 0 and 1 at pivot 1
+        rows.append([Fraction(base[0][perm[j]], 3) + base[1][perm[j]] for j in range(cols)])
     return Matrix.from_rows(rows)
 
 
-@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 3))
-def test_lifted_kernel_agrees_with_exact_elimination(seed, free, bound):
+@given(st.integers(0, 10**6), st.integers(1, 4), st.integers(0, 3), st.sampled_from(TWISTS))
+@example(7, 2, 3, TWISTS[1])
+@example(7, 2, 3, TWISTS[2])
+@example(7, 2, 3, TWISTS[3])
+def test_lifted_kernel_agrees_with_exact_elimination(seed, free, bound, twist):
     rng = random.Random(seed)
-    m = _planted_kernel_matrix(rng, free, bound, free + rng.randint(1, 6))
+    cols = free + rng.randint(2 if twist == TWISTS[3] else 1, 6)
+    m = _planted_kernel_matrix(rng, free, bound, cols, twist)
+    want = naive_rank(matrix_rows(m))
+    assert rank(m) == want == m.cols - free
+    assert rank_mod_p(m) <= want
+    checks = [kernel_basis(m)]
     basis = lifted_kernel(m)
-    assert basis is not None
-    assert len(basis) == free == kernel_dim(m) == m.cols - naive_rank(matrix_rows(m))
-    dense = [[vec.get(c, 0) for c in range(m.cols)] for vec in basis]
-    for vec, v in zip(basis, dense):
-        assert all(vec.values())
-        assert all(x == 0 for x in m.apply(v))
-    assert rank(Matrix.from_rows(dense)) == free
+    if basis is not None:
+        assert all(all(vec.values()) for vec in basis)
+        checks.append([[vec.get(c, 0) for c in range(m.cols)] for vec in basis])
+    else:  # a row that vanishes mod p may drop the rank mod p, and then the lift fails
+        assert twist == TWISTS[2]
+    for vecs in checks:
+        assert len(vecs) == free == kernel_dim(m)
+        for v in vecs:
+            assert any(v) and all(x == 0 for x in m.apply(v))
+        assert rank(Matrix.from_rows(vecs)) == free
 
 
 def test_lifted_kernel_full_rank_and_empty():
@@ -447,6 +474,8 @@ def test_rank_mod_p_sees_vanishing_minors():
     m = [[1, 1, 0], [1, 1 + p, 0], [0, 0, 3 * p]]
     assert naive_rank(m) == 3
     assert rank(Matrix.from_rows(m, FP)) == 1
+    # read mod p, the rational rows keep their zero residues: [0, 0, 3p] adds nothing
+    assert rank_mod_p(Matrix.from_rows(m)) == 1
     # determinant p: the second row is half the first only mod p
     assert rank(Matrix.from_rows([[2, 1], [1, (p + 1) // 2]], FP)) == 1
 

@@ -1,0 +1,44 @@
+"""Smoke tests of scripts/: each one runs in its own process on small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def table(out: str) -> list[list[str]]:
+    """The rows of a printed table, header dropped, split on whitespace."""
+    return [line.split() for line in out.splitlines()[1:]]
+
+
+def test_certificate_sweep():
+    rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4"))
+    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _ in rows] == [
+        (2, 11, 12, "not_closed_certified"),
+        (3, 26, 30, "not_closed_certified"),
+        (4, 47, 56, "not_closed_certified"),
+    ]
+
+
+def test_loop_dimension_scan():
+    rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", "fp"))
+    assert [(row[0], row[-2], row[-1]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
+
+
+@pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),
+                                        ("chain_reduction_demo.py", ("--samples", "3"))])
+def test_script_exits_0(name, args):
+    assert run_script(name, *args)

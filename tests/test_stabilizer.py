@@ -115,7 +115,7 @@ def test_lift_holds_on_dense_random_tensors(n):
 
 def test_stabilizer_falls_back_to_exact_elimination(monkeypatch):
     t = mmult(2, 2, 2)
-    monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m: None)
+    monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m, labels=None: None)
     monkeypatch.setattr(linalg, "lifted_kernel", lambda m: None)
     assert (stabilizer_dim(t), orbit_dim(t)) == (11, 37)
     _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
@@ -171,6 +171,16 @@ def test_elimination_fill_sums_components(monkeypatch, t):
     # a dense tensor's system is one component, rows times columns
     if all(t._nz.get(i) for i in range(m.rows)):
         assert elimination_fill(pairs, m.rows, m.cols) == m.rows * m.cols
+
+
+@pytest.mark.parametrize("field", [QQ, FP])
+def test_elimination_reuses_the_components_of_the_size_check(monkeypatch, field):
+    # at e = 5, min(rows, nonzeros) * cols = 9375 * 1875 is over the fill budget,
+    # so build_system searches the components, and the elimination takes them
+    system = build_system(mmult(5, 5, 5, field))
+    assert system.labels is not None
+    monkeypatch.setattr(linalg, "components", None)  # a second search would raise
+    assert system.stabilizer_dim() == 74
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])
