@@ -1,9 +1,8 @@
 """Exact matrices and elimination over the rationals or a prime field.
 
 Rank is the workhorse: stabilizer and Jacobian computations reduce to the
-rank of an exact matrix.  Every elimination mod p runs in one kernel,
-``_eliminate_mod_p``: the rank over Fp, ``rank_mod_p``, ``lifted_kernel``
-and ``kernel_basis`` over Fp.  It splits the rows into the connected
+rank of an exact matrix.  Every elimination runs mod a prime in one
+kernel, ``_eliminate_mod_p``.  It splits the rows into the connected
 components of the graph that joins two columns sharing a row (a
 union-find, ``components``), since the rank is the sum of the ranks of
 the components.  A component of one column has rank 1 or 0.  Every other
@@ -12,10 +11,7 @@ Python int of W-bit slots with delayed reduction (``_packed_eliminate``,
 W = bit_length(p + min(rows, cols) * p**2) + 1).  Stabilizer systems fall
 apart into many small components; a dense system is one.  On the 343 x
 147 system of a dense 7 x 7 x 7 tensor, elimination and back-solve mod
-2^31 - 1 take 0.09 s (2-core host, Python 3.11).  Over Q a
-rank mod p bounds the rank from below, and ``annihilates``, a check of
-A B^T = 0 over the integers, bounds the nullity from below by the rank
-of B when B's rows are known to be kernel vectors.
+2^31 - 1 take 0.09 s (2-core host, Python 3.11).
 
 Rows are read mod p in one pass and reduced in place
 (``_residue_rows``), so one set of rows is held.  Over Q an int entry
@@ -23,30 +19,27 @@ is reduced as it is, with no lcm or content pass; only a matrix that
 holds a Fraction has each row multiplied by the lcm of its denominators
 first (``_integral_rows``), so no denominator is inverted mod p.  Each
 row read is a nonzero integer multiple of its row over Q, so the rank
-mod p is still at most the rank over Q, and A x = 0 holds for the rows
-read exactly when it holds for A.  A row that vanishes mod p can only
-lower the rank mod p; a lift then fails its check and falls back.
+mod p is at most the rank over Q, and A x = 0 holds for the rows read
+exactly when it holds for A.
 
-The exact rank over Q is a fraction-free sparse elimination
-(``_eliminate``): rows are cleared to integers, and each update cross
-multiplies and then divides the row by its content, which keeps entries
-at the size of minors or below.
-
-Fraction-free elimination costs more as its entries grow, so a kernel
-over Q whose vectors have small entries is cheaper to find mod a prime:
-``lifted_kernel`` eliminates once mod p, back-solves one kernel vector
-per free column (1 there, 0 at the other free columns), lifts every
-entry to a fraction by rational reconstruction and checks A x = 0 exactly
-over the integers.  The count is exact by two bounds.  Vectors that pass
-the check lie in the kernel over Q, and they are independent, so the
-nullity over Q is at least their number, cols - rank mod p.  A minor that
-is nonzero mod p is nonzero over Q, so rank over Q is at least rank mod
-p, and the nullity over Q is at most that number.  If an entry does not
-lift or a check fails (a kernel of large height, or a prime that divides
-a minor and drops the rank mod p), it returns None and the caller falls
-back to the exact elimination.  ``kernel_basis`` returns the lifted
-kernel over Q when it holds; otherwise it runs the same back-solve after
-the exact elimination, or after the one mod the matrix's own prime.
+Over Q every exact answer comes from one path, the lifted kernel
+(``lifted_kernel``): eliminate mod p, back-solve one kernel vector per
+free column (1 there, 0 at the other free columns), lift every entry to
+a fraction by rational reconstruction (Wang 1981) and check A x = 0
+exactly over the integers.  The count is exact by two bounds.  Vectors
+that pass the check lie in the kernel over Q, and they are independent,
+so the nullity over Q is at least their number, cols - rank mod p.  A
+minor that is nonzero mod p is nonzero over Q, so rank over Q is at
+least rank mod p, and the nullity over Q is at most that number.  When
+an entry does not lift or the check fails (a kernel of large height, or
+a prime that divides a minor), the next prime below is eliminated too
+and the residues are combined by CRT until the check passes (``_lift``).
+``rank`` over Q is the nullity of the lifted kernel of A or of A^T,
+``kernel_basis`` is the lifted kernel, and ``inverse`` reads A^-1 off
+the lifted kernel of [A | -I].  Over Fp the same elimination and
+back-solve are exact as they stand.  ``annihilates``, a check of A B^T
+= 0 over the integers, bounds a nullity from below by the rank of B when
+B's rows are known to be kernel vectors.
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -62,7 +55,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .errors import SemanticError, ShapeError, SingularMatrixError
-from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField
+from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField, is_probable_prime
 
 RANDOM_ENTRY_BOUND = 10**6
 
@@ -310,84 +303,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
 
 
-def _eliminate(rows: list[dict], pivots: list | None = None) -> int:
-    """Rank over Q of sparse primitive integer rows, by fraction-free elimination.
-
-    Each update is pivot*row - entry*pivot_row followed by division of the
-    row by its content; by the Sylvester identity the content absorbs at
-    least the previous pivot, so growth stays at minor scale.  The pivot
-    is the entry with the least (row length, |value|, row position,
-    column), so the rows that are cheapest to combine go first and small
-    pivots keep entries small.
-
-    Rows wait in buckets keyed by (length, least |entry|), and every
-    column knows the rows that hold it, so a step reads one bucket and
-    updates only the rows that contain the pivot column.
-
-    Given a pivots list, each step appends (pivot column, pivot value,
-    the pivot row's other entries), for a back-solve.
-    """
-    buckets: dict[tuple[int, int], set[int]] = {}
-    where: dict[int, tuple[int, int]] = {}
-    by_col: dict[int, set[int]] = {}
-
-    def place(r: int, row: dict) -> None:
-        key = (len(row), min(map(abs, row.values())))
-        where[r] = key
-        buckets.setdefault(key, set()).add(r)
-
-    for r, row in enumerate(rows):
-        if row:
-            place(r, row)
-            for c in row:
-                by_col.setdefault(c, set()).add(r)
-    rank = 0
-    while buckets:
-        key = min(buckets)
-        bucket = buckets[key]
-        r = min(bucket)
-        bucket.remove(r)
-        if not bucket:
-            del buckets[key]
-        del where[r]
-        prow, rows[r] = rows[r], None
-        pc = min(c for c, v in prow.items() if abs(v) == key[1])
-        rank += 1
-        pv = prow.pop(pc)
-        for c in prow:
-            by_col[c].discard(r)
-        targets = by_col.pop(pc)
-        targets.discard(r)
-        if pivots is not None:
-            pivots.append((pc, pv, prow))
-        for t in targets:
-            row = rows[t]
-            rv = row.pop(pc)
-            new = {c: pv * v for c, v in row.items()}
-            for c, v in prow.items():
-                nv = new.get(c, 0) - rv * v
-                if nv:
-                    new[c] = nv
-                else:
-                    new.pop(c, None)
-            g = gcd(*new.values())
-            if g > 1:
-                new = {c: v // g for c, v in new.items()}
-            for c in prow:
-                if c in new:
-                    by_col[c].add(t)
-                else:
-                    by_col[c].discard(t)
-            key = where.pop(t)
-            buckets[key].discard(t)
-            if not buckets[key]:
-                del buckets[key]
-            rows[t] = new or None
-            if new:
-                place(t, new)
-    return rank
-
-
 def components(rows, cols: int) -> list[int]:
     """Label of each column's connected component, in the graph that joins two columns when one row holds both.
 
@@ -427,9 +342,10 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     one is eliminated densely on its own columns (``_packed_eliminate``).
     Given labels, the components of the rows' columns, the search is skipped.
 
-    Given a pivots list, each pivot row is appended as (pivot column, 1,
-    {other column: residue}).  A pivot row holds no pivot column found
-    before it, which is what ``_back_solve`` needs.
+    Given a pivots list, each pivot row, scaled to 1 at its pivot column,
+    is appended as (pivot column, {other column: residue}).  A pivot row
+    holds no pivot column found before it, which is what ``_back_solve``
+    needs.
     """
     label = components(rows, cols) if labels is None else labels
     groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows)
@@ -446,7 +362,7 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
         elif any(row[ccols[0]] for row in crows):
             rank += 1
             if pivots is not None:
-                pivots.append((ccols[0], 1, {}))
+                pivots.append((ccols[0], {}))
     return rank
 
 
@@ -502,7 +418,7 @@ def _packed_eliminate(rows: list[dict], cols: list[int], prime: int, pivots: lis
                     rest[cols[i]] = r
         found.append((8 * size * pc, int.from_bytes(out, "little")))
         if pivots is not None:
-            pivots.append((cols[pc], 1, rest))
+            pivots.append((cols[pc], rest))
         del free[k]
         if not free:
             break
@@ -519,27 +435,14 @@ def _integral_rows(m: Matrix):
         yield row
 
 
-def _integer_rows(m: Matrix) -> list[dict]:
-    """Nonzero rows of a rational matrix, each scaled to primitive integers."""
-    rows = list(_integral_rows(m))
-    for row in rows:
-        g = gcd(*row.values())
-        if g > 1:
-            for c, v in row.items():
-                row[c] = v // g
-    return rows
-
-
-def _residue_rows(m: Matrix) -> tuple[list[dict], int]:
+def _residue_rows(m: Matrix, prime: int = DEFAULT_PRIME) -> tuple[list[dict], int]:
     """Nonzero rows of residues mod a prime, each reduced in place, and the prime.
 
-    Over Fp the prime is the field's.  Over Q it is DEFAULT_PRIME, and the
+    Over Fp the prime is the field's.  Over Q it is the one given, and the
     rows are read as integers (``_integral_rows``), so no denominator is
     inverted mod p; an entry divisible by p leaves a zero residue.
     """
-    prime = m.field.prime
-    if prime is None:
-        prime = DEFAULT_PRIME
+    if m.field.prime is None:
         rows = list(_integral_rows(m))
         for row in rows:
             for c, v in row.items():
@@ -549,18 +452,23 @@ def _residue_rows(m: Matrix) -> tuple[list[dict], int]:
     for row in rows:
         for c, v in row.items():
             row[c] = v.val
-    return rows, prime
+    return rows, m.field.prime
 
 
 def rank(m: Matrix, labels: Sequence[int] | None = None) -> int:
     """Exact rank; independent of row and column order.
 
-    Over Q by fraction-free elimination, over Fp by ``rank_mod_p``, which
-    takes the labels.
+    Over Fp by ``rank_mod_p``.  Over Q it is the column count less the
+    nullity of the lifted kernel (``lifted_kernel``) of whichever of A and
+    A^T has fewer columns; the labels, A's column components, are used only
+    when A is not transposed.  An empty kernel ends the lift at the first
+    prime with full column rank.
     """
-    if m.field.prime is None:
-        return _eliminate(_integer_rows(m))
-    return rank_mod_p(m, labels)
+    if m.field.prime is not None:
+        return rank_mod_p(m, labels)
+    if m.rows < m.cols:
+        return m.rows - len(_lift(m.transpose())[1])
+    return m.cols - len(_lift(m, labels)[1])
 
 
 def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None) -> int:
@@ -582,27 +490,23 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
 
 
-def _back_solve(pivots: list, cols: int, prime: int | None) -> tuple[list[int], dict[int, dict]]:
-    """Kernel of eliminated rows: the free columns, and {column c: {free f: x_f[c]}}.
+def _back_solve(pivots: list, cols: int, prime: int) -> tuple[list[int], dict[int, dict]]:
+    """Kernel mod prime of eliminated rows: the free columns, and {column c: {free f: x_f[c]}}.
 
     x_f is the kernel vector that is 1 at free column f and 0 at the other
     free columns.  A pivot row holds no pivot column chosen before it, so
     solving the rows last to first finds the other columns of each row
-    already solved.  Values are residues mod prime, and over Q ints at
-    the free columns and Fractions elsewhere.
+    already solved.
     """
-    taken = {pc for pc, _, _ in pivots}
+    taken = {pc for pc, _ in pivots}
     free = [c for c in range(cols) if c not in taken]
     x = {f: {f: 1} for f in free}
-    for pc, pv, prow in reversed(pivots):
+    for pc, prow in reversed(pivots):
         acc: dict = {}
         for c, v in prow.items():
             for f, w in x[c].items():
                 acc[f] = acc.get(f, 0) - v * w
-        if prime:
-            x[pc] = {f: r for f, s in acc.items() if (r := s % prime)}
-        else:
-            x[pc] = {f: Fraction(s, pv) for f, s in acc.items() if s}
+        x[pc] = {f: r for f, s in acc.items() if (r := s % prime)}
     return free, x
 
 
@@ -615,23 +519,25 @@ def _kernel_vectors(free: list[int], x: dict[int, dict]) -> list[dict]:
     return list(vecs.values())
 
 
+def _kernel(m: Matrix) -> tuple[list[int], list[dict]]:
+    """Free columns and their kernel vectors: residues over Fp, lifted over Q (``_lift``)."""
+    prime = m.field.prime
+    if prime is None:
+        return _lift(m)
+    pivots: list = []
+    _eliminate_mod_p(_residue_rows(m)[0], m.cols, prime, pivots)
+    free, x = _back_solve(pivots, m.cols, prime)
+    return free, _kernel_vectors(free, x)
+
+
 def kernel_basis(m: Matrix) -> list[list]:
     """Basis of the right kernel, one coordinate vector per free column.
 
-    Over Q the kernel lifted from one prime is tried first
-    (``lifted_kernel``); if it fails, the rows are eliminated exactly.
+    Over Q it is the lifted kernel (``lifted_kernel``), over Fp the
+    back-solve of the elimination mod the field's prime.
     """
-    vecs = lifted_kernel(m) if isinstance(m.field, RationalField) else None
-    if vecs is None:
-        prime = m.field.prime
-        pivots: list = []
-        if prime is None:
-            _eliminate(_integer_rows(m), pivots)
-        else:
-            _eliminate_mod_p(_residue_rows(m)[0], m.cols, prime, pivots)
-        vecs = _kernel_vectors(*_back_solve(pivots, m.cols, prime))
     basis = []
-    for vec in vecs:
+    for vec in _kernel(m)[1]:
         dense = [m.field.zero] * m.cols
         for c, v in vec.items():
             dense[c] = m.field.coerce(v)
@@ -639,13 +545,13 @@ def kernel_basis(m: Matrix) -> list[list]:
     return basis
 
 
-def _lift_residue(r: int, prime: int, bound: int) -> Fraction | None:
-    """The a/b with |a|, b <= bound and a = b*r mod prime, or None (Wang 1981).
+def _lift_residue(r: int, modulus: int, bound: int) -> Fraction | None:
+    """The a/b with |a|, b <= bound and a = b*r mod modulus, or None (Wang 1981).
 
     The half extended Euclid stops at the first remainder within the
-    bound; with 2*bound**2 < prime there is at most one such fraction.
+    bound; with 2*bound**2 < modulus there is at most one such fraction.
     """
-    r0, r1, t0, t1 = prime, r, 0, 1
+    r0, r1, t0, t1 = modulus, r, 0, 1
     while r1 > bound:
         q = r0 // r1
         r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
@@ -654,37 +560,94 @@ def _lift_residue(r: int, prime: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def lifted_kernel(m: Matrix, labels: Sequence[int] | None = None) -> list[dict] | None:
-    """Exact kernel basis of a rational matrix from one elimination mod p, or None.
+def lifted_kernel(m: Matrix, labels: Sequence[int] | None = None) -> list[dict]:
+    """Exact kernel basis of a rational matrix, lifted from eliminations mod primes.
 
-    The rows are read mod p = DEFAULT_PRIME (``_residue_rows``) and
-    eliminated, with labels as ``rank_mod_p`` takes them.  Each
-    back-solved kernel vector, 1 at its free column and 0 at the other
-    free columns, is lifted by rational reconstruction and checked,
-    A x = 0 over the integers.  The vectors come back sparse, as
-    {column: nonzero Fraction}, and their number is the exact nullity
-    (see the module docstring).  None means an entry did not lift or a
-    check failed, and the caller falls back to the exact elimination.
+    One vector per free column, 1 there and 0 at the other free columns,
+    as {column: nonzero Fraction or int}; their number is the exact
+    nullity (see the module docstring).  labels are taken as
+    ``rank_mod_p`` takes them.
     """
     if not isinstance(m.field, RationalField):
         raise SemanticError("lifted_kernel expects a rational matrix")
-    residues, prime = _residue_rows(m)
-    pivots: list = []
-    _eliminate_mod_p(residues, m.cols, prime, pivots, labels)
-    del residues  # freed before the back-solve; the pivot rows are copies
-    free, x = _back_solve(pivots, m.cols, prime)
-    bound = isqrt(prime // 2)
+    return _lift(m, labels)[1]
+
+
+def _lift(m: Matrix, labels: Sequence[int] | None = None) -> tuple[list[int], list[dict]]:
+    """Free columns and exact kernel vectors of a rational matrix, over as many primes as it takes.
+
+    Each prime, DEFAULT_PRIME first and then the primes below it, eliminates
+    the rows mod p and back-solves the kernel.  A prime of full column rank
+    ends the lift with an empty kernel.  The (rank, free columns) of a prime
+    is compared with the best seen: a higher rank wins, and at equal rank
+    the larger list of free columns does, since the pivot columns are the
+    column rank profile and a prime that divides a minor can only move a
+    pivot to a later column.  A winner restarts the residues, a tie is
+    combined with them by CRT, and a loser is skipped.  After each restart
+    or tie the residues mod M, the product of their primes, are lifted with
+    bound isqrt(M/2) and checked, A x = 0 over the integers.  The lift
+    ends: with H the Hadamard bound of the integer rows, every prime of a
+    losing rank or profile divides one nonzero minor, so their product is
+    at most H; once the product of all primes tried passes 2 H**3, M passes
+    2 H**2, and every entry, a ratio of minors, lifts.  A check that still
+    fails is an internal error.
+    """
+    cols, prime = m.cols, DEFAULT_PRIME
+    best, modulus, x, tried, limit = (-1, []), 1, {}, 1, None
+    while True:
+        residues, _ = _residue_rows(m, prime)
+        if labels is None:
+            labels = components(residues, cols)
+        pivots: list = []
+        rk = _eliminate_mod_p(residues, cols, prime, pivots, labels)
+        del residues  # freed before the back-solve; the pivot rows are copies
+        free, y = _back_solve(pivots, cols, prime)
+        if not free:
+            return free, []
+        seen = (rk, free)
+        if seen > best:
+            best, modulus, x = seen, prime, y
+        elif seen == best:
+            x, modulus = _crt(x, modulus, y, prime), modulus * prime
+        if seen == best and (vecs := _lifted_vectors(m, free, x, modulus)) is not None:
+            return free, vecs
+        if limit is None:  # bits of 2 H**3
+            limit = 1 + 3 * sum((sum(v * v for v in row.values()).bit_length() + 1) // 2
+                                for row in _integral_rows(m))
+        tried *= prime
+        if tried.bit_length() > limit:
+            raise RuntimeError("the kernel did not lift within the Hadamard bound")
+        prime = next(q for q in range(prime - 2, 2, -2) if is_probable_prime(q))
+
+
+def _crt(x: dict[int, dict], modulus: int, y: dict[int, dict], prime: int) -> dict[int, dict]:
+    """The back-solves x mod modulus and y mod prime combined into one mod modulus * prime."""
+    inv = pow(modulus, -1, prime)
+    out = {}
+    for c in x.keys() | y.keys():
+        a, b = x.get(c, {}), y.get(c, {})
+        out[c] = {f: v for f in a.keys() | b.keys()
+                  if (v := a.get(f, 0) + modulus * ((b.get(f, 0) - a.get(f, 0)) * inv % prime))}
+    return out
+
+
+def _lifted_vectors(m: Matrix, free: list[int], x: dict[int, dict], modulus: int) -> list[dict] | None:
+    """The back-solve x mod modulus lifted to fractions and checked exactly, or None."""
+    bound = isqrt(modulus // 2)
+    lifted: dict[int, dict] = {}
     denom = dict.fromkeys(free, 1)
-    for col in x.values():
+    for c, col in x.items():
+        out = lifted[c] = {}
         for f, r in col.items():
-            q = _lift_residue(r, prime, bound)
+            q = _lift_residue(r, modulus, bound)
             if q is None:
                 return None
-            col[f] = q
+            out[f] = q
             denom[f] = lcm(denom[f], q.denominator)
     # each x_f times the lcm of its denominators, as integers, column by column
-    scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()] for c, col in x.items()}
-    return _kernel_vectors(free, x) if _annihilates(_integral_rows(m), scaled) else None
+    scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()]
+              for c, col in lifted.items()}
+    return _kernel_vectors(free, lifted) if _annihilates(_integral_rows(m), scaled) else None
 
 
 def _annihilates(rows, by_col: dict[int, list]) -> bool:
@@ -718,47 +681,26 @@ def annihilates(a: Matrix, b: Matrix) -> bool:
     return _annihilates(_integral_rows(a), by_col)
 
 
-def _rref(m: Matrix) -> tuple[list[dict], list[int]]:
-    """Reduced row echelon form as sparse rows plus ordered pivot columns."""
-    zero, one = m.field.zero, m.field.one
-    active = [row for _, row in _rows(m)]
-    done: list[tuple[int, dict]] = []
-    while active:
-        # lowest column first, then the shortest row holding it
-        pc, _, ri = min((c, len(row), ri) for ri, row in enumerate(active) for c in row)
-        pivot_row = active.pop(ri)
-        pv = pivot_row.pop(pc)
-        if isinstance(pv, int):
-            pv = Fraction(pv)  # a rational int: divide exactly
-        pivot_row = {c: v / pv for c, v in pivot_row.items()}
-        for row in active + [r for _, r in done]:
-            rv = row.pop(pc, None)
-            if rv is not None:
-                for c, v in pivot_row.items():
-                    nv = row.get(c, zero) - rv * v
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
-        active = [row for row in active if row]
-        pivot_row[pc] = one
-        done.append((pc, pivot_row))
-    done.sort(key=lambda t: t[0])
-    return [r for _, r in done], [p for p, _ in done]
-
-
 def inverse(m: Matrix) -> Matrix:
-    """Inverse via Gauss-Jordan on the augmented system."""
+    """Inverse read off the kernel of [A | -I], whose vectors are (x, A x).
+
+    A is invertible exactly when the free columns are those of -I; the
+    vector of free column n + j is then (A^-1 e_j, e_j).  Over Q the kernel
+    is lifted and checked exactly (``_lift``), so A X = I holds exactly.  A
+    prime that makes an invertible A singular frees a column of A, whose
+    vector (x, A x) has A x = 0 mod p but not over Q; it fails the check,
+    so such a prime never decides the outcome.
+    """
     if m.rows != m.cols:
         raise ShapeError("only square matrices can be inverted")
-    n = m.rows
-    items = {(i, n + i): m.field.one for i in range(n)}
+    n, field = m.rows, m.field
+    items = {(i, n + i): -field.one for i in range(n)}
     items.update(m.nonzeros())
-    rows, pivots = _rref(Matrix.from_nonzeros(n, 2 * n, items, m.field))
-    if pivots[:n] != list(range(n)) or len(pivots) < n:
+    free, vecs = _kernel(Matrix.from_nonzeros(n, 2 * n, items, field))
+    if free != list(range(n, 2 * n)):
         raise SingularMatrixError("matrix is singular")
-    nz = {i * n + c - n: m.field.coerce(v) for i in range(n) for c, v in rows[i].items() if c >= n}
-    return Matrix._from_flat((n, n), nz, m.field)
+    nz = {i * n + j: field.coerce(v) for j, vec in enumerate(vecs) for i, v in vec.items() if i < n}
+    return Matrix._from_flat((n, n), nz, field)
 
 
 def is_invertible(m: Matrix) -> bool:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import SemanticError, ShapeError
-from .fields import RationalField
-from .linalg import Matrix, components, kernel_basis, kron, lifted_kernel, rank
+from .linalg import Matrix, components, kernel_basis, kron, rank
 from .tensors import Tensor, leibniz_act, lin_index
 
 # Budgets on a stabilizer system.  MAX_SYSTEM_NNZ caps its nonzeros and is
@@ -27,7 +26,8 @@ from .tensors import Tensor, leibniz_act, lin_index
 # nonzeros and 2.7e6 cells, took 330 MB).  `stabilizer` on a dense
 # 20 x 20 x 20 tensor (9.6e6 cells) peaked at 150 MB and took 99 s: its
 # elimination mod p holds packed dense rows.  The fill budget bounds the
-# exact fallback, which fills sparse rows.  Neither budget bounds time.
+# slots of those rows, at most rows x columns per component, for each prime
+# that the lift over Q eliminates.  Neither budget bounds time.
 MAX_SYSTEM_NNZ = 10**6
 MAX_SYSTEM_FILL = 10**7
 
@@ -88,11 +88,8 @@ class StabilizerSystem:
         return self.matrix.cols - self.orbit_dim()
 
     def orbit_dim(self) -> int:
-        """Rank of the system; over Q from the kernel lifted from one prime
-        (``linalg.lifted_kernel``), or by exact elimination if the lift fails."""
-        m, labels = self.matrix, self.labels
-        basis = lifted_kernel(m, labels) if isinstance(m.field, RationalField) else None
-        return rank(m, labels) if basis is None else m.cols - len(basis)
+        """Rank of the system (``linalg.rank``: over Q from the lifted kernel)."""
+        return rank(self.matrix, self.labels)
 
     def column_label(self, col: int) -> tuple[int, int, int]:
         """Map a column index back to (slot, row, col) of the elementary matrix."""

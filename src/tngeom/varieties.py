@@ -20,16 +20,20 @@ has rank at most that of J, and a rank mod p is at most the rank over Q.
 
 Over Q each sample rank is exact, by two bounds.  r, the rank mod p of
 the instance's reduction mod p (sketch or full J), is at most rank_Q(J).
-The gauge rows G (``gauge_rows``), one per edge and elementary matrix,
-are tangent to the orbit of the edge gauge group, along which the
-contraction is constant; J G^T = 0 is checked exactly over the integers,
-so the nullity of J over Q is at least the rank of G mod p.  When r plus
-that rank is the column count, rank_Q(J) = r.  On loops, supercritical
-loops and critical chains the gauge orbit is the whole kernel and the
-bounds close.  Otherwise the sample falls back to the exact rank of J,
-and the work mod p is lost.  A graph with a leaf below its edge
-dimension, where the bounds cannot close, skips that work and takes the
-exact rank at once.
+When r is min(rows, columns) it is the rank.  Otherwise the kernel of J
+over Q is bounded from below by known tangent rows T: the gauge rows
+(``gauge_rows``), one per edge and elementary matrix, tangent to the orbit
+of the edge gauge group, along which the contraction is constant; and the
+witness rows (``witness_rows``), which move the neighbour of a leaf whose
+dimension is below its edge's within the kernel of the leaf's tensor.
+J T^T = 0 is checked exactly over the integers, so the nullity of J over
+Q is at least the rank of T mod p, and when r plus that rank is the
+column count, rank_Q(J) = r.  On loops, supercritical loops and critical
+chains the gauge rows close the bounds; with the witness rows they close
+on the chains and trees with subcritical leaves measured, the leaves that
+the paper's valence-one reduction (``networks.reduce_valence_one``) folds
+away.  Otherwise the sample takes the exact rank of J (``linalg.rank``,
+the lifted kernel).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from math import prod
 from .curves import act_curve, curve_from_splitting, leading_term
 from .errors import SemanticError, ShapeError
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
-from .linalg import Matrix, annihilates, rank, rank_mod_p
+from .linalg import Matrix, annihilates, kernel_basis, rank, rank_mod_p
 from .networks import (
     NetworkGraph,
     TNSInstance,
@@ -62,8 +66,9 @@ SEED_STRIDE = 1000003
 SKETCH_SLACK = 4
 # Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
 # before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 over Q (471744 cells) peaked at 104 MB, about 0.2 KB per cell, and
-# at 234 MB (0.5 KB per cell, 27.5 s) when forced onto the exact fallback.
+# (2,)^7 over Q (471744 cells) peaked at 84 MB, about 0.18 KB per cell, and
+# at 100 MB (0.22 KB per cell, 60 s) with its gauge rows withheld, so that
+# each sample took the exact rank of J, a kernel lifted over ten primes.
 MAX_JACOBIAN_CELLS = 10**6
 
 
@@ -211,8 +216,8 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[int, bool, int]:
 
     The sketch is used when its dense cell count is below the Jacobian's
     nonzero count, prod(vertex dims) times the sum over vertices of their
-    edge products.  Over Q the full Jacobian is built as well, for the
-    check of the gauge rows and for the fallback.
+    edge products.  Over Q the full Jacobian is counted as well: unless the
+    sketch has full rank, it is built for the check of the tangent rows.
     """
     nrows = prod(v.dim for v in g.vertices)
     ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
@@ -224,16 +229,38 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[int, bool, int]:
     return sketch_rows, True, sketch_rows * ncols + (nnz if field.prime is None else 0)
 
 
-def _gauge_may_close(g: NetworkGraph) -> bool:
-    """False when a leaf's dimension is below its edge's.
+def witness_rows(inst: TNSInstance) -> Matrix:
+    """Kernel directions of the leaves, in the Jacobian's columns.
 
-    The contraction then does not change when the rest of the network
-    moves, along that edge's index, within the kernel of the leaf's
-    tensor.  The gauge orbit does not hold those moves, so the bounds of
-    ``_jacobian_rank`` do not meet.  A wrong answer only costs time: the
-    exact rank is taken either way.
+    At a leaf v whose dimension is below its edge e's, the leaf's tensor L
+    (dim v x dim e) has an exact right kernel K (``linalg.kernel_basis``).
+    Moving the neighbour's tensor along a vector k of K on its e index
+    leaves the contraction unchanged: the sum over e pairs k with the rows
+    of L.  One row per leaf, k and coordinate of the neighbour's other
+    axes, holding k along the e axis; leaves in graph order.  The gauge
+    orbit does not hold these moves.  The paper's valence-one reduction
+    (``networks.reduce_valence_one``) folds such leaves away.
     """
-    return not any(g.degree(v.id) == 1 and v.dim < g.incident(v.id)[0].dim for v in g.vertices)
+    g = inst.graph
+    sizes = [prod(g.tensor_shape(v.id)) for v in g.vertices]
+    offsets = dict(zip((v.id for v in g.vertices), accumulate(sizes, initial=0)))
+    ncols = sum(sizes)
+    nz = {}
+    row = 0
+    for v in g.vertices:
+        if g.degree(v.id) != 1 or v.dim >= (e := g.incident(v.id)[0]).dim:
+            continue
+        u = e.head if e.tail == v.id else e.tail
+        shape = g.tensor_shape(u)
+        stride = prod(shape[g.axis_labels(u).index(("e", e.id)) + 1 :])
+        bases = [offsets[u] + b for b in range(prod(shape)) if b // stride % e.dim == 0]
+        for k in kernel_basis(flatten(inst.tensors[v.id], 0)):
+            for base in bases:
+                for i, ki in enumerate(k):
+                    if ki:
+                        nz[row * ncols + base + i * stride] = ki
+                row += 1
+    return Matrix._from_flat((row, ncols), nz, inst.field)
 
 
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
@@ -242,16 +269,13 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     r is the rank mod p of the sketch or of the full Jacobian, per
     ``_jacobian_plan``, which over Fp is the result.  Over Q it is taken
     on the instance's reduction mod DEFAULT_PRIME (the same draws), and it
-    is returned only when r plus the rank mod p of the gauge rows G is the
-    column count and J G^T = 0 holds over the integers; otherwise the
-    exact rank of J is.  A graph on which the bounds cannot meet
-    (``_gauge_may_close``) goes straight to the exact rank.
+    is returned when it is min(rows, columns), or when r plus the rank mod
+    p of the gauge and witness rows T is the column count and J T^T = 0
+    holds over the integers; otherwise the exact rank of J is.
     """
     sketch_rows, sketched, _ = _jacobian_plan(g, field)
     exact = field.prime is None
     inst = random_instance(g, seed, field)
-    if exact and not _gauge_may_close(g):
-        return rank(contraction_jacobian(inst))
     jac = None
     if sketched:
         modp = random_instance(g, seed, PrimeField(DEFAULT_PRIME)) if exact else inst
@@ -260,12 +284,15 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     else:
         jac = contraction_jacobian(inst)
         r = rank_mod_p(jac)
-    if not exact:
+    if not exact or r == sketch_rows - SKETCH_SLACK:  # min(rows, columns) bounds the rank over Q
         return r
     if jac is None:
         jac = contraction_jacobian(inst)
-    gauge = gauge_rows(inst)
-    if r + rank_mod_p(gauge) == jac.cols and annihilates(jac, gauge):
+    gauge, witness = gauge_rows(inst), witness_rows(inst)
+    shift = gauge.rows * gauge.cols
+    tangent = Matrix._from_flat((gauge.rows + witness.rows, gauge.cols),
+                                {**gauge._nz, **{k + shift: v for k, v in witness._nz.items()}}, field)
+    if r + rank_mod_p(tangent) == jac.cols and annihilates(jac, tangent):
         return r
     return rank(jac)
 

@@ -11,7 +11,6 @@ from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import (
     Matrix,
     _back_solve,
-    _eliminate,
     _eliminate_mod_p,
     _kernel_vectors,
     _lift_residue,
@@ -136,14 +135,9 @@ def test_lifted_kernel_agrees_with_exact_elimination(seed, free, bound, twist):
     want = naive_rank(matrix_rows(m))
     assert rank(m) == want == m.cols - free
     assert rank_mod_p(m) <= want
-    checks = [kernel_basis(m)]
     basis = lifted_kernel(m)
-    if basis is not None:
-        assert all(all(vec.values()) for vec in basis)
-        checks.append([[vec.get(c, 0) for c in range(m.cols)] for vec in basis])
-    else:  # a row that vanishes mod p may drop the rank mod p, and then the lift fails
-        assert twist == TWISTS[2]
-    for vecs in checks:
+    assert all(all(vec.values()) for vec in basis)
+    for vecs in (kernel_basis(m), [[vec.get(c, 0) for c in range(m.cols)] for vec in basis]):
         assert len(vecs) == free == kernel_dim(m)
         for v in vecs:
             assert any(v) and all(x == 0 for x in m.apply(v))
@@ -169,21 +163,59 @@ def test_lift_residue_refuses_past_the_bound():
     assert _lift_residue(6, 7, 1) == -1
 
 
-def test_lifted_kernel_falls_back_past_the_height_bound():
+def _primes_used(monkeypatch) -> list:
+    primes = []
+    eliminate = linalg._eliminate_mod_p
+    monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda rows, cols, prime, *a, **kw: primes.append(prime)
+                        or eliminate(rows, cols, prime, *a, **kw))
+    return primes
+
+
+def test_lifted_kernel_falls_back_past_the_height_bound(monkeypatch):
     # (40000, 1) spans the kernel; 40000 > sqrt(p/2) = 32767, and no a/b
-    # with |a|, b <= 32767 is 40000 mod p, so the entry does not lift
+    # with |a|, b <= 32767 is 40000 mod p, so the entry does not lift from
+    # one prime; mod the product of two it does
+    primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[1, -40000]])
-    assert lifted_kernel(m) is None
+    assert lifted_kernel(m) == [{0: 40000, 1: 1}]
+    assert len(primes) == 2 and primes[0] == P > primes[1]
+    del primes[:]
     assert lifted_kernel(Matrix.from_rows([[1, -32767]])) == [{0: 32767, 1: 1}]
+    assert primes == [P]
     assert kernel_basis(m) == [[40000, 1]]
 
 
-def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor():
+def test_lifted_kernel_needs_three_primes_past_two_primes_height(monkeypatch):
+    # 2^40 is above isqrt(p q / 2), about 1.5e9, and below isqrt(p q r / 2)
+    primes = _primes_used(monkeypatch)
+    m = Matrix.from_rows([[3, -(2**40)], [6, -(2**41)]])
+    assert lifted_kernel(m) == [{0: Fraction(2**40, 3), 1: 1}]
+    assert len(primes) == 3
+    assert rank(m) == 1 and kernel_basis(m) == [[Fraction(2**40, 3), 1]]
+
+
+def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor(monkeypatch):
     # det = 2^31 - 1 = p: mod p the rank drops to 1 and the kernel vector
-    # (-1, 1) lifts, but the exact check finds A x = (0, p)
+    # (-1, 1) lifts, but the exact check finds A x = (0, p); the next prime
+    # has full rank, so the kernel is empty
+    primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[1, 1], [1, 2**31]])
-    assert lifted_kernel(m) is None
+    assert lifted_kernel(m) == []
+    assert len(primes) == 2
     assert kernel_basis(m) == []
+    assert rank(m) == 2
+
+
+def test_lifted_kernel_moves_to_the_generic_pivot_columns(monkeypatch):
+    # mod p the first column vanishes, so the pivots are columns 1 and 2 at
+    # the same rank as over Q, where they are 0 and 2; the lift of free
+    # column 0 fails its check, and the next prime's free column 1 must win.
+    # Its entry -1/p lifts once the primes after p multiply past 2 p^2: three
+    # of them, and p is not among them
+    primes = _primes_used(monkeypatch)
+    m = Matrix.from_rows([[2**31 - 1, 1, 0], [0, 0, 1]])
+    assert lifted_kernel(m) == [{0: Fraction(-1, 2**31 - 1), 1: 1}]
+    assert len(primes) == 4
     assert rank(m) == 2
 
 
@@ -199,20 +231,33 @@ def test_inverse_round_trip(seed):
     assert inverse(m) @ m == Matrix.identity(5)
 
 
-def test_rational_results_hold_no_floats(monkeypatch):
+def test_inverse_is_exact_when_the_prime_divides_the_determinant():
+    # det = p: A is singular mod p, and its inverse has denominator p
+    m = Matrix.from_rows([[1, 1], [1, 2**31]])
+    inv = inverse(m)
+    assert inv == Matrix.from_rows([[Fraction(2**31, P), Fraction(-1, P)], [Fraction(-1, P), Fraction(1, P)]])
+    assert m @ inv == Matrix.identity(2) == inv @ m
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_inverse_over_fp(seed):
+    m = random_invertible(5, seed=seed, field=FP)
+    assert m @ inverse(m) == Matrix.identity(5, FP) == inverse(m) @ m
+    with pytest.raises(SingularMatrixError):
+        # singular mod p only: det = p
+        inverse(Matrix.from_rows([[1, 1], [1, 2**31]], FP))
+
+
+def test_rational_results_hold_no_floats():
     # rational ints divide as Fractions, and integral results come back as ints
     m = Matrix.from_rows([[2, 1], [4, 3]])
     inv = inverse(m)
     assert inv == Matrix.from_rows([[Fraction(3, 2), Fraction(-1, 2)], [-2, 1]])
     assert [type(v) for v in inv.entries] == [Fraction, Fraction, int, int]
     # -5/3 has no exact float, so a float anywhere on the way would show
-    a = Matrix.from_rows([[3, 5, 0], [0, 0, 4]])
-    for lifted in (True, False):
-        if not lifted:
-            monkeypatch.setattr(linalg, "lifted_kernel", lambda m: None)
-        (vec,) = kernel_basis(a)
-        assert vec == [Fraction(-5, 3), 1, 0]
-        assert [type(v) for v in vec] == [Fraction, int, int]
+    (vec,) = kernel_basis(Matrix.from_rows([[3, 5, 0], [0, 0, 4]]))
+    assert vec == [Fraction(-5, 3), 1, 0]
+    assert [type(v) for v in vec] == [Fraction, int, int]
 
 
 def test_inverse_rejects_singular():
@@ -336,8 +381,8 @@ def test_packed_rank_matches_sparse_kernel_and_oracle(case, prime):
     got = _eliminate_mod_p(_residues(data, prime), cols, prime)
     assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
-        # no minor vanishes mod p, so the fraction-free kernel over Q agrees
-        assert got == _eliminate([{c: x for c, x in enumerate(r) if x} for r in data]) == naive_rank(data)
+        # no minor vanishes mod p, so the rank over Q agrees
+        assert got == naive_rank(data)
         assert rank_mod_p(Matrix(rows, cols, [x for r in data for x in r])) == naive_rank(data)
 
 

@@ -34,8 +34,9 @@ def test_certificate_sweep():
 
 
 def test_loop_dimension_scan():
-    rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", "fp"))
-    assert [(row[0], row[-2], row[-1]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
+    for field in ("fp", "rational"):
+        rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", field))
+        assert [(row[0], row[-2], row[-1]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
 
 
 @pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),

@@ -2,7 +2,7 @@ import pytest
 
 from tngeom import linalg, stabilizer
 from tngeom.errors import SemanticError, ShapeError
-from tngeom.fields import QQ, PrimeField
+from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix, kron, lifted_kernel, random_invertible, random_matrix, rank
 from tngeom.stabilizer import (
     build_system,
@@ -113,12 +113,30 @@ def test_lift_holds_on_dense_random_tensors(n):
     assert len(lifted_kernel(build_system(random_tensor((n, n, n), seed=n)).matrix)) == 2
 
 
-def test_stabilizer_falls_back_to_exact_elimination(monkeypatch):
+def test_stabilizer_lifts_past_a_failed_first_prime(monkeypatch):
+    # no entry lifts mod the first prime alone, so every kernel combines it with the next one
+    moduli = []
+    lift = linalg._lift_residue
+
+    def fail_first(r, modulus, bound):
+        moduli.append(modulus)
+        return None if modulus == DEFAULT_PRIME else lift(r, modulus, bound)
+
+    monkeypatch.setattr(linalg, "_lift_residue", fail_first)
     t = mmult(2, 2, 2)
-    monkeypatch.setattr(stabilizer, "lifted_kernel", lambda m, labels=None: None)
-    monkeypatch.setattr(linalg, "lifted_kernel", lambda m: None)
     assert (stabilizer_dim(t), orbit_dim(t)) == (11, 37)
     _assert_tuples_form_stabilizer_basis(t, stabilizer_tuples(t), 11)
+    assert DEFAULT_PRIME in moduli and max(moduli) > DEFAULT_PRIME**2 // 2
+
+
+@pytest.mark.parametrize("make", [lambda f: mmult(2, 3, 2, f), lambda f: random_tensor((3, 3, 4), seed=1, field=f),
+                                  lambda f: random_tensor((2, 2, 6), seed=2, field=f)])
+def test_orbit_dim_is_the_rank_of_the_system(make):
+    # (2, 2, 6) has 24 rows and 44 columns, so over Q the rank lifts the kernel of the transpose
+    want = naive_rank(matrix_rows(build_system(make(QQ)).matrix))
+    for field in (QQ, FP):
+        t = make(field)
+        assert orbit_dim(t) == rank(build_system(t).matrix) == want
 
 
 def test_stabilizer_tuples_over_fp():

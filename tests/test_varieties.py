@@ -31,6 +31,7 @@ from tngeom.varieties import (
     loop_endomorphisms,
     sub_membership,
     tns_dim,
+    witness_rows,
 )
 from tngeom.zoo import Splitting, block_splitting, diagonal_splitting, imm_loop, mmult
 
@@ -262,17 +263,66 @@ def _tree_with_subcritical_leaves(seed):
     return NetworkGraph.build(list(dims.items()), edges)
 
 
+# _jacobian_rank of each tree over Q at its seed, as the exact elimination over Q found it
+TREE_RANKS = {0: 33, 1: 12, 2: 36, 3: 33, 4: 8, 5: 22}
+FULL_ROW_RANK_TREES = (1, 4)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, seed):
+    # without the witness rows the gauge bounds cannot close on such a leaf,
+    # so a sample below full row rank takes the exact rank of J
+    g = _tree_with_subcritical_leaves(seed)
+    monkeypatch.setattr(varieties, "witness_rows", lambda inst: Matrix.zeros(0, gauge_rows(inst).cols))
+    calls = _count_exact_ranks(monkeypatch)
+    assert varieties._jacobian_rank(g, seed, QQ) == TREE_RANKS[seed]
+    assert len(calls) == (seed not in FULL_ROW_RANK_TREES)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
     g = _tree_with_subcritical_leaves(seed)
     calls = _count_exact_ranks(monkeypatch)
-    want = rank(contraction_jacobian(random_instance(g, seed=seed)))
-    # the bounds cannot close on such a leaf, so no rank mod p is taken first
-    modular = []
-    monkeypatch.setattr(varieties, "rank_mod_p", lambda m: modular.append(m.shape) or rank_mod_p(m))
+    want = TREE_RANKS[seed]
     assert varieties._jacobian_rank(g, seed, QQ) == want
-    assert len(calls) == 1
-    assert modular == []
+    assert calls == []
+    inst = random_instance(g, seed=seed)
+    jac = contraction_jacobian(inst)
+    if seed in FULL_ROW_RANK_TREES:
+        assert want == jac.rows
+    else:
+        gauge, witness = gauge_rows(inst), witness_rows(inst)
+        tangent = Matrix.from_rows(gauge.to_rows() + witness.to_rows())
+        assert want + rank_mod_p(tangent) == jac.cols
+        assert rank_mod_p(gauge) + want < jac.cols
+        assert annihilates(jac, witness)
+
+
+def test_witness_rows_close_the_gauge_gap_on_a_chain():
+    # each leaf, of dim 2 on an edge of dim 3, has a kernel of dim 1; its
+    # neighbour (6, 3, 4) gives 6 * 4 = 24 rows, 3 of which the gauge holds
+    inst = random_instance(chain_graph((2, 6, 6, 2), (3, 4, 3)), seed=3, bound=9)
+    jac, gauge, witness = per_coordinate_jacobian(inst), gauge_rows(inst), witness_rows(inst)
+    assert witness.shape == (48, 156)
+    assert (jac @ witness.transpose()).is_zero()
+    assert annihilates(jac, witness)
+    assert rank_mod_p(gauge) == gauge.rows == 34
+    assert rank_mod_p(Matrix.from_rows(gauge.to_rows() + witness.to_rows())) == 76 == 34 + 42
+    assert rank(jac) == 80 and 76 + 80 == jac.cols == 156
+
+
+def test_loop_with_subcritical_vertices_takes_one_exact_rank(monkeypatch):
+    # no leaf, and the kernel of J is larger than the gauge orbit: 36 columns, gauge rank 11, rank 22
+    g = loop_graph((2, 2, 2), vertex_dims=(2, 3, 4))
+    calls = _count_exact_ranks(monkeypatch)
+    assert varieties._jacobian_rank(g, 0, QQ) == 22
+    assert calls == [(24, 36)]
+    assert tns_dim(g, seed=0) == 22
+
+
+def test_chain_with_subcritical_leaves_over_q():
+    g = chain_graph((3, 9, 9, 3), (4, 4, 4))
+    assert tns_dim(g, seed=0) == tns_dim(g, seed=0, field=FP) == expected_dim(g) == 200
 
 
 def test_tns_dim_pins_over_q_and_fp():
