@@ -7,13 +7,14 @@ the script prints the sampled Jacobian rank next to it so drift is
 visible immediately.  Pass --supercritical to pad the first vertex and
 watch the offset term kick in.
 
-With --field fp the long loops are ranked through a random row sketch of
-the Jacobian mod 2^31 - 1, which is still a lower bound.  Over the
+With --field fp the Jacobian is ranked mod 2^31 - 1 on the columns that
+the edge gauge orbit leaves free: on its own rows for the short loops, on
+a random row sketch for the long ones; either is a lower bound.  Over the
 rationals each sample rank is exact: the same rank mod p is closed from
 above by the edge gauge orbit (see tngeom.varieties).  On a 2-core
-machine with Python 3.11, `--max-n 8 --field fp` took 0.8 s and
-`--max-n 7 --field rational` 3.5 s, and both match the formula on every
-row.
+machine with Python 3.11, `--max-n 8 --field fp` took 0.8 s (1.9 s when
+every column was ranked) and `--max-n 7 --field rational` 4.0 s (6.4 s),
+and both match the formula on every row.
 """
 from __future__ import annotations
 

@@ -50,7 +50,7 @@ mostly-zero system costs memory in proportion to its nonzeros.  The dense
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence, Sized
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -366,7 +366,7 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     return rank
 
 
-def _packed_eliminate(rows: list[dict], cols: list[int], prime: int, pivots: list | None) -> int:
+def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None) -> int:
     """Rank mod prime of residue rows on the given columns, by dense elimination on packed rows.
 
     Each row is one Python int of W-bit slots, slot i holding column
@@ -375,18 +375,22 @@ def _packed_eliminate(rows: list[dict], cols: list[int], prime: int, pivots: lis
     row is reduced by the earlier pivots in the order they were found,
     each update adds (prime - v) times a pivot row whose slots are below
     prime, and only a row that becomes a pivot is reduced slot by slot and
-    scaled to 1 at its column.  A slot starts below prime and takes at
-    most min(rows, columns) updates of less than prime**2 each, so W, the
-    bit length of prime + min(rows, columns) * prime**2 plus one, rounded
-    up to whole bytes, never carries into the next slot.
+    scaled to 1 at its column.  A slot starts below prime and takes one
+    update of less than prime**2 per earlier pivot, at most min(rows,
+    columns) of them, so W, the bit length of prime + min(rows, columns) *
+    prime**2 plus one, rounded up to whole bytes, never carries into the
+    next slot.  rows may be a stream with no length, read one row at a
+    time; W is then bounded by the column count alone.
 
     The elimination stops once every column holds a pivot, so a component
-    of full column rank skips its last rows.  Pivot rows are appended to
-    pivots as ``_eliminate_mod_p`` says.
+    of full column rank skips its last rows, and a stream is read no
+    further.  Pivot rows are appended to pivots as ``_eliminate_mod_p``
+    says.
     """
     n = len(cols)
     local = {c: i for i, c in enumerate(cols)}
-    size = ((prime + min(len(rows), n) * prime * prime).bit_length() + 8) // 8  # bytes per slot
+    updates = min(len(rows), n) if isinstance(rows, Sized) else n
+    size = ((prime + updates * prime * prime).bit_length() + 8) // 8  # bytes per slot
     width, mask = n * size, (1 << 8 * size) - 1
     found: list[tuple[int, int]] = []  # (bit offset of its slot, row: 1 there, 0 at earlier pivot slots)
     free = list(range(n))
@@ -483,6 +487,18 @@ def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None) -> int:
     """
     rows, prime = _residue_rows(m)
     return _eliminate_mod_p(rows, m.cols, prime, labels=labels)
+
+
+def pivot_columns(m: Matrix) -> set[int]:
+    """Pivot columns of the elimination of m mod p, read as ``rank_mod_p`` reads it.
+
+    There are rank_mod_p(m) of them, and as many rows of m are square and
+    invertible mod p on them.
+    """
+    rows, prime = _residue_rows(m)
+    pivots: list = []
+    _eliminate_mod_p(rows, m.cols, prime, pivots)
+    return {pc for pc, _ in pivots}
 
 
 def kernel_dim(m: Matrix) -> int:

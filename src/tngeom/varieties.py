@@ -8,45 +8,54 @@ from a splitting curve.
 The Jacobian is read off vertex environments: the environment of a
 vertex is every other vertex tensor contracted, with that vertex's edges
 left open, and all of them come from one prefix and one suffix sweep
-(Pfeifer, Haegeman and Verstraete, arXiv 1304.6112).  The rank mod p may
-instead be taken on a sketch: min(rows, columns) + 4 random rank-one
-combinations of the Jacobian's rows, each built from the same sweeps on a
-network whose vertex axes are capped by random covectors.  The sketch is
-used when its dense cell count is below the Jacobian's nonzero count,
-which the graph fixes before anything is built.  Every rank mod p runs in
-the packed dense kernel ``linalg.rank_mod_p``.  Every sampled rank is a
-lower bound on the dimension: rank is lower semicontinuous, a sketch S J
-has rank at most that of J, and a rank mod p is at most the rank over Q.
+(Pfeifer, Haegeman and Verstraete, arXiv 1304.6112).  Row x of J holds,
+in the block of vertex v, the environment of v at the other vertices'
+coordinates of x, so each row is built on demand.
+
+Its rank is taken on gauge-fixed columns.  The tangent rows T lie in the
+kernel of J: the gauge rows (``gauge_rows``), one per edge and
+elementary matrix, tangent to the orbit of the edge gauge group, along
+which the contraction is constant; and the witness rows
+(``witness_rows``), which move the neighbour of a leaf whose dimension is
+below its edge's within the kernel of the leaf's tensor.  On D, the
+pivot columns of T mod p, as many rows of T are square and invertible,
+so J T^T = 0 makes each column of J in D a combination of the other
+columns C, and rank(J) = rank(J|C).  The rank mod p of J|C runs in the
+packed kernel (``linalg._packed_eliminate``) on rows fed one at a time,
+and it stops once every column of C holds a pivot.  On loops,
+supercritical loops and critical chains, and on the trees with
+subcritical leaves measured (the leaves that the paper's valence-one
+reduction, ``networks.reduce_valence_one``, folds away), J|C has full
+column rank, so |C| rows are built.  The rows are J's own, in a seeded
+random order, when the environments hold fewer entries than a sketch
+has cells, which the graph fixes before anything is built.  Otherwise
+they are a sketch: at most min(rows, |C|) + 4 random rank-one
+combinations of J's rows, each built from the same sweeps on a network
+whose vertex axes are capped by random covectors.  Every sampled rank is
+a lower bound on the dimension: rank is lower semicontinuous, a column
+submatrix of J or a sketch S J has rank at most that of J, and a rank
+mod p is at most the rank over Q.
 
 Over Q each sample rank is exact, by two bounds.  r, the rank mod p of
-the instance's reduction mod p (sketch or full J), is at most rank_Q(J).
-When r is min(rows, columns) it is the rank.  Otherwise the kernel of J
-over Q is bounded from below by known tangent rows T: the gauge rows
-(``gauge_rows``), one per edge and elementary matrix, tangent to the orbit
-of the edge gauge group, along which the contraction is constant; and the
-witness rows (``witness_rows``), which move the neighbour of a leaf whose
-dimension is below its edge's within the kernel of the leaf's tensor.
-J T^T = 0 is checked exactly over the integers, so the nullity of J over
-Q is at least the rank of T mod p, and when r plus that rank is the
-column count, rank_Q(J) = r.  On loops, supercritical loops and critical
-chains the gauge rows close the bounds; with the witness rows they close
-on the chains and trees with subcritical leaves measured, the leaves that
-the paper's valence-one reduction (``networks.reduce_valence_one``) folds
-away.  Otherwise the sample takes the exact rank of J (``linalg.rank``,
-the lifted kernel).
+J|C read mod p, is at most rank_Q(J).  When r is min(rows, columns) it
+is the rank.  Otherwise J T^T = 0 is checked exactly over the integers;
+a minor of T that is nonzero mod p is nonzero over Q, so then rank_Q(J)
+= rank_Q(J|C) is at most |C|, and when r is |C| it is the rank.
+Otherwise, or if the check fails, the sample takes the exact rank of J
+(``linalg.rank``, the lifted kernel).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import prod
 
 from .curves import act_curve, curve_from_splitting, leading_term
 from .errors import SemanticError, ShapeError
-from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
-from .linalg import Matrix, annihilates, kernel_basis, rank, rank_mod_p
+from .fields import DEFAULT_PRIME, QQ, Field
+from .linalg import Matrix, _packed_eliminate, annihilates, kernel_basis, pivot_columns, rank
 from .networks import (
     NetworkGraph,
     TNSInstance,
@@ -57,18 +66,20 @@ from .networks import (
     require_vertices,
 )
 from .stabilizer import stabilizer_dim
-from .tensors import Tensor, apply_end, flatten, mlrank, tensordot, transpose_axes
+from .tensors import Tensor, _strides, apply_end, flatten, mlrank, tensordot, transpose_axes
 from .zoo import Splitting, imm_loop, m_tilde_formula, mmult
 
 # samples used by tns_dim to confirm genericity are this far apart
 SEED_STRIDE = 1000003
-# rows of the sketch beyond min(rows, columns) of the Jacobian it stands for
+# rows of the sketch beyond min(rows, |C|), C the gauge-fixed columns it is ranked on
 SKETCH_SLACK = 4
 # Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
 # before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 over Q (471744 cells) peaked at 84 MB, about 0.18 KB per cell, and
-# at 100 MB (0.22 KB per cell, 60 s) with its gauge rows withheld, so that
-# each sample took the exact rank of J, a kernel lifted over ten primes.
+# (2,)^7 over Q (471744 cells: 12992 of the sketch, and the 458752
+# nonzeros of J over Q for the check) peaked at 87 MB, about 0.18 KB per
+# cell, and at 100 MB (0.22 KB per cell, 60 s) with its gauge rows
+# withheld, so that each sample took the exact rank of J, a kernel lifted
+# over ten primes.
 MAX_JACOBIAN_CELLS = 10**6
 
 
@@ -97,25 +108,11 @@ def contraction_jacobian(inst: TNSInstance) -> Matrix:
     E_v is every other vertex tensor contracted, with v's edges left open.
     """
     g = inst.graph
-    vids = [v.id for v in g.vertices]
-    dims = [v.dim for v in g.vertices]
-    sizes = [prod(g.tensor_shape(vid)) for vid in vids]
-    ncols = sum(sizes)
-    envs = _environments([(inst.tensors[vid], g.axis_labels(vid)) for vid in vids])
-    nz = {}
-    offset = 0
-    for k, (vid, dv, (env, labels)) in enumerate(zip(vids, dims, envs)):
-        after = prod(dims[k + 1 :])
-        asize = sizes[k] // dv
-        env = _aligned(env, labels, [("v", u) for u in vids if u != vid] + g.axis_labels(vid)[1:])
-        for flat, val in env._nz.items():
-            rest, a = divmod(flat, asize)
-            before, xa = divmod(rest, after)
-            row = before * dv * after + xa
-            for i in range(dv):
-                nz[(row + i * after) * ncols + offset + i * asize + a] = val
-        offset += sizes[k]
-    return Matrix._from_flat((prod(dims), ncols), nz, inst.field)
+    nrows = prod(v.dim for v in g.vertices)
+    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    blocks = _jacobian_blocks(inst)
+    nz = {x * ncols + c: val for x in range(nrows) for c, val in _jacobian_row(blocks, x).items()}
+    return Matrix._from_flat((nrows, ncols), nz, inst.field)
 
 
 def _environments(pieces) -> list[tuple[Tensor, list]]:
@@ -138,38 +135,100 @@ def _environments(pieces) -> list[tuple[Tensor, list]]:
     return [absorb(*a, *b) for a, b in zip(prefix, reversed(suffix))]
 
 
-def _aligned(t: Tensor, labels, order) -> Tensor:
-    return transpose_axes(t, [labels.index(lab) for lab in order])
+def _spread(env: Tensor, labels, steps: dict, offset: int) -> dict[int, list]:
+    """The nonzeros of env by the Jacobian row and column they land on: {row: [(column, value)]}.
+
+    Index i on the axis labelled lab adds i * steps[lab] = i * (row step,
+    column step) to row 0 and column offset.  The axes are read in env's
+    own order, so env is not transposed.
+    """
+    axes = [(size, *steps[lab]) for size, lab in zip(reversed(env.shape), reversed(labels))]
+    out: dict[int, list] = {}
+    for flat, val in env._nz.items():
+        row, col = 0, offset
+        for size, rs, cs in axes:
+            flat, i = divmod(flat, size)
+            row += i * rs
+            col += i * cs
+        out.setdefault(row, []).append((col, val))
+    return out
 
 
-def _jacobian_sketch(inst: TNSInstance, nrows: int, rng: random.Random) -> Matrix:
-    """nrows random rank-one combinations of the Jacobian's rows, over Fp.
+def _edge_steps(g: NetworkGraph, vid: int) -> dict:
+    """Column step of each edge axis of v in v's block: its stride within v's tensor."""
+    shape = g.tensor_shape(vid)
+    return {lab: (0, s) for lab, s in zip(g.axis_labels(vid)[1:], _strides(shape[1:]))}
+
+
+def _jacobian_blocks(inst: TNSInstance) -> list[tuple[int, int, int, dict]]:
+    """The Jacobian's column blocks, one per vertex v, read off one sweep of environments.
+
+    A block is (row stride of x_v, dim v, size of v's edge axes, spread):
+    the spread (``_spread``) places each entry of E_v at the row it lands
+    on with x_v = 0 and the column it lands on with i = 0.
+    """
+    g = inst.graph
+    vids = [v.id for v in g.vertices]
+    dims = [v.dim for v in g.vertices]
+    row_steps = {("v", vid): (s, 0) for vid, s in zip(vids, _strides(tuple(dims)))}
+    envs = _environments([(inst.tensors[vid], g.axis_labels(vid)) for vid in vids])
+    blocks, offset = [], 0
+    for vid, dv, (env, labels) in zip(vids, dims, envs):
+        size = prod(g.tensor_shape(vid))
+        spread = _spread(env, labels, {**row_steps, **_edge_steps(g, vid)}, offset)
+        blocks.append((row_steps[("v", vid)][0], dv, size // dv, spread))
+        offset += size
+    return blocks
+
+
+def _jacobian_row(blocks, x: int) -> dict:
+    """Row x of the Jacobian as {column: nonzero value}: block v's entries at x_v's offset."""
+    row = {}
+    for stride, dv, asize, spread in blocks:
+        xv = x // stride % dv
+        shift = xv * asize
+        for col, val in spread.get(x - xv * stride, ()):
+            row[col + shift] = val
+    return row
+
+
+def _environment_rows(inst: TNSInstance, rng: random.Random):
+    """Every row of the Jacobian, in an order shuffled by rng, built one at a time on demand."""
+    blocks = _jacobian_blocks(inst)
+    order = list(range(prod(v.dim for v in inst.graph.vertices)))
+    rng.shuffle(order)
+    for x in order:
+        yield _jacobian_row(blocks, x)
+
+
+def _sketch_rows(inst: TNSInstance, prime: int, rng: random.Random):
+    """Random rank-one combinations of the Jacobian's rows, drawn one at a time without end.
 
     Row k is the gradient of <w_k1 (x) ... (x) w_kn, T(x)> for random
-    covectors w_kv on the vertex spaces.  Capping every vertex axis with
-    its covector leaves a network on the edges alone, and the block of
-    vertex v is w_kv (x) env_v, where env_v is that capped network with v
-    left out.
+    covectors w_kv on the vertex spaces, with entries in [0, prime), drawn
+    vertex by vertex; read mod prime, it is a sketch of J over Fp.  Capping
+    every vertex axis with its covector leaves a network on the edges
+    alone, and the block of vertex v is w_kv (x) env_v, where env_v is that
+    capped network with v left out.
     """
     g, f = inst.graph, inst.field
     vids = [v.id for v in g.vertices]
     edge_labels = [g.axis_labels(vid)[1:] for vid in vids]
     sizes = [prod(g.tensor_shape(vid)) for vid in vids]
-    ncols = sum(sizes)
-    nz = {}
-    for k in range(nrows):
-        covecs = [[rng.randrange(f.prime) for _ in range(v.dim)] for v in g.vertices]
+    steps = [_edge_steps(g, vid) for vid in vids]
+    while True:
+        covecs = [[rng.randrange(prime) for _ in range(v.dim)] for v in g.vertices]
         capped = [(tensordot(Tensor((len(w),), w, f), inst.tensors[vid], [(0, 0)]), labels)
                   for w, vid, labels in zip(covecs, vids, edge_labels)]
-        col = k * ncols
-        for w, (env, labels), order, size in zip(covecs, _environments(capped), edge_labels, sizes):
+        row = {}
+        for w, (env, labels), step, size, offset in zip(covecs, _environments(capped), steps, sizes,
+                                                        accumulate(sizes, initial=0)):
             asize = size // len(w)
-            for a, val in _aligned(env, labels, order)._nz.items():
+            for col, val in _spread(env, labels, step, offset).get(0, ()):
                 for i, wi in enumerate(w):
                     if wi:
-                        nz[col + i * asize + a] = val * wi
-            col += size
-    return Matrix._from_flat((nrows, ncols), nz, f)
+                        row[col + i * asize] = val * wi
+        yield row
 
 
 def gauge_rows(inst: TNSInstance) -> Matrix:
@@ -211,22 +270,23 @@ def gauge_rows(inst: TNSInstance) -> Matrix:
     return Matrix._from_flat((row, ncols), nz, inst.field)
 
 
-def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[int, bool, int]:
-    """Rows of the sketch, whether it is used, and the cells a sample builds.
+def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, int]:
+    """Whether a sample ranks sketch rows, and the cells it builds.
 
-    The sketch is used when its dense cell count is below the Jacobian's
-    nonzero count, prod(vertex dims) times the sum over vertices of their
-    edge products.  Over Q the full Jacobian is counted as well: unless the
-    sketch has full rank, it is built for the check of the tangent rows.
+    The vertex environments hold prod(vertex dims) / dim v times the edge
+    product of v entries for each vertex v; the sketch, at most
+    min(rows, columns) + SKETCH_SLACK rows of the column count.  A sample
+    reads environment rows when the environments are smaller, and sketch
+    rows otherwise.  Over Q the full Jacobian's nonzeros, prod(vertex dims)
+    times the sum of the edge products, are counted as well: unless r is
+    min(rows, columns), it is built for the check of the tangent rows.
     """
     nrows = prod(v.dim for v in g.vertices)
     ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
-    sketch_rows = min(nrows, ncols) + SKETCH_SLACK
-    nnz = nrows * sum(g.edge_product(v.id) for v in g.vertices)
-    sketched = sketch_rows * ncols < nnz
-    if not sketched:
-        return sketch_rows, False, nnz
-    return sketch_rows, True, sketch_rows * ncols + (nnz if field.prime is None else 0)
+    envs = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
+    sketch = (min(nrows, ncols) + SKETCH_SLACK) * ncols
+    full = nrows * sum(g.edge_product(v.id) for v in g.vertices) if field.prime is None else 0
+    return sketch <= envs, min(envs, sketch) + full
 
 
 def witness_rows(inst: TNSInstance) -> Matrix:
@@ -266,40 +326,51 @@ def witness_rows(inst: TNSInstance) -> Matrix:
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     """Rank of the Jacobian at the seeded instance (see the module docstring).
 
-    r is the rank mod p of the sketch or of the full Jacobian, per
-    ``_jacobian_plan``, which over Fp is the result.  Over Q it is taken
-    on the instance's reduction mod DEFAULT_PRIME (the same draws), and it
-    is returned when it is min(rows, columns), or when r plus the rank mod
-    p of the gauge and witness rows T is the column count and J T^T = 0
-    holds over the integers; otherwise the exact rank of J is.
+    C is the set of columns that are not pivots of the tangent rows T (the
+    gauge and witness rows) mod p.  r is the rank mod p of J restricted to
+    C, on the rows ``_jacobian_plan`` picks: environment rows in a seeded
+    random order, or at most min(rows, |C|) + SKETCH_SLACK sketch rows.
+    They are built one at a time as the packed kernel asks for them, and it
+    stops once every column of C holds a pivot.  Over Fp r is the result.
+    Over Q the rows are J's, read mod DEFAULT_PRIME, and r is returned when
+    it is min(rows, columns), or when it is |C| and J T^T = 0 holds over
+    the integers; otherwise the exact rank of J is.
     """
-    sketch_rows, sketched, _ = _jacobian_plan(g, field)
+    sketched, _ = _jacobian_plan(g, field)
     exact = field.prime is None
     inst = random_instance(g, seed, field)
-    jac = None
-    if sketched:
-        modp = random_instance(g, seed, PrimeField(DEFAULT_PRIME)) if exact else inst
-        # a stream of its own: covectors drawn from the instance's stream would correlate with its entries
-        r = rank_mod_p(_jacobian_sketch(modp, sketch_rows, random.Random(f"jacobian-sketch:{seed}")))
-    else:
-        jac = contraction_jacobian(inst)
-        r = rank_mod_p(jac)
-    if not exact or r == sketch_rows - SKETCH_SLACK:  # min(rows, columns) bounds the rank over Q
-        return r
-    if jac is None:
-        jac = contraction_jacobian(inst)
+    prime = DEFAULT_PRIME if exact else field.prime
+    # J's rows are built on integers and reduced as they are read; over Fp the instance is the
+    # reduction of the one drawn over Q, whose contraction runs on ints rather than Fp scalars
+    ints = inst if exact else random_instance(g, seed, QQ)
     gauge, witness = gauge_rows(inst), witness_rows(inst)
     shift = gauge.rows * gauge.cols
     tangent = Matrix._from_flat((gauge.rows + witness.rows, gauge.cols),
                                 {**gauge._nz, **{k + shift: v for k, v in witness._nz.items()}}, field)
-    if r + rank_mod_p(tangent) == jac.cols and annihilates(jac, tangent):
+    fixed = pivot_columns(tangent)
+    kept = [c for c in range(tangent.cols) if c not in fixed]
+    nrows = prod(v.dim for v in g.vertices)
+    if sketched:
+        # a stream of its own: covectors drawn from the instance's stream would correlate with its entries
+        stream = islice(_sketch_rows(ints, prime, random.Random(f"jacobian-sketch:{seed}")),
+                        min(nrows, len(kept)) + SKETCH_SLACK)
+    else:
+        stream = _environment_rows(ints, random.Random(f"jacobian-rows:{seed}"))
+    keep = set(kept)
+    rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
+    r = _packed_eliminate(rows, kept, prime, None) if kept else 0
+    del rows, stream  # the environments they hold are freed before J is built
+    if not exact or r == min(nrows, tangent.cols):  # min(rows, columns) bounds the rank over Q
+        return r
+    jac = contraction_jacobian(inst)
+    if r == len(kept) and annihilates(jac, tangent):
         return r
     return rank(jac)
 
 
 def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
     """Refuse a graph whose Jacobian samples would build more than MAX_JACOBIAN_CELLS cells."""
-    cells = _jacobian_plan(g, field)[2]
+    cells = _jacobian_plan(g, field)[1]
     if cells > MAX_JACOBIAN_CELLS:
         raise SemanticError(
             f"the Jacobian of this graph would hold {cells} cells, over the budget of {MAX_JACOBIAN_CELLS}"
@@ -312,8 +383,9 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> int:
     The rank is taken at two random instances and the larger one is
     returned.  Rank is lower semicontinuous, so no sample exceeds the
     generic rank and the maximum is the better lower bound of the two.
-    A row sketch S J has rank at most that of J, and a rank mod p at most
-    the rank over Q, so over Fp the result is a lower bound as well.
+    A column submatrix of J or a row sketch S J has rank at most that of
+    J, and a rank mod p at most the rank over Q, so over Fp the result is
+    a lower bound as well.
     Over Q each sample rank is exact.  A graph over the size budget is
     refused before any instance is drawn (``check_jacobian_size``).
     """

@@ -417,6 +417,39 @@ def test_packed_rank_widest_slots(prime, n):
         assert got == (n if n > 1 else 0)
 
 
+
+def _stream(rows, stop=None):
+    """The rows one at a time, with no length; reading past row `stop` fails."""
+    for k, row in enumerate(rows):
+        assert stop is None or k < stop, "read a row past full column rank"
+        yield dict(row)
+
+
+@pytest.mark.parametrize("prime", [2, 3, 7, FP.prime])
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_packed_eliminate_reads_a_stream_as_a_list(prime, n):
+    # the rows of test_packed_rank_widest_slots, whose last slot takes n updates of (p - 1)**2:
+    # a stream, with no length, packs them in slots bounded by the column count
+    pivots = [{k: 1, **{j: prime - 1 for j in range(k + 1, n + 1)}} for k in range(n)]
+    last = {k: r for k in range(n) if (r := (1 - k) % prime)}
+    last[n] = prime - 1
+    cols = list(range(n + 1))
+    for rows in (pivots + [last], [last] + pivots, pivots + [last] * 3):
+        want_pivots, got_pivots = [], []
+        want = linalg._packed_eliminate([dict(r) for r in rows], cols, prime, want_pivots)
+        assert linalg._packed_eliminate(_stream(rows), cols, prime, got_pivots) == want
+        assert got_pivots == want_pivots
+        assert want == naive_rank_mod_p([[r.get(c, 0) for c in cols] for r in rows], prime)
+
+
+def test_packed_eliminate_stops_reading_a_stream_at_full_column_rank():
+    rng = random.Random(3)
+    n = 6
+    rows = [{c: rng.randrange(1, FP.prime) for c in range(n)} for _ in range(40)]
+    assert linalg._packed_eliminate(_stream(rows, stop=n), list(range(n)), FP.prime, None) == n
+    # a rank-deficient stream is read to its end
+    assert linalg._packed_eliminate(_stream([{0: 1, 1: 1}] * 5), [0, 1, 2], FP.prime, None) == 1
+
 @st.composite
 def block_diagonal_matrices(draw):
     """Integer rows of a block-diagonal matrix with its rows and columns permuted.

@@ -1,11 +1,13 @@
 import random
+from itertools import islice
+from math import prod
 
 import pytest
 
 from tngeom import varieties
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, annihilates, kron, random_invertible, rank, rank_mod_p
+from tngeom.linalg import Matrix, annihilates, kron, pivot_columns, random_invertible, rank, rank_mod_p
 from tngeom.networks import (
     NetworkGraph,
     TNSInstance,
@@ -115,11 +117,19 @@ def test_jacobian_matches_per_coordinate_oracle(name, field):
     assert contraction_jacobian(inst) == per_coordinate_jacobian(inst)
 
 
+def _sketch(inst, nrows, rng):
+    """The first nrows rows of the sketch stream, as a matrix."""
+    ncols = sum(prod(inst.graph.tensor_shape(v.id)) for v in inst.graph.vertices)
+    rows = islice(varieties._sketch_rows(inst, inst.field.prime, rng), nrows)
+    return Matrix._from_flat((nrows, ncols), {k * ncols + c: v for k, row in enumerate(rows) for c, v in row.items()},
+                             inst.field)
+
+
 @pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
 def test_sketch_rows_are_product_covectors_times_jacobian(name):
     g = JACOBIAN_GRAPHS[name]
     inst = random_instance(g, seed=1, field=FP)
-    sketch = varieties._jacobian_sketch(inst, 3, random.Random(5))
+    sketch = _sketch(inst, 3, random.Random(5))
     # the covectors as the sketch draws them: row by row, vertex by vertex
     rng = random.Random(5)
     rows = []
@@ -139,37 +149,45 @@ def test_sketch_rank_bounded_by_jacobian_rank(name):
         inst = random_instance(g, seed=seed, field=FP)
         jac = contraction_jacobian(inst)
         full = rank(jac)
-        sketch = varieties._jacobian_sketch(inst, min(jac.shape) + 4, random.Random(seed))
+        sketch = _sketch(inst, min(jac.shape) + 4, random.Random(seed))
         assert sketch.shape == (min(jac.shape) + 4, jac.cols)
         assert rank(sketch) == full
         # too few rows to reach the rank: still never above it
-        assert rank(varieties._jacobian_sketch(inst, full // 2, random.Random(seed))) <= full
+        assert rank(_sketch(inst, full // 2, random.Random(seed))) <= full
 
 
-SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 against 384 Jacobian nonzeros
+SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 = 192 cells, as many as its environments hold
 
 
-@pytest.mark.parametrize("g, field, want, sketch_only", [
+@pytest.mark.parametrize("g, field, want, sketch_only_by_nonzeros", [
     (loop_graph((2,) * 5), FP, 61, True),
     (SEGRE6, FP, 7, True),
     (SEGRE6, QQ, 7, False),
     (loop_graph((2,) * 4), FP, 49, False),
     (loop_graph((2, 3, 2)), FP, 72, False),
 ])
-def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketch_only):
+def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketch_only_by_nonzeros):
+    # a sample reads sketch rows when the sketch has no fewer cells than the environments hold
+    # entries, else environment rows.  sketch_only_by_nonzeros is the rule the environment rows
+    # replaced, a sketch alone over Fp when it is below the Jacobian's nonzeros: loop (2,)^5 now
+    # reads environment rows (5120 entries), though its sketch (84 x 80 = 6720 cells) is below
+    # its Jacobian's 20480 nonzeros
+    nrows = prod(v.dim for v in g.vertices)
+    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    sketch_cells = (min(nrows, ncols) + 4) * ncols
+    env_entries = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
+    nnz = nrows * sum(g.edge_product(v.id) for v in g.vertices)
+    assert (field is FP and sketch_cells < nnz) == sketch_only_by_nonzeros
+    source = "sketch" if sketch_cells <= env_entries else "environment"
+    assert (source == "sketch") == (g is SEGRE6)
     used = []
-    sketch, jacobian = varieties._jacobian_sketch, varieties.contraction_jacobian
-    monkeypatch.setattr(varieties, "_jacobian_sketch", lambda *a: used.append("sketch") or sketch(*a))
+    sketch, environment, jacobian = varieties._sketch_rows, varieties._environment_rows, varieties.contraction_jacobian
+    monkeypatch.setattr(varieties, "_sketch_rows", lambda *a: used.append("sketch") or sketch(*a))
+    monkeypatch.setattr(varieties, "_environment_rows", lambda *a: used.append("environment") or environment(*a))
     monkeypatch.setattr(varieties, "contraction_jacobian", lambda *a: used.append("full") or jacobian(*a))
     assert tns_dim(g, seed=0, field=field) == want
-    if sketch_only:
-        per_sample = ["sketch"]
-    elif field is QQ:
-        # SEGRE6 over Q: the sketch mod p gives the lower bound, then the full Jacobian is built for the check
-        per_sample = ["sketch", "full"]
-    else:
-        per_sample = ["full"]
-    assert used == per_sample * 2
+    # the full Jacobian is built only over Q, for the check of the tangent rows
+    assert used == ([source, "full"] if field is QQ else [source]) * 2
 
 
 @pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
@@ -245,6 +263,25 @@ def test_corrupted_gauge_row_fails_the_check_and_falls_back(monkeypatch):
     calls = _count_exact_ranks(monkeypatch)
     assert varieties._jacobian_rank(g, 0, QQ) == rank(contraction_jacobian(inst)) == 37
     assert calls == [(64, 48)]
+
+
+def test_a_tangent_row_off_the_kernel_fails_the_check(monkeypatch):
+    # a unit row at a column off the gauge pivots drops that column from C; J|C keeps full
+    # column rank, one below the rank of J, so over Q only the exact check J T^T = 0 stands
+    # between the sample and a wrong rank, while over Fp the rank of a column submatrix of J
+    # is returned as the lower bound it is
+    g = loop_graph((2, 2, 2))
+
+    def unit_row(inst):
+        ncols = gauge_rows(inst).cols
+        col = min(c for c in range(ncols) if c not in pivot_columns(gauge_rows(inst)))
+        return Matrix.from_nonzeros(1, ncols, {(0, col): 1}, inst.field)
+
+    monkeypatch.setattr(varieties, "witness_rows", unit_row)
+    calls = _count_exact_ranks(monkeypatch)
+    assert varieties._jacobian_rank(g, 0, QQ) == 37
+    assert calls == [(64, 48)]
+    assert varieties._jacobian_rank(g, 0, FP) == 36
 
 
 def _tree_with_subcritical_leaves(seed):
@@ -323,6 +360,86 @@ def test_loop_with_subcritical_vertices_takes_one_exact_rank(monkeypatch):
 def test_chain_with_subcritical_leaves_over_q():
     g = chain_graph((3, 9, 9, 3), (4, 4, 4))
     assert tns_dim(g, seed=0) == tns_dim(g, seed=0, field=FP) == expected_dim(g) == 200
+
+
+STREAMED_GRAPHS = {
+    **JACOBIAN_GRAPHS,
+    "loop222-234": loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)),  # rank 22 < |C|: no early stop
+    "chain2662": chain_graph((2, 6, 6, 2), (3, 4, 3)),
+    **{f"tree{seed}": _random_tree(seed) for seed in range(3)},
+    **{f"leaftree{seed}": _tree_with_subcritical_leaves(seed) for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("source", ["environment", "sketch"])
+@pytest.mark.parametrize("name", STREAMED_GRAPHS)
+def test_streamed_rank_is_the_rank_of_the_jacobian_mod_p(monkeypatch, name, source):
+    # rank_p(J|C) = rank_p(J), C the columns off the pivots of the gauge and witness rows
+    g = STREAMED_GRAPHS[name]
+    monkeypatch.setattr(varieties, "_jacobian_plan", lambda g, field: (source == "sketch", 0))
+    for seed in range(3):
+        want = rank_mod_p(contraction_jacobian(random_instance(g, seed=seed, field=FP)))
+        assert varieties._jacobian_rank(g, seed, FP) == want
+
+
+def _count_streamed_rows(monkeypatch) -> list:
+    """(rows read, columns) of each elimination of a Jacobian's rows."""
+    calls = []
+    eliminate = varieties._packed_eliminate
+
+    def counted(rows, cols, prime, pivots):
+        read = [0]
+
+        def stream():
+            for row in rows:
+                read[0] += 1
+                yield row
+
+        r = eliminate(stream(), cols, prime, pivots)
+        calls.append((read[0], len(cols)))
+        return r
+
+    monkeypatch.setattr(varieties, "_packed_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_loops_read_exactly_as_many_rows_as_kept_columns(monkeypatch, n, field):
+    # every column of C gets a pivot, so the elimination stops after |C| of the 4^n rows
+    g = loop_graph((2,) * n)
+    calls = _count_streamed_rows(monkeypatch)
+    assert varieties._jacobian_rank(g, 0, field) == loop_dim_formula((2,) * n)
+    inst = random_instance(g, seed=0, field=field)
+    kept = 16 * n - rank_mod_p(gauge_rows(inst))
+    assert calls == [(kept, kept)] and kept == loop_dim_formula((2,) * n)
+
+
+def test_loop_below_the_gauge_bound_reads_every_row(monkeypatch):
+    g = loop_graph((2, 2, 2), vertex_dims=(2, 3, 4))
+    calls = _count_streamed_rows(monkeypatch)
+    assert varieties._jacobian_rank(g, 0, FP) == 22
+    assert calls == [(24, 36 - 11)]
+
+
+def test_triangle_444_over_q_is_721():
+    # 768 columns less the 47 of the gauge orbit: J|C has full column rank
+    assert varieties._jacobian_rank(loop_graph((4, 4, 4)), 0, QQ) == 721
+
+
+def test_jacobian_plan_counts_the_rows_a_sample_builds():
+    # environment entries, or sketch cells, plus the full Jacobian over Q
+    loop5 = loop_graph((2,) * 5)
+    assert varieties._jacobian_plan(loop5, FP) == (False, 5 * 4**4 * 4)
+    assert varieties._jacobian_plan(loop5, QQ) == (False, 5 * 4**4 * 4 + 4**5 * 5 * 4)
+    loop7 = loop_graph((2,) * 7)
+    assert varieties._jacobian_plan(loop7, FP) == (True, (112 + 4) * 112)
+    assert varieties._jacobian_plan(loop7, QQ) == (True, (112 + 4) * 112 + 4**7 * 7 * 4)
+    loop8 = loop_graph((2,) * 8)
+    assert varieties._jacobian_plan(loop8, FP) == (True, (128 + 4) * 128)
+    assert varieties._jacobian_plan(loop8, QQ) == (True, (128 + 4) * 128 + 4**8 * 8 * 4)
+    assert varieties._jacobian_plan(loop_graph((4, 4, 4)), FP) == (False, 3 * 256 * 16)
+    assert varieties._jacobian_plan(SEGRE6, FP) == (True, 192)
 
 
 def test_tns_dim_pins_over_q_and_fp():
