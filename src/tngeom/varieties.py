@@ -20,9 +20,11 @@ which the contraction is constant; and the witness rows
 below its edge's within the kernel of the leaf's tensor.  On D, the
 pivot columns of T mod p, as many rows of T are square and invertible,
 so J T^T = 0 makes each column of J in D a combination of the other
-columns C, and rank(J) = rank(J|C).  The rank mod p of J|C runs in the
-packed kernel (``linalg._packed_eliminate``) on rows fed one at a time,
-and it stops once every column of C holds a pivot.  On loops,
+columns C, and rank(J) = rank(J|C).  Gauge fixing only saves rows when J
+has more rows than columns, so only then is T built first and C taken
+off its pivots; otherwise C is every column.  The rank mod p of J|C runs
+in the packed kernel (``linalg._packed_eliminate``) on rows fed one at a
+time, and it stops once every column of C holds a pivot.  On loops,
 supercritical loops and critical chains, and on the trees with
 subcritical leaves measured (the leaves that the paper's valence-one
 reduction, ``networks.reduce_valence_one``, folds away), J|C has full
@@ -40,9 +42,9 @@ Over Q each sample rank is exact, by two bounds.  r, the rank mod p of
 J|C read mod p, is at most rank_Q(J).  When r is min(rows, columns) it
 is the rank.  Otherwise J T^T = 0 is checked exactly over the integers;
 a minor of T that is nonzero mod p is nonzero over Q, so then rank_Q(J)
-= rank_Q(J|C) is at most |C|, and when r is |C| it is the rank.
-Otherwise, or if the check fails, the sample takes the exact rank of J
-(``linalg.rank``, the lifted kernel).
+is at most the column count less rank_p(T), and when r is that it is
+the rank.  Otherwise, or if the check fails, the sample takes the exact
+rank of J (``linalg.rank``, the lifted kernel).
 """
 
 from __future__ import annotations
@@ -75,11 +77,11 @@ SEED_STRIDE = 1000003
 SKETCH_SLACK = 4
 # Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
 # before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 over Q (471744 cells: 12992 of the sketch, and the 458752
-# nonzeros of J over Q for the check) peaked at 87 MB, about 0.18 KB per
-# cell, and at 100 MB (0.22 KB per cell, 60 s) with its gauge rows
-# withheld, so that each sample took the exact rank of J, a kernel lifted
-# over ten primes.
+# (2,)^7 over Q (475328 cells: 12992 of the sketch, 3584 of the tangent
+# rows, and the 458752 nonzeros of J over Q for the check) peaked at
+# 87 MB, about 0.18 KB per cell, and at 100 MB (0.22 KB per cell, 60 s)
+# with its gauge rows withheld, so that each sample took the exact rank
+# of J, a kernel lifted over ten primes.
 MAX_JACOBIAN_CELLS = 10**6
 
 
@@ -270,23 +272,60 @@ def gauge_rows(inst: TNSInstance) -> Matrix:
     return Matrix._from_flat((row, ncols), nz, inst.field)
 
 
-def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, int]:
-    """Whether a sample ranks sketch rows, and the cells it builds.
+def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, bool, int]:
+    """Whether a sample ranks sketch rows, whether it gauge-fixes, and the cells it builds.
 
     The vertex environments hold prod(vertex dims) / dim v times the edge
     product of v entries for each vertex v; the sketch, at most
     min(rows, columns) + SKETCH_SLACK rows of the column count.  A sample
     reads environment rows when the environments are smaller, and sketch
-    rows otherwise.  Over Q the full Jacobian's nonzeros, prod(vertex dims)
-    times the sum of the edge products, are counted as well: unless r is
-    min(rows, columns), it is built for the check of the tangent rows.
+    rows otherwise.  It gauge-fixes only when J has more rows than
+    columns: otherwise it reads every row, or rows + SKETCH_SLACK sketch
+    rows, whatever C is.  When it gauge-fixes, the tangent rows T are
+    built and eliminated mod p first, and their nonzeros (``_tangent_size``)
+    and the pivot rows of their elimination, at most min(rows of T,
+    columns) of the column count, are counted.  Over Q the full Jacobian's nonzeros, prod(vertex
+    dims) times the sum of the edge products, are counted as well: unless
+    r is min(rows, columns), it is built for the check of the tangent rows.
+    On a graph that is not gauge-fixed, the T that check builds is not
+    counted; it is built only when J lacks full row rank.
     """
     nrows = prod(v.dim for v in g.vertices)
     ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
     envs = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
     sketch = (min(nrows, ncols) + SKETCH_SLACK) * ncols
-    full = nrows * sum(g.edge_product(v.id) for v in g.vertices) if field.prime is None else 0
-    return sketch <= envs, min(envs, sketch) + full
+    fixed = nrows > ncols
+    cells = min(envs, sketch)
+    if fixed:
+        trows, tnnz = _tangent_size(g)
+        cells += tnnz + min(trows, ncols) * ncols
+    if field.prime is None:
+        cells += nrows * sum(g.edge_product(v.id) for v in g.vertices)
+    return sketch <= envs, fixed, cells
+
+
+def _subcritical_leaves(g: NetworkGraph):
+    """(leaf v, its edge e, its neighbour's id) for each leaf whose dimension is below its edge's, in graph order."""
+    for v in g.vertices:
+        if g.degree(v.id) == 1 and v.dim < (e := g.incident(v.id)[0]).dim:
+            yield v, e, e.head if e.tail == v.id else e.tail
+
+
+def _tangent_size(g: NetworkGraph) -> tuple[int, int]:
+    """Rows and nonzeros of the tangent rows of a generic instance of g, at most.
+
+    Edge e has e^2 gauge rows, each holding an e-th of the tail's and of
+    the head's entries.  A subcritical leaf v on e has e - dim v kernel
+    vectors, each on an e-th of the neighbour's coordinates, holding at
+    most e entries there.
+    """
+    size = {v.id: prod(g.tensor_shape(v.id)) for v in g.vertices}
+    rows = sum(e.dim**2 for e in g.edges)
+    nnz = sum(e.dim * (size[e.tail] + size[e.head]) for e in g.edges)
+    for v, e, u in _subcritical_leaves(g):
+        rows += (e.dim - v.dim) * size[u] // e.dim
+        nnz += (e.dim - v.dim) * size[u]
+    return rows, nnz
 
 
 def witness_rows(inst: TNSInstance) -> Matrix:
@@ -307,10 +346,7 @@ def witness_rows(inst: TNSInstance) -> Matrix:
     ncols = sum(sizes)
     nz = {}
     row = 0
-    for v in g.vertices:
-        if g.degree(v.id) != 1 or v.dim >= (e := g.incident(v.id)[0]).dim:
-            continue
-        u = e.head if e.tail == v.id else e.tail
+    for v, e, u in _subcritical_leaves(g):
         shape = g.tensor_shape(u)
         stride = prod(shape[g.axis_labels(u).index(("e", e.id)) + 1 :])
         bases = [offsets[u] + b for b in range(prod(shape)) if b // stride % e.dim == 0]
@@ -323,33 +359,41 @@ def witness_rows(inst: TNSInstance) -> Matrix:
     return Matrix._from_flat((row, ncols), nz, inst.field)
 
 
+def _tangent_rows(inst: TNSInstance) -> Matrix:
+    """T: the gauge rows, then the witness rows, in the Jacobian's columns."""
+    gauge, witness = gauge_rows(inst), witness_rows(inst)
+    shift = gauge.rows * gauge.cols
+    return Matrix._from_flat((gauge.rows + witness.rows, gauge.cols),
+                             {**gauge._nz, **{k + shift: v for k, v in witness._nz.items()}}, inst.field)
+
+
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     """Rank of the Jacobian at the seeded instance (see the module docstring).
 
-    C is the set of columns that are not pivots of the tangent rows T (the
-    gauge and witness rows) mod p.  r is the rank mod p of J restricted to
-    C, on the rows ``_jacobian_plan`` picks: environment rows in a seeded
-    random order, or at most min(rows, |C|) + SKETCH_SLACK sketch rows.
-    They are built one at a time as the packed kernel asks for them, and it
-    stops once every column of C holds a pivot.  Over Fp r is the result.
-    Over Q the rows are J's, read mod DEFAULT_PRIME, and r is returned when
-    it is min(rows, columns), or when it is |C| and J T^T = 0 holds over
-    the integers; otherwise the exact rank of J is.
+    r is the rank mod p of J restricted to C, on the rows
+    ``_jacobian_plan`` picks: environment rows in a seeded random order, or
+    at most min(rows, |C|) + SKETCH_SLACK sketch rows.  C is the set of
+    columns that are not pivots of the tangent rows T (the gauge and
+    witness rows) mod p when J has more rows than columns, and every
+    column otherwise.  The rows are built one at a time as the packed
+    kernel asks for them, and it stops once every column of C holds a
+    pivot.  Over Fp r is the result.  Over Q the rows are J's, read mod
+    DEFAULT_PRIME, and r is returned when it is min(rows, columns), or
+    when r plus the rank mod p of T is the column count and J T^T = 0
+    holds over the integers; otherwise the exact rank of J is.
     """
-    sketched, _ = _jacobian_plan(g, field)
+    sketched, fixed, _ = _jacobian_plan(g, field)
     exact = field.prime is None
     inst = random_instance(g, seed, field)
     prime = DEFAULT_PRIME if exact else field.prime
     # J's rows are built on integers and reduced as they are read; over Fp the instance is the
     # reduction of the one drawn over Q, whose contraction runs on ints rather than Fp scalars
     ints = inst if exact else random_instance(g, seed, QQ)
-    gauge, witness = gauge_rows(inst), witness_rows(inst)
-    shift = gauge.rows * gauge.cols
-    tangent = Matrix._from_flat((gauge.rows + witness.rows, gauge.cols),
-                                {**gauge._nz, **{k + shift: v for k, v in witness._nz.items()}}, field)
-    fixed = pivot_columns(tangent)
-    kept = [c for c in range(tangent.cols) if c not in fixed]
     nrows = prod(v.dim for v in g.vertices)
+    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    tangent = _tangent_rows(inst) if fixed else None
+    fixed_cols = pivot_columns(tangent) if fixed else set()
+    kept = [c for c in range(ncols) if c not in fixed_cols]
     if sketched:
         # a stream of its own: covectors drawn from the instance's stream would correlate with its entries
         stream = islice(_sketch_rows(ints, prime, random.Random(f"jacobian-sketch:{seed}")),
@@ -360,17 +404,20 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
     r = _packed_eliminate(rows, kept, prime, None) if kept else 0
     del rows, stream  # the environments they hold are freed before J is built
-    if not exact or r == min(nrows, tangent.cols):  # min(rows, columns) bounds the rank over Q
+    if not exact or r == min(nrows, ncols):  # min(rows, columns) bounds the rank over Q
         return r
     jac = contraction_jacobian(inst)
-    if r == len(kept) and annihilates(jac, tangent):
+    if not fixed:
+        tangent = _tangent_rows(inst)
+        fixed_cols = pivot_columns(tangent)
+    if r + len(fixed_cols) == ncols and annihilates(jac, tangent):
         return r
     return rank(jac)
 
 
 def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
     """Refuse a graph whose Jacobian samples would build more than MAX_JACOBIAN_CELLS cells."""
-    cells = _jacobian_plan(g, field)[1]
+    cells = _jacobian_plan(g, field)[2]
     if cells > MAX_JACOBIAN_CELLS:
         raise SemanticError(
             f"the Jacobian of this graph would hold {cells} cells, over the budget of {MAX_JACOBIAN_CELLS}"

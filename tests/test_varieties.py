@@ -159,26 +159,16 @@ def test_sketch_rank_bounded_by_jacobian_rank(name):
 SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 = 192 cells, as many as its environments hold
 
 
-@pytest.mark.parametrize("g, field, want, sketch_only_by_nonzeros", [
+@pytest.mark.parametrize("g, field, want, tag", [
     (loop_graph((2,) * 5), FP, 61, True),
     (SEGRE6, FP, 7, True),
     (SEGRE6, QQ, 7, False),
     (loop_graph((2,) * 4), FP, 49, False),
     (loop_graph((2, 3, 2)), FP, 72, False),
 ])
-def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, sketch_only_by_nonzeros):
-    # a sample reads sketch rows when the sketch has no fewer cells than the environments hold
-    # entries, else environment rows.  sketch_only_by_nonzeros is the rule the environment rows
-    # replaced, a sketch alone over Fp when it is below the Jacobian's nonzeros: loop (2,)^5 now
-    # reads environment rows (5120 entries), though its sketch (84 x 80 = 6720 cells) is below
-    # its Jacobian's 20480 nonzeros
-    nrows = prod(v.dim for v in g.vertices)
-    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
-    sketch_cells = (min(nrows, ncols) + 4) * ncols
-    env_entries = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
-    nnz = nrows * sum(g.edge_product(v.id) for v in g.vertices)
-    assert (field is FP and sketch_cells < nnz) == sketch_only_by_nonzeros
-    source = "sketch" if sketch_cells <= env_entries else "environment"
+def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, tag):
+    # each sample reads the rows of the source the plan picks, and only those; tag only names the case
+    source = "sketch" if varieties._jacobian_plan(g, field)[0] else "environment"
     assert (source == "sketch") == (g is SEGRE6)
     used = []
     sketch, environment, jacobian = varieties._sketch_rows, varieties._environment_rows, varieties.contraction_jacobian
@@ -365,6 +355,7 @@ def test_chain_with_subcritical_leaves_over_q():
 STREAMED_GRAPHS = {
     **JACOBIAN_GRAPHS,
     "loop222-234": loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)),  # rank 22 < |C|: no early stop
+    "loop2222-2424": loop_graph((2,) * 4, vertex_dims=(2, 4, 2, 4)),  # gauge-fixed, rank 32 < |C|
     "chain2662": chain_graph((2, 6, 6, 2), (3, 4, 3)),
     **{f"tree{seed}": _random_tree(seed) for seed in range(3)},
     **{f"leaftree{seed}": _tree_with_subcritical_leaves(seed) for seed in range(3)},
@@ -376,7 +367,7 @@ STREAMED_GRAPHS = {
 def test_streamed_rank_is_the_rank_of_the_jacobian_mod_p(monkeypatch, name, source):
     # rank_p(J|C) = rank_p(J), C the columns off the pivots of the gauge and witness rows
     g = STREAMED_GRAPHS[name]
-    monkeypatch.setattr(varieties, "_jacobian_plan", lambda g, field: (source == "sketch", 0))
+    monkeypatch.setattr(varieties, "_jacobian_plan", lambda g, field: (source == "sketch", True, 0))
     for seed in range(3):
         want = rank_mod_p(contraction_jacobian(random_instance(g, seed=seed, field=FP)))
         assert varieties._jacobian_rank(g, seed, FP) == want
@@ -416,10 +407,29 @@ def test_loops_read_exactly_as_many_rows_as_kept_columns(monkeypatch, n, field):
 
 
 def test_loop_below_the_gauge_bound_reads_every_row(monkeypatch):
-    g = loop_graph((2, 2, 2), vertex_dims=(2, 3, 4))
     calls = _count_streamed_rows(monkeypatch)
-    assert varieties._jacobian_rank(g, 0, FP) == 22
-    assert calls == [(24, 36 - 11)]
+    # 24 rows and 36 columns: not gauge-fixed, every row is read on every column
+    assert varieties._jacobian_rank(loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)), 0, FP) == 22
+    # 64 rows and 48 columns, 15 of them gauge pivots: J|C has rank 32 < |C| = 33
+    assert varieties._jacobian_rank(loop_graph((2,) * 4, vertex_dims=(2, 4, 2, 4)), 0, FP) == 32
+    assert calls == [(24, 36), (64, 33)]
+
+
+@pytest.mark.parametrize("g, want", [
+    (loop_graph((30, 30, 30), vertex_dims=(2, 2, 2)), 8),  # J is 8 x 5400
+    (chain_graph((2, 2, 2), (100, 100)), 8),  # J is 8 x 20400
+], ids=["loop30", "chain100"])
+def test_wide_jacobians_build_no_tangent_rows(monkeypatch, g, want):
+    # with no more rows than columns, C is every column and J has full row rank, so neither
+    # field builds T, whose elimination would dwarf the rank of J's few rows
+    def boom(inst):
+        raise AssertionError("built the tangent rows")
+
+    monkeypatch.setattr(varieties, "gauge_rows", boom)
+    monkeypatch.setattr(varieties, "witness_rows", boom)
+    calls = _count_streamed_rows(monkeypatch)
+    assert tns_dim(g, seed=0, field=FP) == tns_dim(g, seed=0) == want
+    assert calls == [(8, varieties.contraction_jacobian(random_instance(g, 0, FP)).cols)] * 4
 
 
 def test_triangle_444_over_q_is_721():
@@ -428,18 +438,30 @@ def test_triangle_444_over_q_is_721():
 
 
 def test_jacobian_plan_counts_the_rows_a_sample_builds():
-    # environment entries, or sketch cells, plus the full Jacobian over Q
-    loop5 = loop_graph((2,) * 5)
-    assert varieties._jacobian_plan(loop5, FP) == (False, 5 * 4**4 * 4)
-    assert varieties._jacobian_plan(loop5, QQ) == (False, 5 * 4**4 * 4 + 4**5 * 5 * 4)
+    # environment entries, or sketch cells; then, when gauge-fixed, the nonzeros of T and the
+    # pivot rows of its elimination; plus the full Jacobian over Q
+    loop5 = loop_graph((2,) * 5)  # 1024 x 80; T: 20 rows, 5 * 2 * (16 + 16) nonzeros
+    assert varieties._jacobian_plan(loop5, FP) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80)
+    assert varieties._jacobian_plan(loop5, QQ) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80 + 4**5 * 5 * 4)
     loop7 = loop_graph((2,) * 7)
-    assert varieties._jacobian_plan(loop7, FP) == (True, (112 + 4) * 112)
-    assert varieties._jacobian_plan(loop7, QQ) == (True, (112 + 4) * 112 + 4**7 * 7 * 4)
+    assert varieties._jacobian_plan(loop7, FP) == (True, True, (112 + 4) * 112 + 448 + 28 * 112)
+    assert varieties._jacobian_plan(loop7, QQ) == (True, True, (112 + 4) * 112 + 448 + 28 * 112 + 4**7 * 7 * 4)
     loop8 = loop_graph((2,) * 8)
-    assert varieties._jacobian_plan(loop8, FP) == (True, (128 + 4) * 128)
-    assert varieties._jacobian_plan(loop8, QQ) == (True, (128 + 4) * 128 + 4**8 * 8 * 4)
-    assert varieties._jacobian_plan(loop_graph((4, 4, 4)), FP) == (False, 3 * 256 * 16)
-    assert varieties._jacobian_plan(SEGRE6, FP) == (True, 192)
+    assert varieties._jacobian_plan(loop8, FP) == (True, True, (128 + 4) * 128 + 512 + 32 * 128)
+    assert varieties._jacobian_plan(loop8, QQ) == (True, True, (128 + 4) * 128 + 512 + 32 * 128 + 4**8 * 8 * 4)
+    triangle = loop_graph((4, 4, 4))  # 4096 x 768; T: 48 rows, 3 * 4 * (256 + 256) nonzeros
+    assert varieties._jacobian_plan(triangle, FP) == (False, True, 3 * 256 * 16 + 6144 + 48 * 768)
+    # 64 x 12, five gauge rows of four nonzeros
+    assert varieties._jacobian_plan(SEGRE6, FP) == (True, True, 192 + 20 + 5 * 12)
+    # a chain with two subcritical leaves: 8 x 20400, not gauge-fixed, and T is not counted
+    wide = chain_graph((2, 2, 2), (100, 100))
+    assert varieties._jacobian_plan(wide, FP) == (False, False, 4 * 100 + 4 * 10**4 + 4 * 100)
+    assert varieties._tangent_size(wide) == (2 * 10**4 + 2 * 98 * 200,
+                                             2 * 100 * (200 + 20000) + 2 * 98 * 20000)
+    for g in STREAMED_GRAPHS.values():
+        inst = random_instance(g, seed=0)
+        tangent = varieties._tangent_rows(inst)
+        assert varieties._tangent_size(g) == (tangent.rows, len(tangent._nz))
 
 
 def test_tns_dim_pins_over_q_and_fp():
