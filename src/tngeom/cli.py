@@ -3,12 +3,15 @@
 Each subcommand reads JSON, runs one pipeline, and writes a JSON report
 to --out or stdout.  Reports are byte-stable given the same inputs and
 flags.  Exit codes: 0 success or certified, 1 inconclusive, 2 parse or
-usage error, 3 semantic error (bad shapes, invalid objects).
+usage error, 3 semantic error (bad shapes, invalid objects), 141 (128 +
+SIGPIPE) when the reader of stdout closed it before the report was
+written, as in `tngeom certify --e 4 | head -5`.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .curves import act_curve, curve_from_splitting
@@ -208,4 +211,11 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout now points at devnull, so the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

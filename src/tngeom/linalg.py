@@ -9,9 +9,13 @@ the components.  A component of one column has rank 1 or 0.  Every other
 one is eliminated densely on its own columns, each row packed into one
 Python int of W-bit slots with delayed reduction (``_packed_eliminate``,
 W = bit_length(p + min(rows, cols) * p**2) + 1).  Stabilizer systems fall
-apart into many small components; a dense system is one.  On the 343 x
-147 system of a dense 7 x 7 x 7 tensor, elimination and back-solve mod
-2^31 - 1 take 0.09 s (2-core host, Python 3.11).
+apart into many small components; a dense system is one.  Vectors known
+to lie in the kernel (a stabilizer system's scalar rows) cap the rank of
+each component, whose elimination reads its rows in a strided order and
+stops at the cap.  The 343 x 147 system of a dense 7 x 7 x 7 tensor has
+rank 145, its cap: 145 rows are read, and the exact rank over Q takes
+0.04 s, against 0.1 s for all rows, back-solve, lift and check (2-core
+host, Python 3.11).
 
 Rows are read mod p in one pass and reduced in place
 (``_residue_rows``), so one set of rows is held.  Over Q an int entry
@@ -34,12 +38,14 @@ least rank mod p, and the nullity over Q is at most that number.  When
 an entry does not lift or the check fails (a kernel of large height, or
 a prime that divides a minor), the next prime below is eliminated too
 and the residues are combined by CRT until the check passes (``_lift``).
-``rank`` over Q is the nullity of the lifted kernel of A or of A^T,
-``kernel_basis`` is the lifted kernel, and ``inverse`` reads A^-1 off
-the lifted kernel of [A | -I].  Over Fp the same elimination and
-back-solve are exact as they stand.  ``annihilates``, a check of A B^T
-= 0 over the integers, bounds a nullity from below by the rank of B when
-B's rows are known to be kernel vectors.
+A prime on which every component reaches its cap is exact with no
+back-solve or lift.  ``rank`` over Q is the nullity of the lifted kernel
+of A or of A^T, ``kernel_basis`` is the lifted kernel, and ``inverse``
+reads A^-1 off the lifted kernel of [A | -I].  Over Fp the same
+elimination and back-solve are exact as they stand.  ``annihilates``, a
+check of A B^T = 0 over the integers, bounds a nullity from below by the
+rank of B when B's rows are known to be kernel vectors.  Both checks
+pack the vectors into one int per column (``_annihilates``).
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -332,7 +338,7 @@ def components(rows, cols: int) -> list[int]:
 
 
 def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None,
-                     labels: Sequence[int] | None = None) -> int:
+                     labels: Sequence[int] | None = None, known: dict[int, int] | None = None) -> int:
     """Rank mod prime of rows of residues {column: residue}, one component at a time.
 
     A row update only combines rows that share a column, so no row leaves
@@ -341,6 +347,11 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     has rank 1 if a row holds it with a nonzero residue, else 0; every other
     one is eliminated densely on its own columns (``_packed_eliminate``).
     Given labels, the components of the rows' columns, the search is skipped.
+
+    known maps a component's label to the rank mod prime of vectors known
+    to lie in its kernel (``_known_ranks``), so a component c has rank at
+    most its cap, |c| - known.get(c, 0).  Its rows are read in a strided
+    order (``_strided``) and no further than the row that reaches the cap.
 
     Given a pivots list, each pivot row, scaled to 1 at its pivot column,
     is appended as (pivot column, {other column: residue}).  A pivot row
@@ -356,9 +367,10 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
             groups[label[c]][1].append(row)
             break
     rank = 0
-    for ccols, crows in groups.values():
+    for a, (ccols, crows) in groups.items():
         if len(ccols) > 1:
-            rank += _packed_eliminate(crows, ccols, prime, pivots)
+            cap = len(ccols) - (known or {}).get(a, 0)
+            rank += _packed_eliminate(_strided(crows), ccols, prime, pivots, cap)
         elif any(row[ccols[0]] for row in crows):
             rank += 1
             if pivots is not None:
@@ -366,7 +378,38 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     return rank
 
 
-def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None) -> int:
+def _strided(rows: list) -> list:
+    """The n rows in the order k * s mod n, s near n / golden ratio and coprime to n.
+
+    Rows laid out row-major, as a stabilizer system's are, come in runs
+    that share most of their columns; this order leaves each run at once,
+    so a dense component reaches its rank after about as many rows.
+    """
+    n = len(rows)
+    s = max(1, (isqrt(5 * n * n) - n) // 2)
+    while gcd(s, n) != 1:
+        s += 1
+    return [rows[k * s % n] for k in range(n)]
+
+
+def _known_ranks(kernel: Matrix | None, labels: Sequence[int], prime: int) -> dict[int, int]:
+    """{label: rank mod prime of the rows of kernel on that component's columns}.
+
+    Each row of a matrix with these column components lies in one
+    component, so the part of a row of its kernel on one component's
+    columns lies in its kernel too.
+    """
+    parts: dict[int, dict[int, dict]] = {}  # label -> kernel row -> {column: residue}
+    for k, row in enumerate(_residue_rows(kernel, prime)[0] if kernel is not None else ()):
+        for c, v in row.items():
+            if v:
+                parts.setdefault(labels[c], {}).setdefault(k, {})[c] = v
+    return {a: _packed_eliminate(list(rows.values()), sorted({c for r in rows.values() for c in r}), prime, None)
+            for a, rows in parts.items()}
+
+
+def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None,
+                      cap: int | None = None) -> int:
     """Rank mod prime of residue rows on the given columns, by dense elimination on packed rows.
 
     Each row is one Python int of W-bit slots, slot i holding column
@@ -382,9 +425,10 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     next slot.  rows may be a stream with no length, read one row at a
     time; W is then bounded by the column count alone.
 
-    The elimination stops once every column holds a pivot, so a component
-    of full column rank skips its last rows, and a stream is read no
-    further.  Pivot rows are appended to pivots as ``_eliminate_mod_p``
+    The elimination stops at cap pivots (by default one per column), a
+    bound on the rank that the caller vouches for, so a component that
+    reaches it skips its last rows, and a stream is read no further.
+    Pivot rows are appended to pivots as ``_eliminate_mod_p``
     says.
     """
     n = len(cols)
@@ -394,6 +438,7 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     width, mask = n * size, (1 << 8 * size) - 1
     found: list[tuple[int, int]] = []  # (bit offset of its slot, row: 1 there, 0 at earlier pivot slots)
     free = list(range(n))
+    cap = n if cap is None else cap
 
     def slot(buf: bytes, i: int) -> int:
         return int.from_bytes(buf[i * size:(i + 1) * size], "little")
@@ -424,7 +469,7 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
         if pivots is not None:
             pivots.append((cols[pc], rest))
         del free[k]
-        if not free:
+        if len(found) == cap:
             break
     return len(found)
 
@@ -459,23 +504,25 @@ def _residue_rows(m: Matrix, prime: int = DEFAULT_PRIME) -> tuple[list[dict], in
     return rows, m.field.prime
 
 
-def rank(m: Matrix, labels: Sequence[int] | None = None) -> int:
+def rank(m: Matrix, labels: Sequence[int] | None = None, kernel: Matrix | None = None) -> int:
     """Exact rank; independent of row and column order.
 
     Over Fp by ``rank_mod_p``.  Over Q it is the column count less the
     nullity of the lifted kernel (``lifted_kernel``) of whichever of A and
-    A^T has fewer columns; the labels, A's column components, are used only
-    when A is not transposed.  An empty kernel ends the lift at the first
-    prime with full column rank.
+    A^T has fewer columns.  The labels, A's column components, and kernel,
+    rows known to lie in A's right kernel, are used only when A is not
+    transposed; the kernel rows cap each component (``_lift``).
     """
+    if kernel is not None and (kernel.field != m.field or kernel.cols != m.cols):
+        raise ShapeError("the kernel rows must have the matrix's columns and field")
     if m.field.prime is not None:
-        return rank_mod_p(m, labels)
+        return rank_mod_p(m, labels, kernel)
     if m.rows < m.cols:
-        return m.rows - len(_lift(m.transpose())[1])
-    return m.cols - len(_lift(m, labels)[1])
+        return m.rows - len(_lift(m.transpose())[0])
+    return m.cols - len(_lift(m, labels, kernel)[0])
 
 
-def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None) -> int:
+def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None, kernel: Matrix | None = None) -> int:
     """Rank mod p, component by component (``_eliminate_mod_p``).
 
     Over Fp this is the exact rank.  A rational matrix is ranked mod
@@ -483,10 +530,13 @@ def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None) -> int:
     on its rank over Q, since a minor that is nonzero mod p is nonzero over
     Q, and scaling a row by a nonzero integer scales its minors alike.
     labels, the column components of m (``components``) if they are
-    known, spare the search.
+    known, spare the search; rows known to lie in m's kernel cap each
+    component (``_eliminate_mod_p``).
     """
     rows, prime = _residue_rows(m)
-    return _eliminate_mod_p(rows, m.cols, prime, labels=labels)
+    if kernel is not None and labels is None:
+        labels = components(rows, m.cols)
+    return _eliminate_mod_p(rows, m.cols, prime, labels=labels, known=_known_ranks(kernel, labels, prime))
 
 
 def pivot_columns(m: Matrix) -> set[int]:
@@ -589,13 +639,20 @@ def lifted_kernel(m: Matrix, labels: Sequence[int] | None = None) -> list[dict]:
     return _lift(m, labels)[1]
 
 
-def _lift(m: Matrix, labels: Sequence[int] | None = None) -> tuple[list[int], list[dict]]:
+def _lift(m: Matrix, labels: Sequence[int] | None = None,
+          kernel: Matrix | None = None) -> tuple[list[int], list[dict] | None]:
     """Free columns and exact kernel vectors of a rational matrix, over as many primes as it takes.
 
     Each prime, DEFAULT_PRIME first and then the primes below it, eliminates
     the rows mod p and back-solves the kernel.  A prime of full column rank
-    ends the lift with an empty kernel.  The (rank, free columns) of a prime
-    is compared with the best seen: a higher rank wins, and at equal rank
+    ends the lift with an empty kernel.  Given kernel, rows known to lie
+    in the right kernel over Q, each component stops at its cap
+    (``_eliminate_mod_p``), and a prime whose nullity is k, the sum of
+    the ranks of their parts on the components (``_known_ranks``), ends the
+    lift with the free columns and no vectors (None): those parts span a
+    kernel over Q of dimension at least k, and the nullity over Q is at
+    most the nullity mod p.  The (rank, free columns) of a prime is
+    compared with the best seen: a higher rank wins, and at equal rank
     the larger list of free columns does, since the pivot columns are the
     column rank profile and a prime that divides a minor can only move a
     pivot to a later column.  A winner restarts the residues, a tie is
@@ -614,12 +671,15 @@ def _lift(m: Matrix, labels: Sequence[int] | None = None) -> tuple[list[int], li
         residues, _ = _residue_rows(m, prime)
         if labels is None:
             labels = components(residues, cols)
+        known = _known_ranks(kernel, labels, prime)
         pivots: list = []
-        rk = _eliminate_mod_p(residues, cols, prime, pivots, labels)
+        rk = _eliminate_mod_p(residues, cols, prime, pivots, labels, known)
         del residues  # freed before the back-solve; the pivot rows are copies
+        if cols - rk == sum(known.values()):
+            taken = {pc for pc, _ in pivots}
+            free = [c for c in range(cols) if c not in taken]
+            return free, None if free else []
         free, y = _back_solve(pivots, cols, prime)
-        if not free:
-            return free, []
         seen = (rk, free)
         if seen > best:
             best, modulus, x = seen, prime, y
@@ -663,20 +723,41 @@ def _lifted_vectors(m: Matrix, free: list[int], x: dict[int, dict], modulus: int
     # each x_f times the lcm of its denominators, as integers, column by column
     scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()]
               for c, col in lifted.items()}
-    return _kernel_vectors(free, lifted) if _annihilates(_integral_rows(m), scaled) else None
+    return _kernel_vectors(free, lifted) if _annihilates(m, scaled) else None
 
 
-def _annihilates(rows, by_col: dict[int, list]) -> bool:
-    """True when each integer row r has sum_c r[c] * x[c] == 0 for every
-    vector x, the vectors given column by column as {c: [(x, x[c])]}."""
-    for row in rows:
-        acc: dict = {}
-        for c, v in row.items():
-            for f, w in by_col.get(c, ()):
-                acc[f] = acc.get(f, 0) + v * w
-        if any(acc.values()):
-            return False
-    return True
+def _annihilates(m: Matrix, by_col: dict[int, list]) -> bool:
+    """True when every row r of m has sum_c r[c] * x[c] == 0 for every
+    integer vector x, the vectors given column by column as {c: [(x, x[c])]}.
+
+    Each column's entries are packed into one int, x_i[c] * 2**(W*i), so a
+    nonzero of m costs one multiply-add and a row one test acc == 0; only
+    the nonzeros on the vectors' columns are read.  Row r read as integers
+    (``_integral_rows``) has slot sums s_i = sum_c r[c] * x_i[c], |s_i| at
+    most B = max |x[c]| times the largest L1 norm of such a row, and W is
+    the bit length of B plus a sign and a guard bit.  If the packed sum,
+    sum_i s_i * 2**(W*i), is zero and s_i is its first nonzero slot sum,
+    2**W divides s_i, which cannot be.  A row with a Fraction sums to that
+    packed sum over the lcm of its denominators.
+    """
+    vals = m._nz.values()
+    if set(map(type, vals)) <= {int}:  # a bound on every row's L1 norm, read in C
+        norm = m.cols * max(map(abs, vals), default=1)
+    else:
+        norm = max((sum(map(abs, row.values())) for row in _integral_rows(m)), default=1)
+    width = (max((abs(w) for col in by_col.values() for _, w in col), default=0) * norm).bit_length() + 2
+    slots: dict = {}
+    packed = {c: sum(w << width * slots.setdefault(f, len(slots)) for f, w in col)
+              for c, col in by_col.items() if col}
+    cols, last, acc = m.cols, -1, 0
+    for k in sorted(k for k in m._nz if k % cols in packed):
+        r = k // cols
+        if r != last:
+            if acc:
+                return False
+            last, acc = r, 0
+        acc += m._nz[k] * packed[k - r * cols]
+    return not acc
 
 
 def annihilates(a: Matrix, b: Matrix) -> bool:
@@ -694,7 +775,7 @@ def annihilates(a: Matrix, b: Matrix) -> bool:
     for k, row in enumerate(_integral_rows(b)):
         for c, v in row.items():
             by_col.setdefault(c, []).append((k, v))
-    return _annihilates(_integral_rows(a), by_col)
+    return _annihilates(a, by_col)
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -24,8 +24,10 @@ from .tensors import Tensor, leibniz_act, lin_index
 # On a 2-core host with Python 3.11, peak RSS of `certify` over Q grew by
 # 0.39 to 0.43 KB per system nonzero at e = 8, 10 and 12 (e = 12, 746496
 # nonzeros and 2.7e6 cells, took 330 MB).  `stabilizer` on a dense
-# 20 x 20 x 20 tensor (9.6e6 cells) peaked at 150 MB and took 99 s: its
-# elimination mod p holds packed dense rows.  The fill budget bounds the
+# 20 x 20 x 20 tensor (9.6e6 cells) peaked at 147 MB and took 10 s: its
+# elimination mod p holds packed dense rows, and stops at the cap of
+# 1198 = 1200 - 2 pivots, so the lift and its check never run (99 s when
+# every row was read and the kernel lifted).  The fill budget bounds the
 # slots of those rows, at most rows x columns per component, for each prime
 # that the lift over Q eliminates.  Neither budget bounds time.
 MAX_SYSTEM_NNZ = 10**6
@@ -88,8 +90,29 @@ class StabilizerSystem:
         return self.matrix.cols - self.orbit_dim()
 
     def orbit_dim(self) -> int:
-        """Rank of the system (``linalg.rank``: over Q from the lifted kernel)."""
-        return rank(self.matrix, self.labels)
+        """Rank of the system (``linalg.rank``), at most cols - (d - 1).
+
+        The scalar rows (``scalar_rows``) lie in the kernel, so each
+        component's elimination stops at its cap; over Q a prime on which
+        every component reaches it is exact with no lifted kernel.
+        """
+        return rank(self.matrix, self.labels, self.scalar_rows())
+
+    def scalar_rows(self) -> Matrix:
+        """The d - 1 tuples (I in slot j, -I in slot j + 1), one row each.
+
+        The identity in slot j scales the tensor by 1, so each tuple kills
+        it, over every field: these rows span the kernel of
+        gl(V_1) + ... + gl(V_d) -> gl(V_1 x ... x V_d), and the rank of
+        the system is at most cols - (d - 1).
+        """
+        shape, cols, f = self.shape, self.matrix.cols, self.matrix.field
+        nz = {}
+        for j in range(len(shape) - 1):
+            for s, sign in ((j, f.one), (j + 1, -f.one)):
+                for k in range(shape[s]):
+                    nz[j * cols + self.offsets[s] + k * shape[s] + k] = sign
+        return Matrix._from_flat((max(len(shape) - 1, 0), cols), nz, f)
 
     def column_label(self, col: int) -> tuple[int, int, int]:
         """Map a column index back to (slot, row, col) of the elementary matrix."""

@@ -588,3 +588,94 @@ def test_entries_round_trip(case):
     assert Matrix(rows, cols, m.entries, FP) == m
     assert m.entries == tuple(FP.coerce(x) for x in flat)
     assert m.to_rows() == [[FP.coerce(x) for x in r] for r in data]
+
+
+def _annihilates_by_entries(rows: list[list], vecs: list[list]) -> bool:
+    return all(sum(r * x for r, x in zip(row, vec)) == 0 for row in rows for vec in vecs)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_packed_check_matches_the_entry_by_entry_sum(seed):
+    rng = random.Random(seed)
+    rows_n, cols, k = rng.randint(1, 6), rng.randint(1, 7), rng.randint(1, 5)
+    bound = rng.choice((1, 9, 10**6, 2**70))
+    vecs = [[rng.randint(-bound, bound) * (rng.random() < 0.6) for _ in range(cols)] for _ in range(k)]
+    a = [[rng.randint(-bound, bound) * (rng.random() < 0.7) for _ in range(cols)] for _ in range(rows_n)]
+    # and rows built to annihilate: multiples of a basis of the vectors' orthogonal complement
+    ortho = kernel_basis(Matrix.from_rows(vecs))
+    for rows in (a, [[x * rng.randint(-5, 5) for x in vec] for vec in ortho] or [[0] * cols]):
+        want = _annihilates_by_entries(rows, vecs)
+        assert annihilates(Matrix.from_rows(rows), Matrix.from_rows(vecs)) == want
+
+
+def test_packed_check_at_the_slot_edge():
+    # row norm L = 256 and |x| <= 256 put slot sums at +-B = +-2**16, the edge of the bound
+    row = [1] * 256
+    edge = [256] * 256
+    assert not annihilates(Matrix.from_rows([row]), Matrix.from_rows([edge]))
+    assert not annihilates(Matrix.from_rows([[-x for x in row]]), Matrix.from_rows([edge]))
+    # slot sums (2**16, -2**k): in slots of W <= 16 bits, 2**16 - 2**k * 2**W reads as zero for k = 16 - W
+    for k in range(17):
+        assert not annihilates(Matrix.from_rows([row]), Matrix.from_rows([edge, [-2**k] + [0] * 255]))
+    minus = [-1] + [0] * 255
+    # (2**16, -2**16) on a row and its negative, and every slot sum zero once the edge cancels
+    assert not annihilates(Matrix.from_rows([row, [-x for x in row]]), Matrix.from_rows([edge, [-x for x in edge]]))
+    half = [256] * 128 + [-256] * 128
+    assert annihilates(Matrix.from_rows([row]), Matrix.from_rows([half, [-x for x in half]]))
+    # a nonzero slot sum below zero in a middle slot, between two zero ones
+    assert not annihilates(Matrix.from_rows([row]), Matrix.from_rows([half, minus, half]))
+
+
+def test_packed_check_with_fractions():
+    a = Matrix.from_rows([[Fraction(1, 3), Fraction(-2, 5), 7], [Fraction(1, 2), 0, Fraction(-1, 6)]])
+    x = [[Fraction(6, 5), 1, 0]]
+    assert annihilates(a, Matrix.from_rows(x)) == _annihilates_by_entries(a.to_rows(), x)
+    ortho = kernel_basis(a)
+    assert annihilates(a, Matrix.from_rows(ortho))
+    assert not annihilates(a, Matrix.from_rows(ortho + [[1, 0, 0]]))
+
+
+def test_packed_eliminate_stops_at_its_cap():
+    # rows in the kernel of (1, 1, ..., 1): rank n - 1, and the cap ends the stream there
+    rng = random.Random(5)
+    n = 6
+    rows = []
+    for _ in range(30):
+        row = {c: rng.randrange(FP.prime) for c in range(n - 1)}
+        row[n - 1] = -sum(row.values()) % FP.prime
+        rows.append(row)
+    assert linalg._packed_eliminate(_stream(rows, stop=n - 1), list(range(n)), FP.prime, None, n - 1) == n - 1
+    assert linalg._packed_eliminate(list(rows), list(range(n)), FP.prime, None) == n - 1
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 343, 1000])
+def test_strided_order_is_a_permutation(n):
+    rows = list(range(n))
+    order = linalg._strided(rows)
+    assert sorted(order) == rows
+    if n > 3:
+        assert order[:2] != rows[:2]
+
+
+@pytest.mark.parametrize("field", [QQ, FP])
+def test_kernel_rows_cap_each_component(monkeypatch, field):
+    # two blocks whose rows sum to zero on their columns, 5 x 4 and 4 x 3, rank 3 + 2; the kernel
+    # rows are one all-ones row twice, rank 1 in all but rank 1 on each block, so the caps are 3 and 2
+    rng = random.Random(7)
+    items = {}
+    for rows, cols, r0, c0 in ((5, 4, 0, 0), (4, 3, 5, 4)):
+        for i in range(rows):
+            vals = [rng.randint(-9, 9) for _ in range(cols - 1)]
+            for j, v in enumerate(vals + [-sum(vals)]):
+                items[r0 + i, c0 + j] = v
+    m = Matrix.from_nonzeros(9, 7, items, field)
+    kernel = Matrix.from_rows([[1] * 7, [1] * 7], field)
+    dense = [[items.get((i, j), 0) for j in range(7)] for i in range(9)]
+    want = naive_rank(dense)
+    assert want == 5 and rank(m) == want
+
+    def refuse(*args):
+        raise AssertionError("every block meets its cap, so no kernel is lifted")
+
+    monkeypatch.setattr(linalg, "_lifted_vectors", refuse)
+    assert rank(m, None, kernel) == rank_mod_p(m, None, kernel) == want

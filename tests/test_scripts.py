@@ -43,3 +43,11 @@ def test_loop_dimension_scan():
                                         ("chain_reduction_demo.py", ("--samples", "3"))])
 def test_script_exits_0(name, args):
     assert run_script(name, *args)
+
+
+def test_stabilizer_scan():
+    # a concise generic n x n x n tensor keeps the two scalar symmetries, and the elimination reads its cap of rows
+    for field in ("fp", "rational"):
+        rows = table(run_script("stabilizer_scan.py", "--min-n", "3", "--max-n", "5", "--field", field))
+        assert [(n, stab, orbit, read) for n, _, _, stab, orbit, read, _, _ in rows] == [
+            (str(n), "2", str(3 * n * n - 2), str(3 * n * n - 2)) for n in (3, 4, 5)]

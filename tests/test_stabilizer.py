@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 
 from tngeom import linalg, stabilizer
+from tngeom.curves import act_curve, curve_from_splitting
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
-from tngeom.linalg import Matrix, kron, lifted_kernel, random_invertible, random_matrix, rank
+from tngeom.linalg import Matrix, annihilates, kron, lifted_kernel, random_invertible, random_matrix, rank
 from tngeom.stabilizer import (
     build_system,
     check_system_size,
@@ -15,9 +19,9 @@ from tngeom.stabilizer import (
     stabilizer_tuples,
 )
 from tngeom.tensors import Tensor, apply_end, leibniz_act, outer, random_tensor
-from tngeom.zoo import imm_loop, m_tilde_formula, mmult
+from tngeom.zoo import block_splitting, imm_loop, m_tilde_formula, mmult
 
-from oracles import matrix_rows, naive_rank
+from oracles import matrix_rows, naive_rank, naive_rank_mod_p
 
 FP = PrimeField(2**31 - 1)
 
@@ -267,3 +271,130 @@ def test_mmult_system_is_sparse(e):
     m = build_system(mmult(e, e, e)).matrix
     assert (m.rows, m.cols) == (e**6, 3 * e**4)
     assert sum(1 for _ in m.nonzeros()) == 3 * e**5
+
+
+# --- the scalar rows bound the rank of a stabilizer system by cols - (d - 1)
+
+def _block_limit(parts, field):
+    """Leading term of the curve of a block splitting of mmult(e, e, e), e = parts[0] + parts[1]."""
+    e = parts[0] + parts[1]
+    return act_curve(mmult(e, e, e, field), curve_from_splitting(block_splitting(*parts, field))).terms[0][1]
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 1), (2, 3), (1, 4), (2, 1, 3), (2, 2, 2), (3, 1, 1),
+                                   (1, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2)])
+def test_scalar_rows_lie_in_the_kernel(shape, field):
+    for seed in range(3):
+        system = build_system(random_tensor(shape, seed=seed, field=field, bound=9))
+        scalar = system.scalar_rows()
+        assert scalar.shape == (max(len(shape) - 1, 0), system.matrix.cols)
+        if field is QQ:
+            assert annihilates(system.matrix, scalar)
+        # the same product mod p, as the elimination over Fp uses it
+        assert (system.matrix @ scalar.transpose()).is_zero()
+        assert rank(scalar) == scalar.rows
+
+
+def _bound_cases():
+    cases = [("dense444", lambda f: random_tensor((4, 4, 4), seed=1, field=f)),
+             ("dense234", lambda f: random_tensor((2, 3, 4), seed=2, field=f)),
+             ("dense3333", lambda f: random_tensor((3, 3, 3, 3), seed=3, field=f, bound=9)),
+             # a generic 2 x 2 x 2 tensor has stabilizer 4 > d - 1, so over Q the lift runs
+             ("generic222", lambda f: random_tensor((2, 2, 2), seed=3, field=f, bound=99)),
+             ("zero232", lambda f: Tensor.zeros((2, 3, 2), f)),
+             ("unit1x3x3", lambda f: random_tensor((1, 3, 3), seed=4, field=f, bound=9))]
+    for e in range(2, 6):
+        cases.append((f"mmult{e}", lambda f, e=e: mmult(e, e, e, f)))
+        cases.append((f"mtilde{e}", lambda f, e=e: m_tilde_formula(e, f)))
+    for parts in ((2, 1, 2, 1, 2, 1), (1, 2, 2, 1, 1, 2), (2, 2, 2, 2, 1, 3)):
+        cases.append(("block" + "".join(map(str, parts)), lambda f, p=parts: _block_limit(p, f)))
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+@pytest.mark.parametrize("name, make", _bound_cases(), ids=[name for name, _ in _bound_cases()])
+def test_capped_rank_is_the_rank_of_the_full_system(name, make, field):
+    t = make(field)
+    system = build_system(t)
+    m = system.matrix
+    if m.rows * m.cols <= 30000 and field is QQ:
+        want = naive_rank(matrix_rows(m))
+    elif m.rows * m.cols <= 30000:
+        want = naive_rank_mod_p([[x.val for x in m.row(i)] for i in range(m.rows)], FP.prime)
+    else:  # the rank with no kernel rows given: read every row, and over Q lift the kernel
+        want = rank(m)
+    assert system.orbit_dim() == orbit_dim(t) == want
+    assert system.stabilizer_dim() == stabilizer_dim(t) == m.cols - want
+
+
+def _count_component_rows(monkeypatch) -> list:
+    """Rows read by each elimination of a component (the calls that pass a cap)."""
+    read = []
+    eliminate = linalg._packed_eliminate
+
+    def counted(rows, cols, prime, pivots, cap=None):
+        if cap is None:
+            return eliminate(rows, cols, prime, pivots)
+        read.append(0)
+
+        class Counted:
+            def __len__(self):
+                return len(rows)
+
+            def __iter__(self):
+                for row in rows:
+                    read[-1] += 1
+                    yield row
+
+        return eliminate(Counted(), cols, prime, pivots, cap)
+
+    monkeypatch.setattr(linalg, "_packed_eliminate", counted)
+    return read
+
+
+def _fixed_7x7x7(field=QQ) -> Tensor:
+    rng = random.Random(9)
+    return Tensor((7, 7, 7), [rng.randint(-10**6, 10**6) for _ in range(343)], field)
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+def test_dense_7x7x7_stops_at_its_cap_with_no_lift(monkeypatch, field):
+    def refuse(*args):
+        raise AssertionError("the capped rank needs no lifted kernel")
+
+    for name in ("_back_solve", "_lifted_vectors", "_annihilates"):
+        monkeypatch.setattr(linalg, name, refuse)
+    read = _count_component_rows(monkeypatch)
+    system = build_system(_fixed_7x7x7(field))
+    cap = 147 - 2
+    assert system.orbit_dim() == cap
+    # one component, one prime: the strided order reaches the cap within two rows of it
+    assert len(read) == 1 and cap <= read[0] <= cap + 2
+
+
+def test_capped_rank_agrees_with_the_lifted_kernel_on_the_7x7x7():
+    m = build_system(_fixed_7x7x7()).matrix
+    assert len(lifted_kernel(m)) == 2 and rank(m) == 145
+
+
+def test_rank_rejects_kernel_rows_of_another_shape_or_field():
+    system = build_system(random_tensor((2, 2, 2), seed=1))
+    with pytest.raises(ShapeError):
+        rank(system.matrix, None, Matrix.zeros(1, 3))
+    with pytest.raises(ShapeError):
+        rank(system.matrix, None, Matrix.zeros(2, 12, FP))
+
+
+@pytest.mark.parametrize("name, make, digest", [
+    ("mmult3", lambda: mmult(3, 3, 3), "f7e8e83cb9614ce7"),
+    ("mtilde3", lambda: m_tilde_formula(3), "e47fdb4bf99c6b7e"),
+    ("rand444", lambda: random_tensor((4, 4, 4), seed=4, bound=9), "934ac76f49cfd827"),
+    ("rand234", lambda: random_tensor((2, 3, 4), seed=1, bound=9), "9f9a9d2df218fed5"),
+    ("mmult2fp", lambda: mmult(2, 2, 2, FP), "c3d4350096b91353"),
+    ("rand333fp", lambda: random_tensor((3, 3, 3), seed=2, field=FP, bound=9), "4cbc6e611b67a77a"),
+])
+def test_stabilizer_tuples_are_unchanged(name, make, digest):
+    # digests of the tuples as computed before ranks were capped by the scalar rows
+    tuples = [[[str(x) for x in m.entries] for m in tup] for tup in stabilizer_tuples(make())]
+    assert hashlib.sha256(repr(tuples).encode()).hexdigest()[:16] == digest
