@@ -17,7 +17,7 @@ from .errors import (
     SingularMatrixError,
     TngeomError,
 )
-from .fields import DEFAULT_PRIME, QQ, Field, Fp, PrimeField, RationalField
+from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField
 from .linalg import (
     Matrix,
     inverse,

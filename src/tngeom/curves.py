@@ -25,9 +25,13 @@ from .tensors import Tensor, apply_end
 from .zoo import Splitting
 
 
-def _power(t, p: int):
-    """t**p in t's field; a rational int is raised as a Fraction, so a negative power stays exact."""
-    return Fraction(t) ** p if isinstance(t, int) else t**p
+def _power(t, p: int) -> Fraction:
+    """t**p as a Fraction, so a negative power stays exact over both fields.
+
+    ``scale`` coerces it into the field: over Fp, t is a residue, and the
+    denominator of a negative power is inverted mod p.
+    """
+    return Fraction(t) ** p
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,22 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Two backends share one interface.  Rational scalars are plain Python
-values: an ``int`` when the denominator is 1, and otherwise a
-``fractions.Fraction``, which the standard library keeps in reduced form
-with positive denominator.  Integer arithmetic is several times cheaper
-than Fraction arithmetic, and most tensors hold integers.  Dividing two
-ints gives a float, so code that divides rational scalars divides
-Fractions (``Fraction(a, b)``).  Prime field scalars are ``Fp``
-instances carrying their modulus; operator overloading lets all matrix and
-tensor code run unchanged over either backend.
+Scalars are plain Python numbers over both fields, so all matrix and
+tensor code runs unchanged over either.  Rational scalars are an ``int``
+when the denominator is 1, and otherwise a ``fractions.Fraction``, which
+the standard library keeps in reduced form with positive denominator.
+Integer arithmetic is several times cheaper than Fraction arithmetic, and
+most tensors hold integers.  Dividing two ints gives a float, so code that
+divides rational scalars divides Fractions (``Fraction(a, b)``).  A scalar
+of Z/pZ is an ``int`` in [0, p).  There is no wrapper class: arithmetic
+runs on ints and may leave [0, p), and ``linalg.SparseArray`` reduces
+the values mod p, dropping the zeros, where a matrix or tensor stores
+them.  A scalar that is not stored in one is reduced by ``coerce``.  The
+two fields are kept apart by the containers, which refuse operands over
+different fields.
 
 A field object (``QQ`` or ``PrimeField(p)``) is responsible for coercing
-ints and Fractions into its scalar type.  Serialized scalars are parsed
-and printed in one place, ``jsonio.parse_scalar`` and ``scalar_to_str``.
+ints and Fractions into its scalars.  Serialized scalars are parsed and
+printed in one place, ``jsonio.parse_scalar`` and ``scalar_to_str``.
 """
 
 from __future__ import annotations
@@ -48,77 +52,6 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
-class Fp:
-    """Element of Z/pZ.  Mixing moduli or mixing with Fraction raises."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val: int, p: int):
-        self.val = val % p
-        self.p = p
-
-    def _lift(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise FieldMismatchError(f"moduli differ: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return Fp(other, self.p)
-        raise FieldMismatchError(f"cannot mix Fp with {type(other).__name__}")
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return Fp(self.val + o.val, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return Fp(self.val - o.val, self.p)
-
-    def __rsub__(self, other):
-        return self._lift(other).__sub__(self)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return Fp(self.val * o.val, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o.val == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return Fp(self.val * pow(o.val, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return self._lift(other).__truediv__(self)
-
-    def __neg__(self):
-        return Fp(-self.val, self.p)
-
-    def __pow__(self, k: int):
-        if k < 0 and not self.val:
-            raise ZeroDivisionError("zero has no inverse in a prime field")
-        return Fp(pow(self.val, k, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, Fp):
-            return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return f"Fp({self.val}, p={self.p})"
-
-
 class RationalField:
     """Field of rationals; scalars are ints, or Fractions whose denominator is not 1."""
 
@@ -130,8 +63,6 @@ class RationalField:
     def coerce(self, x) -> int | Fraction:
         if type(x) is int:
             return x
-        if isinstance(x, Fp):
-            raise FieldMismatchError("cannot coerce prime field scalar to rational")
         q = x if isinstance(x, Fraction) else Fraction(x)
         return q.numerator if q.denominator == 1 else q
 
@@ -146,9 +77,11 @@ class RationalField:
 
 
 class PrimeField:
-    """Field Z/pZ for a prime p.  p must exceed 2**30."""
+    """Field Z/pZ for a prime p > 2**30; scalars are ints in [0, p)."""
 
     name = "Fp"
+    zero = 0
+    one = 1
 
     def __init__(self, p: int):
         if p <= 2**30:
@@ -157,26 +90,14 @@ class PrimeField:
             raise SemanticError(f"{p} is not prime")
         self.prime = p
 
-    def coerce(self, x) -> Fp:
-        if isinstance(x, Fp):
-            if x.p != self.prime:
-                raise FieldMismatchError(f"moduli differ: {self.prime} vs {x.p}")
-            return x
+    def coerce(self, x) -> int:
         if isinstance(x, int):
-            return Fp(x, self.prime)
+            return x % self.prime
         if isinstance(x, Fraction):
             if x.denominator % self.prime == 0:
                 raise SemanticError(f"denominator of {x} vanishes mod {self.prime}")
-            return Fp(x.numerator * pow(x.denominator, -1, self.prime), self.prime)
+            return x.numerator * pow(x.denominator, -1, self.prime) % self.prime
         raise FieldMismatchError(f"cannot coerce {type(x).__name__} into prime field")
-
-    @property
-    def zero(self) -> Fp:
-        return Fp(0, self.prime)
-
-    @property
-    def one(self) -> Fp:
-        return Fp(1, self.prime)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.prime == self.prime

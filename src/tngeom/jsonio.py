@@ -1,7 +1,9 @@
 """JSON wire formats.
 
 All scalars travel as strings ("3", "-7/2", prime-field residues as
-decimal digits) so nothing is ever rounded.  Serialization is
+decimal digits) so nothing is ever rounded.  A scalar string with an
+exponent ("1e3") is refused, since a short one can stand for an integer
+of millions of digits.  Serialization is
 deterministic: fixed key order, nonzero tensor entries in lexicographic
 index order, two-space indentation, trailing newline.
 
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .curves import MatrixCurve
 from .errors import FormatError
-from .fields import Field, Fp
+from .fields import Field
 from .linalg import Matrix
 from .networks import NetworkGraph, TNSInstance
 from .tensors import Tensor
@@ -43,7 +45,7 @@ def dump(obj, fh) -> None:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the int digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
 
 
@@ -81,8 +83,6 @@ def _field_key(d: dict, key: str, what: str):
 
 
 def scalar_to_str(x) -> str:
-    if isinstance(x, Fp):
-        return str(x.val)
     return str(x)
 
 
@@ -90,6 +90,8 @@ def parse_scalar(s, field: Field):
     if isinstance(s, int) and not isinstance(s, bool):
         return field.coerce(s)
     _require(isinstance(s, str), f"scalar must be a string, got {type(s).__name__}")
+    # Fraction would read an exponent, and "1e30000000" would build a 30-million-digit int
+    _require("e" not in s and "E" not in s, f"bad scalar {s!r}: exponents are not accepted")
     try:
         q = Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

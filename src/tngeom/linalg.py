@@ -17,8 +17,8 @@ rank 145, its cap: 145 rows are read, and the exact rank over Q takes
 0.04 s, against 0.1 s for all rows, back-solve, lift and check (2-core
 host, Python 3.11).
 
-Rows are read mod p in one pass and reduced in place
-(``_residue_rows``), so one set of rows is held.  Over Q an int entry
+Rows are read mod p in one pass (``_residue_rows``), so one set of rows
+is held: over Fp as they are stored, over Q reduced in place.  An int entry
 is reduced as it is, with no lcm or content pass; only a matrix that
 holds a Fraction has each row multiplied by the lcm of its denominators
 first (``_integral_rows``), so no denominator is inverted mod p.  Each
@@ -50,7 +50,9 @@ pack the vectors into one int per column (``_annihilates``).
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
 mostly-zero system costs memory in proportion to its nonzeros.  The dense
-``entries`` tuple is built on demand.
+``entries`` tuple is built on demand.  Over Fp the values are ints, reduced
+mod p where they are stored (``SparseArray._fill``), so every stored value
+is a residue in [0, p) and the operations need no branch on the field.
 """
 
 from __future__ import annotations
@@ -96,13 +98,16 @@ class SparseArray:
         self._fill(shape, {k: v for k, v in enumerate(vals) if v}, field)
 
     def _fill(self, shape: tuple[int, ...], nz: dict, field: Field) -> None:
+        """Set the attributes; over Fp the values are reduced mod p here, and the zeros dropped."""
+        if p := field.prime:
+            nz = {k: r for k, v in nz.items() if (r := v % p)}
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "_nz", nz)
 
     @classmethod
     def _from_flat(cls, shape: tuple[int, ...], nz: dict, field: Field):
-        """Wrap a {flat_index: nonzero field scalar} dict without copying it."""
+        """Wrap a {flat_index: nonzero scalar} dict; it is copied only to be reduced mod p."""
         a = object.__new__(cls)
         a._fill(shape, nz, field)
         return a
@@ -263,13 +268,14 @@ class Matrix(SparseArray):
         """Matrix times column vector."""
         if len(vec) != self.cols:
             raise ShapeError("vector length mismatch")
-        v = [self.field.coerce(x) for x in vec]
-        out = [self.field.zero] * self.rows
+        f = self.field
+        v = [f.coerce(x) for x in vec]
+        out = [f.zero] * self.rows
         for (i, j), a in self.nonzeros():
             x = v[j]
             if x:
                 out[i] = out[i] + a * x
-        return out
+        return [f.coerce(x) for x in out]
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
@@ -485,23 +491,20 @@ def _integral_rows(m: Matrix):
 
 
 def _residue_rows(m: Matrix, prime: int = DEFAULT_PRIME) -> tuple[list[dict], int]:
-    """Nonzero rows of residues mod a prime, each reduced in place, and the prime.
+    """Nonzero rows of residues mod a prime, and the prime.
 
-    Over Fp the prime is the field's.  Over Q it is the one given, and the
-    rows are read as integers (``_integral_rows``), so no denominator is
-    inverted mod p; an entry divisible by p leaves a zero residue.
+    Over Fp the prime is the field's, and the stored values are residues
+    already.  Over Q it is the one given, and the rows are read as
+    integers (``_integral_rows``) and reduced in place, so no denominator
+    is inverted mod p; an entry divisible by p leaves a zero residue.
     """
-    if m.field.prime is None:
-        rows = list(_integral_rows(m))
-        for row in rows:
-            for c, v in row.items():
-                row[c] = v % prime
-        return rows, prime
-    rows = [row for _, row in _rows(m)]
+    if m.field.prime is not None:
+        return [row for _, row in _rows(m)], m.field.prime
+    rows = list(_integral_rows(m))
     for row in rows:
         for c, v in row.items():
-            row[c] = v.val
-    return rows, m.field.prime
+            row[c] = v % prime
+    return rows, prime
 
 
 def rank(m: Matrix, labels: Sequence[int] | None = None, kernel: Matrix | None = None) -> int:

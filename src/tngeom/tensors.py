@@ -253,7 +253,7 @@ def eval_multilinear(t: Tensor, args) -> object:
             if not term:
                 break
         acc = acc + term
-    return acc
+    return t.field.coerce(acc)
 
 
 def eval_trilinear(t: Tensor, p, q, r) -> object:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -224,6 +226,28 @@ def test_exit_2_on_bad_prime(triangle_files, capsys):
     assert code == 2 and "prime" in err
 
 
+def test_exit_2_on_a_json_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.loads raises a ValueError that is not a JSONDecodeError past 4300 digits
+    p = tmp_path / "huge.json"
+    p.write_text('{"shape": [1], "entries": [{"idx": [0], "val": ' + "7" * 5001 + "}]}")
+    for field in ("rational", "fp"):
+        start = time.perf_counter()
+        code, out, err = run(["stabilizer", p, "--field", field], capsys)
+        assert code == 2 and out == "" and "invalid JSON" in err
+        assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("val", ["1e30000000", "1E30000000", "-2e-3", "1/1e9"])
+def test_exit_2_at_once_on_a_scalar_with_an_exponent(tmp_path, capsys, val):
+    # Fraction would read "1e30000000" as an int of 30 million digits
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({"shape": [2], "entries": [{"idx": [0], "val": "1"}, {"idx": [1], "val": val}]}))
+    start = time.perf_counter()
+    code, out, err = run(["stabilizer", p], capsys)
+    assert code == 2 and out == "" and "exponent" in err
+    assert time.perf_counter() - start < 1
+
+
 def test_exit_3_on_semantic_error(tmp_path, capsys):
     obj = {"vertices": [{"id": 1, "dim": 2}],
            "edges": [{"id": 1, "tail": 1, "head": 1, "dim": 2}]}
@@ -254,6 +278,24 @@ def test_reports_are_byte_stable(triangle_files, tmp_path, capsys):
     assert main(["certify", "--e", "2", "--out", str(a)]) == 0
     assert main(["certify", "--e", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    # sha256 of each report as the code wrote it when prime-field scalars were a wrapper class
+    digests = {
+        ("fp", "contract"): "a7859ff54a2b1a508048a8772e29e0aab89ba56317853dd0b599829b87bd2d34",
+        ("fp", "stabilizer"): "6fcd50bb3e824d8606817420a746798879ce9c18567c57c92f1d3fd8f516ae86",
+        ("fp", "certify"): "c2f7e605f210aa20cc5c6e1b7581bfedbe10938783cd650b644514ea4ad14209",
+        ("fp", "limit"): "247437e4aa56f4d9246ca9777e032c7048fd895230e721d7ea336b0d3729a647",
+        ("fp", "dim"): "d4dcdba00fbe346793e0c5d3f761a40bbebf8272945260b49f6da409afbaeb57",
+        ("rational", "contract"): "a7859ff54a2b1a508048a8772e29e0aab89ba56317853dd0b599829b87bd2d34",
+        ("rational", "stabilizer"): "722f0e448f73a1cb2d90a810f870bc41e4152b3631294a578c96c56f37df2fe3",
+        ("rational", "certify"): "5530e00105ef7fe0db34fd244156e4931131e1051e05c859b293a242cf570800",
+        ("rational", "limit"): "247437e4aa56f4d9246ca9777e032c7048fd895230e721d7ea336b0d3729a647",
+        ("rational", "dim"): "2e8d2bb7ca2b99665233aeaaf09fa308302418057f37f1c34ab7dec1e330e63d",
+    }
+    commands = {"contract": [triangle_files["instance"]], "stabilizer": [triangle_files["tensor"]],
+                "certify": ["--e", "3"], "limit": ["--e", "2"], "dim": [triangle_files["graph"]]}
+    for (field, command), digest in digests.items():
+        assert main([command, *map(str, commands[command]), "--field", field, "--out", str(a)]) == 0
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, (field, command)
 
 
 def test_module_entry_point():

@@ -7,6 +7,8 @@ dimensions rather than a single lucky topology.
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -34,6 +36,8 @@ from tngeom import (
     rank_modulo_primes,
 )
 from tngeom.curves import MatrixCurve
+from tngeom.linalg import kernel_basis, kron
+from tngeom.tensors import Tensor, eval_multilinear, mode_apply, tensordot
 
 # graph pool shared by the network-level families; seed picks one
 GRAPHS = [
@@ -164,3 +168,75 @@ def test_prime_field_contraction_matches_rational_reduction():
         lifted = {idx: fp.coerce(val) for idx, val in over_q.nonzeros()}
         got = dict(over_p.nonzeros())
         assert {k: v for k, v in lifted.items() if v != fp.zero} == got
+
+
+def _entries(rng, n: int) -> list[int]:
+    """n ints, a third of them zero, the others of up to 40 bits of either sign, so most pass the prime."""
+    return [0 if rng.random() < 1 / 3 else rng.randint(-2**40, 2**40) for _ in range(n)]
+
+
+def _assert_residues(over_p, over_q, fp):
+    """over_p stores canonical residues only, and they are over_q's values reduced mod p."""
+    assert over_p.field == fp and type(over_p) is type(over_q) and over_p.shape == over_q.shape
+    assert all(type(v) is int and 0 < v < fp.prime for v in over_p._nz.values())
+    assert over_p._nz == {k: r for k, v in over_q._nz.items() if (r := fp.coerce(v))}
+
+
+def _assert_scalars(over_p, over_q, fp):
+    assert len(over_p) == len(over_q)
+    for x, y in zip(over_p, over_q):
+        assert type(x) is int and 0 <= x < fp.prime and x == fp.coerce(y)
+
+
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from(PRIMES))
+def test_prime_field_values_stay_canonical_residues(seed, p):
+    # the packed elimination's slot width assumes every slot starts below the prime
+    rng = random.Random(seed)
+    fp = PrimeField(p)
+
+    def both(build, n):
+        """The same ints read over Fp and over Q."""
+        ents = _entries(rng, n)
+        return build(ents, fp), build(ents, QQ)
+
+    pairs = {
+        "a": both(lambda e, f: Matrix(3, 4, e, f), 12),
+        "b": both(lambda e, f: Matrix(3, 4, e, f), 12),
+        "c": both(lambda e, f: Matrix(4, 2, e, f), 8),
+        "s": both(lambda e, f: Matrix(3, 3, e, f), 9),
+        "t": both(lambda e, f: Tensor((4, 2, 3), e, f), 24),
+        "u": both(lambda e, f: Tensor((3, 2), e, f), 6),
+    }
+    frac = Fraction(rng.randint(1, 10**6), rng.randint(2, 10**6))
+    t_value = rng.randint(1, p - 1) + p * rng.randint(0, 2**9)  # nonzero mod p
+    ops = [
+        lambda a, b, **_: a + b,
+        lambda a, b, **_: a - b,
+        lambda a, **_: -a,
+        lambda a, **_: a.scale(2**45 + 3),
+        lambda a, **_: a.scale(frac),
+        lambda a, c, **_: a @ c,
+        lambda a, c, **_: kron(a, c),
+        lambda a, **_: a.transpose(),
+        lambda t, u, **_: tensordot(t, u, [(2, 0)]),
+        lambda t, a, **_: mode_apply(t, a, 0),
+        lambda t, s, **_: leibniz_act(t, [None, None, s]),
+        lambda t, **_: flatten(t, 1),
+        lambda s, **_: MatrixCurve(((-2, s), (0, s.transpose()), (1, s @ s))).evaluate(t_value),
+    ]
+    for op in ops:
+        _assert_residues(op(**{k: v[0] for k, v in pairs.items()}), op(**{k: v[1] for k, v in pairs.items()}), fp)
+    # a unit lower times a unit upper triangular matrix has determinant 1 over Q and mod p
+    lower = [[int(i == j) or (rng.randint(-2**40, 2**40) if i > j else 0) for j in range(4)] for i in range(4)]
+    upper = [[int(i == j) or (rng.randint(-2**40, 2**40) if i < j else 0) for j in range(4)] for i in range(4)]
+    unimodular = [Matrix.from_rows(lower, f) @ Matrix.from_rows(upper, f) for f in (fp, QQ)]
+    _assert_residues(inverse(unimodular[0]), inverse(unimodular[1]), fp)
+    wide = both(lambda e, f: Matrix(2, 5, e, f), 10)
+    basis = [kernel_basis(m) for m in wide]
+    assert len(basis[0]) == len(basis[1]) == 5 - rank(wide[1])
+    for vp, vq in zip(*basis):
+        _assert_scalars(vp, vq, fp)
+    vec = [rng.randint(-2**40, 2**40), frac, -frac, 0]
+    _assert_scalars(pairs["a"][0].apply(vec), pairs["a"][1].apply(vec), fp)
+    args = [_entries(rng, n) for n in (4, 2, 3)]
+    _assert_scalars([eval_multilinear(pairs["t"][0], args)], [eval_multilinear(pairs["t"][1], args)], fp)

@@ -33,6 +33,16 @@ def test_certificate_sweep():
     ]
 
 
+def test_certificate_sweep_over_fp():
+    # the table over Q, leading powers included; the last column is the time
+    rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4", "--field", "fp"))
+    assert [row[:-1] for row in rows] == [
+        ["2", "11", "12", "1", "not_closed_certified"],
+        ["3", "26", "30", "1", "not_closed_certified"],
+        ["4", "47", "56", "1", "not_closed_certified"],
+    ]
+
+
 def test_loop_dimension_scan():
     for field in ("fp", "rational"):
         rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", field))
