@@ -1,9 +1,11 @@
 """JSON wire formats.
 
 All scalars travel as strings ("3", "-7/2", prime-field residues as
-decimal digits) so nothing is ever rounded.  A scalar string with an
-exponent ("1e3") is refused, since a short one can stand for an integer
-of millions of digits.  Serialization is
+decimal digits) so nothing is ever rounded.  A scalar string must read
+-?[0-9]+(/[0-9]+)? in ASCII: anything else (an exponent, whose short
+"1e30000000" stands for an integer of millions of digits, a decimal
+point, a sign "+", spaces, underscores, non-ASCII digits) is refused
+before any number is built.  Serialization is
 deterministic: fixed key order, nonzero tensor entries in lexicographic
 index order, two-space indentation, trailing newline.
 
@@ -16,10 +18,12 @@ constructors, which raise SemanticError subclasses.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 
 from .curves import MatrixCurve
-from .errors import FormatError
+from .errors import FormatError, SemanticError
 from .fields import Field
 from .linalg import Matrix
 from .networks import NetworkGraph, TNSInstance
@@ -82,20 +86,34 @@ def _field_key(d: dict, key: str, what: str):
     return d[key]
 
 
+_SCALAR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _abbrev(s: str) -> str:
+    return repr(s) if len(s) <= 40 else f"{s[:40]!r}... ({len(s)} characters)"
+
+
 def scalar_to_str(x) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError as exc:  # an integer past Python's limit for writing one as text
+        raise SemanticError(f"a report scalar has more than {sys.get_int_max_str_digits()} digits, "
+                            "Python's limit for writing an integer as text") from exc
 
 
 def parse_scalar(s, field: Field):
     if isinstance(s, int) and not isinstance(s, bool):
         return field.coerce(s)
     _require(isinstance(s, str), f"scalar must be a string, got {type(s).__name__}")
-    # Fraction would read an exponent, and "1e30000000" would build a 30-million-digit int
-    _require("e" not in s and "E" not in s, f"bad scalar {s!r}: exponents are not accepted")
+    m = _SCALAR.fullmatch(s)
+    if m is None:
+        raise FormatError(f"bad scalar {_abbrev(s)}: a scalar reads -?[0-9]+(/[0-9]+)? in ASCII digits, "
+                          "with no exponent, decimal point, '+' or spaces")
+    num, den = m.groups()
     try:
-        q = Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"bad scalar {s!r}: {exc}") from exc
+        q = int(num) if den is None else Fraction(int(num), int(den))
+    except (ValueError, ZeroDivisionError) as exc:  # an integer past the digit limit, or a zero denominator
+        raise FormatError(f"bad scalar {_abbrev(s)}: {exc}") from exc
     return field.coerce(q)
 
 

@@ -26,7 +26,6 @@ from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable her
     INSTANCE_ENTRY_BOUND,
     Tensor,
     contract_pair,
-    lin_index,
     mode_apply,
     outer,
     tensordot,
@@ -107,16 +106,16 @@ class NetworkGraph:
     def edge_product(self, vid: int) -> int:
         return prod((e.dim for e in self.incident(vid)), start=1)
 
+    def _axis_edges(self, vid: int) -> list[Edge]:
+        """The edges behind a vertex tensor's axes after the vertex axis, in axis order."""
+        return self.in_edges(vid) + self.out_edges(vid)
+
     def tensor_shape(self, vid: int) -> tuple[int, ...]:
-        v = self.vertex(vid)
-        return (v.dim, *(e.dim for e in self.in_edges(vid)), *(e.dim for e in self.out_edges(vid)))
+        return (self.vertex(vid).dim, *(e.dim for e in self._axis_edges(vid)))
 
     def axis_labels(self, vid: int) -> list[tuple]:
         """Label per tensor axis: ('v', vid) or ('e', edge_id)."""
-        labels = [("v", vid)]
-        labels += [("e", e.id) for e in self.in_edges(vid)]
-        labels += [("e", e.id) for e in self.out_edges(vid)]
-        return labels
+        return [("v", vid), *(("e", e.id) for e in self._axis_edges(vid))]
 
 
 def classify_vertex(g: NetworkGraph, vid: int) -> str:
@@ -304,6 +303,39 @@ class MergeStep:
     new_dim: int
 
 
+def _fold(dims: dict, edges: dict, step: MergeStep) -> None:
+    """Check one merge step against a fold state and apply it in place.
+
+    The state is {vertex id: dim}, in the graph's vertex order, and
+    {edge id: (tail, head, dim)}.  The step's edge must join its two
+    vertices, new_dim must be the product of their dimensions, and the
+    removed vertex must fit inside the edge.  That last check is what lets
+    reduction_preimage unpack by relabelling: the fused index is
+    z * d_target + w with z below the edge dimension, so the fused
+    tensor's row-major keys are already its keys for the shape
+    (edge dim, d_target, *other axes).
+    """
+    if step.edge not in edges or step.removed not in dims or step.target not in dims:
+        raise SemanticError(f"merge log step {step} does not match the graph")
+    tail, head, e_dim = edges[step.edge]
+    if {tail, head} != {step.removed, step.target}:
+        raise SemanticError(f"edge {step.edge} does not join {step.removed} and {step.target}")
+    if step.new_dim != dims[step.removed] * dims[step.target]:
+        raise SemanticError(f"merge log step {step} has inconsistent dimension")
+    if dims[step.removed] > e_dim:
+        raise SemanticError(f"merge log step {step} removes a vertex larger than its edge")
+    del edges[step.edge]
+    dims[step.target] = step.new_dim
+    del dims[step.removed]
+
+
+def _fold_graph(dims: dict, edges: dict) -> NetworkGraph:
+    return NetworkGraph(
+        tuple(Vertex(vid, d) for vid, d in dims.items()),
+        tuple(Edge(eid, *edges[eid]) for eid in sorted(edges)),
+    )
+
+
 def reduce_valence_one(g: NetworkGraph) -> tuple[NetworkGraph, tuple[MergeStep, ...]]:
     """Repeatedly fold valence-one vertices that fit inside their edge.
 
@@ -312,58 +344,20 @@ def reduce_valence_one(g: NetworkGraph) -> tuple[NetworkGraph, tuple[MergeStep, 
     major).  Candidates are processed by ascending vertex id; the merge log
     records each step.
     """
-    vertices = {v.id: v.dim for v in g.vertices}
+    dims = {v.id: v.dim for v in g.vertices}
     edges = {e.id: (e.tail, e.head, e.dim) for e in g.edges}
     log: list[MergeStep] = []
     while True:
-        candidate = None
-        for vid in sorted(vertices):
+        for vid in sorted(dims):
             inc = [eid for eid, (t, h, _) in edges.items() if vid in (t, h)]
-            if len(inc) != 1:
-                continue
-            eid = inc[0]
-            if vertices[vid] <= edges[eid][2]:
-                candidate = (vid, eid)
+            if len(inc) == 1 and dims[vid] <= edges[inc[0]][2]:
+                tail, head, _ = edges[inc[0]]
+                other = head if tail == vid else tail
+                log.append(MergeStep(removed=vid, edge=inc[0], target=other, new_dim=dims[vid] * dims[other]))
+                _fold(dims, edges, log[-1])
                 break
-        if candidate is None:
-            break
-        vid, eid = candidate
-        tail, head, _ = edges.pop(eid)
-        other = head if tail == vid else tail
-        new_dim = vertices[vid] * vertices[other]
-        log.append(MergeStep(removed=vid, edge=eid, target=other, new_dim=new_dim))
-        vertices[other] = new_dim
-        del vertices[vid]
-    new_g = NetworkGraph(
-        tuple(Vertex(v.id, vertices[v.id]) for v in g.vertices if v.id in vertices),
-        tuple(Edge(eid, *edges[eid]) for eid in sorted(edges)),
-    )
-    return new_g, tuple(log)
-
-
-def _replay_merges(g: NetworkGraph, merges) -> list[NetworkGraph]:
-    """Graphs along a merge log, starting at g and ending at the reduced one."""
-    graphs = [g]
-    dims = {v.id: v.dim for v in g.vertices}
-    edges = {e.id: (e.tail, e.head, e.dim) for e in g.edges}
-    order = [v.id for v in g.vertices]
-    for m in merges:
-        if m.edge not in edges or m.removed not in dims or m.target not in dims:
-            raise SemanticError(f"merge log step {m} does not match the graph")
-        tail, head, _ = edges[m.edge]
-        if {tail, head} != {m.removed, m.target}:
-            raise SemanticError(f"edge {m.edge} does not join {m.removed} and {m.target}")
-        if m.new_dim != dims[m.removed] * dims[m.target]:
-            raise SemanticError(f"merge log step {m} has inconsistent dimension")
-        del edges[m.edge]
-        dims[m.target] = m.new_dim
-        del dims[m.removed]
-        order = [vid for vid in order if vid != m.removed]
-        graphs.append(NetworkGraph(
-            tuple(Vertex(vid, dims[vid]) for vid in order),
-            tuple(Edge(eid, *edges[eid]) for eid in sorted(edges)),
-        ))
-    return graphs
+        else:
+            return _fold_graph(dims, edges), tuple(log)
 
 
 def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstance:
@@ -374,40 +368,26 @@ def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstanc
     and the fused tensor is unpacked onto the neighbor with the edge axis
     carrying the removed vertex's index.  Contracting the lift reproduces
     the reduced instance's contraction with each fused axis split in two.
+    Each step is checked as it is replayed (_fold).
     """
-    graphs = _replay_merges(g, merges)
+    dims = {v.id: v.dim for v in g.vertices}
+    edges = {e.id: (e.tail, e.head, e.dim) for e in g.edges}
+    graphs = [_fold_graph(dims, edges)]
+    for m in merges:
+        _fold(dims, edges, m)
+        graphs.append(_fold_graph(dims, edges))
     if inst.graph != graphs[-1]:
         raise SemanticError("instance graph does not match the reduced graph")
     tensors = dict(inst.tensors)
-    for k in range(len(merges) - 1, -1, -1):
-        m = merges[k]
-        fine, coarse = graphs[k], graphs[k + 1]
-        d_z = fine.vertex(m.removed).dim
-        d_w = fine.vertex(m.target).dim
-        e_dim = fine.edge(m.edge).dim
-        field = tensors[m.target].field
-
+    for m, fine, coarse in reversed(list(zip(merges, graphs, graphs[1:]))):
+        d_z, d_w, e_dim = fine.vertex(m.removed).dim, fine.vertex(m.target).dim, fine.edge(m.edge).dim
+        fused = tensors.pop(m.target)
+        field = fused.field
         emb = {i * e_dim + i: field.one for i in range(d_z)}
         tensors[m.removed] = Tensor._from_flat((d_z, e_dim), emb, field)
-
-        fused = tensors.pop(m.target)
-        old_labels = coarse.axis_labels(m.target)
-        new_labels = fine.axis_labels(m.target)
-        new_shape = tuple(
-            d_w if lab == ("v", m.target) else fine.edge(lab[1]).dim
-            for lab in new_labels
-        )
-        slot = {lab: p for p, lab in enumerate(new_labels)}
-        data = {}
-        for idx, val in fused.nonzeros():
-            a, j = divmod(idx[0], d_w)
-            new_idx = [0] * len(new_labels)
-            new_idx[0] = j
-            new_idx[slot[("e", m.edge)]] = a
-            for p, lab in enumerate(old_labels[1:], start=1):
-                new_idx[slot[lab]] = idx[p]
-            data[lin_index(tuple(new_idx), new_shape)] = val
-        tensors[m.target] = Tensor._from_flat(new_shape, data, field)
+        split = Tensor._from_flat((e_dim, d_w, *fused.shape[1:]), fused._nz, field)
+        labels = [("e", m.edge), ("v", m.target), *coarse.axis_labels(m.target)[1:]]
+        tensors[m.target] = transpose_axes(split, [labels.index(lab) for lab in fine.axis_labels(m.target)])
     return TNSInstance(g, tensors)
 
 

@@ -248,6 +248,39 @@ def test_exit_2_at_once_on_a_scalar_with_an_exponent(tmp_path, capsys, val):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("val", [
+    "0.5", "1_000", " 3", "+4", "\u0663",  # the last is the Arabic-Indic digit three
+    pytest.param("0." + "0" * 3_000_000, id="a-decimal-of-three-million-zeros"),
+])
+def test_exit_2_at_once_on_a_scalar_outside_the_grammar(tmp_path, capsys, val):
+    # Fraction reads each of these; a scalar string is -?[0-9]+(/[0-9]+)? in ASCII digits
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"shape": [2], "entries": [{"idx": [0], "val": "1"}, {"idx": [1], "val": val}]}))
+    start = time.perf_counter()
+    code, out, err = run(["stabilizer", p], capsys)
+    assert code == 2 and out == "" and "bad scalar" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_exit_3_on_a_report_scalar_past_the_digit_limit(tmp_path, capsys):
+    # each 3000-digit entry is readable, but the contraction has entries of about 6000 digits
+    big = "9" * 3000
+    inst = {"vertices": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+            "edges": [{"id": 1, "tail": 1, "head": 2, "dim": 2}],
+            "tensors": {str(v): {"shape": [2, 2], "entries": [{"idx": [i, j], "val": big}
+                                                              for i in range(2) for j in range(2)]}
+                        for v in (1, 2)}}
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(inst))
+    target = tmp_path / "out.json"
+    start = time.perf_counter()
+    code, out, err = run(["contract", p, "--out", target], capsys)
+    assert code == 3 and out == ""
+    assert "4300 digits" in err
+    assert not target.exists()
+    assert time.perf_counter() - start < 1
+
+
 def test_exit_3_on_semantic_error(tmp_path, capsys):
     obj = {"vertices": [{"id": 1, "dim": 2}],
            "edges": [{"id": 1, "tail": 1, "head": 1, "dim": 2}]}
@@ -296,6 +329,23 @@ def test_reports_are_byte_stable(triangle_files, tmp_path, capsys):
     for (field, command), digest in digests.items():
         assert main([command, *map(str, commands[command]), "--field", field, "--out", str(a)]) == 0
         assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, (field, command)
+    # a chain that folds, and a tree whose file lists vertices and edges out of id order
+    chain = tmp_path / "chain.json"
+    chain.write_text(jsonio.dumps(jsonio.graph_to_obj(chain_graph((2, 4, 4, 2), (2, 2, 2)))))
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({
+        "vertices": [{"id": 5, "dim": 6}, {"id": 2, "dim": 2}, {"id": 9, "dim": 3}, {"id": 1, "dim": 4},
+                     {"id": 7, "dim": 1}],
+        "edges": [{"id": 4, "tail": 5, "head": 2, "dim": 2}, {"id": 1, "tail": 9, "head": 5, "dim": 3},
+                  {"id": 3, "tail": 5, "head": 1, "dim": 2}, {"id": 2, "tail": 1, "head": 7, "dim": 2}],
+    }))
+    reduce_digests = {
+        chain: "db2e6f80d122e6e35025d6708cce836051d2296af721a09305e5b8bcb0dba1b5",
+        tree: "b32c51faf50ffa45304f6ba913a995faa7c80ec24a66cf37fe349d8d0ade164e",
+    }
+    for path, digest in reduce_digests.items():
+        assert main(["reduce", str(path), "--out", str(a)]) == 0
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, path.name
 
 
 def test_module_entry_point():

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.linalg import Matrix, random_invertible
 from tngeom.networks import (
+    MergeStep,
     NetworkGraph,
     TNSInstance,
     chain_graph,
@@ -232,6 +234,51 @@ def test_reduction_preimage_rejects_mismatched_instance():
     inst = random_instance(other, seed=0)
     with pytest.raises(SemanticError):
         reduction_preimage(g, merges, inst)
+
+
+# chain 1(3) -e1-> 2(2) -e2-> 3(2); each log below folds it, or tries to, down to one vertex
+_CHAIN_322 = chain_graph((3, 2, 2), (2, 2))
+
+
+@pytest.mark.parametrize("merges", [
+    [MergeStep(removed=3, edge=9, target=2, new_dim=4)],  # unknown edge
+    [MergeStep(removed=3, edge=1, target=2, new_dim=4)],  # edge 1 joins 1 and 2, not 3 and 2
+    [MergeStep(removed=3, edge=2, target=2, new_dim=5)],  # new_dim is not 2 * 2
+    [MergeStep(removed=2, edge=2, target=3, new_dim=4)],  # vertex 2 keeps edge 1
+    [MergeStep(removed=3, edge=2, target=2, new_dim=4),
+     MergeStep(removed=1, edge=1, target=2, new_dim=12)],  # vertex 1 (dim 3) does not fit in edge 1 (dim 2)
+], ids=["unknown-edge", "edge-off-the-pair", "wrong-new-dim", "removed-keeps-an-edge", "removed-larger-than-edge"])
+def test_reduction_preimage_refuses_a_malformed_merge_log(merges):
+    inst = random_instance(NetworkGraph.build([(2, 12)], []), seed=0)
+    with pytest.raises(SemanticError):
+        reduction_preimage(_CHAIN_322, merges, inst)
+
+
+@st.composite
+def trees(draw):
+    """A tree on 1-9 vertices with shuffled vertex and edge ids, listed out of
+    id order, and with random edge orientations."""
+    n = draw(st.integers(1, 9))
+    vids = draw(st.permutations(range(1, n + 1)))
+    eids = draw(st.permutations(range(1, n)))
+    vertices = [(vid, draw(st.integers(1, 3))) for vid in vids]
+    edges = []
+    for k in range(1, n):
+        ends = (vids[k], vids[draw(st.integers(0, k - 1))])
+        tail, head = ends if draw(st.booleans()) else ends[::-1]
+        edges.append((eids[k - 1], tail, head, draw(st.integers(1, 3))))
+    return NetworkGraph.build(draw(st.permutations(vertices)), draw(st.permutations(edges)))
+
+
+@given(trees(), st.integers(0, 10**6))
+# nothing folds, and the edges are listed out of id order
+@example(NetworkGraph.build([(1, 3), (2, 3), (3, 3)], [(2, 2, 3, 2), (1, 1, 2, 2)]), 0)
+def test_reduction_preimage_lifts_any_instance_on_a_tree(g, seed):
+    reduced, merges = reduce_valence_one(g)
+    inst = random_instance(reduced, seed=seed, bound=9)
+    lifted = reduction_preimage(g, merges, inst)
+    assert lifted.graph == g
+    assert _fold_like_log(contract_network(lifted), g, reduced, merges) == contract_network(inst)
 
 
 def test_supercritical_truncate():
