@@ -59,8 +59,6 @@ from .networks import (
     flip_edge,
     gauge_transform,
     identity_instance,
-    is_subcritical,
-    is_supercritical,
     loop_dim_formula,
     loop_graph,
     random_instance,

@@ -46,7 +46,7 @@ def _add_common(sp: argparse.ArgumentParser):
     sp.add_argument("--field", choices=("rational", "fp"), default="rational",
                     help="scalar backend: exact rationals, or residues mod --prime (default: rational)")
     sp.add_argument("--prime", type=int, default=DEFAULT_PRIME,
-                    help="modulus for --field fp; must be a prime > 2**30")
+                    help="modulus for --field fp; must be a prime with 2**30 < p < 2**64")
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized pipelines")
     sp.add_argument("--out", default=None, help="output path (default: stdout)")
 

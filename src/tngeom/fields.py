@@ -25,11 +25,16 @@ from fractions import Fraction
 
 from .errors import FieldMismatchError, SemanticError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24, ample for 64-bit moduli."""
+    """Miller-Rabin to the prime bases 2..41: deterministic for n < 3.3e24.
+
+    The bases 2..37 alone are exact only below 3.2e23: 318665857834031151167461
+    = 399165290221 * 798330580441 passes all twelve.  Above the bound some
+    composites pass any fixed set of bases.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -77,7 +82,11 @@ class RationalField:
 
 
 class PrimeField:
-    """Field Z/pZ for a prime p > 2**30; scalars are ints in [0, p)."""
+    """Field Z/pZ for a prime 2**30 < p < 2**64; scalars are ints in [0, p).
+
+    The upper limit keeps p far below 3.3e24, up to which is_probable_prime
+    is exact.
+    """
 
     name = "Fp"
     zero = 0
@@ -86,6 +95,8 @@ class PrimeField:
     def __init__(self, p: int):
         if p <= 2**30:
             raise SemanticError(f"prime must exceed 2**30, got {p}")
+        if p >= 2**64:
+            raise SemanticError(f"prime must be below 2**64, got {p}")
         if not is_probable_prime(p):
             raise SemanticError(f"{p} is not prime")
         self.prime = p

@@ -15,6 +15,7 @@ the major digit.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from math import prod
@@ -125,14 +126,6 @@ def classify_vertex(g: NetworkGraph, vid: int) -> str:
     if v == f:
         return "critical"
     return "strictly_sub" if v < f else "strictly_super"
-
-
-def is_subcritical(g: NetworkGraph, vid: int) -> bool:
-    return g.vertex(vid).dim <= g.edge_product(vid)
-
-
-def is_supercritical(g: NetworkGraph, vid: int) -> bool:
-    return g.vertex(vid).dim >= g.edge_product(vid)
 
 
 def loop_graph(edge_dims, vertex_dims=None) -> NetworkGraph:
@@ -346,18 +339,33 @@ def reduce_valence_one(g: NetworkGraph) -> tuple[NetworkGraph, tuple[MergeStep, 
     """
     dims = {v.id: v.dim for v in g.vertices}
     edges = {e.id: (e.tail, e.head, e.dim) for e in g.edges}
+    incident: dict[int, set[int]] = {vid: set() for vid in dims}
+    for eid, (tail, head, _) in edges.items():
+        incident[tail].add(eid)
+        incident[head].add(eid)
+
+    def foldable(vid: int) -> bool:
+        inc = incident[vid]
+        return len(inc) == 1 and dims[vid] <= edges[next(iter(inc))][2]
+
+    # a fold changes the state of its target only, so the heap holds every
+    # foldable id; an id popped after it stopped being foldable is skipped
+    heap = [vid for vid in dims if foldable(vid)]
+    heapq.heapify(heap)
     log: list[MergeStep] = []
-    while True:
-        for vid in sorted(dims):
-            inc = [eid for eid, (t, h, _) in edges.items() if vid in (t, h)]
-            if len(inc) == 1 and dims[vid] <= edges[inc[0]][2]:
-                tail, head, _ = edges[inc[0]]
-                other = head if tail == vid else tail
-                log.append(MergeStep(removed=vid, edge=inc[0], target=other, new_dim=dims[vid] * dims[other]))
-                _fold(dims, edges, log[-1])
-                break
-        else:
-            return _fold_graph(dims, edges), tuple(log)
+    while heap:
+        vid = heapq.heappop(heap)
+        if not foldable(vid):
+            continue
+        (eid,) = incident.pop(vid)
+        tail, head, _ = edges[eid]
+        other = head if tail == vid else tail
+        log.append(MergeStep(removed=vid, edge=eid, target=other, new_dim=dims[vid] * dims[other]))
+        _fold(dims, edges, log[-1])
+        incident[other].remove(eid)
+        if foldable(other):
+            heapq.heappush(heap, other)
+    return _fold_graph(dims, edges), tuple(log)
 
 
 def reduction_preimage(g: NetworkGraph, merges, inst: TNSInstance) -> TNSInstance:

@@ -12,7 +12,7 @@ and the trilinear form is (P, Q, R) -> trace(PQR).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod as _prod
+from math import prod
 
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
@@ -21,15 +21,11 @@ from .tensors import Tensor
 
 
 def mmult(e2: int, e3: int, e1: int, field: Field = QQ) -> Tensor:
-    """Matrix multiplication tensor of shape (e2*e3, e3*e1, e1*e2)."""
+    """Matrix multiplication tensor of shape (e2*e3, e3*e1, e1*e2): the
+    trace tensor of the triangle with edge dimensions (e3, e1, e2)."""
     if min(e1, e2, e3) < 1:
         raise SemanticError("matrix formats must be positive")
-    items = {}
-    for i in range(e2):
-        for a in range(e3):
-            for u in range(e1):
-                items[(i * e3 + a, a * e1 + u, u * e2 + i)] = 1
-    return Tensor.from_nonzeros((e2 * e3, e3 * e1, e1 * e2), items, field)
+    return imm_loop((e3, e1, e2), field)
 
 
 def imm_loop(edge_dims, field: Field = QQ) -> Tensor:
@@ -42,19 +38,15 @@ def imm_loop(edge_dims, field: Field = QQ) -> Tensor:
     if min(dims) < 1:
         raise SemanticError("edge dimensions must be positive")
     shape = tuple(dims[j - 1] * dims[j] for j in range(n))
-    items = {}
-    # factor j is indexed by the pair (u_{j-1}, u_j); summing the matching
-    # basis elements over all index loops gives the trace form
-    for flat in range(_prod(dims)):
-        uvec = []
-        rem = flat
-        for d in reversed(dims):
-            rem, r = divmod(rem, d)
-            uvec.append(r)
-        uvec.reverse()
-        idx = tuple(uvec[j - 1] * dims[j] + uvec[j] for j in range(n))
-        items[idx] = 1
-    return Tensor.from_nonzeros(shape, items, field)
+    # factor j is indexed by u_{j-1} * e_j + u_j, one basis element per index
+    # loop u; so u_j adds strides[j] + e_{j+1} * strides[j+1] to the flat key.
+    # Running u_{n-1} first, then u_0, ..., u_{n-2}, lists the keys in order.
+    strides = [prod(shape[j + 1 :]) for j in range(n)]
+    keys = [0]
+    for j in (n - 1, *range(n - 1)):
+        step = strides[j] + dims[(j + 1) % n] * strides[(j + 1) % n]
+        keys = [k + u * step for k in keys for u in range(dims[j])]
+    return Tensor._from_flat(shape, dict.fromkeys(keys, 1), field)
 
 
 def m_tilde_formula(e: int, field: Field = QQ) -> Tensor:
@@ -110,8 +102,28 @@ class Splitting:
         return self.x0.field
 
 
+def _composition_splitting(c1, c2, c3, field: Field = QQ) -> Splitting:
+    """Coordinate splitting from a composition of each edge dimension.
+
+    Edge space j splits into the consecutive blocks of c_j, and all three
+    compositions have the same number of parts.  Factors 1 and 2 keep the
+    cells whose row block and column block are the same; factor 3 keeps the
+    others, the annihilator of products of the first two under the trace
+    pairing.
+    """
+    b1, b2, b3 = ([b for b, size in enumerate(c) for _ in range(size)] for c in (c1, c2, c3))
+
+    def projector(rows, cols, same: bool) -> Matrix:
+        keep = [(r == c) == same for r in rows for c in cols]
+        n = len(keep)
+        return Matrix.from_nonzeros(n, n, {(k, k): 1 for k, kept in enumerate(keep) if kept}, field)
+
+    return Splitting(projector(b2, b3, True), projector(b3, b1, True), projector(b1, b2, False))
+
+
 def diagonal_splitting(e: int, field: Field = QQ) -> Splitting:
-    """Diagonal cells on factors 1 and 2, off-diagonal cells on factor 3.
+    """Diagonal cells on factors 1 and 2, off-diagonal cells on factor 3:
+    the composition of e into e ones on every edge space.
 
     The product of two diagonal matrices is diagonal and traces to zero
     against a zero-diagonal matrix, which is what the degeneration needs.
@@ -119,48 +131,17 @@ def diagonal_splitting(e: int, field: Field = QQ) -> Splitting:
     """
     if e < 2:
         raise SemanticError("diagonal splitting needs e >= 2")
-    diag = [(i, i) for i in range(e)]
-    off = [(i, j) for i in range(e) for j in range(e) if i != j]
-    return Splitting(
-        _rect_projector(e, e, diag, field),
-        _rect_projector(e, e, diag, field),
-        _rect_projector(e, e, off, field),
-    )
-
-
-def _block_cells(rsplit: tuple[int, int], csplit: tuple[int, int], anti: bool):
-    r1, _ = rsplit
-    c1, _ = csplit
-    rows = rsplit[0] + rsplit[1]
-    cols = csplit[0] + csplit[1]
-    out = []
-    for i in range(rows):
-        for j in range(cols):
-            same_block = (i < r1) == (j < c1)
-            if same_block != anti:
-                out.append((i, j))
-    return out
-
-
-def _rect_projector(rows: int, cols: int, keep, field: Field) -> Matrix:
-    """Projector on rows x cols matrices keeping the given (row, col) cells."""
-    n = rows * cols
-    return Matrix.from_nonzeros(n, n, {(i * cols + j, i * cols + j): 1 for i, j in keep}, field)
+    return _composition_splitting((1,) * e, (1,) * e, (1,) * e, field)
 
 
 def block_splitting(e1p: int, e1pp: int, e2p: int, e2pp: int, e3p: int, e3pp: int, field: Field = QQ) -> Splitting:
     """Two-block splitting of each edge space, e_j = e_j' + e_j''.
 
     Factors 1 and 2 keep the diagonal blocks; factor 3 keeps the
-    anti-diagonal blocks, the annihilator of products of the first two
-    under the trace pairing.  With every e_j = 2 split as 1 + 1 this is
-    the diagonal splitting.
+    anti-diagonal blocks.  With every e_j = 2 split as 1 + 1 this is the
+    diagonal splitting.
     """
     for part in (e1p, e1pp, e2p, e2pp, e3p, e3pp):
         if part < 1:
             raise SemanticError("all block sizes must be at least 1")
-    e1, e2, e3 = e1p + e1pp, e2p + e2pp, e3p + e3pp
-    f1 = _rect_projector(e2, e3, _block_cells((e2p, e2pp), (e3p, e3pp), anti=False), field)
-    f2 = _rect_projector(e3, e1, _block_cells((e3p, e3pp), (e1p, e1pp), anti=False), field)
-    f3 = _rect_projector(e1, e2, _block_cells((e1p, e1pp), (e2p, e2pp), anti=True), field)
-    return Splitting(f1, f2, f3)
+    return _composition_splitting((e1p, e1pp), (e2p, e2pp), (e3p, e3pp), field)

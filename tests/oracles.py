@@ -202,3 +202,25 @@ def per_coordinate_jacobian(inst):
                 items[(lin_index(idx, out.shape), col)] = val
             col += 1
     return Matrix.from_nonzeros(nrows, sum(prod(s) for s in shapes), items, f)
+
+
+def naive_valence_one_reduction(dims: dict, edges: dict):
+    """Valence-one reduction by rescanning every vertex before each fold.
+
+    dims is {vertex id: dim} and edges is {edge id: (tail, head, dim)}.  The
+    smallest vertex id with one incident edge and a dimension at most that
+    edge's folds into its neighbour.  Returns the final dims and edges and
+    the log of (removed, edge, target, new_dim) steps.
+    """
+    dims, edges, log = dict(dims), dict(edges), []
+    while True:
+        for vid in sorted(dims):
+            inc = [eid for eid, (t, h, _) in edges.items() if vid in (t, h)]
+            if len(inc) == 1 and dims[vid] <= edges[inc[0]][2]:
+                t, h, _ = edges.pop(inc[0])
+                other = h if t == vid else t
+                dims[other] *= dims.pop(vid)
+                log.append((vid, inc[0], other, dims[other]))
+                break
+        else:
+            return dims, edges, log

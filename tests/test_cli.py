@@ -226,6 +226,15 @@ def test_exit_2_on_bad_prime(triangle_files, capsys):
     assert code == 2 and "prime" in err
 
 
+@pytest.mark.parametrize("command", [["dim", "graph"], ["certify", "--e", "2"]])
+def test_exit_2_on_a_strong_pseudoprime_modulus(triangle_files, capsys, command):
+    # 399165290221 * 798330580441 passes Miller-Rabin to every prime base up to 37
+    args = [triangle_files.get(a, a) for a in command]
+    code, out, err = run([*args, "--field", "fp", "--prime", "318665857834031151167461"], capsys)
+    assert code == 2 and out == ""
+    assert "prime" in err and "Traceback" not in err
+
+
 def test_exit_2_on_a_json_integer_past_the_digit_limit(tmp_path, capsys):
     # json.loads raises a ValueError that is not a JSONDecodeError past 4300 digits
     p = tmp_path / "huge.json"
@@ -329,6 +338,18 @@ def test_reports_are_byte_stable(triangle_files, tmp_path, capsys):
     for (field, command), digest in digests.items():
         assert main([command, *map(str, commands[command]), "--field", field, "--out", str(a)]) == 0
         assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, (field, command)
+    # a two-block splitting file at e = 3, with digests taken when each splitting had its own constructor
+    split = tmp_path / "split.json"
+    split.write_text(jsonio.dumps(jsonio.splitting_to_obj(zoo.block_splitting(2, 1, 2, 1, 2, 1))))
+    split_digests = {
+        ("fp", "certify"): "39c1e2c4d8a2cc7d553f2122ccc22c3232cd9a36645624ae42bed05fe5f3b21c",
+        ("fp", "limit"): "49a6d2b2a6e48129d8426599eb24f8b5b26c8355e3edbc7a01c6b0a9d83341cf",
+        ("rational", "certify"): "f3458b845200c9411fff738671301a33d75e67d3e603efb4d3b4d754da67d795",
+        ("rational", "limit"): "49a6d2b2a6e48129d8426599eb24f8b5b26c8355e3edbc7a01c6b0a9d83341cf",
+    }
+    for (field, command), digest in split_digests.items():
+        assert main([command, "--e", "3", "--splitting", str(split), "--field", field, "--out", str(a)]) == 0
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, (field, command, "splitting")
     # a chain that folds, and a tree whose file lists vertices and edges out of id order
     chain = tmp_path / "chain.json"
     chain.write_text(jsonio.dumps(jsonio.graph_to_obj(chain_graph((2, 4, 4, 2), (2, 2, 2)))))

@@ -20,6 +20,8 @@ def test_default_prime_is_prime_and_large():
 @pytest.mark.parametrize("n,want", [
     (2, True), (3, True), (4, False), (561, False),  # Carmichael number
     (2**31 - 1, True), (2**31, False), (10**9 + 7, True), (10**9 + 9, True),
+    # 399165290221 * 798330580441: a strong pseudoprime to every prime base up to 37
+    (318665857834031151167461, False),
 ])
 def test_primality(n, want):
     assert is_probable_prime(n) is want
@@ -30,6 +32,15 @@ def test_prime_field_rejects_small_or_composite():
         PrimeField(97)
     with pytest.raises(SemanticError):
         PrimeField(2**31 + 1)  # 2147483649 = 3 * 715827883
+
+
+def test_prime_field_rejects_moduli_from_2_64():
+    # a prime, but past the range where the primality test is kept exact
+    assert is_probable_prime(2**64 + 13)
+    with pytest.raises(SemanticError, match=r"below 2\*\*64"):
+        PrimeField(2**64 + 13)
+    with pytest.raises(SemanticError):
+        PrimeField(318665857834031151167461)
 
 
 @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from tngeom.networks import (
 from tngeom.tensors import Tensor, merge_axes, mlrank, transpose_axes
 from tngeom.zoo import imm_loop
 
-from oracles import brute_force_contract, secant_formula
+from oracles import brute_force_contract, naive_valence_one_reduction, secant_formula
 
 
 def two_vertex_graph(v1=3, v2=3, e=2):
@@ -196,6 +197,46 @@ def test_reduce_no_candidates():
     g = loop_graph((2, 2, 2))
     reduced, log = reduce_valence_one(g)
     assert reduced == g and log == ()
+
+
+@st.composite
+def multigraphs(draw):
+    """1-10 vertices with shuffled ids, a random forest, and extra edges that
+    close cycles or double an edge."""
+    n = draw(st.integers(1, 10))
+    vids = draw(st.permutations(range(1, n + 1)))
+    pairs = [(vids[k], vids[draw(st.integers(0, k - 1))]) for k in range(1, n) if draw(st.integers(0, 4))]
+    if n > 1:
+        pairs += draw(st.lists(st.tuples(st.sampled_from(vids), st.sampled_from(vids)).filter(lambda p: p[0] != p[1]),
+                               max_size=4))
+    eids = draw(st.permutations(range(1, len(pairs) + 1)))
+    edges = [(eid, t, h, draw(st.integers(1, 3))) for eid, (t, h) in zip(eids, pairs)]
+    return NetworkGraph.build([(vid, draw(st.integers(1, 3))) for vid in vids], edges)
+
+
+def _assert_reduces_like_the_oracle(g):
+    reduced, log = reduce_valence_one(g)
+    dims, edges, want = naive_valence_one_reduction({v.id: v.dim for v in g.vertices},
+                                                    {e.id: (e.tail, e.head, e.dim) for e in g.edges})
+    assert [(m.removed, m.edge, m.target, m.new_dim) for m in log] == want
+    assert reduced == NetworkGraph.build(dims.items(), [(eid, *edges[eid]) for eid in sorted(edges)])
+
+
+@given(multigraphs())
+def test_reduce_valence_one_matches_the_rescanning_oracle(g):
+    _assert_reduces_like_the_oracle(g)
+
+
+def test_reduce_valence_one_is_fast_on_a_long_chain():
+    # only the last vertex folds at first, and each fold frees the vertex before it
+    n = 2000
+    g = chain_graph((3,) + (1,) * (n - 1), (2,) * (n - 1))
+    start = time.perf_counter()
+    reduced, log = reduce_valence_one(g)
+    assert time.perf_counter() - start < 1.0
+    assert log == tuple(MergeStep(k, k - 1, k - 1, 3 if k == 2 else 1) for k in range(n, 1, -1))
+    assert reduced == NetworkGraph.build([(1, 3)], [])
+    _assert_reduces_like_the_oracle(chain_graph((3,) + (1,) * 59, (2,) * 59))
 
 
 def _fold_like_log(t, g, reduced, merges):

@@ -1,13 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from tngeom.errors import SemanticError, ShapeError
-from tngeom.fields import QQ
+from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, random_matrix
 from tngeom.tensors import apply_end, eval_multilinear, eval_trilinear, mlrank, transpose_axes
 from tngeom.zoo import (
     Splitting,
+    _composition_splitting,
     block_splitting,
     diagonal_splitting,
     imm_loop,
@@ -33,7 +35,7 @@ def test_mmult_e2_support():
     assert m.shape == (4, 4, 4)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 2, 2), (1, 2, 3), (3, 1, 2)])
 @pytest.mark.parametrize("seed", range(3))
 def test_mmult_is_trace_form(dims, seed):
     e2, e3, e1 = dims
@@ -50,7 +52,7 @@ def test_mmult_is_trace_form(dims, seed):
     assert got == want
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2), (2, 3, 2, 3), (1, 3), (2, 1, 3)])
 @pytest.mark.parametrize("seed", range(3))
 def test_imm_loop_is_cyclic_trace_form(dims, seed):
     t = imm_loop(dims)
@@ -168,6 +170,56 @@ def test_block_splitting_patterns():
             assert out3[i * 3 + j] == want
     with pytest.raises(SemanticError):
         block_splitting(2, 0, 1, 1, 1, 1)
+
+
+def _kept_cells(p, cols):
+    """The (row, col) cells a coordinate projector keeps; it must be a 0/1 diagonal."""
+    cells = dict(p.nonzeros())
+    assert all(i == j and v == 1 for (i, j), v in cells.items())
+    return {divmod(k, cols) for k, _ in cells}
+
+
+def _assert_keeps(s, dims, same_block):
+    """Factor j of s acts on rows x cols matrices; compare its kept cells with the predicate."""
+    for p, (rows, cols), keep in zip(s.projectors(), dims, same_block):
+        want = {(i, j) for i in range(rows) for j in range(cols) if keep(i, j)}
+        assert _kept_cells(p, cols) == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)])
+@pytest.mark.parametrize("e", range(2, 9))
+def test_diagonal_splitting_keeps_the_diagonal_cells(e, field):
+    s = diagonal_splitting(e, field)
+    assert s.field == field
+    diag = lambda i, j: i == j  # noqa: E731
+    _assert_keeps(s, [(e, e)] * 3, [diag, diag, lambda i, j: i != j])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)])
+def test_block_splitting_keeps_the_diagonal_blocks(field):
+    for e1p, e1pp, e2p, e2pp, e3p, e3pp in itertools.product(range(1, 4), repeat=6):
+        s = block_splitting(e1p, e1pp, e2p, e2pp, e3p, e3pp, field)
+        e1, e2, e3 = e1p + e1pp, e2p + e2pp, e3p + e3pp
+        _assert_keeps(s, [(e2, e3), (e3, e1), (e1, e2)], [
+            lambda i, j: (i < e2p) == (j < e3p),
+            lambda i, j: (i < e3p) == (j < e1p),
+            lambda i, j: (i < e1p) != (j < e2p),
+        ])
+
+
+@pytest.mark.parametrize("parts", [
+    ((1, 2, 1), (2, 1, 1), (1, 1, 3)),
+    ((3, 1, 1), (1, 1, 1), (1, 2, 2)),
+    ((1, 1, 1, 1), (2, 1, 1, 1), (1, 2, 1, 2)),
+    ((1, 2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)),
+])
+def test_composition_splitting_annihilates_rectangular_mmult(parts):
+    # the power-0 term of the splitting curve vanishes for k = 3 and 4 parts
+    e1, e2, e3 = map(sum, parts)
+    s = _composition_splitting(*parts)
+    m = mmult(e2, e3, e1)
+    assert apply_end(m, list(s.projectors())).is_zero()
+    assert not apply_end(m, list(s.complements())).is_zero()
 
 
 def test_block_splitting_e2_coincides_with_diagonal():
