@@ -23,23 +23,19 @@ from .linalg import (
     inverse,
     is_invertible,
     kernel_basis,
-    kernel_dim,
     kron,
     lifted_kernel,
     random_invertible,
     random_matrix,
     rank,
-    rank_modulo_primes,
 )
 from .tensors import (
     Tensor,
     apply_end,
     contract_pair,
     eval_multilinear,
-    eval_trilinear,
     flatten,
     leibniz_act,
-    merge_axes,
     mlrank,
     mode_apply,
     outer,
@@ -88,7 +84,6 @@ from .curves import (
     act_curve,
     curve_from_splitting,
     leading_term,
-    vanishing_check,
 )
 from .varieties import (
     Certificate,

@@ -29,7 +29,7 @@ from .jsonio import (
     load_path,
     splitting_from_obj,
     tensor_from_obj,
-    tensor_to_obj,
+    tensor_to_obj,  # noqa: F401  (kept importable as tngeom.cli.tensor_to_obj for code that wraps it)
 )
 from .networks import contract_network, expected_dim, reduce_valence_one
 from .stabilizer import build_system, check_system_size
@@ -61,18 +61,10 @@ def _resolve_field(args) -> Field:
         raise FormatError(str(exc)) from exc
 
 
-def _emit(args, obj) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            dump(obj, fh)
-    else:
-        dump(obj, sys.stdout)
-
-
 def cmd_contract(args) -> int:
     field = _resolve_field(args)
     inst = instance_from_obj(load_path(args.instance), field)
-    _emit(args, tensor_to_obj(contract_network(inst)))
+    dump(contract_network(inst), args.out)
     return 0
 
 
@@ -82,7 +74,7 @@ def cmd_stabilizer(args) -> int:
     orbit = system.orbit_dim()
     report = {"stab_dim": system.group_dim - orbit, "orbit_dim": orbit}
     report.update(field_label(t.field))
-    _emit(args, report)
+    dump(report, args.out)
     return 0
 
 
@@ -100,7 +92,7 @@ def cmd_certify(args) -> int:
     cert = certify_not_closed(s, args.e)
     report = certificate_to_obj(cert)
     report.update(field_label(s.field))
-    _emit(args, report)
+    dump(report, args.out)
     return 0 if cert.certified else 1
 
 
@@ -117,7 +109,7 @@ def cmd_dim(args) -> int:
     report.update(field_label(field))
     report["seed"] = args.seed
     report["jacobian_dim_bound"] = "lower"
-    _emit(args, report)
+    dump(report, args.out)
     return 0
 
 
@@ -131,7 +123,7 @@ def cmd_reduce(args) -> int:
             for m in log
         ],
     }
-    _emit(args, report)
+    dump(report, args.out)
     return 0
 
 
@@ -142,9 +134,9 @@ def cmd_limit(args) -> int:
     s = _splitting(args)
     m = mmult(args.e, args.e, args.e, s.field)
     expansion = act_curve(m, curve_from_splitting(s))
-    terms = [{"power": p, "tensor": tensor_to_obj(t)} for p, t in expansion.terms]
+    terms = [{"power": p, "tensor": t} for p, t in expansion.terms]
     if not terms:
-        _emit(args, {"e": args.e, "leading_power": None, "leading_term": None, "terms": []})
+        dump({"e": args.e, "leading_power": None, "leading_term": None, "terms": []}, args.out)
         return 1
     report = {
         "e": args.e,
@@ -152,7 +144,7 @@ def cmd_limit(args) -> int:
         "leading_term": terms[0]["tensor"],
         "terms": terms,
     }
-    _emit(args, report)
+    dump(report, args.out)
     return 0
 
 

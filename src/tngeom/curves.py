@@ -149,8 +149,3 @@ def curve_from_splitting(s: Splitting) -> list[MatrixCurve]:
     for p0, p1 in zip(s.projectors(), s.complements()):
         out.append(MatrixCurve(((0, p0), (1, p1))))
     return out
-
-
-def vanishing_check(t: Tensor, s: Splitting) -> bool:
-    """True when the projected tensor (the would-be power-0 term) vanishes."""
-    return apply_end(t, list(s.projectors())).is_zero()

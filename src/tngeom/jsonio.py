@@ -7,7 +7,11 @@ decimal digits) so nothing is ever rounded.  A scalar string must read
 point, a sign "+", spaces, underscores, non-ASCII digits) is refused
 before any number is built.  Serialization is
 deterministic: fixed key order, nonzero tensor entries in lexicographic
-index order, two-space indentation, trailing newline.
+index order, two-space indentation, trailing newline.  Reports are
+written by `dump`, a small indent-2 writer that gives the bytes of
+`dumps` (the `json` module's indent-2 encoder) and writes each Tensor in
+a report entry by entry, as `tensor_to_obj` would spell it, without
+building its list of entry dicts.
 
 Structural problems (missing keys, wrong JSON types, unparsable scalars)
 raise FormatError; well-formed data describing an impossible object
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .curves import MatrixCurve
@@ -36,14 +41,74 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def dump(obj, fh) -> None:
-    """Write dumps(obj) to a text stream in pieces, never holding the whole text.
+def dump(obj, path: str | None) -> None:
+    """Write a report to the file at path, or to stdout when path is empty or None.
 
-    With indent set, json.dumps runs the same pure-Python encoder whose
-    pieces iterencode yields, so the bytes are the same.
+    A report is made of dicts with string keys, lists, JSON leaves and
+    Tensors.  The bytes are those of dumps(obj) with each Tensor t replaced
+    by tensor_to_obj(t), but t is written entry by entry, so its list of
+    entry dicts is never built.  Every tensor scalar is checked against
+    Python's digit limit before the file is opened or a byte is written.
     """
-    fh.writelines(json.JSONEncoder(indent=2).iterencode(obj))
-    fh.write("\n")
+    _check_scalars(obj)
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        fh.writelines(_pieces(obj, "\n"))
+        fh.write("\n")
+
+
+def _pieces(obj, nl: str):
+    """The text of json.dumps(obj, indent=2) in pieces; nl is a newline and the indent of obj's line."""
+    inner = nl + "  "
+    if isinstance(obj, Tensor):
+        yield "{" + inner + '"shape": ' + _ints(obj.shape, inner) + "," + inner + '"entries": '
+        yield from _entries(obj, inner)
+        yield nl + "}"
+    elif isinstance(obj, dict) and obj:
+        sep = "{" + inner
+        for key, value in obj.items():
+            yield sep + json.dumps(key) + ": "
+            yield from _pieces(value, inner)
+            sep = "," + inner
+        yield nl + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        sep = "[" + inner
+        for value in obj:
+            yield sep
+            yield from _pieces(value, inner)
+            sep = "," + inner
+        yield nl + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _ints(xs, nl: str) -> str:
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(map(str, xs)) + nl + "]" if xs else "[]"
+
+
+def _entries(t: Tensor, nl: str):
+    """The "entries" list of tensor_to_obj(t) in pieces, one per nonzero entry."""
+    if t.is_zero():
+        yield "[]"
+        return
+    i1, i2 = nl + "  ", nl + "    "
+    sep = "[" + i1
+    for idx, v in t.nonzeros():
+        # a scalar string is -?[0-9]+(/[0-9]+)?, so it needs no escaping
+        yield sep + "{" + i2 + '"idx": ' + _ints(idx, i2) + "," + i2 + '"val": "' + str(v) + '"' + i1 + "}"
+        sep = "," + i1
+    yield nl + "]"
+
+
+def _check_scalars(obj) -> None:
+    """Turn every tensor scalar of a report into text once, so that one past
+    Python's digit limit is refused before any output exists."""
+    if isinstance(obj, Tensor):
+        for v in obj._nz.values():
+            scalar_to_str(v)
+    elif isinstance(obj, (dict, list, tuple)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            _check_scalars(value)
 
 
 def loads(text: str):

@@ -63,7 +63,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .errors import SemanticError, ShapeError, SingularMatrixError
-from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField, is_probable_prime
+from .fields import DEFAULT_PRIME, QQ, Field, RationalField, is_probable_prime
 
 RANDOM_ENTRY_BOUND = 10**6
 
@@ -554,11 +554,6 @@ def pivot_columns(m: Matrix) -> set[int]:
     return {pc for pc, _ in pivots}
 
 
-def kernel_dim(m: Matrix) -> int:
-    """Dimension of the right kernel."""
-    return m.cols - rank(m)
-
-
 def _back_solve(pivots: list, cols: int, prime: int) -> tuple[list[int], dict[int, dict]]:
     """Kernel mod prime of eliminated rows: the free columns, and {column c: {free f: x_f[c]}}.
 
@@ -821,11 +816,3 @@ def random_invertible(n: int, seed: int, field: Field = QQ, bound: int = RANDOM_
         if is_invertible(m):
             return m
     raise SemanticError("could not sample an invertible matrix")  # pragma: no cover
-
-
-def rank_modulo_primes(m: Matrix, primes: list[int]) -> list[int]:
-    """Rank of the same rational matrix reduced mod each given prime."""
-    if not isinstance(m.field, RationalField):
-        raise SemanticError("rank_modulo_primes expects a rational matrix")
-    items = dict(m.nonzeros())
-    return [rank(Matrix.from_nonzeros(m.rows, m.cols, items, PrimeField(p))) for p in primes]

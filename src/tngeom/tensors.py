@@ -118,7 +118,10 @@ def outer(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose_axes(t: Tensor, perm) -> Tensor:
+    """Axis k of the result is axis perm[k] of t; the identity returns t itself."""
     perm = tuple(perm)
+    if perm == tuple(range(t.order)):
+        return t  # tensors are immutable, so sharing is safe
     if sorted(perm) != list(range(t.order)):
         raise ShapeError(f"{perm} is not a permutation of {t.order} axes")
     new_shape = tuple(t.shape[p] for p in perm)
@@ -127,18 +130,6 @@ def transpose_axes(t: Tensor, perm) -> Tensor:
         step[q] = s
     nz = {sum(i * s for i, s in zip(multi_index(flat, t.shape), step)): v for flat, v in t._nz.items()}
     return Tensor._from_flat(new_shape, nz, t.field)
-
-
-def merge_axes(t: Tensor, a: int, b: int) -> Tensor:
-    """Fuse axes a and b (a-major) into a single axis placed at position min(a, b)."""
-    if a == b:
-        raise ShapeError("cannot merge an axis with itself")
-    rest = [k for k in range(t.order) if k not in (a, b)]
-    lo = min(a, b)
-    # with b right after a the fused index is the row-major pair, so the keys carry over
-    moved = transpose_axes(t, rest[:lo] + [a, b] + rest[lo:])
-    shape = moved.shape[:lo] + (t.shape[a] * t.shape[b],) + moved.shape[lo + 2 :]
-    return Tensor._from_flat(shape, moved._nz, t.field)
 
 
 def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
@@ -254,13 +245,6 @@ def eval_multilinear(t: Tensor, args) -> object:
                 break
         acc = acc + term
     return t.field.coerce(acc)
-
-
-def eval_trilinear(t: Tensor, p, q, r) -> object:
-    """Order-3 form evaluation; arguments may be flat vectors or matrices."""
-    if t.order != 3:
-        raise ShapeError("eval_trilinear needs an order-3 tensor")
-    return eval_multilinear(t, (p, q, r))
 
 
 def random_tensor(shape, seed: int, field: Field = QQ, bound: int = INSTANCE_ENTRY_BOUND) -> Tensor:

@@ -224,3 +224,48 @@ def naive_valence_one_reduction(dims: dict, edges: dict):
                 break
         else:
             return dims, edges, log
+
+
+# Helpers that no code path of the program calls; the tests state their
+# checks through them.
+
+def kernel_dim(m) -> int:
+    """Dimension of the right kernel of a Matrix."""
+    from tngeom.linalg import rank
+
+    return m.cols - rank(m)
+
+
+def rank_modulo_primes(m, primes: list[int]) -> list[int]:
+    """Rank of the same rational Matrix reduced mod each given prime."""
+    from tngeom.fields import PrimeField
+    from tngeom.linalg import Matrix, rank
+
+    items = dict(m.nonzeros())
+    return [rank(Matrix.from_nonzeros(m.rows, m.cols, items, PrimeField(p))) for p in primes]
+
+
+def merge_axes(t, a: int, b: int):
+    """Fuse axes a and b (a-major) of a Tensor into one axis placed at position min(a, b)."""
+    from tngeom.tensors import Tensor, transpose_axes
+
+    rest = [k for k in range(t.order) if k not in (a, b)]
+    lo = min(a, b)
+    # with b right after a the fused index is the row-major pair, so the keys carry over
+    moved = transpose_axes(t, rest[:lo] + [a, b] + rest[lo:])
+    shape = moved.shape[:lo] + (t.shape[a] * t.shape[b],) + moved.shape[lo + 2 :]
+    return Tensor._from_flat(shape, moved._nz, t.field)
+
+
+def eval_trilinear(t, p, q, r):
+    """The order-3 form of t at three vectors or matrices."""
+    from tngeom.tensors import eval_multilinear
+
+    return eval_multilinear(t, (p, q, r))
+
+
+def vanishing_check(t, s) -> bool:
+    """True when the projected tensor (the would-be power-0 term of the splitting's curve) vanishes."""
+    from tngeom.tensors import apply_end
+
+    return apply_end(t, list(s.projectors())).is_zero()

@@ -10,9 +10,12 @@ import pytest
 
 from tngeom import cli, jsonio, stabilizer, varieties, zoo
 from tngeom.cli import main
+from tngeom.curves import TensorLaurent, act_curve, curve_from_splitting
+from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix
-from tngeom.networks import chain_graph, identity_instance, loop_graph, random_instance
-from tngeom.zoo import Splitting, mmult
+from tngeom.networks import chain_graph, contract_network, identity_instance, loop_graph, random_instance
+from tngeom.tensors import Tensor
+from tngeom.zoo import Splitting, diagonal_splitting, mmult
 
 
 @pytest.fixture
@@ -161,11 +164,23 @@ def test_dim_refuses_a_graph_over_budget_before_drawing(tmp_path, monkeypatch, c
 
 
 def test_reports_stream_the_bytes_of_dumps(tmp_path, triangle_files, capsys):
-    out = tmp_path / "contract.json"
-    assert run(["contract", triangle_files["instance"], "--out", out], capsys)[0] == 0
-    _, stdout, _ = run(["contract", triangle_files["instance"]], capsys)
-    want = jsonio.dumps(jsonio.tensor_to_obj(mmult(2, 2, 2)))
-    assert out.read_text() == stdout == want
+    # each report against the dict it was written from before tensors were streamed
+    out = tmp_path / "report.json"
+    for field, f in (("rational", QQ), ("fp", PrimeField(DEFAULT_PRIME))):
+        inst = random_instance(loop_graph((2, 3, 2)), seed=3, field=f)
+        inst_path = tmp_path / f"loop232-{field}.json"
+        inst_path.write_text(jsonio.dumps(jsonio.instance_to_obj(inst)))
+        cases = [(["contract", triangle_files["instance"]], jsonio.tensor_to_obj(mmult(2, 2, 2))),
+                 (["contract", inst_path], jsonio.tensor_to_obj(contract_network(inst)))]
+        for e in (2, 3, 4):
+            expansion = act_curve(mmult(e, e, e, f), curve_from_splitting(diagonal_splitting(e, f)))
+            terms = [{"power": p, "tensor": jsonio.tensor_to_obj(t)} for p, t in expansion.terms]
+            cases.append((["limit", "--e", e], {"e": e, "leading_power": terms[0]["power"],
+                                                "leading_term": terms[0]["tensor"], "terms": terms}))
+        for args, obj in cases:
+            assert run([*args, "--field", field, "--out", out], capsys)[0] == 0
+            _, stdout, _ = run([*args, "--field", field], capsys)
+            assert out.read_text() == stdout == jsonio.dumps(obj), (field, args)
 
 
 def test_dim_unknown_formula(tmp_path, capsys):
@@ -288,6 +303,34 @@ def test_exit_3_on_a_report_scalar_past_the_digit_limit(tmp_path, capsys):
     assert "4300 digits" in err
     assert not target.exists()
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+@pytest.mark.parametrize("command", ["contract", "limit"])
+def test_exit_3_when_only_the_last_report_scalar_is_past_the_digit_limit(tmp_path, monkeypatch, capsys,
+                                                                        command, to_file):
+    # every entry is writable but the last in row-major order, of about 6000 digits
+    big = "9" * 3000
+    if command == "contract":
+        inst = {"vertices": [{"id": 1, "dim": 2}, {"id": 2, "dim": 2}],
+                "edges": [{"id": 1, "tail": 1, "head": 2, "dim": 1}],
+                "tensors": {str(v): {"shape": [2, 1], "entries": [{"idx": [0, 0], "val": "1"},
+                                                                  {"idx": [1, 0], "val": big}]}
+                            for v in (1, 2)}}
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(inst))
+        args = ["contract", p]
+    else:
+        # the limit report nests its tensors; the huge scalar ends its last term
+        small = Tensor.from_nonzeros((2, 2), {(0, 1): 1})
+        last = Tensor.from_nonzeros((2, 2), {(0, 0): 1, (1, 0): int(big), (1, 1): int(big) ** 2})
+        monkeypatch.setattr(cli, "act_curve", lambda *a: TensorLaurent(((1, small), (2, last))))
+        args = ["limit", "--e", "2"]
+    target = tmp_path / "out.json"
+    code, out, err = run([*args, *(["--out", target] if to_file else [])], capsys)
+    assert code == 3 and out == ""
+    assert "4300 digits" in err
+    assert not target.exists()
 
 
 def test_exit_3_on_semantic_error(tmp_path, capsys):

@@ -8,14 +8,13 @@ from tngeom.curves import (
     act_curve,
     curve_from_splitting,
     leading_term,
-    vanishing_check,
 )
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.linalg import Matrix, random_matrix
 from tngeom.tensors import Tensor, apply_end, leibniz_act, random_tensor
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
 
-from oracles import interpolate_coefficients, tensor_values
+from oracles import interpolate_coefficients, tensor_values, vanishing_check
 
 
 def test_curve_validation():

@@ -1,14 +1,21 @@
+import contextlib
+import io
+import itertools
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tngeom import jsonio
 from tngeom.curves import MatrixCurve
 from tngeom.errors import FormatError, SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, random_matrix
-from tngeom.networks import chain_graph, loop_graph, random_instance
+from tngeom.networks import chain_graph, contract_network, loop_graph, random_instance
 from tngeom.tensors import Tensor, random_tensor
 from tngeom.varieties import certify_not_closed
 from tngeom.zoo import diagonal_splitting, mmult
@@ -126,3 +133,56 @@ def test_prime_field_wire_round_trip():
     assert jsonio.tensor_from_obj(obj, FP) == t
     assert jsonio.field_label(FP) == {"field": "Fp", "prime": 2**31 - 1}
     assert jsonio.field_label(QQ) == {"field": "rational", "prime": None}
+
+
+@st.composite
+def tensors(draw):
+    """Tensors of order 1 to 4 over either field, with axes of size 1, negative
+    integers, fractions, and the zero tensor."""
+    field = draw(st.sampled_from([QQ, FP]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    cells = list(itertools.product(*map(range, shape)))
+    scalars = st.one_of(st.integers(-10**40, 10**40), st.fractions(max_denominator=10**9))
+    items = draw(st.dictionaries(st.sampled_from(cells), scalars, max_size=len(cells)))
+    return Tensor.from_nonzeros(shape, items, field)
+
+
+def _dumped(report) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        jsonio.dump(report, None)
+    return buf.getvalue()
+
+
+@given(tensors(), st.integers(0, 3))
+@example(Tensor.zeros((1, 3)), 0)
+@example(Tensor.zeros((2,), FP), 2)
+def test_dump_writes_a_tensor_with_the_bytes_of_its_dict(t, depth):
+    # at any depth in a report, as the limit report holds its tensors
+    report, old = t, jsonio.tensor_to_obj(t)
+    for k in range(depth):
+        report = {"power": k, "tensor": report, "terms": [report, None], "empty": {}}
+        old = {"power": k, "tensor": old, "terms": [old, None], "empty": {}}
+    assert _dumped(report) == jsonio.dumps(old)
+
+
+def test_dump_refuses_a_report_it_cannot_write_before_opening_the_file(tmp_path, capsys):
+    t = Tensor.from_nonzeros((2, 2), {(0, 0): 1, (1, 1): Fraction(1, 10**5000)})
+    target = tmp_path / "out.json"
+    for path in (target, None):
+        with pytest.raises(SemanticError, match="4300 digits"):
+            jsonio.dump({"terms": [{"tensor": t}]}, path)
+    assert not target.exists() and capsys.readouterr().out == ""
+
+
+def test_writing_a_large_tensor_report_allocates_little():
+    # loop (2,)^7 contracts to 4^7 = 16384 entries, a 2.4 MB report; building
+    # its list of entry dicts and encoding that peaked at 6.4 MB
+    t = contract_network(random_instance(loop_graph((2,) * 7), seed=1))
+    tracemalloc.start()
+    try:
+        jsonio.dump(t, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -19,17 +19,15 @@ from tngeom.linalg import (
     inverse,
     is_invertible,
     kernel_basis,
-    kernel_dim,
     kron,
     lifted_kernel,
     random_invertible,
     random_matrix,
     rank,
     rank_mod_p,
-    rank_modulo_primes,
 )
 
-from oracles import kron_oracle, matrix_rows, naive_rank, naive_rank_mod_p
+from oracles import kernel_dim, kron_oracle, matrix_rows, naive_rank, naive_rank_mod_p, rank_modulo_primes
 
 FP = PrimeField(2**31 - 1)
 

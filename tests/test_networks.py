@@ -24,10 +24,10 @@ from tngeom.networks import (
     reduction_preimage,
     supercritical_truncate,
 )
-from tngeom.tensors import Tensor, merge_axes, mlrank, transpose_axes
+from tngeom.tensors import Tensor, mlrank, transpose_axes
 from tngeom.zoo import imm_loop
 
-from oracles import brute_force_contract, naive_valence_one_reduction, secant_formula
+from oracles import brute_force_contract, merge_axes, naive_valence_one_reduction, secant_formula
 
 
 def two_vertex_graph(v1=3, v2=3, e=2):

@@ -33,11 +33,12 @@ from tngeom import (
     random_matrix,
     random_tensor,
     rank,
-    rank_modulo_primes,
 )
 from tngeom.curves import MatrixCurve
 from tngeom.linalg import kernel_basis, kron
 from tngeom.tensors import Tensor, eval_multilinear, mode_apply, tensordot
+
+from oracles import rank_modulo_primes
 
 # graph pool shared by the network-level families; seed picks one
 GRAPHS = [

@@ -13,11 +13,9 @@ from tngeom.tensors import (
     apply_end,
     contract_pair,
     eval_multilinear,
-    eval_trilinear,
     flatten,
     leibniz_act,
     lin_index,
-    merge_axes,
     mlrank,
     mode_apply,
     multi_index,
@@ -27,7 +25,7 @@ from tngeom.tensors import (
 )
 from tngeom.zoo import mmult
 
-from oracles import trace_product
+from oracles import eval_trilinear, merge_axes, trace_product
 
 
 @given(st.lists(st.integers(1, 5), min_size=1, max_size=4), st.data())
@@ -189,6 +187,19 @@ def test_transpose_and_merge_axes():
     fused = merge_axes(t, 1, 2)
     assert fused.shape == (2, 12)
     assert fused.at((1, 2 * 4 + 3)) == t.at((1, 2, 3))
+
+
+def test_transpose_moves_every_entry_and_returns_the_identity_as_is():
+    t = random_tensor((2, 3, 4), seed=11, bound=9)
+    for perm in itertools.permutations(range(3)):
+        tt = transpose_axes(t, perm)
+        assert tt.shape == tuple(t.shape[p] for p in perm)
+        for idx in itertools.product(*map(range, t.shape)):
+            assert tt.at(tuple(idx[p] for p in perm)) == t.at(idx)
+    same = transpose_axes(t, [0, 1, 2])
+    assert same is t and same == random_tensor((2, 3, 4), seed=11, bound=9)
+    with pytest.raises(ShapeError):
+        transpose_axes(t, (0, 1))
 
 
 @pytest.mark.parametrize("seed", range(20))

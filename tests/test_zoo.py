@@ -6,7 +6,7 @@ import pytest
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, random_matrix
-from tngeom.tensors import apply_end, eval_multilinear, eval_trilinear, mlrank, transpose_axes
+from tngeom.tensors import apply_end, eval_multilinear, mlrank, transpose_axes
 from tngeom.zoo import (
     Splitting,
     _composition_splitting,
@@ -17,7 +17,7 @@ from tngeom.zoo import (
     mmult,
 )
 
-from oracles import trace_product
+from oracles import eval_trilinear, trace_product
 
 
 def as_rows(m, e):
