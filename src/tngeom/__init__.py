@@ -24,7 +24,6 @@ from .linalg import (
     is_invertible,
     kernel_basis,
     kron,
-    lifted_kernel,
     random_invertible,
     random_matrix,
     rank,

@@ -49,9 +49,14 @@ def dump(obj, path: str | None) -> None:
     by tensor_to_obj(t), but t is written entry by entry, so its list of
     entry dicts is never built.  Every tensor scalar is checked against
     Python's digit limit before the file is opened or a byte is written.
+    A file that cannot be opened for writing raises FormatError.
     """
     _check_scalars(obj)
-    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+    try:
+        out = open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+    with out as fh:
         fh.writelines(_pieces(obj, "\n"))
         fh.write("\n")
 
@@ -264,7 +269,9 @@ def instance_from_obj(obj, field: Field) -> TNSInstance:
         try:
             vid = int(key)
         except ValueError as exc:
-            raise FormatError(f"tensor key {key!r} is not a vertex id") from exc
+            raise FormatError(f"tensor key {_abbrev(key)} is not a vertex id") from exc
+        # int() also reads " 1", "01", "+1", "1_0" and non-ASCII digits, so two keys could name one vertex
+        _require(key == str(vid), f"tensor key {_abbrev(key)} is not a vertex id; write it as '{vid}'")
         tensors[vid] = tensor_from_obj(tobj, field)
     return TNSInstance(g, tensors)
 

@@ -18,7 +18,8 @@ rank 145, its cap: 145 rows are read, and the exact rank over Q takes
 host, Python 3.11).
 
 Rows are read mod p in one pass (``_residue_rows``), so one set of rows
-is held: over Fp as they are stored, over Q reduced in place.  An int entry
+is held: as they are stored when every value is a residue already (over
+Fp, or ints in [0, p) over Q), else reduced in place.  An int entry
 is reduced as it is, with no lcm or content pass; only a matrix that
 holds a Fraction has each row multiplied by the lcm of its denominators
 first (``_integral_rows``), so no denominator is inverted mod p.  Each
@@ -26,26 +27,25 @@ row read is a nonzero integer multiple of its row over Q, so the rank
 mod p is at most the rank over Q, and A x = 0 holds for the rows read
 exactly when it holds for A.
 
-Over Q every exact answer comes from one path, the lifted kernel
-(``lifted_kernel``): eliminate mod p, back-solve one kernel vector per
-free column (1 there, 0 at the other free columns), lift every entry to
-a fraction by rational reconstruction (Wang 1981) and check A x = 0
-exactly over the integers.  The count is exact by two bounds.  Vectors
-that pass the check lie in the kernel over Q, and they are independent,
-so the nullity over Q is at least their number, cols - rank mod p.  A
-minor that is nonzero mod p is nonzero over Q, so rank over Q is at
-least rank mod p, and the nullity over Q is at most that number.  When
-an entry does not lift or the check fails (a kernel of large height, or
-a prime that divides a minor), the next prime below is eliminated too
-and the residues are combined by CRT until the check passes (``_lift``).
-A prime on which every component reaches its cap is exact with no
-back-solve or lift.  ``rank`` over Q is the nullity of the lifted kernel
-of A or of A^T, ``kernel_basis`` is the lifted kernel, and ``inverse``
-reads A^-1 off the lifted kernel of [A | -I].  Over Fp the same
-elimination and back-solve are exact as they stand.  ``annihilates``, a
-check of A B^T = 0 over the integers, bounds a nullity from below by the
-rank of B when B's rows are known to be kernel vectors.  Both checks
-pack the vectors into one int per column (``_annihilates``).
+Every kernel and exact rank comes from one path, ``_lift``: eliminate
+mod p, back-solve one kernel vector per free column (1 there, 0 at the
+other free columns), and over Fp stop there.  Over Q every entry is lifted
+to a fraction by rational reconstruction (Wang 1981) and A x = 0 is
+checked exactly over the integers.  The count is exact by two bounds.
+Vectors that pass the check lie in the kernel over Q, and they are
+independent, so the nullity over Q is at least their number, cols - rank
+mod p.  A minor that is nonzero mod p is nonzero over Q, so rank over Q
+is at least rank mod p, and the nullity over Q is at most that number.
+When an entry does not lift or the check fails (a kernel of large
+height, or a prime that divides a minor), the next prime below is
+eliminated too and the residues are combined by CRT until the check
+passes.  A prime on which every component reaches its cap is exact with
+no back-solve or lift.  ``rank`` over Q is the nullity of the lifted
+kernel of A or of A^T, ``kernel_basis`` is the kernel, and ``inverse``
+reads A^-1 off the kernel of [A | -I].  ``annihilates``, a check of
+A B^T = 0 over the integers, bounds a nullity from below by the rank of
+B when B's rows are known to be kernel vectors.  Both checks pack the
+vectors into one int per column (``_annihilates``).
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -58,7 +58,7 @@ is a residue in [0, p) and the operations need no branch on the field.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Sequence, Sized
+from collections.abc import Iterable, Sized
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -344,27 +344,31 @@ def components(rows, cols: int) -> list[int]:
 
 
 def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None,
-                     labels: Sequence[int] | None = None, known: dict[int, int] | None = None) -> int:
-    """Rank mod prime of rows of residues {column: residue}, one component at a time.
+                     kernel: Matrix | None = None) -> tuple[int, int]:
+    """Rank mod prime of residue rows {column: residue}, and the nullity the caps vouch for.
 
     A row update only combines rows that share a column, so no row leaves
     the columns of its connected component (``components``) and the rank
     is the sum of the ranks of the components.  A component of one column
     has rank 1 if a row holds it with a nonzero residue, else 0; every other
     one is eliminated densely on its own columns (``_packed_eliminate``).
-    Given labels, the components of the rows' columns, the search is skipped.
 
-    known maps a component's label to the rank mod prime of vectors known
-    to lie in its kernel (``_known_ranks``), so a component c has rank at
-    most its cap, |c| - known.get(c, 0).  Its rows are read in a strided
+    kernel holds rows known to lie in the right kernel of the rows.  The
+    rank mod prime of their parts on a component's columns
+    (``_known_ranks``) is a nullity that component has, so its rank is at
+    most its cap, |c| less that nullity.  Its rows are read in a strided
     order (``_strided``) and no further than the row that reaches the cap.
+    The second number returned is the sum of those nullities, 0 without
+    kernel: when the rank mod prime is cols less it, every component met
+    its cap.
 
     Given a pivots list, each pivot row, scaled to 1 at its pivot column,
     is appended as (pivot column, {other column: residue}).  A pivot row
     holds no pivot column found before it, which is what ``_back_solve``
     needs.
     """
-    label = components(rows, cols) if labels is None else labels
+    label = components(rows, cols)
+    known = _known_ranks(kernel, label, prime) if kernel is not None else {}
     groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows)
     for c, a in enumerate(label):
         groups.setdefault(a, ([], []))[0].append(c)
@@ -375,13 +379,12 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     rank = 0
     for a, (ccols, crows) in groups.items():
         if len(ccols) > 1:
-            cap = len(ccols) - (known or {}).get(a, 0)
-            rank += _packed_eliminate(_strided(crows), ccols, prime, pivots, cap)
+            rank += _packed_eliminate(_strided(crows), ccols, prime, pivots, len(ccols) - known.get(a, 0))
         elif any(row[ccols[0]] for row in crows):
             rank += 1
             if pivots is not None:
                 pivots.append((ccols[0], {}))
-    return rank
+    return rank, sum(known.values())
 
 
 def _strided(rows: list) -> list:
@@ -398,18 +401,18 @@ def _strided(rows: list) -> list:
     return [rows[k * s % n] for k in range(n)]
 
 
-def _known_ranks(kernel: Matrix | None, labels: Sequence[int], prime: int) -> dict[int, int]:
-    """{label: rank mod prime of the rows of kernel on that component's columns}.
+def _known_ranks(kernel: Matrix, label: list[int], prime: int) -> dict[int, int]:
+    """{a: rank mod prime of the rows of kernel on the columns c with label[c] == a}.
 
     Each row of a matrix with these column components lies in one
     component, so the part of a row of its kernel on one component's
     columns lies in its kernel too.
     """
     parts: dict[int, dict[int, dict]] = {}  # label -> kernel row -> {column: residue}
-    for k, row in enumerate(_residue_rows(kernel, prime)[0] if kernel is not None else ()):
+    for k, row in enumerate(_residue_rows(kernel, prime)):
         for c, v in row.items():
             if v:
-                parts.setdefault(labels[c], {}).setdefault(k, {})[c] = v
+                parts.setdefault(label[c], {}).setdefault(k, {})[c] = v
     return {a: _packed_eliminate(list(rows.values()), sorted({c for r in rows.values() for c in r}), prime, None)
             for a, rows in parts.items()}
 
@@ -490,56 +493,53 @@ def _integral_rows(m: Matrix):
         yield row
 
 
-def _residue_rows(m: Matrix, prime: int = DEFAULT_PRIME) -> tuple[list[dict], int]:
-    """Nonzero rows of residues mod a prime, and the prime.
+def _residue_rows(m: Matrix, prime: int) -> list[dict]:
+    """Nonzero rows of residues mod prime, which over Fp must be the field's.
 
-    Over Fp the prime is the field's, and the stored values are residues
-    already.  Over Q it is the one given, and the rows are read as
-    integers (``_integral_rows``) and reduced in place, so no denominator
-    is inverted mod p; an entry divisible by p leaves a zero residue.
+    Over Fp the stored values are residues already, and so are those of a
+    rational matrix of ints in [0, prime), such as a 0/1 stabilizer system.
+    Other rational rows are read as integers (``_integral_rows``) and
+    reduced in place, so no denominator is inverted mod p; an entry
+    divisible by p leaves a zero residue.
     """
-    if m.field.prime is not None:
-        return [row for _, row in _rows(m)], m.field.prime
+    vals = m._nz.values()
+    if m.field.prime is not None or (set(map(type, vals)) <= {int} and 0 <= min(vals, default=0)
+                                     and max(vals, default=0) < prime):
+        return [row for _, row in _rows(m)]
     rows = list(_integral_rows(m))
     for row in rows:
         for c, v in row.items():
             row[c] = v % prime
-    return rows, prime
+    return rows
 
 
-def rank(m: Matrix, labels: Sequence[int] | None = None, kernel: Matrix | None = None) -> int:
+def rank(m: Matrix, kernel: Matrix | None = None) -> int:
     """Exact rank; independent of row and column order.
 
     Over Fp by ``rank_mod_p``.  Over Q it is the column count less the
-    nullity of the lifted kernel (``lifted_kernel``) of whichever of A and
-    A^T has fewer columns.  The labels, A's column components, and kernel,
-    rows known to lie in A's right kernel, are used only when A is not
-    transposed; the kernel rows cap each component (``_lift``).
+    nullity of the lifted kernel (``_lift``) of whichever of A and A^T has
+    fewer columns.  kernel, rows known to lie in A's right kernel, caps
+    each component (``_eliminate_mod_p``) when A is not transposed.
     """
     if kernel is not None and (kernel.field != m.field or kernel.cols != m.cols):
         raise ShapeError("the kernel rows must have the matrix's columns and field")
     if m.field.prime is not None:
-        return rank_mod_p(m, labels, kernel)
+        return rank_mod_p(m, kernel)
     if m.rows < m.cols:
         return m.rows - len(_lift(m.transpose())[0])
-    return m.cols - len(_lift(m, labels, kernel)[0])
+    return m.cols - len(_lift(m, kernel)[0])
 
 
-def rank_mod_p(m: Matrix, labels: Sequence[int] | None = None, kernel: Matrix | None = None) -> int:
-    """Rank mod p, component by component (``_eliminate_mod_p``).
+def rank_mod_p(m: Matrix, kernel: Matrix | None = None) -> int:
+    """Rank mod p, component by component (``_eliminate_mod_p``), capped by the rows of kernel.
 
     Over Fp this is the exact rank.  A rational matrix is ranked mod
     DEFAULT_PRIME with its rows scaled to integers; that is a lower bound
     on its rank over Q, since a minor that is nonzero mod p is nonzero over
     Q, and scaling a row by a nonzero integer scales its minors alike.
-    labels, the column components of m (``components``) if they are
-    known, spare the search; rows known to lie in m's kernel cap each
-    component (``_eliminate_mod_p``).
     """
-    rows, prime = _residue_rows(m)
-    if kernel is not None and labels is None:
-        labels = components(rows, m.cols)
-    return _eliminate_mod_p(rows, m.cols, prime, labels=labels, known=_known_ranks(kernel, labels, prime))
+    prime = m.field.prime or DEFAULT_PRIME
+    return _eliminate_mod_p(_residue_rows(m, prime), m.cols, prime, kernel=kernel)[0]
 
 
 def pivot_columns(m: Matrix) -> set[int]:
@@ -548,9 +548,8 @@ def pivot_columns(m: Matrix) -> set[int]:
     There are rank_mod_p(m) of them, and as many rows of m are square and
     invertible mod p on them.
     """
-    rows, prime = _residue_rows(m)
-    pivots: list = []
-    _eliminate_mod_p(rows, m.cols, prime, pivots)
+    prime, pivots = m.field.prime or DEFAULT_PRIME, []
+    _eliminate_mod_p(_residue_rows(m, prime), m.cols, prime, pivots)
     return {pc for pc, _ in pivots}
 
 
@@ -583,25 +582,13 @@ def _kernel_vectors(free: list[int], x: dict[int, dict]) -> list[dict]:
     return list(vecs.values())
 
 
-def _kernel(m: Matrix) -> tuple[list[int], list[dict]]:
-    """Free columns and their kernel vectors: residues over Fp, lifted over Q (``_lift``)."""
-    prime = m.field.prime
-    if prime is None:
-        return _lift(m)
-    pivots: list = []
-    _eliminate_mod_p(_residue_rows(m)[0], m.cols, prime, pivots)
-    free, x = _back_solve(pivots, m.cols, prime)
-    return free, _kernel_vectors(free, x)
-
-
 def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right kernel, one coordinate vector per free column.
+    """Basis of the right kernel, one coordinate vector per free column (``_lift``).
 
-    Over Q it is the lifted kernel (``lifted_kernel``), over Fp the
-    back-solve of the elimination mod the field's prime.
+    The vector of free column f is 1 there and 0 at the other free columns.
     """
     basis = []
-    for vec in _kernel(m)[1]:
+    for vec in _lift(m)[1]:
         dense = [m.field.zero] * m.cols
         for c, v in vec.items():
             dense[c] = m.field.coerce(v)
@@ -624,60 +611,45 @@ def _lift_residue(r: int, modulus: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def lifted_kernel(m: Matrix, labels: Sequence[int] | None = None) -> list[dict]:
-    """Exact kernel basis of a rational matrix, lifted from eliminations mod primes.
+def _lift(m: Matrix, kernel: Matrix | None = None) -> tuple[list[int], list[dict] | None]:
+    """Free columns and exact kernel vectors, over as many primes as it takes.
 
-    One vector per free column, 1 there and 0 at the other free columns,
-    as {column: nonzero Fraction or int}; their number is the exact
-    nullity (see the module docstring).  labels are taken as
-    ``rank_mod_p`` takes them.
+    Each prime eliminates the rows mod p (``_eliminate_mod_p``) and
+    back-solves one kernel vector per free column, as {column: nonzero
+    value}.  Over Fp the prime is the field's and its back-solve is the
+    answer.  Over Q the primes are DEFAULT_PRIME and then the primes below
+    it.  A prime of full column rank ends the lift with an empty kernel.
+    Given kernel, rows known to lie in the right kernel, each component
+    stops at its cap, and a prime whose nullity is the one the caps vouch
+    for ends the lift with the free columns and no vectors (None): the
+    parts of those rows on the components span a kernel of that dimension,
+    and the nullity over Q is at most the nullity mod p.  Over Q the
+    (rank, free columns) of a prime is compared with the best seen: a
+    higher rank wins, and at equal rank the larger list of free columns
+    does, since the pivot columns are the column rank profile and a prime
+    that divides a minor can only move a pivot to a later column.  A
+    winner restarts the residues, a tie is combined with them by CRT, and
+    a loser is skipped.  After each restart or tie the residues mod M, the
+    product of their primes, are lifted with bound isqrt(M/2) and checked,
+    A x = 0 over the integers.  The lift ends: with H the Hadamard bound
+    of the integer rows, every prime of a losing rank or profile divides
+    one nonzero minor, so their product is at most H; once the product of
+    all primes tried passes 2 H**3, M passes 2 H**2, and every entry, a
+    ratio of minors, lifts.  A check that still fails is an internal error.
     """
-    if not isinstance(m.field, RationalField):
-        raise SemanticError("lifted_kernel expects a rational matrix")
-    return _lift(m, labels)[1]
-
-
-def _lift(m: Matrix, labels: Sequence[int] | None = None,
-          kernel: Matrix | None = None) -> tuple[list[int], list[dict] | None]:
-    """Free columns and exact kernel vectors of a rational matrix, over as many primes as it takes.
-
-    Each prime, DEFAULT_PRIME first and then the primes below it, eliminates
-    the rows mod p and back-solves the kernel.  A prime of full column rank
-    ends the lift with an empty kernel.  Given kernel, rows known to lie
-    in the right kernel over Q, each component stops at its cap
-    (``_eliminate_mod_p``), and a prime whose nullity is k, the sum of
-    the ranks of their parts on the components (``_known_ranks``), ends the
-    lift with the free columns and no vectors (None): those parts span a
-    kernel over Q of dimension at least k, and the nullity over Q is at
-    most the nullity mod p.  The (rank, free columns) of a prime is
-    compared with the best seen: a higher rank wins, and at equal rank
-    the larger list of free columns does, since the pivot columns are the
-    column rank profile and a prime that divides a minor can only move a
-    pivot to a later column.  A winner restarts the residues, a tie is
-    combined with them by CRT, and a loser is skipped.  After each restart
-    or tie the residues mod M, the product of their primes, are lifted with
-    bound isqrt(M/2) and checked, A x = 0 over the integers.  The lift
-    ends: with H the Hadamard bound of the integer rows, every prime of a
-    losing rank or profile divides one nonzero minor, so their product is
-    at most H; once the product of all primes tried passes 2 H**3, M passes
-    2 H**2, and every entry, a ratio of minors, lifts.  A check that still
-    fails is an internal error.
-    """
-    cols, prime = m.cols, DEFAULT_PRIME
+    cols, prime = m.cols, m.field.prime or DEFAULT_PRIME
     best, modulus, x, tried, limit = (-1, []), 1, {}, 1, None
     while True:
-        residues, _ = _residue_rows(m, prime)
-        if labels is None:
-            labels = components(residues, cols)
-        known = _known_ranks(kernel, labels, prime)
         pivots: list = []
-        rk = _eliminate_mod_p(residues, cols, prime, pivots, labels, known)
-        del residues  # freed before the back-solve; the pivot rows are copies
-        if cols - rk == sum(known.values()):
+        # the residue rows are freed on return, before the back-solve; the pivot rows are copies
+        rk, vouched = _eliminate_mod_p(_residue_rows(m, prime), cols, prime, pivots, kernel)
+        if cols - rk == vouched:
             taken = {pc for pc, _ in pivots}
             free = [c for c in range(cols) if c not in taken]
             return free, None if free else []
         free, y = _back_solve(pivots, cols, prime)
+        if m.field.prime is not None:
+            return free, _kernel_vectors(free, y)
         seen = (rk, free)
         if seen > best:
             best, modulus, x = seen, prime, y
@@ -791,7 +763,7 @@ def inverse(m: Matrix) -> Matrix:
     n, field = m.rows, m.field
     items = {(i, n + i): -field.one for i in range(n)}
     items.update(m.nonzeros())
-    free, vecs = _kernel(Matrix.from_nonzeros(n, 2 * n, items, field))
+    free, vecs = _lift(Matrix.from_nonzeros(n, 2 * n, items, field))
     if free != list(range(n, 2 * n)):
         raise SingularMatrixError("matrix is singular")
     nz = {i * n + j: field.coerce(v) for j, vec in enumerate(vecs) for i, v in vec.items() if i < n}

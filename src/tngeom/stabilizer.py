@@ -44,15 +44,14 @@ def check_system_size(nnz: int, fill: int = 0) -> None:
         )
 
 
-def elimination_fill(pairs, rows: int, cols: int, labels: list | None = None) -> int:
+def elimination_fill(pairs, rows: int, cols: int) -> int:
     """Most cells an elimination of the sparse system with these (row, column) nonzeros can hold.
 
     A row update adds a row that shares a column, so a row never leaves
     the columns of its connected component in the row-column graph, and
     the bound is the sum over components of rows times columns.  The
     components (``linalg.components``) are only searched when
-    min(rows, nonzeros) * cols is over the budget; then, given a labels
-    list, the label of each column is appended to it.
+    min(rows, nonzeros) * cols is over the budget.
     """
     if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
         return min(rows, len(pairs)) * cols
@@ -60,8 +59,6 @@ def elimination_fill(pairs, rows: int, cols: int, labels: list | None = None) ->
     for r, c in pairs:
         by_row.setdefault(r, []).append(c)
     label = components(by_row.values(), cols)
-    if labels is not None:
-        labels += label
     comp_cols = Counter(label)
     comp_rows = Counter(label[row[0]] for row in by_row.values())
     return sum(n * comp_cols[a] for a, n in comp_rows.items())
@@ -72,15 +69,13 @@ class StabilizerSystem:
     """Linear system whose kernel is the stabilizer algebra of a tensor.
 
     Rows are indexed by tensor coordinates, columns by (slot, elementary
-    matrix) pairs laid out slot by slot, each slot row-major.  labels are
-    the column components (``linalg.components``) when the size check
-    searched them, and spare the elimination its own search.
+    matrix) pairs laid out slot by slot, each slot row-major; offsets are
+    the first column of each slot.
     """
 
     matrix: Matrix
     shape: tuple[int, ...]
     offsets: tuple[int, ...]
-    labels: tuple[int, ...] | None = None
 
     @property
     def group_dim(self) -> int:
@@ -96,7 +91,7 @@ class StabilizerSystem:
         component's elimination stops at its cap; over Q a prime on which
         every component reaches it is exact with no lifted kernel.
         """
-        return rank(self.matrix, self.labels, self.scalar_rows())
+        return rank(self.matrix, self.scalar_rows())
 
     def scalar_rows(self) -> Matrix:
         """The d - 1 tuples (I in slot j, -I in slot j + 1), one row each.
@@ -148,11 +143,11 @@ def build_system(t: Tensor) -> StabilizerSystem:
             col_base = offsets[j] + l
             for k in range(vj):
                 items[base + k * strides[j], col_base + k * vj] = val
-    rows, labels = prod(shape), []
-    check_system_size(len(items), elimination_fill(items, rows, total, labels))
+    rows = prod(shape)
+    check_system_size(len(items), elimination_fill(items, rows, total))
     # every value is a nonzero scalar of t's field, so the cells need no checks
     nz = {r * total + c: v for (r, c), v in items.items()}
-    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets), tuple(labels) or None)
+    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets))
 
 
 def stabilizer_dim(t: Tensor) -> int:

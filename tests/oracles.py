@@ -58,6 +58,35 @@ def naive_rank_mod_p(rows: list[list[int]], p: int) -> int:
     return rank
 
 
+def naive_kernel(rows: list[list[int]], cols: int, p: int | None = None) -> list[list]:
+    """Basis of the right kernel by dense reduction to reduced echelon form,
+    over Fraction, or mod p when p is given: one vector per non-pivot column."""
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    m = [[red(Fraction(x) if p is None else x) for x in row] for row in rows]
+    pivots: list[int] = []
+    for col in range(cols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][col] if p is None else pow(m[r][col], -1, p)
+        m[r] = [red(x * inv) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                c = m[i][col]
+                m[i] = [red(a - c * b) for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[f] = 1
+        for i, pc in enumerate(pivots):
+            vec[pc] = red(-m[i][f])
+        basis.append(vec)
+    return basis
+
+
 def naive_solve(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
     """Solve a square nonsingular system by Gauss-Jordan over Fraction."""
     n = len(a)

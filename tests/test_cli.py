@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tngeom import cli, jsonio, stabilizer, varieties, zoo
+from tngeom import cli, jsonio, networks, stabilizer, varieties, zoo
 from tngeom.cli import main
 from tngeom.curves import TensorLaurent, act_curve, curve_from_splitting
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
@@ -331,6 +331,53 @@ def test_exit_3_when_only_the_last_report_scalar_is_past_the_digit_limit(tmp_pat
     assert code == 3 and out == ""
     assert "4300 digits" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["contract", "stabilizer", "certify", "dim", "reduce", "limit"])
+def test_exit_2_on_an_out_path_that_cannot_be_written(triangle_files, tmp_path, capsys, command, target):
+    # exit 1 would read as an inconclusive certificate or limit
+    args = {"contract": [triangle_files["instance"]], "stabilizer": [triangle_files["tensor"]],
+            "certify": ["--e", "2"], "dim": [triangle_files["graph"]], "reduce": [triangle_files["graph"]],
+            "limit": ["--e", "2"]}[command]
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    code, out, err = run([command, *args, "--out", path], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_exit_2_on_a_tensor_key_that_spells_another_vertex_key(tmp_path, capsys):
+    # with keys "1", "2" and " 1" the last one read used to win as vertex 1
+    obj = jsonio.instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
+    obj["tensors"][" 1"] = jsonio.tensor_to_obj(Tensor.zeros((2, 2)))
+    p = tmp_path / "twice.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(["contract", p], capsys)
+    assert code == 2 and out == ""
+    assert "tensor key ' 1'" in err
+
+
+def test_contract_refuses_a_network_over_budget_before_absorbing(tmp_path, monkeypatch, capsys):
+    # loop (2,)^11 contracts to 4^11 entries, past the budget of 4^10
+    assert 4**10 == networks.MAX_CONTRACTION_ENTRIES
+    p = tmp_path / "loop11.json"
+    p.write_text(jsonio.dumps(jsonio.instance_to_obj(random_instance(loop_graph((2,) * 11), seed=0))))
+    monkeypatch.setattr(networks, "absorb", None)  # absorbing a vertex would raise
+    code, out, err = run(["contract", p], capsys)
+    assert code == 3 and out == ""
+    assert f"{4**11} entries, over the budget" in err
+
+
+def test_contract_runs_a_network_at_its_budget(tmp_path, monkeypatch, capsys):
+    # loop (2,)^5 holds at most 4^5 entries: refused one entry below that, contracted at it
+    inst = random_instance(loop_graph((2,) * 5), seed=0)
+    p = tmp_path / "loop5.json"
+    p.write_text(jsonio.dumps(jsonio.instance_to_obj(inst)))
+    monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5 - 1)
+    assert run(["contract", p], capsys)[0] == 3
+    monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5)
+    code, out, _ = run(["contract", p], capsys)
+    assert code == 0 and json.loads(out) == jsonio.tensor_to_obj(contract_network(inst))
 
 
 def test_exit_3_on_semantic_error(tmp_path, capsys):

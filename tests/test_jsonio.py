@@ -15,7 +15,7 @@ from tngeom.curves import MatrixCurve
 from tngeom.errors import FormatError, SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, random_matrix
-from tngeom.networks import chain_graph, contract_network, loop_graph, random_instance
+from tngeom.networks import NetworkGraph, chain_graph, contract_network, loop_graph, random_instance
 from tngeom.tensors import Tensor, random_tensor
 from tngeom.varieties import certify_not_closed
 from tngeom.zoo import diagonal_splitting, mmult
@@ -80,6 +80,23 @@ def test_instance_bad_vertex_key():
     obj = jsonio.instance_to_obj(random_instance(g, seed=0))
     obj["tensors"] = {"x": obj["tensors"]["1"]}
     with pytest.raises(FormatError):
+        jsonio.instance_from_obj(obj, QQ)
+
+
+@pytest.mark.parametrize("key, vid", [(" 1", 1), ("1 ", 1), ("01", 1), ("+1", 1), ("-0", 0), ("1_0", 10),
+                                      ("\u0661", 1)])  # the last is the Arabic-Indic digit one
+def test_instance_refuses_a_vertex_key_not_written_as_its_id(key, vid):
+    # int() reads each of these as vid; only str(vid) names the vertex
+    g = NetworkGraph.build([(vid, 2), (2, 2)], [(1, vid, 2, 2)])
+    obj = jsonio.instance_to_obj(random_instance(g, seed=0))
+    assert int(key) == vid and str(vid) in obj["tensors"]
+    back = jsonio.instance_from_obj(obj, QQ)
+    obj["tensors"][key] = obj["tensors"].pop(str(vid))
+    with pytest.raises(FormatError, match="tensor key"):
+        jsonio.instance_from_obj(obj, QQ)
+    # next to the key it spells, it would name the same vertex twice
+    obj["tensors"][str(vid)] = jsonio.tensor_to_obj(back.tensors[vid])
+    with pytest.raises(FormatError, match="tensor key"):
         jsonio.instance_from_obj(obj, QQ)
 
 

@@ -20,14 +20,13 @@ from tngeom.linalg import (
     is_invertible,
     kernel_basis,
     kron,
-    lifted_kernel,
     random_invertible,
     random_matrix,
     rank,
     rank_mod_p,
 )
 
-from oracles import kernel_dim, kron_oracle, matrix_rows, naive_rank, naive_rank_mod_p, rank_modulo_primes
+from oracles import kernel_dim, kron_oracle, matrix_rows, naive_kernel, naive_rank, naive_rank_mod_p, rank_modulo_primes
 
 FP = PrimeField(2**31 - 1)
 
@@ -133,19 +132,17 @@ def test_lifted_kernel_agrees_with_exact_elimination(seed, free, bound, twist):
     want = naive_rank(matrix_rows(m))
     assert rank(m) == want == m.cols - free
     assert rank_mod_p(m) <= want
-    basis = lifted_kernel(m)
-    assert all(all(vec.values()) for vec in basis)
-    for vecs in (kernel_basis(m), [[vec.get(c, 0) for c in range(m.cols)] for vec in basis]):
-        assert len(vecs) == free == kernel_dim(m)
-        for v in vecs:
-            assert any(v) and all(x == 0 for x in m.apply(v))
-        assert rank(Matrix.from_rows(vecs)) == free
+    basis = kernel_basis(m)
+    assert len(basis) == free == kernel_dim(m)
+    for v in basis:
+        assert any(v) and all(x == 0 for x in m.apply(v))
+    assert rank(Matrix.from_rows(basis)) == free
 
 
 def test_lifted_kernel_full_rank_and_empty():
-    assert lifted_kernel(Matrix.identity(3)) == []
-    assert lifted_kernel(Matrix.zeros(2, 3)) == [{0: 1}, {1: 1}, {2: 1}]
-    assert lifted_kernel(Matrix.zeros(0, 2)) == [{0: 1}, {1: 1}]
+    assert kernel_basis(Matrix.identity(3)) == []
+    assert kernel_basis(Matrix.zeros(2, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert kernel_basis(Matrix.zeros(0, 2)) == [[1, 0], [0, 1]]
 
 
 @given(st.integers(-32767, 32767), st.integers(1, 32767))
@@ -175,21 +172,20 @@ def test_lifted_kernel_falls_back_past_the_height_bound(monkeypatch):
     # one prime; mod the product of two it does
     primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[1, -40000]])
-    assert lifted_kernel(m) == [{0: 40000, 1: 1}]
+    assert kernel_basis(m) == [[40000, 1]]
     assert len(primes) == 2 and primes[0] == P > primes[1]
     del primes[:]
-    assert lifted_kernel(Matrix.from_rows([[1, -32767]])) == [{0: 32767, 1: 1}]
+    assert kernel_basis(Matrix.from_rows([[1, -32767]])) == [[32767, 1]]
     assert primes == [P]
-    assert kernel_basis(m) == [[40000, 1]]
 
 
 def test_lifted_kernel_needs_three_primes_past_two_primes_height(monkeypatch):
     # 2^40 is above isqrt(p q / 2), about 1.5e9, and below isqrt(p q r / 2)
     primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[3, -(2**40)], [6, -(2**41)]])
-    assert lifted_kernel(m) == [{0: Fraction(2**40, 3), 1: 1}]
+    assert kernel_basis(m) == [[Fraction(2**40, 3), 1]]
     assert len(primes) == 3
-    assert rank(m) == 1 and kernel_basis(m) == [[Fraction(2**40, 3), 1]]
+    assert rank(m) == 1
 
 
 def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor(monkeypatch):
@@ -198,9 +194,8 @@ def test_lifted_kernel_check_rejects_a_prime_dividing_a_minor(monkeypatch):
     # has full rank, so the kernel is empty
     primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[1, 1], [1, 2**31]])
-    assert lifted_kernel(m) == []
-    assert len(primes) == 2
     assert kernel_basis(m) == []
+    assert len(primes) == 2
     assert rank(m) == 2
 
 
@@ -212,14 +207,9 @@ def test_lifted_kernel_moves_to_the_generic_pivot_columns(monkeypatch):
     # of them, and p is not among them
     primes = _primes_used(monkeypatch)
     m = Matrix.from_rows([[2**31 - 1, 1, 0], [0, 0, 1]])
-    assert lifted_kernel(m) == [{0: Fraction(-1, 2**31 - 1), 1: 1}]
+    assert kernel_basis(m) == [[Fraction(-1, 2**31 - 1), 1, 0]]
     assert len(primes) == 4
     assert rank(m) == 2
-
-
-def test_lifted_kernel_rejects_prime_field_matrices():
-    with pytest.raises(SemanticError):
-        lifted_kernel(Matrix.identity(2, FP))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -376,8 +366,8 @@ def _residues(data, prime: int) -> list[dict]:
 @given(structured_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
 def test_packed_rank_matches_sparse_kernel_and_oracle(case, prime):
     rows, cols, data = case
-    got = _eliminate_mod_p(_residues(data, prime), cols, prime)
-    assert got == naive_rank_mod_p(data, prime)
+    got, vouched = _eliminate_mod_p(_residues(data, prime), cols, prime)
+    assert (got, vouched) == (naive_rank_mod_p(data, prime), 0)
     if prime == FP.prime and _minor_bound(data) < prime:
         # no minor vanishes mod p, so the rank over Q agrees
         assert got == naive_rank(data)
@@ -388,7 +378,7 @@ def test_packed_rank_empty_shapes():
     for rows, cols in [(0, 4), (0, 0), (3, 0)]:
         assert rank_mod_p(Matrix(rows, cols, [])) == 0
         assert rank_mod_p(Matrix.zeros(rows, cols, FP)) == 0
-    assert _eliminate_mod_p([{}, {}], 3, FP.prime) == 0
+    assert _eliminate_mod_p([{}, {}], 3, FP.prime) == (0, 0)
 
 
 @pytest.mark.parametrize("prime", [2, 3, 7, FP.prime])
@@ -404,12 +394,12 @@ def test_packed_rank_widest_slots(prime, n):
     rows = pivots + [last]
     dense = [[r.get(c, 0) for c in range(n + 1)] for r in rows]
     want = naive_rank_mod_p(dense, prime)
-    assert _eliminate_mod_p(rows, n + 1, prime) == want
+    assert _eliminate_mod_p(rows, n + 1, prime) == (want, 0)
     if prime == FP.prime:
         assert want == naive_rank(dense)
     # entries p - 1 off the diagonal: -(J - I), of determinant +-(n - 1) != 0 mod a large p
     full = [{c: prime - 1 for c in range(n) if c != r} for r in range(n)]
-    got = _eliminate_mod_p(full, n, prime)
+    got = _eliminate_mod_p(full, n, prime)[0]
     assert got == naive_rank_mod_p([[r.get(c, 0) for c in range(n)] for r in full], prime)
     if prime == FP.prime:
         assert got == (n if n > 1 else 0)
@@ -480,7 +470,7 @@ def block_diagonal_matrices(draw):
 def test_component_elimination_on_block_diagonal_matrices(case, prime):
     rows, cols, data = case
     pivots: list = []
-    got = _eliminate_mod_p(_residues(data, prime), cols, prime, pivots)
+    got = _eliminate_mod_p(_residues(data, prime), cols, prime, pivots)[0]
     assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
         assert got == naive_rank(data)
@@ -655,6 +645,23 @@ def test_strided_order_is_a_permutation(n):
         assert order[:2] != rows[:2]
 
 
+@given(block_diagonal_matrices(), st.data())
+def test_planted_kernel_rows_cap_the_rank(case, data):
+    # rows planted in the kernel: integer combinations of an oracle's kernel basis, over each field,
+    # so each component's elimination stops at a cap that may or may not be its rank
+    rows, cols, dense = case
+    for field, want in ((QQ, naive_rank(dense)), (FP, naive_rank_mod_p(dense, FP.prime))):
+        basis = naive_kernel(dense, cols, field.prime)
+        combos = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)),
+                                    max_size=len(basis) + 1))
+        planted = [[sum(c * vec[j] for c, vec in zip(coeffs, basis)) for j in range(cols)] for coeffs in combos]
+        assert all(sum(a * b for a, b in zip(row, vec)) % (field.prime or 1) == 0 for row in dense for vec in planted)
+        m = Matrix(rows, cols, [x for r in dense for x in r], field)
+        kernel = Matrix(len(planted), cols, [x for r in planted for x in r], field)
+        assert rank(m, kernel) == want
+        assert rank_mod_p(m, kernel) == naive_rank_mod_p(dense, FP.prime)
+
+
 @pytest.mark.parametrize("field", [QQ, FP])
 def test_kernel_rows_cap_each_component(monkeypatch, field):
     # two blocks whose rows sum to zero on their columns, 5 x 4 and 4 x 3, rank 3 + 2; the kernel
@@ -676,4 +683,4 @@ def test_kernel_rows_cap_each_component(monkeypatch, field):
         raise AssertionError("every block meets its cap, so no kernel is lifted")
 
     monkeypatch.setattr(linalg, "_lifted_vectors", refuse)
-    assert rank(m, None, kernel) == rank_mod_p(m, None, kernel) == want
+    assert rank(m, kernel) == rank_mod_p(m, kernel) == want

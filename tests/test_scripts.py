@@ -61,3 +61,15 @@ def test_stabilizer_scan():
         rows = table(run_script("stabilizer_scan.py", "--min-n", "3", "--max-n", "5", "--field", field))
         assert [(n, stab, orbit, read) for n, _, _, stab, orbit, read, _, _ in rows] == [
             (str(n), "2", str(3 * n * n - 2), str(3 * n * n - 2)) for n in (3, 4, 5)]
+
+
+def test_src_loc(tmp_path):
+    # code lines only: the docstrings, the comment and the blank lines drop out; a string of two lines counts two
+    (tmp_path / "a.py").write_text('"""Module\n\ndocstring."""\n\n# a comment\nx = 1  # and one after code\n\n\n'
+                                   'def f():\n    """Docstring."""\n    return """two\nlines"""\n')
+    (tmp_path / "b.py").write_text("")
+    assert [line.split() for line in run_script("src_loc.py", str(tmp_path)).splitlines()] == [
+        ["a.py", "4"], ["b.py", "0"], ["total", "4"]]
+    rows = [line.split() for line in run_script("src_loc.py").splitlines()]
+    assert {"cli.py", "linalg.py"} <= {name for name, _ in rows}
+    assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
