@@ -7,92 +7,44 @@ named tensor constructors (cyclic trace tensors, splittings, the
 explicit boundary tensor), symmetry-algebra systems, matrix curves with
 Laurent expansion, and variety-level queries culminating in a
 non-closedness certificate.
+
+The package namespace is lazy (PEP 562): ``tngeom.X`` imports the module
+that defines X on first access and binds X here, so ``import tngeom``
+loads no submodule and a command loads only the modules it runs.
 """
 
-from .errors import (
-    FieldMismatchError,
-    FormatError,
-    SemanticError,
-    ShapeError,
-    SingularMatrixError,
-    TngeomError,
-)
-from .fields import DEFAULT_PRIME, QQ, Field, PrimeField, RationalField
-from .linalg import (
-    Matrix,
-    inverse,
-    is_invertible,
-    kernel_basis,
-    kron,
-    random_invertible,
-    random_matrix,
-    rank,
-)
-from .tensors import (
-    Tensor,
-    apply_end,
-    contract_pair,
-    eval_multilinear,
-    flatten,
-    leibniz_act,
-    mlrank,
-    mode_apply,
-    outer,
-    random_tensor,
-    transpose_axes,
-)
-from .networks import (
-    Edge,
-    MergeStep,
-    NetworkGraph,
-    TNSInstance,
-    Vertex,
-    chain_graph,
-    classify_vertex,
-    contract_network,
-    expected_dim,
-    flip_edge,
-    gauge_transform,
-    identity_instance,
-    loop_dim_formula,
-    loop_graph,
-    random_instance,
-    reduce_valence_one,
-    reduction_preimage,
-    supercritical_truncate,
-)
-from .zoo import (
-    Splitting,
-    block_splitting,
-    diagonal_splitting,
-    imm_loop,
-    m_tilde_formula,
-    mmult,
-)
-from .stabilizer import (
-    StabilizerSystem,
-    build_system,
-    orbit_dim,
-    stabilizer_contains_expected,
-    stabilizer_dim,
-    stabilizer_tuples,
-)
-from .curves import (
-    MatrixCurve,
-    TensorLaurent,
-    act_curve,
-    curve_from_splitting,
-    leading_term,
-)
-from .varieties import (
-    Certificate,
-    certify_not_closed,
-    contraction_jacobian,
-    end_orbit_consistency,
-    is_concise,
-    loop_endomorphisms,
-    sub_membership,
-    tns_dim,
-)
+from importlib import import_module as _import_module
 
+_EXPORTS = {
+    "errors": "FieldMismatchError FormatError SemanticError ShapeError SingularMatrixError TngeomError",
+    "fields": "DEFAULT_PRIME QQ Field PrimeField RationalField",
+    "linalg": "Matrix inverse is_invertible kernel_basis kron random_invertible random_matrix rank",
+    "tensors": "Tensor apply_end contract_pair eval_multilinear flatten leibniz_act mlrank mode_apply outer "
+               "random_tensor transpose_axes",
+    "networks": "Edge MergeStep NetworkGraph TNSInstance Vertex chain_graph classify_vertex contract_network "
+                "expected_dim flip_edge gauge_transform identity_instance loop_dim_formula loop_graph "
+                "random_instance reduce_valence_one reduction_preimage supercritical_truncate",
+    "zoo": "Splitting block_splitting diagonal_splitting imm_loop m_tilde_formula mmult",
+    "stabilizer": "StabilizerSystem build_system orbit_dim stabilizer_contains_expected stabilizer_dim "
+                  "stabilizer_tuples",
+    "curves": "MatrixCurve TensorLaurent act_curve curve_from_splitting leading_term",
+    "varieties": "Certificate certify_not_closed contraction_jacobian end_orbit_consistency is_concise "
+                 "loop_endomorphisms sub_membership tns_dim",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF, *_EXPORTS})

@@ -6,35 +6,59 @@ flags.  Exit codes: 0 success or certified, 1 inconclusive, 2 parse or
 usage error, 3 semantic error (bad shapes, invalid objects), 141 (128 +
 SIGPIPE) when the reader of stdout closed it before the report was
 written, as in `tngeom certify --e 4 | head -5`.
+
+A process imports only what its subcommand runs.  This module imports
+errors and fields; each command fetches the names it calls (``_LAZY``)
+when it starts.  So `tngeom --help` loads no pipeline module, and
+`tngeom stabilizer` no network, curve or variety code.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 
-from .curves import act_curve, curve_from_splitting
 from .errors import FormatError, SemanticError
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
-from .linalg import rank  # noqa: F401  (kept importable as tngeom.cli.rank for code that wraps it)
-from .jsonio import (
-    certificate_to_obj,
-    dump,
-    dumps,  # noqa: F401  (kept importable as tngeom.cli.dumps for code that wraps it)
-    field_label,
-    graph_from_obj,
-    graph_to_obj,
-    instance_from_obj,
-    load_path,
-    splitting_from_obj,
-    tensor_from_obj,
-    tensor_to_obj,  # noqa: F401  (kept importable as tngeom.cli.tensor_to_obj for code that wraps it)
-)
-from .networks import contract_network, expected_dim, reduce_valence_one
-from .stabilizer import build_system, check_system_size
-from .varieties import certify_not_closed, tns_dim
-from .zoo import Splitting, diagonal_splitting, mmult
+
+# The names the commands call, and the module that defines each.  A module
+# is imported when a command first needs one of its names, so `--help`
+# loads only this module, errors and fields, and `stabilizer` never loads
+# networks or varieties.  Each name is still an attribute of this module
+# (module __getattr__), so code that wraps or replaces one here, such as a
+# tracer or a test, is the code the commands call: `_fetch` binds a name
+# only when nothing is bound to it yet.  rank, dumps, tensor_to_obj and
+# Splitting are not called by any command; they stay for code that wraps
+# them here.
+_LAZY = {name: module for module, names in (
+    ("curves", "act_curve curve_from_splitting"),
+    ("jsonio", "certificate_to_obj dump dumps field_label graph_from_obj graph_to_obj instance_from_obj "
+               "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
+    ("linalg", "rank"),
+    ("networks", "contract_network expected_dim reduce_valence_one"),
+    ("stabilizer", "build_system check_system_size"),
+    ("varieties", "certify_not_closed tns_dim"),
+    ("zoo", "Splitting diagonal_splitting mmult"),
+) for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _fetch(*names: str) -> None:
+    """Bind each name in this module's globals, unless something is bound to it already."""
+    bound = globals()
+    for name in names:
+        if name not in bound:
+            __getattr__(name)
+
 
 # `limit` holds the e^3 nonzeros of the trace tensor and the terms of their
 # expansion.  On a 2-core host with Python 3.11 its peak RSS grew by 0.64 to
@@ -62,6 +86,7 @@ def _resolve_field(args) -> Field:
 
 
 def cmd_contract(args) -> int:
+    _fetch("load_path", "instance_from_obj", "contract_network", "dump")
     field = _resolve_field(args)
     inst = instance_from_obj(load_path(args.instance), field)
     dump(contract_network(inst), args.out)
@@ -69,6 +94,7 @@ def cmd_contract(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
+    _fetch("load_path", "tensor_from_obj", "build_system", "field_label", "dump")
     t = tensor_from_obj(load_path(args.tensor), _resolve_field(args))
     system = build_system(t)
     orbit = system.orbit_dim()
@@ -80,6 +106,7 @@ def cmd_stabilizer(args) -> int:
 
 def _splitting(args) -> Splitting:
     """The --splitting file, or the diagonal splitting, over the --field."""
+    _fetch("load_path", "splitting_from_obj", "diagonal_splitting")
     field = _resolve_field(args)
     if args.splitting:
         return splitting_from_obj(load_path(args.splitting), field)
@@ -87,6 +114,7 @@ def _splitting(args) -> Splitting:
 
 
 def cmd_certify(args) -> int:
+    _fetch("check_system_size", "certify_not_closed", "certificate_to_obj", "field_label", "dump")
     check_system_size(3 * args.e**5)  # the stabilizer system of mmult(e, e, e), before anything is built
     s = _splitting(args)
     cert = certify_not_closed(s, args.e)
@@ -97,6 +125,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_dim(args) -> int:
+    _fetch("load_path", "graph_from_obj", "tns_dim", "expected_dim", "field_label", "dump")
     g = graph_from_obj(load_path(args.graph))
     field = _resolve_field(args)
     jac = tns_dim(g, seed=args.seed, field=field)
@@ -114,6 +143,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    _fetch("load_path", "graph_from_obj", "reduce_valence_one", "graph_to_obj", "dump")
     g = graph_from_obj(load_path(args.graph))
     reduced, log = reduce_valence_one(g)
     report = {
@@ -131,6 +161,7 @@ def cmd_limit(args) -> int:
     if args.e**3 > MAX_LIMIT_NNZ:  # before anything is built
         raise SemanticError(f"the trace tensor at e = {args.e} would have {args.e**3} nonzeros, "
                             f"over the budget of {MAX_LIMIT_NNZ}")
+    _fetch("mmult", "act_curve", "curve_from_splitting", "dump")
     s = _splitting(args)
     m = mmult(args.e, args.e, args.e, s.field)
     expansion = act_curve(m, curve_from_splitting(s))

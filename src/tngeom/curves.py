@@ -15,9 +15,9 @@ inside the endomorphism orbit of the starting tensor.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import SemanticError, ShapeError
 from .fields import Field
 from .linalg import Matrix
@@ -34,8 +34,7 @@ def _power(t, p: int) -> Fraction:
     return Fraction(t) ** p
 
 
-@dataclass(frozen=True)
-class MatrixCurve:
+class MatrixCurve(Record):
     """Finite Laurent polynomial with square matrix coefficients."""
 
     terms: tuple[tuple[int, Matrix], ...]
@@ -80,8 +79,7 @@ class MatrixCurve:
         return MatrixCurve(tuple((p + k, m) for p, m in self.terms))
 
 
-@dataclass(frozen=True)
-class TensorLaurent:
+class TensorLaurent(Record):
     """Tensor-valued Laurent polynomial; only nonzero coefficients are kept."""
 
     terms: tuple[tuple[int, Tensor], ...]

@@ -27,14 +27,14 @@ import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .curves import MatrixCurve
 from .errors import FormatError, SemanticError
 from .fields import Field
 from .linalg import Matrix
-from .networks import NetworkGraph, TNSInstance
 from .tensors import Tensor
-from .varieties import Certificate
-from .zoo import Splitting
+
+# The types of curves, networks, varieties and zoo are imported by the
+# functions that build them, so a command loads only the modules it runs;
+# the annotations that name them are never evaluated.
 
 
 def dumps(obj) -> str:
@@ -116,9 +116,23 @@ def _check_scalars(obj) -> None:
             _check_scalars(value)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats: json.loads would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"invalid JSON: key {_abbrev(key)} is repeated in one object")
+            seen.add(key)
+    return obj
+
+
 def loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
+    except FormatError:
+        raise
     except ValueError as exc:  # a JSONDecodeError, or an integer past the int digit limit
         raise FormatError(f"invalid JSON: {exc}") from exc
 
@@ -239,6 +253,8 @@ def graph_to_obj(g: NetworkGraph) -> dict:
 
 
 def graph_from_obj(obj) -> NetworkGraph:
+    from .networks import NetworkGraph
+
     d = _as_dict(obj, "graph")
     vertices = []
     for v in _as_list(_field_key(d, "vertices", "graph"), "vertices"):
@@ -262,6 +278,8 @@ def instance_to_obj(inst: TNSInstance) -> dict:
 
 
 def instance_from_obj(obj, field: Field) -> TNSInstance:
+    from .networks import TNSInstance
+
     d = _as_dict(obj, "instance")
     g = graph_from_obj(d)
     tensors = {}
@@ -286,6 +304,8 @@ def splitting_to_obj(s: Splitting) -> dict:
 
 
 def splitting_from_obj(obj, field: Field) -> Splitting:
+    from .zoo import Splitting
+
     d = _as_dict(obj, "splitting")
     mats = [matrix_from_obj(_field_key(d, k, "splitting"), field) for k in _SPLIT_KEYS]
     return Splitting(*mats)
@@ -299,6 +319,8 @@ def curve_to_obj(factor: int, curve: MatrixCurve) -> dict:
 
 
 def curve_from_obj(obj, field: Field) -> tuple[int, MatrixCurve]:
+    from .curves import MatrixCurve
+
     d = _as_dict(obj, "curve")
     factor = _as_int(_field_key(d, "factor", "curve"), "curve factor")
     terms = []

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from math import prod
 
+from ._record import Record
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
 from .linalg import Matrix, inverse
@@ -42,22 +42,19 @@ from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable her
 MAX_CONTRACTION_ENTRIES = 2**20
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     id: int
     dim: int
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: int
     tail: int
     head: int
     dim: int
 
 
-@dataclass(frozen=True)
-class NetworkGraph:
+class NetworkGraph(Record):
     """Immutable labeled multigraph; self loops are rejected."""
 
     vertices: tuple[Vertex, ...]
@@ -167,8 +164,7 @@ def chain_graph(vertex_dims, edge_dims) -> NetworkGraph:
     return NetworkGraph.build(vertices, edges)
 
 
-@dataclass(frozen=True)
-class TNSInstance:
+class TNSInstance(Record):
     """Vertex tensors attached to a graph; axis order per tensor_shape."""
 
     graph: NetworkGraph
@@ -318,8 +314,7 @@ def gauge_transform(inst: TNSInstance, edge_id: int, g_mat: Matrix) -> TNSInstan
     return TNSInstance(g, tensors)
 
 
-@dataclass(frozen=True)
-class MergeStep:
+class MergeStep(Record):
     removed: int
     edge: int
     target: int

@@ -10,9 +10,9 @@ orbit dimension is the rank of the same system.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import prod
 
+from ._record import Record
 from .errors import SemanticError, ShapeError
 from .linalg import Matrix, components, kernel_basis, kron, rank
 from .tensors import Tensor, leibniz_act, lin_index
@@ -64,8 +64,7 @@ def elimination_fill(pairs, rows: int, cols: int) -> int:
     return sum(n * comp_cols[a] for a, n in comp_rows.items())
 
 
-@dataclass(frozen=True)
-class StabilizerSystem:
+class StabilizerSystem(Record):
     """Linear system whose kernel is the stabilizer algebra of a tensor.
 
     Rows are indexed by tensor coordinates, columns by (slot, elementary

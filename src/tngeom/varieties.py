@@ -50,11 +50,11 @@ rank of J (``linalg.rank``, the lifted kernel).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import prod
 
 from .curves import act_curve, curve_from_splitting, leading_term
+from ._record import Record
 from .errors import SemanticError, ShapeError
 from .fields import DEFAULT_PRIME, QQ, Field
 from .linalg import Matrix, _packed_eliminate, annihilates, kernel_basis, pivot_columns, rank
@@ -488,8 +488,7 @@ def end_orbit_consistency(inst: TNSInstance) -> bool:
     return acted == contract_network(inst)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Computed evidence that a curve limit leaves the contraction family.
 
     conclusion is "not_closed_certified" exactly when the limit tensor is

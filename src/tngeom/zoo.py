@@ -11,9 +11,9 @@ and the trilinear form is (P, Q, R) -> trace(PQR).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from ._record import Record
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
 from .linalg import Matrix
@@ -70,8 +70,7 @@ def m_tilde_formula(e: int, field: Field = QQ) -> Tensor:
     return Tensor.from_nonzeros((e * e, e * e, e * e), items, field)
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(Record):
     """Idempotent coordinate projections, one per factor of an order-3
     matrix-space format.  The complementary projection of p is 1 - p."""
 

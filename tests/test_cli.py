@@ -357,6 +357,47 @@ def test_exit_2_on_a_tensor_key_that_spells_another_vertex_key(tmp_path, capsys)
     assert "tensor key ' 1'" in err
 
 
+def _repeat(obj: dict, key: str, value) -> str:
+    """The JSON text of obj with one more pair (key, value) at its end, so key may appear twice."""
+    return json.dumps(obj)[:-1] + f", {json.dumps(key)}: " + (value if isinstance(value, str) else json.dumps(value)) + "}"
+
+
+def _repeated_key_files(tmp_path, triangle_files) -> dict:
+    """{name: (argv, repeated key)}, each input with one key twice; the JSON module keeps the last value."""
+    inst = jsonio.instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
+    tensors = inst.pop("tensors")
+    zero = jsonio.tensor_to_obj(Tensor.zeros((2, 2)))
+    chain = {"edges": [{"id": 1, "tail": 1, "head": 2, "dim": 2}]}
+    ident = jsonio.matrix_to_obj(Matrix.identity(4))
+    texts = {
+        # with the last values kept: a 1x1x1 tensor of one zero entry, stab_dim 3 and orbit_dim 0;
+        # an object is read after the objects inside it, so the entry's "val" is refused first
+        "tensor": (["stabilizer"], "val",
+                   _repeat({"shape": [9, 9, 9]}, "shape", [1, 1, 1])[:-1]
+                   + ', "entries": [' + _repeat({"idx": [0, 0, 0], "val": "1"}, "val", "0") + "]}"),
+        # the second tensor of vertex 1 is the zero tensor
+        "instance": (["contract"], "1", json.dumps(inst)[:-1] + ', "tensors": ' + _repeat(tensors, "1", zero) + "}"),
+        "graph": (["reduce"], "dim", '{"vertices": [' + _repeat({"id": 1, "dim": 2}, "dim", 4)
+                  + ', {"id": 2, "dim": 2}], ' + json.dumps(chain)[1:]),
+        "splitting": (["certify", "--e", "2", "--splitting"], "X0",
+                      _repeat(json.loads(triangle_files["idsplit"].read_text()), "X0", ident)),
+    }
+    files = {}
+    for name, (argv, key, text) in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        files[name] = ([*argv, path], key)
+    return files
+
+
+@pytest.mark.parametrize("name", ["tensor", "instance", "graph", "splitting"])
+def test_exit_2_on_a_repeated_key(tmp_path, triangle_files, capsys, name):
+    argv, key = _repeated_key_files(tmp_path, triangle_files)[name]
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: invalid JSON: key '{key}' is repeated in one object\n"
+
+
 def test_contract_refuses_a_network_over_budget_before_absorbing(tmp_path, monkeypatch, capsys):
     # loop (2,)^11 contracts to 4^11 entries, past the budget of 4^10
     assert 4**10 == networks.MAX_CONTRACTION_ENTRIES

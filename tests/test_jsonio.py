@@ -144,6 +144,14 @@ def test_loads_rejects_bad_json():
         jsonio.load_path("/nonexistent/path.json")
 
 
+def test_loads_refuses_a_repeated_key_at_any_depth():
+    for text in ('{"a": 1, "a": 1}', '[{"b": {"a": 1, "c": 2, "a": 3}}]', '{"a": 1, "b": 2, "c": {}, "b": 2}'):
+        with pytest.raises(FormatError, match="is repeated in one object"):
+            jsonio.loads(text)
+    # the same key in sibling and nested objects is no repeat
+    assert jsonio.loads('[{"a": 1}, {"a": 2, "b": {"a": 3}}]') == [{"a": 1}, {"a": 2, "b": {"a": 3}}]
+
+
 def test_prime_field_wire_round_trip():
     t = random_tensor((2, 2, 2), seed=5, bound=99, field=FP)
     obj = jsonio.tensor_to_obj(t)

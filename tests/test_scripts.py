@@ -73,3 +73,19 @@ def test_src_loc(tmp_path):
     rows = [line.split() for line in run_script("src_loc.py").splitlines()]
     assert {"cli.py", "linalg.py"} <= {name for name, _ in rows}
     assert rows[-1][0] == "total" and int(rows[-1][1]) == sum(int(n) for _, n in rows[:-1])
+
+
+def test_startup_profile():
+    # one run per command: --help loads the CLI alone, and each command the modules its pipeline runs
+    rows = {row[0]: row for row in table(run_script("startup_profile.py", "--runs", "1"))}
+    assert list(rows) == ["python", "--help", "contract", "stabilizer", "certify", "dim", "reduce", "limit"]
+    modules = {name: set(row[4:]) for name, row in rows.items()}
+    assert modules["python"] == {"-"}
+    assert modules["--help"] == {"tngeom", "cli", "errors", "fields"}
+    common = modules["--help"] | {"_record", "jsonio", "linalg", "tensors"}
+    assert modules["contract"] == modules["reduce"] == common | {"networks"}
+    assert modules["stabilizer"] == common | {"stabilizer"}
+    assert modules["limit"] == common | {"curves", "zoo"}
+    assert modules["certify"] == modules["dim"] == common | {"curves", "networks", "stabilizer", "varieties", "zoo"}
+    assert all(int(row[1]) == 1 and float(row[2]) > 0 for row in rows.values())
+    assert int(rows["--help"][3]) < int(rows["stabilizer"][3]) < int(rows["dim"][3])
