@@ -18,18 +18,15 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": "FieldMismatchError FormatError SemanticError ShapeError SingularMatrixError TngeomError",
     "fields": "DEFAULT_PRIME QQ Field PrimeField RationalField",
-    "linalg": "Matrix inverse is_invertible kernel_basis kron random_invertible random_matrix rank",
-    "tensors": "Tensor apply_end contract_pair eval_multilinear flatten leibniz_act mlrank mode_apply outer "
-               "random_tensor transpose_axes",
+    "linalg": "Matrix kernel_basis rank",
+    "tensors": "Tensor apply_end contract_pair flatten mlrank mode_apply outer random_tensor transpose_axes",
     "networks": "Edge MergeStep NetworkGraph TNSInstance Vertex chain_graph classify_vertex contract_network "
-                "expected_dim flip_edge gauge_transform identity_instance loop_dim_formula loop_graph "
-                "random_instance reduce_valence_one reduction_preimage supercritical_truncate",
-    "zoo": "Splitting block_splitting diagonal_splitting imm_loop m_tilde_formula mmult",
-    "stabilizer": "StabilizerSystem build_system orbit_dim stabilizer_contains_expected stabilizer_dim "
-                  "stabilizer_tuples",
+                "expected_dim identity_instance loop_dim_formula loop_graph random_instance reduce_valence_one "
+                "reduction_preimage supercritical_truncate",
+    "zoo": "Splitting diagonal_splitting imm_loop m_tilde_formula mmult",
+    "stabilizer": "StabilizerSystem build_system stabilizer_dim stabilizer_tuples",
     "curves": "MatrixCurve TensorLaurent act_curve curve_from_splitting leading_term",
-    "varieties": "Certificate certify_not_closed contraction_jacobian end_orbit_consistency is_concise "
-                 "loop_endomorphisms sub_membership tns_dim",
+    "varieties": "Certificate certify_not_closed contraction_jacobian sub_membership tns_dim",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

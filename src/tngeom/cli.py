@@ -20,7 +20,7 @@ import importlib
 import os
 import sys
 
-from .errors import FormatError, SemanticError
+from .errors import FormatError, SemanticError, magnitude
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 
 # The names the commands call, and the module that defines each.  A module
@@ -38,7 +38,7 @@ _LAZY = {name: module for module, names in (
                "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
     ("linalg", "rank"),
     ("networks", "contract_network expected_dim reduce_valence_one"),
-    ("stabilizer", "build_system check_system_size"),
+    ("stabilizer", "build_system check_system_size check_tensor_size"),
     ("varieties", "certify_not_closed tns_dim"),
     ("zoo", "Splitting diagonal_splitting mmult"),
 ) for name in names.split()}
@@ -94,8 +94,9 @@ def cmd_contract(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    _fetch("load_path", "tensor_from_obj", "build_system", "field_label", "dump")
+    _fetch("load_path", "tensor_from_obj", "check_tensor_size", "build_system", "field_label", "dump")
     t = tensor_from_obj(load_path(args.tensor), _resolve_field(args))
+    check_tensor_size(t)  # from the shape, before anything is built
     system = build_system(t)
     orbit = system.orbit_dim()
     report = {"stab_dim": system.group_dim - orbit, "orbit_dim": orbit}
@@ -159,7 +160,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_limit(args) -> int:
     if args.e**3 > MAX_LIMIT_NNZ:  # before anything is built
-        raise SemanticError(f"the trace tensor at e = {args.e} would have {args.e**3} nonzeros, "
+        raise SemanticError(f"the trace tensor at e = {args.e} would have {magnitude(args.e**3)} nonzeros, "
                             f"over the budget of {MAX_LIMIT_NNZ}")
     _fetch("mmult", "act_curve", "curve_from_splitting", "dump")
     s = _splitting(args)

@@ -15,7 +15,6 @@ inside the endomorphism orbit of the starting tensor.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from ._record import Record
 from .errors import SemanticError, ShapeError
@@ -23,15 +22,6 @@ from .fields import Field
 from .linalg import Matrix
 from .tensors import Tensor, apply_end
 from .zoo import Splitting
-
-
-def _power(t, p: int) -> Fraction:
-    """t**p as a Fraction, so a negative power stays exact over both fields.
-
-    ``scale`` coerces it into the field: over Fp, t is a residue, and the
-    denominator of a negative power is inverted mod p.
-    """
-    return Fraction(t) ** p
 
 
 class MatrixCurve(Record):
@@ -52,10 +42,6 @@ class MatrixCurve(Record):
         if len({m.field for m in mats}) != 1:
             raise SemanticError("curve coefficients live over different fields")
 
-    @classmethod
-    def constant(cls, m: Matrix) -> "MatrixCurve":
-        return cls(((0, m),))
-
     @property
     def size(self) -> int:
         return self.terms[0][1].rows
@@ -63,20 +49,6 @@ class MatrixCurve(Record):
     @property
     def field(self) -> Field:
         return self.terms[0][1].field
-
-    def evaluate(self, t_value) -> Matrix:
-        """Value at a nonzero scalar parameter."""
-        f = self.field
-        t = f.coerce(t_value)
-        if not t and any(p < 0 for p, _ in self.terms):
-            raise SemanticError("cannot evaluate negative powers at t = 0")
-        acc = Matrix.zeros(self.size, self.size, f)
-        for p, m in self.terms:
-            acc = acc + m.scale(_power(t, p))
-        return acc
-
-    def shifted(self, k: int) -> "MatrixCurve":
-        return MatrixCurve(tuple((p + k, m) for p, m in self.terms))
 
 
 class TensorLaurent(Record):
@@ -93,23 +65,6 @@ class TensorLaurent(Record):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, power: int) -> Tensor | None:
-        for p, t in self.terms:
-            if p == power:
-                return t
-        return None
-
-    def evaluate(self, t_value) -> Tensor:
-        if not self.terms:
-            raise SemanticError("empty expansion has no well-defined shape")
-        f = self.terms[0][1].field
-        t = f.coerce(t_value)
-        acc = None
-        for p, tensor in self.terms:
-            term = tensor.scale(_power(t, p))
-            acc = term if acc is None else acc + term
-        return acc
 
 
 def act_curve(t: Tensor, curves) -> TensorLaurent:

@@ -28,3 +28,14 @@ class FieldMismatchError(SemanticError):
 
 class SingularMatrixError(SemanticError):
     """A map required to be invertible is singular."""
+
+
+def magnitude(n: int) -> str:
+    """n in decimal for a message, or "over 10^k" when n is past Python's limit for writing an int as text.
+
+    k = floor((bit_length - 1) * 0.30102) is below (bit_length - 1) * log10(2), so n > 10^k.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return f"over 10^{(n.bit_length() - 1) * 30102 // 100000}"

@@ -47,8 +47,9 @@ def dump(obj, path: str | None) -> None:
     A report is made of dicts with string keys, lists, JSON leaves and
     Tensors.  The bytes are those of dumps(obj) with each Tensor t replaced
     by tensor_to_obj(t), but t is written entry by entry, so its list of
-    entry dicts is never built.  Every tensor scalar is checked against
-    Python's digit limit before the file is opened or a byte is written.
+    entry dicts is never built.  Every tensor scalar and every integer is
+    checked against Python's digit limit before the file is opened or a
+    byte is written.
     A file that cannot be opened for writing raises FormatError.
     """
     _check_scalars(obj)
@@ -106,11 +107,13 @@ def _entries(t: Tensor, nl: str):
 
 
 def _check_scalars(obj) -> None:
-    """Turn every tensor scalar of a report into text once, so that one past
-    Python's digit limit is refused before any output exists."""
+    """Turn every tensor scalar and every integer of a report into text once,
+    so that one past Python's digit limit is refused before any output exists."""
     if isinstance(obj, Tensor):
         for v in obj._nz.values():
             scalar_to_str(v)
+    elif isinstance(obj, int):
+        scalar_to_str(obj)
     elif isinstance(obj, (dict, list, tuple)):
         for value in obj.values() if isinstance(obj, dict) else obj:
             _check_scalars(value)
@@ -203,14 +206,6 @@ def parse_scalar(s, field: Field):
 
 # --- matrices ---
 
-def matrix_to_obj(m: Matrix) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [scalar_to_str(x) for x in m.entries],
-    }
-
-
 def matrix_from_obj(obj, field: Field) -> Matrix:
     d = _as_dict(obj, "matrix")
     rows = _as_int(_field_key(d, "rows", "matrix"), "rows")
@@ -271,12 +266,6 @@ def graph_from_obj(obj) -> NetworkGraph:
     return NetworkGraph.build(vertices, edges)
 
 
-def instance_to_obj(inst: TNSInstance) -> dict:
-    obj = graph_to_obj(inst.graph)
-    obj["tensors"] = {str(v.id): tensor_to_obj(inst.tensors[v.id]) for v in inst.graph.vertices}
-    return obj
-
-
 def instance_from_obj(obj, field: Field) -> TNSInstance:
     from .networks import TNSInstance
 
@@ -294,13 +283,9 @@ def instance_from_obj(obj, field: Field) -> TNSInstance:
     return TNSInstance(g, tensors)
 
 
-# --- splittings and curves ---
+# --- splittings ---
 
 _SPLIT_KEYS = ("X0", "Y0", "Z0")
-
-
-def splitting_to_obj(s: Splitting) -> dict:
-    return {k: matrix_to_obj(p) for k, p in zip(_SPLIT_KEYS, s.projectors())}
 
 
 def splitting_from_obj(obj, field: Field) -> Splitting:
@@ -309,26 +294,6 @@ def splitting_from_obj(obj, field: Field) -> Splitting:
     d = _as_dict(obj, "splitting")
     mats = [matrix_from_obj(_field_key(d, k, "splitting"), field) for k in _SPLIT_KEYS]
     return Splitting(*mats)
-
-
-def curve_to_obj(factor: int, curve: MatrixCurve) -> dict:
-    return {
-        "factor": factor,
-        "terms": [{"power": p, "matrix": matrix_to_obj(m)} for p, m in curve.terms],
-    }
-
-
-def curve_from_obj(obj, field: Field) -> tuple[int, MatrixCurve]:
-    from .curves import MatrixCurve
-
-    d = _as_dict(obj, "curve")
-    factor = _as_int(_field_key(d, "factor", "curve"), "curve factor")
-    terms = []
-    for term in _as_list(_field_key(d, "terms", "curve"), "curve terms"):
-        td = _as_dict(term, "curve term")
-        power = _as_int(_field_key(td, "power", "curve term"), "power")
-        terms.append((power, matrix_from_obj(_field_key(td, "matrix", "curve term"), field)))
-    return factor, MatrixCurve(tuple(terms))
 
 
 # --- reports ---

@@ -41,11 +41,11 @@ height, or a prime that divides a minor), the next prime below is
 eliminated too and the residues are combined by CRT until the check
 passes.  A prime on which every component reaches its cap is exact with
 no back-solve or lift.  ``rank`` over Q is the nullity of the lifted
-kernel of A or of A^T, ``kernel_basis`` is the kernel, and ``inverse``
-reads A^-1 off the kernel of [A | -I].  ``annihilates``, a check of
-A B^T = 0 over the integers, bounds a nullity from below by the rank of
-B when B's rows are known to be kernel vectors.  Both checks pack the
-vectors into one int per column (``_annihilates``).
+kernel of A or of A^T, and ``kernel_basis`` is the kernel.
+``annihilates``, a check of A B^T = 0 over the integers, bounds a nullity
+from below by the rank of B when B's rows are known to be kernel
+vectors.  Both checks pack the vectors into one int per column
+(``_annihilates``).
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -57,15 +57,12 @@ is a residue in [0, p) and the operations need no branch on the field.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Iterable, Sized
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
-from .errors import SemanticError, ShapeError, SingularMatrixError
+from .errors import SemanticError, ShapeError
 from .fields import DEFAULT_PRIME, QQ, Field, RationalField, is_probable_prime
-
-RANDOM_ENTRY_BOUND = 10**6
 
 
 def lin_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
@@ -232,13 +229,6 @@ class Matrix(SparseArray):
     def at(self, i: int, j: int):
         return self._nz.get(lin_index((i, j), self.shape), self.field.zero)
 
-    def row(self, i: int) -> list:
-        base, zero = i * self.cols, self.field.zero
-        return [self._nz.get(base + j, zero) for j in range(self.cols)]
-
-    def to_rows(self) -> list[list]:
-        return [self.row(i) for i in range(self.rows)]
-
     def transpose(self) -> "Matrix":
         r, c = self.shape
         nz = {(k % c) * r + k // c: v for k, v in self._nz.items()}
@@ -264,19 +254,6 @@ class Matrix(SparseArray):
                         del nz[pos]
         return Matrix._from_flat((self.rows, ncols), nz, self.field)
 
-    def apply(self, vec: list) -> list:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ShapeError("vector length mismatch")
-        f = self.field
-        v = [f.coerce(x) for x in vec]
-        out = [f.zero] * self.rows
-        for (i, j), a in self.nonzeros():
-            x = v[j]
-            if x:
-                out[i] = out[i] + a * x
-        return [f.coerce(x) for x in out]
-
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
@@ -300,19 +277,6 @@ def _rows(m: Matrix):
         row[j] = nz[k]
     if row:
         yield last, row
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product; row-major convention, so kron(A, B) acts on vec(M) as A M B^T."""
-    if a.field != b.field:
-        raise SemanticError("Matrix operands live over different fields")
-    ncols = a.cols * b.cols
-    b_nz = list(b.nonzeros())
-    nz = {}
-    for (i, j), va in a.nonzeros():
-        for (k, l), vb in b_nz:
-            nz[(i * b.rows + k) * ncols + j * b.cols + l] = va * vb
-    return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
 
 
 def components(rows, cols: int) -> list[int]:
@@ -701,8 +665,10 @@ def _annihilates(m: Matrix, by_col: dict[int, list]) -> bool:
     integer vector x, the vectors given column by column as {c: [(x, x[c])]}.
 
     Each column's entries are packed into one int, x_i[c] * 2**(W*i), so a
-    nonzero of m costs one multiply-add and a row one test acc == 0; only
-    the nonzeros on the vectors' columns are read.  Row r read as integers
+    nonzero of m costs one multiply-add and a row one test acc == 0.  Only
+    the columns where m holds a nonzero are packed, since no row sum reads
+    another, so a kernel of many vectors that each hold a column m never
+    reads costs no int per vector there.  Row r read as integers
     (``_integral_rows``) has slot sums s_i = sum_c r[c] * x_i[c], |s_i| at
     most B = max |x[c]| times the largest L1 norm of such a row, and W is
     the bit length of B plus a sign and a guard bit.  If the packed sum,
@@ -716,10 +682,11 @@ def _annihilates(m: Matrix, by_col: dict[int, list]) -> bool:
     else:
         norm = max((sum(map(abs, row.values())) for row in _integral_rows(m)), default=1)
     width = (max((abs(w) for col in by_col.values() for _, w in col), default=0) * norm).bit_length() + 2
-    slots: dict = {}
+    cols, slots = m.cols, {}
+    held = {k % cols for k in m._nz}
     packed = {c: sum(w << width * slots.setdefault(f, len(slots)) for f, w in col)
-              for c, col in by_col.items() if col}
-    cols, last, acc = m.cols, -1, 0
+              for c, col in by_col.items() if col and c in held}
+    last, acc = -1, 0
     for k in sorted(k for k in m._nz if k % cols in packed):
         r = k // cols
         if r != last:
@@ -746,45 +713,3 @@ def annihilates(a: Matrix, b: Matrix) -> bool:
         for c, v in row.items():
             by_col.setdefault(c, []).append((k, v))
     return _annihilates(a, by_col)
-
-
-def inverse(m: Matrix) -> Matrix:
-    """Inverse read off the kernel of [A | -I], whose vectors are (x, A x).
-
-    A is invertible exactly when the free columns are those of -I; the
-    vector of free column n + j is then (A^-1 e_j, e_j).  Over Q the kernel
-    is lifted and checked exactly (``_lift``), so A X = I holds exactly.  A
-    prime that makes an invertible A singular frees a column of A, whose
-    vector (x, A x) has A x = 0 mod p but not over Q; it fails the check,
-    so such a prime never decides the outcome.
-    """
-    if m.rows != m.cols:
-        raise ShapeError("only square matrices can be inverted")
-    n, field = m.rows, m.field
-    items = {(i, n + i): -field.one for i in range(n)}
-    items.update(m.nonzeros())
-    free, vecs = _lift(Matrix.from_nonzeros(n, 2 * n, items, field))
-    if free != list(range(n, 2 * n)):
-        raise SingularMatrixError("matrix is singular")
-    nz = {i * n + j: field.coerce(v) for j, vec in enumerate(vecs) for i, v in vec.items() if i < n}
-    return Matrix._from_flat((n, n), nz, field)
-
-
-def is_invertible(m: Matrix) -> bool:
-    return m.rows == m.cols and rank(m) == m.rows
-
-
-def random_matrix(rows: int, cols: int, seed: int, field: Field = QQ, bound: int = RANDOM_ENTRY_BOUND) -> Matrix:
-    """Reproducible random matrix with integer entries uniform in [-bound, bound]."""
-    rng = random.Random(seed)
-    ent = [rng.randint(-bound, bound) for _ in range(rows * cols)]
-    return Matrix(rows, cols, ent, field)
-
-
-def random_invertible(n: int, seed: int, field: Field = QQ, bound: int = RANDOM_ENTRY_BOUND) -> Matrix:
-    """First invertible sample along a deterministic seed chain."""
-    for attempt in range(64):
-        m = random_matrix(n, n, seed + 7919 * attempt, field, bound)
-        if is_invertible(m):
-            return m
-    raise SemanticError("could not sample an invertible matrix")  # pragma: no cover

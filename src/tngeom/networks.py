@@ -1,7 +1,6 @@
 """Directed multigraphs with dimension labels, tensor instances on them,
 graph contraction, and the structural rewrites that preserve the contracted
-set: edge flips, edge gauge changes, valence-one merges and vertex
-truncation.
+set: valence-one merges and vertex truncation.
 
 A vertex of dimension v with incident edge dimensions multiplying to f is
 called critical when v = f; both non-strict comparisons are meaningful, so
@@ -20,14 +19,12 @@ import random
 from math import prod
 
 from ._record import Record
-from .errors import SemanticError, ShapeError
+from .errors import SemanticError, ShapeError, magnitude
 from .fields import QQ, Field
-from .linalg import Matrix, inverse
 from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable here for code that wraps them)
     INSTANCE_ENTRY_BOUND,
     Tensor,
     contract_pair,
-    mode_apply,
     outer,
     tensordot,
     transpose_axes,
@@ -244,7 +241,7 @@ def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
         raise SemanticError("vertex_order must enumerate every vertex exactly once")
     peak = contraction_peak(g, order)
     if peak > MAX_CONTRACTION_ENTRIES:
-        raise SemanticError(f"contracting this network would hold a tensor of {peak} entries, "
+        raise SemanticError(f"contracting this network would hold a tensor of {magnitude(peak)} entries, "
                             f"over the budget of {MAX_CONTRACTION_ENTRIES}")
     cur, labels = inst.tensors[order[0]], g.axis_labels(order[0])
     for vid in order[1:]:
@@ -276,42 +273,6 @@ def absorb(a: Tensor, labels_a, b: Tensor, labels_b) -> tuple[Tensor, list]:
     shared = [lab for lab in labels_b if lab in labels_a]
     out = tensordot(a, b, [(labels_a.index(lab), labels_b.index(lab)) for lab in shared])
     return out, [lab for lab in labels_a + labels_b if lab not in shared]
-
-
-def flip_edge(obj, edge_id: int):
-    """Reverse one edge.  On an instance the incident tensors keep their
-    values and only reorder axes, since the edge pairing is symmetric."""
-    if isinstance(obj, TNSInstance):
-        g = obj.graph
-        new_g = flip_edge(g, edge_id)
-        e = g.edge(edge_id)
-        tensors = dict(obj.tensors)
-        for vid in (e.tail, e.head):
-            old = g.axis_labels(vid)
-            new = new_g.axis_labels(vid)
-            perm = [old.index(lab) for lab in new]
-            tensors[vid] = transpose_axes(tensors[vid], perm)
-        return TNSInstance(new_g, tensors)
-    g: NetworkGraph = obj
-    e = g.edge(edge_id)
-    flipped = Edge(e.id, e.head, e.tail, e.dim)
-    return NetworkGraph(g.vertices, tuple(flipped if x.id == edge_id else x for x in g.edges))
-
-
-def gauge_transform(inst: TNSInstance, edge_id: int, g_mat: Matrix) -> TNSInstance:
-    """Act by g on the tail side of an edge and by its inverse transpose on
-    the head side; the contraction is unchanged."""
-    g = inst.graph
-    e = g.edge(edge_id)
-    if g_mat.rows != g_mat.cols or g_mat.rows != e.dim:
-        raise ShapeError(f"gauge for edge {edge_id} must be {e.dim}x{e.dim}")
-    g_inv_t = inverse(g_mat).transpose()
-    tensors = dict(inst.tensors)
-    tail_axis = g.axis_labels(e.tail).index(("e", edge_id))
-    head_axis = g.axis_labels(e.head).index(("e", edge_id))
-    tensors[e.tail] = mode_apply(tensors[e.tail], g_mat, tail_axis)
-    tensors[e.head] = mode_apply(tensors[e.head], g_inv_t, head_axis)
-    return TNSInstance(g, tensors)
 
 
 class MergeStep(Record):

@@ -13,9 +13,9 @@ from collections import Counter
 from math import prod
 
 from ._record import Record
-from .errors import SemanticError, ShapeError
-from .linalg import Matrix, components, kernel_basis, kron, rank
-from .tensors import Tensor, leibniz_act, lin_index
+from .errors import SemanticError, magnitude
+from .linalg import Matrix, components, kernel_basis, rank
+from .tensors import Tensor, lin_index
 
 # Budgets on a stabilizer system.  MAX_SYSTEM_NNZ caps its nonzeros and is
 # checked before anything is built.  MAX_SYSTEM_FILL caps the cells its
@@ -29,19 +29,35 @@ from .tensors import Tensor, leibniz_act, lin_index
 # 1198 = 1200 - 2 pivots, so the lift and its check never run (99 s when
 # every row was read and the kernel lifted).  The fill budget bounds the
 # slots of those rows, at most rows x columns per component, for each prime
-# that the lift over Q eliminates.  Neither budget bounds time.
+# that the lift over Q eliminates.  MAX_SYSTEM_COLS caps its columns,
+# sum(shape[j]**2), checked from the shape alone: the elimination keeps a
+# few objects per column, and over Q the lift holds a kernel vector per free
+# column of A or of A^T, whichever has fewer columns, however few nonzeros
+# the system has.  `stabilizer` on a tensor with one nonzero peaked at
+# 124 MB for shape (300, 300, 1) (180001 columns), 557 MB for
+# (400, 400, 400) (480000) and 721 MB for (577, 577, 2) (665862): up to
+# 1.25 KB per column.  No budget bounds time.
 MAX_SYSTEM_NNZ = 10**6
 MAX_SYSTEM_FILL = 10**7
+MAX_SYSTEM_COLS = 5 * 10**5
 
 
-def check_system_size(nnz: int, fill: int = 0) -> None:
-    """Refuse a system over either budget before it is allocated."""
+def check_system_size(nnz: int, fill: int = 0, cols: int = 0) -> None:
+    """Refuse a system over any budget before it is allocated."""
+    if cols > MAX_SYSTEM_COLS:
+        raise SemanticError(f"stabilizer system would have {magnitude(cols)} columns, "
+                            f"over the budget of {MAX_SYSTEM_COLS}")
     if nnz > MAX_SYSTEM_NNZ:
-        raise SemanticError(f"stabilizer system would have {nnz} nonzeros, over the budget of {MAX_SYSTEM_NNZ}")
+        raise SemanticError(f"stabilizer system would have {magnitude(nnz)} nonzeros, "
+                            f"over the budget of {MAX_SYSTEM_NNZ}")
     if fill > MAX_SYSTEM_FILL:
-        raise SemanticError(
-            f"eliminating the stabilizer system could fill {fill} cells, over the budget of {MAX_SYSTEM_FILL}"
-        )
+        raise SemanticError(f"eliminating the stabilizer system could fill {magnitude(fill)} cells, "
+                            f"over the budget of {MAX_SYSTEM_FILL}")
+
+
+def check_tensor_size(t: Tensor) -> None:
+    """Refuse, from t's shape and nonzero count alone, a system over the column or nonzero budget."""
+    check_system_size(len(t._nz) * sum(t.shape), cols=sum(s * s for s in t.shape))
 
 
 def elimination_fill(pairs, rows: int, cols: int) -> int:
@@ -108,14 +124,6 @@ class StabilizerSystem(Record):
                     nz[j * cols + self.offsets[s] + k * shape[s] + k] = sign
         return Matrix._from_flat((max(len(shape) - 1, 0), cols), nz, f)
 
-    def column_label(self, col: int) -> tuple[int, int, int]:
-        """Map a column index back to (slot, row, col) of the elementary matrix."""
-        for j in range(len(self.shape) - 1, -1, -1):
-            if col >= self.offsets[j]:
-                k, l = divmod(col - self.offsets[j], self.shape[j])
-                return j, k, l
-        raise ShapeError(f"column {col} outside system")
-
 
 def build_system(t: Tensor) -> StabilizerSystem:
     """Assemble the derivation-action system of a tensor.
@@ -125,7 +133,7 @@ def build_system(t: Tensor) -> StabilizerSystem:
     E_kl in slot j.  It has nnz(t) * sum(shape) nonzeros.
     """
     shape = t.shape
-    check_system_size(len(t._nz) * sum(shape))
+    check_tensor_size(t)
     offsets = []
     total = 0
     for s in shape:
@@ -153,10 +161,6 @@ def stabilizer_dim(t: Tensor) -> int:
     return build_system(t).stabilizer_dim()
 
 
-def orbit_dim(t: Tensor) -> int:
-    return build_system(t).orbit_dim()
-
-
 def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:
     """A basis of the stabilizer algebra as tuples of square matrices."""
     sys = build_system(t)
@@ -169,70 +173,3 @@ def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:
             mats.append(Matrix(vj, vj, seg, f))
         out.append(tuple(mats))
     return out
-
-
-def _gl_basis(n: int, field) -> list[Matrix]:
-    out = []
-    for k in range(n):
-        for l in range(n):
-            data = [field.zero] * (n * n)
-            data[k * n + l] = field.one
-            out.append(Matrix(n, n, data, field))
-    return out
-
-
-def loop_pair_generators(edge_dims, field) -> list[tuple[int, Matrix, int, Matrix]]:
-    """Adjacent-slot generator pairs for a cyclic matrix-product tensor.
-
-    For alpha acting on the shared index between factors j and j+1, factor
-    j picks up right multiplication by alpha and factor j+1 minus left
-    multiplication; the trace form cancels the two contributions.
-    """
-    dims = tuple(int(e) for e in edge_dims)
-    n = len(dims)
-    out = []
-    for j in range(n):
-        rows_j = dims[(j - 1) % n]
-        cols_next = dims[(j + 1) % n]
-        for alpha in _gl_basis(dims[j], field):
-            right = kron(Matrix.identity(rows_j, field), alpha.transpose())
-            left = kron(alpha, Matrix.identity(cols_next, field)).scale(-field.one)
-            out.append((j, right, (j + 1) % n, left))
-    return out
-
-
-def stabilizer_contains_expected(t: Tensor, edge_dims) -> dict:
-    """Check the structural symmetries of a cyclic matrix-product tensor.
-
-    Verifies that every adjacent-slot pair annihilates t, that a lone
-    identity insertion merely rescales (so scalar tuples with nonzero
-    trace sum are genuinely outside the stabilizer), and that the
-    stabilizer dimension equals sum(e_j^2) - 1.
-    """
-    dims = tuple(int(e) for e in edge_dims)
-    n = len(dims)
-    expected_shape = tuple(dims[(j - 1) % n] * dims[j] for j in range(n))
-    if t.shape != expected_shape:
-        raise ShapeError(f"tensor shape {t.shape} does not match edge dims {dims}")
-    f = t.field
-    pairs_ok = True
-    for j, right, jn, left in loop_pair_generators(dims, f):
-        maps: list[Matrix | None] = [None] * n
-        maps[j] = right
-        maps[jn] = left
-        if not leibniz_act(t, maps).is_zero():
-            pairs_ok = False
-            break
-    # a single identity slot scales the tensor instead of killing it
-    lone: list[Matrix | None] = [None] * n
-    lone[0] = Matrix.identity(expected_shape[0], f)
-    scalar_ok = leibniz_act(t, lone) == t
-    expected = sum(e * e for e in dims) - 1
-    computed = stabilizer_dim(t)
-    return {
-        "pairs_annihilate": pairs_ok,
-        "scalar_scales": scalar_ok,
-        "expected_dim": expected,
-        "computed_dim": computed,
-        "matches": pairs_ok and scalar_ok and computed == expected,
-    }

@@ -1,7 +1,7 @@
 """Sparse exact tensors with the multilinear operations the rest of the
 package is built from: pairwise contraction (tensordot, and outer products
-and single-tensor traces on top of it), flattenings, multilinear rank,
-endomorphism actions and the induced derivation action.
+and single-tensor traces on top of it), flattenings, multilinear rank and
+endomorphism actions.
 
 Conventions, fixed once and used everywhere:
 
@@ -181,25 +181,6 @@ def apply_end(t: Tensor, maps) -> Tensor:
     return out
 
 
-def leibniz_act(t: Tensor, maps) -> Tensor:
-    """Derivation action: sum over factors of the single-slot insertion.
-
-    This is the tangent-space counterpart of apply_end; a tuple of maps
-    annihilating t lies in the symmetry algebra of t.
-    """
-    maps = list(maps)
-    if len(maps) != t.order:
-        raise ShapeError(f"expected {t.order} maps, got {len(maps)}")
-    acc = Tensor.zeros(t.shape, t.field)
-    for axis, m in enumerate(maps):
-        if m is None:
-            continue
-        if m.rows != m.cols:
-            raise ShapeError("derivation slots must be endomorphisms")
-        acc = acc + mode_apply(t, m, axis)
-    return acc
-
-
 def flatten(t: Tensor, axis: int) -> Matrix:
     """Flattening along one axis: rows indexed by that axis, columns by the rest."""
     if not (0 <= axis < t.order):
@@ -218,33 +199,6 @@ def flatten(t: Tensor, axis: int) -> Matrix:
 def mlrank(t: Tensor) -> tuple[int, ...]:
     """Multilinear rank: the tuple of flattening ranks."""
     return tuple(rank(flatten(t, j)) for j in range(t.order))
-
-
-def _coords(x, length: int, field: Field) -> list:
-    if isinstance(x, Matrix):
-        vals = list(x.entries)
-    else:
-        vals = list(x)
-    if len(vals) != length:
-        raise ShapeError(f"argument has {len(vals)} coordinates, factor needs {length}")
-    return [field.coerce(v) for v in vals]
-
-
-def eval_multilinear(t: Tensor, args) -> object:
-    """Pair the tensor with one coordinate vector (or matrix) per factor."""
-    args = list(args)
-    if len(args) != t.order:
-        raise ShapeError(f"expected {t.order} arguments, got {len(args)}")
-    vecs = [_coords(a, t.shape[j], t.field) for j, a in enumerate(args)]
-    acc = t.field.zero
-    for idx, v in t.nonzeros():
-        term = v
-        for j, i in enumerate(idx):
-            term = term * vecs[j][i]
-            if not term:
-                break
-        acc = acc + term
-    return t.field.coerce(acc)
 
 
 def random_tensor(shape, seed: int, field: Field = QQ, bound: int = INSTANCE_ENTRY_BOUND) -> Tensor:

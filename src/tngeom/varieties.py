@@ -1,9 +1,8 @@
 """Variety-level queries about contracted network tensors.
 
-Covers bounded-multilinear-rank membership, conciseness, the Jacobian
-dimension of a contraction family at a random point, the endomorphism
-description of loop families, and the non-closedness certificate built
-from a splitting curve.
+Covers bounded-multilinear-rank membership, the Jacobian dimension of a
+contraction family at a random point, and the non-closedness certificate
+built from a splitting curve.
 
 The Jacobian is read off vertex environments: the environment of a
 vertex is every other vertex tensor contracted, with that vertex's edges
@@ -55,21 +54,20 @@ from math import prod
 
 from .curves import act_curve, curve_from_splitting, leading_term
 from ._record import Record
-from .errors import SemanticError, ShapeError
+from .errors import SemanticError, ShapeError, magnitude
 from .fields import DEFAULT_PRIME, QQ, Field
 from .linalg import Matrix, _packed_eliminate, annihilates, kernel_basis, pivot_columns, rank
-from .networks import (
+from .networks import (  # noqa: F401  (contract_network: kept importable here for code that wraps it)
     NetworkGraph,
     TNSInstance,
     absorb,
     contract_network,
-    cycle_edges,
     random_instance,
     require_vertices,
 )
 from .stabilizer import stabilizer_dim
-from .tensors import Tensor, _strides, apply_end, flatten, mlrank, tensordot, transpose_axes
-from .zoo import Splitting, imm_loop, m_tilde_formula, mmult
+from .tensors import Tensor, _strides, flatten, mlrank, tensordot
+from .zoo import Splitting, m_tilde_formula, mmult
 
 # samples used by tns_dim to confirm genericity are this far apart
 SEED_STRIDE = 1000003
@@ -95,11 +93,6 @@ def sub_membership(t: Tensor, bounds) -> bool:
     return all(r <= fj for r, fj in zip(mlrank(t), f))
 
 
-def is_concise(t: Tensor) -> bool:
-    """True when every flattening has full rank, i.e. no factor can shrink."""
-    return mlrank(t) == t.shape
-
-
 def contraction_jacobian(inst: TNSInstance) -> Matrix:
     """Differential of the contraction map at the given instance.
 
@@ -109,12 +102,22 @@ def contraction_jacobian(inst: TNSInstance) -> Matrix:
     vertex v is delta(x_v, i) * E_v[x_others, a], where the environment
     E_v is every other vertex tensor contracted, with v's edges left open.
     """
-    g = inst.graph
-    nrows = prod(v.dim for v in g.vertices)
-    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    nrows, _, ncols = _layout(inst.graph)
     blocks = _jacobian_blocks(inst)
     nz = {x * ncols + c: val for x in range(nrows) for c, val in _jacobian_row(blocks, x).items()}
     return Matrix._from_flat((nrows, ncols), nz, inst.field)
+
+
+def _layout(g: NetworkGraph) -> tuple[int, dict[int, int], int]:
+    """The Jacobian's row count, the first column of each vertex's block, and its column count.
+
+    Rows run over the contracted tensor's coordinates, prod(vertex dims)
+    of them; columns over the vertex tensors' coordinates, one block per
+    vertex in graph order.
+    """
+    sizes = [prod(g.tensor_shape(v.id)) for v in g.vertices]
+    offsets = dict(zip((v.id for v in g.vertices), accumulate(sizes, initial=0)))
+    return prod(v.dim for v in g.vertices), offsets, sum(sizes)
 
 
 def _environments(pieces) -> list[tuple[Tensor, list]]:
@@ -174,12 +177,11 @@ def _jacobian_blocks(inst: TNSInstance) -> list[tuple[int, int, int, dict]]:
     dims = [v.dim for v in g.vertices]
     row_steps = {("v", vid): (s, 0) for vid, s in zip(vids, _strides(tuple(dims)))}
     envs = _environments([(inst.tensors[vid], g.axis_labels(vid)) for vid in vids])
-    blocks, offset = [], 0
+    offsets = _layout(g)[1]
+    blocks = []
     for vid, dv, (env, labels) in zip(vids, dims, envs):
-        size = prod(g.tensor_shape(vid))
-        spread = _spread(env, labels, {**row_steps, **_edge_steps(g, vid)}, offset)
-        blocks.append((row_steps[("v", vid)][0], dv, size // dv, spread))
-        offset += size
+        spread = _spread(env, labels, {**row_steps, **_edge_steps(g, vid)}, offsets[vid])
+        blocks.append((row_steps[("v", vid)][0], dv, g.edge_product(vid), spread))
     return blocks
 
 
@@ -197,7 +199,7 @@ def _jacobian_row(blocks, x: int) -> dict:
 def _environment_rows(inst: TNSInstance, rng: random.Random):
     """Every row of the Jacobian, in an order shuffled by rng, built one at a time on demand."""
     blocks = _jacobian_blocks(inst)
-    order = list(range(prod(v.dim for v in inst.graph.vertices)))
+    order = list(range(_layout(inst.graph)[0]))
     rng.shuffle(order)
     for x in order:
         yield _jacobian_row(blocks, x)
@@ -216,16 +218,15 @@ def _sketch_rows(inst: TNSInstance, prime: int, rng: random.Random):
     g, f = inst.graph, inst.field
     vids = [v.id for v in g.vertices]
     edge_labels = [g.axis_labels(vid)[1:] for vid in vids]
-    sizes = [prod(g.tensor_shape(vid)) for vid in vids]
-    steps = [_edge_steps(g, vid) for vid in vids]
+    offsets = _layout(g)[1]
+    # each block: its first column, the size of v's edge axes, and their column steps
+    blocks = [(offsets[vid], g.edge_product(vid), _edge_steps(g, vid)) for vid in vids]
     while True:
         covecs = [[rng.randrange(prime) for _ in range(v.dim)] for v in g.vertices]
         capped = [(tensordot(Tensor((len(w),), w, f), inst.tensors[vid], [(0, 0)]), labels)
                   for w, vid, labels in zip(covecs, vids, edge_labels)]
         row = {}
-        for w, (env, labels), step, size, offset in zip(covecs, _environments(capped), steps, sizes,
-                                                        accumulate(sizes, initial=0)):
-            asize = size // len(w)
+        for w, (env, labels), (offset, asize, step) in zip(covecs, _environments(capped), blocks):
             for col, val in _spread(env, labels, step, offset).get(0, ()):
                 for i, wi in enumerate(w):
                     if wi:
@@ -238,17 +239,13 @@ def gauge_rows(inst: TNSInstance) -> Matrix:
 
     One row per edge e and pair (a, b), edges in graph order: the
     derivative at t = 0 of acting by I + t E_ab on the tail side of e and
-    by its inverse transpose on the head side (``gauge_transform``).  On
-    the tail block it is x_tail with its e index moved from b to a, on
-    the head block -x_head with its e index moved from a to b.  The
-    contraction is constant along the orbit, so every row lies in the
-    Jacobian's kernel.
+    by its inverse transpose on the head side.  On the tail block it is
+    x_tail with its e index moved from b to a, on the head block -x_head
+    with its e index moved from a to b.  The contraction is constant along
+    the orbit, so every row lies in the Jacobian's kernel.
     """
     g = inst.graph
-    vids = [v.id for v in g.vertices]
-    sizes = [prod(g.tensor_shape(vid)) for vid in vids]
-    offsets = dict(zip(vids, accumulate(sizes, initial=0)))
-    ncols = sum(sizes)
+    _, offsets, ncols = _layout(g)
     nz = {}
     row = 0
     for e in g.edges:
@@ -290,8 +287,7 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, bool, int]:
     On a graph that is not gauge-fixed, the T that check builds is not
     counted; it is built only when J lacks full row rank.
     """
-    nrows = prod(v.dim for v in g.vertices)
-    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    nrows, _, ncols = _layout(g)
     envs = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
     sketch = (min(nrows, ncols) + SKETCH_SLACK) * ncols
     fixed = nrows > ncols
@@ -341,9 +337,7 @@ def witness_rows(inst: TNSInstance) -> Matrix:
     (``networks.reduce_valence_one``) folds such leaves away.
     """
     g = inst.graph
-    sizes = [prod(g.tensor_shape(v.id)) for v in g.vertices]
-    offsets = dict(zip((v.id for v in g.vertices), accumulate(sizes, initial=0)))
-    ncols = sum(sizes)
+    _, offsets, ncols = _layout(g)
     nz = {}
     row = 0
     for v, e, u in _subcritical_leaves(g):
@@ -392,8 +386,7 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
     # Rows from the Fp instance took tns_dim of loop (2,)^5 over Fp from 58 to 63 ms (medians;
     # 2-core host, Python 3.11).
     ints = inst if exact else random_instance(g, seed, QQ)
-    nrows = prod(v.dim for v in g.vertices)
-    ncols = sum(prod(g.tensor_shape(v.id)) for v in g.vertices)
+    nrows, _, ncols = _layout(g)
     tangent = _tangent_rows(inst) if fixed else None
     fixed_cols = pivot_columns(tangent) if fixed else set()
     kept = [c for c in range(ncols) if c not in fixed_cols]
@@ -423,7 +416,7 @@ def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
     cells = _jacobian_plan(g, field)[2]
     if cells > MAX_JACOBIAN_CELLS:
         raise SemanticError(
-            f"the Jacobian of this graph would hold {cells} cells, over the budget of {MAX_JACOBIAN_CELLS}"
+            f"the Jacobian of this graph would hold {magnitude(cells)} cells, over the budget of {MAX_JACOBIAN_CELLS}"
         )
 
 
@@ -444,48 +437,6 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> int:
     r0 = _jacobian_rank(g, seed, field)
     r1 = _jacobian_rank(g, seed + SEED_STRIDE, field)
     return max(r0, r1)
-
-
-def _cycle_walk(g: NetworkGraph) -> list[int]:
-    for v in g.vertices:
-        if len(g.in_edges(v.id)) != 1 or len(g.out_edges(v.id)) != 1:
-            raise SemanticError("needs a directed loop: one edge in, one out per vertex")
-    seq = cycle_edges(g)
-    if seq is None:
-        raise SemanticError("graph is not a single directed loop")
-    return [e.tail for e in seq]
-
-
-def loop_endomorphisms(inst: TNSInstance) -> tuple[list[int], list[Matrix]]:
-    """Read one endomorphism per vertex off a critical directed-loop instance.
-
-    Each vertex tensor, with its edge pair fused row-major, is a square
-    matrix from the fused edge space to the vertex space.  Returns the
-    cycle walk (vertex ids) and the matrices in walk order.
-    """
-    g = inst.graph
-    walk = _cycle_walk(g)
-    maps = []
-    for u in walk:
-        a = g.in_edges(u)[0].dim
-        b = g.out_edges(u)[0].dim
-        vdim = g.vertex(u).dim
-        if vdim != a * b:
-            raise SemanticError(f"vertex {u} is not critical: {vdim} != {a}*{b}")
-        maps.append(flatten(inst.tensors[u], 0))
-    return walk, maps
-
-
-def end_orbit_consistency(inst: TNSInstance) -> bool:
-    """Check that a critical loop contraction is the endomorphism-translated
-    cyclic trace tensor read off the vertex tensors themselves."""
-    g = inst.graph
-    walk, maps = loop_endomorphisms(inst)
-    dims = [g.out_edges(u)[0].dim for u in walk]
-    acted = apply_end(imm_loop(dims, inst.field), maps)
-    pos = {u: k for k, u in enumerate(walk)}
-    acted = transpose_axes(acted, [pos[v.id] for v in g.vertices])
-    return acted == contract_network(inst)
 
 
 class Certificate(Record):

@@ -131,16 +131,3 @@ def diagonal_splitting(e: int, field: Field = QQ) -> Splitting:
     if e < 2:
         raise SemanticError("diagonal splitting needs e >= 2")
     return _composition_splitting((1,) * e, (1,) * e, (1,) * e, field)
-
-
-def block_splitting(e1p: int, e1pp: int, e2p: int, e2pp: int, e3p: int, e3pp: int, field: Field = QQ) -> Splitting:
-    """Two-block splitting of each edge space, e_j = e_j' + e_j''.
-
-    Factors 1 and 2 keep the diagonal blocks; factor 3 keeps the
-    anti-diagonal blocks.  With every e_j = 2 split as 1 + 1 this is the
-    diagonal splitting.
-    """
-    for part in (e1p, e1pp, e2p, e2pp, e3p, e3pp):
-        if part < 1:
-            raise SemanticError("all block sizes must be at least 1")
-    return _composition_splitting((e1p, e1pp), (e2p, e2pp), (e3p, e3pp), field)

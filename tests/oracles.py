@@ -1,16 +1,46 @@
-"""Independent reference implementations used to check the library.
+"""Independent reference implementations used to check the library, and
+library helpers that only the tests call.
 
-Everything here is deliberately naive: dense textbook elimination over
-Fraction, brute-force contraction by summing over every edge index
-assignment, trace-of-product evaluation, and Vandermonde interpolation
-for polynomial coefficient recovery.  Slow but obviously correct.
+The reference implementations are deliberately naive: dense textbook
+elimination over Fraction, brute-force contraction by summing over every
+edge index assignment, trace-of-product evaluation, and Vandermonde
+interpolation for polynomial coefficient recovery.  Slow but obviously
+correct.
+
+The helpers at the end were once part of the package: Kronecker products,
+seeded random and inverse matrices, multilinear evaluation and the
+derivation action, edge flips and gauge moves, the loop generator pairs,
+conciseness, the endomorphism reading of loop instances, curve evaluation,
+and the JSON writers of matrices, splittings, instances and curves.  No
+command or script runs them; the tests state their checks through them.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from math import prod
+
+from tngeom.curves import MatrixCurve, TensorLaurent
+from tngeom.errors import SemanticError, ShapeError, SingularMatrixError
+from tngeom.fields import QQ, Field
+from tngeom.jsonio import (
+    _SPLIT_KEYS,
+    _as_dict,
+    _as_int,
+    _as_list,
+    _field_key,
+    graph_to_obj,
+    matrix_from_obj,
+    scalar_to_str,
+    tensor_to_obj,
+)
+from tngeom.linalg import Matrix, kernel_basis, rank
+from tngeom.networks import Edge, NetworkGraph, TNSInstance, contract_network, cycle_edges
+from tngeom.stabilizer import StabilizerSystem, build_system, stabilizer_dim
+from tngeom.tensors import Tensor, apply_end, flatten, mlrank, mode_apply, transpose_axes
+from tngeom.zoo import Splitting, _composition_splitting, imm_loop
 
 
 def naive_rank(rows: list[list[Fraction]]) -> int:
@@ -181,7 +211,7 @@ def expected_cycle_dim(edge_dims) -> int:
 
 def matrix_rows(m) -> list[list[Fraction]]:
     """Rows of a rational-backend Matrix as Fraction lists."""
-    return [[Fraction(x) for x in m.row(i)] for i in range(m.rows)]
+    return [[Fraction(x) for x in mat_row(m, i)] for i in range(m.rows)]
 
 
 def tensor_values(t) -> list[Fraction]:
@@ -288,8 +318,6 @@ def merge_axes(t, a: int, b: int):
 
 def eval_trilinear(t, p, q, r):
     """The order-3 form of t at three vectors or matrices."""
-    from tngeom.tensors import eval_multilinear
-
     return eval_multilinear(t, (p, q, r))
 
 
@@ -298,3 +326,408 @@ def vanishing_check(t, s) -> bool:
     from tngeom.tensors import apply_end
 
     return apply_end(t, list(s.projectors())).is_zero()
+
+
+# Library helpers that no command or script runs, moved here from the
+# package with their bodies unchanged (methods became plain functions).
+
+# --- linalg ---
+
+RANDOM_ENTRY_BOUND = 10**6
+
+
+def mat_row(m: Matrix, i: int) -> list:
+    base, zero = i * m.cols, m.field.zero
+    return [m._nz.get(base + j, zero) for j in range(m.cols)]
+
+
+def mat_rows(m: Matrix) -> list[list]:
+    return [mat_row(m, i) for i in range(m.rows)]
+
+
+def mat_apply(m: Matrix, vec: list) -> list:
+    """Matrix times column vector."""
+    if len(vec) != m.cols:
+        raise ShapeError("vector length mismatch")
+    f = m.field
+    v = [f.coerce(x) for x in vec]
+    out = [f.zero] * m.rows
+    for (i, j), a in m.nonzeros():
+        x = v[j]
+        if x:
+            out[i] = out[i] + a * x
+    return [f.coerce(x) for x in out]
+
+
+def kron(a: Matrix, b: Matrix) -> Matrix:
+    """Kronecker product; row-major convention, so kron(A, B) acts on vec(M) as A M B^T."""
+    if a.field != b.field:
+        raise SemanticError("Matrix operands live over different fields")
+    ncols = a.cols * b.cols
+    b_nz = list(b.nonzeros())
+    nz = {}
+    for (i, j), va in a.nonzeros():
+        for (k, l), vb in b_nz:
+            nz[(i * b.rows + k) * ncols + j * b.cols + l] = va * vb
+    return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
+
+
+def inverse(m: Matrix) -> Matrix:
+    """Inverse read off the kernel of [A | -I], whose vectors are (x, A x).
+
+    ``kernel_basis`` gives one vector per free column, exact over both
+    fields.  A X = I for the heads X exactly when the tails are the
+    identity, and then A is invertible and X is its inverse; for an
+    invertible A the first n columns are the pivots, so the tails are the
+    identity.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("only square matrices can be inverted")
+    n, field = m.rows, m.field
+    items = {(i, n + i): -field.one for i in range(n)}
+    items.update(m.nonzeros())
+    vecs = kernel_basis(Matrix.from_nonzeros(n, 2 * n, items, field))
+    if [vec[n:] for vec in vecs] != [[int(i == j) for i in range(n)] for j in range(n)]:
+        raise SingularMatrixError("matrix is singular")
+    nz = {i * n + j: vec[i] for j, vec in enumerate(vecs) for i in range(n) if vec[i]}
+    return Matrix._from_flat((n, n), nz, field)
+
+
+def is_invertible(m: Matrix) -> bool:
+    return m.rows == m.cols and rank(m) == m.rows
+
+
+def random_matrix(rows: int, cols: int, seed: int, field: Field = QQ, bound: int = RANDOM_ENTRY_BOUND) -> Matrix:
+    """Reproducible random matrix with integer entries uniform in [-bound, bound]."""
+    rng = random.Random(seed)
+    ent = [rng.randint(-bound, bound) for _ in range(rows * cols)]
+    return Matrix(rows, cols, ent, field)
+
+
+def random_invertible(n: int, seed: int, field: Field = QQ, bound: int = RANDOM_ENTRY_BOUND) -> Matrix:
+    """First invertible sample along a deterministic seed chain."""
+    for attempt in range(64):
+        m = random_matrix(n, n, seed + 7919 * attempt, field, bound)
+        if is_invertible(m):
+            return m
+    raise SemanticError("could not sample an invertible matrix")  # pragma: no cover
+
+
+# --- tensors ---
+
+def _coords(x, length: int, field: Field) -> list:
+    if isinstance(x, Matrix):
+        vals = list(x.entries)
+    else:
+        vals = list(x)
+    if len(vals) != length:
+        raise ShapeError(f"argument has {len(vals)} coordinates, factor needs {length}")
+    return [field.coerce(v) for v in vals]
+
+
+def eval_multilinear(t: Tensor, args) -> object:
+    """Pair the tensor with one coordinate vector (or matrix) per factor."""
+    args = list(args)
+    if len(args) != t.order:
+        raise ShapeError(f"expected {t.order} arguments, got {len(args)}")
+    vecs = [_coords(a, t.shape[j], t.field) for j, a in enumerate(args)]
+    acc = t.field.zero
+    for idx, v in t.nonzeros():
+        term = v
+        for j, i in enumerate(idx):
+            term = term * vecs[j][i]
+            if not term:
+                break
+        acc = acc + term
+    return t.field.coerce(acc)
+
+
+def leibniz_act(t: Tensor, maps) -> Tensor:
+    """Derivation action: sum over factors of the single-slot insertion.
+
+    This is the tangent-space counterpart of apply_end; a tuple of maps
+    annihilating t lies in the symmetry algebra of t.
+    """
+    maps = list(maps)
+    if len(maps) != t.order:
+        raise ShapeError(f"expected {t.order} maps, got {len(maps)}")
+    acc = Tensor.zeros(t.shape, t.field)
+    for axis, m in enumerate(maps):
+        if m is None:
+            continue
+        if m.rows != m.cols:
+            raise ShapeError("derivation slots must be endomorphisms")
+        acc = acc + mode_apply(t, m, axis)
+    return acc
+
+
+# --- networks ---
+
+def flip_edge(obj, edge_id: int):
+    """Reverse one edge.  On an instance the incident tensors keep their
+    values and only reorder axes, since the edge pairing is symmetric."""
+    if isinstance(obj, TNSInstance):
+        g = obj.graph
+        new_g = flip_edge(g, edge_id)
+        e = g.edge(edge_id)
+        tensors = dict(obj.tensors)
+        for vid in (e.tail, e.head):
+            old = g.axis_labels(vid)
+            new = new_g.axis_labels(vid)
+            perm = [old.index(lab) for lab in new]
+            tensors[vid] = transpose_axes(tensors[vid], perm)
+        return TNSInstance(new_g, tensors)
+    g: NetworkGraph = obj
+    e = g.edge(edge_id)
+    flipped = Edge(e.id, e.head, e.tail, e.dim)
+    return NetworkGraph(g.vertices, tuple(flipped if x.id == edge_id else x for x in g.edges))
+
+
+def gauge_transform(inst: TNSInstance, edge_id: int, g_mat: Matrix) -> TNSInstance:
+    """Act by g on the tail side of an edge and by its inverse transpose on
+    the head side; the contraction is unchanged."""
+    g = inst.graph
+    e = g.edge(edge_id)
+    if g_mat.rows != g_mat.cols or g_mat.rows != e.dim:
+        raise ShapeError(f"gauge for edge {edge_id} must be {e.dim}x{e.dim}")
+    g_inv_t = inverse(g_mat).transpose()
+    tensors = dict(inst.tensors)
+    tail_axis = g.axis_labels(e.tail).index(("e", edge_id))
+    head_axis = g.axis_labels(e.head).index(("e", edge_id))
+    tensors[e.tail] = mode_apply(tensors[e.tail], g_mat, tail_axis)
+    tensors[e.head] = mode_apply(tensors[e.head], g_inv_t, head_axis)
+    return TNSInstance(g, tensors)
+
+
+# --- stabilizer ---
+
+def column_label(system: StabilizerSystem, col: int) -> tuple[int, int, int]:
+    """Map a column index back to (slot, row, col) of the elementary matrix."""
+    for j in range(len(system.shape) - 1, -1, -1):
+        if col >= system.offsets[j]:
+            k, l = divmod(col - system.offsets[j], system.shape[j])
+            return j, k, l
+    raise ShapeError(f"column {col} outside system")
+
+
+def orbit_dim(t: Tensor) -> int:
+    return build_system(t).orbit_dim()
+
+
+def _gl_basis(n: int, field) -> list[Matrix]:
+    out = []
+    for k in range(n):
+        for l in range(n):
+            data = [field.zero] * (n * n)
+            data[k * n + l] = field.one
+            out.append(Matrix(n, n, data, field))
+    return out
+
+
+def loop_pair_generators(edge_dims, field) -> list[tuple[int, Matrix, int, Matrix]]:
+    """Adjacent-slot generator pairs for a cyclic matrix-product tensor.
+
+    For alpha acting on the shared index between factors j and j+1, factor
+    j picks up right multiplication by alpha and factor j+1 minus left
+    multiplication; the trace form cancels the two contributions.
+    """
+    dims = tuple(int(e) for e in edge_dims)
+    n = len(dims)
+    out = []
+    for j in range(n):
+        rows_j = dims[(j - 1) % n]
+        cols_next = dims[(j + 1) % n]
+        for alpha in _gl_basis(dims[j], field):
+            right = kron(Matrix.identity(rows_j, field), alpha.transpose())
+            left = kron(alpha, Matrix.identity(cols_next, field)).scale(-field.one)
+            out.append((j, right, (j + 1) % n, left))
+    return out
+
+
+def stabilizer_contains_expected(t: Tensor, edge_dims) -> dict:
+    """Check the structural symmetries of a cyclic matrix-product tensor.
+
+    Verifies that every adjacent-slot pair annihilates t, that a lone
+    identity insertion merely rescales (so scalar tuples with nonzero
+    trace sum are genuinely outside the stabilizer), and that the
+    stabilizer dimension equals sum(e_j^2) - 1.
+    """
+    dims = tuple(int(e) for e in edge_dims)
+    n = len(dims)
+    expected_shape = tuple(dims[(j - 1) % n] * dims[j] for j in range(n))
+    if t.shape != expected_shape:
+        raise ShapeError(f"tensor shape {t.shape} does not match edge dims {dims}")
+    f = t.field
+    pairs_ok = True
+    for j, right, jn, left in loop_pair_generators(dims, f):
+        maps: list[Matrix | None] = [None] * n
+        maps[j] = right
+        maps[jn] = left
+        if not leibniz_act(t, maps).is_zero():
+            pairs_ok = False
+            break
+    # a single identity slot scales the tensor instead of killing it
+    lone: list[Matrix | None] = [None] * n
+    lone[0] = Matrix.identity(expected_shape[0], f)
+    scalar_ok = leibniz_act(t, lone) == t
+    expected = sum(e * e for e in dims) - 1
+    computed = stabilizer_dim(t)
+    return {
+        "pairs_annihilate": pairs_ok,
+        "scalar_scales": scalar_ok,
+        "expected_dim": expected,
+        "computed_dim": computed,
+        "matches": pairs_ok and scalar_ok and computed == expected,
+    }
+
+
+# --- varieties ---
+
+def is_concise(t: Tensor) -> bool:
+    """True when every flattening has full rank, i.e. no factor can shrink."""
+    return mlrank(t) == t.shape
+
+
+def _cycle_walk(g: NetworkGraph) -> list[int]:
+    for v in g.vertices:
+        if len(g.in_edges(v.id)) != 1 or len(g.out_edges(v.id)) != 1:
+            raise SemanticError("needs a directed loop: one edge in, one out per vertex")
+    seq = cycle_edges(g)
+    if seq is None:
+        raise SemanticError("graph is not a single directed loop")
+    return [e.tail for e in seq]
+
+
+def loop_endomorphisms(inst: TNSInstance) -> tuple[list[int], list[Matrix]]:
+    """Read one endomorphism per vertex off a critical directed-loop instance.
+
+    Each vertex tensor, with its edge pair fused row-major, is a square
+    matrix from the fused edge space to the vertex space.  Returns the
+    cycle walk (vertex ids) and the matrices in walk order.
+    """
+    g = inst.graph
+    walk = _cycle_walk(g)
+    maps = []
+    for u in walk:
+        a = g.in_edges(u)[0].dim
+        b = g.out_edges(u)[0].dim
+        vdim = g.vertex(u).dim
+        if vdim != a * b:
+            raise SemanticError(f"vertex {u} is not critical: {vdim} != {a}*{b}")
+        maps.append(flatten(inst.tensors[u], 0))
+    return walk, maps
+
+
+def end_orbit_consistency(inst: TNSInstance) -> bool:
+    """Check that a critical loop contraction is the endomorphism-translated
+    cyclic trace tensor read off the vertex tensors themselves."""
+    g = inst.graph
+    walk, maps = loop_endomorphisms(inst)
+    dims = [g.out_edges(u)[0].dim for u in walk]
+    acted = apply_end(imm_loop(dims, inst.field), maps)
+    pos = {u: k for k, u in enumerate(walk)}
+    acted = transpose_axes(acted, [pos[v.id] for v in g.vertices])
+    return acted == contract_network(inst)
+
+
+# --- curves ---
+
+def _power(t, p: int) -> Fraction:
+    """t**p as a Fraction, so a negative power stays exact over both fields.
+
+    ``scale`` coerces it into the field: over Fp, t is a residue, and the
+    denominator of a negative power is inverted mod p.
+    """
+    return Fraction(t) ** p
+
+
+def constant_curve(m: Matrix) -> MatrixCurve:
+    return MatrixCurve(((0, m),))
+
+
+def evaluate_curve(curve: MatrixCurve, t_value) -> Matrix:
+    """Value at a nonzero scalar parameter."""
+    f = curve.field
+    t = f.coerce(t_value)
+    if not t and any(p < 0 for p, _ in curve.terms):
+        raise SemanticError("cannot evaluate negative powers at t = 0")
+    acc = Matrix.zeros(curve.size, curve.size, f)
+    for p, m in curve.terms:
+        acc = acc + m.scale(_power(t, p))
+    return acc
+
+
+def shifted_curve(curve: MatrixCurve, k: int) -> MatrixCurve:
+    return MatrixCurve(tuple((p + k, m) for p, m in curve.terms))
+
+
+def coefficient(expansion: TensorLaurent, power: int) -> Tensor | None:
+    for p, t in expansion.terms:
+        if p == power:
+            return t
+    return None
+
+
+def evaluate_laurent(expansion: TensorLaurent, t_value) -> Tensor:
+    if not expansion.terms:
+        raise SemanticError("empty expansion has no well-defined shape")
+    f = expansion.terms[0][1].field
+    t = f.coerce(t_value)
+    acc = None
+    for p, tensor in expansion.terms:
+        term = tensor.scale(_power(t, p))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+# --- jsonio ---
+
+def matrix_to_obj(m: Matrix) -> dict:
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "entries": [scalar_to_str(x) for x in m.entries],
+    }
+
+
+def instance_to_obj(inst: TNSInstance) -> dict:
+    obj = graph_to_obj(inst.graph)
+    obj["tensors"] = {str(v.id): tensor_to_obj(inst.tensors[v.id]) for v in inst.graph.vertices}
+    return obj
+
+
+def splitting_to_obj(s: Splitting) -> dict:
+    return {k: matrix_to_obj(p) for k, p in zip(_SPLIT_KEYS, s.projectors())}
+
+
+def curve_to_obj(factor: int, curve: MatrixCurve) -> dict:
+    return {
+        "factor": factor,
+        "terms": [{"power": p, "matrix": matrix_to_obj(m)} for p, m in curve.terms],
+    }
+
+
+def curve_from_obj(obj, field: Field) -> tuple[int, MatrixCurve]:
+    d = _as_dict(obj, "curve")
+    factor = _as_int(_field_key(d, "factor", "curve"), "curve factor")
+    terms = []
+    for term in _as_list(_field_key(d, "terms", "curve"), "curve terms"):
+        td = _as_dict(term, "curve term")
+        power = _as_int(_field_key(td, "power", "curve term"), "power")
+        terms.append((power, matrix_from_obj(_field_key(td, "matrix", "curve term"), field)))
+    return factor, MatrixCurve(tuple(terms))
+
+
+# --- zoo ---
+
+def block_splitting(e1p: int, e1pp: int, e2p: int, e2pp: int, e3p: int, e3pp: int, field: Field = QQ) -> Splitting:
+    """Two-block splitting of each edge space, e_j = e_j' + e_j''.
+
+    Factors 1 and 2 keep the diagonal blocks; factor 3 keeps the
+    anti-diagonal blocks.  With every e_j = 2 split as 1 + 1 this is the
+    diagonal splitting.
+    """
+    for part in (e1p, e1pp, e2p, e2pp, e3p, e3pp):
+        if part < 1:
+            raise SemanticError("all block sizes must be at least 1")
+    return _composition_splitting((e1p, e1pp), (e2p, e2pp), (e3p, e3pp), field)

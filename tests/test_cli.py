@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -11,11 +12,14 @@ import pytest
 from tngeom import cli, jsonio, networks, stabilizer, varieties, zoo
 from tngeom.cli import main
 from tngeom.curves import TensorLaurent, act_curve, curve_from_splitting
+from tngeom.errors import SemanticError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix
 from tngeom.networks import chain_graph, contract_network, identity_instance, loop_graph, random_instance
 from tngeom.tensors import Tensor
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
+
+from oracles import block_splitting, instance_to_obj, matrix_to_obj, splitting_to_obj
 
 
 @pytest.fixture
@@ -25,12 +29,12 @@ def triangle_files(tmp_path):
     paths["graph"] = tmp_path / "graph.json"
     paths["graph"].write_text(jsonio.dumps(jsonio.graph_to_obj(g)))
     paths["instance"] = tmp_path / "instance.json"
-    paths["instance"].write_text(jsonio.dumps(jsonio.instance_to_obj(identity_instance(g))))
+    paths["instance"].write_text(jsonio.dumps(instance_to_obj(identity_instance(g))))
     paths["tensor"] = tmp_path / "tensor.json"
     paths["tensor"].write_text(jsonio.dumps(jsonio.tensor_to_obj(mmult(2, 2, 2))))
     ident = Matrix.identity(4)
     paths["idsplit"] = tmp_path / "idsplit.json"
-    paths["idsplit"].write_text(jsonio.dumps(jsonio.splitting_to_obj(Splitting(ident, ident, ident))))
+    paths["idsplit"].write_text(jsonio.dumps(splitting_to_obj(Splitting(ident, ident, ident))))
     return paths
 
 
@@ -137,6 +141,76 @@ def test_stabilizer_refuses_a_system_that_could_fill_over_budget(tmp_path, monke
     assert f"fill {800 * 40008} cells" in err
 
 
+def test_stabilizer_on_a_wide_sparse_tensor_holds_little_memory(tmp_path):
+    # shape (300, 300, 1) with one nonzero: 90000 rows, 180001 columns, and over Q a
+    # kernel of the transpose of 89400 vectors, each checked only on the 600 rows it meets
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"shape": [300, 300, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "tngeom", "stabilizer", str(path)], capture_output=True,
+                          text=True, env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    assert proc.returncode == 0, proc.stderr
+    # the orbit of a rank-one tensor has dimension 1 + sum(n_j - 1) = 599
+    assert json.loads(proc.stdout) == {"stab_dim": 179402, "orbit_dim": 599, "field": "rational", "prime": None}
+
+
+def test_stabilizer_refuses_a_system_over_its_column_budget_from_the_shape(tmp_path, monkeypatch, capsys):
+    # (800, 800, 1) gives 1280001 columns; mmult at e = 16 gives 3 * 16^4 = 196608 and fits
+    assert 3 * 16**4 <= stabilizer.MAX_SYSTEM_COLS < 2 * 800**2 + 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"shape": [800, 800, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+
+    def boom(*args, **kwargs):
+        raise AssertionError("built a system for a refused shape")
+
+    monkeypatch.setattr(cli, "build_system", boom)
+    target = tmp_path / "out.json"
+    code, out, err = run(["stabilizer", path, "--out", target], capsys)
+    assert code == 3 and out == "" and not target.exists()
+    assert err == f"error: stabilizer system would have 1280001 columns, over the budget of {stabilizer.MAX_SYSTEM_COLS}\n"
+    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
+    with pytest.raises(SemanticError, match="1280001 columns"):
+        stabilizer.build_system(Tensor.from_nonzeros((800, 800, 1), {(0, 0, 0): 1}))
+
+
+BIG = 10**4000  # 4001 digits: readable, but a product of two is past Python's 4300-digit limit for text
+
+
+def _big_input(command: str) -> dict:
+    """An input with 4001-digit dimensions whose run meets an integer of about 8000 digits."""
+    if command == "dim-vertex":
+        return jsonio.graph_to_obj(chain_graph((BIG, BIG), (2,)))
+    if command == "dim-edge":
+        return jsonio.graph_to_obj(chain_graph((2, 2, 2), (BIG, BIG)))
+    if command == "contract":
+        g = chain_graph((BIG, BIG), (BIG,))
+        return {**jsonio.graph_to_obj(g), "tensors": {"1": {"shape": [BIG, BIG], "entries": []},
+                                                      "2": {"shape": [BIG, BIG], "entries": []}}}
+    return jsonio.graph_to_obj(chain_graph((BIG, BIG), (BIG,)))  # reduce: the fold has dimension 10^8000
+
+
+@pytest.mark.parametrize("command", ["dim-vertex", "dim-edge", "contract", "reduce"])
+def test_exit_3_on_an_integer_past_the_digit_limit(tmp_path, capsys, command):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_big_input(command)))
+    target = tmp_path / "out.json"
+    code, out, err = run([command.split("-")[0], path, "--out", target], capsys)
+    assert code == 3 and out == "" and not target.exists()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if command != "reduce":
+        assert "over 10^" in err and "over the budget" in err
+
+
+@pytest.mark.parametrize("command", ["certify", "limit"])
+def test_exit_3_on_an_e_whose_budget_count_is_past_the_digit_limit(capsys, command):
+    code, out, err = run([command, "--e", "9" * 2000], capsys)
+    assert code == 3 and out == ""
+    assert "over 10^" in err and "over the budget" in err and err.count("\n") == 1
+
+
 def test_certify_identity_splitting_inconclusive(triangle_files, capsys):
     code, out, _ = run(["certify", "--e", "2", "--splitting", triangle_files["idsplit"]], capsys)
     assert code == 1
@@ -169,7 +243,7 @@ def test_reports_stream_the_bytes_of_dumps(tmp_path, triangle_files, capsys):
     for field, f in (("rational", QQ), ("fp", PrimeField(DEFAULT_PRIME))):
         inst = random_instance(loop_graph((2, 3, 2)), seed=3, field=f)
         inst_path = tmp_path / f"loop232-{field}.json"
-        inst_path.write_text(jsonio.dumps(jsonio.instance_to_obj(inst)))
+        inst_path.write_text(jsonio.dumps(instance_to_obj(inst)))
         cases = [(["contract", triangle_files["instance"]], jsonio.tensor_to_obj(mmult(2, 2, 2))),
                  (["contract", inst_path], jsonio.tensor_to_obj(contract_network(inst)))]
         for e in (2, 3, 4):
@@ -348,7 +422,7 @@ def test_exit_2_on_an_out_path_that_cannot_be_written(triangle_files, tmp_path, 
 
 def test_exit_2_on_a_tensor_key_that_spells_another_vertex_key(tmp_path, capsys):
     # with keys "1", "2" and " 1" the last one read used to win as vertex 1
-    obj = jsonio.instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
+    obj = instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
     obj["tensors"][" 1"] = jsonio.tensor_to_obj(Tensor.zeros((2, 2)))
     p = tmp_path / "twice.json"
     p.write_text(json.dumps(obj))
@@ -364,11 +438,11 @@ def _repeat(obj: dict, key: str, value) -> str:
 
 def _repeated_key_files(tmp_path, triangle_files) -> dict:
     """{name: (argv, repeated key)}, each input with one key twice; the JSON module keeps the last value."""
-    inst = jsonio.instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
+    inst = instance_to_obj(random_instance(chain_graph((2, 2), (2,)), seed=0))
     tensors = inst.pop("tensors")
     zero = jsonio.tensor_to_obj(Tensor.zeros((2, 2)))
     chain = {"edges": [{"id": 1, "tail": 1, "head": 2, "dim": 2}]}
-    ident = jsonio.matrix_to_obj(Matrix.identity(4))
+    ident = matrix_to_obj(Matrix.identity(4))
     texts = {
         # with the last values kept: a 1x1x1 tensor of one zero entry, stab_dim 3 and orbit_dim 0;
         # an object is read after the objects inside it, so the entry's "val" is refused first
@@ -402,7 +476,7 @@ def test_contract_refuses_a_network_over_budget_before_absorbing(tmp_path, monke
     # loop (2,)^11 contracts to 4^11 entries, past the budget of 4^10
     assert 4**10 == networks.MAX_CONTRACTION_ENTRIES
     p = tmp_path / "loop11.json"
-    p.write_text(jsonio.dumps(jsonio.instance_to_obj(random_instance(loop_graph((2,) * 11), seed=0))))
+    p.write_text(jsonio.dumps(instance_to_obj(random_instance(loop_graph((2,) * 11), seed=0))))
     monkeypatch.setattr(networks, "absorb", None)  # absorbing a vertex would raise
     code, out, err = run(["contract", p], capsys)
     assert code == 3 and out == ""
@@ -413,7 +487,7 @@ def test_contract_runs_a_network_at_its_budget(tmp_path, monkeypatch, capsys):
     # loop (2,)^5 holds at most 4^5 entries: refused one entry below that, contracted at it
     inst = random_instance(loop_graph((2,) * 5), seed=0)
     p = tmp_path / "loop5.json"
-    p.write_text(jsonio.dumps(jsonio.instance_to_obj(inst)))
+    p.write_text(jsonio.dumps(instance_to_obj(inst)))
     monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5 - 1)
     assert run(["contract", p], capsys)[0] == 3
     monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5)
@@ -471,7 +545,7 @@ def test_reports_are_byte_stable(triangle_files, tmp_path, capsys):
         assert hashlib.sha256(a.read_bytes()).hexdigest() == digest, (field, command)
     # a two-block splitting file at e = 3, with digests taken when each splitting had its own constructor
     split = tmp_path / "split.json"
-    split.write_text(jsonio.dumps(jsonio.splitting_to_obj(zoo.block_splitting(2, 1, 2, 1, 2, 1))))
+    split.write_text(jsonio.dumps(splitting_to_obj(block_splitting(2, 1, 2, 1, 2, 1))))
     split_digests = {
         ("fp", "certify"): "39c1e2c4d8a2cc7d553f2122ccc22c3232cd9a36645624ae42bed05fe5f3b21c",
         ("fp", "limit"): "49a6d2b2a6e48129d8426599eb24f8b5b26c8355e3edbc7a01c6b0a9d83341cf",

@@ -10,11 +10,22 @@ from tngeom.curves import (
     leading_term,
 )
 from tngeom.errors import SemanticError, ShapeError
-from tngeom.linalg import Matrix, random_matrix
-from tngeom.tensors import Tensor, apply_end, leibniz_act, random_tensor
+from tngeom.linalg import Matrix
+from tngeom.tensors import Tensor, apply_end, random_tensor
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
 
-from oracles import interpolate_coefficients, tensor_values, vanishing_check
+from oracles import (
+    coefficient,
+    constant_curve,
+    evaluate_curve,
+    evaluate_laurent,
+    interpolate_coefficients,
+    leibniz_act,
+    random_matrix,
+    shifted_curve,
+    tensor_values,
+    vanishing_check,
+)
 
 
 def test_curve_validation():
@@ -27,36 +38,36 @@ def test_curve_validation():
         MatrixCurve(((0, Matrix.zeros(2, 3)),))
     c = MatrixCurve(((-1, ident), (2, ident.scale(3))))
     assert c.size == 2
-    assert c.shifted(2).terms[0][0] == 1
+    assert shifted_curve(c, 2).terms[0][0] == 1
 
 
 def test_curve_evaluation():
     ident = Matrix.identity(2)
     x = random_matrix(2, 2, seed=1, bound=5)
     c = MatrixCurve(((0, ident), (1, x)))
-    assert c.evaluate(0) == ident
-    assert c.evaluate(2) == ident + x.scale(2)
+    assert evaluate_curve(c, 0) == ident
+    assert evaluate_curve(c, 2) == ident + x.scale(2)
     neg = MatrixCurve(((-1, x),))
-    assert neg.evaluate(2) == x.scale(Fraction(1, 2))
+    assert evaluate_curve(neg, 2) == x.scale(Fraction(1, 2))
     with pytest.raises(SemanticError):
-        neg.evaluate(0)
+        evaluate_curve(neg, 0)
 
 
 def test_negative_powers_stay_exact():
     # an integer t is a rational int, and t**-k must not become a float
     x = Matrix.from_rows([[3, 0], [1, -6]])
-    m = MatrixCurve(((-2, x), (0, Matrix.identity(2)))).evaluate(3)
+    m = evaluate_curve(MatrixCurve(((-2, x), (0, Matrix.identity(2)))), 3)
     assert m == Matrix.from_rows([[Fraction(4, 3), 0], [Fraction(1, 9), Fraction(1, 3)]])
     assert all(type(v) in (int, Fraction) for v in m.entries)
     t = Tensor((2,), [3, 9])
-    laurent = TensorLaurent(((-1, t), (1, t))).evaluate(2)
+    laurent = evaluate_laurent(TensorLaurent(((-1, t), (1, t))), 2)
     assert laurent == Tensor((2,), [Fraction(15, 2), Fraction(45, 2)])
     assert all(type(v) in (int, Fraction) for v in laurent.entries)
 
 
 def test_constant_curves_reproduce_tensor():
     t = random_tensor((2, 2, 2), seed=2, bound=9)
-    curves = [MatrixCurve.constant(Matrix.identity(2)) for _ in range(3)]
+    curves = [constant_curve(Matrix.identity(2)) for _ in range(3)]
     exp = act_curve(t, curves)
     assert exp.terms == ((0, t),)
     assert leading_term(exp) == (0, t)
@@ -67,8 +78,8 @@ def test_single_slot_homogeneity():
     x = random_matrix(2, 2, seed=4, bound=9)
     curves = [
         MatrixCurve(((1, x),)),
-        MatrixCurve.constant(Matrix.identity(2)),
-        MatrixCurve.constant(Matrix.identity(2)),
+        constant_curve(Matrix.identity(2)),
+        constant_curve(Matrix.identity(2)),
     ]
     exp = act_curve(t, curves)
     assert [p for p, _ in exp.terms] == [1]
@@ -87,11 +98,11 @@ def test_expansion_matches_interpolation_oracle(seed):
     # evaluate the curve action at 4 points and interpolate degree-3 coeffs
     samples = []
     for tv in (1, 2, 3, 4):
-        acted = apply_end(t, [c.evaluate(tv) for c in curves])
+        acted = apply_end(t, [evaluate_curve(c, tv) for c in curves])
         samples.append((tv, tensor_values(acted)))
     coeffs = interpolate_coefficients(samples)
     for power in range(4):
-        got = exp.coefficient(power)
+        got = coefficient(exp, power)
         want = coeffs[power]
         if got is None:
             assert all(x == 0 for x in want)
@@ -108,7 +119,7 @@ def test_expansion_consistency_at_one(seed):
         b = random_matrix(s, s, seed=seed * 20 + k + 7, bound=9)
         curves.append(MatrixCurve(((0, a), (2, b))))
     exp = act_curve(t, curves)
-    assert exp.evaluate(1) == apply_end(t, [c.evaluate(1) for c in curves])
+    assert evaluate_laurent(exp, 1) == apply_end(t, [evaluate_curve(c, 1) for c in curves])
 
 
 def test_monomial_scaling_shifts_powers():
@@ -117,7 +128,7 @@ def test_monomial_scaling_shifts_powers():
                                 (1, random_matrix(2, 2, seed=s + 1, bound=9))))
     curves = [mk(1), mk(3), mk(5)]
     base = act_curve(t, curves)
-    shifted = act_curve(t, [curves[0].shifted(2), curves[1], curves[2]])
+    shifted = act_curve(t, [shifted_curve(curves[0], 2), curves[1], curves[2]])
     assert [(p + 2, c) for p, c in base.terms] == list(shifted.terms)
 
 
@@ -128,7 +139,7 @@ def test_first_order_term_is_derivation_action(seed):
     mats = [random_matrix(2, 2, seed=seed * 5 + k, bound=9) for k in range(3)]
     curves = [MatrixCurve(((0, Matrix.identity(2)), (1, x))) for x in mats]
     exp = act_curve(t, curves)
-    got = exp.coefficient(1)
+    got = coefficient(exp, 1)
     want = leibniz_act(t, mats)
     if got is None:
         assert want.is_zero()
@@ -156,7 +167,7 @@ def test_splitting_curve_on_trace_tensor():
     exp = act_curve(m, curve_from_splitting(s))
     power, lim = leading_term(exp)
     assert power == 1
-    assert exp.coefficient(0) is None
+    assert coefficient(exp, 0) is None
     assert not lim.is_zero()
     # identity projectors leave the original tensor at power 0
     ident = Matrix.identity(4)
@@ -168,8 +179,8 @@ def test_splitting_curve_on_trace_tensor():
 
 def test_act_curve_validation():
     t = random_tensor((2, 2), seed=1)
-    good = MatrixCurve.constant(Matrix.identity(2))
+    good = constant_curve(Matrix.identity(2))
     with pytest.raises(ShapeError):
         act_curve(t, [good])
     with pytest.raises(ShapeError):
-        act_curve(t, [good, MatrixCurve.constant(Matrix.identity(3))])
+        act_curve(t, [good, constant_curve(Matrix.identity(3))])

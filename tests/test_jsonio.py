@@ -14,11 +14,13 @@ from tngeom import jsonio
 from tngeom.curves import MatrixCurve
 from tngeom.errors import FormatError, SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, random_matrix
+from tngeom.linalg import Matrix
 from tngeom.networks import NetworkGraph, chain_graph, contract_network, loop_graph, random_instance
 from tngeom.tensors import Tensor, random_tensor
 from tngeom.varieties import certify_not_closed
 from tngeom.zoo import diagonal_splitting, mmult
+
+from oracles import curve_from_obj, curve_to_obj, instance_to_obj, matrix_to_obj, random_matrix, splitting_to_obj
 
 FP = PrimeField(2**31 - 1)
 
@@ -40,7 +42,7 @@ def test_scalar_round_trip():
 
 def test_matrix_round_trip():
     m = random_matrix(3, 4, seed=1, bound=99).scale(Fraction(1, 7))
-    obj = jsonio.matrix_to_obj(m)
+    obj = matrix_to_obj(m)
     assert jsonio.matrix_from_obj(obj, QQ) == m
     with pytest.raises(FormatError):
         jsonio.matrix_from_obj({"rows": 2, "cols": 2, "entries": ["1"]}, QQ)
@@ -69,7 +71,7 @@ def test_graph_and_instance_round_trip():
     g = loop_graph((2, 3, 2))
     assert jsonio.graph_from_obj(jsonio.graph_to_obj(g)) == g
     inst = random_instance(g, seed=4, bound=9)
-    back = jsonio.instance_from_obj(jsonio.instance_to_obj(inst), QQ)
+    back = jsonio.instance_from_obj(instance_to_obj(inst), QQ)
     assert back.graph == inst.graph and back.tensors == inst.tensors
     with pytest.raises(FormatError):
         jsonio.instance_from_obj({"vertices": [], "edges": []}, QQ)
@@ -77,7 +79,7 @@ def test_graph_and_instance_round_trip():
 
 def test_instance_bad_vertex_key():
     g = chain_graph((2, 2), (2,))
-    obj = jsonio.instance_to_obj(random_instance(g, seed=0))
+    obj = instance_to_obj(random_instance(g, seed=0))
     obj["tensors"] = {"x": obj["tensors"]["1"]}
     with pytest.raises(FormatError):
         jsonio.instance_from_obj(obj, QQ)
@@ -88,7 +90,7 @@ def test_instance_bad_vertex_key():
 def test_instance_refuses_a_vertex_key_not_written_as_its_id(key, vid):
     # int() reads each of these as vid; only str(vid) names the vertex
     g = NetworkGraph.build([(vid, 2), (2, 2)], [(1, vid, 2, 2)])
-    obj = jsonio.instance_to_obj(random_instance(g, seed=0))
+    obj = instance_to_obj(random_instance(g, seed=0))
     assert int(key) == vid and str(vid) in obj["tensors"]
     back = jsonio.instance_from_obj(obj, QQ)
     obj["tensors"][key] = obj["tensors"].pop(str(vid))
@@ -102,7 +104,7 @@ def test_instance_refuses_a_vertex_key_not_written_as_its_id(key, vid):
 
 def test_splitting_round_trip():
     s = diagonal_splitting(3)
-    obj = jsonio.splitting_to_obj(s)
+    obj = splitting_to_obj(s)
     assert set(obj) == {"X0", "Y0", "Z0"}
     back = jsonio.splitting_from_obj(obj, QQ)
     assert back.projectors() == s.projectors()
@@ -114,7 +116,7 @@ def test_splitting_round_trip():
 
 def test_curve_round_trip():
     c = MatrixCurve(((0, Matrix.identity(2)), (2, random_matrix(2, 2, seed=3, bound=9))))
-    factor, back = jsonio.curve_from_obj(jsonio.curve_to_obj(1, c), QQ)
+    factor, back = curve_from_obj(curve_to_obj(1, c), QQ)
     assert factor == 1 and back == c
 
 

@@ -1,7 +1,9 @@
 """The package surface: the modules each command loads, the lazy `tngeom`
 namespace, and the frozen records."""
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -20,6 +22,8 @@ from tngeom.stabilizer import StabilizerSystem, build_system
 from tngeom.tensors import Tensor
 from tngeom.varieties import Certificate
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
+
+from oracles import instance_to_obj
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,7 +51,7 @@ def added_modules(tmp_path, *argv) -> set:
 @pytest.fixture
 def small_inputs(tmp_path):
     g = loop_graph((2, 2, 2))
-    files = {"graph": jsonio.graph_to_obj(g), "instance": jsonio.instance_to_obj(identity_instance(g)),
+    files = {"graph": jsonio.graph_to_obj(g), "instance": instance_to_obj(identity_instance(g)),
              "tensor": jsonio.tensor_to_obj(mmult(2, 2, 2))}
     for name, obj in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(obj))
@@ -91,25 +95,21 @@ def test_import_tngeom_loads_no_submodule():
     assert proc.stdout.split() == ["tngeom"]
 
 
-# every public name `tngeom` exported before its namespace became lazy, by defining module
+# every public name `tngeom` exports, by defining module
 EXPORTS = {
     "errors": ["FieldMismatchError", "FormatError", "SemanticError", "ShapeError", "SingularMatrixError",
                "TngeomError"],
     "fields": ["DEFAULT_PRIME", "Field", "PrimeField", "QQ", "RationalField"],
-    "linalg": ["Matrix", "inverse", "is_invertible", "kernel_basis", "kron", "random_invertible", "random_matrix",
-               "rank"],
-    "tensors": ["Tensor", "apply_end", "contract_pair", "eval_multilinear", "flatten", "leibniz_act", "mlrank",
-                "mode_apply", "outer", "random_tensor", "transpose_axes"],
+    "linalg": ["Matrix", "kernel_basis", "rank"],
+    "tensors": ["Tensor", "apply_end", "contract_pair", "flatten", "mlrank", "mode_apply", "outer", "random_tensor",
+                "transpose_axes"],
     "networks": ["Edge", "MergeStep", "NetworkGraph", "TNSInstance", "Vertex", "chain_graph", "classify_vertex",
-                 "contract_network", "expected_dim", "flip_edge", "gauge_transform", "identity_instance",
-                 "loop_dim_formula", "loop_graph", "random_instance", "reduce_valence_one", "reduction_preimage",
-                 "supercritical_truncate"],
-    "zoo": ["Splitting", "block_splitting", "diagonal_splitting", "imm_loop", "m_tilde_formula", "mmult"],
-    "stabilizer": ["StabilizerSystem", "build_system", "orbit_dim", "stabilizer_contains_expected",
-                   "stabilizer_dim", "stabilizer_tuples"],
+                 "contract_network", "expected_dim", "identity_instance", "loop_dim_formula", "loop_graph",
+                 "random_instance", "reduce_valence_one", "reduction_preimage", "supercritical_truncate"],
+    "zoo": ["Splitting", "diagonal_splitting", "imm_loop", "m_tilde_formula", "mmult"],
+    "stabilizer": ["StabilizerSystem", "build_system", "stabilizer_dim", "stabilizer_tuples"],
     "curves": ["MatrixCurve", "TensorLaurent", "act_curve", "curve_from_splitting", "leading_term"],
-    "varieties": ["Certificate", "certify_not_closed", "contraction_jacobian", "end_orbit_consistency",
-                  "is_concise", "loop_endomorphisms", "sub_membership", "tns_dim"],
+    "varieties": ["Certificate", "certify_not_closed", "contraction_jacobian", "sub_membership", "tns_dim"],
 }
 
 
@@ -129,6 +129,46 @@ def test_public_names_are_the_pinned_ones():
     # beside them, dir() lists the submodules imported so far, as Python binds them
     assert {n for n in dir(tngeom) if not n.startswith("_")} - pinned - set(EXPORTS) <= {"cli", "jsonio"}
     assert tngeom.__version__ == "0.1.0"
+
+
+# exported functions and classes that no command or script calls, each with the reason it stays
+UNCALLED_EXPORTS = {
+    "identity_instance": "the graph tensor that non-closedness beyond the triangle starts from",
+    "stabilizer_tuples": "the stabilizer basis that invariants of a splitting atlas read",
+    "sub_membership": "the subspace test that a dimension atlas of trees checks against",
+    "reduction_preimage": "replays a merge log through networks._fold, which reduce_valence_one shares",
+    "outer": "the benchmark's tracer wraps networks.outer",
+    "contract_pair": "the benchmark's tracer wraps networks.contract_pair",
+    **{name: "an exception class of the public error hierarchy" for name in EXPORTS["errors"]},
+}
+
+
+def _loads_by_definition(path: Path) -> list[tuple[str | None, set]]:
+    """(name of the top-level def or class, or None, names it loads as a Name or an attribute) per statement."""
+    out = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        loads = {sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                 if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)}
+        defined = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else None
+        out.append((defined, loads))
+    return out
+
+
+def test_every_exported_function_and_class_is_used_by_the_program():
+    # used: loaded in src/tngeom outside its own definition, or in scripts/; an import is no use
+    assert set(UNCALLED_EXPORTS) <= set(tngeom.__all__)
+    files = {p: _loads_by_definition(p) for p in [*(ROOT / "src" / "tngeom").glob("*.py"),
+                                                 *(ROOT / "scripts").glob("*.py")]}
+    unused = []
+    for name in tngeom.__all__:
+        obj = getattr(tngeom, name)
+        if name in UNCALLED_EXPORTS or not (inspect.isfunction(obj) or inspect.isclass(obj)):
+            continue
+        home = ROOT / "src" / Path(*obj.__module__.split(".")).with_suffix(".py")
+        if not any(name in loads for path, statements in files.items() for defined, loads in statements
+                   if not (path == home and defined == name)):
+            unused.append(name)
+    assert unused == []
 
 
 def test_an_unknown_name_raises_attribute_error():

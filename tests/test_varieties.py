@@ -7,37 +7,44 @@ import pytest
 from tngeom import varieties
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, annihilates, kron, pivot_columns, random_invertible, rank, rank_mod_p
+from tngeom.linalg import Matrix, annihilates, pivot_columns, rank, rank_mod_p
 from tngeom.networks import (
     NetworkGraph,
     TNSInstance,
     chain_graph,
     contract_network,
     expected_dim,
-    flip_edge,
-    gauge_transform,
     identity_instance,
     loop_dim_formula,
     loop_graph,
     random_instance,
 )
-from tngeom.stabilizer import orbit_dim
 from tngeom.tensors import Tensor, apply_end, mlrank, outer, random_tensor
 from tngeom.varieties import (
     certify_not_closed,
     check_jacobian_size,
     contraction_jacobian,
-    end_orbit_consistency,
     gauge_rows,
-    is_concise,
-    loop_endomorphisms,
     sub_membership,
     tns_dim,
     witness_rows,
 )
-from tngeom.zoo import Splitting, block_splitting, diagonal_splitting, imm_loop, mmult
+from tngeom.zoo import Splitting, diagonal_splitting, imm_loop, mmult
 
-from oracles import per_coordinate_jacobian
+from oracles import (
+    block_splitting,
+    end_orbit_consistency,
+    flip_edge,
+    gauge_transform,
+    is_concise,
+    kron,
+    loop_endomorphisms,
+    mat_row,
+    mat_rows,
+    orbit_dim,
+    per_coordinate_jacobian,
+    random_invertible,
+)
 
 FP = PrimeField(2**31 - 1)
 
@@ -203,7 +210,7 @@ def test_gauge_rows_are_gauge_transform_tangents():
                     act = Matrix.from_nonzeros(e.dim, e.dim, {**{(i, i): 1 for i in range(e.dim)}, (a, b): 1})
                     moved = gauge_transform(inst, e.id, act)
                     step = [x for v in g.vertices for x in (moved.tensors[v.id] - inst.tensors[v.id]).entries]
-                    assert step == gauge.row(row)
+                    assert step == mat_row(gauge, row)
                 row += 1
     assert row == gauge.rows
 
@@ -319,7 +326,7 @@ def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
         assert want == jac.rows
     else:
         gauge, witness = gauge_rows(inst), witness_rows(inst)
-        tangent = Matrix.from_rows(gauge.to_rows() + witness.to_rows())
+        tangent = Matrix.from_rows(mat_rows(gauge) + mat_rows(witness))
         assert want + rank_mod_p(tangent) == jac.cols
         assert rank_mod_p(gauge) + want < jac.cols
         assert annihilates(jac, witness)
@@ -334,7 +341,7 @@ def test_witness_rows_close_the_gauge_gap_on_a_chain():
     assert (jac @ witness.transpose()).is_zero()
     assert annihilates(jac, witness)
     assert rank_mod_p(gauge) == gauge.rows == 34
-    assert rank_mod_p(Matrix.from_rows(gauge.to_rows() + witness.to_rows())) == 76 == 34 + 42
+    assert rank_mod_p(Matrix.from_rows(mat_rows(gauge) + mat_rows(witness))) == 76 == 34 + 42
     assert rank(jac) == 80 and 76 + 80 == jac.cols == 156
 
 
