@@ -3,19 +3,22 @@
 
 For each e the sweep computes both stabilizer dimensions, the leading
 power of the splitting curve, and the final conclusion, then prints one
-table row.  The stabilizer system of the trace tensor has e^6 rows,
-3e^4 columns and 3e^5 nonzeros; it falls apart into many small connected
-components, each eliminated mod p on its own, and over the rationals its
-kernel is lifted from one prime and checked exactly.  On a 2-core
-machine with Python 3.11, e = 4, 5, 6, 7, 8 took 0.01, 0.03, 0.09, 0.18
-and 0.35 s over the rationals and 0.01, 0.02, 0.06, 0.13 and 0.28 s with
---field fp, medians of three runs.  Only the rationals certify: mod p
-the limit's stabilizer dimension is an upper bound.  Systems past 10^6
-nonzeros are refused, so e stops at 12.
+table row with its time and the peak RSS of the process so far.  The
+stabilizer system of the trace tensor has e^6 rows, 3e^4 columns and
+3e^5 nonzeros.  It is never built: it falls apart into many small
+connected components, found from the tensor, and each is ranked on its
+own and dropped (``stabilizer.stabilizer_dim``); over the rationals a
+component whose rank is not capped by the scalar rows is lifted from one
+prime and checked exactly.  Only the rationals certify: mod p the
+limit's stabilizer dimension is an upper bound.  Systems past
+``stabilizer.MAX_SYSTEM_NNZ`` = 4·10^6 nonzeros are refused, so e runs up
+to 16 (3.1·10^6 nonzeros).  See the README ("certify") for measured
+times and memory.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
 from tngeom import QQ, PrimeField, certify_not_closed, diagonal_splitting
@@ -31,13 +34,14 @@ def main() -> int:
 
     field = QQ if args.field == "rational" else PrimeField(args.prime)
     print(f"{'e':>3} {'stab(mmult)':>12} {'stab(limit)':>12} "
-          f"{'power':>6} {'conclusion':>22} {'secs':>7}")
+          f"{'power':>6} {'conclusion':>22} {'secs':>7} {'peak_mb':>8}")
     for e in range(args.min_e, args.max_e + 1):
         start = time.perf_counter()
         cert = certify_not_closed(diagonal_splitting(e, field), e)
         secs = time.perf_counter() - start
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         print(f"{e:>3} {cert.stab_mmult:>12} {cert.stab_mtilde:>12} "
-              f"{cert.leading_power:>6} {cert.conclusion:>22} {secs:>7.2f}")
+              f"{cert.leading_power:>6} {cert.conclusion:>22} {secs:>7.2f} {peak:>8.1f}", flush=True)
     return 0
 
 

@@ -4,14 +4,16 @@ the elimination read and the time it took.
 
 A concise generic tensor keeps only the d - 1 = 2 scalar symmetries, so
 its system of n^3 rows and 3n^2 columns has rank 3n^2 - 2, which is its
-cap (see tngeom.linalg._eliminate_mod_p).  The elimination visits the
-rows in a strided order and stops at the cap, so it reads about 3n^2 - 2
-rows, and over Q the rank is exact without a lifted kernel.  The rows
-read are counted by wrapping linalg._packed_eliminate, in every
-elimination of a component (over Q, one per prime); the time is the
-rank alone (build_system is timed apart).  On a 2-core machine with
-Python 3.11, `--min-n 8 --max-n 20` over Q reads 3n^2 - 2 rows at every
-n; see the README ("stabilizer") for the times.
+cap (see tngeom.linalg._eliminate_mod_p).  The system is one connected
+component.  The elimination visits its rows in a strided order and stops
+at the cap, so it reads about 3n^2 - 2 rows, and over Q the rank is exact
+without a lifted kernel.  The rows read are counted by wrapping
+linalg._packed_eliminate, in every elimination of a component (over Q,
+one per prime).  The time is that of stabilizer.stabilizer_dim, the path
+`tngeom stabilizer` runs: the component search and the rows read off the
+tensor as well as the elimination.  On a 2-core machine with Python 3.11,
+`--min-n 8 --max-n 20` over Q reads 3n^2 - 2 rows at every n; see the
+README ("stabilizer") for the times.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import argparse
 import time
 
 from tngeom import DEFAULT_PRIME, QQ, PrimeField, linalg, random_tensor
-from tngeom.stabilizer import build_system
+from tngeom.stabilizer import stabilizer_dim
 
 
 class _Counted:
@@ -52,18 +54,15 @@ def main() -> int:
     # the eliminations of a system's components pass a cap; ranking the scalar rows does not
     linalg._packed_eliminate = lambda rows, cols, prime, pivots, cap=None: eliminate(
         rows if cap is None else _Counted(rows, read), cols, prime, pivots, cap)
-    print(f"{'n':>3} {'rows':>6} {'cols':>5} {'stab':>5} {'orbit':>6} {'read':>6} {'build_s':>8} {'rank_s':>8}")
+    print(f"{'n':>3} {'rows':>6} {'cols':>5} {'stab':>5} {'orbit':>6} {'read':>6} {'secs':>8}")
     for n in range(args.min_n, args.max_n + 1):
         t = random_tensor((n, n, n), seed=args.seed + n, field=field)
-        start = time.perf_counter()
-        system = build_system(t)
-        built = time.perf_counter()
         read[0] = 0
-        orbit = system.orbit_dim()
-        done = time.perf_counter()
-        m = system.matrix
-        print(f"{n:>3} {m.rows:>6} {m.cols:>5} {m.cols - orbit:>5} {orbit:>6} {read[0]:>6} "
-              f"{built - start:>8.3f} {done - built:>8.3f}")
+        start = time.perf_counter()
+        stab = stabilizer_dim(t)
+        secs = time.perf_counter() - start
+        cols = 3 * n * n
+        print(f"{n:>3} {n ** 3:>6} {cols:>5} {stab:>5} {cols - stab:>6} {read[0]:>6} {secs:>8.3f}")
     return 0
 
 

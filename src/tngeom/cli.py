@@ -29,16 +29,16 @@ from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 # networks or varieties.  Each name is still an attribute of this module
 # (module __getattr__), so code that wraps or replaces one here, such as a
 # tracer or a test, is the code the commands call: `_fetch` binds a name
-# only when nothing is bound to it yet.  rank, dumps, tensor_to_obj and
-# Splitting are not called by any command; they stay for code that wraps
-# them here.
+# only when nothing is bound to it yet.  rank, build_system, dumps,
+# tensor_to_obj and Splitting are not called by any command; they stay for
+# code that wraps them here.
 _LAZY = {name: module for module, names in (
     ("curves", "act_curve curve_from_splitting"),
     ("jsonio", "certificate_to_obj dump dumps field_label graph_from_obj graph_to_obj instance_from_obj "
                "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
     ("linalg", "rank"),
     ("networks", "contract_network expected_dim reduce_valence_one"),
-    ("stabilizer", "build_system check_system_size check_tensor_size"),
+    ("stabilizer", "build_system check_system_size check_tensor_size stabilizer_dim"),
     ("varieties", "certify_not_closed tns_dim"),
     ("zoo", "Splitting diagonal_splitting mmult"),
 ) for name in names.split()}
@@ -94,12 +94,11 @@ def cmd_contract(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    _fetch("load_path", "tensor_from_obj", "check_tensor_size", "build_system", "field_label", "dump")
+    _fetch("load_path", "tensor_from_obj", "check_tensor_size", "stabilizer_dim", "field_label", "dump")
     t = tensor_from_obj(load_path(args.tensor), _resolve_field(args))
-    check_tensor_size(t)  # from the shape, before anything is built
-    system = build_system(t)
-    orbit = system.orbit_dim()
-    report = {"stab_dim": system.group_dim - orbit, "orbit_dim": orbit}
+    check_tensor_size(t)  # from the shape, before anything is read
+    stab = stabilizer_dim(t)
+    report = {"stab_dim": stab, "orbit_dim": sum(s * s for s in t.shape) - stab}
     report.update(field_label(t.field))
     dump(report, args.out)
     return 0

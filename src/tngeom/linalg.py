@@ -17,19 +17,27 @@ rank 145, its cap: 145 rows are read, and the exact rank over Q takes
 0.04 s, against 0.1 s for all rows, back-solve, lift and check (2-core
 host, Python 3.11).
 
-Rows are read mod p in one pass (``_residue_rows``), so one set of rows
-is held: as they are stored when every value is a residue already (over
-Fp, or ints in [0, p) over Q), else reduced in place.  An int entry
-is reduced as it is, with no lcm or content pass; only a matrix that
-holds a Fraction has each row multiplied by the lcm of its denominators
-first (``_integral_rows``), so no denominator is inverted mod p.  Each
-row read is a nonzero integer multiple of its row over Q, so the rank
-mod p is at most the rank over Q, and A x = 0 holds for the rows read
-exactly when it holds for A.
+Components are eliminated in one of two places, with everything below
+them shared.  ``_eliminate_mod_p`` searches the components of the rows it
+is given: a matrix's, for ``rank``, ``rank_mod_p``, ``pivot_columns`` and
+``kernel_basis``.  A stabilizer system is never built for its rank:
+``stabilizer.stabilizer_dim`` finds its components from the tensor and
+hands the rows of each one in turn to ``rank_rows``, the exact rank of
+a matrix's rows, so each is eliminated, capped, lifted and checked on
+its own, then dropped.
 
-Every kernel and exact rank comes from one path, ``_lift``: eliminate
-mod p, back-solve one kernel vector per free column (1 there, 0 at the
-other free columns), and over Fp stop there.  Over Q every entry is lifted
+Rows are read as integers (``_integral_rows``): an int entry as it is,
+with no lcm or content pass; only a row that holds a Fraction is
+multiplied by the lcm of its denominators, so no denominator is inverted
+mod p.  Each value is reduced mod p as its row is packed, so one set of
+rows serves every prime and the exact check.  Each row read is a nonzero
+integer multiple of its row over Q, so the rank mod p is at most the rank
+over Q, and A x = 0 holds for the rows read exactly when it holds for A.
+
+Every kernel and exact rank comes from one path, ``_lift``, on the rows
+of a matrix or of one component: eliminate mod p, back-solve one kernel
+vector per free column (1 there, 0 at the other free columns), and over
+Fp stop there.  Over Q every entry is lifted
 to a fraction by rational reconstruction (Wang 1981) and A x = 0 is
 checked exactly over the integers.  The count is exact by two bounds.
 Vectors that pass the check lie in the kernel over Q, and they are
@@ -229,11 +237,6 @@ class Matrix(SparseArray):
     def at(self, i: int, j: int):
         return self._nz.get(lin_index((i, j), self.shape), self.field.zero)
 
-    def transpose(self) -> "Matrix":
-        r, c = self.shape
-        nz = {(k % c) * r + k // c: v for k, v in self._nz.items()}
-        return Matrix._from_flat((c, r), nz, self.field)
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.field != other.field:
             raise SemanticError("Matrix operands live over different fields")
@@ -308,17 +311,19 @@ def components(rows, cols: int) -> list[int]:
 
 
 def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None,
-                     kernel: Matrix | None = None) -> tuple[int, int]:
-    """Rank mod prime of residue rows {column: residue}, and the nullity the caps vouch for.
+                     kernel: list[dict] | None = None) -> tuple[int, int]:
+    """Rank mod prime of integer rows {column: value}, and the nullity the caps vouch for.
 
     A row update only combines rows that share a column, so no row leaves
     the columns of its connected component (``components``) and the rank
     is the sum of the ranks of the components.  A component of one column
-    has rank 1 if a row holds it with a nonzero residue, else 0; every other
-    one is eliminated densely on its own columns (``_packed_eliminate``).
+    has rank 1 if a row holds it with a value prime does not divide, else
+    0; every other one is eliminated densely on its own columns
+    (``_packed_eliminate``).  A column that no row holds is free, and is
+    kept in no group.
 
-    kernel holds rows known to lie in the right kernel of the rows.  The
-    rank mod prime of their parts on a component's columns
+    kernel holds integer rows known to lie in the right kernel of the rows.
+    The rank mod prime of their parts on a component's columns
     (``_known_ranks``) is a nullity that component has, so its rank is at
     most its cap, |c| less that nullity.  Its rows are read in a strided
     order (``_strided``) and no further than the row that reaches the cap.
@@ -332,19 +337,20 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     needs.
     """
     label = components(rows, cols)
-    known = _known_ranks(kernel, label, prime) if kernel is not None else {}
-    groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows)
-    for c, a in enumerate(label):
-        groups.setdefault(a, ([], []))[0].append(c)
+    known = _known_ranks(kernel, label, prime) if kernel else {}
+    groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows), for the held columns
     for row in rows:
         for c in row:
-            groups[label[c]][1].append(row)
+            groups.setdefault(label[c], ([], []))[1].append(row)
             break
+    for c, a in enumerate(label):
+        if a in groups:
+            groups[a][0].append(c)
     rank = 0
     for a, (ccols, crows) in groups.items():
         if len(ccols) > 1:
             rank += _packed_eliminate(_strided(crows), ccols, prime, pivots, len(ccols) - known.get(a, 0))
-        elif any(row[ccols[0]] for row in crows):
+        elif any(row[ccols[0]] % prime for row in crows):
             rank += 1
             if pivots is not None:
                 pivots.append((ccols[0], {}))
@@ -365,17 +371,17 @@ def _strided(rows: list) -> list:
     return [rows[k * s % n] for k in range(n)]
 
 
-def _known_ranks(kernel: Matrix, label: list[int], prime: int) -> dict[int, int]:
-    """{a: rank mod prime of the rows of kernel on the columns c with label[c] == a}.
+def _known_ranks(kernel: list[dict], label: list[int], prime: int) -> dict[int, int]:
+    """{a: rank mod prime of the integer rows kernel on the columns c with label[c] == a}.
 
     Each row of a matrix with these column components lies in one
     component, so the part of a row of its kernel on one component's
     columns lies in its kernel too.
     """
     parts: dict[int, dict[int, dict]] = {}  # label -> kernel row -> {column: residue}
-    for k, row in enumerate(_residue_rows(kernel, prime)):
+    for k, row in enumerate(kernel):
         for c, v in row.items():
-            if v:
+            if v := v % prime:
                 parts.setdefault(label[c], {}).setdefault(k, {})[c] = v
     return {a: _packed_eliminate(list(rows.values()), sorted({c for r in rows.values() for c in r}), prime, None)
             for a, rows in parts.items()}
@@ -383,10 +389,10 @@ def _known_ranks(kernel: Matrix, label: list[int], prime: int) -> dict[int, int]
 
 def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None,
                       cap: int | None = None) -> int:
-    """Rank mod prime of residue rows on the given columns, by dense elimination on packed rows.
+    """Rank mod prime of integer rows on the given columns, by dense elimination on packed rows.
 
     Each row is one Python int of W-bit slots, slot i holding column
-    cols[i], so a row update is one big-int multiply-add run in C.
+    cols[i] mod prime, so a row update is one big-int multiply-add run in C.
     Reduction is delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK 2008): a
     row is reduced by the earlier pivots in the order they were found,
     each update adds (prime - v) times a pivot row whose slots are below
@@ -420,7 +426,7 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
         buf = bytearray(width)
         for c, v in row.items():
             i = local[c] * size
-            buf[i:i + size] = v.to_bytes(size, "little")
+            buf[i:i + size] = (v % prime).to_bytes(size, "little")
         x = int.from_bytes(buf, "little")
         for at, prow in found:
             if v := (x >> at & mask) % prime:
@@ -447,51 +453,57 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     return len(found)
 
 
+def _integral(row: dict) -> dict:
+    """A row of ints and Fractions times the lcm of its denominators, as ints; a row of ints as it is."""
+    if all(type(v) is int for v in row.values()):
+        return row
+    mult = lcm(*(v.denominator for v in row.values()))
+    return {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
+
+
 def _integral_rows(m: Matrix):
-    """Nonzero rows of a rational matrix, one at a time, each times the lcm of its denominators."""
+    """Nonzero rows of a matrix, one at a time, each times the lcm of its denominators (``_integral``)."""
     ints = set(map(type, m._nz.values())) <= {int}  # then every denominator is 1
     for _, row in _rows(m):
-        if not ints:
-            mult = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (mult // v.denominator) for c, v in row.items()}
-        yield row
-
-
-def _residue_rows(m: Matrix, prime: int) -> list[dict]:
-    """Nonzero rows of residues mod prime, which over Fp must be the field's.
-
-    Over Fp the stored values are residues already, and so are those of a
-    rational matrix of ints in [0, prime), such as a 0/1 stabilizer system.
-    Other rational rows are read as integers (``_integral_rows``) and
-    reduced in place, so no denominator is inverted mod p; an entry
-    divisible by p leaves a zero residue.
-    """
-    vals = m._nz.values()
-    if m.field.prime is not None or (set(map(type, vals)) <= {int} and 0 <= min(vals, default=0)
-                                     and max(vals, default=0) < prime):
-        return [row for _, row in _rows(m)]
-    rows = list(_integral_rows(m))
-    for row in rows:
-        for c, v in row.items():
-            row[c] = v % prime
-    return rows
+        yield row if ints else _integral(row)
 
 
 def rank(m: Matrix, kernel: Matrix | None = None) -> int:
     """Exact rank; independent of row and column order.
 
-    Over Fp by ``rank_mod_p``.  Over Q it is the column count less the
-    nullity of the lifted kernel (``_lift``) of whichever of A and A^T has
-    fewer columns.  kernel, rows known to lie in A's right kernel, caps
-    each component (``_eliminate_mod_p``) when A is not transposed.
+    The rank of m's integer rows (``_integral_rows``) by ``rank_rows``.
+    kernel, rows known to lie in A's right kernel, caps each component.
     """
     if kernel is not None and (kernel.field != m.field or kernel.cols != m.cols):
         raise ShapeError("the kernel rows must have the matrix's columns and field")
-    if m.field.prime is not None:
-        return rank_mod_p(m, kernel)
-    if m.rows < m.cols:
-        return m.rows - len(_lift(m.transpose())[0])
-    return m.cols - len(_lift(m, kernel)[0])
+    return rank_rows(list(_integral_rows(m)), m.cols, m.field.prime,
+                     None if kernel is None else list(_integral_rows(kernel)))
+
+
+def rank_rows(rows: list[dict], cols: int, prime: int | None, kernel: list[dict] | None = None) -> int:
+    """Exact rank of nonzero integer rows {column: value} on range(cols), over Fp or, with prime None, Q.
+
+    Over Fp it is the rank mod p (``_eliminate_mod_p``).  Over Q it is the
+    column count less the nullity of the lifted kernel (``_lift``) of
+    whichever of A and A^T has fewer columns.  kernel, integer rows known
+    to lie in A's right kernel, caps each component when A is not
+    transposed.  A stabilizer system (``stabilizer.stabilizer_dim``)
+    passes each of its components here in turn.
+    """
+    if prime is not None:
+        return _eliminate_mod_p(rows, cols, prime, kernel=kernel)[0]
+    if len(rows) < cols:
+        return len(rows) - len(_lift(_transpose(rows), len(rows), None)[0])
+    return cols - len(_lift(rows, cols, None, kernel)[0])
+
+
+def _transpose(rows: list[dict]) -> list[dict]:
+    """The nonzero columns of the rows, as rows {row index: value}."""
+    out: dict[int, dict] = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            out.setdefault(c, {})[i] = v
+    return list(out.values())
 
 
 def rank_mod_p(m: Matrix, kernel: Matrix | None = None) -> int:
@@ -503,7 +515,8 @@ def rank_mod_p(m: Matrix, kernel: Matrix | None = None) -> int:
     Q, and scaling a row by a nonzero integer scales its minors alike.
     """
     prime = m.field.prime or DEFAULT_PRIME
-    return _eliminate_mod_p(_residue_rows(m, prime), m.cols, prime, kernel=kernel)[0]
+    known = None if kernel is None else list(_integral_rows(kernel))
+    return _eliminate_mod_p(list(_integral_rows(m)), m.cols, prime, kernel=known)[0]
 
 
 def pivot_columns(m: Matrix) -> set[int]:
@@ -513,7 +526,7 @@ def pivot_columns(m: Matrix) -> set[int]:
     invertible mod p on them.
     """
     prime, pivots = m.field.prime or DEFAULT_PRIME, []
-    _eliminate_mod_p(_residue_rows(m, prime), m.cols, prime, pivots)
+    _eliminate_mod_p(list(_integral_rows(m)), m.cols, prime, pivots)
     return {pc for pc, _ in pivots}
 
 
@@ -552,7 +565,7 @@ def kernel_basis(m: Matrix) -> list[list]:
     The vector of free column f is 1 there and 0 at the other free columns.
     """
     basis = []
-    for vec in _lift(m)[1]:
+    for vec in _lift(list(_integral_rows(m)), m.cols, m.field.prime)[1]:
         dense = [m.field.zero] * m.cols
         for c, v in vec.items():
             dense[c] = m.field.coerce(v)
@@ -575,58 +588,62 @@ def _lift_residue(r: int, modulus: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift(m: Matrix, kernel: Matrix | None = None) -> tuple[list[int], list[dict] | None]:
-    """Free columns and exact kernel vectors, over as many primes as it takes.
+def _lift(rows: list[dict], cols: int, field_prime: int | None,
+          kernel: list[dict] | None = None) -> tuple[list[int], list[dict] | None]:
+    """Free columns and exact kernel vectors of integer rows on range(cols), over as many primes as it takes.
 
-    Each prime eliminates the rows mod p (``_eliminate_mod_p``) and
-    back-solves one kernel vector per free column, as {column: nonzero
-    value}.  Over Fp the prime is the field's and its back-solve is the
-    answer.  Over Q the primes are DEFAULT_PRIME and then the primes below
-    it.  A prime of full column rank ends the lift with an empty kernel.
-    Given kernel, rows known to lie in the right kernel, each component
-    stops at its cap, and a prime whose nullity is the one the caps vouch
-    for ends the lift with the free columns and no vectors (None): the
-    parts of those rows on the components span a kernel of that dimension,
-    and the nullity over Q is at most the nullity mod p.  Over Q the
-    (rank, free columns) of a prime is compared with the best seen: a
-    higher rank wins, and at equal rank the larger list of free columns
-    does, since the pivot columns are the column rank profile and a prime
-    that divides a minor can only move a pivot to a later column.  A
-    winner restarts the residues, a tie is combined with them by CRT, and
-    a loser is skipped.  After each restart or tie the residues mod M, the
-    product of their primes, are lifted with bound isqrt(M/2) and checked,
-    A x = 0 over the integers.  The lift ends: with H the Hadamard bound
-    of the integer rows, every prime of a losing rank or profile divides
-    one nonzero minor, so their product is at most H; once the product of
-    all primes tried passes 2 H**3, M passes 2 H**2, and every entry, a
-    ratio of minors, lifts.  A check that still fails is an internal error.
+    The rows are a matrix's (``rank``, ``kernel_basis``) or one component
+    of a stabilizer system (``rank_rows``), over Fp or, field_prime None,
+    over Q.  Each prime
+    eliminates the rows mod p (``_eliminate_mod_p``) and back-solves one
+    kernel vector per free column, as {column: nonzero value}.  Over Fp
+    the prime is the field's and its back-solve is the answer.  Over Q the
+    primes are DEFAULT_PRIME and then the primes below it.  A prime of
+    full column rank ends the lift with an empty kernel.  Given kernel,
+    integer rows known to lie in the right kernel, each component stops at
+    its cap, and a prime whose nullity is the one the caps vouch for ends
+    the lift with the free columns and no vectors (None): the parts of
+    those rows on the components span a kernel of that dimension, and the
+    nullity over Q is at most the nullity mod p.  Over Q the (rank, free
+    columns) of a prime is compared with the best seen: a higher rank
+    wins, and at equal rank the larger list of free columns does, since
+    the pivot columns are the column rank profile and a prime that divides
+    a minor can only move a pivot to a later column.  A winner restarts
+    the residues, a tie is combined with them by CRT, and a loser is
+    skipped.  After each restart or tie the residues mod M, the product of
+    their primes, are lifted with bound isqrt(M/2) and checked, A x = 0
+    over the integers, on these rows alone.  The lift ends: with H the
+    Hadamard bound of the rows, every prime of a losing rank or profile
+    divides one nonzero minor, so their product is at most H; once the
+    product of the primes tried before the last passes 2 H**3, M passes
+    2 H**2, and every entry, a ratio of minors, lifts.  A check that still
+    fails is an internal error.  So a second prime is always tried, even
+    for a component whose H is below the first prime.
     """
-    cols, prime = m.cols, m.field.prime or DEFAULT_PRIME
+    prime = field_prime or DEFAULT_PRIME
     best, modulus, x, tried, limit = (-1, []), 1, {}, 1, None
     while True:
         pivots: list = []
-        # the residue rows are freed on return, before the back-solve; the pivot rows are copies
-        rk, vouched = _eliminate_mod_p(_residue_rows(m, prime), cols, prime, pivots, kernel)
+        rk, vouched = _eliminate_mod_p(rows, cols, prime, pivots, kernel)
         if cols - rk == vouched:
             taken = {pc for pc, _ in pivots}
             free = [c for c in range(cols) if c not in taken]
             return free, None if free else []
         free, y = _back_solve(pivots, cols, prime)
-        if m.field.prime is not None:
+        if field_prime is not None:
             return free, _kernel_vectors(free, y)
         seen = (rk, free)
         if seen > best:
             best, modulus, x = seen, prime, y
         elif seen == best:
             x, modulus = _crt(x, modulus, y, prime), modulus * prime
-        if seen == best and (vecs := _lifted_vectors(m, free, x, modulus)) is not None:
+        if seen == best and (vecs := _lifted_vectors(rows, free, x, modulus)) is not None:
             return free, vecs
         if limit is None:  # bits of 2 H**3
-            limit = 1 + 3 * sum((sum(v * v for v in row.values()).bit_length() + 1) // 2
-                                for row in _integral_rows(m))
-        tried *= prime
+            limit = 1 + 3 * sum((sum(v * v for v in row.values()).bit_length() + 1) // 2 for row in rows)
         if tried.bit_length() > limit:
             raise RuntimeError("the kernel did not lift within the Hadamard bound")
+        tried *= prime
         prime = next(q for q in range(prime - 2, 2, -2) if is_probable_prime(q))
 
 
@@ -641,8 +658,8 @@ def _crt(x: dict[int, dict], modulus: int, y: dict[int, dict], prime: int) -> di
     return out
 
 
-def _lifted_vectors(m: Matrix, free: list[int], x: dict[int, dict], modulus: int) -> list[dict] | None:
-    """The back-solve x mod modulus lifted to fractions and checked exactly, or None."""
+def _lifted_vectors(rows: list[dict], free: list[int], x: dict[int, dict], modulus: int) -> list[dict] | None:
+    """The back-solve x mod modulus lifted to fractions and checked exactly on the integer rows, or None."""
     bound = isqrt(modulus // 2)
     lifted: dict[int, dict] = {}
     denom = dict.fromkeys(free, 1)
@@ -654,47 +671,41 @@ def _lifted_vectors(m: Matrix, free: list[int], x: dict[int, dict], modulus: int
                 return None
             out[f] = q
             denom[f] = lcm(denom[f], q.denominator)
-    # each x_f times the lcm of its denominators, as integers, column by column
+    # each x_f times the lcm of its denominators, as integers, column by column, at the columns rows hold
+    held = {c for row in rows for c in row}
     scaled = {c: [(f, q.numerator * (denom[f] // q.denominator)) for f, q in col.items()]
-              for c, col in lifted.items()}
-    return _kernel_vectors(free, lifted) if _annihilates(m, scaled) else None
+              for c, col in lifted.items() if c in held}
+    norm = max((sum(map(abs, row.values())) for row in rows), default=1)
+    return _kernel_vectors(free, lifted) if _annihilates(rows, norm, scaled) else None
 
 
-def _annihilates(m: Matrix, by_col: dict[int, list]) -> bool:
-    """True when every row r of m has sum_c r[c] * x[c] == 0 for every
+def _annihilates(rows: Iterable[dict], norm: int, by_col: dict[int, list]) -> bool:
+    """True when every integer row r has sum_c r[c] * x[c] == 0 for every
     integer vector x, the vectors given column by column as {c: [(x, x[c])]}.
 
-    Each column's entries are packed into one int, x_i[c] * 2**(W*i), so a
-    nonzero of m costs one multiply-add and a row one test acc == 0.  Only
-    the columns where m holds a nonzero are packed, since no row sum reads
-    another, so a kernel of many vectors that each hold a column m never
-    reads costs no int per vector there.  Row r read as integers
-    (``_integral_rows``) has slot sums s_i = sum_c r[c] * x_i[c], |s_i| at
-    most B = max |x[c]| times the largest L1 norm of such a row, and W is
-    the bit length of B plus a sign and a guard bit.  If the packed sum,
-    sum_i s_i * 2**(W*i), is zero and s_i is its first nonzero slot sum,
-    2**W divides s_i, which cannot be.  A row with a Fraction sums to that
-    packed sum over the lcm of its denominators.
+    norm bounds the L1 norm of every row.  Each column's entries are packed
+    into one int, x_i[c] * 2**(W*i), so a nonzero of a row costs one
+    multiply-add and a row one test acc == 0.  The callers pass only the
+    columns some row holds, since no row sum reads another, so a kernel of
+    many vectors that each hold a column no row reads costs no int per
+    vector there.  Row r has slot
+    sums s_i = sum_c r[c] * x_i[c], |s_i| at most B = max |x[c]| times
+    norm, and W is the bit length of B plus a sign and a guard bit.  If
+    the packed sum, sum_i s_i * 2**(W*i), is zero and s_i is its first
+    nonzero slot sum, 2**W divides s_i, which cannot be.
     """
-    vals = m._nz.values()
-    if set(map(type, vals)) <= {int}:  # a bound on every row's L1 norm, read in C
-        norm = m.cols * max(map(abs, vals), default=1)
-    else:
-        norm = max((sum(map(abs, row.values())) for row in _integral_rows(m)), default=1)
     width = (max((abs(w) for col in by_col.values() for _, w in col), default=0) * norm).bit_length() + 2
-    cols, slots = m.cols, {}
-    held = {k % cols for k in m._nz}
+    slots: dict = {}
     packed = {c: sum(w << width * slots.setdefault(f, len(slots)) for f, w in col)
-              for c, col in by_col.items() if col and c in held}
-    last, acc = -1, 0
-    for k in sorted(k for k in m._nz if k % cols in packed):
-        r = k // cols
-        if r != last:
-            if acc:
-                return False
-            last, acc = r, 0
-        acc += m._nz[k] * packed[k - r * cols]
-    return not acc
+              for c, col in by_col.items() if col}
+    for row in rows:
+        acc = 0
+        for c, v in row.items():
+            if (w := packed.get(c)) is not None:
+                acc += v * w
+        if acc:
+            return False
+    return True
 
 
 def annihilates(a: Matrix, b: Matrix) -> bool:
@@ -702,14 +713,21 @@ def annihilates(a: Matrix, b: Matrix) -> bool:
 
     Checked exactly over the integers, on the rows of both matrices read
     as integers (``_integral_rows``), which scales each product by a
-    nonzero integer.
+    nonzero integer; a's rows are read one at a time.
     """
     if not isinstance(a.field, RationalField) or b.field != a.field:
         raise SemanticError("annihilates expects two rational matrices")
     if a.cols != b.cols:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}")
+    held = {k % a.cols for k in a._nz}
     by_col: dict[int, list] = {}
     for k, row in enumerate(_integral_rows(b)):
         for c, v in row.items():
-            by_col.setdefault(c, []).append((k, v))
-    return _annihilates(a, by_col)
+            if c in held:
+                by_col.setdefault(c, []).append((k, v))
+    vals = a._nz.values()
+    if set(map(type, vals)) <= {int}:  # a bound on every row's L1 norm, read in C
+        norm = a.cols * max(map(abs, vals), default=1)
+    else:
+        norm = max((sum(map(abs, row.values())) for row in _integral_rows(a)), default=1)
+    return _annihilates(_integral_rows(a), norm, by_col)

@@ -401,7 +401,9 @@ def supercritical_truncate(g: NetworkGraph) -> tuple[NetworkGraph, int]:
 
 
 def _secant_dim(a: int, b: int, r: int) -> int:
-    return min(r * (a + b - r), a * b)
+    """Dimension of the a x b matrices of rank at most r: past min(a, b) the rank bound is no bound."""
+    r = min(r, a, b)
+    return r * (a + b - r)
 
 
 def cycle_edges(g: NetworkGraph):

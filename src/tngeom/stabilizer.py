@@ -4,42 +4,51 @@ A tuple of endomorphisms, one per factor, stabilizes a tensor when the
 derivation action (sum of single-slot insertions) kills it.  Collecting
 the insertion of every elementary matrix in every slot as the columns of
 one linear system turns the stabilizer into a kernel computation; the
-orbit dimension is the rank of the same system.
+orbit dimension is the rank of the same system.  Its dimension
+(``stabilizer_dim``) is ranked one connected component at a time, read off
+the tensor; the system is built whole (``build_system``) only for a basis
+of the kernel (``stabilizer_tuples``).
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 from math import prod
 
 from ._record import Record
 from .errors import SemanticError, magnitude
-from .linalg import Matrix, components, kernel_basis, rank
+from .linalg import Matrix, _integral, components, kernel_basis, rank, rank_rows
 from .tensors import Tensor, lin_index
 
-# Budgets on a stabilizer system.  MAX_SYSTEM_NNZ caps its nonzeros and is
-# checked before anything is built.  MAX_SYSTEM_FILL caps the cells its
-# elimination can hold (``elimination_fill``), checked before the matrix is
-# built: a dense system fills towards rows x columns, far past its nonzeros.
-# On a 2-core host with Python 3.11, peak RSS of `certify` over Q grew by
-# 0.39 to 0.43 KB per system nonzero at e = 8, 10 and 12 (e = 12, 746496
-# nonzeros and 2.7e6 cells, took 330 MB).  `stabilizer` on a dense
-# 20 x 20 x 20 tensor (9.6e6 cells) peaked at 147 MB and took 10 s: its
-# elimination mod p holds packed dense rows, and stops at the cap of
-# 1198 = 1200 - 2 pivots, so the lift and its check never run (99 s when
-# every row was read and the kernel lifted).  The fill budget bounds the
-# slots of those rows, at most rows x columns per component, for each prime
-# that the lift over Q eliminates.  MAX_SYSTEM_COLS caps its columns,
-# sum(shape[j]**2), checked from the shape alone: the elimination keeps a
-# few objects per column, and over Q the lift holds a kernel vector per free
-# column of A or of A^T, whichever has fewer columns, however few nonzeros
-# the system has.  `stabilizer` on a tensor with one nonzero peaked at
-# 124 MB for shape (300, 300, 1) (180001 columns), 557 MB for
-# (400, 400, 400) (480000) and 721 MB for (577, 577, 2) (665862): up to
-# 1.25 KB per column.  No budget bounds time.
-MAX_SYSTEM_NNZ = 10**6
+# Budgets on a stabilizer system.  Its rank (``stabilizer_dim``) is taken one
+# connected component at a time from the tensor, so what is held at once is
+# the fibres of the tensor, a column of each nonzero row and a label per
+# column, and the rows of one component.  MAX_SYSTEM_NNZ caps its nonzeros
+# and MAX_SYSTEM_COLS its columns, sum(shape[j]**2), both checked from the
+# tensor alone (``check_tensor_size``).  MAX_SYSTEM_FILL caps the cells of
+# the largest component, rows x columns, which is all an elimination holds
+# at once, checked once the components are known and before any is
+# eliminated: a dense component fills towards rows x columns, far past its
+# nonzeros.  Peak RSS on a 2-core host with Python 3.11: `certify` over Q
+# 25 MB at e = 10, 34 MB at e = 12 and 70 MB (12 s) at e = 16, whose
+# mmult system has 3.1e6 nonzeros (330 MB at e = 12 when the system was
+# built whole); a dense (2,)^16 tensor, 2.1e6 nonzeros in one component of
+# 65536 rows, 257 MB in 3.6 s, about 120 B per nonzero, the most measured;
+# `stabilizer` on a dense 20 x 20 x 20 tensor (one component of 9.6e6
+# cells) 85 MB in 6.7 s over Q, its elimination stopping at the cap of
+# 1198 = 1200 - 2 pivots.
+# With one nonzero, `stabilizer` peaked at 43 MB for shape (300, 300, 1)
+# (180001 columns), 71 MB for (400, 400, 400) (480000) and 235 MB for
+# (1000, 1000, 1) (2000001): about 110 B per column.  No budget bounds time.
+# ``build_system`` holds the whole system in one Matrix, about 0.4 KB per
+# nonzero, so it is held to MAX_BUILT_NNZ.
+MAX_SYSTEM_NNZ = 4 * 10**6
 MAX_SYSTEM_FILL = 10**7
-MAX_SYSTEM_COLS = 5 * 10**5
+MAX_SYSTEM_COLS = 10**6
+MAX_BUILT_NNZ = 10**6
 
 
 def check_system_size(nnz: int, fill: int = 0, cols: int = 0) -> None:
@@ -130,10 +139,14 @@ def build_system(t: Tensor) -> StabilizerSystem:
 
     Column (j, k, l) holds the tensor obtained by routing index l of
     factor j to index k, i.e. the insertion of the elementary matrix
-    E_kl in slot j.  It has nnz(t) * sum(shape) nonzeros.
+    E_kl in slot j.  It has nnz(t) * sum(shape) nonzeros, held to
+    MAX_BUILT_NNZ before anything is built.
     """
     shape = t.shape
     check_tensor_size(t)
+    if (nnz := len(t._nz) * sum(shape)) > MAX_BUILT_NNZ:
+        raise SemanticError(f"building the stabilizer system would hold {magnitude(nnz)} nonzeros, "
+                            f"over the budget of {MAX_BUILT_NNZ}")
     offsets = []
     total = 0
     for s in shape:
@@ -158,7 +171,101 @@ def build_system(t: Tensor) -> StabilizerSystem:
 
 
 def stabilizer_dim(t: Tensor) -> int:
-    return build_system(t).stabilizer_dim()
+    """Nullity of t's stabilizer system, ranked one connected component at a time, never built whole.
+
+    Row r of the system holds, for each slot j, the nonzeros of t on the
+    fibre through r along slot j (the indices of r with slot j free): the
+    value t[r with slot j set to l] at column (j, r_j, l).  So the rows are
+    read off the fibres, which cost O(nnz(t) * d), and no row is held past
+    its use.  The first pass links, for each row and each slot whose fibre
+    through it is nonempty, its columns there to one column of its next
+    such slot; ``linalg.components`` of those links are the components of
+    the system, and one column of each row is kept.  The rows and columns
+    of each component bound the cells its elimination can hold, and the
+    largest is checked against the fill budget.  A component of one column
+    has rank 1.  Every other one has its rows found again from its columns,
+    read in row order with local column ids, and ranked exactly
+    (``linalg.rank_rows``), capped by the parts of the scalar rows
+    (``StabilizerSystem.scalar_rows``) on its columns; over Q a component
+    whose cap is not met is lifted and checked on its own rows.  Then its
+    rows are dropped.  A column that no row holds is free and costs no
+    object.
+    """
+    check_tensor_size(t)
+    shape, nz, prime = t.shape, t._nz, t.field.prime
+    ints = set(map(type, nz.values())) <= {int}  # else a row with a Fraction is scaled to integers
+    strides = [prod(shape[j + 1:]) for j in range(len(shape))]
+    offsets = list(accumulate((s * s for s in shape), initial=0))
+    cols = offsets[-1]
+    slots = list(zip(strides, shape, offsets))
+    fibres: list[dict[int, list]] = [{} for _ in shape]  # slot j: {flat index with slot j at 0: [(l, value)]}
+    keys: list[dict[int, list]] = [{} for _ in shape]  # slot j: {l: the keys of the fibres that hold l}
+    for flat, v in nz.items():
+        for fib, by_l, (st, s, _) in zip(fibres, keys, slots):
+            l = flat // st % s
+            fib.setdefault(flat - l * st, []).append((l, v))
+            by_l.setdefault(l, []).append(flat - l * st)
+
+    def row(r: int, local: dict[int, int]) -> dict:  # row r, its columns c as local[c]
+        out = {}
+        for fib, (st, s, off) in zip(fibres, slots):
+            k = r // st % s
+            if f := fib.get(r - k * st):
+                at = off + k * s
+                for l, v in f:
+                    out[local[at + l]] = v
+        return out
+
+    lasts = array("q")  # a column of each nonzero row
+
+    def links():
+        # for each row r and slot j whose fibre through r is nonempty: r's columns in slot j and
+        # one of its columns in its next such slot, so the links of r join all its columns
+        for j, (fib, (st, s, off)) in enumerate(zip(fibres, slots)):
+            later = list(zip(fibres[j + 1:], slots[j + 1:]))
+            for base, f in fib.items():
+                for k in range(s):
+                    r, at = base + k * st, off + k * s
+                    cs = [at + l for l, _ in f]
+                    for fib2, (st2, s2, off2) in later:
+                        k2 = r // st2 % s2
+                        if f2 := fib2.get(r - k2 * st2):
+                            cs.append(off2 + k2 * s2 + f2[0][0])
+                            break
+                    else:  # r's last such slot, met once
+                        lasts.append(cs[0])
+                    yield cs
+
+    label = components(links(), cols)
+    col_count = Counter(label)
+    row_count = Counter(map(label.__getitem__, lasts))
+    del lasts
+    check_system_size(len(nz) * sum(shape),
+                      max((n * col_count[a] for a, n in row_count.items() if col_count[a] > 1), default=0))
+    groups: dict[int, list[int]] = {}
+    for c, a in enumerate(label):
+        if col_count[a] > 1:
+            groups.setdefault(a, []).append(c)
+    del label
+    rank = sum(1 for a in row_count if col_count[a] == 1)
+    for ccols in groups.values():
+        found, parts = set(), [{} for _ in shape[1:]]
+        for i, c in enumerate(ccols):
+            j = bisect_right(offsets, c) - 1
+            st, s, off = slots[j]
+            k, l = divmod(c - off, s)
+            found.update(base + k * st for base in keys[j].get(l, ()))  # the rows that hold column (j, k, l)
+            if k == l:  # the scalar rows (``StabilizerSystem.scalar_rows``) on ccols, in local ids
+                if j < len(parts):
+                    parts[j][i] = 1
+                if j:
+                    parts[j - 1][i] = -1
+        local = {c: i for i, c in enumerate(ccols)}
+        crows = [row(r, local) for r in sorted(found)]
+        if not ints:
+            crows = list(map(_integral, crows))
+        rank += rank_rows(crows, len(ccols), prime, [part for part in parts if part])
+    return cols - rank
 
 
 def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:

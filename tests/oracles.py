@@ -200,7 +200,8 @@ def interpolate_coefficients(samples: list[tuple[int, list[Fraction]]]) -> list[
 
 
 def secant_formula(a: int, b: int, r: int) -> int:
-    return min(r * (a + b - r), a * b)
+    r = min(r, a, b)
+    return r * (a + b - r)
 
 
 def expected_cycle_dim(edge_dims) -> int:
@@ -343,6 +344,11 @@ def mat_row(m: Matrix, i: int) -> list:
 
 def mat_rows(m: Matrix) -> list[list]:
     return [mat_row(m, i) for i in range(m.rows)]
+
+
+def mat_transpose(m: Matrix) -> Matrix:
+    r, c = m.shape
+    return Matrix._from_flat((c, r), {(k % c) * r + k // c: v for k, v in m._nz.items()}, m.field)
 
 
 def mat_apply(m: Matrix, vec: list) -> list:
@@ -490,7 +496,7 @@ def gauge_transform(inst: TNSInstance, edge_id: int, g_mat: Matrix) -> TNSInstan
     e = g.edge(edge_id)
     if g_mat.rows != g_mat.cols or g_mat.rows != e.dim:
         raise ShapeError(f"gauge for edge {edge_id} must be {e.dim}x{e.dim}")
-    g_inv_t = inverse(g_mat).transpose()
+    g_inv_t = mat_transpose(inverse(g_mat))
     tensors = dict(inst.tensors)
     tail_axis = g.axis_labels(e.tail).index(("e", edge_id))
     head_axis = g.axis_labels(e.head).index(("e", edge_id))
@@ -538,7 +544,7 @@ def loop_pair_generators(edge_dims, field) -> list[tuple[int, Matrix, int, Matri
         rows_j = dims[(j - 1) % n]
         cols_next = dims[(j + 1) % n]
         for alpha in _gl_basis(dims[j], field):
-            right = kron(Matrix.identity(rows_j, field), alpha.transpose())
+            right = kron(Matrix.identity(rows_j, field), mat_transpose(alpha))
             left = kron(alpha, Matrix.identity(cols_next, field)).scale(-field.one)
             out.append((j, right, (j + 1) % n, left))
     return out

@@ -116,10 +116,11 @@ def test_stabilizer_is_exact_by_default_on_a_large_tensor(tmp_path, capsys):
 
 
 def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
-    # 3334 nonzeros of a 100x100x100 tensor give 3334 * 300 system nonzeros
-    assert 3334 * 300 > stabilizer.MAX_SYSTEM_NNZ
+    # n nonzeros of a 100x100x100 tensor give n * 300 system nonzeros, one past the budget's worth
+    n = stabilizer.MAX_SYSTEM_NNZ // 300 + 1
+    assert n * 300 > stabilizer.MAX_SYSTEM_NNZ
     path = tmp_path / "big.json"
-    entries = [{"idx": [i % 100, i // 100, 0], "val": "1"} for i in range(3334)]
+    entries = [{"idx": [i % 100, i // 100 % 100, i // 10**4], "val": "1"} for i in range(n)]
     path.write_text(json.dumps({"shape": [100, 100, 100], "entries": entries}))
     monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
     code, out, err = run(["stabilizer", path], capsys)
@@ -141,20 +142,47 @@ def test_stabilizer_refuses_a_system_that_could_fill_over_budget(tmp_path, monke
     assert f"fill {800 * 40008} cells" in err
 
 
-def test_stabilizer_on_a_wide_sparse_tensor_holds_little_memory(tmp_path):
-    # shape (300, 300, 1) with one nonzero: 90000 rows, 180001 columns, and over Q a
-    # kernel of the transpose of 89400 vectors, each checked only on the 600 rows it meets
-    path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"shape": [300, 300, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+def _run_in_address_space(args: list, limit: int) -> subprocess.CompletedProcess:
+    """`python -m tngeom ARGS` in a child process held to `limit` bytes of address space (RLIMIT_AS)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "tngeom", "stabilizer", str(path)], capture_output=True,
-                          text=True, env=env, timeout=120,
-                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)))
+    return subprocess.run([sys.executable, "-m", "tngeom", *map(str, args)], capture_output=True, text=True,
+                          env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+
+def test_stabilizer_on_a_wide_sparse_tensor_holds_little_memory(tmp_path):
+    # shape (300, 300, 1) with one nonzero: 90000 rows and 180001 columns, of which 600 are held
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"shape": [300, 300, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+    proc = _run_in_address_space(["stabilizer", path], 2**30)
     assert proc.returncode == 0, proc.stderr
     # the orbit of a rank-one tensor has dimension 1 + sum(n_j - 1) = 599
     assert json.loads(proc.stdout) == {"stab_dim": 179402, "orbit_dim": 599, "field": "rational", "prime": None}
+
+
+def test_stabilizer_of_one_nonzero_in_a_cube_holds_no_object_per_free_column(tmp_path):
+    # shape (400, 400, 400) with one nonzero: 480000 columns, 1199 held.  Each column that no row holds
+    # is free and costs nothing but its label: about 80 MB of address space, where building the system
+    # and eliminating it took 580 MB (2-core host, Python 3.11)
+    path = tmp_path / "cube.json"
+    path.write_text(json.dumps({"shape": [400, 400, 400], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+    proc = _run_in_address_space(["stabilizer", path], 256 * 2**20)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"stab_dim": 480000 - 1198, "orbit_dim": 1198, "field": "rational",
+                                       "prime": None}
+
+
+def test_certify_ranks_one_component_at_a_time(tmp_path):
+    # over Q at e = 10 the trace tensor's system has 3e^5 = 300000 nonzeros, its largest component
+    # 300 columns: about 30 MB of address space, where building the system whole took 140 MB
+    # (2-core host, Python 3.11)
+    proc = _run_in_address_space(["certify", "--e", "10"], 96 * 2**20)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["stab_mmult"], report["stab_mtilde"], report["conclusion"]) == (299, 380, "not_closed_certified")
+    assert (report["field"], report["prime"]) == ("rational", None)
 
 
 def test_stabilizer_refuses_a_system_over_its_column_budget_from_the_shape(tmp_path, monkeypatch, capsys):

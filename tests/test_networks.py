@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -23,6 +24,7 @@ from tngeom.networks import (
     supercritical_truncate,
 )
 from tngeom.tensors import Tensor, mlrank, transpose_axes
+from tngeom.varieties import tns_dim
 from tngeom.zoo import imm_loop
 
 from oracles import (
@@ -354,6 +356,16 @@ def test_expected_dim_two_vertex_secant():
     assert expected_dim(two_vertex_graph(3, 3, 2)) == 8
     # rank cap: huge edge gives the full matrix space
     assert expected_dim(two_vertex_graph(3, 3, 9)) == 9
+
+
+@pytest.mark.parametrize("edges", [(2, 2), (1, 3), (2, 3), (1, 1, 2)])
+def test_expected_dim_two_vertex_grid_matches_the_jacobian(edges):
+    # two vertices joined by several edges (no valence-one fold) give a x b matrices of rank at most
+    # r = prod(edges); once r passes min(a, b) every matrix is reached, and the count must not fall
+    for a in range(1, 5):
+        for b in range(1, 5):
+            g = NetworkGraph.build([(1, a), (2, b)], [(k, 1, 2, d) for k, d in enumerate(edges, 1)])
+            assert expected_dim(g) == secant_formula(a, b, prod(edges)) == tns_dim(g, seed=0)
 
 
 def test_expected_dim_reduces_first():

@@ -42,6 +42,7 @@ from oracles import (
     kron,
     leibniz_act,
     mat_apply,
+    mat_transpose,
     random_invertible,
     random_matrix,
     rank_modulo_primes,
@@ -225,12 +226,12 @@ def test_prime_field_values_stay_canonical_residues(seed, p):
         lambda a, **_: a.scale(frac),
         lambda a, c, **_: a @ c,
         lambda a, c, **_: kron(a, c),
-        lambda a, **_: a.transpose(),
+        lambda a, **_: mat_transpose(a),
         lambda t, u, **_: tensordot(t, u, [(2, 0)]),
         lambda t, a, **_: mode_apply(t, a, 0),
         lambda t, s, **_: leibniz_act(t, [None, None, s]),
         lambda t, **_: flatten(t, 1),
-        lambda s, **_: evaluate_curve(MatrixCurve(((-2, s), (0, s.transpose()), (1, s @ s))), t_value),
+        lambda s, **_: evaluate_curve(MatrixCurve(((-2, s), (0, mat_transpose(s)), (1, s @ s))), t_value),
     ]
     for op in ops:
         _assert_residues(op(**{k: v[0] for k, v in pairs.items()}), op(**{k: v[1] for k, v in pairs.items()}), fp)

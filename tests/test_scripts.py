@@ -26,7 +26,8 @@ def table(out: str) -> list[list[str]]:
 
 def test_certificate_sweep():
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4"))
-    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _ in rows] == [
+    assert all(float(peak) > 0 for *_, peak in rows)
+    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _, _ in rows] == [
         (2, 11, 12, "not_closed_certified"),
         (3, 26, 30, "not_closed_certified"),
         (4, 47, 56, "not_closed_certified"),
@@ -34,9 +35,9 @@ def test_certificate_sweep():
 
 
 def test_certificate_sweep_over_fp():
-    # the table over Q, leading powers included; the last column is the time
+    # the table over Q, leading powers included; the last two columns are the time and the peak RSS
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4", "--field", "fp"))
-    assert [row[:-1] for row in rows] == [
+    assert [row[:-2] for row in rows] == [
         ["2", "11", "12", "1", "not_closed_certified"],
         ["3", "26", "30", "1", "not_closed_certified"],
         ["4", "47", "56", "1", "not_closed_certified"],
@@ -59,8 +60,8 @@ def test_stabilizer_scan():
     # a concise generic n x n x n tensor keeps the two scalar symmetries, and the elimination reads its cap of rows
     for field in ("fp", "rational"):
         rows = table(run_script("stabilizer_scan.py", "--min-n", "3", "--max-n", "5", "--field", field))
-        assert [(n, stab, orbit, read) for n, _, _, stab, orbit, read, _, _ in rows] == [
-            (str(n), "2", str(3 * n * n - 2), str(3 * n * n - 2)) for n in (3, 4, 5)]
+        assert [(n, r, c, stab, orbit, read) for n, r, c, stab, orbit, read, _ in rows] == [
+            (str(n), str(n ** 3), str(3 * n * n), "2", str(3 * n * n - 2), str(3 * n * n - 2)) for n in (3, 4, 5)]
 
 
 def test_src_loc(tmp_path):

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tngeom import jsonio, linalg, stabilizer
 from tngeom.curves import act_curve, curve_from_splitting
@@ -25,6 +27,7 @@ from oracles import (
     loop_pair_generators,
     mat_apply,
     mat_row,
+    mat_transpose,
     matrix_rows,
     naive_rank,
     naive_rank_mod_p,
@@ -159,10 +162,10 @@ def test_stabilizer_tuples_over_fp():
 
 
 def test_system_size_guard():
-    # the trace tensor's system has 3e^5 nonzeros: e = 12 fits, e = 13 does not
-    check_system_size(3 * 12**5)
+    # the trace tensor's system has 3e^5 nonzeros: e = 16 fits, e = 17 does not
+    check_system_size(3 * 16**5)
     with pytest.raises(SemanticError, match="nonzeros"):
-        check_system_size(3 * 13**5)
+        check_system_size(3 * 17**5)
     check_system_size(0, stabilizer.MAX_SYSTEM_FILL)
     with pytest.raises(SemanticError, match="fill"):
         check_system_size(0, stabilizer.MAX_SYSTEM_FILL + 1)
@@ -293,7 +296,7 @@ def test_scalar_rows_lie_in_the_kernel(shape, field):
         if field is QQ:
             assert annihilates(system.matrix, scalar)
         # the same product mod p, as the elimination over Fp uses it
-        assert (system.matrix @ scalar.transpose()).is_zero()
+        assert (system.matrix @ mat_transpose(scalar)).is_zero()
         assert rank(scalar) == scalar.rows
 
 
@@ -400,3 +403,75 @@ def test_stabilizer_tuples_are_unchanged(name, make, digest):
     # scalar printed as the reports print it (a residue as its digits)
     tuples = [[[jsonio.scalar_to_str(x) for x in m.entries] for m in tup] for tup in stabilizer_tuples(make())]
     assert hashlib.sha256(repr(tuples).encode()).hexdigest()[:16] == digest
+
+
+# --- the streamed rank (stabilizer_dim), component by component from the tensor, against the built system
+
+@st.composite
+def sparse_tensors(draw):
+    """A tensor of order 0 to 4, axes of 1 to 3, with any set of nonzero cells (none included):
+    Fraction entries over Q, residues over Fp (small ones too, so that rows cancel)."""
+    field = draw(st.sampled_from([QQ, FP]))
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+    cells = list(itertools.product(*(range(s) for s in shape)))
+    chosen = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    if field is QQ:
+        values = st.fractions(-9, 9, max_denominator=6).filter(bool)
+    else:
+        values = st.one_of(st.integers(1, 3), st.integers(1, FP.prime - 1))
+    return Tensor.from_nonzeros(shape, {c: draw(values) for c in chosen}, field)
+
+
+@given(sparse_tensors())
+@example(Tensor.zeros((), QQ))
+@example(Tensor.zeros((2, 1, 3), FP))
+@example(Tensor.from_nonzeros((1, 1, 1, 1), {(0, 0, 0, 0): 5}, QQ))
+def test_streamed_rank_is_the_oracle_rank_of_the_built_system(t):
+    m = build_system(t).matrix
+    if t.field is QQ:
+        want = naive_rank(matrix_rows(m))
+    else:
+        want = naive_rank_mod_p([mat_row(m, i) for i in range(m.rows)], FP.prime)
+    assert stabilizer_dim(t) == m.cols - want == sum(s * s for s in t.shape) - want
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+@pytest.mark.parametrize("e", range(2, 7))
+def test_streamed_rank_holds_the_pinned_certify_table(e, field):
+    # the stabilizers 3e^2 - 1 of mmult and 4e^2 - 2e of its limit, as the built system ranks them
+    # (by the oracle at e = 2, by linalg.rank beyond)
+    for t, stab in ((mmult(e, e, e, field), 3 * e * e - 1), (m_tilde_formula(e, field), 4 * e * e - 2 * e)):
+        m = build_system(t).matrix
+        if e == 2:
+            rows = [mat_row(m, i) for i in range(m.rows)]
+            want = naive_rank(rows) if field is QQ else naive_rank_mod_p(rows, FP.prime)
+        else:
+            want = orbit_dim(t)
+        assert stabilizer_dim(t) == m.cols - want == stab
+
+
+def test_streamed_rank_never_builds_the_system(monkeypatch):
+    # nothing of the whole system is built: no Matrix, and no elimination reads more than one component
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the whole system")
+
+    for name in ("build_system", "Matrix", "rank"):
+        monkeypatch.setattr(stabilizer, name, refuse)
+    widths = []
+    rank_rows = stabilizer.rank_rows
+    monkeypatch.setattr(stabilizer, "rank_rows", lambda rows, cols, *a: widths.append(cols) or rank_rows(rows, cols, *a))
+    e = 5
+    assert stabilizer_dim(mmult(e, e, e)) == 3 * e * e - 1
+    # at e = 5 the system splits into 1200 components of one column, 60 of 10 and one of 75
+    assert sorted(widths) == [10] * 60 + [75]
+
+
+def test_only_the_whole_system_is_held_to_the_built_budget(monkeypatch):
+    # mmult(3, 3, 3) has 27 * 27 = 729 system nonzeros: with a built budget below that, building the
+    # system whole is refused before anything is built, and the streamed rank still runs
+    assert stabilizer.MAX_BUILT_NNZ <= stabilizer.MAX_SYSTEM_NNZ
+    monkeypatch.setattr(stabilizer, "MAX_BUILT_NNZ", 728)
+    monkeypatch.setattr(stabilizer, "lin_index", None)  # building the system would raise
+    with pytest.raises(SemanticError, match="building the stabilizer system would hold 729 nonzeros"):
+        build_system(mmult(3, 3, 3))
+    assert stabilizer_dim(mmult(3, 3, 3)) == 26
