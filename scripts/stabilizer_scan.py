@@ -4,12 +4,12 @@ the elimination read and the time it took.
 
 A concise generic tensor keeps only the d - 1 = 2 scalar symmetries, so
 its system of n^3 rows and 3n^2 columns has rank 3n^2 - 2, which is its
-cap (see tngeom.linalg._eliminate_mod_p).  The system is one connected
+cap (see tngeom.linalg._eliminate).  The system is one connected
 component.  The elimination visits its rows in a strided order and stops
 at the cap, so it reads about 3n^2 - 2 rows, and over Q the rank is exact
 without a lifted kernel.  The rows read are counted by wrapping
-linalg._packed_eliminate, in every elimination of a component (over Q,
-one per prime).  The time is that of stabilizer.stabilizer_dim, the path
+linalg._packed_eliminate, in every elimination that a cap stops below its
+column count (over Q, one per prime).  The time is that of stabilizer.stabilizer_dim, the path
 `tngeom stabilizer` runs: the component search and the rows read off the
 tensor as well as the elimination.  On a 2-core machine with Python 3.11,
 `--min-n 8 --max-n 20` over Q reads 3n^2 - 2 rows at every n; see the
@@ -51,9 +51,10 @@ def main() -> int:
     field = QQ if args.field == "rational" else PrimeField(DEFAULT_PRIME)
     read = [0]
     eliminate = linalg._packed_eliminate
-    # the eliminations of a system's components pass a cap; ranking the scalar rows does not
+    # the elimination of the system's component has a cap below its column count; ranking the
+    # scalar rows' parts, for that cap, does not
     linalg._packed_eliminate = lambda rows, cols, prime, pivots, cap=None: eliminate(
-        rows if cap is None else _Counted(rows, read), cols, prime, pivots, cap)
+        rows if cap is None or cap == len(cols) else _Counted(rows, read), cols, prime, pivots, cap)
     print(f"{'n':>3} {'rows':>6} {'cols':>5} {'stab':>5} {'orbit':>6} {'read':>6} {'secs':>8}")
     for n in range(args.min_n, args.max_n + 1):
         t = random_tensor((n, n, n), seed=args.seed + n, field=field)

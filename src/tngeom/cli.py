@@ -29,9 +29,9 @@ from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 # networks or varieties.  Each name is still an attribute of this module
 # (module __getattr__), so code that wraps or replaces one here, such as a
 # tracer or a test, is the code the commands call: `_fetch` binds a name
-# only when nothing is bound to it yet.  rank, build_system, dumps,
-# tensor_to_obj and Splitting are not called by any command; they stay for
-# code that wraps them here.
+# only when nothing is bound to it yet.  rank, build_system, dumps and
+# tensor_to_obj are not called by any command; they stay for code that
+# wraps them here.
 _LAZY = {name: module for module, names in (
     ("curves", "act_curve curve_from_splitting"),
     ("jsonio", "certificate_to_obj dump dumps field_label graph_from_obj graph_to_obj instance_from_obj "
@@ -40,7 +40,7 @@ _LAZY = {name: module for module, names in (
     ("networks", "contract_network expected_dim reduce_valence_one"),
     ("stabilizer", "build_system check_system_size check_tensor_size stabilizer_dim"),
     ("varieties", "certify_not_closed tns_dim"),
-    ("zoo", "Splitting diagonal_splitting mmult"),
+    ("zoo", "diagonal_splitting mmult"),
 ) for name in names.split()}
 
 

@@ -1,30 +1,27 @@
 """Exact matrices and elimination over the rationals or a prime field.
 
 Rank is the workhorse: stabilizer and Jacobian computations reduce to the
-rank of an exact matrix.  Every elimination runs mod a prime in one
-kernel, ``_eliminate_mod_p``.  It splits the rows into the connected
+rank of an exact matrix.  A linear system falls apart into the connected
 components of the graph that joins two columns sharing a row (a
-union-find, ``components``), since the rank is the sum of the ranks of
-the components.  A component of one column has rank 1 or 0.  Every other
-one is eliminated densely on its own columns, each row packed into one
-Python int of W-bit slots with delayed reduction (``_packed_eliminate``,
-W = bit_length(p + min(rows, cols) * p**2) + 1).  Stabilizer systems fall
-apart into many small components; a dense system is one.  Vectors known
-to lie in the kernel (a stabilizer system's scalar rows) cap the rank of
-each component, whose elimination reads its rows in a strided order and
-stops at the cap.  The 343 x 147 system of a dense 7 x 7 x 7 tensor has
-rank 145, its cap: 145 rows are read, and the exact rank over Q takes
-0.04 s, against 0.1 s for all rows, back-solve, lift and check (2-core
-host, Python 3.11).
-
-Components are eliminated in one of two places, with everything below
-them shared.  ``_eliminate_mod_p`` searches the components of the rows it
-is given: a matrix's, for ``rank``, ``rank_mod_p``, ``pivot_columns`` and
-``kernel_basis``.  A stabilizer system is never built for its rank:
-``stabilizer.stabilizer_dim`` finds its components from the tensor and
-hands the rows of each one in turn to ``rank_rows``, the exact rank of
-a matrix's rows, so each is eliminated, capped, lifted and checked on
-its own, then dropped.
+union-find, ``components``), and its rank, pivots and kernel are those of
+its components together.  A system's components are found once: a
+matrix's by ``_split``, for ``rank``, ``rank_mod_p``, ``pivot_columns``
+and ``kernel_basis``; a stabilizer system's from the tensor, by
+``stabilizer.stabilizer_dim`` and ``stabilizer.stabilizer_tuples``, which
+never build it.  Each component is then handled on its own and never
+searched again.  ``_eliminate`` ranks it mod a prime: a component of one
+column has rank 1 or 0, and every other one is eliminated densely on its
+own columns, each row packed into one Python int of W-bit slots with
+delayed reduction (``_packed_eliminate``, W = bit_length(p + min(rows,
+cols) * p**2) + 1).  ``_lift`` turns its eliminations into an exact
+kernel, and ``_rank`` into an exact rank.  Stabilizer systems fall apart
+into many small components; a dense system is one.  A cap, a bound on a
+component's rank vouched for by vectors known to lie in its kernel (a
+stabilizer system's scalar rows), stops its elimination early: its rows
+are read in a strided order and no further than the row that reaches the
+cap.  The 343 x 147 system of a dense 7 x 7 x 7 tensor has rank 145, its
+cap: 145 rows are read, and the exact rank over Q takes 0.04 s, against
+0.1 s for all rows, back-solve, lift and check (2-core host, Python 3.11).
 
 Rows are read as integers (``_integral_rows``): an int entry as it is,
 with no lcm or content pass; only a row that holds a Fraction is
@@ -35,7 +32,7 @@ integer multiple of its row over Q, so the rank mod p is at most the rank
 over Q, and A x = 0 holds for the rows read exactly when it holds for A.
 
 Every kernel and exact rank comes from one path, ``_lift``, on the rows
-of a matrix or of one component: eliminate mod p, back-solve one kernel
+of one component: eliminate mod p, back-solve one kernel
 vector per free column (1 there, 0 at the other free columns), and over
 Fp stop there.  Over Q every entry is lifted
 to a fraction by rational reconstruction (Wang 1981) and A x = 0 is
@@ -47,9 +44,10 @@ is at least rank mod p, and the nullity over Q is at most that number.
 When an entry does not lift or the check fails (a kernel of large
 height, or a prime that divides a minor), the next prime below is
 eliminated too and the residues are combined by CRT until the check
-passes.  A prime on which every component reaches its cap is exact with
-no back-solve or lift.  ``rank`` over Q is the nullity of the lifted
-kernel of A or of A^T, and ``kernel_basis`` is the kernel.
+passes.  A prime on which a component reaches its cap is exact with no
+back-solve or lift.  The rank of a component over Q is its column count
+less the nullity of its lifted kernel, or its row count less that of its
+transpose's, and ``kernel_basis`` is the kernel.
 ``annihilates``, a check of A B^T = 0 over the integers, bounds a nullity
 from below by the rank of B when B's rows are known to be kernel
 vectors.  Both checks pack the vectors into one int per column
@@ -310,35 +308,16 @@ def components(rows, cols: int) -> list[int]:
     return [root(c) for c in range(cols)]
 
 
-def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | None = None,
-                     kernel: list[dict] | None = None) -> tuple[int, int]:
-    """Rank mod prime of integer rows {column: value}, and the nullity the caps vouch for.
+def _split(rows: list[dict], cols: int) -> list[tuple[list[int], list[dict]]]:
+    """(columns, rows) of each connected component (``components``) that some row holds.
 
     A row update only combines rows that share a column, so no row leaves
-    the columns of its connected component (``components``) and the rank
-    is the sum of the ranks of the components.  A component of one column
-    has rank 1 if a row holds it with a value prime does not divide, else
-    0; every other one is eliminated densely on its own columns
-    (``_packed_eliminate``).  A column that no row holds is free, and is
-    kept in no group.
-
-    kernel holds integer rows known to lie in the right kernel of the rows.
-    The rank mod prime of their parts on a component's columns
-    (``_known_ranks``) is a nullity that component has, so its rank is at
-    most its cap, |c| less that nullity.  Its rows are read in a strided
-    order (``_strided``) and no further than the row that reaches the cap.
-    The second number returned is the sum of those nullities, 0 without
-    kernel: when the rank mod prime is cols less it, every component met
-    its cap.
-
-    Given a pivots list, each pivot row, scaled to 1 at its pivot column,
-    is appended as (pivot column, {other column: residue}).  A pivot row
-    holds no pivot column found before it, which is what ``_back_solve``
-    needs.
+    the columns of its component: the rank, pivots and kernel of the rows
+    are those of the components together.  A column that no row holds is
+    free, and is in no group.  This is the one search of a matrix's rows.
     """
     label = components(rows, cols)
-    known = _known_ranks(kernel, label, prime) if kernel else {}
-    groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows), for the held columns
+    groups: dict[int, tuple[list[int], list[dict]]] = {}  # label -> (columns, rows)
     for row in rows:
         for c in row:
             groups.setdefault(label[c], ([], []))[1].append(row)
@@ -346,15 +325,28 @@ def _eliminate_mod_p(rows: list[dict], cols: int, prime: int, pivots: list | Non
     for c, a in enumerate(label):
         if a in groups:
             groups[a][0].append(c)
-    rank = 0
-    for a, (ccols, crows) in groups.items():
-        if len(ccols) > 1:
-            rank += _packed_eliminate(_strided(crows), ccols, prime, pivots, len(ccols) - known.get(a, 0))
-        elif any(row[ccols[0]] % prime for row in crows):
-            rank += 1
-            if pivots is not None:
-                pivots.append((ccols[0], {}))
-    return rank, sum(known.values())
+    return list(groups.values())
+
+
+def _eliminate(cols: list[int], rows: list[dict], prime: int, cap: int, pivots: list | None) -> int:
+    """Rank mod prime of one component's integer rows {column: value} on its columns, stopped at cap.
+
+    A component of one column has rank 1 if a row holds it with a value
+    prime does not divide, else 0.  Every other one is eliminated densely
+    on its own columns (``_packed_eliminate``), its rows read in a strided
+    order (``_strided``) and no further than the row that reaches cap, a
+    bound on its rank that the caller vouches for.  Given a pivots list,
+    each pivot row, scaled to 1 at its pivot column, is appended as (pivot
+    column, {other column: residue}).  A pivot row holds no pivot column
+    found before it, which is what ``_back_solve`` needs.
+    """
+    if len(cols) > 1:
+        return _packed_eliminate(_strided(rows), cols, prime, pivots, cap)
+    if any(row[cols[0]] % prime for row in rows):
+        if pivots is not None:
+            pivots.append((cols[0], {}))
+        return 1
+    return 0
 
 
 def _strided(rows: list) -> list:
@@ -369,22 +361,6 @@ def _strided(rows: list) -> list:
     while gcd(s, n) != 1:
         s += 1
     return [rows[k * s % n] for k in range(n)]
-
-
-def _known_ranks(kernel: list[dict], label: list[int], prime: int) -> dict[int, int]:
-    """{a: rank mod prime of the integer rows kernel on the columns c with label[c] == a}.
-
-    Each row of a matrix with these column components lies in one
-    component, so the part of a row of its kernel on one component's
-    columns lies in its kernel too.
-    """
-    parts: dict[int, dict[int, dict]] = {}  # label -> kernel row -> {column: residue}
-    for k, row in enumerate(kernel):
-        for c, v in row.items():
-            if v := v % prime:
-                parts.setdefault(label[c], {}).setdefault(k, {})[c] = v
-    return {a: _packed_eliminate(list(rows.values()), sorted({c for r in rows.values() for c in r}), prime, None)
-            for a, rows in parts.items()}
 
 
 def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None,
@@ -407,8 +383,7 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     The elimination stops at cap pivots (by default one per column), a
     bound on the rank that the caller vouches for, so a component that
     reaches it skips its last rows, and a stream is read no further.
-    Pivot rows are appended to pivots as ``_eliminate_mod_p``
-    says.
+    Pivot rows are appended to pivots as ``_eliminate`` says.
     """
     n = len(cols)
     local = {c: i for i, c in enumerate(cols)}
@@ -468,33 +443,31 @@ def _integral_rows(m: Matrix):
         yield row if ints else _integral(row)
 
 
-def rank(m: Matrix, kernel: Matrix | None = None) -> int:
+def rank(m: Matrix) -> int:
     """Exact rank; independent of row and column order.
 
-    The rank of m's integer rows (``_integral_rows``) by ``rank_rows``.
-    kernel, rows known to lie in A's right kernel, caps each component.
+    The sum of the exact ranks (``_rank``) of the components (``_split``)
+    of m's integer rows (``_integral_rows``).
     """
-    if kernel is not None and (kernel.field != m.field or kernel.cols != m.cols):
-        raise ShapeError("the kernel rows must have the matrix's columns and field")
-    return rank_rows(list(_integral_rows(m)), m.cols, m.field.prime,
-                     None if kernel is None else list(_integral_rows(kernel)))
+    return sum(_rank(cols, rows, m.field.prime, len(cols))
+               for cols, rows in _split(list(_integral_rows(m)), m.cols))
 
 
-def rank_rows(rows: list[dict], cols: int, prime: int | None, kernel: list[dict] | None = None) -> int:
-    """Exact rank of nonzero integer rows {column: value} on range(cols), over Fp or, with prime None, Q.
+def _rank(cols: list[int], rows: list[dict], field_prime: int | None, cap: int) -> int:
+    """Exact rank of one component's integer rows, over Fp or, with field_prime None, Q; at most cap.
 
-    Over Fp it is the rank mod p (``_eliminate_mod_p``).  Over Q it is the
-    column count less the nullity of the lifted kernel (``_lift``) of
-    whichever of A and A^T has fewer columns.  kernel, integer rows known
-    to lie in A's right kernel, caps each component when A is not
-    transposed.  A stabilizer system (``stabilizer.stabilizer_dim``)
-    passes each of its components here in turn.
+    Over Fp it is the rank mod p (``_eliminate``).  Over Q it is the column
+    count less the nullity of the lifted kernel (``_lift``) of whichever of
+    the rows and their transpose has fewer columns; cap, a bound on the
+    rank, ends the elimination of the rows early, and the transpose is
+    lifted uncapped.
     """
-    if prime is not None:
-        return _eliminate_mod_p(rows, cols, prime, kernel=kernel)[0]
-    if len(rows) < cols:
-        return len(rows) - len(_lift(_transpose(rows), len(rows), None)[0])
-    return cols - len(_lift(rows, cols, None, kernel)[0])
+    if field_prime is not None:
+        return _eliminate(cols, rows, field_prime, cap, None)
+    if len(rows) < len(cols):
+        n = len(rows)
+        return n - len(_lift(list(range(n)), _transpose(rows), None, n)[0])
+    return len(cols) - len(_lift(cols, rows, None, cap)[0])
 
 
 def _transpose(rows: list[dict]) -> list[dict]:
@@ -506,8 +479,8 @@ def _transpose(rows: list[dict]) -> list[dict]:
     return list(out.values())
 
 
-def rank_mod_p(m: Matrix, kernel: Matrix | None = None) -> int:
-    """Rank mod p, component by component (``_eliminate_mod_p``), capped by the rows of kernel.
+def rank_mod_p(m: Matrix) -> int:
+    """Rank mod p, component by component (``_split``, ``_eliminate``).
 
     Over Fp this is the exact rank.  A rational matrix is ranked mod
     DEFAULT_PRIME with its rows scaled to integers; that is a lower bound
@@ -515,8 +488,8 @@ def rank_mod_p(m: Matrix, kernel: Matrix | None = None) -> int:
     Q, and scaling a row by a nonzero integer scales its minors alike.
     """
     prime = m.field.prime or DEFAULT_PRIME
-    known = None if kernel is None else list(_integral_rows(kernel))
-    return _eliminate_mod_p(list(_integral_rows(m)), m.cols, prime, kernel=known)[0]
+    return sum(_eliminate(cols, rows, prime, len(cols), None)
+               for cols, rows in _split(list(_integral_rows(m)), m.cols))
 
 
 def pivot_columns(m: Matrix) -> set[int]:
@@ -526,12 +499,13 @@ def pivot_columns(m: Matrix) -> set[int]:
     invertible mod p on them.
     """
     prime, pivots = m.field.prime or DEFAULT_PRIME, []
-    _eliminate_mod_p(list(_integral_rows(m)), m.cols, prime, pivots)
+    for cols, rows in _split(list(_integral_rows(m)), m.cols):
+        _eliminate(cols, rows, prime, len(cols), pivots)
     return {pc for pc, _ in pivots}
 
 
-def _back_solve(pivots: list, cols: int, prime: int) -> tuple[list[int], dict[int, dict]]:
-    """Kernel mod prime of eliminated rows: the free columns, and {column c: {free f: x_f[c]}}.
+def _back_solve(pivots: list, cols: list[int], prime: int) -> tuple[list[int], dict[int, dict]]:
+    """Kernel mod prime of eliminated rows on cols: the free columns, and {column c: {free f: x_f[c]}}.
 
     x_f is the kernel vector that is 1 at free column f and 0 at the other
     free columns.  A pivot row holds no pivot column chosen before it, so
@@ -539,7 +513,7 @@ def _back_solve(pivots: list, cols: int, prime: int) -> tuple[list[int], dict[in
     already solved.
     """
     taken = {pc for pc, _ in pivots}
-    free = [c for c in range(cols) if c not in taken]
+    free = [c for c in cols if c not in taken]
     x = {f: {f: 1} for f in free}
     for pc, prow in reversed(pivots):
         acc: dict = {}
@@ -559,13 +533,30 @@ def _kernel_vectors(free: list[int], x: dict[int, dict]) -> list[dict]:
     return list(vecs.values())
 
 
+def _kernel(groups: Iterable[tuple[list[int], list[dict]]], cols: int, field_prime: int | None) -> list[dict]:
+    """Exact kernel vectors of integer rows on range(cols), given as their components' (columns, rows).
+
+    One vector {column: nonzero value} per free column f, in column order:
+    1 at f and 0 at the other free columns.  A component's vectors are
+    lifted from its own rows (``_lift``); a column in no component is free
+    and its vector is 1 there alone.
+    """
+    by_free: dict[int, dict] = {}
+    held = set()
+    for ccols, rows in groups:
+        held.update(ccols)
+        by_free.update(zip(*_lift(ccols, rows, field_prime, len(ccols))))
+    by_free.update((c, {c: 1}) for c in range(cols) if c not in held)
+    return [by_free[f] for f in sorted(by_free)]
+
+
 def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right kernel, one coordinate vector per free column (``_lift``).
+    """Basis of the right kernel, one coordinate vector per free column (``_kernel``).
 
     The vector of free column f is 1 there and 0 at the other free columns.
     """
     basis = []
-    for vec in _lift(list(_integral_rows(m)), m.cols, m.field.prime)[1]:
+    for vec in _kernel(_split(list(_integral_rows(m)), m.cols), m.cols, m.field.prime):
         dense = [m.field.zero] * m.cols
         for c, v in vec.items():
             dense[c] = m.field.coerce(v)
@@ -588,46 +579,44 @@ def _lift_residue(r: int, modulus: int, bound: int) -> Fraction | None:
     return Fraction(r1, t1)
 
 
-def _lift(rows: list[dict], cols: int, field_prime: int | None,
-          kernel: list[dict] | None = None) -> tuple[list[int], list[dict] | None]:
-    """Free columns and exact kernel vectors of integer rows on range(cols), over as many primes as it takes.
+def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
+          cap: int) -> tuple[list[int], list[dict] | None]:
+    """Free columns and exact kernel vectors of one component's integer rows, over as many primes as it takes.
 
-    The rows are a matrix's (``rank``, ``kernel_basis``) or one component
-    of a stabilizer system (``rank_rows``), over Fp or, field_prime None,
-    over Q.  Each prime
-    eliminates the rows mod p (``_eliminate_mod_p``) and back-solves one
-    kernel vector per free column, as {column: nonzero value}.  Over Fp
-    the prime is the field's and its back-solve is the answer.  Over Q the
-    primes are DEFAULT_PRIME and then the primes below it.  A prime of
-    full column rank ends the lift with an empty kernel.  Given kernel,
-    integer rows known to lie in the right kernel, each component stops at
-    its cap, and a prime whose nullity is the one the caps vouch for ends
-    the lift with the free columns and no vectors (None): the parts of
-    those rows on the components span a kernel of that dimension, and the
-    nullity over Q is at most the nullity mod p.  Over Q the (rank, free
-    columns) of a prime is compared with the best seen: a higher rank
-    wins, and at equal rank the larger list of free columns does, since
-    the pivot columns are the column rank profile and a prime that divides
-    a minor can only move a pivot to a later column.  A winner restarts
-    the residues, a tie is combined with them by CRT, and a loser is
-    skipped.  After each restart or tie the residues mod M, the product of
-    their primes, are lifted with bound isqrt(M/2) and checked, A x = 0
-    over the integers, on these rows alone.  The lift ends: with H the
-    Hadamard bound of the rows, every prime of a losing rank or profile
-    divides one nonzero minor, so their product is at most H; once the
-    product of the primes tried before the last passes 2 H**3, M passes
-    2 H**2, and every entry, a ratio of minors, lifts.  A check that still
-    fails is an internal error.  So a second prime is always tried, even
-    for a component whose H is below the first prime.
+    The component is a matrix's (``rank``, ``kernel_basis``) or a
+    stabilizer system's (``stabilizer.stabilizer_dim``,
+    ``stabilizer.stabilizer_tuples``), over Fp or, field_prime None, over
+    Q.  Each prime eliminates the rows mod p (``_eliminate``), stopped at
+    cap, and back-solves one kernel vector per free column, as {column:
+    nonzero value}.  Over Fp the prime is the field's and its back-solve is
+    the answer.  Over Q the primes are DEFAULT_PRIME and then the primes
+    below it.  A prime whose rank reaches cap ends the lift with the free
+    columns and no vectors (None), or an empty kernel when cap is the
+    column count: the caller vouches for a kernel of len(cols) - cap
+    dimensions over Q, and the nullity over Q is at most the nullity mod
+    p.  Over Q the (rank, free columns) of a prime is compared with the
+    best seen: a higher rank wins, and at equal rank the larger list of
+    free columns does, since the pivot columns are the column rank profile
+    and a prime that divides a minor can only move a pivot to a later
+    column.  A winner restarts the residues, a tie is combined with them by
+    CRT, and a loser is skipped.  After each restart or tie the residues
+    mod M, the product of their primes, are lifted with bound isqrt(M/2)
+    and checked, A x = 0 over the integers, on these rows alone.  The lift
+    ends: with H the Hadamard bound of the rows, every prime of a losing
+    rank or profile divides one nonzero minor, so their product is at most
+    H; once the product of the primes tried before the last passes 2 H**3,
+    M passes 2 H**2, and every entry, a ratio of minors, lifts.  A check
+    that still fails is an internal error.  So a second prime is always
+    tried, even for a component whose H is below the first prime.
     """
     prime = field_prime or DEFAULT_PRIME
     best, modulus, x, tried, limit = (-1, []), 1, {}, 1, None
     while True:
         pivots: list = []
-        rk, vouched = _eliminate_mod_p(rows, cols, prime, pivots, kernel)
-        if cols - rk == vouched:
+        rk = _eliminate(cols, rows, prime, cap, pivots)
+        if rk == cap:
             taken = {pc for pc, _ in pivots}
-            free = [c for c in range(cols) if c not in taken]
+            free = [c for c in cols if c not in taken]
             return free, None if free else []
         free, y = _back_solve(pivots, cols, prime)
         if field_prime is not None:

@@ -4,10 +4,12 @@ A tuple of endomorphisms, one per factor, stabilizes a tensor when the
 derivation action (sum of single-slot insertions) kills it.  Collecting
 the insertion of every elementary matrix in every slot as the columns of
 one linear system turns the stabilizer into a kernel computation; the
-orbit dimension is the rank of the same system.  Its dimension
-(``stabilizer_dim``) is ranked one connected component at a time, read off
-the tensor; the system is built whole (``build_system``) only for a basis
-of the kernel (``stabilizer_tuples``).
+orbit dimension is the rank of the same system.  No command builds the
+system: its connected components are read off the tensor one at a time
+(``_components``), and each is ranked (``stabilizer_dim``) or has its
+kernel lifted (``stabilizer_tuples``) on its own.  ``build_system``
+assembles the whole system as one matrix, an independent reference to
+check the components against.
 """
 
 from __future__ import annotations
@@ -15,16 +17,20 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
+from collections.abc import Iterator
+from itertools import accumulate, chain
 from math import prod
 
 from ._record import Record
 from .errors import SemanticError, magnitude
-from .linalg import Matrix, _integral, components, kernel_basis, rank, rank_rows
+from .fields import DEFAULT_PRIME
+from .linalg import Matrix, _eliminate, _integral, _kernel, _rank, _split, components
+from .linalg import rank  # noqa: F401  (kept importable here for code that wraps it)
 from .tensors import Tensor, lin_index
 
-# Budgets on a stabilizer system.  Its rank (``stabilizer_dim``) is taken one
-# connected component at a time from the tensor, so what is held at once is
+# Budgets on a stabilizer system.  Its rank and kernel (``stabilizer_dim``,
+# ``stabilizer_tuples``) are taken one connected component at a time from
+# the tensor (``_components``), so what is held at once is
 # the fibres of the tensor, a column of each nonzero row and a label per
 # column, and the rows of one component.  MAX_SYSTEM_NNZ caps its nonzeros
 # and MAX_SYSTEM_COLS its columns, sum(shape[j]**2), both checked from the
@@ -44,7 +50,8 @@ from .tensors import Tensor, lin_index
 # (180001 columns), 71 MB for (400, 400, 400) (480000) and 235 MB for
 # (1000, 1000, 1) (2000001): about 110 B per column.  No budget bounds time.
 # ``build_system`` holds the whole system in one Matrix, about 0.4 KB per
-# nonzero, so it is held to MAX_BUILT_NNZ.
+# nonzero, so it is held to MAX_BUILT_NNZ, and its fill is summed over all
+# its components.
 MAX_SYSTEM_NNZ = 4 * 10**6
 MAX_SYSTEM_FILL = 10**7
 MAX_SYSTEM_COLS = 10**6
@@ -69,26 +76,6 @@ def check_tensor_size(t: Tensor) -> None:
     check_system_size(len(t._nz) * sum(t.shape), cols=sum(s * s for s in t.shape))
 
 
-def elimination_fill(pairs, rows: int, cols: int) -> int:
-    """Most cells an elimination of the sparse system with these (row, column) nonzeros can hold.
-
-    A row update adds a row that shares a column, so a row never leaves
-    the columns of its connected component in the row-column graph, and
-    the bound is the sum over components of rows times columns.  The
-    components (``linalg.components``) are only searched when
-    min(rows, nonzeros) * cols is over the budget.
-    """
-    if min(rows, len(pairs)) * cols <= MAX_SYSTEM_FILL:
-        return min(rows, len(pairs)) * cols
-    by_row: dict[int, list[int]] = {}
-    for r, c in pairs:
-        by_row.setdefault(r, []).append(c)
-    label = components(by_row.values(), cols)
-    comp_cols = Counter(label)
-    comp_rows = Counter(label[row[0]] for row in by_row.values())
-    return sum(n * comp_cols[a] for a, n in comp_rows.items())
-
-
 class StabilizerSystem(Record):
     """Linear system whose kernel is the stabilizer algebra of a tensor.
 
@@ -100,38 +87,6 @@ class StabilizerSystem(Record):
     matrix: Matrix
     shape: tuple[int, ...]
     offsets: tuple[int, ...]
-
-    @property
-    def group_dim(self) -> int:
-        return sum(s * s for s in self.shape)
-
-    def stabilizer_dim(self) -> int:
-        return self.matrix.cols - self.orbit_dim()
-
-    def orbit_dim(self) -> int:
-        """Rank of the system (``linalg.rank``), at most cols - (d - 1).
-
-        The scalar rows (``scalar_rows``) lie in the kernel, so each
-        component's elimination stops at its cap; over Q a prime on which
-        every component reaches it is exact with no lifted kernel.
-        """
-        return rank(self.matrix, self.scalar_rows())
-
-    def scalar_rows(self) -> Matrix:
-        """The d - 1 tuples (I in slot j, -I in slot j + 1), one row each.
-
-        The identity in slot j scales the tensor by 1, so each tuple kills
-        it, over every field: these rows span the kernel of
-        gl(V_1) + ... + gl(V_d) -> gl(V_1 x ... x V_d), and the rank of
-        the system is at most cols - (d - 1).
-        """
-        shape, cols, f = self.shape, self.matrix.cols, self.matrix.field
-        nz = {}
-        for j in range(len(shape) - 1):
-            for s, sign in ((j, f.one), (j + 1, -f.one)):
-                for k in range(shape[s]):
-                    nz[j * cols + self.offsets[s] + k * shape[s] + k] = sign
-        return Matrix._from_flat((max(len(shape) - 1, 0), cols), nz, f)
 
 
 def build_system(t: Tensor) -> StabilizerSystem:
@@ -154,7 +109,7 @@ def build_system(t: Tensor) -> StabilizerSystem:
         total += s * s
     strides = [prod(shape[j + 1 :]) for j in range(len(shape))]
     # each (row, column) pair is reached from exactly one tensor entry
-    items = {}
+    rows: dict[int, dict] = {}
     for idx, val in t.nonzeros():
         flat = lin_index(idx, shape)
         for j, vj in enumerate(shape):
@@ -162,37 +117,43 @@ def build_system(t: Tensor) -> StabilizerSystem:
             base = flat - l * strides[j]
             col_base = offsets[j] + l
             for k in range(vj):
-                items[base + k * strides[j], col_base + k * vj] = val
-    rows = prod(shape)
-    check_system_size(len(items), elimination_fill(items, rows, total))
+                rows.setdefault(base + k * strides[j], {})[col_base + k * vj] = val
+    # an elimination's row updates stay in a component: it holds at most its rows times its columns
+    check_system_size(sum(map(len, rows.values())),
+                      sum(len(crows) * len(ccols) for ccols, crows in _split(list(rows.values()), total)))
     # every value is a nonzero scalar of t's field, so the cells need no checks
-    nz = {r * total + c: v for (r, c), v in items.items()}
-    return StabilizerSystem(Matrix._from_flat((rows, total), nz, t.field), shape, tuple(offsets))
+    nz = {r * total + c: v for r, row in rows.items() for c, v in row.items()}
+    return StabilizerSystem(Matrix._from_flat((prod(shape), total), nz, t.field), shape, tuple(offsets))
 
 
-def stabilizer_dim(t: Tensor) -> int:
-    """Nullity of t's stabilizer system, ranked one connected component at a time, never built whole.
+def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict], list[dict]]]]:
+    """The connected components of t's system that some row holds, read off the tensor.
 
-    Row r of the system holds, for each slot j, the nonzeros of t on the
-    fibre through r along slot j (the indices of r with slot j free): the
-    value t[r with slot j set to l] at column (j, r_j, l).  So the rows are
-    read off the fibres, which cost O(nnz(t) * d), and no row is held past
-    its use.  The first pass links, for each row and each slot whose fibre
-    through it is nonempty, its columns there to one column of its next
-    such slot; ``linalg.components`` of those links are the components of
-    the system, and one column of each row is kept.  The rows and columns
-    of each component bound the cells its elimination can hold, and the
-    largest is checked against the fill budget.  A component of one column
-    has rank 1.  Every other one has its rows found again from its columns,
-    read in row order with local column ids, and ranked exactly
-    (``linalg.rank_rows``), capped by the parts of the scalar rows
-    (``StabilizerSystem.scalar_rows``) on its columns; over Q a component
-    whose cap is not met is lifted and checked on its own rows.  Then its
-    rows are dropped.  A column that no row holds is free and costs no
-    object.
+    The system is never built.  Row r holds, for each slot j, the nonzeros
+    of t on the fibre through r along slot j (the indices of r with slot j
+    free): the value t[r with slot j set to l] at column (j, r_j, l).  So
+    the rows are read off the fibres, which cost O(nnz(t) * d), and no row
+    is held past its component.  The first pass links, for each row and
+    each slot whose fibre through it is nonempty, its columns there to one
+    column of its next such slot; ``linalg.components`` of those links are
+    the components of the system, and one column of each row is kept.  The
+    rows and columns of each component bound the cells its elimination can
+    hold, and the largest is checked against the fill budget before this
+    returns.  A component of one column has rank 1 and no kernel, since
+    each of its rows holds the column with a nonzero value: its column
+    alone is returned, in an array of them.  Every other component is
+    yielded in turn by the generator returned, as (columns, rows,
+    scalar-row parts).  Its rows are found again from its columns, in row
+    order, each as {column: integer value} (``linalg._integral``); its
+    parts are those of the d - 1 scalar rows on its columns that are not
+    zero.  Scalar row j is the tuple (I in slot j, -I in slot j + 1): the
+    identity in slot j scales the tensor by 1, so each tuple kills it, over
+    every field, and the part of a kernel vector on one component's columns
+    lies in that component's kernel.  A column that no row holds is free,
+    is in no component and costs no object.
     """
     check_tensor_size(t)
-    shape, nz, prime = t.shape, t._nz, t.field.prime
+    shape, nz = t.shape, t._nz
     ints = set(map(type, nz.values())) <= {int}  # else a row with a Fraction is scaled to integers
     strides = [prod(shape[j + 1:]) for j in range(len(shape))]
     offsets = list(accumulate((s * s for s in shape), initial=0))
@@ -206,15 +167,15 @@ def stabilizer_dim(t: Tensor) -> int:
             fib.setdefault(flat - l * st, []).append((l, v))
             by_l.setdefault(l, []).append(flat - l * st)
 
-    def row(r: int, local: dict[int, int]) -> dict:  # row r, its columns c as local[c]
+    def row(r: int) -> dict:
         out = {}
         for fib, (st, s, off) in zip(fibres, slots):
             k = r // st % s
             if f := fib.get(r - k * st):
                 at = off + k * s
                 for l, v in f:
-                    out[local[at + l]] = v
-        return out
+                    out[at + l] = v
+        return out if ints else _integral(out)
 
     lasts = array("q")  # a column of each nonzero row
 
@@ -242,41 +203,68 @@ def stabilizer_dim(t: Tensor) -> int:
     del lasts
     check_system_size(len(nz) * sum(shape),
                       max((n * col_count[a] for a, n in row_count.items() if col_count[a] > 1), default=0))
-    groups: dict[int, list[int]] = {}
+    singles, groups = array("q"), {}
     for c, a in enumerate(label):
         if col_count[a] > 1:
             groups.setdefault(a, []).append(c)
+        elif a in row_count:
+            singles.append(c)
     del label
-    rank = sum(1 for a in row_count if col_count[a] == 1)
-    for ccols in groups.values():
-        found, parts = set(), [{} for _ in shape[1:]]
-        for i, c in enumerate(ccols):
-            j = bisect_right(offsets, c) - 1
-            st, s, off = slots[j]
-            k, l = divmod(c - off, s)
-            found.update(base + k * st for base in keys[j].get(l, ()))  # the rows that hold column (j, k, l)
-            if k == l:  # the scalar rows (``StabilizerSystem.scalar_rows``) on ccols, in local ids
-                if j < len(parts):
-                    parts[j][i] = 1
-                if j:
-                    parts[j - 1][i] = -1
-        local = {c: i for i, c in enumerate(ccols)}
-        crows = [row(r, local) for r in sorted(found)]
-        if not ints:
-            crows = list(map(_integral, crows))
-        rank += rank_rows(crows, len(ccols), prime, [part for part in parts if part])
-    return cols - rank
+
+    def each():
+        for ccols in groups.values():
+            found, parts = set(), [{} for _ in shape[1:]]
+            for c in ccols:
+                j = bisect_right(offsets, c) - 1
+                st, s, off = slots[j]
+                k, l = divmod(c - off, s)
+                found.update(base + k * st for base in keys[j].get(l, ()))  # the rows that hold column (j, k, l)
+                if k == l:
+                    if j < len(parts):
+                        parts[j][c] = 1
+                    if j:
+                        parts[j - 1][c] = -1
+            yield ccols, [row(r) for r in sorted(found)], [part for part in parts if part]
+
+    return singles, each()
+
+
+def stabilizer_dim(t: Tensor) -> int:
+    """Nullity of t's stabilizer system, ranked one connected component at a time (``_components``).
+
+    A component of one column has rank 1.  Every other one is ranked
+    exactly (``linalg._rank``), capped by its scalar-row parts: their rank
+    mod p is a nullity the component has over Q and over Fp, so its
+    elimination stops once its rank reaches its column count less that
+    nullity, and over Q a component that reaches that cap needs no lifted
+    kernel.
+    """
+    singles, comps = _components(t)
+    prime, rank = t.field.prime, len(singles)
+    for ccols, crows, parts in comps:
+        pcols = sorted({c for part in parts for c in part})
+        cap = len(ccols) - _eliminate(pcols, parts, prime or DEFAULT_PRIME, len(pcols), None)
+        rank += _rank(ccols, crows, prime, cap)
+    return sum(s * s for s in t.shape) - rank
 
 
 def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:
-    """A basis of the stabilizer algebra as tuples of square matrices."""
-    sys = build_system(t)
-    f = t.field
+    """A basis of the stabilizer algebra as tuples of square matrices.
+
+    The kernel of t's system, lifted one component at a time
+    (``_components``, ``linalg._kernel``): the vector of free column f is 1
+    there and 0 at the other free columns, and slot j of it is the j-th
+    matrix, row-major.
+    """
+    shape, f = t.shape, t.field
+    offsets = list(accumulate((s * s for s in shape), initial=0))
+    singles, comps = _components(t)
+    groups = chain((([c], [{c: 1}]) for c in singles), ((ccols, crows) for ccols, crows, _ in comps))
     out = []
-    for vec in kernel_basis(sys.matrix):
-        mats = []
-        for j, vj in enumerate(sys.shape):
-            seg = vec[sys.offsets[j] : sys.offsets[j] + vj * vj]
-            mats.append(Matrix(vj, vj, seg, f))
-        out.append(tuple(mats))
+    for vec in _kernel(groups, offsets[-1], f.prime):
+        mats = [{} for _ in shape]
+        for c, v in vec.items():
+            j = bisect_right(offsets, c) - 1
+            mats[j][divmod(c - offsets[j], shape[j])] = v
+        out.append(tuple(Matrix.from_nonzeros(s, s, m, f) for s, m in zip(shape, mats)))
     return out

@@ -517,7 +517,8 @@ def column_label(system: StabilizerSystem, col: int) -> tuple[int, int, int]:
 
 
 def orbit_dim(t: Tensor) -> int:
-    return build_system(t).orbit_dim()
+    """Rank of the built system (``linalg.rank``), uncapped: a reference for the streamed ``stabilizer_dim``."""
+    return rank(build_system(t).matrix)
 
 
 def _gl_basis(n: int, field) -> list[Matrix]:

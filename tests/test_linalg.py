@@ -11,9 +11,12 @@ from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import (
     Matrix,
     _back_solve,
-    _eliminate_mod_p,
+    _eliminate,
+    _integral_rows,
     _kernel_vectors,
     _lift_residue,
+    _rank,
+    _split,
     annihilates,
     components,
     kernel_basis,
@@ -169,11 +172,17 @@ def test_lift_residue_refuses_past_the_bound():
     assert _lift_residue(6, 7, 1) == -1
 
 
-def _primes_used(monkeypatch) -> list:
+def _primes_used(monkeypatch, on: list | None = None) -> list:
+    """The prime of each elimination of a component, in order; given on, only of the component on those columns."""
     primes = []
-    eliminate = linalg._eliminate_mod_p
-    monkeypatch.setattr(linalg, "_eliminate_mod_p", lambda rows, cols, prime, *a, **kw: primes.append(prime)
-                        or eliminate(rows, cols, prime, *a, **kw))
+    eliminate = linalg._eliminate
+
+    def counted(cols, rows, prime, cap, pivots):
+        if on is None or cols == on:
+            primes.append(prime)
+        return eliminate(cols, rows, prime, cap, pivots)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
     return primes
 
 
@@ -215,8 +224,8 @@ def test_lifted_kernel_moves_to_the_generic_pivot_columns(monkeypatch):
     # the same rank as over Q, where they are 0 and 2; the lift of free
     # column 0 fails its check, and the next prime's free column 1 must win.
     # Its entry -1/p lifts once the primes after p multiply past 2 p^2: three
-    # of them, and p is not among them
-    primes = _primes_used(monkeypatch)
+    # of them, and p is not among them.  Column 2 is a component of its own, ranked by one prime
+    primes = _primes_used(monkeypatch, on=[0, 1])
     m = Matrix.from_rows([[2**31 - 1, 1, 0], [0, 0, 1]])
     assert kernel_basis(m) == [[Fraction(-1, 2**31 - 1), 1, 0]]
     assert len(primes) == 4
@@ -374,11 +383,16 @@ def _residues(data, prime: int) -> list[dict]:
     return [{c: r for c, x in enumerate(row) if (r := x % prime)} for row in data]
 
 
+def _rank_mod(rows: list[dict], cols: int, prime: int, pivots: list | None = None) -> int:
+    """Rank mod prime of integer rows on range(cols), each component (``_split``) eliminated uncapped."""
+    return sum(_eliminate(ccols, crows, prime, len(ccols), pivots) for ccols, crows in _split(rows, cols))
+
+
 @given(structured_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
 def test_packed_rank_matches_sparse_kernel_and_oracle(case, prime):
     rows, cols, data = case
-    got, vouched = _eliminate_mod_p(_residues(data, prime), cols, prime)
-    assert (got, vouched) == (naive_rank_mod_p(data, prime), 0)
+    got = _rank_mod(_residues(data, prime), cols, prime)
+    assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
         # no minor vanishes mod p, so the rank over Q agrees
         assert got == naive_rank(data)
@@ -389,7 +403,7 @@ def test_packed_rank_empty_shapes():
     for rows, cols in [(0, 4), (0, 0), (3, 0)]:
         assert rank_mod_p(Matrix(rows, cols, [])) == 0
         assert rank_mod_p(Matrix.zeros(rows, cols, FP)) == 0
-    assert _eliminate_mod_p([{}, {}], 3, FP.prime) == (0, 0)
+    assert _split([{}, {}], 3) == [] and _rank_mod([{}, {}], 3, FP.prime) == 0
 
 
 @pytest.mark.parametrize("prime", [2, 3, 7, FP.prime])
@@ -405,12 +419,12 @@ def test_packed_rank_widest_slots(prime, n):
     rows = pivots + [last]
     dense = [[r.get(c, 0) for c in range(n + 1)] for r in rows]
     want = naive_rank_mod_p(dense, prime)
-    assert _eliminate_mod_p(rows, n + 1, prime) == (want, 0)
+    assert _rank_mod(rows, n + 1, prime) == want
     if prime == FP.prime:
         assert want == naive_rank(dense)
     # entries p - 1 off the diagonal: -(J - I), of determinant +-(n - 1) != 0 mod a large p
     full = [{c: prime - 1 for c in range(n) if c != r} for r in range(n)]
-    got = _eliminate_mod_p(full, n, prime)[0]
+    got = _rank_mod(full, n, prime)
     assert got == naive_rank_mod_p([[r.get(c, 0) for c in range(n)] for r in full], prime)
     if prime == FP.prime:
         assert got == (n if n > 1 else 0)
@@ -481,12 +495,12 @@ def block_diagonal_matrices(draw):
 def test_component_elimination_on_block_diagonal_matrices(case, prime):
     rows, cols, data = case
     pivots: list = []
-    got = _eliminate_mod_p(_residues(data, prime), cols, prime, pivots)[0]
+    got = _rank_mod(_residues(data, prime), cols, prime, pivots)
     assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
         assert got == naive_rank(data)
     # the back-solved vectors span the kernel mod p
-    vecs = _kernel_vectors(*_back_solve(pivots, cols, prime))
+    vecs = _kernel_vectors(*_back_solve(pivots, list(range(cols)), prime))
     assert len(vecs) == cols - got
     for vec in vecs:
         assert all(sum(row[c] * v for c, v in vec.items()) % prime == 0 for row in data)
@@ -656,6 +670,21 @@ def test_strided_order_is_a_permutation(n):
         assert order[:2] != rows[:2]
 
 
+def _capped_ranks(m: Matrix, kernel: Matrix, prime: int | None) -> int:
+    """Rank of m over Fp (prime) or Q (None), each component (``_split``) capped by the kernel rows' parts on it.
+
+    Each row of m lies in one component, so the part of a kernel row on one
+    component's columns lies in that component's kernel, and their rank mod
+    p is a nullity the component has."""
+    known = list(_integral_rows(kernel))
+    total = 0
+    for cols, rows in _split(list(_integral_rows(m)), m.cols):
+        parts = [part for row in known if (part := {c: v for c in cols if (v := row.get(c, 0) % FP.prime)})]
+        held = sorted({c for part in parts for c in part})
+        total += _rank(cols, rows, prime, len(cols) - _eliminate(held, parts, FP.prime, len(held), None))
+    return total
+
+
 @given(block_diagonal_matrices(), st.data())
 def test_planted_kernel_rows_cap_the_rank(case, data):
     # rows planted in the kernel: integer combinations of an oracle's kernel basis, over each field,
@@ -669,8 +698,8 @@ def test_planted_kernel_rows_cap_the_rank(case, data):
         assert all(sum(a * b for a, b in zip(row, vec)) % (field.prime or 1) == 0 for row in dense for vec in planted)
         m = Matrix(rows, cols, [x for r in dense for x in r], field)
         kernel = Matrix(len(planted), cols, [x for r in planted for x in r], field)
-        assert rank(m, kernel) == want
-        assert rank_mod_p(m, kernel) == naive_rank_mod_p(dense, FP.prime)
+        assert _capped_ranks(m, kernel, field.prime) == want
+        assert _capped_ranks(m, kernel, FP.prime) == naive_rank_mod_p(dense, FP.prime)
 
 
 @pytest.mark.parametrize("field", [QQ, FP])
@@ -694,4 +723,4 @@ def test_kernel_rows_cap_each_component(monkeypatch, field):
         raise AssertionError("every block meets its cap, so no kernel is lifted")
 
     monkeypatch.setattr(linalg, "_lifted_vectors", refuse)
-    assert rank(m, kernel) == rank_mod_p(m, kernel) == want
+    assert _capped_ranks(m, kernel, field.prime) == _capped_ranks(m, kernel, FP.prime) == want

@@ -139,6 +139,8 @@ UNCALLED_EXPORTS = {
     "reduction_preimage": "replays a merge log through networks._fold, which reduce_valence_one shares",
     "outer": "the benchmark's tracer wraps networks.outer",
     "contract_pair": "the benchmark's tracer wraps networks.contract_pair",
+    "build_system": "the tests' independent reference for the streamed components; the benchmark's tracer wraps it",
+    "StabilizerSystem": "the record build_system returns",
     **{name: "an exception class of the public error hierarchy" for name in EXPORTS["errors"]},
 }
 

@@ -11,9 +11,9 @@ from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix, annihilates, kernel_basis, rank
 from tngeom.stabilizer import (
+    _components,
     build_system,
     check_system_size,
-    elimination_fill,
     stabilizer_dim,
     stabilizer_tuples,
 )
@@ -45,7 +45,6 @@ def test_system_shape_and_column_semantics():
     sys = build_system(t)
     assert sys.matrix.rows == 12
     assert sys.matrix.cols == 4 + 9 + 4
-    assert sys.group_dim == 17
     # column (j, k, l) is the insertion of E_kl in slot j
     j, k, l = 1, 2, 0
     col = sys.offsets[j] + k * 3 + l
@@ -199,14 +198,17 @@ def _component_fill(m: Matrix) -> int:
     "t", [mmult(2, 2, 2), mmult(3, 3, 3), m_tilde_formula(3), random_tensor((3, 4, 2), seed=2), imm_loop((2, 3, 2))]
 )
 def test_elimination_fill_sums_components(monkeypatch, t):
+    # the built system's fill budget holds the sum over its components of rows times columns
     m = build_system(t).matrix
-    pairs = [divmod(f, m.cols) for f in m._nz]
-    # with a zero budget the components are always searched
-    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", 0)
-    assert elimination_fill(pairs, m.rows, m.cols) == _component_fill(m)
+    fill = _component_fill(m)
+    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", fill)
+    assert build_system(t).matrix == m
+    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", fill - 1)
+    with pytest.raises(SemanticError, match=f"could fill {fill} cells"):
+        build_system(t)
     # a dense tensor's system is one component, rows times columns
     if all(t._nz.get(i) for i in range(m.rows)):
-        assert elimination_fill(pairs, m.rows, m.cols) == m.rows * m.cols
+        assert fill == m.rows * m.cols
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])
@@ -285,19 +287,41 @@ def _block_limit(parts, field):
     return act_curve(mmult(e, e, e, field), curve_from_splitting(block_splitting(*parts, field))).terms[0][1]
 
 
+def _scalar_rows(shape: tuple[int, ...]) -> list[dict]:
+    """The d - 1 tuples (I in slot j, -I in slot j + 1) as rows {column: value} of the system."""
+    offsets = [sum(s * s for s in shape[:j]) for j in range(len(shape))]
+    return [{**{offsets[j] + k * (shape[j] + 1): 1 for k in range(shape[j])},
+             **{offsets[j + 1] + k * (shape[j + 1] + 1): -1 for k in range(shape[j + 1])}}
+            for j in range(len(shape) - 1)]
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 1), (2, 3), (1, 4), (2, 1, 3), (2, 2, 2), (3, 1, 1),
                                    (1, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2)])
 def test_scalar_rows_lie_in_the_kernel(shape, field):
+    # the caps of stabilizer_dim are sound: the scalar rows kill the built system, and the parts that the
+    # streamed pass gives each component are theirs on its columns, and kill its rows
+    scalar = _scalar_rows(shape)
     for seed in range(3):
-        system = build_system(random_tensor(shape, seed=seed, field=field, bound=9))
-        scalar = system.scalar_rows()
-        assert scalar.shape == (max(len(shape) - 1, 0), system.matrix.cols)
+        t = random_tensor(shape, seed=seed, field=field, bound=9)
+        system = build_system(t)
+        cols = system.matrix.cols
+        dense = Matrix(len(scalar), cols, [row.get(c, 0) for row in scalar for c in range(cols)], field)
+        assert rank(dense) == dense.rows == max(len(shape) - 1, 0)
         if field is QQ:
-            assert annihilates(system.matrix, scalar)
+            assert annihilates(system.matrix, dense)
         # the same product mod p, as the elimination over Fp uses it
-        assert (system.matrix @ mat_transpose(scalar)).is_zero()
-        assert rank(scalar) == scalar.rows
+        assert (system.matrix @ mat_transpose(dense)).is_zero()
+        singles, comps = _components(t)
+        # a column that is a component of its own is no diagonal column, or the scalar rows would kill it
+        assert not any(row.get(c) for row in scalar for c in singles)
+        for ccols, rows, parts in comps:
+            want = [part for row in scalar if (part := {c: v for c, v in row.items() if c in ccols})]
+            assert parts == want
+            for part in parts:
+                # exactly over Q, on the rows read as integers, and mod p
+                sums = [sum(row.get(c, 0) * v for c, v in part.items()) for row in rows]
+                assert all(x == 0 for x in sums) if field is QQ else all(x % FP.prime == 0 for x in sums)
 
 
 def _bound_cases():
@@ -328,18 +352,18 @@ def test_capped_rank_is_the_rank_of_the_full_system(name, make, field):
         want = naive_rank_mod_p([mat_row(m, i) for i in range(m.rows)], FP.prime)
     else:  # the rank with no kernel rows given: read every row, and over Q lift the kernel
         want = rank(m)
-    assert system.orbit_dim() == orbit_dim(t) == want
-    assert system.stabilizer_dim() == stabilizer_dim(t) == m.cols - want
+    assert orbit_dim(t) == want
+    assert stabilizer_dim(t) == m.cols - want
 
 
 def _count_component_rows(monkeypatch) -> list:
-    """Rows read by each elimination of a component (the calls that pass a cap)."""
+    """Rows read by each elimination of a component that its cap stops below its column count."""
     read = []
     eliminate = linalg._packed_eliminate
 
     def counted(rows, cols, prime, pivots, cap=None):
-        if cap is None:
-            return eliminate(rows, cols, prime, pivots)
+        if cap is None or cap == len(cols):
+            return eliminate(rows, cols, prime, pivots, cap)
         read.append(0)
 
         class Counted:
@@ -370,9 +394,8 @@ def test_dense_7x7x7_stops_at_its_cap_with_no_lift(monkeypatch, field):
     for name in ("_back_solve", "_lifted_vectors", "_annihilates"):
         monkeypatch.setattr(linalg, name, refuse)
     read = _count_component_rows(monkeypatch)
-    system = build_system(_fixed_7x7x7(field))
     cap = 147 - 2
-    assert system.orbit_dim() == cap
+    assert stabilizer_dim(_fixed_7x7x7(field)) == 147 - cap
     # one component, one prime: the strided order reaches the cap within two rows of it
     assert len(read) == 1 and cap <= read[0] <= cap + 2
 
@@ -380,14 +403,6 @@ def test_dense_7x7x7_stops_at_its_cap_with_no_lift(monkeypatch, field):
 def test_capped_rank_agrees_with_the_lifted_kernel_on_the_7x7x7():
     m = build_system(_fixed_7x7x7()).matrix
     assert len(kernel_basis(m)) == 2 and rank(m) == 145
-
-
-def test_rank_rejects_kernel_rows_of_another_shape_or_field():
-    system = build_system(random_tensor((2, 2, 2), seed=1))
-    with pytest.raises(ShapeError):
-        rank(system.matrix, Matrix.zeros(1, 3))
-    with pytest.raises(ShapeError):
-        rank(system.matrix, Matrix.zeros(2, 12, FP))
 
 
 @pytest.mark.parametrize("name, make, digest", [
@@ -398,9 +413,16 @@ def test_rank_rejects_kernel_rows_of_another_shape_or_field():
     ("mmult2fp", lambda: mmult(2, 2, 2, FP), "b997d0cec6d670be"),
     ("rand333fp", lambda: random_tensor((3, 3, 3), seed=2, field=FP, bound=9), "91121572492e3e06"),
 ])
-def test_stabilizer_tuples_are_unchanged(name, make, digest):
+def test_stabilizer_tuples_are_unchanged(monkeypatch, name, make, digest):
     # digests of the tuples as computed before ranks were capped by the scalar rows, each
-    # scalar printed as the reports print it (a residue as its digits)
+    # scalar printed as the reports print it (a residue as its digits).  The kernel is lifted one
+    # component at a time: the system is never built, so its built budget does not hold it
+    def refuse(*args):
+        raise AssertionError("built the whole system")
+
+    monkeypatch.setattr(stabilizer, "build_system", refuse)
+    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(stabilizer, "MAX_BUILT_NNZ", 0)
     tuples = [[[jsonio.scalar_to_str(x) for x in m.entries] for m in tup] for tup in stabilizer_tuples(make())]
     assert hashlib.sha256(repr(tuples).encode()).hexdigest()[:16] == digest
 
@@ -458,12 +480,40 @@ def test_streamed_rank_never_builds_the_system(monkeypatch):
     for name in ("build_system", "Matrix", "rank"):
         monkeypatch.setattr(stabilizer, name, refuse)
     widths = []
-    rank_rows = stabilizer.rank_rows
-    monkeypatch.setattr(stabilizer, "rank_rows", lambda rows, cols, *a: widths.append(cols) or rank_rows(rows, cols, *a))
+    _rank = stabilizer._rank
+    monkeypatch.setattr(stabilizer, "_rank", lambda cols, *a: widths.append(len(cols)) or _rank(cols, *a))
     e = 5
     assert stabilizer_dim(mmult(e, e, e)) == 3 * e * e - 1
     # at e = 5 the system splits into 1200 components of one column, 60 of 10 and one of 75
     assert sorted(widths) == [10] * 60 + [75]
+    assert len(_components(mmult(e, e, e))[0]) == 1200
+
+
+def _count_searches(monkeypatch) -> list:
+    """One entry per component search (``linalg.components``), where linalg and stabilizer call it."""
+    calls = []
+    search = linalg.components
+    for module in (linalg, stabilizer):
+        monkeypatch.setattr(module, "components", lambda rows, cols: calls.append(cols) or search(rows, cols))
+    return calls
+
+
+@pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
+def test_each_system_is_searched_for_components_once(monkeypatch, field):
+    # a component is ranked or lifted on its own, over every prime, and never searched again
+    calls = _count_searches(monkeypatch)
+    for t in (mmult(3, 3, 3, field), m_tilde_formula(3, field), _fixed_7x7x7(field)):
+        del calls[:]
+        stabilizer_dim(t)
+        assert calls == [sum(s * s for s in t.shape)]
+        del calls[:]
+        stabilizer_tuples(t)
+        assert calls == [sum(s * s for s in t.shape)]
+    m = build_system(mmult(3, 3, 3, field)).matrix
+    for fn in (rank, linalg.rank_mod_p, linalg.pivot_columns, kernel_basis):
+        del calls[:]
+        fn(m)
+        assert calls == [m.cols]
 
 
 def test_only_the_whole_system_is_held_to_the_built_budget(monkeypatch):
