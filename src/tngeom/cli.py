@@ -33,12 +33,12 @@ from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 # tensor_to_obj are not called by any command; they stay for code that
 # wraps them here.
 _LAZY = {name: module for module, names in (
-    ("curves", "act_curve curve_from_splitting"),
+    ("curves", "act_curve curve_from_splitting leading_term"),
     ("jsonio", "certificate_to_obj dump dumps field_label graph_from_obj graph_to_obj instance_from_obj "
                "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
     ("linalg", "rank"),
     ("networks", "contract_network expected_dim reduce_valence_one"),
-    ("stabilizer", "build_system check_system_size check_tensor_size stabilizer_dim"),
+    ("stabilizer", "build_system check_system_size stabilizer_dim"),
     ("varieties", "certify_not_closed tns_dim"),
     ("zoo", "diagonal_splitting mmult"),
 ) for name in names.split()}
@@ -94,9 +94,8 @@ def cmd_contract(args) -> int:
 
 
 def cmd_stabilizer(args) -> int:
-    _fetch("load_path", "tensor_from_obj", "check_tensor_size", "stabilizer_dim", "field_label", "dump")
+    _fetch("load_path", "tensor_from_obj", "stabilizer_dim", "field_label", "dump")
     t = tensor_from_obj(load_path(args.tensor), _resolve_field(args))
-    check_tensor_size(t)  # from the shape, before anything is read
     stab = stabilizer_dim(t)
     report = {"stab_dim": stab, "orbit_dim": sum(s * s for s in t.shape) - stab}
     report.update(field_label(t.field))
@@ -161,19 +160,17 @@ def cmd_limit(args) -> int:
     if args.e**3 > MAX_LIMIT_NNZ:  # before anything is built
         raise SemanticError(f"the trace tensor at e = {args.e} would have {magnitude(args.e**3)} nonzeros, "
                             f"over the budget of {MAX_LIMIT_NNZ}")
-    _fetch("mmult", "act_curve", "curve_from_splitting", "dump")
+    _fetch("mmult", "act_curve", "curve_from_splitting", "leading_term", "dump")
     s = _splitting(args)
     m = mmult(args.e, args.e, args.e, s.field)
     expansion = act_curve(m, curve_from_splitting(s))
-    terms = [{"power": p, "tensor": t} for p, t in expansion.terms]
-    if not terms:
-        dump({"e": args.e, "leading_power": None, "leading_term": None, "terms": []}, args.out)
-        return 1
+    # never zero: at t = 1 every curve P0 + t (I - P0) is I, so the coefficients sum to m
+    power, lead = leading_term(expansion)
     report = {
         "e": args.e,
-        "leading_power": terms[0]["power"],
-        "leading_term": terms[0]["tensor"],
-        "terms": terms,
+        "leading_power": power,
+        "leading_term": lead,
+        "terms": [{"power": p, "tensor": t} for p, t in expansion.terms],
     }
     dump(report, args.out)
     return 0

@@ -5,8 +5,8 @@ rank of an exact matrix.  A linear system falls apart into the connected
 components of the graph that joins two columns sharing a row (a
 union-find, ``components``), and its rank, pivots and kernel are those of
 its components together.  A system's components are found once: a
-matrix's by ``_split``, for ``rank``, ``rank_mod_p``, ``pivot_columns``
-and ``kernel_basis``; a stabilizer system's from the tensor, by
+matrix's by ``_split``, for ``rank``, ``pivot_columns`` and
+``kernel_basis``; a stabilizer system's from the tensor, by
 ``stabilizer.stabilizer_dim`` and ``stabilizer.stabilizer_tuples``, which
 never build it.  Each component is then handled on its own and never
 searched again.  ``_eliminate`` ranks it mod a prime: a component of one
@@ -48,10 +48,9 @@ passes.  A prime on which a component reaches its cap is exact with no
 back-solve or lift.  The rank of a component over Q is its column count
 less the nullity of its lifted kernel, or its row count less that of its
 transpose's, and ``kernel_basis`` is the kernel.
-``annihilates``, a check of A B^T = 0 over the integers, bounds a nullity
-from below by the rank of B when B's rows are known to be kernel
-vectors.  Both checks pack the vectors into one int per column
-(``_annihilates``).
+The exact check packs the vectors into one int per column
+(``_annihilates``); ``varieties`` runs the same check on a Jacobian's
+rows, rebuilt one at a time, against its tangent rows.
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -68,7 +67,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
 from .errors import SemanticError, ShapeError
-from .fields import DEFAULT_PRIME, QQ, Field, RationalField, is_probable_prime
+from .fields import DEFAULT_PRIME, QQ, Field, is_probable_prime
 
 
 def lin_index(idx: tuple[int, ...], shape: tuple[int, ...]) -> int:
@@ -454,7 +453,10 @@ def rank(m: Matrix) -> int:
 
 
 def _rank(cols: list[int], rows: list[dict], field_prime: int | None, cap: int) -> int:
-    """Exact rank of one component's integer rows, over Fp or, with field_prime None, Q; at most cap.
+    """Exact rank of integer rows on cols, over Fp or, with field_prime None, Q; at most cap.
+
+    The rows are one component's, or a Jacobian's on its gauge-fixed
+    columns (``varieties._jacobian_rank``); each is nonzero on cols.
 
     Over Fp it is the rank mod p (``_eliminate``).  Over Q it is the column
     count less the nullity of the lifted kernel (``_lift``) of whichever of
@@ -479,24 +481,12 @@ def _transpose(rows: list[dict]) -> list[dict]:
     return list(out.values())
 
 
-def rank_mod_p(m: Matrix) -> int:
-    """Rank mod p, component by component (``_split``, ``_eliminate``).
-
-    Over Fp this is the exact rank.  A rational matrix is ranked mod
-    DEFAULT_PRIME with its rows scaled to integers; that is a lower bound
-    on its rank over Q, since a minor that is nonzero mod p is nonzero over
-    Q, and scaling a row by a nonzero integer scales its minors alike.
-    """
-    prime = m.field.prime or DEFAULT_PRIME
-    return sum(_eliminate(cols, rows, prime, len(cols), None)
-               for cols, rows in _split(list(_integral_rows(m)), m.cols))
-
-
 def pivot_columns(m: Matrix) -> set[int]:
-    """Pivot columns of the elimination of m mod p, read as ``rank_mod_p`` reads it.
+    """Pivot columns of the elimination of m mod p, component by component (``_split``, ``_eliminate``).
 
-    There are rank_mod_p(m) of them, and as many rows of m are square and
-    invertible mod p on them.
+    There are as many as the rank of m mod p, and as many rows of m are
+    square and invertible mod p on them.  A rational matrix is read mod
+    DEFAULT_PRIME with its rows scaled to integers (``_integral_rows``).
     """
     prime, pivots = m.field.prime or DEFAULT_PRIME, []
     for cols, rows in _split(list(_integral_rows(m)), m.cols):
@@ -585,10 +575,11 @@ def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
 
     The component is a matrix's (``rank``, ``kernel_basis``) or a
     stabilizer system's (``stabilizer.stabilizer_dim``,
-    ``stabilizer.stabilizer_tuples``), over Fp or, field_prime None, over
-    Q.  Each prime eliminates the rows mod p (``_eliminate``), stopped at
-    cap, and back-solves one kernel vector per free column, as {column:
-    nonzero value}.  Over Fp the prime is the field's and its back-solve is
+    ``stabilizer.stabilizer_tuples``), or a Jacobian's rows
+    (``varieties._jacobian_rank``), over Fp or, field_prime None, over Q.
+    Each prime eliminates the rows mod p (``_eliminate``), stopped at cap,
+    and back-solves one kernel vector per free column, as {column: nonzero
+    value}.  Over Fp the prime is the field's and its back-solve is
     the answer.  Over Q the primes are DEFAULT_PRIME and then the primes
     below it.  A prime whose rank reaches cap ends the lift with the free
     columns and no vectors (None), or an empty kernel when cap is the
@@ -674,7 +665,7 @@ def _annihilates(rows: Iterable[dict], norm: int, by_col: dict[int, list]) -> bo
 
     norm bounds the L1 norm of every row.  Each column's entries are packed
     into one int, x_i[c] * 2**(W*i), so a nonzero of a row costs one
-    multiply-add and a row one test acc == 0.  The callers pass only the
+    multiply-add and a row one test acc == 0.  A caller may pass only the
     columns some row holds, since no row sum reads another, so a kernel of
     many vectors that each hold a column no row reads costs no int per
     vector there.  Row r has slot
@@ -695,28 +686,3 @@ def _annihilates(rows: Iterable[dict], norm: int, by_col: dict[int, list]) -> bo
         if acc:
             return False
     return True
-
-
-def annihilates(a: Matrix, b: Matrix) -> bool:
-    """True when A B^T = 0 over Q, i.e. every row of b lies in the right kernel of a.
-
-    Checked exactly over the integers, on the rows of both matrices read
-    as integers (``_integral_rows``), which scales each product by a
-    nonzero integer; a's rows are read one at a time.
-    """
-    if not isinstance(a.field, RationalField) or b.field != a.field:
-        raise SemanticError("annihilates expects two rational matrices")
-    if a.cols != b.cols:
-        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}")
-    held = {k % a.cols for k in a._nz}
-    by_col: dict[int, list] = {}
-    for k, row in enumerate(_integral_rows(b)):
-        for c, v in row.items():
-            if c in held:
-                by_col.setdefault(c, []).append((k, v))
-    vals = a._nz.values()
-    if set(map(type, vals)) <= {int}:  # a bound on every row's L1 norm, read in C
-        norm = a.cols * max(map(abs, vals), default=1)
-    else:
-        norm = max((sum(map(abs, row.values())) for row in _integral_rows(a)), default=1)
-    return _annihilates(_integral_rows(a), norm, by_col)

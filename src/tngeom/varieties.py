@@ -29,21 +29,26 @@ subcritical leaves measured (the leaves that the paper's valence-one
 reduction, ``networks.reduce_valence_one``, folds away), J|C has full
 column rank, so |C| rows are built.  The rows are J's own, in a seeded
 random order, when the environments hold fewer entries than a sketch
-has cells, which the graph fixes before anything is built.  Otherwise
-they are a sketch: at most min(rows, |C|) + 4 random rank-one
-combinations of J's rows, each built from the same sweeps on a network
-whose vertex axes are capped by random covectors.  Every sampled rank is
-a lower bound on the dimension: rank is lower semicontinuous, a column
-submatrix of J or a sketch S J has rank at most that of J, and a rank
-mod p is at most the rank over Q.
+has cells, or the field is Q; the graph fixes which before anything is
+built.  Otherwise they are a sketch: at most min(rows, |C|) + 4 random
+rank-one combinations of J's rows, each built from the same sweeps on a
+network whose vertex axes are capped by random covectors.  Every sampled
+rank is a lower bound on the dimension: rank is lower semicontinuous, a
+column submatrix of J or a sketch S J has rank at most that of J, and a
+rank mod p is at most the rank over Q.
 
-Over Q each sample rank is exact, by two bounds.  r, the rank mod p of
-J|C read mod p, is at most rank_Q(J).  When r is min(rows, columns) it
-is the rank.  Otherwise J T^T = 0 is checked exactly over the integers;
-a minor of T that is nonzero mod p is nonzero over Q, so then rank_Q(J)
-is at most the column count less rank_p(T), and when r is that it is
-the rank.  Otherwise, or if the check fails, the sample takes the exact
-rank of J (``linalg.rank``, the lifted kernel).
+Over Q each sample rank is exact, and J is never built as a matrix: its
+environments are swept once, and its rows are rebuilt from them one at a
+time for the rank mod p, for the check and for the fallback.  When D is
+not empty, J T^T = 0 is checked exactly over the integers
+(``linalg._annihilates``).  A minor of T that is nonzero mod p is
+nonzero over Q, so then T is invertible on D over Q as well, and
+rank_Q(J) = rank_Q(J|C); if the check fails, C is every column.  r, the
+rank mod p of J|C, is at most rank_Q(J|C), which is at most min(rows,
+|C|), so when r is min(rows, |C|) it is the rank.  Otherwise the sample
+takes the exact rank of the rows of J|C through ``linalg._rank``, the
+capped elimination, lift and exact check that ranks each component of a
+stabilizer system (transposed when J has fewer rows than columns).
 """
 
 from __future__ import annotations
@@ -56,7 +61,16 @@ from .curves import act_curve, curve_from_splitting, leading_term
 from ._record import Record
 from .errors import SemanticError, ShapeError, magnitude
 from .fields import DEFAULT_PRIME, QQ, Field
-from .linalg import Matrix, _packed_eliminate, annihilates, kernel_basis, pivot_columns, rank
+from .linalg import (  # noqa: F401  (rank: kept importable here for code that wraps it)
+    Matrix,
+    _annihilates,
+    _integral_rows,
+    _packed_eliminate,
+    _rank,
+    kernel_basis,
+    pivot_columns,
+    rank,
+)
 from .networks import (  # noqa: F401  (contract_network: kept importable here for code that wraps it)
     NetworkGraph,
     TNSInstance,
@@ -75,11 +89,11 @@ SEED_STRIDE = 1000003
 SKETCH_SLACK = 4
 # Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
 # before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 over Q (475328 cells: 12992 of the sketch, 3584 of the tangent
-# rows, and the 458752 nonzeros of J over Q for the check) peaked at
-# 87 MB, about 0.18 KB per cell, and at 100 MB (0.22 KB per cell, 60 s)
-# with its gauge rows withheld, so that each sample took the exact rank
-# of J, a kernel lifted over ten primes.
+# (2,)^7 over Q (577024 cells: 114688 of the environments, 3584 of the
+# tangent rows, and the 458752 nonzeros of J over Q for the rows of J|C
+# that the fallback holds) peaked at 42 MB, about 0.07 KB per cell, and
+# at 53 MB (0.09 KB per cell, 25 s) with its gauge rows withheld, so that
+# each sample took the exact rank of all of J.
 MAX_JACOBIAN_CELLS = 10**6
 
 
@@ -196,15 +210,6 @@ def _jacobian_row(blocks, x: int) -> dict:
     return row
 
 
-def _environment_rows(inst: TNSInstance, rng: random.Random):
-    """Every row of the Jacobian, in an order shuffled by rng, built one at a time on demand."""
-    blocks = _jacobian_blocks(inst)
-    order = list(range(_layout(inst.graph)[0]))
-    rng.shuffle(order)
-    for x in order:
-        yield _jacobian_row(blocks, x)
-
-
 def _sketch_rows(inst: TNSInstance, prime: int, rng: random.Random):
     """Random rank-one combinations of the Jacobian's rows, drawn one at a time without end.
 
@@ -274,30 +279,32 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, bool, int]:
 
     The vertex environments hold prod(vertex dims) / dim v times the edge
     product of v entries for each vertex v; the sketch, at most
-    min(rows, columns) + SKETCH_SLACK rows of the column count.  A sample
-    reads environment rows when the environments are smaller, and sketch
-    rows otherwise.  It gauge-fixes only when J has more rows than
-    columns: otherwise it reads every row, or rows + SKETCH_SLACK sketch
-    rows, whatever C is.  When it gauge-fixes, the tangent rows T are
-    built and eliminated mod p first, and their nonzeros (``_tangent_size``)
-    and the pivot rows of their elimination, at most min(rows of T,
-    columns) of the column count, are counted.  Over Q the full Jacobian's nonzeros, prod(vertex
-    dims) times the sum of the edge products, are counted as well: unless
-    r is min(rows, columns), it is built for the check of the tangent rows.
-    On a graph that is not gauge-fixed, the T that check builds is not
-    counted; it is built only when J lacks full row rank.
+    min(rows, columns) + SKETCH_SLACK rows of the column count.  Over Fp a
+    sample reads environment rows when the environments are smaller, and
+    sketch rows otherwise; over Q it always reads environment rows, as the
+    exact check and fallback read the same environments.  It gauge-fixes
+    only when J has more rows than columns: otherwise it reads every row,
+    or rows + SKETCH_SLACK sketch rows, whatever C is.  When it
+    gauge-fixes, the tangent rows T are built and eliminated mod p first,
+    and their nonzeros (``_tangent_size``) and the pivot rows of their
+    elimination, at most min(rows of T, columns) of the column count, are
+    counted.  Over Q the nonzeros of J, prod(vertex dims) times the sum of
+    the edge products, are counted as well: unless r closes the rank, the
+    rows of J|C are held for the exact fallback.
     """
     nrows, _, ncols = _layout(g)
     envs = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
     sketch = (min(nrows, ncols) + SKETCH_SLACK) * ncols
+    exact = field.prime is None
+    sketched = not exact and sketch <= envs
     fixed = nrows > ncols
-    cells = min(envs, sketch)
+    cells = sketch if sketched else envs
     if fixed:
         trows, tnnz = _tangent_size(g)
         cells += tnnz + min(trows, ncols) * ncols
-    if field.prime is None:
+    if exact:
         cells += nrows * sum(g.edge_product(v.id) for v in g.vertices)
-    return sketch <= envs, fixed, cells
+    return sketched, fixed, cells
 
 
 def _subcritical_leaves(g: NetworkGraph):
@@ -366,15 +373,17 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
 
     r is the rank mod p of J restricted to C, on the rows
     ``_jacobian_plan`` picks: environment rows in a seeded random order, or
-    at most min(rows, |C|) + SKETCH_SLACK sketch rows.  C is the set of
-    columns that are not pivots of the tangent rows T (the gauge and
-    witness rows) mod p when J has more rows than columns, and every
+    over Fp at most min(rows, |C|) + SKETCH_SLACK sketch rows.  C is the
+    set of columns that are not pivots of the tangent rows T (the gauge
+    and witness rows) mod p when J has more rows than columns, and every
     column otherwise.  The rows are built one at a time as the packed
     kernel asks for them, and it stops once every column of C holds a
-    pivot.  Over Fp r is the result.  Over Q the rows are J's, read mod
-    DEFAULT_PRIME, and r is returned when it is min(rows, columns), or
-    when r plus the rank mod p of T is the column count and J T^T = 0
-    holds over the integers; otherwise the exact rank of J is.
+    pivot.  Over Fp r is the result.  Over Q the rows are J's, built from
+    one sweep of environments (``_jacobian_blocks``) and read mod
+    DEFAULT_PRIME.  When T has pivot columns, J T^T = 0 is checked exactly
+    on the same rows (``_tangent_in_kernel``); if it fails, C becomes every
+    column.  r is returned when it is min(rows, |C|), and otherwise the
+    exact rank of the rows of J|C (``linalg._rank``).
     """
     sketched, fixed, _ = _jacobian_plan(g, field)
     exact = field.prime is None
@@ -395,20 +404,38 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> int:
         stream = islice(_sketch_rows(ints, prime, random.Random(f"jacobian-sketch:{seed}")),
                         min(nrows, len(kept)) + SKETCH_SLACK)
     else:
-        stream = _environment_rows(ints, random.Random(f"jacobian-rows:{seed}"))
+        blocks = _jacobian_blocks(ints)
+        order = list(range(nrows))
+        random.Random(f"jacobian-rows:{seed}").shuffle(order)
+        stream = (_jacobian_row(blocks, x) for x in order)
     keep = set(kept)
     rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
     r = _packed_eliminate(rows, kept, prime, None) if kept else 0
-    del rows, stream  # the environments they hold are freed before J is built
-    if not exact or r == min(nrows, ncols):  # min(rows, columns) bounds the rank over Q
+    if not exact:
         return r
-    jac = contraction_jacobian(inst)
-    if not fixed:
-        tangent = _tangent_rows(inst)
-        fixed_cols = pivot_columns(tangent)
-    if r + len(fixed_cols) == ncols and annihilates(jac, tangent):
+    if fixed_cols and not _tangent_in_kernel(blocks, nrows, tangent):
+        kept = list(range(ncols))  # T leaves the kernel, so D is not spanned by C: rank every column
+    if r == min(nrows, len(kept)):  # r bounds the rank over Q from below, and min(rows, |C|) from above
         return r
-    return rank(jac)
+    keep = set(kept)
+    rows = [row for x in range(nrows) if (row := {c: v for c, v in _jacobian_row(blocks, x).items() if c in keep})]
+    return _rank(kept, rows, None, len(kept))
+
+
+def _tangent_in_kernel(blocks, nrows: int, tangent: Matrix) -> bool:
+    """True when J T^T = 0 over Q, J's rows rebuilt from its blocks one at a time (``linalg._annihilates``).
+
+    T's rows are read as integers, which scales each product by a nonzero
+    integer.  A row of J holds one row of each block's spread, so the sum
+    over the blocks of the largest L1 norm of a spread row bounds its L1
+    norm.
+    """
+    by_col: dict[int, list] = {}
+    for k, row in enumerate(_integral_rows(tangent)):
+        for c, v in row.items():
+            by_col.setdefault(c, []).append((k, v))
+    norm = sum(max((sum(abs(v) for _, v in part) for part in spread.values()), default=0) for *_, spread in blocks)
+    return _annihilates((_jacobian_row(blocks, x) for x in range(nrows)), max(norm, 1), by_col)
 
 
 def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
@@ -474,19 +501,8 @@ def certify_not_closed(s: Splitting, e: int) -> Certificate:
         if p.rows != n:
             raise ShapeError(f"projector size {p.rows} does not match e^2 = {n}")
     m = mmult(e, e, e, f)
-    expansion = act_curve(m, curve_from_splitting(s))
-    if expansion.is_zero():
-        return Certificate(
-            e=e,
-            stab_mmult=stabilizer_dim(m),
-            stab_mtilde=0,
-            mlrank_mtilde=(0, 0, 0),
-            leading_power=0,
-            leading_matches_formula=False,
-            conclusion="inconclusive",
-            reason="curve degenerates to zero",
-        )
-    power, limit = leading_term(expansion)
+    # never zero: at t = 1 every curve P0 + t (I - P0) is I, so the coefficients sum to m
+    power, limit = leading_term(act_curve(m, curve_from_splitting(s)))
     stab_m = stabilizer_dim(m)
     stab_limit = stabilizer_dim(limit)
     ml = mlrank(limit)

@@ -305,6 +305,44 @@ def rank_modulo_primes(m, primes: list[int]) -> list[int]:
     return [rank(Matrix.from_nonzeros(m.rows, m.cols, items, PrimeField(p))) for p in primes]
 
 
+def rank_mod_p(m) -> int:
+    """Rank mod p of a Matrix, component by component (``linalg._split``, ``linalg._eliminate``).
+
+    Over Fp this is the exact rank.  A rational matrix is ranked mod
+    DEFAULT_PRIME with its rows scaled to integers; that is a lower bound
+    on its rank over Q, since a minor that is nonzero mod p is nonzero over
+    Q, and scaling a row by a nonzero integer scales its minors alike.
+    """
+    from tngeom.fields import DEFAULT_PRIME
+    from tngeom.linalg import _eliminate, _integral_rows, _split
+
+    prime = m.field.prime or DEFAULT_PRIME
+    return sum(_eliminate(cols, rows, prime, len(cols), None)
+               for cols, rows in _split(list(_integral_rows(m)), m.cols))
+
+
+def annihilates(a, b) -> bool:
+    """True when A B^T = 0 over Q, i.e. every row of b lies in the right kernel of a.
+
+    Checked exactly over the integers (``linalg._annihilates``), on the
+    rows of both matrices read as integers, which scales each product by a
+    nonzero integer.
+    """
+    from tngeom.fields import RationalField
+    from tngeom.linalg import _annihilates, _integral_rows
+
+    if not isinstance(a.field, RationalField) or b.field != a.field:
+        raise SemanticError("annihilates expects two rational matrices")
+    if a.cols != b.cols:
+        raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by the transpose of {b.rows}x{b.cols}")
+    by_col: dict[int, list] = {}
+    for k, row in enumerate(_integral_rows(b)):
+        for c, v in row.items():
+            by_col.setdefault(c, []).append((k, v))
+    norm = max((sum(map(abs, row.values())) for row in _integral_rows(a)), default=1)
+    return _annihilates(_integral_rows(a), norm, by_col)
+
+
 def merge_axes(t, a: int, b: int):
     """Fuse axes a and b (a-major) of a Tensor into one axis placed at position min(a, b)."""
     from tngeom.tensors import Tensor, transpose_axes

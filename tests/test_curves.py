@@ -10,11 +10,13 @@ from tngeom.curves import (
     leading_term,
 )
 from tngeom.errors import SemanticError, ShapeError
+from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix
 from tngeom.tensors import Tensor, apply_end, random_tensor
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
 
 from oracles import (
+    block_splitting,
     coefficient,
     constant_curve,
     evaluate_curve,
@@ -184,3 +186,17 @@ def test_act_curve_validation():
         act_curve(t, [good])
     with pytest.raises(ShapeError):
         act_curve(t, [good, constant_curve(Matrix.identity(3))])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2**31 - 1)], ids=["rational", "fp"])
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_splitting_expansion_coefficients_sum_to_the_trace_tensor(e, field):
+    # at t = 1 every curve P0 + t (I - P0) is I, so the coefficients sum to mmult: the expansion
+    # that certify and limit read is never zero
+    m = mmult(e, e, e, field)
+    for s in (diagonal_splitting(e, field), block_splitting(1, e - 1, e - 1, 1, 1, e - 1, field)):
+        terms = act_curve(m, curve_from_splitting(s)).terms
+        total = terms[0][1]
+        for _, t in terms[1:]:
+            total = total + t
+        assert total == m

@@ -17,14 +17,13 @@ from tngeom.linalg import (
     _lift_residue,
     _rank,
     _split,
-    annihilates,
     components,
     kernel_basis,
     rank,
-    rank_mod_p,
 )
 
 from oracles import (
+    annihilates,
     inverse,
     is_invertible,
     kernel_dim,
@@ -39,6 +38,7 @@ from oracles import (
     naive_rank_mod_p,
     random_invertible,
     random_matrix,
+    rank_mod_p,
     rank_modulo_primes,
 )
 

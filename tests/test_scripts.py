@@ -46,8 +46,10 @@ def test_certificate_sweep_over_fp():
 
 def test_loop_dimension_scan():
     for field in ("fp", "rational"):
+        # the last two columns are the time and the peak RSS
         rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", field))
-        assert [(row[0], row[-2], row[-1]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
+        assert [(row[0], row[-4], row[-3]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
+        assert all(float(secs) >= 0 and float(peak) > 0 for *_, secs, peak in rows)
 
 
 @pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),

@@ -9,7 +9,7 @@ from tngeom import jsonio, linalg, stabilizer
 from tngeom.curves import act_curve, curve_from_splitting
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
-from tngeom.linalg import Matrix, annihilates, kernel_basis, rank
+from tngeom.linalg import Matrix, kernel_basis, rank
 from tngeom.stabilizer import (
     _components,
     build_system,
@@ -21,6 +21,7 @@ from tngeom.tensors import Tensor, apply_end, outer, random_tensor
 from tngeom.zoo import imm_loop, m_tilde_formula, mmult
 
 from oracles import (
+    annihilates,
     block_splitting,
     column_label,
     leibniz_act,
@@ -34,6 +35,7 @@ from oracles import (
     orbit_dim,
     random_invertible,
     random_matrix,
+    rank_mod_p,
     stabilizer_contains_expected,
 )
 
@@ -510,7 +512,7 @@ def test_each_system_is_searched_for_components_once(monkeypatch, field):
         stabilizer_tuples(t)
         assert calls == [sum(s * s for s in t.shape)]
     m = build_system(mmult(3, 3, 3, field)).matrix
-    for fn in (rank, linalg.rank_mod_p, linalg.pivot_columns, kernel_basis):
+    for fn in (rank, rank_mod_p, linalg.pivot_columns, kernel_basis):
         del calls[:]
         fn(m)
         assert calls == [m.cols]

@@ -3,11 +3,13 @@ from itertools import islice
 from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tngeom import varieties
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, annihilates, pivot_columns, rank, rank_mod_p
+from tngeom.linalg import Matrix, SparseArray, pivot_columns, rank
 from tngeom.networks import (
     NetworkGraph,
     TNSInstance,
@@ -32,6 +34,7 @@ from tngeom.varieties import (
 from tngeom.zoo import Splitting, diagonal_splitting, imm_loop, mmult
 
 from oracles import (
+    annihilates,
     block_splitting,
     end_orbit_consistency,
     flip_edge,
@@ -45,6 +48,7 @@ from oracles import (
     orbit_dim,
     per_coordinate_jacobian,
     random_invertible,
+    rank_mod_p,
 )
 
 FP = PrimeField(2**31 - 1)
@@ -175,17 +179,18 @@ SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 = 192 cells, as many 
     (loop_graph((2, 3, 2)), FP, 72, False),
 ])
 def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, tag):
-    # each sample reads the rows of the source the plan picks, and only those; tag only names the case
+    # each sample reads the rows of the source the plan picks, and only those; tag only names the case.
+    # Over Q the rows are always J's own, from the environments that the check and fallback read too
     source = "sketch" if varieties._jacobian_plan(g, field)[0] else "environment"
-    assert (source == "sketch") == (g is SEGRE6)
+    assert (source == "sketch") == (g is SEGRE6 and field is FP)
     used = []
-    sketch, environment, jacobian = varieties._sketch_rows, varieties._environment_rows, varieties.contraction_jacobian
+    sketch, blocks = varieties._sketch_rows, varieties._jacobian_blocks
     monkeypatch.setattr(varieties, "_sketch_rows", lambda *a: used.append("sketch") or sketch(*a))
-    monkeypatch.setattr(varieties, "_environment_rows", lambda *a: used.append("environment") or environment(*a))
-    monkeypatch.setattr(varieties, "contraction_jacobian", lambda *a: used.append("full") or jacobian(*a))
+    monkeypatch.setattr(varieties, "_jacobian_blocks", lambda *a: used.append("environment") or blocks(*a))
+    for fn in ("contraction_jacobian", "rank"):
+        monkeypatch.setattr(varieties, fn, _boom)
     assert tns_dim(g, seed=0, field=field) == want
-    # the full Jacobian is built only over Q, for the check of the tangent rows
-    assert used == ([source, "full"] if field is QQ else [source]) * 2
+    assert used == [source] * 2
 
 
 @pytest.mark.parametrize("name", JACOBIAN_GRAPHS)
@@ -225,9 +230,16 @@ def test_mod_p_instance_is_the_reduction_of_the_q_instance(name):
     assert [FP.coerce(x) for x in contraction_jacobian(q).entries] == list(contraction_jacobian(p).entries)
 
 
+def _boom(*args):
+    raise AssertionError("called")
+
+
 def _count_exact_ranks(monkeypatch) -> list:
+    """(rows, columns) of each exact fallback (``linalg._rank``) of a sample."""
     calls = []
-    monkeypatch.setattr(varieties, "rank", lambda m: calls.append(m.shape) or rank(m))
+    exact = varieties._rank
+    monkeypatch.setattr(varieties, "_rank", lambda cols, rows, *a: calls.append((len(rows), len(cols)))
+                        or exact(cols, rows, *a))
     return calls
 
 
@@ -305,22 +317,27 @@ FULL_ROW_RANK_TREES = (1, 4)
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, seed):
-    # without the witness rows the gauge bounds cannot close on such a leaf,
-    # so a sample below full row rank takes the exact rank of J
+    # each tree has no more rows than columns, so no tangent row is built, and a sample below
+    # full row rank takes the exact rank of all of J through linalg._rank (transposed where J is wide)
     g = _tree_with_subcritical_leaves(seed)
-    monkeypatch.setattr(varieties, "witness_rows", lambda inst: Matrix.zeros(0, gauge_rows(inst).cols))
+    monkeypatch.setattr(varieties, "gauge_rows", _boom)
+    monkeypatch.setattr(varieties, "witness_rows", _boom)
     calls = _count_exact_ranks(monkeypatch)
     assert varieties._jacobian_rank(g, seed, QQ) == TREE_RANKS[seed]
-    assert len(calls) == (seed not in FULL_ROW_RANK_TREES)
+    nrows, _, ncols = varieties._layout(g)
+    assert nrows <= ncols
+    assert calls == ([] if seed in FULL_ROW_RANK_TREES else [(nrows, ncols)])
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
+    # the exact rank meets the bound of the gauge and witness rows, cols - rank_p(T), where the
+    # gauge rows alone leave a gap; these J are wide, so a sample takes at most one exact rank
     g = _tree_with_subcritical_leaves(seed)
     calls = _count_exact_ranks(monkeypatch)
     want = TREE_RANKS[seed]
     assert varieties._jacobian_rank(g, seed, QQ) == want
-    assert calls == []
+    assert len(calls) == (seed not in FULL_ROW_RANK_TREES)
     inst = random_instance(g, seed=seed)
     jac = contraction_jacobian(inst)
     if seed in FULL_ROW_RANK_TREES:
@@ -405,13 +422,15 @@ def _count_streamed_rows(monkeypatch) -> list:
 @pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_loops_read_exactly_as_many_rows_as_kept_columns(monkeypatch, n, field):
-    # every column of C gets a pivot, so the elimination stops after |C| of the 4^n rows
+    # every column of C gets a pivot, so the elimination stops after |C| of the 4^n rows, and over Q
+    # the sample closes there, with no exact fallback
     g = loop_graph((2,) * n)
-    calls = _count_streamed_rows(monkeypatch)
+    calls, exact = _count_streamed_rows(monkeypatch), _count_exact_ranks(monkeypatch)
     assert varieties._jacobian_rank(g, 0, field) == loop_dim_formula((2,) * n)
     inst = random_instance(g, seed=0, field=field)
     kept = 16 * n - rank_mod_p(gauge_rows(inst))
     assert calls == [(kept, kept)] and kept == loop_dim_formula((2,) * n)
+    assert exact == []
 
 
 def test_loop_below_the_gauge_bound_reads_every_row(monkeypatch):
@@ -445,18 +464,79 @@ def test_triangle_444_over_q_is_721():
     assert varieties._jacobian_rank(loop_graph((4, 4, 4)), 0, QQ) == 721
 
 
+@pytest.mark.parametrize("name", ["loop222", "loop2222", "chain3663", "superloop", "parallel", "loop222-234",
+                                  "loop2222-2424", "chain2662", "leaftree0"])
+def test_each_exact_sample_sweeps_the_environments_once(monkeypatch, name):
+    # the rank mod p, the check of the tangent rows and the fallback all read J's rows off one sweep
+    # of environments, and no matrix of J's shape is built
+    g = STREAMED_GRAPHS[name]
+    want = rank(contraction_jacobian(random_instance(g, seed=0)))
+    nrows, _, ncols = varieties._layout(g)
+    sweeps, shapes = [], []
+    environments, from_flat = varieties._environments, SparseArray._from_flat.__func__
+
+    def recorded(cls, shape, nz, field):
+        shapes.append((cls, shape))
+        return from_flat(cls, shape, nz, field)
+
+    monkeypatch.setattr(varieties, "_environments", lambda pieces: sweeps.append(len(pieces)) or environments(pieces))
+    monkeypatch.setattr(SparseArray, "_from_flat", classmethod(recorded))
+    for fn in ("contraction_jacobian", "rank"):
+        monkeypatch.setattr(varieties, fn, _boom)
+    assert varieties._jacobian_rank(g, 0, QQ) == want
+    assert sweeps == [len(g.vertices)]
+    assert (Matrix, (nrows, ncols)) not in shapes
+
+
+def _random_loop(draw):
+    n = draw(st.integers(2, 4))
+    edges = tuple(draw(st.integers(1, 2)) for _ in range(n))
+    # near critical: one below, at or one above the product of the vertex's two edge dimensions
+    dims = tuple(draw(st.integers(max(1, edges[i - 1] * edges[i] - 1), edges[i - 1] * edges[i] + 1)) for i in range(n))
+    return loop_graph(edges, vertex_dims=dims)
+
+
+def _random_small_tree(draw):
+    n = draw(st.integers(2, 4))
+    vertices, edges = [], []
+    for vid in range(1, n + 1):
+        vertices.append((vid, draw(st.integers(1, 4))))
+        if vid > 1:
+            parent = draw(st.integers(1, vid - 1))
+            tail, head = (parent, vid) if draw(st.booleans()) else (vid, parent)
+            edges.append((vid - 1, tail, head, draw(st.integers(1, 3))))
+    return NetworkGraph.build(vertices, edges)
+
+
+@st.composite
+def small_graphs(draw):
+    return _random_loop(draw) if draw(st.booleans()) else _random_small_tree(draw)
+
+
+@settings(max_examples=30)
+@given(small_graphs(), st.integers(0, 10**6))
+@example(_tree_with_subcritical_leaves(0), 0)  # subcritical leaves, wide J below full row rank
+@example(loop_graph((2, 2, 2), vertex_dims=(5, 4, 4)), 3)  # a supercritical vertex, gauge-fixed
+@example(loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)), 1)  # subcritical vertices, wide J
+@example(chain_graph((2, 6, 6, 2), (3, 4, 3)), 2)  # subcritical leaves, gauge-fixed on witness rows
+@example(loop_graph((2,) * 4, vertex_dims=(2, 4, 2, 4)), 0)  # gauge-fixed, below full column rank on C
+def test_exact_sample_rank_is_the_rank_of_the_jacobian(g, seed):
+    assert varieties._jacobian_rank(g, seed, QQ) == rank(contraction_jacobian(random_instance(g, seed)))
+
+
 def test_jacobian_plan_counts_the_rows_a_sample_builds():
-    # environment entries, or sketch cells; then, when gauge-fixed, the nonzeros of T and the
-    # pivot rows of its elimination; plus the full Jacobian over Q
+    # environment entries, or over Fp sketch cells; then, when gauge-fixed, the nonzeros of T and the
+    # pivot rows of its elimination; plus, over Q, J's nonzeros, the rows of J|C the exact fallback holds
     loop5 = loop_graph((2,) * 5)  # 1024 x 80; T: 20 rows, 5 * 2 * (16 + 16) nonzeros
     assert varieties._jacobian_plan(loop5, FP) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80)
     assert varieties._jacobian_plan(loop5, QQ) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80 + 4**5 * 5 * 4)
     loop7 = loop_graph((2,) * 7)
     assert varieties._jacobian_plan(loop7, FP) == (True, True, (112 + 4) * 112 + 448 + 28 * 112)
-    assert varieties._jacobian_plan(loop7, QQ) == (True, True, (112 + 4) * 112 + 448 + 28 * 112 + 4**7 * 7 * 4)
+    assert varieties._jacobian_plan(loop7, QQ) == (False, True, 7 * 4**6 * 4 + 448 + 28 * 112 + 4**7 * 7 * 4)
+    assert varieties._jacobian_plan(loop7, QQ)[2] == 577024
     loop8 = loop_graph((2,) * 8)
     assert varieties._jacobian_plan(loop8, FP) == (True, True, (128 + 4) * 128 + 512 + 32 * 128)
-    assert varieties._jacobian_plan(loop8, QQ) == (True, True, (128 + 4) * 128 + 512 + 32 * 128 + 4**8 * 8 * 4)
+    assert varieties._jacobian_plan(loop8, QQ) == (False, True, 8 * 4**7 * 4 + 512 + 32 * 128 + 4**8 * 8 * 4)
     triangle = loop_graph((4, 4, 4))  # 4096 x 768; T: 48 rows, 3 * 4 * (256 + 256) nonzeros
     assert varieties._jacobian_plan(triangle, FP) == (False, True, 3 * 256 * 16 + 6144 + 48 * 768)
     # 64 x 12, five gauge rows of four nonzeros
@@ -479,12 +559,15 @@ def test_tns_dim_pins_over_q_and_fp():
 
 
 def test_jacobian_size_budget():
-    for g in [loop_graph((2,) * 7), loop_graph((4, 4, 4)), SEGRE6, *JACOBIAN_GRAPHS.values()]:
+    for g in [loop_graph((2,) * 6), loop_graph((2,) * 7), loop_graph((4, 4, 4)), loop_graph((3,) * 4),
+              chain_graph((3, 9, 9, 3), (4, 4, 4)), chain_graph((3, 9, 9, 9, 3), (4, 4, 4, 4)), SEGRE6,
+              *JACOBIAN_GRAPHS.values()]:
         check_jacobian_size(g, QQ)
         check_jacobian_size(g, FP)
-    check_jacobian_size(loop_graph((2,) * 8), FP)
-    with pytest.raises(SemanticError, match="over the budget"):
-        check_jacobian_size(loop_graph((2,) * 8), QQ)
+    for g in [loop_graph((2,) * 8), loop_graph((5, 5, 5))]:
+        check_jacobian_size(g, FP)
+        with pytest.raises(SemanticError, match="over the budget"):
+            check_jacobian_size(g, QQ)
 
 
 def test_tns_dim_refuses_a_graph_over_budget_before_drawing(monkeypatch):
