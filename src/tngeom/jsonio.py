@@ -26,11 +26,13 @@ import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 from .errors import FormatError, SemanticError
 from .fields import Field
 from .linalg import Matrix
-from .tensors import Tensor
+from .tensors import Tensor, _decoder
 
 # The types of curves, networks, varieties and zoo are imported by the
 # functions that build them, so a command loads only the modules it runs;
@@ -98,25 +100,51 @@ def _entries(t: Tensor, nl: str):
         yield "[]"
         return
     i1, i2 = nl + "  ", nl + "    "
+    idx = _decoder(t.shape, len(t._nz), _index_texts(t, i2))
+    nz = t._nz
     sep = "[" + i1
-    for idx, v in t.nonzeros():
+    for k in sorted(nz):
         # a scalar string is -?[0-9]+(/[0-9]+)?, so it needs no escaping
-        yield sep + "{" + i2 + '"idx": ' + _ints(idx, i2) + "," + i2 + '"val": "' + str(v) + '"' + i1 + "}"
+        yield sep + "{" + i2 + '"idx": ' + idx(k) + "," + i2 + '"val": "' + str(nz[k]) + '"' + i1 + "}"
         sep = "," + i1
     yield nl + "]"
 
 
-def _check_scalars(obj) -> None:
-    """Turn every tensor scalar and every integer of a report into text once,
-    so that one past Python's digit limit is refused before any output exists."""
-    if isinstance(obj, Tensor):
-        for v in obj._nz.values():
-            scalar_to_str(v)
-    elif isinstance(obj, int):
-        scalar_to_str(obj)
-    elif isinstance(obj, (dict, list, tuple)):
+def _index_texts(t: Tensor, nl: str):
+    """The tables of tensors._decoder that spell an entry's index as _ints(idx, nl) does, run by run."""
+    inner, shape, nnz = nl + "  ", t.shape, len(t._nz)
+
+    def table(lo: int, hi: int):
+        if lo == hi:
+            return ["[]"]
+        head, tail = "[" + inner if lo == 0 else "," + inner, nl + "]" if hi == len(shape) else ""
+        if hi - lo == 1 and shape[lo] > nnz:  # an axis too long to spell whole: only the indices on it
+            stride = prod(shape[hi:])
+            return {i: head + str(i) + tail for i in {k // stride % shape[lo] for k in t._nz}}
+        return [head + ("," + inner).join(map(str, idx)) + tail for idx in product(*map(range, shape[lo:hi]))]
+
+    return table
+
+
+def _check_scalars(obj, bits: int = 0) -> None:
+    """Refuse a report with a tensor scalar or an integer past Python's digit limit for
+    integers as text, before any output exists.
+
+    An integer of at most 3 * limit bits is below 10**limit, so only a
+    longer numerator or denominator is turned into text to tell.  With no
+    limit (0, or a Python without one) nothing is checked.
+    """
+    if not bits:
+        bits = 3 * getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not bits:
+            return
+    if isinstance(obj, (dict, list, tuple)):
         for value in obj.values() if isinstance(obj, dict) else obj:
-            _check_scalars(value)
+            _check_scalars(value, bits)
+        return
+    for v in obj._nz.values() if isinstance(obj, Tensor) else (obj,) if isinstance(obj, int) else ():
+        if v.numerator.bit_length() > bits or v.denominator.bit_length() > bits:
+            scalar_to_str(v)
 
 
 def _object(pairs: list) -> dict:

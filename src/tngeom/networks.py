@@ -31,11 +31,14 @@ from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable her
 )
 
 # Budget on the entries of any tensor a contraction holds, checked from the
-# graph before anything is absorbed (``contraction_peak``).  On a 2-core
-# host with Python 3.11, `contract` on random loop (2,)^n instances over Q
-# peaked at 42.5 MB for n = 8 (65536 entries), 122 MB for n = 9 (262144)
-# and 445 MB in 13.5 s for n = 10 (1048576, this budget): about 0.42 KB
-# per entry.  Loop (2,)^11 is refused.
+# graph before anything is absorbed (``contraction_peak``); it counts dense
+# entries, so a sparse instance is refused as a dense one would be.  On a
+# 2-core host with Python 3.11, `contract` on random loop (2,)^n instances
+# over Q (scripts/contract_scan.py) peaked at 33 MB in 0.35 s for n = 8
+# (65536 entries), 86 MB in 1.5 s for n = 9 (262144) and 296 MB in 4.9 s
+# for n = 10 (1048576, this budget): about 0.29 KB per entry, the last
+# absorption holding its two operands and its result.  Loop (2,)^11 is
+# refused.
 MAX_CONTRACTION_ENTRIES = 2**20
 
 

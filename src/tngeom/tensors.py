@@ -8,17 +8,21 @@ Conventions, fixed once and used everywhere:
 * entries are keyed row-major (last index fastest), and only nonzeros are
   stored, in the same ``SparseArray`` form as matrices;
 * a matrix space factor of size r x c is linearized as row*c + col;
-* flattening along axis j keeps the remaining axes in their original order.
+* flattening along axis j keeps the remaining axes in their original order;
+* a flat index is decoded run by run of adjacent axes, off small tables
+  (``_decoder``), never axis by axis.
 """
 
 from __future__ import annotations
 
 import random
-from math import prod
+from itertools import product
+from math import isqrt, prod
+from operator import mul
 
 from .errors import SemanticError, ShapeError
 from .fields import QQ, Field
-from .linalg import Matrix, SparseArray, lin_index, multi_index, rank
+from .linalg import Matrix, SparseArray, lin_index, rank
 
 INSTANCE_ENTRY_BOUND = 999  # random tensors stay small to keep exact ranks cheap
 
@@ -65,29 +69,60 @@ def _strides(shape: tuple[int, ...]) -> list[int]:
     return st
 
 
-def _grouped(t: Tensor, axes: list[int]) -> tuple[dict, tuple[int, ...]]:
-    """Nonzeros keyed by their indices on the given axes, each stored as
-    (row-major index over the other axes, value), and the other axes' shape."""
-    shape = t.shape
-    free = [k for k in range(t.order) if k not in axes]
-    free_shape = tuple(shape[k] for k in free)
-    strides = _strides(shape)
-    key_axes = [(strides[k], shape[k]) for k in axes]
-    rest_axes = [(strides[k], shape[k], s) for k, s in zip(free, _strides(free_shape))]
-    groups: dict[tuple, list] = {}
-    for flat, v in t._nz.items():
-        rest = 0
-        for st, n, s in rest_axes:
-            rest += flat // st % n * s
-        groups.setdefault(tuple([flat // st % n for st, n in key_axes]), []).append((rest, v))
-    return groups, free_shape
+def _decoder(shape: tuple[int, ...], nnz: int, table):
+    """The function that decodes a flat index run by run: one divmod and one lookup per run.
+
+    The axes are cut into runs of adjacent axes.  A run grows while its
+    index product stays at most min(nnz, ceil(sqrt(dense size))), and an
+    axis longer than that is a run on its own, so the table of a run holds
+    at most nnz entries unless it is such an axis.  table(lo, hi)[j] is what
+    the run of axes lo..hi-1 contributes, j being the row-major index over
+    them; the contributions are added first run leftmost, so text entries
+    join in axis order.
+    """
+    cap = min(nnz, isqrt(prod(shape) - 1) + 1)
+    runs, hi = [], len(shape)  # last run first
+    while hi:
+        lo = hi - 1
+        while lo and prod(shape[lo - 1:hi]) <= cap:
+            lo -= 1
+        runs.append((prod(shape[lo:hi]), table(lo, hi)))
+        hi = lo
+    *low, (_, top) = runs or [(1, table(0, 0))]
+    if not low:
+        return top.__getitem__
+
+    def decode(flat: int):
+        flat, j = divmod(flat, low[0][0])
+        acc = low[0][1][j]
+        for size, tab in low[1:]:
+            flat, j = divmod(flat, size)
+            acc = tab[j] + acc
+        return top[flat] + acc
+
+    return decode
+
+
+def _offsets(shape: tuple[int, ...], nnz: int, weights):
+    """The decoder (``_decoder``) of a flat index to the sum of i_k * weights[k] over its indices i_k.
+
+    The weights are positive; a run of one axis reads its offset off a range.
+    """
+    def table(lo: int, hi: int):
+        if hi - lo == 1:
+            return range(0, shape[lo] * weights[lo], weights[lo])
+        return [sum(map(mul, idx, weights[lo:hi])) for idx in product(*map(range, shape[lo:hi]))]
+
+    return _decoder(shape, nnz, table)
 
 
 def tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
     """Contract axis i of a with axis j of b for every (i, j) in pairs, in one pass.
 
     The result keeps the uncontracted axes of a, then those of b, each in
-    their original order; with no pairs it is the outer product.
+    their original order; with no pairs it is the outer product.  Only the
+    operand with fewer nonzeros is grouped, by its indices on the contracted
+    axes; the other one's nonzeros stream straight into the result.
     """
     if a.field != b.field:
         raise SemanticError("tensors live over different fields")
@@ -99,18 +134,32 @@ def tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
     for i, j in zip(axes_a, axes_b):
         if a.shape[i] != b.shape[j]:
             raise ShapeError(f"contracted axes must agree: {a.shape[i]} vs {b.shape[j]}")
-    groups_a, shape_a = _grouped(a, axes_a)
-    groups_b, shape_b = _grouped(b, axes_b)
-    size_b = prod(shape_b)
+    shape = tuple(n for k, n in enumerate(a.shape) if k not in axes_a) + \
+        tuple(n for k, n in enumerate(b.shape) if k not in axes_b)
+    size = prod(shape)
+    # an operand's flat index decodes to key * size + its share of the result's flat index
+    key_steps = [s * size for s in _strides(tuple(a.shape[i] for i in axes_a))]
+    out_steps = iter(_strides(shape))
+    operands = []
+    for t, axes in ((a, axes_a), (b, axes_b)):
+        steps = dict(zip(axes, key_steps))
+        weights = [steps[k] if k in steps else next(out_steps) for k in range(t.order)]
+        operands.append((t._nz, _offsets(t.shape, len(t._nz), weights)))
+    (small, decode_small), (big, decode_big) = sorted(operands, key=lambda op: len(op[0]))
+    groups: dict[int, list] = {}
+    for flat, v in small.items():
+        key, pos = divmod(decode_small(flat), size)
+        groups.setdefault(key, []).append((pos, v))
     out: dict[int, object] = {}
-    for key, items_a in groups_a.items():
-        items_b = groups_b.get(key, ())
-        for fa, va in items_a:
-            base = fa * size_b
-            for fb, vb in items_b:
-                s = out.get(base + fb)
-                out[base + fb] = va * vb if s is None else s + va * vb
-    return Tensor._from_flat(shape_a + shape_b, {k: v for k, v in out.items() if v}, a.field)
+    for flat, v in big.items():
+        key, pos = divmod(decode_big(flat), size)
+        for p, w in groups.get(key, ()):
+            p += pos
+            s = out.get(p)
+            out[p] = w * v if s is None else s + w * v
+    for pos in [pos for pos, s in out.items() if not s]:
+        del out[pos]
+    return Tensor._from_flat(shape, out, a.field)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -125,10 +174,8 @@ def transpose_axes(t: Tensor, perm) -> Tensor:
     if sorted(perm) != list(range(t.order)):
         raise ShapeError(f"{perm} is not a permutation of {t.order} axes")
     new_shape = tuple(t.shape[p] for p in perm)
-    step = [0] * t.order
-    for q, s in zip(perm, _strides(new_shape)):
-        step[q] = s
-    nz = {sum(i * s for i, s in zip(multi_index(flat, t.shape), step)): v for flat, v in t._nz.items()}
+    step = [s for _, s in sorted(zip(perm, _strides(new_shape)))]  # by t's axis
+    nz = dict(zip(map(_offsets(t.shape, len(t._nz), step), t._nz), t._nz.values()))
     return Tensor._from_flat(new_shape, nz, t.field)
 
 
@@ -182,18 +229,14 @@ def apply_end(t: Tensor, maps) -> Tensor:
 
 
 def flatten(t: Tensor, axis: int) -> Matrix:
-    """Flattening along one axis: rows indexed by that axis, columns by the rest."""
+    """Flattening along one axis: rows indexed by that axis, columns by the rest.
+
+    Its row-major keys are those of t with that axis moved to the front.
+    """
     if not (0 <= axis < t.order):
         raise ShapeError(f"axis {axis} outside order {t.order}")
-    stride = _strides(t.shape)[axis]
-    dim = t.shape[axis]
-    ncols = prod(t.shape) // dim
-    nz = {}
-    for flat, v in t._nz.items():
-        hi, lo = divmod(flat, stride)
-        hi, i = divmod(hi, dim)
-        nz[i * ncols + hi * stride + lo] = v
-    return Matrix._from_flat((dim, ncols), nz, t.field)
+    moved = transpose_axes(t, [axis, *(k for k in range(t.order) if k != axis)])
+    return Matrix._from_flat((t.shape[axis], prod(t.shape) // t.shape[axis]), moved._nz, t.field)
 
 
 def mlrank(t: Tensor) -> tuple[int, ...]:

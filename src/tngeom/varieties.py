@@ -80,7 +80,7 @@ from .networks import (  # noqa: F401  (contract_network: kept importable here f
     require_vertices,
 )
 from .stabilizer import stabilizer_dim
-from .tensors import Tensor, _strides, flatten, mlrank, tensordot
+from .tensors import Tensor, _offsets, _strides, flatten, mlrank, tensordot
 from .zoo import Splitting, m_tilde_formula, mmult
 
 # samples used by tns_dim to confirm genericity are this far apart
@@ -159,17 +159,17 @@ def _spread(env: Tensor, labels, steps: dict, offset: int) -> dict[int, list]:
 
     Index i on the axis labelled lab adds i * steps[lab] = i * (row step,
     column step) to row 0 and column offset.  The axes are read in env's
-    own order, so env is not transposed.
+    own order, so env is not transposed: one decoder (``tensors._offsets``)
+    reads row * width + column, width being one more than the largest
+    column an index of env reaches.
     """
-    axes = [(size, *steps[lab]) for size, lab in zip(reversed(env.shape), reversed(labels))]
+    axes = [steps[lab] for lab in labels]
+    width = 1 + sum((n - 1) * cs for n, (_, cs) in zip(env.shape, axes))
+    decode = _offsets(env.shape, len(env._nz), [rs * width + cs for rs, cs in axes])
     out: dict[int, list] = {}
     for flat, val in env._nz.items():
-        row, col = 0, offset
-        for size, rs, cs in axes:
-            flat, i = divmod(flat, size)
-            row += i * rs
-            col += i * cs
-        out.setdefault(row, []).append((col, val))
+        row, col = divmod(decode(flat), width)
+        out.setdefault(row, []).append((col + offset, val))
     return out
 
 

@@ -180,6 +180,23 @@ def brute_force_contract(inst) -> dict[tuple[int, ...], Fraction]:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def naive_tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
+    """tensordot by summing, at every index of the result, over every index of the contracted axes."""
+    axes_a, axes_b = [i for i, _ in pairs], [j for _, j in pairs]
+    free_a = [k for k in range(a.order) if k not in axes_a]
+    free_b = [k for k in range(b.order) if k not in axes_b]
+    shape = tuple(a.shape[k] for k in free_a) + tuple(b.shape[k] for k in free_b)
+    entries = []
+    for idx in itertools.product(*map(range, shape)):
+        total = a.field.zero
+        for key in itertools.product(*(range(a.shape[i]) for i in axes_a)):
+            at_a = dict(zip(free_a, idx[:len(free_a)])) | dict(zip(axes_a, key))
+            at_b = dict(zip(free_b, idx[len(free_a):])) | dict(zip(axes_b, key))
+            total += a.at([at_a[k] for k in range(a.order)]) * b.at([at_b[k] for k in range(b.order)])
+        entries.append(total)
+    return Tensor(shape, entries, a.field)
+
+
 def interpolate_coefficients(samples: list[tuple[int, list[Fraction]]]) -> list[list[Fraction]]:
     """Recover polynomial coefficient vectors from values at sample points.
 

@@ -164,10 +164,13 @@ def test_prime_field_wire_round_trip():
 
 @st.composite
 def tensors(draw):
-    """Tensors of order 1 to 4 over either field, with axes of size 1, negative
-    integers, fractions, and the zero tensor."""
+    """Tensors of order 0 to 7 over either field, of at most 729 cells, with axes of size 1,
+    negative integers, fractions, and the zero tensor."""
     field = draw(st.sampled_from([QQ, FP]))
-    shape = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    shape, room = [], 729
+    for _ in range(draw(st.integers(0, 7))):
+        shape.append(draw(st.integers(1, max(1, min(4, room)))))
+        room //= shape[-1]
     cells = list(itertools.product(*map(range, shape)))
     scalars = st.one_of(st.integers(-10**40, 10**40), st.fractions(max_denominator=10**9))
     items = draw(st.dictionaries(st.sampled_from(cells), scalars, max_size=len(cells)))
@@ -200,6 +203,35 @@ def test_dump_refuses_a_report_it_cannot_write_before_opening_the_file(tmp_path,
         with pytest.raises(SemanticError, match="4300 digits"):
             jsonio.dump({"terms": [{"tensor": t}]}, path)
     assert not target.exists() and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("scalar", [10**4299, -(10**4299), Fraction(1, 10**4299), Fraction(-(10**4299), 3)])
+def test_dump_writes_a_scalar_of_as_many_digits_as_the_limit(tmp_path, scalar):
+    target = tmp_path / "out.json"
+    jsonio.dump({"tensor": Tensor((1,), [scalar]), "n": 10**4299}, target)
+    assert json.loads(target.read_text())["tensor"]["entries"][0]["val"] == str(scalar)
+
+
+@pytest.mark.parametrize("report", [{"tensor": Tensor((1,), [10**4300])}, {"tensor": Tensor((1,), [-(10**4300)])},
+                                    {"tensor": Tensor((1,), [Fraction(1, 10**4300)])},
+                                    {"tensor": Tensor((1,), [Fraction(10**4300, 3)])}, {"n": [10**4300]}])
+def test_dump_refuses_a_scalar_of_one_digit_past_the_limit(tmp_path, report):
+    target = tmp_path / "out.json"
+    with pytest.raises(SemanticError, match="4300 digits"):
+        jsonio.dump(report, target)
+    assert not target.exists()
+
+
+def test_dump_checks_no_scalar_without_a_digit_limit(tmp_path, monkeypatch):
+    # a limit of 0 means none; a Python before 3.11 has no sys.get_int_max_str_digits
+    big = 10**4300
+    monkeypatch.setattr(jsonio, "scalar_to_str", None)  # any call would fail
+    for limit in (lambda: 0, None):
+        if limit is None:
+            monkeypatch.delattr(jsonio.sys, "get_int_max_str_digits")
+        else:
+            monkeypatch.setattr(jsonio.sys, "get_int_max_str_digits", limit)
+        jsonio._check_scalars({"tensor": Tensor((1,), [big]), "n": big})
 
 
 def test_writing_a_large_tensor_report_allocates_little():

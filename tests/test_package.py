@@ -140,7 +140,6 @@ UNCALLED = {
     "contract_pair": "the benchmark's tracer wraps networks.contract_pair",
     "build_system": "the tests' independent reference for the streamed components; the benchmark's tracer wraps it",
     "contraction_jacobian": "the tests' reference Jacobian, built whole; the benchmark's tracer wraps it",
-    "tensor_to_obj": "the benchmark's tracer wraps it at cli.tensor_to_obj, which cli._LAZY resolves",
     "SingularMatrixError": "an exception class of the public error hierarchy",
 }
 

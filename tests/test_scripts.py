@@ -52,6 +52,14 @@ def test_loop_dimension_scan():
         assert all(float(secs) >= 0 and float(peak) > 0 for *_, secs, peak in rows)
 
 
+def test_contract_scan():
+    # n, the 4^n entries, then the child's seconds, peak RSS and KB per entry
+    for field in ("rational", "fp"):
+        rows = table(run_script("contract_scan.py", "--max-n", "5", "--field", field, "--seed", "3"))
+        assert [(n, entries) for n, entries, *_ in rows] == [("3", "64"), ("4", "256"), ("5", "1024")]
+        assert all(float(secs) > 0 and float(peak) > 0 and float(per) > 0 for *_, secs, peak, per in rows)
+
+
 @pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),
                                         ("chain_reduction_demo.py", ("--samples", "3"))])
 def test_script_exits_0(name, args):

@@ -1,24 +1,29 @@
 import itertools
+import os
+import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from tngeom import jsonio
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix, rank
+from tngeom.linalg import Matrix, multi_index, rank
 from tngeom.tensors import (
     Tensor,
+    _offsets,
     apply_end,
     contract_pair,
     flatten,
     lin_index,
     mlrank,
     mode_apply,
-    multi_index,
     outer,
     random_tensor,
+    tensordot,
     transpose_axes,
 )
 from tngeom.zoo import mmult
@@ -29,6 +34,7 @@ from oracles import (
     leibniz_act,
     mat_apply,
     merge_axes,
+    naive_tensordot,
     random_invertible,
     random_matrix,
     trace_product,
@@ -59,6 +65,61 @@ def test_outer_examples():
     assert outer(one, t).entries == t.entries
     c = outer(Tensor((2,), [1, 1]), Tensor((2,), [1, -1]))
     assert c == Tensor((2, 2), [1, -1, 1, -1])
+
+
+FP = PrimeField(2**31 - 1)
+
+
+@st.composite
+def contractions(draw):
+    """Two tensors of order 0 to 5, axes of size 1 to 4, and pairs of axes to contract, over either
+    field.  Entries are sparse, often zero, and in {-1, 0, 1} one time in two, so sums cancel."""
+    field = draw(st.sampled_from([QQ, FP]))
+    shape_a = draw(st.lists(st.integers(1, 4), max_size=5))
+    npairs = draw(st.integers(0, len(shape_a)))
+    axes_a = draw(st.permutations(range(len(shape_a))))[:npairs]
+    order_b = draw(st.integers(npairs, 5))
+    axes_b = draw(st.permutations(range(order_b)))[:npairs]
+    shape_b = [shape_a[axes_a[axes_b.index(k)]] if k in axes_b else 1 for k in range(order_b)]
+    room = 4096 // prod(shape_a)  # the dense sum visits prod(shape_a) * (b's free cells) products
+    for k in range(len(shape_b)):
+        if k not in axes_b:
+            shape_b[k] = draw(st.integers(1, max(1, min(4, room))))
+            room //= shape_b[k]
+    scalars = draw(st.sampled_from([st.integers(-1, 1), st.integers(-5, 5) | st.fractions(max_denominator=7)]))
+    tensors = []
+    for shape in (shape_a, shape_b):
+        cells = list(itertools.product(*map(range, shape)))
+        items = draw(st.dictionaries(st.sampled_from(cells), scalars, max_size=min(len(cells), 40)))
+        tensors.append(Tensor.from_nonzeros(shape, items, field))
+    return *tensors, list(zip(axes_a, axes_b))
+
+
+@given(contractions())
+@example((Tensor((2, 2), [1, 1, 2, 2]), Tensor((2,), [1, -1]), [(1, 0)]))  # cancels to zero, the larger one first
+@example((Tensor((2,), [1, -1]), Tensor((2, 2), [1, 2, 1, 2]), [(0, 0)]))  # and the larger one second
+@example((Tensor.zeros((3, 2), FP), Tensor((2, 3), [1, 2, 3, 4, 5, 6], FP), []))
+@example((Tensor((), [3]), Tensor((2,), [5, 0]), []))
+@example((Tensor((2, 3), [1, 2, 3, 4, 5, 6]), Tensor((3, 2), [1, 0, 2, 1, 0, 7]), [(1, 0), (0, 1)]))
+def test_tensordot_matches_a_dense_sum(case):
+    a, b, pairs = case
+    got = tensordot(a, b, pairs)
+    assert got == naive_tensordot(a, b, pairs)
+    # with the operands swapped, the grouped one is the other one, and the result's axes move
+    free_b = b.order - len(pairs)
+    swapped = tensordot(b, a, [(j, i) for i, j in pairs])
+    assert got == transpose_axes(swapped, [*range(free_b, got.order), *range(free_b)])
+
+
+@given(st.lists(st.integers(1, 6), max_size=7), st.data())
+def test_offsets_decode_every_index(shape, data):
+    # a run of axes shares one table, an axis longer than the tensor's nonzeros has none
+    shape = tuple(shape)
+    weights = data.draw(st.lists(st.integers(1, 50), min_size=len(shape), max_size=len(shape)))
+    nnz = data.draw(st.integers(0, prod(shape)))
+    decode = _offsets(shape, nnz, weights)
+    for flat in data.draw(st.lists(st.integers(0, prod(shape) - 1), max_size=20)):
+        assert decode(flat) == sum(i * w for i, w in zip(multi_index(flat, shape), weights))
 
 
 def test_contract_pair_trace():
@@ -229,7 +290,17 @@ def test_tensor_validation_and_field_mix():
 
 
 def test_sparse_tensor_far_too_large_to_hold_densely():
-    n = 10**4
+    # each step allocates in proportion to the nonzeros, not to the 10^12 cells or the axes of 10^4
+    tracemalloc.start()
+    try:
+        _far_too_large_steps(10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _far_too_large_steps(n):
     shape = (n, n, n)
     items = {(0, 0, 5): 2, (7, 7, 1): 3, (n - 1, 3, 0): -1}
     t = Tensor.from_nonzeros(shape, items)
@@ -245,6 +316,11 @@ def test_sparse_tensor_far_too_large_to_hold_densely():
     same = Tensor.from_nonzeros(shape, dict(reversed(list(items.items()))))
     assert t == same and hash(t) == hash(same)
     assert t != tt and t != t.scale(2)
+    small = Tensor.from_nonzeros((2, n), {(0, 5): 1, (1, 1): 10, (1, 0): 7})
+    dot = tensordot(t, small, [(2, 1)])
+    assert dot.shape == (n, n, 2)
+    assert dict(dot.nonzeros()) == {(0, 0, 0): 2, (7, 7, 1): 30, (n - 1, 3, 1): -7}
+    jsonio.dump({"tensor": t, "dot": dot}, os.devnull)
 
 
 def test_matrix_and_two_axis_tensor_differ():
