@@ -40,7 +40,8 @@ def main() -> int:
     print(f"two-vertex law, v=(3,3), edge dim 2, {args.samples} samples:")
     for r in sorted(hist):
         print(f"  rank {r}: {hist[r]}")
-    print(f"  tns_dim = {tns_dim(two)}")
+    lower, upper = tns_dim(two)
+    print(f"  tns_dim between {lower} and {upper}")
     return 0
 
 

@@ -3,20 +3,21 @@
 
 Critical loops (every vertex dimension equal to the product of its two
 edge dimensions) should land exactly on the count from expected_dim;
-the script prints the sampled Jacobian rank next to it so drift is
-visible immediately.  Pass --supercritical to pad the first vertex and
-watch the offset term kick in.
+the script prints the lower and upper bounds of tns_dim next to it, and
+whether they meet (`exact`), so drift is visible immediately.  Pass
+--supercritical to pad the first vertex and watch the offset term kick
+in.
 
 With --field fp the Jacobian is ranked mod 2^31 - 1 on the columns that
 the edge gauge orbit leaves free: on its own rows for the short loops, on
 a random row sketch for the long ones; either is a lower bound.  Over the
 rationals the rows are always the Jacobian's own, and each sample rank is
 exact: the same rank mod p is closed from above by the edge gauge orbit
-(see tngeom.varieties).  Each row ends with the time of its tns_dim and
+(see tngeom.jacobian).  Each row ends with the time of its tns_dim and
 the peak RSS of the process so far.  On a 2-core machine with Python
-3.11, `--max-n 8 --field fp` took 0.8 s (1.9 s when every column was
-ranked) and `--max-n 7 --field rational` 4.0 s (6.4 s), and both match
-the formula on every row.
+3.11, `--max-n 8 --field fp` took 0.42 s (0.76 s when every tns_dim drew
+two samples) and `--max-n 7 --field rational` 0.62 s (1.62 s); on every
+row the bounds meet, and they match the formula.
 """
 from __future__ import annotations
 
@@ -41,19 +42,22 @@ def main() -> int:
 
     e = args.edge_dim
     field = QQ if args.field == "rational" else PrimeField(DEFAULT_PRIME)
-    print(f"{'n':>3} {'vertex dims':>18} {'sampled':>8} {'formula':>8} {'secs':>7} {'peak_mb':>8}")
+    print(f"{'n':>3} {'vertex dims':>18} {'lower':>6} {'upper':>6} {'exact':>5} {'formula':>8} {'secs':>7} "
+          f"{'peak_mb':>8}")
     for n in range(args.min_n, args.max_n + 1):
         vdims = [e * e] * n
         vdims[0] += args.supercritical
         g = loop_graph((e,) * n, vertex_dims=tuple(vdims))
         start = time.perf_counter()
-        sampled = tns_dim(g, seed=args.seed, field=field)
+        lower, upper = tns_dim(g, seed=args.seed, field=field)
         secs = time.perf_counter() - start
         peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
         formula = expected_dim(g)
         shown = "?" if formula is None else str(formula)
-        flag = "" if formula in (None, sampled) else "  <-- MISMATCH"
-        print(f"{n:>3} {str(tuple(vdims)):>18} {sampled:>8} {shown:>8} {secs:>7.2f} {peak:>8.1f}{flag}", flush=True)
+        flag = "" if formula is None or lower <= formula <= upper else "  <-- MISMATCH"
+        exact = "yes" if lower == upper else "no"
+        print(f"{n:>3} {str(tuple(vdims)):>18} {lower:>6} {upper:>6} {exact:>5} {shown:>8} {secs:>7.2f} "
+              f"{peak:>8.1f}{flag}", flush=True)
     return 0
 
 

@@ -26,7 +26,8 @@ _EXPORTS = {
     "zoo": "Splitting diagonal_splitting imm_loop m_tilde_formula mmult",
     "stabilizer": "StabilizerSystem build_system stabilizer_dim stabilizer_tuples",
     "curves": "MatrixCurve TensorLaurent act_curve curve_from_splitting leading_term",
-    "varieties": "Certificate certify_not_closed contraction_jacobian sub_membership tns_dim",
+    "jacobian": "contraction_jacobian tns_dim",
+    "varieties": "Certificate certify_not_closed sub_membership",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_MODULE_OF)

@@ -9,8 +9,9 @@ written, as in `tngeom certify --e 4 | head -5`.
 
 A process imports only what its subcommand runs.  This module imports
 errors and fields; each command fetches the names it calls (``_LAZY``)
-when it starts.  So `tngeom --help` loads no pipeline module, and
-`tngeom stabilizer` no network, curve or variety code.
+when it starts.  So `tngeom --help` loads no pipeline module,
+`tngeom stabilizer` no network, curve or variety code, and `tngeom dim`
+no curve, named-tensor, stabilizer or certificate code.
 """
 
 from __future__ import annotations
@@ -25,21 +26,22 @@ from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 
 # The names the commands call, and the module that defines each.  A module
 # is imported when a command first needs one of its names, so `--help`
-# loads only this module, errors and fields, and `stabilizer` never loads
-# networks or varieties.  Each name is still an attribute of this module
-# (module __getattr__), so code that wraps or replaces one here, such as a
-# tracer or a test, is the code the commands call: `_fetch` binds a name
-# only when nothing is bound to it yet.  rank, build_system, dumps and
-# tensor_to_obj are not called by any command; they stay for code that
-# wraps them here.
+# loads only this module, errors and fields, `stabilizer` never loads
+# networks or varieties, and `dim` never loads stabilizer or varieties.
+# Each name is still an attribute of this module (module __getattr__), so
+# code that wraps or replaces one here, such as a tracer or a test, is the
+# code the commands call: `_fetch` binds a name only when nothing is bound
+# to it yet.  rank, build_system, dumps and tensor_to_obj are not called by
+# any command; they stay for code that wraps them here.
 _LAZY = {name: module for module, names in (
     ("curves", "act_curve curve_from_splitting leading_term"),
     ("jsonio", "certificate_to_obj dump dumps field_label graph_from_obj graph_to_obj instance_from_obj "
                "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
+    ("jacobian", "tns_dim"),
     ("linalg", "rank"),
     ("networks", "contract_network expected_dim reduce_valence_one"),
     ("stabilizer", "build_system check_system_size stabilizer_dim"),
-    ("varieties", "certify_not_closed tns_dim"),
+    ("varieties", "certify_not_closed"),
     ("zoo", "diagonal_splitting mmult"),
 ) for name in names.split()}
 
@@ -127,7 +129,7 @@ def cmd_dim(args) -> int:
     _fetch("load_path", "graph_from_obj", "tns_dim", "expected_dim", "field_label", "dump")
     g = graph_from_obj(load_path(args.graph))
     field = _resolve_field(args)
-    jac = tns_dim(g, seed=args.seed, field=field)
+    jac, upper = tns_dim(g, seed=args.seed, field=field)
     formula = expected_dim(g)
     report = {
         "jacobian_dim": jac,
@@ -136,7 +138,8 @@ def cmd_dim(args) -> int:
     }
     report.update(field_label(field))
     report["seed"] = args.seed
-    report["jacobian_dim_bound"] = "lower"
+    report["jacobian_dim_bound"] = "exact" if jac == upper else "lower"
+    report["jacobian_dim_upper"] = upper
     dump(report, args.out)
     return 0
 

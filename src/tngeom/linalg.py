@@ -49,7 +49,7 @@ back-solve or lift.  The rank of a component over Q is its column count
 less the nullity of its lifted kernel, or its row count less that of its
 transpose's, and ``kernel_basis`` is the kernel.
 The exact check packs the vectors into one int per column
-(``_annihilates``); ``varieties`` runs the same check on a Jacobian's
+(``_annihilates``); ``jacobian`` runs the same check on a Jacobian's
 rows, rebuilt one at a time, against its tangent rows.
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
@@ -99,9 +99,9 @@ class SparseArray:
             raise ShapeError(f"expected {prod(shape)} entries for shape {shape}, got {len(vals)}")
         self._fill(shape, {k: v for k, v in enumerate(vals) if v}, field)
 
-    def _fill(self, shape: tuple[int, ...], nz: dict, field: Field) -> None:
+    def _fill(self, shape: tuple[int, ...], nz: dict, field: Field, reduce: bool = True) -> None:
         """Set the attributes; over Fp the values are reduced mod p here, and the zeros dropped."""
-        if p := field.prime:
+        if reduce and (p := field.prime):
             nz = {k: r for k, v in nz.items() if (r := v % p)}
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "field", field)
@@ -112,6 +112,13 @@ class SparseArray:
         """Wrap a {flat_index: nonzero scalar} dict; it is copied only to be reduced mod p."""
         a = object.__new__(cls)
         a._fill(shape, nz, field)
+        return a
+
+    @classmethod
+    def _held(cls, shape: tuple[int, ...], nz: dict, field: Field):
+        """Wrap a dict of nonzero scalars, reduced mod p over Fp, as it is: the array holds it."""
+        a = object.__new__(cls)
+        a._fill(shape, nz, field, reduce=False)
         return a
 
     @staticmethod
@@ -456,7 +463,7 @@ def _rank(cols: list[int], rows: list[dict], field_prime: int | None, cap: int) 
     """Exact rank of integer rows on cols, over Fp or, with field_prime None, Q; at most cap.
 
     The rows are one component's, or a Jacobian's on its gauge-fixed
-    columns (``varieties._jacobian_rank``); each is nonzero on cols.
+    columns (``jacobian._jacobian_rank``); each is nonzero on cols.
 
     Over Fp it is the rank mod p (``_eliminate``).  Over Q it is the column
     count less the nullity of the lifted kernel (``_lift``) of whichever of
@@ -576,7 +583,7 @@ def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
     The component is a matrix's (``rank``, ``kernel_basis``) or a
     stabilizer system's (``stabilizer.stabilizer_dim``,
     ``stabilizer.stabilizer_tuples``), or a Jacobian's rows
-    (``varieties._jacobian_rank``), over Fp or, field_prime None, over Q.
+    (``jacobian._jacobian_rank``), over Fp or, field_prime None, over Q.
     Each prime eliminates the rows mod p (``_eliminate``), stopped at cap,
     and back-solves one kernel vector per free column, as {column: nonzero
     value}.  Over Fp the prime is the field's and its back-solve is

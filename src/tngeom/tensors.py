@@ -157,9 +157,12 @@ def tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
             p += pos
             s = out.get(p)
             out[p] = w * v if s is None else s + w * v
+    if prime := a.field.prime:  # reduced here, in the dict no other array holds, rather than in a copy
+        for pos, s in out.items():
+            out[pos] = s % prime
     for pos in [pos for pos, s in out.items() if not s]:
         del out[pos]
-    return Tensor._from_flat(shape, out, a.field)
+    return Tensor._held(shape, out, a.field)
 
 
 def outer(a: Tensor, b: Tensor) -> Tensor:
@@ -176,7 +179,7 @@ def transpose_axes(t: Tensor, perm) -> Tensor:
     new_shape = tuple(t.shape[p] for p in perm)
     step = [s for _, s in sorted(zip(perm, _strides(new_shape)))]  # by t's axis
     nz = dict(zip(map(_offsets(t.shape, len(t._nz), step), t._nz), t._nz.values()))
-    return Tensor._from_flat(new_shape, nz, t.field)
+    return Tensor._held(new_shape, nz, t.field)  # t's values, reduced already
 
 
 def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:

@@ -221,12 +221,6 @@ def secant_formula(a: int, b: int, r: int) -> int:
     return r * (a + b - r)
 
 
-def expected_cycle_dim(edge_dims) -> int:
-    e = list(edge_dims)
-    n = len(e)
-    return sum(e[j] ** 2 * e[(j + 1) % n] ** 2 for j in range(n)) - (sum(x * x for x in e) - 1)
-
-
 def matrix_rows(m) -> list[list[Fraction]]:
     """Rows of a rational-backend Matrix as Fraction lists."""
     return [[Fraction(x) for x in mat_row(m, i)] for i in range(m.rows)]
@@ -247,10 +241,6 @@ def kron_oracle(a, b):
                 for l in range(cb):
                     out[i * rb + k][j * cb + l] = a[i][j] * b[k][l]
     return out
-
-
-def prod_shape(shape) -> int:
-    return prod(shape)
 
 
 def per_coordinate_jacobian(inst):

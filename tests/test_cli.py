@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from tngeom import cli, jsonio, networks, stabilizer, varieties, zoo
+from tngeom import cli, jacobian, jsonio, networks, stabilizer, varieties, zoo
 from tngeom.cli import main
 from tngeom.curves import TensorLaurent, act_curve, curve_from_splitting
 from tngeom.errors import SemanticError
@@ -251,15 +251,16 @@ def test_dim_report(triangle_files, capsys):
     code, out, _ = run(["dim", triangle_files["graph"], "--seed", "3"], capsys)
     assert code == 0
     assert json.loads(out) == {"jacobian_dim": 37, "formula_dim": 37, "agree": True,
-                               "field": "rational", "prime": None, "seed": 3, "jacobian_dim_bound": "lower"}
-    assert list(json.loads(out))[-2:] == ["seed", "jacobian_dim_bound"]
+                               "field": "rational", "prime": None, "seed": 3, "jacobian_dim_bound": "exact",
+                               "jacobian_dim_upper": 37}
+    assert list(json.loads(out))[-3:] == ["seed", "jacobian_dim_bound", "jacobian_dim_upper"]
 
 
 @pytest.mark.parametrize("field", ["rational", "fp"])
 def test_dim_refuses_a_graph_over_budget_before_drawing(tmp_path, monkeypatch, capsys, field):
     p = tmp_path / "loop8.json"
     p.write_text(jsonio.dumps(jsonio.graph_to_obj(loop_graph((8,) * 4))))
-    monkeypatch.setattr(varieties, "random_instance", None)  # drawing an instance would raise
+    monkeypatch.setattr(jacobian, "random_instance", None)  # drawing an instance would raise
     code, out, err = run(["dim", p, "--field", field], capsys)
     assert code == 3 and out == ""
     assert "over the budget" in err
@@ -553,18 +554,19 @@ def test_reports_are_byte_stable(triangle_files, tmp_path, capsys):
     assert main(["certify", "--e", "2", "--out", str(a)]) == 0
     assert main(["certify", "--e", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    # sha256 of each report as the code wrote it when prime-field scalars were a wrapper class
+    # sha256 of each report as the code wrote it when prime-field scalars were a wrapper class; the dim
+    # reports' since they end in "jacobian_dim_bound": "exact" (was "lower") and "jacobian_dim_upper": 37
     digests = {
         ("fp", "contract"): "a7859ff54a2b1a508048a8772e29e0aab89ba56317853dd0b599829b87bd2d34",
         ("fp", "stabilizer"): "6fcd50bb3e824d8606817420a746798879ce9c18567c57c92f1d3fd8f516ae86",
         ("fp", "certify"): "c2f7e605f210aa20cc5c6e1b7581bfedbe10938783cd650b644514ea4ad14209",
         ("fp", "limit"): "247437e4aa56f4d9246ca9777e032c7048fd895230e721d7ea336b0d3729a647",
-        ("fp", "dim"): "d4dcdba00fbe346793e0c5d3f761a40bbebf8272945260b49f6da409afbaeb57",
+        ("fp", "dim"): "e11034a4ebeac3a2c0780c27a563ca95ec0b72ef13de2948b9d4c3a3e6c6a10a",
         ("rational", "contract"): "a7859ff54a2b1a508048a8772e29e0aab89ba56317853dd0b599829b87bd2d34",
         ("rational", "stabilizer"): "722f0e448f73a1cb2d90a810f870bc41e4152b3631294a578c96c56f37df2fe3",
         ("rational", "certify"): "5530e00105ef7fe0db34fd244156e4931131e1051e05c859b293a242cf570800",
         ("rational", "limit"): "247437e4aa56f4d9246ca9777e032c7048fd895230e721d7ea336b0d3729a647",
-        ("rational", "dim"): "2e8d2bb7ca2b99665233aeaaf09fa308302418057f37f1c34ab7dec1e330e63d",
+        ("rational", "dim"): "dfc2afce753cbc9b426e6168d04ff565a2036b0af52433df2e02cad9d605749c",
     }
     commands = {"contract": [triangle_files["instance"]], "stabilizer": [triangle_files["tensor"]],
                 "certify": ["--e", "3"], "limit": ["--e", "2"], "dim": [triangle_files["graph"]]}

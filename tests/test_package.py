@@ -64,7 +64,7 @@ NOT_LOADED = {
     "stabilizer": {"networks", "varieties", "curves", "zoo"},
     "limit": {"networks", "stabilizer", "varieties"},
     "certify": set(),
-    "dim": set(),
+    "dim": {"stabilizer", "varieties", "curves", "zoo"},
 }
 
 
@@ -108,7 +108,8 @@ EXPORTS = {
     "zoo": ["Splitting", "diagonal_splitting", "imm_loop", "m_tilde_formula", "mmult"],
     "stabilizer": ["StabilizerSystem", "build_system", "stabilizer_dim", "stabilizer_tuples"],
     "curves": ["MatrixCurve", "TensorLaurent", "act_curve", "curve_from_splitting", "leading_term"],
-    "varieties": ["Certificate", "certify_not_closed", "contraction_jacobian", "sub_membership", "tns_dim"],
+    "jacobian": ["contraction_jacobian", "tns_dim"],
+    "varieties": ["Certificate", "certify_not_closed", "sub_membership"],
 }
 
 

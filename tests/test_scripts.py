@@ -46,9 +46,10 @@ def test_certificate_sweep_over_fp():
 
 def test_loop_dimension_scan():
     for field in ("fp", "rational"):
-        # the last two columns are the time and the peak RSS
+        # lower, upper, whether they meet and the formula, then the time and the peak RSS
         rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", field))
-        assert [(row[0], row[-4], row[-3]) for row in rows] == [("3", "37", "37"), ("4", "49", "49")]
+        assert [(row[0], *row[-6:-2]) for row in rows] == [("3", "37", "37", "yes", "37"),
+                                                            ("4", "49", "49", "yes", "49")]
         assert all(float(secs) >= 0 and float(peak) > 0 for *_, secs, peak in rows)
 
 
@@ -97,6 +98,7 @@ def test_startup_profile():
     assert modules["contract"] == modules["reduce"] == common | {"networks"}
     assert modules["stabilizer"] == common | {"stabilizer"}
     assert modules["limit"] == common | {"curves", "zoo"}
-    assert modules["certify"] == modules["dim"] == common | {"curves", "networks", "stabilizer", "varieties", "zoo"}
+    assert modules["certify"] == common | {"curves", "networks", "stabilizer", "varieties", "zoo"}
+    assert modules["dim"] == common | {"jacobian", "networks"}
     assert all(int(row[1]) == 1 and float(row[2]) > 0 for row in rows.values())
-    assert int(rows["--help"][3]) < int(rows["stabilizer"][3]) < int(rows["dim"][3])
+    assert int(rows["--help"][3]) < int(rows["stabilizer"][3]) < int(rows["dim"][3]) < int(rows["certify"][3])
