@@ -18,7 +18,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "errors": "FieldMismatchError FormatError SemanticError ShapeError SingularMatrixError TngeomError",
     "fields": "DEFAULT_PRIME QQ Field PrimeField RationalField",
-    "linalg": "Matrix kernel_basis rank",
+    "linalg": "Matrix rank",
     "tensors": "Tensor apply_end contract_pair flatten mlrank mode_apply outer random_tensor transpose_axes",
     "networks": "Edge MergeStep NetworkGraph TNSInstance Vertex chain_graph classify_vertex contract_network "
                 "expected_dim identity_instance loop_dim_formula loop_graph random_instance reduce_valence_one "

@@ -7,28 +7,29 @@ left open, and all of them come from one prefix and one suffix sweep
 in the block of vertex v, the environment of v at the other vertices'
 coordinates of x, so each row is built on demand.
 
-Its rank is taken on gauge-fixed columns.  The tangent rows T lie in the
-kernel of J: the gauge rows (``gauge_rows``), one per edge and
-elementary matrix, tangent to the orbit of the edge gauge group, along
-which the contraction is constant; and the witness rows
-(``witness_rows``), which move the neighbour of a leaf whose dimension is
-below its edge's within the kernel of the leaf's tensor.  On D, the
-pivot columns of T mod p, as many rows of T are square and invertible,
-so J T^T = 0 makes each column of J in D a combination of the other
-columns C, and rank(J) = rank(J|C).  Gauge fixing only saves rows when J
-has more rows than columns, so only then is T built first and C taken
-off its pivots; otherwise C is every column.  The rank mod p of J|C runs
-in the packed kernel (``linalg._packed_eliminate``) on rows fed one at a
-time, and it stops once every column of C holds a pivot.  On loops,
-supercritical loops and critical chains, and on the trees with
-subcritical leaves measured (the leaves that the paper's valence-one
-reduction, ``networks.reduce_valence_one``, folds away), J|C has full
-column rank, so |C| rows are built.  The rows are J's own, in a seeded
-random order, when the environments hold fewer entries than a sketch
-has cells, or the field is Q; the graph fixes which before anything is
-built.  Otherwise they are a sketch: at most min(rows, |C|) + 4 random
-rank-one combinations of J's rows, each built from the same sweeps on a
-network whose vertex axes are capped by random covectors.
+The graph is folded first: ``tns_dim`` ranks the Jacobian of the graph
+that the paper's valence-one reduction (``networks.reduce_valence_one``)
+leaves, which has the same network set (see ``tns_dim``).  Every leaf
+left is larger than its edge.
+
+Its rank is taken on gauge-fixed columns.  The tangent rows T, the gauge
+rows (``gauge_rows``), one per edge and elementary matrix, are tangent
+to the orbit of the edge gauge group, along which the contraction is
+constant, so they lie in the kernel of J.  On D, the pivot columns of T
+mod p, as many rows of T are square and invertible, so J T^T = 0 makes
+each column of J in D a combination of the other columns C, and rank(J)
+= rank(J|C).  Gauge fixing only saves rows when J has more rows than
+columns, so only then is T built first and C taken off its pivots;
+otherwise C is every column.  The rank mod p of J|C runs in the packed
+kernel (``linalg._packed_eliminate``) on rows fed one at a time, and it
+stops once every column of C holds a pivot.  On loops, supercritical
+loops, critical chains and folded trees, J|C has full column rank, so
+|C| rows are built.  The rows are J's own, in a seeded random order,
+when the environments hold fewer entries than a sketch has cells, or the
+field is Q; the graph fixes which before anything is built.  Otherwise
+they are a sketch: at most min(rows, |C|) + 4 random rank-one
+combinations of J's rows, each built from the same sweeps on a network
+whose vertex axes are capped by random covectors.
 
 Each sample gives two bounds on the generic rank of J, the dimension.
 
@@ -41,16 +42,8 @@ Each sample gives two bounds on the generic rank of J, the dimension.
   J(x) T(x)^T = 0, so the generic rank of J is at most cols - rank T(x)
   there, and by lower semicontinuity of the rank of T that is at most
   cols - rank_Q T(s) <= cols - rank_p T(s) = |C| at the sample s.  This
-  holds for the gauge rows always: they are polynomial in the instance.
-  It holds for the witness rows only where each subcritical leaf's
-  tensor has full rank dim v at s, so that its kernel has the generic
-  dimension e - dim v and varies rationally near s (over Fp a minor
-  nonzero mod p is nonzero over Q, and the kernel mod p is the reduction
-  of the kernel over Q).  So the bound is taken on T only when T has as
-  many witness rows as ``_tangent_size`` counts, sum over the leaves of
-  (e - dim v) times the neighbour's coordinates off e; otherwise it is
-  min(rows, cols).  Over Q, if the check J T^T = 0 below fails, it is
-  min(rows, cols) as well.
+  holds at every sample: the gauge rows are polynomial in the instance.
+  Over Q, if the check J T^T = 0 below fails, it is min(rows, cols).
 
 Where the two meet, the generic dimension over Q (and C) is proved, and
 ``tns_dim`` stops after one sample.
@@ -77,9 +70,9 @@ from math import prod
 
 from .errors import SemanticError, magnitude
 from .fields import DEFAULT_PRIME, QQ, Field
-from .linalg import Matrix, _annihilates, _integral_rows, _packed_eliminate, _rank, kernel_basis, pivot_columns
-from .networks import NetworkGraph, TNSInstance, absorb, random_instance, require_vertices
-from .tensors import Tensor, _offsets, _strides, flatten, tensordot
+from .linalg import Matrix, _annihilates, _integral_rows, _packed_eliminate, _rank, pivot_columns
+from .networks import NetworkGraph, TNSInstance, absorb, random_instance, reduce_valence_one, require_vertices
+from .tensors import Tensor, _offsets, _strides, tensordot
 
 # samples used by tns_dim to confirm genericity are this far apart
 SEED_STRIDE = 1000003
@@ -295,65 +288,14 @@ def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, bool, int]:
     return sketched, fixed, cells
 
 
-def _subcritical_leaves(g: NetworkGraph):
-    """(leaf v, its edge e, its neighbour's id) for each leaf whose dimension is below its edge's, in graph order."""
-    for v in g.vertices:
-        if g.degree(v.id) == 1 and v.dim < (e := g.incident(v.id)[0]).dim:
-            yield v, e, e.head if e.tail == v.id else e.tail
-
-
 def _tangent_size(g: NetworkGraph) -> tuple[int, int]:
-    """Rows and nonzeros of the tangent rows of a generic instance of g, at most.
+    """Rows and nonzeros of the gauge rows of a generic instance of g, at most.
 
     Edge e has e^2 gauge rows, each holding an e-th of the tail's and of
-    the head's entries.  A subcritical leaf v on e has e - dim v kernel
-    vectors, each on an e-th of the neighbour's coordinates, holding at
-    most e entries there.
+    the head's entries.
     """
     size = {v.id: prod(g.tensor_shape(v.id)) for v in g.vertices}
-    rows = sum(e.dim**2 for e in g.edges)
-    nnz = sum(e.dim * (size[e.tail] + size[e.head]) for e in g.edges)
-    for v, e, u in _subcritical_leaves(g):
-        rows += (e.dim - v.dim) * size[u] // e.dim
-        nnz += (e.dim - v.dim) * size[u]
-    return rows, nnz
-
-
-def witness_rows(inst: TNSInstance) -> Matrix:
-    """Kernel directions of the leaves, in the Jacobian's columns.
-
-    At a leaf v whose dimension is below its edge e's, the leaf's tensor L
-    (dim v x dim e) has an exact right kernel K (``linalg.kernel_basis``).
-    Moving the neighbour's tensor along a vector k of K on its e index
-    leaves the contraction unchanged: the sum over e pairs k with the rows
-    of L.  One row per leaf, k and coordinate of the neighbour's other
-    axes, holding k along the e axis; leaves in graph order.  The gauge
-    orbit does not hold these moves.  The paper's valence-one reduction
-    (``networks.reduce_valence_one``) folds such leaves away.
-    """
-    g = inst.graph
-    _, offsets, ncols = _layout(g)
-    nz = {}
-    row = 0
-    for v, e, u in _subcritical_leaves(g):
-        shape = g.tensor_shape(u)
-        stride = prod(shape[g.axis_labels(u).index(("e", e.id)) + 1 :])
-        bases = [offsets[u] + b for b in range(prod(shape)) if b // stride % e.dim == 0]
-        for k in kernel_basis(flatten(inst.tensors[v.id], 0)):
-            for base in bases:
-                for i, ki in enumerate(k):
-                    if ki:
-                        nz[row * ncols + base + i * stride] = ki
-                row += 1
-    return Matrix._from_flat((row, ncols), nz, inst.field)
-
-
-def _tangent_rows(inst: TNSInstance) -> Matrix:
-    """T: the gauge rows, then the witness rows, in the Jacobian's columns."""
-    gauge, witness = gauge_rows(inst), witness_rows(inst)
-    shift = gauge.rows * gauge.cols
-    return Matrix._from_flat((gauge.rows + witness.rows, gauge.cols),
-                             {**gauge._nz, **{k + shift: v for k, v in witness._nz.items()}}, inst.field)
+    return sum(e.dim**2 for e in g.edges), sum(e.dim * (size[e.tail] + size[e.head]) for e in g.edges)
 
 
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
@@ -362,19 +304,16 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
     r is the rank mod p of J restricted to C, on the rows
     ``_jacobian_plan`` picks: environment rows in a seeded random order, or
     over Fp at most min(rows, |C|) + SKETCH_SLACK sketch rows.  C is the
-    set of columns that are not pivots of the tangent rows T (the gauge
-    and witness rows) mod p when J has more rows than columns, and every
-    column otherwise.  The rows are built one at a time as the packed
-    kernel asks for them, and it stops once every column of C holds a
-    pivot.  The upper bound is min(rows, |C|), or min(rows, cols) when T
-    has more witness rows than ``_tangent_size`` counts: then a leaf's
-    tensor is below full rank at the instance.  Over Fp r is the lower
-    bound.  Over Q the rows are J's, built from one sweep of environments
-    (``_jacobian_blocks``) and read mod DEFAULT_PRIME.  When T has pivot
-    columns, J T^T = 0 is checked exactly on the same rows
-    (``_tangent_in_kernel``); if it fails, C becomes every column.  The
-    lower bound is r when it is min(rows, |C|), and otherwise the exact
-    rank of the rows of J|C (``linalg._rank``).
+    set of columns that are not pivots of the gauge rows T mod p when J
+    has more rows than columns, and every column otherwise.  The rows are
+    built one at a time as the packed kernel asks for them, and it stops
+    once every column of C holds a pivot.  The upper bound is min(rows,
+    |C|).  Over Fp r is the lower bound.  Over Q the rows are J's, built
+    from one sweep of environments (``_jacobian_blocks``) and read mod
+    DEFAULT_PRIME.  When T has pivot columns, J T^T = 0 is checked exactly
+    on the same rows (``_tangent_in_kernel``); if it fails, C becomes
+    every column.  The lower bound is r when it is min(rows, |C|), and
+    otherwise the exact rank of the rows of J|C (``linalg._rank``).
     """
     sketched, fixed, _ = _jacobian_plan(g, field)
     exact = field.prime is None
@@ -387,7 +326,7 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
     # 2-core host, Python 3.11).
     ints = inst if exact else random_instance(g, seed, QQ)
     nrows, _, ncols = _layout(g)
-    tangent = _tangent_rows(inst) if fixed else None
+    tangent = gauge_rows(inst) if fixed else None
     fixed_cols = pivot_columns(tangent) if fixed else set()
     kept = [c for c in range(ncols) if c not in fixed_cols]
     if sketched:
@@ -402,8 +341,7 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
     keep = set(kept)
     rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
     r = _packed_eliminate(rows, kept, prime, None) if kept else 0
-    # a leaf below full rank has extra witness rows, which need not bound the generic rank
-    upper = min(nrows, ncols if fixed and tangent.rows != _tangent_size(g)[0] else len(kept))
+    upper = min(nrows, len(kept))
     if not exact:
         return r, upper
     if fixed_cols and not _tangent_in_kernel(blocks, nrows, tangent):
@@ -444,7 +382,20 @@ def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
 def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int]:
     """Lower and upper bounds on the dimension of the cone of contracted tensors, a Jacobian's generic rank.
 
-    A sample gives both (``_jacobian_rank``, and the argument in the
+    The graph is folded first (``networks.reduce_valence_one``), and every
+    sample is drawn on the folded graph.  The fold is exact.  Let a leaf v
+    fit inside its edge e, dim v <= dim e, and let u' be its neighbour u
+    fused with v, on V_v (x) V_u (x) the rest of u's edges.  Every tensor
+    of u' is built by the unfolded network: take x_v = [I | 0], the
+    embedding of V_v into the first dim v coordinates of e, and put the
+    fused tensor's slices at those coordinates of x_u.  Conversely,
+    contracting x_v with x_u over e gives a tensor of u'.  So the two
+    network sets are equal, and so are their dimensions, over Q and over
+    any field.  Folding keeps the rows, the product of the vertex
+    dimensions, and removes columns.  The budget is checked on the folded
+    graph, the one sampled.
+
+    A sample gives both bounds (``_jacobian_rank``, and the argument in the
     module docstring).  Where they meet, the dimension is proved and that
     one sample is returned.  Otherwise a second random instance is drawn,
     and the larger lower and the smaller upper bound of the two are
@@ -452,6 +403,7 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     instance is drawn (``check_jacobian_size``).
     """
     require_vertices(g)
+    g = reduce_valence_one(g)[0]
     check_jacobian_size(g, field)
     lower, upper = _jacobian_rank(g, seed, field)
     if lower < upper:

@@ -5,14 +5,13 @@ rank of an exact matrix.  A linear system falls apart into the connected
 components of the graph that joins two columns sharing a row (a
 union-find, ``components``), and its rank, pivots and kernel are those of
 its components together.  A system's components are found once: a
-matrix's by ``_split``, for ``rank``, ``pivot_columns`` and
-``kernel_basis``; a stabilizer system's from the tensor, by
-``stabilizer.stabilizer_dim`` and ``stabilizer.stabilizer_tuples``, which
-never build it.  Each component is then handled on its own and never
-searched again.  ``_eliminate`` ranks it mod a prime: a component of one
-column has rank 1 or 0, and every other one is eliminated densely on its
-own columns, each row packed into one Python int of W-bit slots with
-delayed reduction (``_packed_eliminate``, W = bit_length(p + min(rows,
+matrix's by ``_split``, for ``rank`` and ``pivot_columns``; a stabilizer
+system's from the tensor, by ``stabilizer.stabilizer_dim`` and
+``stabilizer.stabilizer_tuples``, which never build it.  Each component
+is then handled on its own and never searched again.  ``_eliminate``
+ranks it mod a prime: a component of one column has rank 1 or 0, and
+every other one is eliminated densely on its own columns, each row
+packed into one Python int of W-bit slots with delayed reduction (``_packed_eliminate``, W = bit_length(p + min(rows,
 cols) * p**2) + 1).  ``_lift`` turns its eliminations into an exact
 kernel, and ``_rank`` into an exact rank.  Stabilizer systems fall apart
 into many small components; a dense system is one.  A cap, a bound on a
@@ -47,7 +46,7 @@ eliminated too and the residues are combined by CRT until the check
 passes.  A prime on which a component reaches its cap is exact with no
 back-solve or lift.  The rank of a component over Q is its column count
 less the nullity of its lifted kernel, or its row count less that of its
-transpose's, and ``kernel_basis`` is the kernel.
+transpose's, and ``_kernel`` gathers the kernel of a system's components.
 The exact check packs the vectors into one int per column
 (``_annihilates``); ``jacobian`` runs the same check on a Jacobian's
 rows, rebuilt one at a time, against its tangent rows.
@@ -547,20 +546,6 @@ def _kernel(groups: Iterable[tuple[list[int], list[dict]]], cols: int, field_pri
     return [by_free[f] for f in sorted(by_free)]
 
 
-def kernel_basis(m: Matrix) -> list[list]:
-    """Basis of the right kernel, one coordinate vector per free column (``_kernel``).
-
-    The vector of free column f is 1 there and 0 at the other free columns.
-    """
-    basis = []
-    for vec in _kernel(_split(list(_integral_rows(m)), m.cols), m.cols, m.field.prime):
-        dense = [m.field.zero] * m.cols
-        for c, v in vec.items():
-            dense[c] = m.field.coerce(v)
-        basis.append(dense)
-    return basis
-
-
 def _lift_residue(r: int, modulus: int, bound: int) -> Fraction | None:
     """The a/b with |a|, b <= bound and a = b*r mod modulus, or None (Wang 1981).
 
@@ -580,10 +565,10 @@ def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
           cap: int) -> tuple[list[int], list[dict] | None]:
     """Free columns and exact kernel vectors of one component's integer rows, over as many primes as it takes.
 
-    The component is a matrix's (``rank``, ``kernel_basis``) or a
-    stabilizer system's (``stabilizer.stabilizer_dim``,
-    ``stabilizer.stabilizer_tuples``), or a Jacobian's rows
-    (``jacobian._jacobian_rank``), over Fp or, field_prime None, over Q.
+    The component is a matrix's (``rank``) or a stabilizer system's
+    (``stabilizer.stabilizer_dim``, ``stabilizer.stabilizer_tuples``), or a
+    Jacobian's rows (``jacobian._jacobian_rank``), over Fp or, field_prime
+    None, over Q.
     Each prime eliminates the rows mod p (``_eliminate``), stopped at cap,
     and back-solves one kernel vector per free column, as {column: nonzero
     value}.  Over Fp the prime is the field's and its back-solve is

@@ -227,33 +227,31 @@ def require_vertices(g: NetworkGraph) -> None:
         raise SemanticError("the network has no vertices")
 
 
-def contract_network(inst: TNSInstance, vertex_order=None) -> Tensor:
+def contract_network(inst: TNSInstance) -> Tensor:
     """Contract all edges; the result keeps one axis per vertex, in graph order.
 
-    Vertex tensors are absorbed one at a time, and each absorption
-    contracts every edge the new tensor shares with the ones before it in
-    a single pairwise pass.  The result does not depend on the absorption
-    order.  An order that would hold a tensor of more than
-    MAX_CONTRACTION_ENTRIES entries (``contraction_peak``) is refused
-    before anything is absorbed.
+    Vertex tensors are absorbed one at a time, in graph order, and each
+    absorption contracts every edge the new tensor shares with the ones
+    before it in a single pairwise pass.  The result does not depend on
+    the absorption order.  A graph whose contraction would hold a tensor of
+    more than MAX_CONTRACTION_ENTRIES entries (``contraction_peak``) is
+    refused before anything is absorbed.
     """
     g = inst.graph
     require_vertices(g)
-    order = [v.id for v in g.vertices] if vertex_order is None else list(vertex_order)
-    if sorted(order) != sorted(v.id for v in g.vertices):
-        raise SemanticError("vertex_order must enumerate every vertex exactly once")
-    peak = contraction_peak(g, order)
+    peak = contraction_peak(g)
     if peak > MAX_CONTRACTION_ENTRIES:
         raise SemanticError(f"contracting this network would hold a tensor of {magnitude(peak)} entries, "
                             f"over the budget of {MAX_CONTRACTION_ENTRIES}")
-    cur, labels = inst.tensors[order[0]], g.axis_labels(order[0])
-    for vid in order[1:]:
+    first, *rest = (v.id for v in g.vertices)
+    cur, labels = inst.tensors[first], g.axis_labels(first)
+    for vid in rest:
         cur, labels = absorb(cur, labels, inst.tensors[vid], g.axis_labels(vid))
-    return transpose_axes(cur, [labels.index(("v", v.id)) for v in g.vertices])
+    return cur  # every edge is closed, and the vertex axes stay in the order absorbed
 
 
-def contraction_peak(g: NetworkGraph, order) -> int:
-    """Most entries of a tensor that absorbing the vertices in this order holds.
+def contraction_peak(g: NetworkGraph) -> int:
+    """Most entries of a tensor that absorbing the vertices in graph order holds.
 
     After each absorption the tensor has one axis per vertex absorbed and
     one per edge with exactly one end absorbed; the product of their
@@ -262,8 +260,8 @@ def contraction_peak(g: NetworkGraph, order) -> int:
     dims = {("v", v.id): v.dim for v in g.vertices} | {("e", e.id): e.dim for e in g.edges}
     open_labels: set = set()
     peak = 0
-    for vid in order:
-        open_labels ^= set(g.axis_labels(vid))  # an edge's second end closes it
+    for v in g.vertices:
+        open_labels ^= set(g.axis_labels(v.id))  # an edge's second end closes it
         peak = max(peak, prod(dims[lab] for lab in open_labels))
     return peak
 

@@ -23,8 +23,7 @@ from math import prod
 
 from ._record import Record
 from .errors import SemanticError, magnitude
-from .fields import DEFAULT_PRIME
-from .linalg import Matrix, _eliminate, _integral, _kernel, _rank, _split, components
+from .linalg import Matrix, _integral, _kernel, _rank, _split, components
 from .linalg import rank  # noqa: F401  (kept importable here for code that wraps it)
 from .tensors import Tensor, lin_index
 
@@ -126,7 +125,7 @@ def build_system(t: Tensor) -> StabilizerSystem:
     return StabilizerSystem(Matrix._from_flat((prod(shape), total), nz, t.field), shape, tuple(offsets))
 
 
-def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict], list[dict]]]]:
+def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict], int]]]:
     """The connected components of t's system that some row holds, read off the tensor.
 
     The system is never built.  Row r holds, for each slot j, the nonzeros
@@ -142,15 +141,12 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     returns.  A component of one column has rank 1 and no kernel, since
     each of its rows holds the column with a nonzero value: its column
     alone is returned, in an array of them.  Every other component is
-    yielded in turn by the generator returned, as (columns, rows,
-    scalar-row parts).  Its rows are found again from its columns, in row
-    order, each as {column: integer value} (``linalg._integral``); its
-    parts are those of the d - 1 scalar rows on its columns that are not
-    zero.  Scalar row j is the tuple (I in slot j, -I in slot j + 1): the
-    identity in slot j scales the tensor by 1, so each tuple kills it, over
-    every field, and the part of a kernel vector on one component's columns
-    lies in that component's kernel.  A column that no row holds is free,
-    is in no component and costs no object.
+    yielded in turn by the generator returned, as (columns, rows, s).  Its
+    rows are found again from its columns, in row order, each as {column:
+    integer value} (``linalg._integral``), and s is the number of slots in
+    which it holds a diagonal column (j, k, k), the slots its part of the
+    scalar rows reaches (``stabilizer_dim``).  A column that no row holds
+    is free, is in no component and costs no object.
     """
     check_tensor_size(t)
     shape, nz = t.shape, t._nz
@@ -213,18 +209,15 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
 
     def each():
         for ccols in groups.values():
-            found, parts = set(), [{} for _ in shape[1:]]
+            found, diagonal = set(), set()
             for c in ccols:
                 j = bisect_right(offsets, c) - 1
                 st, s, off = slots[j]
                 k, l = divmod(c - off, s)
                 found.update(base + k * st for base in keys[j].get(l, ()))  # the rows that hold column (j, k, l)
                 if k == l:
-                    if j < len(parts):
-                        parts[j][c] = 1
-                    if j:
-                        parts[j - 1][c] = -1
-            yield ccols, [row(r) for r in sorted(found)], [part for part in parts if part]
+                    diagonal.add(j)
+            yield ccols, [row(r) for r in sorted(found)], len(diagonal)
 
     return singles, each()
 
@@ -233,18 +226,25 @@ def stabilizer_dim(t: Tensor) -> int:
     """Nullity of t's stabilizer system, ranked one connected component at a time (``_components``).
 
     A component of one column has rank 1.  Every other one is ranked
-    exactly (``linalg._rank``), capped by its scalar-row parts: their rank
-    mod p is a nullity the component has over Q and over Fp, so its
-    elimination stops once its rank reaches its column count less that
-    nullity, and over Q a component that reaches that cap needs no lifted
-    kernel.
+    exactly (``linalg._rank``), capped by the scalar rows.  Scalar row j,
+    for j < d - 1, is the tuple (I in slot j, -I in slot j + 1): the
+    identity in slot j scales the tensor by 1, so each tuple kills it over
+    every field.  A row update never leaves a component, so the part of a
+    kernel vector on one component's columns lies in that component's
+    kernel.  On a component, I in slot j is the sum of its diagonal
+    columns (j, k, k), nonzero in the s slots where it holds one, and
+    these sums have disjoint supports.  So the parts of the scalar rows
+    are e_j - e_{j+1} projected onto those s coordinates, and their rank
+    is s when s < d (a vector on them extends by a slot outside to one
+    summing to zero), and d - 1 when s = d.  That is a nullity the
+    component has over Q and over Fp, so its elimination stops once its
+    rank reaches its column count less min(s, d - 1), and over Q a
+    component that reaches that cap needs no lifted kernel.
     """
     singles, comps = _components(t)
     prime, rank = t.field.prime, len(singles)
-    for ccols, crows, parts in comps:
-        pcols = sorted({c for part in parts for c in part})
-        cap = len(ccols) - _eliminate(pcols, parts, prime or DEFAULT_PRIME, len(pcols), None)
-        rank += _rank(ccols, crows, prime, cap)
+    for ccols, crows, held in comps:
+        rank += _rank(ccols, crows, prime, len(ccols) - min(held, t.order - 1))
     return sum(s * s for s in t.shape) - rank
 
 

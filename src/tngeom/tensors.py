@@ -1,6 +1,6 @@
 """Sparse exact tensors with the multilinear operations the rest of the
 package is built from: pairwise contraction (tensordot, and outer products
-and single-tensor traces on top of it), flattenings, multilinear rank and
+on top of it), single-tensor traces, flattenings, multilinear rank and
 endomorphism actions.
 
 Conventions, fixed once and used everywhere:
@@ -183,14 +183,30 @@ def transpose_axes(t: Tensor, perm) -> Tensor:
 
 
 def contract_pair(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
-    """Sum over equal indices on two axes of one tensor; both axes are dropped."""
+    """Sum over equal indices on two axes of one tensor; both axes are dropped.
+
+    One pass over the nonzeros: a flat index decodes to (i_a * d + i_b) *
+    size + its flat index in the result, and i_a * d + i_b is a multiple of
+    d + 1 exactly when i_a = i_b, the entries summed.  A trace of every
+    axis has shape (1,).
+    """
     n = t.order
     if axis_a == axis_b or not (0 <= axis_a < n and 0 <= axis_b < n):
         raise ShapeError(f"bad axis pair ({axis_a},{axis_b}) for order {n}")
     d = t.shape[axis_a]
-    ident = Tensor._from_flat((d, d), {i * d + i: t.field.one for i in range(d)}, t.field)
-    out = tensordot(t, ident, [(axis_a, 0), (axis_b, 1)])
-    return out if out.order else Tensor._from_flat((1,), out._nz, t.field)
+    if t.shape[axis_b] != d:
+        raise ShapeError(f"contracted axes must agree: {d} vs {t.shape[axis_b]}")
+    shape = tuple(s for k, s in enumerate(t.shape) if k not in (axis_a, axis_b))
+    size = prod(shape)
+    steps = iter(_strides(shape))
+    weights = [size * d if k == axis_a else size if k == axis_b else next(steps) for k in range(n)]
+    decode = _offsets(t.shape, len(t._nz), weights)
+    out: dict[int, object] = {}
+    for flat, v in t._nz.items():
+        key, pos = divmod(decode(flat), size)
+        if key % (d + 1) == 0:
+            out[pos] = out.get(pos, 0) + v
+    return Tensor._from_flat(shape or (1,), {pos: s for pos, s in out.items() if s}, t.field)
 
 
 def mode_apply(t: Tensor, m: Matrix, axis: int) -> Tensor:

@@ -36,10 +36,10 @@ from tngeom.jsonio import (
     scalar_to_str,
     tensor_to_obj,
 )
-from tngeom.linalg import Matrix, kernel_basis, rank
+from tngeom.linalg import Matrix, _integral_rows, _kernel, _split, rank
 from tngeom.networks import Edge, NetworkGraph, TNSInstance, contract_network, cycle_edges
 from tngeom.stabilizer import StabilizerSystem, build_system, stabilizer_dim
-from tngeom.tensors import Tensor, apply_end, flatten, mlrank, mode_apply, transpose_axes
+from tngeom.tensors import Tensor, apply_end, flatten, mlrank, mode_apply, tensordot, transpose_axes
 from tngeom.zoo import Splitting, _composition_splitting, imm_loop
 
 
@@ -178,6 +178,26 @@ def brute_force_contract(inst) -> dict[tuple[int, ...], Fraction]:
             if term:
                 out[idx] = out.get(idx, Fraction(0)) + term
     return {k: v for k, v in out.items() if v != 0}
+
+
+def contract_in_order(inst: TNSInstance, order) -> Tensor:
+    """contract_network with the vertices absorbed in the given order, axes back in graph order.
+
+    The graph's vertex list is permuted, which is the order contract_network
+    absorbs in, and the result's axes are transposed back.
+    """
+    g = inst.graph
+    permuted = NetworkGraph(tuple(g.vertex(vid) for vid in order), g.edges)
+    out = contract_network(TNSInstance(permuted, inst.tensors))
+    return transpose_axes(out, [list(order).index(v.id) for v in g.vertices])
+
+
+def identity_trace(t: Tensor, axis_a: int, axis_b: int) -> Tensor:
+    """contract_pair by contracting the two axes with a d x d identity (``tensordot``)."""
+    d = t.shape[axis_a]
+    ident = Tensor._from_flat((d, d), {i * d + i: t.field.one for i in range(d)}, t.field)
+    out = tensordot(t, ident, [(axis_a, 0), (axis_b, 1)])
+    return out if out.order else Tensor._from_flat((1,), out._nz, t.field)
 
 
 def naive_tensordot(a: Tensor, b: Tensor, pairs) -> Tensor:
@@ -421,6 +441,20 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         for (k, l), vb in b_nz:
             nz[(i * b.rows + k) * ncols + j * b.cols + l] = va * vb
     return Matrix._from_flat((a.rows * b.rows, ncols), nz, a.field)
+
+
+def kernel_basis(m: Matrix) -> list[list]:
+    """Basis of the right kernel, one coordinate vector per free column (``linalg._kernel``).
+
+    The vector of free column f is 1 there and 0 at the other free columns.
+    """
+    basis = []
+    for vec in _kernel(_split(list(_integral_rows(m)), m.cols), m.cols, m.field.prime):
+        dense = [m.field.zero] * m.cols
+        for c, v in vec.items():
+            dense[c] = m.field.coerce(v)
+        basis.append(dense)
+    return basis
 
 
 def inverse(m: Matrix) -> Matrix:

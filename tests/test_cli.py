@@ -212,7 +212,7 @@ def _big_input(command: str) -> dict:
     if command == "dim-vertex":
         return jsonio.graph_to_obj(chain_graph((BIG, BIG), (2,)))
     if command == "dim-edge":
-        return jsonio.graph_to_obj(chain_graph((2, 2, 2), (BIG, BIG)))
+        return jsonio.graph_to_obj(loop_graph((BIG, BIG, 2), (2, 2, 2)))
     if command == "contract":
         g = chain_graph((BIG, BIG), (BIG,))
         return {**jsonio.graph_to_obj(g), "tensors": {"1": {"shape": [BIG, BIG], "entries": []},
@@ -230,6 +230,18 @@ def test_exit_3_on_an_integer_past_the_digit_limit(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     if command != "reduce":
         assert "over 10^" in err and "over the budget" in err
+
+
+def test_dim_folds_leaves_on_edges_past_the_digit_limit(tmp_path, capsys):
+    # each leaf of chain (2, 2, 2) fits inside its 4001-digit edge, so the chain folds to one vertex
+    # of dimension 8 before any budget is counted
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(jsonio.graph_to_obj(chain_graph((2, 2, 2), (BIG, BIG)))))
+    code, out, err = run(["dim", path], capsys)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert (report["jacobian_dim"], report["jacobian_dim_upper"], report["formula_dim"]) == (8, 8, 8)
+    assert report["jacobian_dim_bound"] == "exact"
 
 
 @pytest.mark.parametrize("command", ["certify", "limit"])

@@ -11,9 +11,19 @@ from hypothesis import strategies as st
 
 from tngeom import cli, jacobian, jsonio
 from tngeom.fields import QQ, PrimeField
-from tngeom.linalg import Matrix
-from tngeom.networks import NetworkGraph, TNSInstance, chain_graph, expected_dim, loop_graph
+from tngeom.linalg import Matrix, rank
+from tngeom.networks import (
+    NetworkGraph,
+    TNSInstance,
+    chain_graph,
+    expected_dim,
+    loop_graph,
+    random_instance,
+    reduce_valence_one,
+)
 from tngeom.tensors import Tensor
+
+from oracles import rank_mod_p
 
 FP = PrimeField(2**31 - 1)
 FIELDS = {"rational": QQ, "fp": FP}
@@ -57,7 +67,7 @@ def loops(draw):
 @settings(max_examples=40)
 @given(st.one_of(trees(), loops()), st.sampled_from(sorted(FIELDS)), st.integers(0, 10**6))
 @example(loop_graph((2, 2, 2), vertex_dims=(2, 4, 4)), "rational", 0)  # the bounds leave a gap
-@example(chain_graph((3, 9, 9, 3), (4, 4, 4)), "fp", 0)  # subcritical leaves, gauge-fixed on witness rows
+@example(chain_graph((3, 9, 9, 3), (4, 4, 4)), "fp", 0)  # subcritical leaves, folded to two vertices
 def test_the_bounds_hold_the_formula_and_meet_exactly_where_labelled(g, field, seed):
     report = _dim_report(g, field, seed)
     lower, upper = report["jacobian_dim"], report["jacobian_dim_upper"]
@@ -67,6 +77,39 @@ def test_the_bounds_hold_the_formula_and_meet_exactly_where_labelled(g, field, s
         assert lower <= formula <= upper
     assert lower <= upper
     assert report["jacobian_dim_bound"] == ("exact" if lower == upper else "lower")
+
+
+@st.composite
+def folding_trees(draw):
+    """Trees of up to six vertices, vertex and edge dims 1..3; in about half, every leaf is one below its edge."""
+    n = draw(st.integers(2, 6))
+    dims, edges = {}, []
+    for vid in range(1, n + 1):
+        dims[vid] = draw(st.integers(1, 3))
+        if vid > 1:
+            parent = draw(st.integers(1, vid - 1))
+            tail, head = (parent, vid) if draw(st.booleans()) else (vid, parent)
+            edges.append((vid - 1, tail, head, draw(st.integers(1, 3))))
+    if draw(st.booleans()):
+        for _, tail, head, d in edges:
+            for v in (tail, head):
+                if d > 1 and sum(v in (t, h) for _, t, h, _ in edges) == 1:
+                    dims[v] = d - 1
+    return NetworkGraph.build(list(dims.items()), edges)
+
+
+@settings(max_examples=50)
+@given(folding_trees(), st.sampled_from(sorted(FIELDS)), st.integers(0, 10**6))
+@example(chain_graph((2, 6, 6, 2), (3, 4, 3)), "rational", 0)  # folds to (12, 12) on an edge of 4
+@example(chain_graph((2, 3, 2), (3, 3)), "fp", 0)  # folds to one vertex
+def test_the_folded_lower_bound_is_the_rank_of_the_unfolded_jacobian(g, field, seed):
+    # the fold is exact, so the lower bound tns_dim reads off the folded graph is the generic rank of
+    # the unfolded graph's Jacobian, which its rank at a random instance reaches (mod p over Fp)
+    lower, upper = jacobian.tns_dim(g, seed, FIELDS[field])
+    jac = jacobian.contraction_jacobian(random_instance(g, seed + 1, FIELDS[field]))
+    assert lower == (rank(jac) if field == "rational" else rank_mod_p(jac))
+    formula = expected_dim(g)
+    assert lower <= upper and (formula is None or lower <= formula <= upper)
 
 
 def _count_samples(monkeypatch) -> list:
@@ -106,40 +149,54 @@ def _corrupted_gauge_rows(inst) -> Matrix:
                          ids=["loop222", "loop2222", "superloop", "chain"])
 def test_a_corrupted_gauge_row_over_q_is_never_exact(monkeypatch, g):
     # the exact check J T^T = 0 fails, so the upper bound falls back to min(rows, columns), which the
-    # rank does not reach on these gauge-fixed graphs
+    # rank does not reach on these gauge-fixed graphs; the chain is sampled folded, on (18, 18)
     monkeypatch.setattr(jacobian, "gauge_rows", _corrupted_gauge_rows)
-    nrows, _, ncols = jacobian._layout(g)
+    nrows, _, ncols = jacobian._layout(reduce_valence_one(g)[0])
     for seed in range(3):
         lower, upper = jacobian.tns_dim(g, seed, QQ)
         assert lower < upper == min(nrows, ncols)
         assert lower == expected_dim(g)
 
 
-def _with_a_rank_deficient_leaf(draw):
-    """random_instance, with the first leaf's last row made the sum of its others."""
-    def draw_instance(g, seed, field):
-        inst = draw(g, seed, field)
-        leaf = next(jacobian._subcritical_leaves(g))[0].id
-        t = inst.tensors[leaf]
-        rows, cols = t.shape
-        entries = list(t.entries)
-        entries[(rows - 1) * cols:] = [sum(entries[r * cols + c] for r in range(rows - 1)) for c in range(cols)]
-        return TNSInstance(g, {**inst.tensors, leaf: Tensor(t.shape, entries, t.field)})
+def _subcritical_leaves(g: NetworkGraph) -> list[int]:
+    """The leaves of g whose dimension is below their edge's."""
+    return [v.id for v in g.vertices if g.degree(v.id) == 1 and v.dim < g.incident(v.id)[0].dim]
 
-    return draw_instance
+
+def _with_a_rank_deficient_leaf(inst: TNSInstance) -> TNSInstance:
+    """The instance with the first subcritical leaf's last row made the sum of its others."""
+    leaf = _subcritical_leaves(inst.graph)[0]
+    t = inst.tensors[leaf]
+    rows, cols = t.shape
+    entries = list(t.entries)
+    entries[(rows - 1) * cols:] = [sum(entries[r * cols + c] for r in range(rows - 1)) for c in range(cols)]
+    return TNSInstance(inst.graph, {**inst.tensors, leaf: Tensor(t.shape, entries, t.field)})
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
 def test_a_rank_deficient_subcritical_leaf_is_never_exact(monkeypatch, field):
-    # a leaf of dim 3 on an edge of dim 4 has a kernel of dim 1 at full rank, 2 at rank 2: its extra
-    # witness rows need not lie in the generic kernel, so the upper bound is min(rows, columns)
+    # a leaf of dim 3 on an edge of dim 4 is a special point of the unfolded network when its tensor
+    # drops rank: there J falls below the dimension 200, and a sample could report no more.  tns_dim
+    # draws on the folded graph, (27, 27) on an edge of 4, which has no such leaf, so no sample is
+    # ever drawn with one, and the sample is exact at 200 whatever a leaf tensor could be
     g = chain_graph((3, 9, 9, 3), (4, 4, 4))
     nrows, _, ncols = jacobian._layout(g)
     assert nrows > ncols  # gauge-fixed
+    drawn, draw = [], jacobian.random_instance
+
+    def special(h, *args):
+        drawn.append(h)
+        inst = draw(h, *args)
+        return _with_a_rank_deficient_leaf(inst) if _subcritical_leaves(h) else inst
+
+    monkeypatch.setattr(jacobian, "random_instance", special)
+    # a sample of the unfolded graph at the special point (over Fp, where the rank of J|C is cheap)
+    lower, upper = jacobian._jacobian_rank(g, 0, FP)
+    assert lower < 200 < upper
+    del drawn[:]
     assert jacobian.tns_dim(g, 0, FIELDS[field]) == (200, 200)
-    monkeypatch.setattr(jacobian, "random_instance", _with_a_rank_deficient_leaf(jacobian.random_instance))
-    lower, upper = jacobian.tns_dim(g, 0, FIELDS[field])
-    assert lower <= 200 < upper == ncols
+    assert drawn and not any(_subcritical_leaves(h) for h in drawn)
+    assert {tuple(v.dim for v in h.vertices) for h in drawn} == {(27, 27)}
 
 
 # the graphs and fields of the benchmark's `dim` workload

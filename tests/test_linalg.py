@@ -18,7 +18,6 @@ from tngeom.linalg import (
     _rank,
     _split,
     components,
-    kernel_basis,
     rank,
 )
 
@@ -26,6 +25,7 @@ from oracles import (
     annihilates,
     inverse,
     is_invertible,
+    kernel_basis,
     kernel_dim,
     kron,
     kron_oracle,

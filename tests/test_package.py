@@ -99,7 +99,7 @@ EXPORTS = {
     "errors": ["FieldMismatchError", "FormatError", "SemanticError", "ShapeError", "SingularMatrixError",
                "TngeomError"],
     "fields": ["DEFAULT_PRIME", "Field", "PrimeField", "QQ", "RationalField"],
-    "linalg": ["Matrix", "kernel_basis", "rank"],
+    "linalg": ["Matrix", "rank"],
     "tensors": ["Tensor", "apply_end", "contract_pair", "flatten", "mlrank", "mode_apply", "outer", "random_tensor",
                 "transpose_axes"],
     "networks": ["Edge", "MergeStep", "NetworkGraph", "TNSInstance", "Vertex", "chain_graph", "classify_vertex",

@@ -9,7 +9,7 @@ from tngeom import jsonio, linalg, stabilizer
 from tngeom.curves import act_curve, curve_from_splitting
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
-from tngeom.linalg import Matrix, kernel_basis, rank
+from tngeom.linalg import Matrix, rank
 from tngeom.stabilizer import (
     _components,
     build_system,
@@ -24,6 +24,7 @@ from oracles import (
     annihilates,
     block_splitting,
     column_label,
+    kernel_basis,
     leibniz_act,
     loop_pair_generators,
     mat_apply,
@@ -301,8 +302,8 @@ def _scalar_rows(shape: tuple[int, ...]) -> list[dict]:
 @pytest.mark.parametrize("shape", [(), (1,), (3,), (1, 1), (2, 3), (1, 4), (2, 1, 3), (2, 2, 2), (3, 1, 1),
                                    (1, 1, 2, 2), (2, 1, 2, 3), (2, 2, 2, 2)])
 def test_scalar_rows_lie_in_the_kernel(shape, field):
-    # the caps of stabilizer_dim are sound: the scalar rows kill the built system, and the parts that the
-    # streamed pass gives each component are theirs on its columns, and kill its rows
+    # the caps of stabilizer_dim are sound: the scalar rows kill the built system, and their parts on each
+    # component's columns kill its rows and have rank min(s, d - 1), s the count the streamed pass gives
     scalar = _scalar_rows(shape)
     for seed in range(3):
         t = random_tensor(shape, seed=seed, field=field, bound=9)
@@ -317,9 +318,14 @@ def test_scalar_rows_lie_in_the_kernel(shape, field):
         singles, comps = _components(t)
         # a column that is a component of its own is no diagonal column, or the scalar rows would kill it
         assert not any(row.get(c) for row in scalar for c in singles)
-        for ccols, rows, parts in comps:
-            want = [part for row in scalar if (part := {c: v for c, v in row.items() if c in ccols})]
-            assert parts == want
+        for ccols, rows, held in comps:
+            parts = [part for row in scalar if (part := {c: v for c, v in row.items() if c in ccols})]
+            # the cap of stabilizer_dim counts the slots that hold a diagonal column instead of eliminating
+            diagonal = {j for j, k, l in (column_label(system, c) for c in ccols) if k == l}
+            assert held == len(diagonal)
+            restricted = Matrix.from_nonzeros(len(parts), cols, {(i, c): v for i, part in enumerate(parts)
+                                                                  for c, v in part.items()}, field)
+            assert rank(restricted) == min(held, len(shape) - 1)
             for part in parts:
                 # exactly over Q, on the rows read as integers, and mod p
                 sums = [sum(row.get(c, 0) * v for c, v in part.items()) for row in rows]
@@ -423,7 +429,7 @@ def test_stabilizer_tuples_are_unchanged(monkeypatch, name, make, digest):
         raise AssertionError("built the whole system")
 
     monkeypatch.setattr(stabilizer, "build_system", refuse)
-    monkeypatch.setattr(linalg, "kernel_basis", refuse)
+    monkeypatch.setattr(stabilizer, "_split", refuse)
     monkeypatch.setattr(stabilizer, "MAX_BUILT_NNZ", 0)
     tuples = [[[jsonio.scalar_to_str(x) for x in m.entries] for m in tup] for tup in stabilizer_tuples(make())]
     assert hashlib.sha256(repr(tuples).encode()).hexdigest()[:16] == digest

@@ -31,6 +31,7 @@ from tngeom.zoo import mmult
 from oracles import (
     eval_multilinear,
     eval_trilinear,
+    identity_trace,
     leibniz_act,
     mat_apply,
     merge_axes,
@@ -145,6 +146,42 @@ def test_contract_pair_orthogonal_slots_vanish():
     a = outer(random_tensor((2,), seed=5), Tensor((2,), [1, 0]))
     b = outer(random_tensor((2,), seed=6), Tensor((2,), [0, 1]))
     assert contract_pair(outer(a, b), 1, 3).is_zero()
+
+
+@st.composite
+def traces(draw):
+    """A tensor of order 2 to 5, axes of size 1 to 4, two of them equal, and that pair, over either field.
+    Entries are sparse and often zero, and the diagonal often cancels."""
+    field = draw(st.sampled_from([QQ, FP]))
+    shape = draw(st.lists(st.integers(1, 4), min_size=2, max_size=5))
+    axis_a, axis_b = draw(st.permutations(range(len(shape))))[:2]
+    shape[axis_b] = shape[axis_a]
+    scalars = st.integers(-1, 1) | st.integers(-5, 5) | st.fractions(max_denominator=7)
+    cells = list(itertools.product(*map(range, shape)))
+    items = draw(st.dictionaries(st.sampled_from(cells), scalars, max_size=min(len(cells), 40)))
+    return Tensor.from_nonzeros(shape, items, field), axis_a, axis_b
+
+
+@given(traces())
+@example((Tensor((2, 2), [1, 0, 0, -1]), 0, 1))  # the trace cancels to zero
+@example((Tensor((2, 2), [1, 0, 0, 2], FP), 1, 0))
+def test_contract_pair_matches_the_identity_contraction(case):
+    t, axis_a, axis_b = case
+    assert contract_pair(t, axis_a, axis_b) == identity_trace(t, axis_a, axis_b)
+
+
+def test_contract_pair_holds_no_identity():
+    # three nonzeros on axes of 10^5: the trace reads them once, where a d x d identity took 11 MB
+    d = 10**5
+    t = Tensor.from_nonzeros((d, 3, d), {(0, 1, 0): 2, (7, 2, 7): 3, (5, 0, 4): 1})
+    tracemalloc.start()
+    try:
+        traced = contract_pair(t, 2, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dict(traced.nonzeros()) == {(1,): 2, (2,): 3}
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -20,9 +20,10 @@ from tngeom.networks import (
     loop_dim_formula,
     loop_graph,
     random_instance,
+    reduce_valence_one,
 )
 from tngeom.tensors import Tensor, apply_end, mlrank, outer, random_tensor
-from tngeom.jacobian import check_jacobian_size, contraction_jacobian, gauge_rows, tns_dim, witness_rows
+from tngeom.jacobian import check_jacobian_size, contraction_jacobian, gauge_rows, tns_dim
 from tngeom.varieties import certify_not_closed, sub_membership
 from tngeom.zoo import Splitting, diagonal_splitting, imm_loop, mmult
 
@@ -36,7 +37,6 @@ from oracles import (
     kron,
     loop_endomorphisms,
     mat_row,
-    mat_rows,
     mat_transpose,
     orbit_dim,
     per_coordinate_jacobian,
@@ -277,18 +277,20 @@ def test_a_tangent_row_off_the_kernel_fails_the_check(monkeypatch):
     # is returned as the lower bound it is
     g = loop_graph((2, 2, 2))
 
-    def unit_row(inst):
-        ncols = gauge_rows(inst).cols
-        col = min(c for c in range(ncols) if c not in pivot_columns(gauge_rows(inst)))
-        return Matrix.from_nonzeros(1, ncols, {(0, col): 1}, inst.field)
+    def with_a_unit_row(inst):
+        gauge = gauge_rows(inst)
+        col = min(c for c in range(gauge.cols) if c not in pivot_columns(gauge))
+        return Matrix._from_flat((gauge.rows + 1, gauge.cols), {**gauge._nz, gauge.rows * gauge.cols + col: 1},
+                                 inst.field)
 
-    monkeypatch.setattr(jacobian, "witness_rows", unit_row)
+    monkeypatch.setattr(jacobian, "gauge_rows", with_a_unit_row)
     calls = _count_exact_ranks(monkeypatch)
-    # a thirteenth tangent row is one more than _tangent_size counts, so over both fields the upper
-    # bound is min(rows, columns)
+    # over Q the check fails, so C is every column and the upper bound is min(rows, columns)
     assert jacobian._jacobian_rank(g, 0, QQ) == (37, 48)
     assert calls == [(64, 48)]
-    assert jacobian._jacobian_rank(g, 0, FP) == (36, 48)
+    # over Fp nothing checks T, so its upper bound |C| holds only for rows that lie in the kernel, as
+    # gauge_rows' do (test_gauge_rows_lie_in_jacobian_kernel); the lower bound 36 holds whatever T is
+    assert jacobian._jacobian_rank(g, 0, FP) == (36, 36)
 
 
 def _tree_with_subcritical_leaves(seed):
@@ -318,7 +320,6 @@ def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, 
     # full row rank takes the exact rank of all of J through linalg._rank (transposed where J is wide)
     g = _tree_with_subcritical_leaves(seed)
     monkeypatch.setattr(jacobian, "gauge_rows", _boom)
-    monkeypatch.setattr(jacobian, "witness_rows", _boom)
     calls = _count_exact_ranks(monkeypatch)
     nrows, _, ncols = jacobian._layout(g)
     assert jacobian._jacobian_rank(g, seed, QQ) == (TREE_RANKS[seed], nrows)
@@ -328,8 +329,10 @@ def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
-    # the exact rank meets the bound of the gauge and witness rows, cols - rank_p(T), where the
-    # gauge rows alone leave a gap; these J are wide, so a sample takes at most one exact rank
+    # the fold closes what the witness rows closed: on the unfolded tree the gauge rows leave a gap
+    # below cols - rank(J), and on the folded one, whose every leaf is larger than its edge, the exact
+    # rank meets their bound cols - rank_p(T); the unfolded J are wide, so a sample of one takes at
+    # most one exact rank
     g = _tree_with_subcritical_leaves(seed)
     calls = _count_exact_ranks(monkeypatch)
     want = TREE_RANKS[seed]
@@ -337,27 +340,32 @@ def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
     assert len(calls) == (seed not in FULL_ROW_RANK_TREES)
     inst = random_instance(g, seed=seed)
     jac = contraction_jacobian(inst)
+    folded = random_instance(reduce_valence_one(g)[0], seed=seed)
+    fjac, fgauge = contraction_jacobian(folded), gauge_rows(folded)
     if seed in FULL_ROW_RANK_TREES:
-        assert want == jac.rows
+        assert want == jac.rows == fjac.rows == fjac.cols  # one vertex is left
     else:
-        gauge, witness = gauge_rows(inst), witness_rows(inst)
-        tangent = Matrix.from_rows(mat_rows(gauge) + mat_rows(witness))
-        assert want + rank_mod_p(tangent) == jac.cols
-        assert rank_mod_p(gauge) + want < jac.cols
-        assert annihilates(jac, witness)
+        assert want + rank_mod_p(fgauge) == fjac.cols
+        assert rank_mod_p(gauge_rows(inst)) + want < jac.cols
+        assert annihilates(fjac, fgauge)
 
 
 def test_witness_rows_close_the_gauge_gap_on_a_chain():
-    # each leaf, of dim 2 on an edge of dim 3, has a kernel of dim 1; its
-    # neighbour (6, 3, 4) gives 6 * 4 = 24 rows, 3 of which the gauge holds
-    inst = random_instance(chain_graph((2, 6, 6, 2), (3, 4, 3)), seed=3, bound=9)
-    jac, gauge, witness = per_coordinate_jacobian(inst), gauge_rows(inst), witness_rows(inst)
-    assert witness.shape == (48, 156)
-    assert (jac @ mat_transpose(witness)).is_zero()
-    assert annihilates(jac, witness)
+    # unfolded, each leaf, of dim 2 on an edge of dim 3, moves its neighbour (6, 3, 4) within a kernel
+    # of dim 1 in 6 * 4 = 24 directions, 3 of which the gauge holds: the kernel of J, of dim 76, is 42
+    # more than the gauge rows span.  Folded to (12, 12) on an edge of 4, the gauge rows span it
+    g = chain_graph((2, 6, 6, 2), (3, 4, 3))
+    inst = random_instance(g, seed=3, bound=9)
+    jac, gauge = per_coordinate_jacobian(inst), gauge_rows(inst)
     assert rank_mod_p(gauge) == gauge.rows == 34
-    assert rank_mod_p(Matrix.from_rows(mat_rows(gauge) + mat_rows(witness))) == 76 == 34 + 42
-    assert rank(jac) == 80 and 76 + 80 == jac.cols == 156
+    assert rank(jac) == 80 and jac.cols - 80 == 76 == 34 + 42 and jac.cols == 156
+    folded = reduce_valence_one(g)[0]
+    assert [v.dim for v in folded.vertices] == [12, 12] and [e.dim for e in folded.edges] == [4]
+    finst = random_instance(folded, seed=3, bound=9)
+    fjac, fgauge = per_coordinate_jacobian(finst), gauge_rows(finst)
+    assert (fjac @ mat_transpose(fgauge)).is_zero()
+    assert rank(fjac) == 80 and rank_mod_p(fgauge) + 80 == fjac.cols == 96
+    assert tns_dim(g, seed=3) == (80, 80)
 
 
 def test_loop_with_subcritical_vertices_takes_one_exact_rank(monkeypatch):
@@ -387,7 +395,7 @@ STREAMED_GRAPHS = {
 @pytest.mark.parametrize("source", ["environment", "sketch"])
 @pytest.mark.parametrize("name", STREAMED_GRAPHS)
 def test_streamed_rank_is_the_rank_of_the_jacobian_mod_p(monkeypatch, name, source):
-    # rank_p(J|C) = rank_p(J), C the columns off the pivots of the gauge and witness rows
+    # rank_p(J|C) = rank_p(J), C the columns off the pivots of the gauge rows
     g = STREAMED_GRAPHS[name]
     monkeypatch.setattr(jacobian, "_jacobian_plan", lambda g, field: (source == "sketch", True, 0))
     for seed in range(3):
@@ -441,7 +449,8 @@ def test_loop_below_the_gauge_bound_reads_every_row(monkeypatch):
 
 @pytest.mark.parametrize("g, want", [
     (loop_graph((30, 30, 30), vertex_dims=(2, 2, 2)), 8),  # J is 8 x 5400
-    (chain_graph((2, 2, 2), (100, 100)), 8),  # J is 8 x 20400
+    # two vertices on two parallel edges, which no fold reaches; J is 8 x 5400
+    (loop_graph((30, 30), vertex_dims=(2, 4)), 8),
 ], ids=["loop30", "chain100"])
 def test_wide_jacobians_build_no_tangent_rows(monkeypatch, g, want):
     # with no more rows than columns, C is every column and J has full row rank, so neither
@@ -450,11 +459,21 @@ def test_wide_jacobians_build_no_tangent_rows(monkeypatch, g, want):
         raise AssertionError("built the tangent rows")
 
     monkeypatch.setattr(jacobian, "gauge_rows", boom)
-    monkeypatch.setattr(jacobian, "witness_rows", boom)
     calls = _count_streamed_rows(monkeypatch)
     assert tns_dim(g, seed=0, field=FP) == tns_dim(g, seed=0) == (want, want)
     # J has full row rank, so each draws one sample
     assert calls == [(8, jacobian.contraction_jacobian(random_instance(g, 0, FP)).cols)] * 2
+
+
+def test_a_chain_of_leaves_inside_their_edges_folds_to_one_vertex(monkeypatch):
+    # chain (2, 2, 2) on edges of 100 folds to one vertex of dim 8, whose J is 8 x 8, where the
+    # unfolded J is 8 x 20400; each field draws one sample
+    g = chain_graph((2, 2, 2), (100, 100))
+    assert jacobian._layout(g)[::2] == (8, 20400)
+    monkeypatch.setattr(jacobian, "gauge_rows", _boom)
+    calls = _count_streamed_rows(monkeypatch)
+    assert tns_dim(g, seed=0, field=FP) == tns_dim(g, seed=0) == (8, 8) == (expected_dim(g),) * 2
+    assert calls == [(8, 8)] * 2
 
 
 def test_triangle_444_over_q_is_721():
@@ -515,7 +534,7 @@ def small_graphs(draw):
 @example(_tree_with_subcritical_leaves(0), 0)  # subcritical leaves, wide J below full row rank
 @example(loop_graph((2, 2, 2), vertex_dims=(5, 4, 4)), 3)  # a supercritical vertex, gauge-fixed
 @example(loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)), 1)  # subcritical vertices, wide J
-@example(chain_graph((2, 6, 6, 2), (3, 4, 3)), 2)  # subcritical leaves, gauge-fixed on witness rows
+@example(chain_graph((2, 6, 6, 2), (3, 4, 3)), 2)  # subcritical leaves
 @example(loop_graph((2,) * 4, vertex_dims=(2, 4, 2, 4)), 0)  # gauge-fixed, below full column rank on C
 def test_exact_sample_rank_is_the_rank_of_the_jacobian(g, seed):
     assert jacobian._jacobian_rank(g, seed, QQ)[0] == rank(contraction_jacobian(random_instance(g, seed)))
@@ -541,12 +560,10 @@ def test_jacobian_plan_counts_the_rows_a_sample_builds():
     # a chain with two subcritical leaves: 8 x 20400, not gauge-fixed, and T is not counted
     wide = chain_graph((2, 2, 2), (100, 100))
     assert jacobian._jacobian_plan(wide, FP) == (False, False, 4 * 100 + 4 * 10**4 + 4 * 100)
-    assert jacobian._tangent_size(wide) == (2 * 10**4 + 2 * 98 * 200,
-                                             2 * 100 * (200 + 20000) + 2 * 98 * 20000)
+    assert jacobian._tangent_size(wide) == (2 * 10**4, 2 * 100 * (200 + 20000))
     for g in STREAMED_GRAPHS.values():
-        inst = random_instance(g, seed=0)
-        tangent = jacobian._tangent_rows(inst)
-        assert jacobian._tangent_size(g) == (tangent.rows, len(tangent._nz))
+        gauge = gauge_rows(random_instance(g, seed=0))
+        assert jacobian._tangent_size(g) == (gauge.rows, len(gauge._nz))
 
 
 def test_tns_dim_pins_over_q_and_fp():
