@@ -12,54 +12,46 @@ that the paper's valence-one reduction (``networks.reduce_valence_one``)
 leaves, which has the same network set (see ``tns_dim``).  Every leaf
 left is larger than its edge.
 
-Its rank is taken on gauge-fixed columns.  The tangent rows T, the gauge
+A sample is one integer instance, read mod p, where p is the field's
+prime, or DEFAULT_PRIME over Q; the two fields differ in p alone.  Its
+rank is taken on gauge-fixed columns.  The tangent rows T, the gauge
 rows (``gauge_rows``), one per edge and elementary matrix, are tangent
 to the orbit of the edge gauge group, along which the contraction is
-constant, so they lie in the kernel of J.  On D, the pivot columns of T
-mod p, as many rows of T are square and invertible, so J T^T = 0 makes
-each column of J in D a combination of the other columns C, and rank(J)
-= rank(J|C).  Gauge fixing only saves rows when J has more rows than
-columns, so only then is T built first and C taken off its pivots;
-otherwise C is every column.  The rank mod p of J|C runs in the packed
-kernel (``linalg._packed_eliminate``) on rows fed one at a time, and it
-stops once every column of C holds a pivot.  On loops, supercritical
-loops, critical chains and folded trees, J|C has full column rank, so
-|C| rows are built.  The rows are J's own, in a seeded random order,
-when the environments hold fewer entries than a sketch has cells, or the
-field is Q; the graph fixes which before anything is built.  Otherwise
+constant, so they lie in the kernel of J: J T^T = 0 is the derivative of
+a map that is constant on the orbits, an identity in the instance.  On
+D, the pivot columns of T mod p, as many rows of T are square and
+invertible mod p, and so over Q, since a minor that is nonzero mod p is
+nonzero; so each column of J in D is a combination of the other columns
+C, and rank(J) = rank(J|C).  Gauge fixing only saves rows when J has
+more rows than columns, so only then is T built first and C taken off
+its pivots; otherwise C is every column.  The rank mod p of J|C runs in
+the packed kernel (``linalg._packed_eliminate``) on rows fed one at a
+time, and it stops once every column of C holds a pivot.  On loops,
+supercritical loops, critical chains and folded trees, J|C has full
+column rank, so |C| rows are built.  J is never built as a matrix.  The
+rows are J's own, built from one sweep of environments in a seeded
+random order, when the environments hold fewer entries than a sketch
+has cells; the graph fixes which before anything is built.  Otherwise
 they are a sketch: at most min(rows, |C|) + 4 random rank-one
 combinations of J's rows, each built from the same sweeps on a network
 whose vertex axes are capped by random covectors.
 
 Each sample gives two bounds on the generic rank of J, the dimension.
 
-- Lower: the rank at the sample, r, the rank mod p of J|C, over Fp, and
-  the exact rank (below) over Q.  Rank is lower semicontinuous, a
-  column submatrix of J or a sketch S J has rank at most that of J, and
-  a rank mod p is at most the rank over Q.
+- Lower: r, the rank mod p of J|C at the sample.  r <= rank_Q(J|C) <=
+  rank_Q(J) at the sample, which is at most the generic rank: a rank mod
+  p is at most the rank over Q, a column submatrix has rank at most that
+  of J, and rank is lower semicontinuous.  A sketch row is an integer
+  combination of J's rows, so the chain holds for a sketch S J as well.
 - Upper: min(rows, |C|), the gauge count of Bernardi, De Lazzari and
   Gesmundo (arXiv 2101.03148) read at the sample.  At a generic point x,
   J(x) T(x)^T = 0, so the generic rank of J is at most cols - rank T(x)
   there, and by lower semicontinuity of the rank of T that is at most
   cols - rank_Q T(s) <= cols - rank_p T(s) = |C| at the sample s.  This
   holds at every sample: the gauge rows are polynomial in the instance.
-  Over Q, if the check J T^T = 0 below fails, it is min(rows, cols).
 
-Where the two meet, the generic dimension over Q (and C) is proved, and
-``tns_dim`` stops after one sample.
-
-Over Q each sample rank is exact, and J is never built as a matrix: its
-environments are swept once, and its rows are rebuilt from them one at a
-time for the rank mod p, for the check and for the fallback.  When D is
-not empty, J T^T = 0 is checked exactly over the integers
-(``linalg._annihilates``).  A minor of T that is nonzero mod p is
-nonzero over Q, so then T is invertible on D over Q as well, and
-rank_Q(J) = rank_Q(J|C); if the check fails, C is every column.  r, the
-rank mod p of J|C, is at most rank_Q(J|C), which is at most min(rows,
-|C|), so when r is min(rows, |C|) it is the rank.  Otherwise the sample
-takes the exact rank of the rows of J|C through ``linalg._rank``, the
-capped elimination, lift and exact check that ranks each component of a
-stabilizer system (transposed when J has fewer rows than columns).
+Where the two meet, the generic dimension over Q (and C) is proved, over
+either field, and ``tns_dim`` stops after one sample.
 """
 
 from __future__ import annotations
@@ -70,7 +62,7 @@ from math import prod
 
 from .errors import SemanticError, magnitude
 from .fields import DEFAULT_PRIME, QQ, Field
-from .linalg import Matrix, _annihilates, _integral_rows, _packed_eliminate, _rank, pivot_columns
+from .linalg import Matrix, _packed_eliminate, pivot_columns
 from .networks import NetworkGraph, TNSInstance, absorb, random_instance, reduce_valence_one, require_vertices
 from .tensors import Tensor, _offsets, _strides, tensordot
 
@@ -80,11 +72,10 @@ SEED_STRIDE = 1000003
 SKETCH_SLACK = 4
 # Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
 # before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 over Q (577024 cells: 114688 of the environments, 3584 of the
-# tangent rows, and the 458752 nonzeros of J over Q for the rows of J|C
-# that the fallback holds) peaked at 42 MB, about 0.07 KB per cell, and
-# at 53 MB (0.09 KB per cell, 25 s) with its gauge rows withheld, so that
-# each sample took the exact rank of all of J.
+# (2,)^7 (577024 cells when J's nonzeros were held for an exact rank over
+# Q) peaked at 42 MB, about 0.07 KB per cell; triangle (5,5,5), at 206250
+# cells, peaks at 55 MB, most of it the dense elimination of J|C, which
+# the plan does not count.
 MAX_JACOBIAN_CELLS = 10**6
 
 
@@ -255,37 +246,29 @@ def gauge_rows(inst: TNSInstance) -> Matrix:
     return Matrix._from_flat((row, ncols), nz, inst.field)
 
 
-def _jacobian_plan(g: NetworkGraph, field: Field) -> tuple[bool, bool, int]:
+def _jacobian_plan(g: NetworkGraph) -> tuple[bool, bool, int]:
     """Whether a sample ranks sketch rows, whether it gauge-fixes, and the cells it builds.
 
     The vertex environments hold prod(vertex dims) / dim v times the edge
     product of v entries for each vertex v; the sketch, at most
-    min(rows, columns) + SKETCH_SLACK rows of the column count.  Over Fp a
-    sample reads environment rows when the environments are smaller, and
-    sketch rows otherwise; over Q it always reads environment rows, as the
-    exact check and fallback read the same environments.  It gauge-fixes
-    only when J has more rows than columns: otherwise it reads every row,
-    or rows + SKETCH_SLACK sketch rows, whatever C is.  When it
-    gauge-fixes, the tangent rows T are built and eliminated mod p first,
-    and their nonzeros (``_tangent_size``) and the pivot rows of their
-    elimination, at most min(rows of T, columns) of the column count, are
-    counted.  Over Q the nonzeros of J, prod(vertex dims) times the sum of
-    the edge products, are counted as well: unless r closes the rank, the
-    rows of J|C are held for the exact fallback.
+    min(rows, columns) + SKETCH_SLACK rows of the column count.  A sample
+    reads environment rows when the environments are smaller, and sketch
+    rows otherwise, over either field.  It gauge-fixes only when J has
+    more rows than columns: otherwise it reads every row, or rows +
+    SKETCH_SLACK sketch rows, whatever C is.  When it gauge-fixes, the
+    tangent rows T are built and eliminated mod p first, and their
+    nonzeros (``_tangent_size``) and the pivot rows of their elimination,
+    at most min(rows of T, columns) of the column count, are counted.
     """
     nrows, _, ncols = _layout(g)
     envs = sum(nrows // v.dim * g.edge_product(v.id) for v in g.vertices)
     sketch = (min(nrows, ncols) + SKETCH_SLACK) * ncols
-    exact = field.prime is None
-    sketched = not exact and sketch <= envs
     fixed = nrows > ncols
-    cells = sketch if sketched else envs
+    cells = min(sketch, envs)
     if fixed:
         trows, tnnz = _tangent_size(g)
         cells += tnnz + min(trows, ncols) * ncols
-    if exact:
-        cells += nrows * sum(g.edge_product(v.id) for v in g.vertices)
-    return sketched, fixed, cells
+    return sketch <= envs, fixed, cells
 
 
 def _tangent_size(g: NetworkGraph) -> tuple[int, int]:
@@ -301,78 +284,40 @@ def _tangent_size(g: NetworkGraph) -> tuple[int, int]:
 def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
     """Lower and upper bounds on the Jacobian's generic rank from the seeded instance (see the module docstring).
 
-    r is the rank mod p of J restricted to C, on the rows
-    ``_jacobian_plan`` picks: environment rows in a seeded random order, or
-    over Fp at most min(rows, |C|) + SKETCH_SLACK sketch rows.  C is the
-    set of columns that are not pivots of the gauge rows T mod p when J
-    has more rows than columns, and every column otherwise.  The rows are
-    built one at a time as the packed kernel asks for them, and it stops
-    once every column of C holds a pivot.  The upper bound is min(rows,
-    |C|).  Over Fp r is the lower bound.  Over Q the rows are J's, built
-    from one sweep of environments (``_jacobian_blocks``) and read mod
-    DEFAULT_PRIME.  When T has pivot columns, J T^T = 0 is checked exactly
-    on the same rows (``_tangent_in_kernel``); if it fails, C becomes
-    every column.  The lower bound is r when it is min(rows, |C|), and
-    otherwise the exact rank of the rows of J|C (``linalg._rank``).
+    p is the field's prime, or DEFAULT_PRIME over Q.  r is the rank mod p
+    of J restricted to C, on the rows ``_jacobian_plan`` picks:
+    environment rows in a seeded random order, or at most min(rows, |C|)
+    + SKETCH_SLACK sketch rows.  C is the set of columns that are not
+    pivots of the gauge rows T mod p when J has more rows than columns,
+    and every column otherwise.  The rows are built one at a time as the
+    packed kernel asks for them, and it stops once every column of C holds
+    a pivot.  The bounds are r and min(rows, |C|), over either field.
     """
-    sketched, fixed, _ = _jacobian_plan(g, field)
-    exact = field.prime is None
-    inst = random_instance(g, seed, field)
-    prime = DEFAULT_PRIME if exact else field.prime
-    # J's rows are built on integers and reduced as they are read.  Over Fp the instance is the
-    # reduction of the one drawn over Q, and the rows are built from the Q one: its contractions
-    # store their ints as they are, where the Fp instance's reduce mod p at every stored tensor.
-    # Rows from the Fp instance took tns_dim of loop (2,)^5 over Fp from 58 to 63 ms (medians;
-    # 2-core host, Python 3.11).
-    ints = inst if exact else random_instance(g, seed, QQ)
+    sketched, fixed, _ = _jacobian_plan(g)
+    prime = field.prime or DEFAULT_PRIME
+    # J's and T's rows are built on integers and reduced mod p as they are read
+    inst = random_instance(g, seed, QQ)
     nrows, _, ncols = _layout(g)
-    tangent = gauge_rows(inst) if fixed else None
-    fixed_cols = pivot_columns(tangent) if fixed else set()
+    fixed_cols = pivot_columns(gauge_rows(inst), prime) if fixed else set()
     kept = [c for c in range(ncols) if c not in fixed_cols]
     if sketched:
         # a stream of its own: covectors drawn from the instance's stream would correlate with its entries
-        stream = islice(_sketch_rows(ints, prime, random.Random(f"jacobian-sketch:{seed}")),
+        stream = islice(_sketch_rows(inst, prime, random.Random(f"jacobian-sketch:{seed}")),
                         min(nrows, len(kept)) + SKETCH_SLACK)
     else:
-        blocks = _jacobian_blocks(ints)
+        blocks = _jacobian_blocks(inst)
         order = list(range(nrows))
         random.Random(f"jacobian-rows:{seed}").shuffle(order)
         stream = (_jacobian_row(blocks, x) for x in order)
     keep = set(kept)
     rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
     r = _packed_eliminate(rows, kept, prime, None) if kept else 0
-    upper = min(nrows, len(kept))
-    if not exact:
-        return r, upper
-    if fixed_cols and not _tangent_in_kernel(blocks, nrows, tangent):
-        kept = list(range(ncols))  # T leaves the kernel, so D is not spanned by C: rank every column
-        upper = min(nrows, ncols)
-    if r < min(nrows, len(kept)):  # r bounds the rank over Q from below, and min(rows, |C|) from above
-        keep = set(kept)
-        rows = [row for x in range(nrows) if (row := {c: v for c, v in _jacobian_row(blocks, x).items() if c in keep})]
-        r = _rank(kept, rows, None, len(kept))
-    return r, upper
+    return r, min(nrows, len(kept))
 
 
-def _tangent_in_kernel(blocks, nrows: int, tangent: Matrix) -> bool:
-    """True when J T^T = 0 over Q, J's rows rebuilt from its blocks one at a time (``linalg._annihilates``).
-
-    T's rows are read as integers, which scales each product by a nonzero
-    integer.  A row of J holds one row of each block's spread, so the sum
-    over the blocks of the largest L1 norm of a spread row bounds its L1
-    norm.
-    """
-    by_col: dict[int, list] = {}
-    for k, row in enumerate(_integral_rows(tangent)):
-        for c, v in row.items():
-            by_col.setdefault(c, []).append((k, v))
-    norm = sum(max((sum(abs(v) for _, v in part) for part in spread.values()), default=0) for *_, spread in blocks)
-    return _annihilates((_jacobian_row(blocks, x) for x in range(nrows)), max(norm, 1), by_col)
-
-
-def check_jacobian_size(g: NetworkGraph, field: Field) -> None:
+def check_jacobian_size(g: NetworkGraph) -> None:
     """Refuse a graph whose Jacobian samples would build more than MAX_JACOBIAN_CELLS cells."""
-    cells = _jacobian_plan(g, field)[2]
+    cells = _jacobian_plan(g)[2]
     if cells > MAX_JACOBIAN_CELLS:
         raise SemanticError(
             f"the Jacobian of this graph would hold {magnitude(cells)} cells, over the budget of {MAX_JACOBIAN_CELLS}"
@@ -396,7 +341,8 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     graph, the one sampled.
 
     A sample gives both bounds (``_jacobian_rank``, and the argument in the
-    module docstring).  Where they meet, the dimension is proved and that
+    module docstring); the field picks only the prime it is read mod.
+    Where they meet, the dimension is proved and that
     one sample is returned.  Otherwise a second random instance is drawn,
     and the larger lower and the smaller upper bound of the two are
     returned.  A graph over the size budget is refused before any
@@ -404,7 +350,7 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     """
     require_vertices(g)
     g = reduce_valence_one(g)[0]
-    check_jacobian_size(g, field)
+    check_jacobian_size(g)
     lower, upper = _jacobian_rank(g, seed, field)
     if lower < upper:
         r, u = _jacobian_rank(g, seed + SEED_STRIDE, field)

@@ -1,11 +1,12 @@
 """Exact matrices and elimination over the rationals or a prime field.
 
-Rank is the workhorse: stabilizer and Jacobian computations reduce to the
-rank of an exact matrix.  A linear system falls apart into the connected
-components of the graph that joins two columns sharing a row (a
-union-find, ``components``), and its rank, pivots and kernel are those of
-its components together.  A system's components are found once: a
-matrix's by ``_split``, for ``rank`` and ``pivot_columns``; a stabilizer
+Rank is the workhorse: stabilizer computations reduce to the exact rank
+of a matrix, and Jacobian ones to a rank mod p.  A linear system falls
+apart into the connected components of the graph that joins two columns
+sharing a row (a union-find, ``components``), and its rank, pivots and
+kernel are those of its components together.  A system's components are
+found once: a matrix's by ``_split``, for ``rank`` and
+``pivot_columns``; a stabilizer
 system's from the tensor, by ``stabilizer.stabilizer_dim`` and
 ``stabilizer.stabilizer_tuples``, which never build it.  Each component
 is then handled on its own and never searched again.  ``_eliminate``
@@ -48,8 +49,9 @@ back-solve or lift.  The rank of a component over Q is its column count
 less the nullity of its lifted kernel, or its row count less that of its
 transpose's, and ``_kernel`` gathers the kernel of a system's components.
 The exact check packs the vectors into one int per column
-(``_annihilates``); ``jacobian`` runs the same check on a Jacobian's
-rows, rebuilt one at a time, against its tangent rows.
+(``_annihilates``).  A Jacobian's rank does not take this path:
+``jacobian`` needs only its rank mod p, a lower bound, which
+``_packed_eliminate`` reads on rows built one at a time.
 
 Matrices, like tensors, are immutable ``SparseArray`` values that store
 only their nonzero entries, keyed by row-major flat index, so a large
@@ -461,8 +463,8 @@ def rank(m: Matrix) -> int:
 def _rank(cols: list[int], rows: list[dict], field_prime: int | None, cap: int) -> int:
     """Exact rank of integer rows on cols, over Fp or, with field_prime None, Q; at most cap.
 
-    The rows are one component's, or a Jacobian's on its gauge-fixed
-    columns (``jacobian._jacobian_rank``); each is nonzero on cols.
+    The rows are one component's, a matrix's (``rank``) or a stabilizer
+    system's (``stabilizer.stabilizer_dim``); each is nonzero on cols.
 
     Over Fp it is the rank mod p (``_eliminate``).  Over Q it is the column
     count less the nullity of the lifted kernel (``_lift``) of whichever of
@@ -487,14 +489,15 @@ def _transpose(rows: list[dict]) -> list[dict]:
     return list(out.values())
 
 
-def pivot_columns(m: Matrix) -> set[int]:
-    """Pivot columns of the elimination of m mod p, component by component (``_split``, ``_eliminate``).
+def pivot_columns(m: Matrix, prime: int | None = None) -> set[int]:
+    """Pivot columns of the elimination of m mod prime, component by component (``_split``, ``_eliminate``).
 
-    There are as many as the rank of m mod p, and as many rows of m are
-    square and invertible mod p on them.  A rational matrix is read mod
-    DEFAULT_PRIME with its rows scaled to integers (``_integral_rows``).
+    There are as many as the rank of m mod prime, and as many rows of m
+    are square and invertible mod prime on them.  The prime is by default
+    the field's, or DEFAULT_PRIME over Q.  A rational matrix is read with
+    its rows scaled to integers (``_integral_rows``), so any prime reads it.
     """
-    prime, pivots = m.field.prime or DEFAULT_PRIME, []
+    prime, pivots = prime or m.field.prime or DEFAULT_PRIME, []
     for cols, rows in _split(list(_integral_rows(m)), m.cols):
         _eliminate(cols, rows, prime, len(cols), pivots)
     return {pc for pc, _ in pivots}
@@ -566,9 +569,8 @@ def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
     """Free columns and exact kernel vectors of one component's integer rows, over as many primes as it takes.
 
     The component is a matrix's (``rank``) or a stabilizer system's
-    (``stabilizer.stabilizer_dim``, ``stabilizer.stabilizer_tuples``), or a
-    Jacobian's rows (``jacobian._jacobian_rank``), over Fp or, field_prime
-    None, over Q.
+    (``stabilizer.stabilizer_dim``, ``stabilizer.stabilizer_tuples``), over
+    Fp or, field_prime None, over Q.
     Each prime eliminates the rows mod p (``_eliminate``), stopped at cap,
     and back-solves one kernel vector per free column, as {column: nonzero
     value}.  Over Fp the prime is the field's and its back-solve is
@@ -665,6 +667,9 @@ def _annihilates(rows: Iterable[dict], norm: int, by_col: dict[int, list]) -> bo
     norm, and W is the bit length of B plus a sign and a guard bit.  If
     the packed sum, sum_i s_i * 2**(W*i), is zero and s_i is its first
     nonzero slot sum, 2**W divides s_i, which cannot be.
+
+    The vectors are a lift's (``_lifted_vectors``) or the tests' oracle's;
+    no Jacobian sample calls it.
     """
     width = (max((abs(w) for col in by_col.values() for _, w in col), default=0) * norm).bit_length() + 2
     slots: dict = {}

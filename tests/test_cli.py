@@ -210,7 +210,7 @@ BIG = 10**4000  # 4001 digits: readable, but a product of two is past Python's 4
 def _big_input(command: str) -> dict:
     """An input with 4001-digit dimensions whose run meets an integer of about 8000 digits."""
     if command == "dim-vertex":
-        return jsonio.graph_to_obj(chain_graph((BIG, BIG), (2,)))
+        return jsonio.graph_to_obj(chain_graph((BIG, 2, BIG), (2, 2)))
     if command == "dim-edge":
         return jsonio.graph_to_obj(loop_graph((BIG, BIG, 2), (2, 2, 2)))
     if command == "contract":

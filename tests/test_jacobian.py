@@ -23,7 +23,7 @@ from tngeom.networks import (
 )
 from tngeom.tensors import Tensor
 
-from oracles import rank_mod_p
+from oracles import annihilates, rank_mod_p
 
 FP = PrimeField(2**31 - 1)
 FIELDS = {"rational": QQ, "fp": FP}
@@ -148,14 +148,22 @@ def _corrupted_gauge_rows(inst) -> Matrix:
                                loop_graph((2, 2, 2), vertex_dims=(5, 4, 4)), chain_graph((3, 6, 6, 3), (3, 2, 3))],
                          ids=["loop222", "loop2222", "superloop", "chain"])
 def test_a_corrupted_gauge_row_over_q_is_never_exact(monkeypatch, g):
-    # the exact check J T^T = 0 fails, so the upper bound falls back to min(rows, columns), which the
-    # rank does not reach on these gauge-fixed graphs; the chain is sampled folded, on (18, 18)
+    # the oracle rejects the corrupted T at the instance a sample draws, on these gauge-fixed graphs;
+    # the chain is sampled folded, on (18, 18).  No sample checks T (the identity J T^T = 0 is
+    # test_gauge_rows_annihilate_the_jacobian's), so over Q a sample gives the pair Fp gives.  T keeps
+    # its rank, so the upper bound is still the dimension; on the loops C moves off the gauge pivots
+    # and the lower bound falls one short, so no sample reads as exact at a wrong number
+    folded = reduce_valence_one(g)[0]
+    nrows, _, ncols = jacobian._layout(folded)
+    assert nrows > ncols
+    for seed in range(3):
+        inst = random_instance(folded, seed, QQ)
+        assert not annihilates(jacobian.contraction_jacobian(inst), _corrupted_gauge_rows(inst))
     monkeypatch.setattr(jacobian, "gauge_rows", _corrupted_gauge_rows)
-    nrows, _, ncols = jacobian._layout(reduce_valence_one(g)[0])
     for seed in range(3):
         lower, upper = jacobian.tns_dim(g, seed, QQ)
-        assert lower < upper == min(nrows, ncols)
-        assert lower == expected_dim(g)
+        assert (lower, upper) == jacobian.tns_dim(g, seed, FP)
+        assert lower <= upper == expected_dim(g)
 
 
 def _subcritical_leaves(g: NetworkGraph) -> list[int]:
@@ -197,6 +205,16 @@ def test_a_rank_deficient_subcritical_leaf_is_never_exact(monkeypatch, field):
     assert jacobian.tns_dim(g, 0, FIELDS[field]) == (200, 200)
     assert drawn and not any(_subcritical_leaves(h) for h in drawn)
     assert {tuple(v.dim for v in h.vertices) for h in drawn} == {(27, 27)}
+
+
+def test_dim_of_a_loop_of_eight_over_q_is_the_fp_report():
+    # a sample is the same over both fields, so only the field's label differs
+    g = loop_graph((2,) * 8)
+    rational, fp = _dim_report(g, "rational", 0), _dim_report(g, "fp", 0)
+    assert (rational["jacobian_dim"], rational["jacobian_dim_upper"], rational["jacobian_dim_bound"]) == (97, 97, "exact")
+    assert rational["field"] != fp["field"]
+    drop = ("field", "prime")
+    assert {k: v for k, v in rational.items() if k not in drop} == {k: v for k, v in fp.items() if k not in drop}
 
 
 # the graphs and fields of the benchmark's `dim` workload

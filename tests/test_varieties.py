@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tngeom import jacobian
+from tngeom import jacobian, linalg
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, SparseArray, pivot_columns, rank
@@ -173,9 +173,9 @@ SEGRE6 = chain_graph((2,) * 6, (1,) * 5)  # sketch 16 x 12 = 192 cells, as many 
 ])
 def test_sketch_only_over_fp_when_smaller(monkeypatch, g, field, want, tag):
     # each sample reads the rows of the source the plan picks, and only those; tag only names the case.
-    # Over Q the rows are always J's own, from the environments that the check and fallback read too
-    source = "sketch" if jacobian._jacobian_plan(g, field)[0] else "environment"
-    assert (source == "sketch") == (g is SEGRE6 and field is FP)
+    # The plan is the graph's alone, so SEGRE6 is sketched over both fields
+    source = "sketch" if jacobian._jacobian_plan(g)[0] else "environment"
+    assert (source == "sketch") == (g is SEGRE6)
     used = []
     sketch, blocks = jacobian._sketch_rows, jacobian._jacobian_blocks
     monkeypatch.setattr(jacobian, "_sketch_rows", lambda *a: used.append("sketch") or sketch(*a))
@@ -228,10 +228,10 @@ def _boom(*args):
 
 
 def _count_exact_ranks(monkeypatch) -> list:
-    """(rows, columns) of each exact fallback (``linalg._rank``) of a sample."""
+    """(rows, columns) of each exact rank (``linalg._rank``) taken from here on; a sample takes none."""
     calls = []
-    exact = jacobian._rank
-    monkeypatch.setattr(jacobian, "_rank", lambda cols, rows, *a: calls.append((len(rows), len(cols)))
+    exact = linalg._rank
+    monkeypatch.setattr(linalg, "_rank", lambda cols, rows, *a: calls.append((len(rows), len(cols)))
                         or exact(cols, rows, *a))
     return calls
 
@@ -247,6 +247,9 @@ def test_rank_over_q_closes_on_the_gauge_bound(monkeypatch, name):
 
 
 def test_corrupted_gauge_row_fails_the_check_and_falls_back(monkeypatch):
+    # the oracle rejects the corrupted T; no sample checks T, so over Q, as over Fp, a sample reads
+    # C off its pivots and gives the pair Fp gives.  J T^T = 0 is checked on gauge_rows by
+    # test_gauge_rows_annihilate_the_jacobian
     g = loop_graph((2, 2, 2))
     good = gauge_rows
 
@@ -264,17 +267,18 @@ def test_corrupted_gauge_row_fails_the_check_and_falls_back(monkeypatch):
     inst = random_instance(g, seed=0)
     assert rank_mod_p(corrupted(inst)) == rank_mod_p(good(inst))
     assert not annihilates(contraction_jacobian(inst), corrupted(inst))
+    assert (rank(contraction_jacobian(inst)), min(jacobian._layout(g)[::2])) == (37, 48)
     calls = _count_exact_ranks(monkeypatch)
-    # the check fails, so C is every column and the upper bound is min(rows, columns)
-    assert jacobian._jacobian_rank(g, 0, QQ) == (rank(contraction_jacobian(inst)), 48) == (37, 48)
-    assert calls == [(64, 48)]
+    assert jacobian._jacobian_rank(g, 0, QQ) == jacobian._jacobian_rank(g, 0, FP)
+    assert calls == []
 
 
 def test_a_tangent_row_off_the_kernel_fails_the_check(monkeypatch):
     # a unit row at a column off the gauge pivots drops that column from C; J|C keeps full
-    # column rank, one below the rank of J, so over Q only the exact check J T^T = 0 stands
-    # between the sample and a wrong rank, while over Fp the rank of a column submatrix of J
-    # is returned as the lower bound it is
+    # column rank, one below the rank 37 of J.  The oracle rejects that T, and no sample checks
+    # it: over either field the rank of a column submatrix of J is returned as the lower bound
+    # it is, and the upper bound |C| holds only for rows that lie in the kernel, as gauge_rows'
+    # do (test_gauge_rows_annihilate_the_jacobian)
     g = loop_graph((2, 2, 2))
 
     def with_a_unit_row(inst):
@@ -284,13 +288,12 @@ def test_a_tangent_row_off_the_kernel_fails_the_check(monkeypatch):
                                  inst.field)
 
     monkeypatch.setattr(jacobian, "gauge_rows", with_a_unit_row)
+    inst = random_instance(g, seed=0)
+    assert not annihilates(contraction_jacobian(inst), with_a_unit_row(inst))
+    assert (rank(contraction_jacobian(inst)), min(jacobian._layout(g)[::2])) == (37, 48)
     calls = _count_exact_ranks(monkeypatch)
-    # over Q the check fails, so C is every column and the upper bound is min(rows, columns)
-    assert jacobian._jacobian_rank(g, 0, QQ) == (37, 48)
-    assert calls == [(64, 48)]
-    # over Fp nothing checks T, so its upper bound |C| holds only for rows that lie in the kernel, as
-    # gauge_rows' do (test_gauge_rows_lie_in_jacobian_kernel); the lower bound 36 holds whatever T is
-    assert jacobian._jacobian_rank(g, 0, FP) == (36, 36)
+    assert jacobian._jacobian_rank(g, 0, QQ) == jacobian._jacobian_rank(g, 0, FP) == (36, 36)
+    assert calls == []
 
 
 def _tree_with_subcritical_leaves(seed):
@@ -309,35 +312,37 @@ def _tree_with_subcritical_leaves(seed):
     return NetworkGraph.build(list(dims.items()), edges)
 
 
-# _jacobian_rank of each tree over Q at its seed, as the exact elimination over Q found it
+# _jacobian_rank of each tree over Q at its seed, the rank of its J at that instance
 TREE_RANKS = {0: 33, 1: 12, 2: 36, 3: 33, 4: 8, 5: 22}
 FULL_ROW_RANK_TREES = (1, 4)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_fall_back_to_the_exact_rank(monkeypatch, seed):
-    # each tree has no more rows than columns, so no tangent row is built, and a sample below
-    # full row rank takes the exact rank of all of J through linalg._rank (transposed where J is wide)
+    # each tree has no more rows than columns, so no tangent row is built; a sample below full row
+    # rank takes no exact rank, and its rank mod p is the rank of J
     g = _tree_with_subcritical_leaves(seed)
     monkeypatch.setattr(jacobian, "gauge_rows", _boom)
     calls = _count_exact_ranks(monkeypatch)
     nrows, _, ncols = jacobian._layout(g)
     assert jacobian._jacobian_rank(g, seed, QQ) == (TREE_RANKS[seed], nrows)
     assert nrows <= ncols
-    assert calls == ([] if seed in FULL_ROW_RANK_TREES else [(nrows, ncols)])
+    assert calls == []
+    assert rank(contraction_jacobian(random_instance(g, seed=seed))) == TREE_RANKS[seed]
+    assert (TREE_RANKS[seed] == nrows) == (seed in FULL_ROW_RANK_TREES)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_trees_with_subcritical_leaves_close_on_witness_rows(monkeypatch, seed):
     # the fold closes what the witness rows closed: on the unfolded tree the gauge rows leave a gap
     # below cols - rank(J), and on the folded one, whose every leaf is larger than its edge, the exact
-    # rank meets their bound cols - rank_p(T); the unfolded J are wide, so a sample of one takes at
-    # most one exact rank
+    # rank meets their bound cols - rank_p(T); a sample of either takes no exact rank
     g = _tree_with_subcritical_leaves(seed)
     calls = _count_exact_ranks(monkeypatch)
     want = TREE_RANKS[seed]
     assert jacobian._jacobian_rank(g, seed, QQ)[0] == want
-    assert len(calls) == (seed not in FULL_ROW_RANK_TREES)
+    assert tns_dim(g, seed)[0] == want
+    assert calls == []
     inst = random_instance(g, seed=seed)
     jac = contraction_jacobian(inst)
     folded = random_instance(reduce_valence_one(g)[0], seed=seed)
@@ -369,12 +374,14 @@ def test_witness_rows_close_the_gauge_gap_on_a_chain():
 
 
 def test_loop_with_subcritical_vertices_takes_one_exact_rank(monkeypatch):
-    # no leaf, and the kernel of J is larger than the gauge orbit: 36 columns, gauge rank 11, rank 22
+    # no leaf, and the kernel of J is larger than the gauge orbit: 36 columns, gauge rank 11, rank 22.
+    # The bounds do not meet, and the sample takes no exact rank: its rank mod p is the rank of J
     g = loop_graph((2, 2, 2), vertex_dims=(2, 3, 4))
     calls = _count_exact_ranks(monkeypatch)
     assert jacobian._jacobian_rank(g, 0, QQ) == (22, 24)
-    assert calls == [(24, 36)]
     assert tns_dim(g, seed=0) == (22, 24)
+    assert calls == []
+    assert rank(contraction_jacobian(random_instance(g, seed=0))) == 22
 
 
 def test_chain_with_subcritical_leaves_over_q():
@@ -397,7 +404,7 @@ STREAMED_GRAPHS = {
 def test_streamed_rank_is_the_rank_of_the_jacobian_mod_p(monkeypatch, name, source):
     # rank_p(J|C) = rank_p(J), C the columns off the pivots of the gauge rows
     g = STREAMED_GRAPHS[name]
-    monkeypatch.setattr(jacobian, "_jacobian_plan", lambda g, field: (source == "sketch", True, 0))
+    monkeypatch.setattr(jacobian, "_jacobian_plan", lambda g: (source == "sketch", True, 0))
     for seed in range(3):
         want = rank_mod_p(contraction_jacobian(random_instance(g, seed=seed, field=FP)))
         assert jacobian._jacobian_rank(g, seed, FP)[0] == want
@@ -427,8 +434,8 @@ def _count_streamed_rows(monkeypatch) -> list:
 @pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_loops_read_exactly_as_many_rows_as_kept_columns(monkeypatch, n, field):
-    # every column of C gets a pivot, so the elimination stops after |C| of the 4^n rows, and over Q
-    # the sample closes there, with no exact fallback
+    # every column of C gets a pivot, so the elimination stops after |C| of the 4^n rows, and the
+    # sample closes there over either field, with no exact rank
     g = loop_graph((2,) * n)
     calls, exact = _count_streamed_rows(monkeypatch), _count_exact_ranks(monkeypatch)
     assert jacobian._jacobian_rank(g, 0, field) == (loop_dim_formula((2,) * n),) * 2
@@ -484,8 +491,7 @@ def test_triangle_444_over_q_is_721():
 @pytest.mark.parametrize("name", ["loop222", "loop2222", "chain3663", "superloop", "parallel", "loop222-234",
                                   "loop2222-2424", "chain2662", "leaftree0"])
 def test_each_exact_sample_sweeps_the_environments_once(monkeypatch, name):
-    # the rank mod p, the check of the tangent rows and the fallback all read J's rows off one sweep
-    # of environments, and no matrix of J's shape is built
+    # the rank mod p reads J's rows off one sweep of environments, and no matrix of J's shape is built
     g = STREAMED_GRAPHS[name]
     want = rank(contraction_jacobian(random_instance(g, seed=0)))
     nrows, _, ncols = jacobian._layout(g)
@@ -540,26 +546,49 @@ def test_exact_sample_rank_is_the_rank_of_the_jacobian(g, seed):
     assert jacobian._jacobian_rank(g, seed, QQ)[0] == rank(contraction_jacobian(random_instance(g, seed)))
 
 
+@settings(max_examples=30)
+@given(small_graphs(), st.booleans(), st.integers(0, 10**6))
+@example(_tree_with_subcritical_leaves(0), False, 0)  # wide J
+@example(_tree_with_subcritical_leaves(0), True, 0)
+@example(loop_graph((2, 2, 2), vertex_dims=(5, 4, 4)), False, 3)  # gauge-fixed
+@example(loop_graph((2, 2, 2), vertex_dims=(2, 3, 4)), False, 1)  # wide J
+@example(chain_graph((2, 6, 6, 2), (3, 4, 3)), True, 2)  # folds to a gauge-fixed (12, 12)
+@example(loop_graph((2,) * 4, vertex_dims=(2, 4, 2, 4)), False, 0)  # gauge-fixed
+def test_gauge_rows_annihilate_the_jacobian(g, folded, seed):
+    # J T^T = 0, exactly over Q, at the integer instance a sample draws: the identity the upper bound
+    # rests on, which no sample checks.  T has e^2 rows per edge e, in graph order
+    if folded:
+        g = reduce_valence_one(g)[0]
+    inst = random_instance(g, seed, QQ)
+    gauge = gauge_rows(inst)
+    assert annihilates(contraction_jacobian(inst), gauge)
+    # edge e's rows touch only the column blocks of its tail and head
+    _, offsets, ncols = jacobian._layout(g)
+    blocks = {v.id: range(offsets[v.id], offsets[v.id] + prod(g.tensor_shape(v.id))) for v in g.vertices}
+    first = 0
+    for e in g.edges:
+        cols = {k % ncols for k in gauge._nz if first <= k // ncols < first + e.dim**2}
+        assert all(c in blocks[e.tail] or c in blocks[e.head] for c in cols)
+        first += e.dim**2
+    assert gauge.rows == first
+
+
 def test_jacobian_plan_counts_the_rows_a_sample_builds():
-    # environment entries, or over Fp sketch cells; then, when gauge-fixed, the nonzeros of T and the
-    # pivot rows of its elimination; plus, over Q, J's nonzeros, the rows of J|C the exact fallback holds
+    # environment entries or sketch cells, whichever is fewer; then, when gauge-fixed, the nonzeros
+    # of T and the pivot rows of its elimination.  The plan is the graph's, the same over both fields
     loop5 = loop_graph((2,) * 5)  # 1024 x 80; T: 20 rows, 5 * 2 * (16 + 16) nonzeros
-    assert jacobian._jacobian_plan(loop5, FP) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80)
-    assert jacobian._jacobian_plan(loop5, QQ) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80 + 4**5 * 5 * 4)
+    assert jacobian._jacobian_plan(loop5) == (False, True, 5 * 4**4 * 4 + 320 + 20 * 80)
     loop7 = loop_graph((2,) * 7)
-    assert jacobian._jacobian_plan(loop7, FP) == (True, True, (112 + 4) * 112 + 448 + 28 * 112)
-    assert jacobian._jacobian_plan(loop7, QQ) == (False, True, 7 * 4**6 * 4 + 448 + 28 * 112 + 4**7 * 7 * 4)
-    assert jacobian._jacobian_plan(loop7, QQ)[2] == 577024
+    assert jacobian._jacobian_plan(loop7) == (True, True, (112 + 4) * 112 + 448 + 28 * 112)
     loop8 = loop_graph((2,) * 8)
-    assert jacobian._jacobian_plan(loop8, FP) == (True, True, (128 + 4) * 128 + 512 + 32 * 128)
-    assert jacobian._jacobian_plan(loop8, QQ) == (False, True, 8 * 4**7 * 4 + 512 + 32 * 128 + 4**8 * 8 * 4)
+    assert jacobian._jacobian_plan(loop8) == (True, True, (128 + 4) * 128 + 512 + 32 * 128)
     triangle = loop_graph((4, 4, 4))  # 4096 x 768; T: 48 rows, 3 * 4 * (256 + 256) nonzeros
-    assert jacobian._jacobian_plan(triangle, FP) == (False, True, 3 * 256 * 16 + 6144 + 48 * 768)
+    assert jacobian._jacobian_plan(triangle) == (False, True, 3 * 256 * 16 + 6144 + 48 * 768)
     # 64 x 12, five gauge rows of four nonzeros
-    assert jacobian._jacobian_plan(SEGRE6, FP) == (True, True, 192 + 20 + 5 * 12)
+    assert jacobian._jacobian_plan(SEGRE6) == (True, True, 192 + 20 + 5 * 12)
     # a chain with two subcritical leaves: 8 x 20400, not gauge-fixed, and T is not counted
     wide = chain_graph((2, 2, 2), (100, 100))
-    assert jacobian._jacobian_plan(wide, FP) == (False, False, 4 * 100 + 4 * 10**4 + 4 * 100)
+    assert jacobian._jacobian_plan(wide) == (False, False, 4 * 100 + 4 * 10**4 + 4 * 100)
     assert jacobian._tangent_size(wide) == (2 * 10**4, 2 * 100 * (200 + 20000))
     for g in STREAMED_GRAPHS.values():
         gauge = gauge_rows(random_instance(g, seed=0))
@@ -572,16 +601,26 @@ def test_tns_dim_pins_over_q_and_fp():
     assert tns_dim(loop_graph((2,) * 6), seed=0) == (73, 73) == (loop_dim_formula((2,) * 6),) * 2
 
 
-def test_jacobian_size_budget():
+# a centre of dim 600, an edge of 10 to a vertex of dim 26 and an edge of 3 to a leaf of dim 1: the
+# leaf folds into the centre, and the folded J, 15600 x 6260, is gauge-fixed
+FOLDED_TREE = NetworkGraph.build([(1, 600), (2, 26), (3, 1)], [(1, 1, 2, 10), (2, 1, 3, 3)])
+
+
+def test_jacobian_size_budget(monkeypatch):
+    # the plan is the graph's, so both fields admit and refuse the same graphs
+    folded = reduce_valence_one(FOLDED_TREE)[0]
+    assert jacobian._jacobian_plan(folded) == (False, True, 694860)
     for g in [loop_graph((2,) * 6), loop_graph((2,) * 7), loop_graph((4, 4, 4)), loop_graph((3,) * 4),
               chain_graph((3, 9, 9, 3), (4, 4, 4)), chain_graph((3, 9, 9, 9, 3), (4, 4, 4, 4)), SEGRE6,
-              *JACOBIAN_GRAPHS.values()]:
-        check_jacobian_size(g, QQ)
-        check_jacobian_size(g, FP)
-    for g in [loop_graph((2,) * 8), loop_graph((5, 5, 5))]:
-        check_jacobian_size(g, FP)
-        with pytest.raises(SemanticError, match="over the budget"):
-            check_jacobian_size(g, QQ)
+              *JACOBIAN_GRAPHS.values(), loop_graph((2,) * 8), loop_graph((5, 5, 5)), folded]:
+        check_jacobian_size(g)
+    with pytest.raises(SemanticError, match="over the budget"):
+        check_jacobian_size(loop_graph((8,) * 4))
+    # tns_dim admits them over both fields: each reaches its (stubbed) sample
+    monkeypatch.setattr(jacobian, "_jacobian_rank", lambda g, seed, field: (1, 1))
+    for field in (QQ, FP):
+        for g in [loop_graph((2,) * 8), loop_graph((5, 5, 5)), FOLDED_TREE]:
+            assert tns_dim(g, field=field) == (1, 1)
 
 
 def test_tns_dim_refuses_a_graph_over_budget_before_drawing(monkeypatch):
@@ -592,6 +631,11 @@ def test_tns_dim_refuses_a_graph_over_budget_before_drawing(monkeypatch):
     for field in (QQ, FP):
         with pytest.raises(SemanticError, match="over the budget"):
             tns_dim(loop_graph((8,) * 4), field=field)
+
+
+def test_tns_dim_loop_of_nine_over_q():
+    # sketched, 27072 planned cells over either field; about 0.13 s
+    assert tns_dim(loop_graph((2,) * 9), field=QQ) == (109, 109) == (loop_dim_formula((2,) * 9),) * 2
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
