@@ -338,7 +338,9 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     network sets are equal, and so are their dimensions, over Q and over
     any field.  Folding keeps the rows, the product of the vertex
     dimensions, and removes columns.  The budget is checked on the folded
-    graph, the one sampled.
+    graph, the one sampled.  A graph that folds to one vertex v and no edge
+    has all of V_v as its network set, so its dimension is dim v, returned
+    as both bounds with no sample.
 
     A sample gives both bounds (``_jacobian_rank``, and the argument in the
     module docstring); the field picks only the prime it is read mod.
@@ -350,6 +352,8 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     """
     require_vertices(g)
     g = reduce_valence_one(g)[0]
+    if not g.edges and len(g.vertices) == 1:  # the network set of a lone vertex v is all of V_v
+        return g.vertices[0].dim, g.vertices[0].dim
     check_jacobian_size(g)
     lower, upper = _jacobian_rank(g, seed, field)
     if lower < upper:

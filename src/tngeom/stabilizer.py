@@ -5,8 +5,9 @@ derivation action (sum of single-slot insertions) kills it.  Collecting
 the insertion of every elementary matrix in every slot as the columns of
 one linear system turns the stabilizer into a kernel computation; the
 orbit dimension is the rank of the same system.  No command builds the
-system: its connected components are read off the tensor one at a time
-(``_components``), and each is ranked (``stabilizer_dim``) or has its
+system: its connected components are found from the tensor's fibres and
+read off the tensor one at a time (``_components``), and each is ranked
+(``stabilizer_dim``, once per class of equal local matrices) or has its
 kernel lifted (``stabilizer_tuples``) on its own.  ``build_system``
 assembles the whole system as one matrix, an independent reference to
 check the components against.
@@ -30,18 +31,21 @@ from .tensors import Tensor, lin_index
 # Budgets on a stabilizer system.  Its rank and kernel (``stabilizer_dim``,
 # ``stabilizer_tuples``) are taken one connected component at a time from
 # the tensor (``_components``), so what is held at once is
-# the fibres of the tensor, a column of each nonzero row and a label per
-# column, and the rows of one component.  MAX_SYSTEM_NNZ caps its nonzeros
+# the fibres of the tensor and their keys by class, a label per column,
+# the links between slots counted at the columns they start from, and the
+# rows of one component.  MAX_SYSTEM_NNZ caps its nonzeros
 # and MAX_SYSTEM_COLS its columns, sum(shape[j]**2), both checked from the
 # tensor alone (``check_tensor_size``).  MAX_SYSTEM_FILL caps the cells of
 # the largest component, rows x columns, which is all an elimination holds
 # at once, checked once the components are known and before any is
 # eliminated: a dense component fills towards rows x columns, far past its
 # nonzeros.  Peak RSS on a 2-core host with Python 3.11: `certify` over Q
-# 25 MB at e = 10, 34 MB at e = 12 and 70 MB (12 s) at e = 16, whose
-# mmult system has 3.1e6 nonzeros (330 MB at e = 12 when the system was
-# built whole); a dense (2,)^16 tensor, 2.1e6 nonzeros in one component of
-# 65536 rows, 257 MB in 3.6 s, about 120 B per nonzero, the most measured;
+# 22 MB at e = 10, 28 MB at e = 12 and 61 MB (5 s) at e = 16, whose
+# mmult system has 3.1e6 nonzeros (34 and 69 MB at e = 12 and 16 when
+# each row was visited in each slot to find the components, 330 MB at
+# e = 12 when the system was built whole); a dense (2,)^16 tensor, 2.1e6
+# nonzeros in one component of 65536 rows, 245 MB in 3.3 s, about 110 B
+# per nonzero, the most measured;
 # `stabilizer` on a dense 20 x 20 x 20 tensor (one component of 9.6e6
 # cells) 85 MB in 6.7 s over Q, its elimination stopping at the cap of
 # 1198 = 1200 - 2 pivots.
@@ -125,43 +129,54 @@ def build_system(t: Tensor) -> StabilizerSystem:
     return StabilizerSystem(Matrix._from_flat((prod(shape), total), nz, t.field), shape, tuple(offsets))
 
 
-def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict], int]]]:
+def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict], int, bool]]]:
     """The connected components of t's system that some row holds, read off the tensor.
 
-    The system is never built.  Row r holds, for each slot j, the nonzeros
-    of t on the fibre through r along slot j (the indices of r with slot j
-    free): the value t[r with slot j set to l] at column (j, r_j, l).  So
-    the rows are read off the fibres, which cost O(nnz(t) * d), and no row
-    is held past its component.  The first pass links, for each row and
-    each slot whose fibre through it is nonempty, its columns there to one
-    column of its next such slot; ``linalg.components`` of those links are
-    the components of the system, and one column of each row is kept.  The
-    rows and columns of each component bound the cells its elimination can
-    hold, and the largest is checked against the fill budget before this
-    returns.  A component of one column has rank 1 and no kernel, since
-    each of its rows holds the column with a nonzero value: its column
-    alone is returned, in an array of them.  Every other component is
-    yielded in turn by the generator returned, as (columns, rows, s).  Its
-    rows are found again from its columns, in row order, each as {column:
-    integer value} (``linalg._integral``), and s is the number of slots in
-    which it holds a diagonal column (j, k, k), the slots its part of the
-    scalar rows reaches (``stabilizer_dim``).  A column that no row holds
-    is free, is in no component and costs no object.
+    The system is never built.  Row r holds, for each slot j, the nonzeros of t
+    on the fibre through r along slot j (the indices of r with slot j free):
+    the value t[r with slot j set to l] at column (j, r_j, l).  So the rows are
+    read off the fibres, which cost O(nnz(t) * d), and no row is held past its
+    component.  The components come from the fibres, not the rows.  In slot j,
+    fibre f holds column (j, k, l) at row f + k * stride for every k and each
+    l of f, so a per-slot search joins the l's that share a fibre into
+    classes, and each class is one connected set of columns at every k.  Only a
+    row whose fibres are nonempty in two slots or more joins one slot's sets
+    to another's.  It links its columns in each two such slots i < j with no
+    such slot between, and these links are found from slot i: by joining slot
+    i's fibre keys with slot j's on the other coordinates, which meets only
+    rows nonempty in both, or, where a join would meet more rows than slot i
+    has (a dense tensor), by visiting slot i's rows.  ``linalg.components`` of
+    those links is the one search of the system's columns.  A component's rows
+    are the fibres of its classes, one row per fibre and k, less one for each
+    link between slots; its rows and columns bound the cells its elimination
+    can hold, and the largest is checked against the fill budget before this
+    returns.  A component of one column has rank 1 and no kernel, since each of
+    its rows holds the column with a nonzero value: its column alone is
+    returned, in an array of them.  Every other component is yielded in turn by
+    the generator returned, as (columns, rows, s, shared).  Its rows, in row
+    order, are each {column: integer value} (``linalg._integral``); s is the
+    number of slots in which it holds a diagonal column (j, k, k), the slots
+    its part of the scalar rows reaches (``stabilizer_dim``); shared says
+    whether another component has as many columns and rows.  A column that no
+    row holds is free, is in no component and costs no object.
     """
     check_tensor_size(t)
     shape, nz = t.shape, t._nz
     ints = set(map(type, nz.values())) <= {int}  # else a row with a Fraction is scaled to integers
     strides = [prod(shape[j + 1:]) for j in range(len(shape))]
     offsets = list(accumulate((s * s for s in shape), initial=0))
-    cols = offsets[-1]
     slots = list(zip(strides, shape, offsets))
     fibres: list[dict[int, list]] = [{} for _ in shape]  # slot j: {flat index with slot j at 0: [(l, value)]}
-    keys: list[dict[int, list]] = [{} for _ in shape]  # slot j: {l: the keys of the fibres that hold l}
     for flat, v in nz.items():
-        for fib, by_l, (st, s, _) in zip(fibres, keys, slots):
+        for fib, (st, s, _) in zip(fibres, slots):
             l = flat // st % s
             fib.setdefault(flat - l * st, []).append((l, v))
-            by_l.setdefault(l, []).append(flat - l * st)
+    # slot j: the class of each l, and {class: the keys of its fibres}
+    classes = [components(([l for l, _ in f] for f in fib.values()), s) for fib, (_, s, _) in zip(fibres, slots)]
+    members: list[dict[int, list]] = [{} for _ in shape]
+    for fib, cls, by in zip(fibres, classes, members):
+        for b, f in fib.items():
+            by.setdefault(cls[f[0][0]], []).append(b)
 
     def row(r: int) -> dict:
         out = {}
@@ -173,32 +188,56 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
                     out[at + l] = v
         return out if ints else _integral(out)
 
-    lasts = array("q")  # a column of each nonzero row
+    size, repeats = prod(shape), Counter()  # the links between slots, at the column of slot i each starts from
 
     def links():
-        # for each row r and slot j whose fibre through r is nonempty: r's columns in slot j and
-        # one of its columns in its next such slot, so the links of r join all its columns
-        for j, (fib, (st, s, off)) in enumerate(zip(fibres, slots)):
-            later = list(zip(fibres[j + 1:], slots[j + 1:]))
-            for base, f in fib.items():
-                for k in range(s):
-                    r, at = base + k * st, off + k * s
-                    cs = [at + l for l, _ in f]
-                    for fib2, (st2, s2, off2) in later:
-                        k2 = r // st2 % s2
-                        if f2 := fib2.get(r - k2 * st2):
-                            cs.append(off2 + k2 * s2 + f2[0][0])
-                            break
-                    else:  # r's last such slot, met once
-                        lasts.append(cs[0])
-                    yield cs
+        for cls, (_, s, off) in zip(classes, slots):
+            joined: dict[int, list] = {}
+            for l, a in enumerate(cls):
+                if a != l:
+                    joined.setdefault(a, [a]).append(l)
+            for k in range(off, off + s * s, s):
+                yield from ([k + l for l in ls] for ls in joined.values())
+        # a row that spans slots links its columns in each two slots i < j of it with none between, met from
+        # slot i: by visiting slot i's rows, or by joining slot i's fibres with slot j's on the coordinates
+        # other than i and j when that meets fewer rows; a join meets at least |R_i| + |R_j| - size of them
+        for i, (fi, (si, ni, oi)) in enumerate(zip(fibres, slots)):
+            later, rows = list(zip(fibres[i + 1:], slots[i + 1:])), len(fi) * ni
+            if rows <= sum(len(fi) + len(fj) + max(0, rows + len(fj) * s - size) for fj, (_, s, _) in later):
+                for b, f in fi.items():
+                    for y in range(ni):
+                        r = b + y * si
+                        for fj, (sj, nj, oj) in later:
+                            if g := fj.get(r - (x := r // sj % nj) * sj):
+                                repeats[at := oi + y * ni + f[0][0]] += 1
+                                yield at, oj + x * nj + g[0][0]
+                                break
+                continue
+            for n, (fj, (sj, nj, oj)) in enumerate(later):
+                rest: dict[int, list] = {}  # slot j's fibres by their coordinates other than i: (r_i, column)
+                for b, f in fj.items():
+                    y = b // si % ni
+                    rest.setdefault(b - y * si, []).append((y, oj + f[0][0]))
+                for b, f in fi.items():
+                    x = b // sj % nj
+                    for y, c in rest.get(b - x * sj, ()):
+                        r = b + y * si
+                        if not any(r - r // st % s * st in fm for fm, (st, s, _) in later[:n]):
+                            repeats[at := oi + y * ni + f[0][0]] += 1
+                            yield at, c + x * nj
 
-    label = components(links(), cols)
+    label = components(links(), offsets[-1])
     col_count = Counter(label)
-    row_count = Counter(map(label.__getitem__, lasts))
-    del lasts
-    check_system_size(len(nz) * sum(shape),
-                      max((n * col_count[a] for a, n in row_count.items() if col_count[a] > 1), default=0))
+    row_count = Counter()
+    for by, (_, s, off) in zip(members, slots):
+        for a, keys in by.items():
+            for k in range(off + a, off + s * s, s):
+                row_count[label[k]] += len(keys)
+    for c, n in repeats.items():
+        row_count[label[c]] -= n
+    del repeats
+    shapes = Counter((col_count[a], n) for a, n in row_count.items() if col_count[a] > 1)
+    check_system_size(len(nz) * sum(shape), max((m * n for m, n in shapes), default=0))
     singles, groups = array("q"), {}
     for c, a in enumerate(label):
         if col_count[a] > 1:
@@ -208,18 +247,30 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     del label
 
     def each():
-        for ccols in groups.values():
+        for a, ccols in groups.items():
             found, diagonal = set(), set()
             for c in ccols:
                 j = bisect_right(offsets, c) - 1
                 st, s, off = slots[j]
                 k, l = divmod(c - off, s)
-                found.update(base + k * st for base in keys[j].get(l, ()))  # the rows that hold column (j, k, l)
+                found.update(b + k * st for b in members[j].get(l, ()))  # class l's rows at k
                 if k == l:
                     diagonal.add(j)
-            yield ccols, [row(r) for r in sorted(found)], len(diagonal)
+            yield ccols, [row(r) for r in sorted(found)], len(diagonal), shapes[col_count[a], row_count[a]] > 1
 
     return singles, each()
+
+
+def _class_key(ccols: list[int], crows: list[dict], cap: int) -> tuple[int, int, frozenset]:
+    """A component's local matrix: its column count, its cap, and its distinct rows on columns 0..n-1."""
+    local = {c: i for i, c in enumerate(ccols)}
+    return len(ccols), cap, frozenset(tuple(sorted((local[c], v) for c, v in row.items())) for row in crows)
+
+
+def _class_rank(key: tuple[int, int, frozenset], prime: int | None) -> int:
+    """The rank of a local matrix (``_class_key``), at most its cap."""
+    n, cap, rows = key
+    return _rank(list(range(n)), list(map(dict, rows)), prime, cap)
 
 
 def stabilizer_dim(t: Tensor) -> int:
@@ -240,11 +291,26 @@ def stabilizer_dim(t: Tensor) -> int:
     component has over Q and over Fp, so its elimination stops once its
     rank reaches its column count less min(s, d - 1), and over Q a
     component that reaches that cap needs no lifted kernel.
+
+    Most components of a sparse tensor's system are copies of a few local
+    matrices.  A component with as many columns and rows as another is
+    keyed by its local matrix (``_class_key``), and each key is ranked
+    once (``_class_rank``) for all its copies.  That is exact: equal
+    matrices have equal rank, a repeated row adds none, and the cap is a
+    bound on that same matrix.  A component of a shape of its own, such
+    as the one component of a dense tensor, is ranked as it is.
     """
     singles, comps = _components(t)
-    prime, rank = t.field.prime, len(singles)
-    for ccols, crows, held in comps:
-        rank += _rank(ccols, crows, prime, len(ccols) - min(held, t.order - 1))
+    prime, rank, ranks = t.field.prime, len(singles), {}
+    for ccols, crows, held, shared in comps:
+        cap = len(ccols) - min(held, t.order - 1)
+        if not shared:
+            rank += _rank(ccols, crows, prime, cap)
+            continue
+        key = _class_key(ccols, crows, cap)
+        if key not in ranks:
+            ranks[key] = _class_rank(key, prime)
+        rank += ranks[key]
     return sum(s * s for s in t.shape) - rank
 
 
@@ -259,7 +325,7 @@ def stabilizer_tuples(t: Tensor) -> list[tuple[Matrix, ...]]:
     shape, f = t.shape, t.field
     offsets = list(accumulate((s * s for s in shape), initial=0))
     singles, comps = _components(t)
-    groups = chain((([c], [{c: 1}]) for c in singles), ((ccols, crows) for ccols, crows, _ in comps))
+    groups = chain((([c], [{c: 1}]) for c in singles), ((ccols, crows) for ccols, crows, *_ in comps))
     out = []
     for vec in _kernel(groups, offsets[-1], f.prime):
         mats = [{} for _ in shape]

@@ -3,7 +3,8 @@
 Covers bounded-multilinear-rank membership and the non-closedness
 certificate built from a splitting curve.  The Jacobian dimension of a
 network set is in ``jacobian``, which a `dim` process loads without this
-module's curve, named-tensor and stabilizer code.
+module's curve, named-tensor and stabilizer code; a `certify` process
+loads neither it nor the network code.
 """
 
 from __future__ import annotations
@@ -12,20 +13,21 @@ from ._record import Record
 from .curves import act_curve, curve_from_splitting, leading_term
 from .errors import SemanticError, ShapeError
 from .linalg import rank  # noqa: F401  (kept importable here for code that wraps it)
-from .networks import contract_network  # noqa: F401  (kept importable here for code that wraps it)
 from .stabilizer import stabilizer_dim
 from .tensors import Tensor, mlrank
 from .zoo import Splitting, m_tilde_formula, mmult
 
 
 def __getattr__(name: str):
-    # contraction_jacobian stays reachable here for code that wraps it, without loading the Jacobian
-    # code into a `certify` process
-    if name != "contraction_jacobian":
+    # contract_network and contraction_jacobian stay reachable here for code that wraps them, without
+    # loading the network or Jacobian code into a `certify` process
+    if name == "contract_network":
+        from .networks import contract_network as value
+    elif name == "contraction_jacobian":
+        from .jacobian import contraction_jacobian as value
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import jacobian
-
-    value = globals()[name] = getattr(jacobian, name)
+    globals()[name] = value
     return value
 
 

@@ -244,6 +244,28 @@ def test_dim_folds_leaves_on_edges_past_the_digit_limit(tmp_path, capsys):
     assert report["jacobian_dim_bound"] == "exact"
 
 
+@pytest.mark.parametrize("field, label, prime", [("rational", "rational", "null"), ("fp", "Fp", "2147483647")])
+def test_dim_of_a_chain_that_folds_to_one_vertex_takes_no_sample(tmp_path, capsys, monkeypatch, field, label, prime):
+    # chain (40, 40)/(40) folds to one vertex of dimension 1600, whose network set is all of its space: the
+    # report is the one a sample gave before (a 1600 x 1600 identity eliminated in 1.5 s), and none is drawn
+    monkeypatch.setattr(jacobian, "_jacobian_rank", None)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(jsonio.graph_to_obj(chain_graph((40, 40), (40,)))))
+    code, out, err = run(["dim", path, "--field", field], capsys)
+    assert code == 0 and err == ""
+    assert out == ('{\n  "jacobian_dim": 1600,\n  "formula_dim": 1600,\n  "agree": true,\n'
+                   f'  "field": "{label}",\n  "prime": {prime},\n  "seed": 0,\n'
+                   '  "jacobian_dim_bound": "exact",\n  "jacobian_dim_upper": 1600\n}\n')
+    # (1000, 1000)/(1000), planned at one cell, once would have eliminated a 10^6 x 10^6 identity
+    path.write_text(json.dumps(jsonio.graph_to_obj(chain_graph((1000, 1000), (1000,)))))
+    start = time.perf_counter()
+    code, out, err = run(["dim", path, "--field", field], capsys)
+    assert time.perf_counter() - start < 1
+    report = json.loads(out)
+    assert code == 0 and (report["jacobian_dim"], report["jacobian_dim_upper"]) == (10**6, 10**6)
+    assert report["jacobian_dim_bound"] == "exact"
+
+
 @pytest.mark.parametrize("command", ["certify", "limit"])
 def test_exit_3_on_an_e_whose_budget_count_is_past_the_digit_limit(capsys, command):
     code, out, err = run([command, "--e", "9" * 2000], capsys)

@@ -63,7 +63,7 @@ NOT_LOADED = {
     "reduce": {"stabilizer", "varieties", "curves", "zoo"},
     "stabilizer": {"networks", "varieties", "curves", "zoo"},
     "limit": {"networks", "stabilizer", "varieties"},
-    "certify": set(),
+    "certify": {"jacobian", "networks"},
     "dim": {"stabilizer", "varieties", "curves", "zoo"},
 }
 

@@ -25,9 +25,10 @@ def table(out: str) -> list[list[str]]:
 
 
 def test_certificate_sweep():
+    # the last three columns are the time, the time per nonzero of the trace tensor's system and the peak RSS
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4"))
-    assert all(float(peak) > 0 for *_, peak in rows)
-    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _, _ in rows] == [
+    assert all(float(per) > 0 and float(peak) > 0 for *_, per, peak in rows)
+    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _, _, _ in rows] == [
         (2, 11, 12, "not_closed_certified"),
         (3, 26, 30, "not_closed_certified"),
         (4, 47, 56, "not_closed_certified"),
@@ -35,13 +36,31 @@ def test_certificate_sweep():
 
 
 def test_certificate_sweep_over_fp():
-    # the table over Q, leading powers included; the last two columns are the time and the peak RSS
+    # the table over Q, leading powers included; the last three columns are the time, the time per nonzero
+    # and the peak RSS
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4", "--field", "fp"))
-    assert [row[:-2] for row in rows] == [
+    assert [row[:-3] for row in rows] == [
         ["2", "11", "12", "1", "not_closed_certified"],
         ["3", "26", "30", "1", "not_closed_certified"],
         ["4", "47", "56", "1", "not_closed_certified"],
     ]
+
+
+def test_stab_classes():
+    # each class of M and M~: columns, distinct rows, copies and nullity, polynomials in e; then the two
+    # stabilizers summed from the classes beside 3e^2 - 1 and 4e^2 - 2e
+    classes, sums = run_script("stab_classes.py", "--min-e", "2", "--max-e", "5").split("\n\n")
+    want = []
+    for e in range(2, 6):
+        pairs, triples = 3 * e * (e - 1), 2 * e * (e - 1) * (e - 2)
+        m = [(1, "-", 3 * e**4 - 2 * e * pairs - 3 * e * e, 0), (2 * e, e * e, pairs, 1),
+             (3 * e * e, e**3, 1, 3 * e - 1)]
+        mt = [(1, "-", 3 * e**4 - 2 * (2 * pairs + triples) - 3 * e * e, 0), (2, 1, pairs, 1), (2, 2, triples, 0),
+              (2, 3, pairs, 0), (3 * e * e, e * (2 * e - 1), 1, e * e + e)]
+        want += [[str(e), name, *map(str, row)] for name, rows in (("M", m), ("M~", mt)) for row in rows if row[2]]
+    assert table(classes) == want
+    assert table(sums) == [[str(e), *[str(3 * e * e - 1)] * 2, *[str(4 * e * e - 2 * e)] * 2, "yes"]
+                           for e in range(2, 6)]
 
 
 def test_loop_dimension_scan():
@@ -98,7 +117,7 @@ def test_startup_profile():
     assert modules["contract"] == modules["reduce"] == common | {"networks"}
     assert modules["stabilizer"] == common | {"stabilizer"}
     assert modules["limit"] == common | {"curves", "zoo"}
-    assert modules["certify"] == common | {"curves", "networks", "stabilizer", "varieties", "zoo"}
+    assert modules["certify"] == common | {"curves", "stabilizer", "varieties", "zoo"}
     assert modules["dim"] == common | {"jacobian", "networks"}
     assert all(int(row[1]) == 1 and float(row[2]) > 0 for row in rows.values())
-    assert int(rows["--help"][3]) < int(rows["stabilizer"][3]) < int(rows["dim"][3]) < int(rows["certify"][3])
+    assert int(rows["--help"][3]) < int(rows["stabilizer"][3]) < int(rows["certify"][3]) < int(rows["dim"][3])

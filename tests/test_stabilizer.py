@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +10,7 @@ from tngeom import jsonio, linalg, stabilizer
 from tngeom.curves import act_curve, curve_from_splitting
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
-from tngeom.linalg import Matrix, rank
+from tngeom.linalg import Matrix, _integral_rows, _split, rank
 from tngeom.stabilizer import (
     _components,
     build_system,
@@ -318,7 +319,7 @@ def test_scalar_rows_lie_in_the_kernel(shape, field):
         singles, comps = _components(t)
         # a column that is a component of its own is no diagonal column, or the scalar rows would kill it
         assert not any(row.get(c) for row in scalar for c in singles)
-        for ccols, rows, held in comps:
+        for ccols, rows, held, _ in comps:
             parts = [part for row in scalar if (part := {c: v for c, v in row.items() if c in ccols})]
             # the cap of stabilizer_dim counts the slots that hold a diagonal column instead of eliminating
             diagonal = {j for j, k, l in (column_label(system, c) for c in ccols) if k == l}
@@ -465,6 +466,48 @@ def test_streamed_rank_is_the_oracle_rank_of_the_built_system(t):
     assert stabilizer_dim(t) == m.cols - want == sum(s * s for s in t.shape) - want
 
 
+@st.composite
+def repeated_blocks(draw):
+    """Copies of one sparse block of order 1 to 4 placed along the diagonal, each copy's values drawn from
+    {1, 2, -1}, so that many components share a shape and some share their local matrix too."""
+    field = draw(st.sampled_from([QQ, FP]))
+    block = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=4)))
+    copies = draw(st.integers(2, 4 if len(block) < 4 else 2))
+    cells = draw(st.lists(st.sampled_from(list(itertools.product(*(range(s) for s in block)))),
+                          min_size=1, unique=True))
+    items = {tuple(i * s + x for s, x in zip(block, c)): draw(st.sampled_from([1, 2, -1]))
+             for i in range(copies) for c in cells}
+    return Tensor.from_nonzeros(tuple(copies * s for s in block), items, field)
+
+
+@given(st.one_of(sparse_tensors(), repeated_blocks()))
+@example(mmult(2, 3, 2))
+@example(m_tilde_formula(2, FP))
+def test_components_from_fibres_are_the_components_of_the_built_system(t):
+    # the components found from the fibres are those of the built system (``linalg._split``): the same
+    # columns, rows, shared shapes and fill checked; keying shared shapes leaves the oracle rank
+    checked = []
+    check = stabilizer.check_system_size
+    stabilizer.check_system_size = lambda *a, **k: checked.append(a) or check(*a, **k)
+    try:
+        singles, comps = _components(t)
+    finally:
+        stabilizer.check_system_size = check
+    m = build_system(t).matrix
+    groups = _split(list(_integral_rows(m)), m.cols)
+    assert list(singles) == sorted(c for ccols, _ in groups if len(ccols) == 1 for c in ccols)
+    want = {tuple(ccols): crows for ccols, crows in groups if len(ccols) > 1}
+    shapes = Counter((len(ccols), len(crows)) for ccols, crows in want.items())
+    got = {tuple(ccols): (crows, shared) for ccols, crows, _, shared in comps}
+    assert got == {ccols: (crows, shapes[len(ccols), len(crows)] > 1) for ccols, crows in want.items()}
+    assert checked[-1] == (len(t._nz) * sum(t.shape), max((a * b for a, b in shapes), default=0))
+    if t.field is QQ:
+        oracle = naive_rank(matrix_rows(m))
+    else:
+        oracle = naive_rank_mod_p([mat_row(m, i) for i in range(m.rows)], FP.prime)
+    assert stabilizer_dim(t) == m.cols - oracle
+
+
 @pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
 @pytest.mark.parametrize("e", range(2, 7))
 def test_streamed_rank_holds_the_pinned_certify_table(e, field):
@@ -492,13 +535,14 @@ def test_streamed_rank_never_builds_the_system(monkeypatch):
     monkeypatch.setattr(stabilizer, "_rank", lambda cols, *a: widths.append(len(cols)) or _rank(cols, *a))
     e = 5
     assert stabilizer_dim(mmult(e, e, e)) == 3 * e * e - 1
-    # at e = 5 the system splits into 1200 components of one column, 60 of 10 and one of 75
-    assert sorted(widths) == [10] * 60 + [75]
+    # at e = 5 the system splits into 1200 components of one column, 60 of 10 and one of 75; the 60
+    # are copies of one local matrix, ranked once
+    assert sorted(widths) == [10, 75]
     assert len(_components(mmult(e, e, e))[0]) == 1200
 
 
 def _count_searches(monkeypatch) -> list:
-    """One entry per component search (``linalg.components``), where linalg and stabilizer call it."""
+    """The column count of each component search (``linalg.components``), where linalg and stabilizer call it."""
     calls = []
     search = linalg.components
     for module in (linalg, stabilizer):
@@ -508,15 +552,17 @@ def _count_searches(monkeypatch) -> list:
 
 @pytest.mark.parametrize("field", [QQ, FP], ids=["rational", "fp"])
 def test_each_system_is_searched_for_components_once(monkeypatch, field):
-    # a component is ranked or lifted on its own, over every prime, and never searched again
+    # a component is ranked or lifted on its own, over every prime, and never searched again.  The one
+    # search of the system's columns follows one search of each slot's indices, which joins those that
+    # share a fibre
     calls = _count_searches(monkeypatch)
     for t in (mmult(3, 3, 3, field), m_tilde_formula(3, field), _fixed_7x7x7(field)):
         del calls[:]
         stabilizer_dim(t)
-        assert calls == [sum(s * s for s in t.shape)]
+        assert calls == [*t.shape, sum(s * s for s in t.shape)]
         del calls[:]
         stabilizer_tuples(t)
-        assert calls == [sum(s * s for s in t.shape)]
+        assert calls == [*t.shape, sum(s * s for s in t.shape)]
     m = build_system(mmult(3, 3, 3, field)).matrix
     for fn in (rank, rank_mod_p, linalg.pivot_columns, kernel_basis):
         del calls[:]

@@ -474,13 +474,16 @@ def test_wide_jacobians_build_no_tangent_rows(monkeypatch, g, want):
 
 def test_a_chain_of_leaves_inside_their_edges_folds_to_one_vertex(monkeypatch):
     # chain (2, 2, 2) on edges of 100 folds to one vertex of dim 8, whose J is 8 x 8, where the
-    # unfolded J is 8 x 20400; each field draws one sample
+    # unfolded J is 8 x 20400.  The network set of a lone vertex is its whole space, so neither field
+    # draws a sample; one drawn on the folded graph reads 8 rows of the 8 x 8 J and has rank 8
     g = chain_graph((2, 2, 2), (100, 100))
     assert jacobian._layout(g)[::2] == (8, 20400)
     monkeypatch.setattr(jacobian, "gauge_rows", _boom)
     calls = _count_streamed_rows(monkeypatch)
     assert tns_dim(g, seed=0, field=FP) == tns_dim(g, seed=0) == (8, 8) == (expected_dim(g),) * 2
-    assert calls == [(8, 8)] * 2
+    assert calls == []
+    assert jacobian._jacobian_rank(reduce_valence_one(g)[0], 0, FP) == (8, 8)
+    assert calls == [(8, 8)]
 
 
 def test_triangle_444_over_q_is_721():
