@@ -7,10 +7,12 @@ For each n it writes a seeded random instance on the loop with n edges
 of dimension 2 (every vertex of dimension 4) to a temporary directory,
 and runs `python -m tngeom contract` on it in a child process, with the
 report sent to a file there.  Each row gives n, the 4^n entries of the
-contracted tensor, the child's wall seconds, its peak RSS from
-os.wait4 and that peak per entry.  The child imports tngeom from this
-process's PYTHONPATH, so pointing PYTHONPATH at another checkout's src
-measures that checkout.  The contraction budget admits n <= 10.
+contracted tensor, the entries its contraction plan holds at once
+(``networks.contraction_plan``), the child's wall seconds, its peak RSS
+from os.wait4, and that peak per contracted entry and per held entry.
+The child imports tngeom from this process's PYTHONPATH, so pointing
+PYTHONPATH at another checkout's src measures that checkout (one that
+has ``contraction_plan``).  The contraction budget admits n <= 10.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from pathlib import Path
 
 from tngeom import DEFAULT_PRIME, QQ, PrimeField, loop_graph, random_instance
 from tngeom.jsonio import graph_to_obj, tensor_to_obj
+from tngeom.networks import contraction_plan
 
 
 def main() -> int:
@@ -36,7 +39,7 @@ def main() -> int:
     args = ap.parse_args()
 
     field = QQ if args.field == "rational" else PrimeField(DEFAULT_PRIME)
-    print(f"{'n':>3} {'entries':>9} {'secs':>7} {'peak_mb':>8} {'kb_per_entry':>12}")
+    print(f"{'n':>3} {'entries':>9} {'held':>9} {'secs':>7} {'peak_mb':>8} {'kb_per_entry':>12} {'kb_per_held':>11}")
     with tempfile.TemporaryDirectory() as tmp:
         for n in range(args.min_n, args.max_n + 1):
             inst = random_instance(loop_graph((2,) * n), seed=args.seed, field=field)
@@ -55,8 +58,9 @@ def main() -> int:
                 print(f"contract exited with {child.returncode} at n = {n}", file=sys.stderr)
                 return 1
             peak = usage.ru_maxrss / 1024  # KB on Linux
-            entries = 4**n
-            print(f"{n:>3} {entries:>9} {secs:>7.2f} {peak:>8.1f} {peak * 1024 / entries:>12.3f}", flush=True)
+            entries, held = 4**n, contraction_plan(inst.graph)[2]
+            print(f"{n:>3} {entries:>9} {held:>9} {secs:>7.2f} {peak:>8.1f} {peak * 1024 / entries:>12.3f} "
+                  f"{peak * 1024 / held:>11.3f}", flush=True)
     return 0
 
 

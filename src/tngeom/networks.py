@@ -30,15 +30,16 @@ from .tensors import (  # noqa: F401  (outer, contract_pair: kept importable her
     transpose_axes,
 )
 
-# Budget on the entries of any tensor a contraction holds, checked from the
-# graph before anything is absorbed (``contraction_peak``); it counts dense
-# entries, so a sparse instance is refused as a dense one would be.  On a
-# 2-core host with Python 3.11, `contract` on random loop (2,)^n instances
-# over Q (scripts/contract_scan.py) peaked at 33 MB in 0.35 s for n = 8
-# (65536 entries), 86 MB in 1.5 s for n = 9 (262144) and 296 MB in 4.9 s
-# for n = 10 (1048576, this budget): about 0.29 KB per entry, the last
-# absorption holding its two operands and its result.  Loop (2,)^11 is
-# refused.
+# Budget on the entries of any tensor a contraction in graph order holds,
+# checked from the graph before anything is absorbed (``contraction_peak``);
+# it counts dense entries, so a sparse instance is refused as a dense one
+# would be.  On a 2-core host with Python 3.11, `contract` on random loop
+# (2,)^n instances over Q (scripts/contract_scan.py) peaked at 24 MB in
+# 0.3 s for n = 8 (65536 entries), 49 MB in 0.7 s for n = 9 (262144) and
+# 149 MB in 2.9 s for n = 10 (1048576, this budget), the same over Fp:
+# about 0.14 KB per entry the plan holds at once (``contraction_plan``),
+# most of them the result, which the join of two halves of 4096 entries
+# holds beside them.  Loop (2,)^11 is refused.
 MAX_CONTRACTION_ENTRIES = 2**20
 
 
@@ -230,12 +231,15 @@ def require_vertices(g: NetworkGraph) -> None:
 def contract_network(inst: TNSInstance) -> Tensor:
     """Contract all edges; the result keeps one axis per vertex, in graph order.
 
-    Vertex tensors are absorbed one at a time, in graph order, and each
-    absorption contracts every edge the new tensor shares with the ones
-    before it in a single pairwise pass.  The result does not depend on
-    the absorption order.  A graph whose contraction would hold a tensor of
-    more than MAX_CONTRACTION_ENTRIES entries (``contraction_peak``) is
-    refused before anything is absorbed.
+    A prefix of graph order and the suffix after it (``contraction_plan``)
+    are each absorbed one vertex tensor at a time, in graph order, and one
+    more absorption joins the two.  Each absorption contracts every edge
+    the two tensors share in a single pairwise pass.  On a loop of four or
+    more vertices this holds no intermediate as large as the result beside
+    it.  The result does not depend on the absorption order.  A graph
+    whose contraction in graph order would hold a tensor of more than
+    MAX_CONTRACTION_ENTRIES entries (``contraction_peak``) is refused
+    before anything is absorbed; the plan holds no larger one.
     """
     g = inst.graph
     require_vertices(g)
@@ -243,27 +247,75 @@ def contract_network(inst: TNSInstance) -> Tensor:
     if peak > MAX_CONTRACTION_ENTRIES:
         raise SemanticError(f"contracting this network would hold a tensor of {magnitude(peak)} entries, "
                             f"over the budget of {MAX_CONTRACTION_ENTRIES}")
-    first, *rest = (v.id for v in g.vertices)
-    cur, labels = inst.tensors[first], g.axis_labels(first)
-    for vid in rest:
-        cur, labels = absorb(cur, labels, inst.tensors[vid], g.axis_labels(vid))
+
+    def in_order(vids):
+        first, *rest = vids
+        cur, labels = inst.tensors[first], g.axis_labels(first)
+        for vid in rest:
+            cur, labels = absorb(cur, labels, inst.tensors[vid], g.axis_labels(vid))
+        return cur, labels
+
+    vids = [v.id for v in g.vertices]
+    k = contraction_plan(g)[0]
+    cur, labels = in_order(vids[:k])
+    if k < len(vids):
+        cur, _ = absorb(cur, labels, *in_order(vids[k:]))
     return cur  # every edge is closed, and the vertex axes stay in the order absorbed
+
+
+def _sweeps(g: NetworkGraph):
+    """For k = 0..n: the entries of the tensor that absorbing vertices k+1..j
+    in graph order holds, for j = k+1..n.
+
+    That tensor has one axis per vertex absorbed and one per edge with
+    exactly one end absorbed (an edge's second end closes it); the product
+    of their dimensions is its size.
+    """
+    dims = {("v", v.id): v.dim for v in g.vertices} | {("e", e.id): e.dim for e in g.edges}
+    labels = [g.axis_labels(v.id) for v in g.vertices]
+    for k in range(len(labels) + 1):
+        open_labels, size, sizes = set(), 1, []
+        for labs in labels[k:]:
+            for lab in labs:
+                size = size // dims[lab] if lab in open_labels else size * dims[lab]
+            open_labels ^= set(labs)
+            sizes.append(size)
+        yield sizes
 
 
 def contraction_peak(g: NetworkGraph) -> int:
     """Most entries of a tensor that absorbing the vertices in graph order holds.
 
-    After each absorption the tensor has one axis per vertex absorbed and
-    one per edge with exactly one end absorbed; the product of their
-    dimensions is its size.
+    MAX_CONTRACTION_ENTRIES bounds this count.  ``contraction_plan`` takes
+    no split that holds a larger tensor, so the budget admits the networks
+    it would admit if contraction ran in graph order.
     """
-    dims = {("v", v.id): v.dim for v in g.vertices} | {("e", e.id): e.dim for e in g.edges}
-    open_labels: set = set()
-    peak = 0
-    for v in g.vertices:
-        open_labels ^= set(g.axis_labels(v.id))  # an edge's second end closes it
-        peak = max(peak, prod(dims[lab] for lab in open_labels))
-    return peak
+    return max(next(_sweeps(g)), default=0)
+
+
+def contraction_plan(g: NetworkGraph) -> tuple[int, int, int]:
+    """Where ``contract_network`` splits graph order: (k, largest, held).
+
+    Vertices 1..k are absorbed in graph order, then k+1..n, and the two
+    tensors are joined.  An absorption holds its two operands and its
+    result, and the prefix is held while the suffix is absorbed: held is
+    the most entries held at once, largest the most entries of one tensor.
+    Of the splits whose largest is at most ``contraction_peak(g)``, k holds
+    the fewest, the largest such k on a tie; k = n is graph order.
+    """
+    sizes = list(_sweeps(g))
+    order = sizes[0]
+    vertex = [s[0] for s in sizes[:-1]]  # entries of each vertex tensor
+    plans = []
+    for k in range(len(order), 0, -1):
+        pre, suf = order[:k], sizes[k]
+        held = [a + t + b for a, t, b in zip(pre, vertex[1:], pre[1:])]
+        held += [pre[-1] + a + t + b for a, t, b in zip(suf, vertex[k + 1:], suf[1:])]
+        held += [pre[-1] + suf[-1] + order[-1]] if suf else [pre[0]]
+        largest = max(pre + suf + order[-1:])
+        if largest <= max(order):
+            plans.append((k, largest, max(held)))
+    return min(plans, key=lambda plan: plan[2])  # the first, so the largest k, on a tie
 
 
 def absorb(a: Tensor, labels_a, b: Tensor, labels_b) -> tuple[Tensor, list]:

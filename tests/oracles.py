@@ -37,7 +37,7 @@ from tngeom.jsonio import (
     tensor_to_obj,
 )
 from tngeom.linalg import Matrix, _integral_rows, _kernel, _split, rank
-from tngeom.networks import Edge, NetworkGraph, TNSInstance, contract_network, cycle_edges
+from tngeom.networks import Edge, NetworkGraph, TNSInstance, absorb, contract_network, cycle_edges
 from tngeom.stabilizer import StabilizerSystem, build_system, stabilizer_dim
 from tngeom.tensors import Tensor, apply_end, flatten, mlrank, mode_apply, tensordot, transpose_axes
 from tngeom.zoo import Splitting, _composition_splitting, imm_loop
@@ -181,15 +181,41 @@ def brute_force_contract(inst) -> dict[tuple[int, ...], Fraction]:
 
 
 def contract_in_order(inst: TNSInstance, order) -> Tensor:
-    """contract_network with the vertices absorbed in the given order, axes back in graph order.
+    """The contraction with the vertices absorbed one at a time in the given order, axes back in graph order.
 
-    The graph's vertex list is permuted, which is the order contract_network
-    absorbs in, and the result's axes are transposed back.
+    Each vertex tensor is absorbed over every edge it shares with the ones
+    before it (``absorb``), and the result's axes are transposed back.
     """
     g = inst.graph
-    permuted = NetworkGraph(tuple(g.vertex(vid) for vid in order), g.edges)
-    out = contract_network(TNSInstance(permuted, inst.tensors))
-    return transpose_axes(out, [list(order).index(v.id) for v in g.vertices])
+    first, *rest = order
+    cur, labels = inst.tensors[first], g.axis_labels(first)
+    for vid in rest:
+        cur, labels = absorb(cur, labels, inst.tensors[vid], g.axis_labels(vid))
+    return transpose_axes(cur, [labels.index(("v", v.id)) for v in g.vertices])
+
+
+def split_cost(g: NetworkGraph, k: int) -> tuple[int, int]:
+    """(largest, held) of absorbing vertices 1..k and k+1..n in graph order and joining the two.
+
+    A tensor holding a set of vertices has one axis per vertex and one per
+    edge with exactly one end in the set.  largest is the most entries of
+    the tensor of a prefix of vertices 1..k, of vertices k+1..j, or of all
+    of them.  An absorption holds its two operands and its result, and the
+    prefix is held while the suffix is absorbed; held is the most entries
+    summed over one such moment.
+    """
+    vids = [v.id for v in g.vertices]
+    n = len(vids)
+
+    def size(part):
+        return prod(g.vertex(vid).dim for vid in part) * prod(
+            e.dim for e in g.edges if (e.tail in part) != (e.head in part))
+
+    parts = [vids[:i] for i in range(1, k + 1)] + [vids[k:j] for j in range(k + 1, n + 1)] + [vids]
+    moments = [[vids[:i - 1], vids[i - 1:i], vids[:i]] for i in range(2, k + 1)]
+    moments += [[vids[:k], vids[k:j - 1], vids[j - 1:j], vids[k:j]] for j in range(k + 2, n + 1)]
+    moments += [[vids[:k], vids[k:], vids]] if k < n else [[vids]]
+    return max(map(size, parts)), max(sum(map(size, held)) for held in moments)
 
 
 def identity_trace(t: Tensor, axis_a: int, axis_b: int) -> Tensor:

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from math import prod
@@ -14,6 +15,8 @@ from tngeom.networks import (
     chain_graph,
     classify_vertex,
     contract_network,
+    contraction_peak,
+    contraction_plan,
     expected_dim,
     identity_instance,
     loop_dim_formula,
@@ -36,6 +39,7 @@ from oracles import (
     naive_valence_one_reduction,
     random_invertible,
     secant_formula,
+    split_cost,
 )
 
 
@@ -102,6 +106,38 @@ def test_contraction_vertex_order_irrelevant():
     inst = random_instance(loop_graph((2, 2, 2, 2)), seed=3, bound=9)
     base = contract_network(inst)
     assert contract_in_order(inst, [3, 1, 4, 2]) == base
+
+
+def _connected_multigraph(rng: random.Random) -> NetworkGraph:
+    """2-7 vertices with shuffled ids on a random spanning tree, 0-3 extra edges that close
+    a cycle or double an edge, random orientations and dims 1..5."""
+    n = rng.randint(2, 7)
+    vids = rng.sample(range(1, n + 1), n)
+    pairs = [(vids[k], vids[rng.randrange(k)]) for k in range(1, n)]
+    pairs += [tuple(rng.sample(vids, 2)) for _ in range(rng.randint(0, 3))]
+    pairs = [p if rng.random() < 0.5 else p[::-1] for p in pairs]
+    rng.shuffle(pairs)
+    return NetworkGraph.build([(vid, rng.randint(1, 5)) for vid in vids],
+                              [(i + 1, tail, head, rng.randint(1, 5)) for i, (tail, head) in enumerate(pairs)])
+
+
+def test_the_contraction_plan_admits_what_graph_order_admits():
+    # the plan holds no tensor larger than graph order does, so MAX_CONTRACTION_ENTRIES admits the same
+    # networks, and it holds no more entries at once; it is the cheapest such split, the latest on a tie
+    splits = binding = 0
+    for seed in range(1500):
+        g = _connected_multigraph(random.Random(seed))
+        n, peak = len(g.vertices), contraction_peak(g)
+        costs = {k: split_cost(g, k) for k in range(1, n + 1)}
+        k, largest, held = contraction_plan(g)
+        assert (largest, held) == costs[k] and peak == costs[n][0]
+        assert largest <= peak and held <= costs[n][1]
+        assert held == min(h for big, h in costs.values() if big <= peak)
+        assert k == max(j for j, (big, h) in costs.items() if big <= peak and h == held)
+        splits += k < n
+        binding += min(h for _, h in costs.values()) < held
+    # the cases cover splits, and graphs where a cheaper split would hold a tensor larger than graph order's
+    assert splits > 300 and binding > 10
 
 
 def test_two_vertex_contraction_has_bounded_rank():

@@ -29,6 +29,7 @@ from tngeom import (
     rank,
 )
 from tngeom.curves import MatrixCurve
+from tngeom.networks import NetworkGraph, contraction_plan
 from tngeom.tensors import Tensor, mode_apply, tensordot
 
 from oracles import (
@@ -105,14 +106,32 @@ def test_first_order_term_matches_leibniz(seed):
         assert first == want
 
 
-@pytest.mark.parametrize("seed", range(20))
+# graphs that contract_network splits into a prefix and a suffix of graph order: loops, chains, trees with extra edges
+SPLIT_GRAPHS = [
+    loop_graph((2,) * 5),
+    loop_graph((2,) * 6),
+    chain_graph((2, 4, 4, 4, 2), (2, 2, 2, 2)),
+    chain_graph((3, 2, 4, 2, 3, 2), (3, 2, 2, 2, 2)),
+    NetworkGraph.build([(3, 2), (1, 3), (4, 2), (2, 2), (5, 3), (6, 2)],
+                       [(1, 3, 1, 2), (2, 1, 4, 2), (3, 4, 2, 2), (4, 1, 5, 3), (5, 5, 6, 2), (6, 6, 3, 2), (7, 2, 5, 1)]),
+    NetworkGraph.build([(1, 2), (2, 3), (3, 2), (4, 2), (5, 2)],
+                       [(1, 1, 2, 2), (2, 2, 3, 2), (3, 2, 4, 3), (4, 4, 5, 2), (5, 5, 1, 2), (6, 3, 4, 2)]),
+]
+
+
+@pytest.mark.parametrize("seed", range(20 + 2 * len(SPLIT_GRAPHS)))
 def test_contraction_order_independence(seed):
-    g, inst = _case(seed)
+    if seed < 20:
+        g, inst = _case(seed)
+    else:  # each split graph over Q and over Fp
+        g = SPLIT_GRAPHS[(seed - 20) // 2]
+        assert contraction_plan(g)[0] < len(g.vertices)
+        inst = random_instance(g, seed=seed, field=(QQ, PrimeField(PRIMES[0]))[seed % 2])
     vids = [v.id for v in g.vertices]
     orders = list(itertools.permutations(vids))
     if len(orders) > 6:
         orders = orders[:: len(orders) // 6]
-    results = {contract_in_order(inst, o) for o in orders}
+    results = {contract_in_order(inst, o) for o in orders} | {contract_network(inst)}
     assert len(results) == 1
 
 

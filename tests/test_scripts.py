@@ -73,11 +73,14 @@ def test_loop_dimension_scan():
 
 
 def test_contract_scan():
-    # n, the 4^n entries, then the child's seconds, peak RSS and KB per entry
+    # n, the 4^n entries, the entries the plan holds at once, then the child's seconds, peak RSS
+    # and KB per entry and per held entry
     for field in ("rational", "fp"):
         rows = table(run_script("contract_scan.py", "--max-n", "5", "--field", field, "--seed", "3"))
-        assert [(n, entries) for n, entries, *_ in rows] == [("3", "64"), ("4", "256"), ("5", "1024")]
-        assert all(float(secs) > 0 and float(peak) > 0 and float(per) > 0 for *_, secs, peak, per in rows)
+        assert [(n, entries, held) for n, entries, held, *_ in rows] == [
+            ("3", "64", "144"), ("4", "256", "384"), ("5", "1024", "1344")]
+        assert all(float(secs) > 0 and float(peak) > 0 and float(per) > 0 and float(per_held) > 0
+                   for *_, secs, peak, per, per_held in rows)
 
 
 @pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),
