@@ -13,8 +13,11 @@ Either field ranks the Jacobian of one integer instance mod a prime,
 free: on its own rows for the short loops, on a random row sketch for
 the long ones.  That rank is a lower bound, and the edge gauge orbit
 closes it from above (see tngeom.jacobian); the two fields differ only
-in the prime.  Each row ends with the time of its tns_dim and the peak
-RSS of the process so far.  On a 2-core machine with Python 3.11,
+in the prime.  Each row ends with the time of its tns_dim, the peak RSS
+of the process so far, and the peak its sample was predicted to take
+(``errors.check_peak``: the bytes its Jacobian was checked with, and
+``errors.CODE_BYTES``), a prediction of the growth past the resident size
+after the imports.  On a 2-core machine with Python 3.11,
 `--max-n 9 --field rational` took 0.58 s of wall time and peaked at
 17 MB, and `--max-n 9 --field fp` 0.65 s; on every row the bounds meet,
 and they match the formula.  When Q took its own path, `--max-n 7
@@ -27,7 +30,7 @@ import argparse
 import resource
 import time
 
-from tngeom import DEFAULT_PRIME, QQ, PrimeField, expected_dim, loop_graph, tns_dim
+from tngeom import DEFAULT_PRIME, QQ, PrimeField, errors, expected_dim, jacobian, loop_graph, tns_dim
 
 
 def main() -> int:
@@ -44,9 +47,13 @@ def main() -> int:
 
     e = args.edge_dim
     field = QQ if args.field == "rational" else PrimeField(DEFAULT_PRIME)
+    checked = []  # the bytes each check of the run was given
+    check = jacobian.check_peak
+    jacobian.check_peak = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
     print(f"{'n':>3} {'vertex dims':>18} {'lower':>6} {'upper':>6} {'exact':>5} {'formula':>8} {'secs':>7} "
-          f"{'peak_mb':>8}")
+          f"{'peak_mb':>8} {'pred_mb':>8}")
     for n in range(args.min_n, args.max_n + 1):
+        checked.clear()
         vdims = [e * e] * n
         vdims[0] += args.supercritical
         g = loop_graph((e,) * n, vertex_dims=tuple(vdims))
@@ -58,8 +65,9 @@ def main() -> int:
         shown = "?" if formula is None else str(formula)
         flag = "" if formula is None or lower <= formula <= upper else "  <-- MISMATCH"
         exact = "yes" if lower == upper else "no"
+        pred = (max(checked) + errors.CODE_BYTES) / 2**20
         print(f"{n:>3} {str(tuple(vdims)):>18} {lower:>6} {upper:>6} {exact:>5} {shown:>8} {secs:>7.2f} "
-              f"{peak:>8.1f}{flag}", flush=True)
+              f"{peak:>8.1f} {pred:>8.1f}{flag}", flush=True)
     return 0
 
 

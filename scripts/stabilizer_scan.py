@@ -11,16 +11,21 @@ without a lifted kernel.  The rows read are counted by wrapping
 linalg._packed_eliminate, in every elimination that a cap stops below its
 column count (over Q, one per prime).  The time is that of stabilizer.stabilizer_dim, the path
 `tngeom stabilizer` runs: the component search and the rows read off the
-tensor as well as the elimination.  On a 2-core machine with Python 3.11,
-`--min-n 8 --max-n 20` over Q reads 3n^2 - 2 rows at every n; see the
-README ("stabilizer") for the times.
+tensor as well as the elimination.  Each row ends with the peak RSS of
+the process so far and the peak the run was predicted to take
+(``errors.check_peak``: the most its stabilizer checks were given, and
+``errors.CODE_BYTES``), a prediction of the growth past the resident size
+after the imports.  On a 2-core machine with Python 3.11, `--min-n 8
+--max-n 20` over Q reads 3n^2 - 2 rows at every n; see the README
+("stabilizer") for the times.
 """
 from __future__ import annotations
 
 import argparse
+import resource
 import time
 
-from tngeom import DEFAULT_PRIME, QQ, PrimeField, linalg, random_tensor
+from tngeom import DEFAULT_PRIME, QQ, PrimeField, errors, linalg, random_tensor, stabilizer
 from tngeom.stabilizer import stabilizer_dim
 
 
@@ -55,15 +60,23 @@ def main() -> int:
     # scalar rows' parts, for that cap, does not
     linalg._packed_eliminate = lambda rows, cols, prime, pivots, cap=None: eliminate(
         rows if cap is None or cap == len(cols) else _Counted(rows, read), cols, prime, pivots, cap)
-    print(f"{'n':>3} {'rows':>6} {'cols':>5} {'stab':>5} {'orbit':>6} {'read':>6} {'secs':>8}")
+    checked = []  # the bytes each check of the run was given
+    check = stabilizer.check_peak
+    stabilizer.check_peak = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
+    print(f"{'n':>3} {'rows':>6} {'cols':>5} {'stab':>5} {'orbit':>6} {'read':>6} {'secs':>8} {'peak_mb':>8} "
+          f"{'pred_mb':>8}")
     for n in range(args.min_n, args.max_n + 1):
         t = random_tensor((n, n, n), seed=args.seed + n, field=field)
         read[0] = 0
+        checked.clear()
         start = time.perf_counter()
         stab = stabilizer_dim(t)
         secs = time.perf_counter() - start
         cols = 3 * n * n
-        print(f"{n:>3} {n ** 3:>6} {cols:>5} {stab:>5} {cols - stab:>6} {read[0]:>6} {secs:>8.3f}")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+        pred = (max(checked) + errors.CODE_BYTES) / 2**20
+        print(f"{n:>3} {n ** 3:>6} {cols:>5} {stab:>5} {cols - stab:>6} {read[0]:>6} {secs:>8.3f} {peak:>8.1f} "
+              f"{pred:>8.1f}", flush=True)
     return 0
 
 

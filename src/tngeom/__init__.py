@@ -20,9 +20,10 @@ _EXPORTS = {
     "fields": "DEFAULT_PRIME QQ Field PrimeField RationalField",
     "linalg": "Matrix rank",
     "tensors": "Tensor apply_end contract_pair flatten mlrank mode_apply outer random_tensor transpose_axes",
-    "networks": "Edge MergeStep NetworkGraph TNSInstance Vertex chain_graph classify_vertex contract_network "
-                "expected_dim identity_instance loop_dim_formula loop_graph random_instance reduce_valence_one "
+    "networks": "Edge MergeStep NetworkGraph TNSInstance Vertex chain_graph classify_vertex expected_dim "
+                "identity_instance loop_dim_formula loop_graph random_instance reduce_valence_one "
                 "reduction_preimage supercritical_truncate",
+    "contraction": "contract_network",
     "zoo": "Splitting diagonal_splitting imm_loop m_tilde_formula mmult",
     "stabilizer": "StabilizerSystem build_system stabilizer_dim stabilizer_tuples",
     "curves": "MatrixCurve TensorLaurent act_curve curve_from_splitting leading_term",

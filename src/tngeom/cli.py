@@ -11,7 +11,8 @@ A process imports only what its subcommand runs.  This module imports
 errors and fields; each command fetches the names it calls (``_LAZY``)
 when it starts.  So `tngeom --help` loads no pipeline module,
 `tngeom stabilizer` no network, curve or variety code, and `tngeom dim`
-no curve, named-tensor, stabilizer or certificate code.
+no curve, named-tensor, stabilizer, certificate or whole-network
+contraction code.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import importlib
 import os
 import sys
 
-from .errors import FormatError, SemanticError, magnitude
+from .errors import FormatError, SemanticError, check_peak
 from .fields import DEFAULT_PRIME, QQ, Field, PrimeField
 
 # The names the commands call, and the module that defines each.  A module
 # is imported when a command first needs one of its names, so `--help`
 # loads only this module, errors and fields, `stabilizer` never loads
-# networks or varieties, and `dim` never loads stabilizer or varieties.
+# networks or varieties, and `dim` never loads stabilizer, varieties or
+# contraction.
 # Each name is still an attribute of this module (module __getattr__), so
 # code that wraps or replaces one here, such as a tracer or a test, is the
 # code the commands call: `_fetch` binds a name only when nothing is bound
@@ -39,8 +41,9 @@ _LAZY = {name: module for module, names in (
                "load_path splitting_from_obj tensor_from_obj tensor_to_obj"),
     ("jacobian", "tns_dim"),
     ("linalg", "rank"),
-    ("networks", "contract_network expected_dim reduce_valence_one"),
-    ("stabilizer", "build_system check_system_size stabilizer_dim"),
+    ("contraction", "contract_network"),
+    ("networks", "expected_dim reduce_valence_one"),
+    ("stabilizer", "build_system stabilizer_dim system_bytes"),
     ("varieties", "certify_not_closed"),
     ("zoo", "diagonal_splitting mmult"),
 ) for name in names.split()}
@@ -60,12 +63,6 @@ def _fetch(*names: str) -> None:
     for name in names:
         if name not in bound:
             __getattr__(name)
-
-
-# `limit` holds the e^3 nonzeros of the trace tensor and the terms of their
-# expansion.  On a 2-core host with Python 3.11 its peak RSS grew by 0.64 to
-# 0.70 KB per e^3 at e = 30, 40 and 60: about 0.7 GB at this budget, e <= 100.
-MAX_LIMIT_NNZ = 10**6
 
 
 def _add_common(sp: argparse.ArgumentParser):
@@ -115,8 +112,9 @@ def _splitting(args) -> Splitting:
 
 
 def cmd_certify(args) -> int:
-    _fetch("check_system_size", "certify_not_closed", "certificate_to_obj", "field_label", "dump")
-    check_system_size(3 * args.e**5)  # the stabilizer system of mmult(e, e, e), before anything is built
+    _fetch("system_bytes", "certify_not_closed", "certificate_to_obj", "field_label", "dump")
+    # the stabilizer system of mmult(e, e, e) before anything is built; its components are checked when found
+    check_peak(system_bytes(args.e**3, (args.e**2,) * 3), "ranking the trace tensor's stabilizer system")
     s = _splitting(args)
     cert = certify_not_closed(s, args.e)
     report = certificate_to_obj(cert)
@@ -160,9 +158,9 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_limit(args) -> int:
-    if args.e**3 > MAX_LIMIT_NNZ:  # before anything is built
-        raise SemanticError(f"the trace tensor at e = {args.e} would have {magnitude(args.e**3)} nonzeros, "
-                            f"over the budget of {MAX_LIMIT_NNZ}")
+    # before anything is built: the e^3 nonzeros of the trace tensor and the terms of their expansion.  Peak
+    # RSS past `import tngeom.cli` grew by 0.48 to 0.55 KB per e^3 at e = 20 to 80 (2-core host, Python 3.11)
+    check_peak(700 * args.e**3, "expanding the trace tensor's curve")
     _fetch("mmult", "act_curve", "curve_from_splitting", "leading_term", "dump")
     s = _splitting(args)
     m = mmult(args.e, args.e, args.e, s.field)

@@ -60,9 +60,9 @@ import random
 from itertools import accumulate, islice
 from math import prod
 
-from .errors import SemanticError, magnitude
+from .errors import check_peak
 from .fields import DEFAULT_PRIME, QQ, Field
-from .linalg import Matrix, _packed_eliminate, pivot_columns
+from .linalg import Matrix, _packed_eliminate, _slot_bytes, pivot_columns
 from .networks import NetworkGraph, TNSInstance, absorb, random_instance, reduce_valence_one, require_vertices
 from .tensors import Tensor, _offsets, _strides, tensordot
 
@@ -70,13 +70,6 @@ from .tensors import Tensor, _offsets, _strides, tensordot
 SEED_STRIDE = 1000003
 # rows of the sketch beyond min(rows, |C|), C the gauge-fixed columns it is ranked on
 SKETCH_SLACK = 4
-# Budget on the cells one Jacobian sample builds (``_jacobian_plan``), checked
-# before any instance is drawn.  On a 2-core host with Python 3.11, loop
-# (2,)^7 (577024 cells when J's nonzeros were held for an exact rank over
-# Q) peaked at 42 MB, about 0.07 KB per cell; triangle (5,5,5), at 206250
-# cells, peaks at 55 MB, most of it the dense elimination of J|C, which
-# the plan does not count.
-MAX_JACOBIAN_CELLS = 10**6
 
 
 def contraction_jacobian(inst: TNSInstance) -> Matrix:
@@ -315,13 +308,19 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
     return r, min(nrows, len(kept))
 
 
-def check_jacobian_size(g: NetworkGraph) -> None:
-    """Refuse a graph whose Jacobian samples would build more than MAX_JACOBIAN_CELLS cells."""
-    cells = _jacobian_plan(g)[2]
-    if cells > MAX_JACOBIAN_CELLS:
-        raise SemanticError(
-            f"the Jacobian of this graph would hold {magnitude(cells)} cells, over the budget of {MAX_JACOBIAN_CELLS}"
-        )
+def _jacobian_bytes(g: NetworkGraph, prime: int) -> int:
+    """Bytes that a Jacobian sample of g holds at its peak, mod prime.
+
+    The cells ``_jacobian_plan`` counts, about 100 B each, and the pivot rows
+    of the packed elimination of J|C: up to min(rows, |C|) of them, |C| at
+    most the column count, each of |C| slots of ``linalg._slot_bytes``.  Peak
+    RSS past `import tngeom.cli` on a 2-core host with Python 3.11: `dim` on
+    loop (3,)^4, 39852 cells and pivot rows of 0.9 MB, grew by 6.7 MB, so its
+    cells took about 90 B each; on loop (4, 5) with vertices (40, 40), 1600
+    cells and up to 1600 pivot rows of 1600 slots of 10 B, by 21 MB.
+    """
+    nrows, _, ncols = _layout(g)
+    return 100 * _jacobian_plan(g)[2] + min(nrows, ncols) * ncols * _slot_bytes(prime, ncols)
 
 
 def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int]:
@@ -337,7 +336,7 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     contracting x_v with x_u over e gives a tensor of u'.  So the two
     network sets are equal, and so are their dimensions, over Q and over
     any field.  Folding keeps the rows, the product of the vertex
-    dimensions, and removes columns.  The budget is checked on the folded
+    dimensions, and removes columns.  The peak is predicted on the folded
     graph, the one sampled.  A graph that folds to one vertex v and no edge
     has all of V_v as its network set, so its dimension is dim v, returned
     as both bounds with no sample.
@@ -347,14 +346,14 @@ def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int
     Where they meet, the dimension is proved and that
     one sample is returned.  Otherwise a second random instance is drawn,
     and the larger lower and the smaller upper bound of the two are
-    returned.  A graph over the size budget is refused before any
-    instance is drawn (``check_jacobian_size``).
+    returned.  A graph whose predicted peak (``_jacobian_bytes``) is over the
+    budget is refused before any instance is drawn.
     """
     require_vertices(g)
     g = reduce_valence_one(g)[0]
     if not g.edges and len(g.vertices) == 1:  # the network set of a lone vertex v is all of V_v
         return g.vertices[0].dim, g.vertices[0].dim
-    check_jacobian_size(g)
+    check_peak(_jacobian_bytes(g, field.prime or DEFAULT_PRIME), "sampling this graph's Jacobian")
     lower, upper = _jacobian_rank(g, seed, field)
     if lower < upper:
         r, u = _jacobian_rank(g, seed + SEED_STRIDE, field)

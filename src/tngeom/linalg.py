@@ -370,6 +370,11 @@ def _strided(rows: list) -> list:
     return [rows[k * s % n] for k in range(n)]
 
 
+def _slot_bytes(prime: int, updates: int) -> int:
+    """Bytes per slot of a packed row (``_packed_eliminate``) that takes at most updates row updates."""
+    return ((prime + updates * prime * prime).bit_length() + 8) // 8
+
+
 def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None,
                       cap: int | None = None) -> int:
     """Rank mod prime of integer rows on the given columns, by dense elimination on packed rows.
@@ -394,8 +399,7 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     """
     n = len(cols)
     local = {c: i for i, c in enumerate(cols)}
-    updates = min(len(rows), n) if isinstance(rows, Sized) else n
-    size = ((prime + updates * prime * prime).bit_length() + 8) // 8  # bytes per slot
+    size = _slot_bytes(prime, min(len(rows), n) if isinstance(rows, Sized) else n)
     width, mask = n * size, (1 << 8 * size) - 1
     found: list[tuple[int, int]] = []  # (bit offset of its slot, row: 1 there, 0 at earlier pivot slots)
     free = list(range(n))

@@ -23,60 +23,38 @@ from itertools import accumulate, chain
 from math import prod
 
 from ._record import Record
-from .errors import SemanticError, magnitude
-from .linalg import Matrix, _integral, _kernel, _rank, _split, components
+from .errors import check_peak
+from .fields import DEFAULT_PRIME
+from .linalg import Matrix, _integral, _kernel, _rank, _slot_bytes, components
 from .linalg import rank  # noqa: F401  (kept importable here for code that wraps it)
 from .tensors import Tensor, lin_index
 
-# Budgets on a stabilizer system.  Its rank and kernel (``stabilizer_dim``,
-# ``stabilizer_tuples``) are taken one connected component at a time from
-# the tensor (``_components``), so what is held at once is
-# the fibres of the tensor and their keys by class, a label per column,
-# the links between slots counted at the columns they start from, and the
-# rows of one component.  MAX_SYSTEM_NNZ caps its nonzeros
-# and MAX_SYSTEM_COLS its columns, sum(shape[j]**2), both checked from the
-# tensor alone (``check_tensor_size``).  MAX_SYSTEM_FILL caps the cells of
-# the largest component, rows x columns, which is all an elimination holds
-# at once, checked once the components are known and before any is
-# eliminated: a dense component fills towards rows x columns, far past its
-# nonzeros.  Peak RSS on a 2-core host with Python 3.11: `certify` over Q
-# 22 MB at e = 10, 28 MB at e = 12 and 61 MB (5 s) at e = 16, whose
-# mmult system has 3.1e6 nonzeros (34 and 69 MB at e = 12 and 16 when
-# each row was visited in each slot to find the components, 330 MB at
-# e = 12 when the system was built whole); a dense (2,)^16 tensor, 2.1e6
-# nonzeros in one component of 65536 rows, 245 MB in 3.3 s, about 110 B
-# per nonzero, the most measured;
-# `stabilizer` on a dense 20 x 20 x 20 tensor (one component of 9.6e6
-# cells) 85 MB in 6.7 s over Q, its elimination stopping at the cap of
-# 1198 = 1200 - 2 pivots.
-# With one nonzero, `stabilizer` peaked at 43 MB for shape (300, 300, 1)
-# (180001 columns), 71 MB for (400, 400, 400) (480000) and 235 MB for
-# (1000, 1000, 1) (2000001): about 110 B per column.  No budget bounds time.
-# ``build_system`` holds the whole system in one Matrix, about 0.4 KB per
-# nonzero, so it is held to MAX_BUILT_NNZ, and its fill is summed over all
-# its components.
-MAX_SYSTEM_NNZ = 4 * 10**6
-MAX_SYSTEM_FILL = 10**7
-MAX_SYSTEM_COLS = 10**6
-MAX_BUILT_NNZ = 10**6
+def system_bytes(nnz: int, shape: tuple[int, ...]) -> int:
+    """Bytes that ranking the system of a tensor with nnz nonzeros and this shape holds past its components.
+
+    That is what ``_components`` holds for the whole tensor: nnz * d fibre
+    entries, about 120 B each, and a label and counts per column, sum(shape[j]**2)
+    columns of about 150 B.  Both are priced from peak RSS past `import tngeom.cli`
+    on a 2-core host with Python 3.11: `stabilizer` on a dense (2,)^14 tensor,
+    229376 fibre entries and rows of 458752 nonzeros, grew by 54 MB; on (400, 400,
+    400) with one nonzero, 480000 columns and nothing else, by 57 MB.
+    """
+    return 120 * nnz * len(shape) + 150 * sum(s * s for s in shape)
 
 
-def check_system_size(nnz: int, fill: int = 0, cols: int = 0) -> None:
-    """Refuse a system over any budget before it is allocated."""
-    if cols > MAX_SYSTEM_COLS:
-        raise SemanticError(f"stabilizer system would have {magnitude(cols)} columns, "
-                            f"over the budget of {MAX_SYSTEM_COLS}")
-    if nnz > MAX_SYSTEM_NNZ:
-        raise SemanticError(f"stabilizer system would have {magnitude(nnz)} nonzeros, "
-                            f"over the budget of {MAX_SYSTEM_NNZ}")
-    if fill > MAX_SYSTEM_FILL:
-        raise SemanticError(f"eliminating the stabilizer system could fill {magnitude(fill)} cells, "
-                            f"over the budget of {MAX_SYSTEM_FILL}")
+def _component_bytes(cols: int, rows: int, longest: int, prime: int) -> int:
+    """Bytes that ranking one component of cols columns and rows rows holds, on rows of at most longest nonzeros.
 
-
-def check_tensor_size(t: Tensor) -> None:
-    """Refuse, from t's shape and nonzero count alone, a system over the column or nonzero budget."""
-    check_system_size(len(t._nz) * sum(t.shape), cols=sum(s * s for s in t.shape))
+    Its rows as read, at most rows * min(cols, longest) nonzeros of about 80 B,
+    and up to min(rows, cols) pivot rows of cols slots, each packed in
+    ``linalg._slot_bytes`` and kept as a dict of about 30 B a slot, which the
+    kernel lift over Q back-solves.  Measured as in ``system_bytes``: a dense
+    20 x 20 x 20 tensor over Q, one component of 8000 rows of 60 nonzeros and
+    1200 columns, grew by 81 MB against a prediction of 97 MB, 55 MB of it for
+    the pivot rows.
+    """
+    pivots = min(rows, cols)
+    return 80 * rows * min(cols, longest) + (_slot_bytes(prime, pivots) + 30) * pivots * cols
 
 
 class StabilizerSystem(Record):
@@ -97,14 +75,10 @@ def build_system(t: Tensor) -> StabilizerSystem:
 
     Column (j, k, l) holds the tensor obtained by routing index l of
     factor j to index k, i.e. the insertion of the elementary matrix
-    E_kl in slot j.  It has nnz(t) * sum(shape) nonzeros, held to
-    MAX_BUILT_NNZ before anything is built.
+    E_kl in slot j.  It has nnz(t) * sum(shape) nonzeros.  No command
+    builds it, and no budget holds it.
     """
     shape = t.shape
-    check_tensor_size(t)
-    if (nnz := len(t._nz) * sum(shape)) > MAX_BUILT_NNZ:
-        raise SemanticError(f"building the stabilizer system would hold {magnitude(nnz)} nonzeros, "
-                            f"over the budget of {MAX_BUILT_NNZ}")
     offsets = []
     total = 0
     for s in shape:
@@ -121,9 +95,6 @@ def build_system(t: Tensor) -> StabilizerSystem:
             col_base = offsets[j] + l
             for k in range(vj):
                 rows.setdefault(base + k * strides[j], {})[col_base + k * vj] = val
-    # an elimination's row updates stay in a component: it holds at most its rows times its columns
-    check_system_size(sum(map(len, rows.values())),
-                      sum(len(crows) * len(ccols) for ccols, crows in _split(list(rows.values()), total)))
     # every value is a nonzero scalar of t's field, so the cells need no checks
     nz = {r * total + c: v for r, row in rows.items() for c, v in row.items()}
     return StabilizerSystem(Matrix._from_flat((prod(shape), total), nz, t.field), shape, tuple(offsets))
@@ -148,9 +119,10 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     has (a dense tensor), by visiting slot i's rows.  ``linalg.components`` of
     those links is the one search of the system's columns.  A component's rows
     are the fibres of its classes, one row per fibre and k, less one for each
-    link between slots; its rows and columns bound the cells its elimination
-    can hold, and the largest is checked against the fill budget before this
-    returns.  A component of one column has rank 1 and no kernel, since each of
+    link between slots.  The peak is checked (``errors.check_peak``) before the
+    fibres are built, from ``system_bytes``, and again before this returns,
+    with the largest ``_component_bytes`` of a component's columns and rows
+    added.  A component of one column has rank 1 and no kernel, since each of
     its rows holds the column with a nonzero value: its column alone is
     returned, in an array of them.  Every other component is yielded in turn by
     the generator returned, as (columns, rows, s, shared).  Its rows, in row
@@ -160,8 +132,9 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     whether another component has as many columns and rows.  A column that no
     row holds is free, is in no component and costs no object.
     """
-    check_tensor_size(t)
     shape, nz = t.shape, t._nz
+    held = system_bytes(len(nz), shape)
+    check_peak(held, "ranking this tensor's stabilizer system")
     ints = set(map(type, nz.values())) <= {int}  # else a row with a Fraction is scaled to integers
     strides = [prod(shape[j + 1:]) for j in range(len(shape))]
     offsets = list(accumulate((s * s for s in shape), initial=0))
@@ -237,7 +210,11 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
         row_count[label[c]] -= n
     del repeats
     shapes = Counter((col_count[a], n) for a, n in row_count.items() if col_count[a] > 1)
-    check_system_size(len(nz) * sum(shape), max((m * n for m, n in shapes), default=0))
+    # a row holds the fibre through it in each slot, so it has at most longest nonzeros
+    longest = sum(max(map(len, fib.values()), default=0) for fib in fibres)
+    prime = t.field.prime or DEFAULT_PRIME
+    check_peak(held + max((_component_bytes(cols, rows, longest, prime) for cols, rows in shapes), default=0),
+               "ranking this tensor's stabilizer system")
     singles, groups = array("q"), {}
     for c, a in enumerate(label):
         if col_count[a] > 1:

@@ -22,7 +22,7 @@ def __getattr__(name: str):
     # contract_network and contraction_jacobian stay reachable here for code that wraps them, without
     # loading the network or Jacobian code into a `certify` process
     if name == "contract_network":
-        from .networks import contract_network as value
+        from .contraction import contract_network as value
     elif name == "contraction_jacobian":
         from .jacobian import contraction_jacobian as value
     else:

@@ -22,6 +22,7 @@ import random
 from fractions import Fraction
 from math import prod
 
+from tngeom.contraction import contract_network
 from tngeom.curves import MatrixCurve, TensorLaurent
 from tngeom.errors import SemanticError, ShapeError, SingularMatrixError
 from tngeom.fields import QQ, Field
@@ -37,7 +38,7 @@ from tngeom.jsonio import (
     tensor_to_obj,
 )
 from tngeom.linalg import Matrix, _integral_rows, _kernel, _split, rank
-from tngeom.networks import Edge, NetworkGraph, TNSInstance, absorb, contract_network, cycle_edges
+from tngeom.networks import Edge, NetworkGraph, TNSInstance, absorb, cycle_edges
 from tngeom.stabilizer import StabilizerSystem, build_system, stabilizer_dim
 from tngeom.tensors import Tensor, apply_end, flatten, mlrank, mode_apply, tensordot, transpose_axes
 from tngeom.zoo import Splitting, _composition_splitting, imm_loop

@@ -9,13 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from tngeom import cli, jacobian, jsonio, networks, stabilizer, varieties, zoo
+from tngeom import cli, contraction, errors, jacobian, jsonio, stabilizer, varieties, zoo
 from tngeom.cli import main
+from tngeom.contraction import contract_network
 from tngeom.curves import TensorLaurent, act_curve, curve_from_splitting
-from tngeom.errors import SemanticError
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix
-from tngeom.networks import chain_graph, contract_network, identity_instance, loop_graph, random_instance
+from tngeom.networks import chain_graph, identity_instance, loop_graph, random_instance
 from tngeom.tensors import Tensor
 from tngeom.zoo import Splitting, diagonal_splitting, mmult
 
@@ -103,7 +103,8 @@ def test_certify_refuses_a_system_over_budget_before_building(monkeypatch, capsy
         monkeypatch.setattr(mod, name, boom)
     code, out, err = run(["certify", "--e", "1000"], capsys)
     assert code == 3 and out == ""
-    assert "nonzeros" in err
+    assert err.startswith("error: ranking the trace tensor's stabilizer system is predicted to take ")
+    assert err.endswith(f" MB, over the budget of {errors.MAX_PEAK_MB} MB\n")
 
 
 def test_stabilizer_is_exact_by_default_on_a_large_tensor(tmp_path, capsys):
@@ -116,30 +117,34 @@ def test_stabilizer_is_exact_by_default_on_a_large_tensor(tmp_path, capsys):
 
 
 def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
-    # n nonzeros of a 100x100x100 tensor give n * 300 system nonzeros, one past the budget's worth
-    n = stabilizer.MAX_SYSTEM_NNZ // 300 + 1
-    assert n * 300 > stabilizer.MAX_SYSTEM_NNZ
+    # n nonzeros of a 100x100x100 tensor are priced at 3n fibre entries and 30000 columns: with the
+    # budget one MB below that prediction, the system is refused from the tensor alone
+    n = 4000
     path = tmp_path / "big.json"
     entries = [{"idx": [i % 100, i // 100 % 100, i // 10**4], "val": "1"} for i in range(n)]
     path.write_text(json.dumps({"shape": [100, 100, 100], "entries": entries}))
-    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
+    mb = -(-(120 * 3 * n + 150 * 30000 + errors.CODE_BYTES) // 2**20)
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", mb - 1)
+    monkeypatch.setattr(stabilizer, "components", None)  # finding the components would raise
     code, out, err = run(["stabilizer", path], capsys)
     assert code == 3 and out == ""
-    assert "over the budget" in err
+    assert err == (f"error: ranking this tensor's stabilizer system is predicted to take {mb} MB, "
+                   f"over the budget of {mb - 1} MB\n")
 
 
 def test_stabilizer_refuses_a_system_that_could_fill_over_budget(tmp_path, monkeypatch, capsys):
-    # a dense 2x2x200 tensor: 163200 system nonzeros, under their budget, but
-    # one component of 800 rows and 40008 columns that elimination can fill
+    # a dense 2x2x200 tensor: 800 nonzeros and 40008 columns, 7 MB from the tensor alone, but one
+    # component of 800 rows and 40008 columns whose 800 pivot rows of 40008 slots would take 1.2 GB
     n = 200
-    assert 4 * n * (n + 4) <= stabilizer.MAX_SYSTEM_NNZ < 800 * 40008
     path = tmp_path / "thin.json"
     entries = [{"idx": [a, b, k], "val": "1"} for a in range(2) for b in range(2) for k in range(n)]
     path.write_text(json.dumps({"shape": [2, 2, n], "entries": entries}))
-    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
+    assert stabilizer.system_bytes(800, (2, 2, n)) < 7 * 2**20
+    monkeypatch.setattr(stabilizer, "_rank", None)  # ranking a component would raise
     code, out, err = run(["stabilizer", path], capsys)
     assert code == 3 and out == ""
-    assert f"fill {800 * 40008} cells" in err
+    assert err.startswith("error: ranking this tensor's stabilizer system is predicted to take 12")
+    assert err.endswith(f" MB, over the budget of {errors.MAX_PEAK_MB} MB\n")
 
 
 def _run_in_address_space(args: list, limit: int) -> subprocess.CompletedProcess:
@@ -186,22 +191,17 @@ def test_certify_ranks_one_component_at_a_time(tmp_path):
 
 
 def test_stabilizer_refuses_a_system_over_its_column_budget_from_the_shape(tmp_path, monkeypatch, capsys):
-    # (800, 800, 1) gives 1280001 columns; mmult at e = 16 gives 3 * 16^4 = 196608 and fits
-    assert 3 * 16**4 <= stabilizer.MAX_SYSTEM_COLS < 2 * 800**2 + 1
+    # (2100, 2100, 1) gives 8820001 columns at 150 B each, 1265 MB with the code; mmult at e = 20 gives
+    # 3 * 20^4 = 480000 and fits
+    assert 150 * 3 * 20**4 < errors.MAX_PEAK_MB * 2**20 < 150 * (2 * 2100**2 + 1)
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"shape": [800, 800, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
-
-    def boom(*args, **kwargs):
-        raise AssertionError("built a system for a refused shape")
-
-    monkeypatch.setattr(cli, "build_system", boom)
+    path.write_text(json.dumps({"shape": [2100, 2100, 1], "entries": [{"idx": [0, 0, 0], "val": "1"}]}))
+    monkeypatch.setattr(stabilizer, "components", None)  # finding the components would raise
     target = tmp_path / "out.json"
     code, out, err = run(["stabilizer", path, "--out", target], capsys)
     assert code == 3 and out == "" and not target.exists()
-    assert err == f"error: stabilizer system would have 1280001 columns, over the budget of {stabilizer.MAX_SYSTEM_COLS}\n"
-    monkeypatch.setattr(stabilizer, "Matrix", None)  # building the system would raise
-    with pytest.raises(SemanticError, match="1280001 columns"):
-        stabilizer.build_system(Tensor.from_nonzeros((800, 800, 1), {(0, 0, 0): 1}))
+    assert err == ("error: ranking this tensor's stabilizer system is predicted to take 1265 MB, "
+                   f"over the budget of {errors.MAX_PEAK_MB} MB\n")
 
 
 BIG = 10**4000  # 4001 digits: readable, but a product of two is past Python's 4300-digit limit for text
@@ -360,10 +360,11 @@ def test_limit_refuses_an_e_over_budget_before_building(monkeypatch, capsys):
 
     for name in ("mmult", "diagonal_splitting"):
         monkeypatch.setattr(cli, name, boom)
-    assert 1000**3 > cli.MAX_LIMIT_NNZ
+    # 700 B per e^3 nonzero of the trace tensor: e = 100 fits, e = 1000 takes 700 GB
     code, out, err = run(["limit", "--e", "1000"], capsys)
     assert code == 3 and out == ""
-    assert "over the budget" in err
+    assert err == f"error: expanding the trace tensor's curve is predicted to take 667576 MB, " \
+                  f"over the budget of {errors.MAX_PEAK_MB} MB\n"
 
 
 def test_exit_2_on_bad_json(tmp_path, capsys):
@@ -536,24 +537,29 @@ def test_exit_2_on_a_repeated_key(tmp_path, triangle_files, capsys, name):
 
 
 def test_contract_refuses_a_network_over_budget_before_absorbing(tmp_path, monkeypatch, capsys):
-    # loop (2,)^11 contracts to 4^11 entries, past the budget of 4^10
-    assert 4**10 == networks.MAX_CONTRACTION_ENTRIES
-    p = tmp_path / "loop11.json"
-    p.write_text(jsonio.dumps(instance_to_obj(random_instance(loop_graph((2,) * 11), seed=0))))
-    monkeypatch.setattr(networks, "absorb", None)  # absorbing a vertex would raise
+    # loop (2,)^12 holds 4^12 + 12288 entries at once, at 0.14 KB each; loop (2,)^11 fits
+    g = loop_graph((2,) * 12)
+    assert contraction.contraction_plan(g)[2] == 4**12 + 32768
+    assert 140 * contraction.contraction_plan(loop_graph((2,) * 11))[2] < errors.MAX_PEAK_MB * 2**20
+    p = tmp_path / "loop12.json"
+    p.write_text(jsonio.dumps(instance_to_obj(random_instance(g, seed=0))))
+    monkeypatch.setattr(contraction, "absorb", None)  # absorbing a vertex would raise
     code, out, err = run(["contract", p], capsys)
     assert code == 3 and out == ""
-    assert f"{4**11} entries, over the budget" in err
+    mb = -(-(140 * (4**12 + 32768) + errors.CODE_BYTES) // 2**20)
+    assert err == f"error: contracting this network is predicted to take {mb} MB, over the budget of {errors.MAX_PEAK_MB} MB\n"
 
 
 def test_contract_runs_a_network_at_its_budget(tmp_path, monkeypatch, capsys):
-    # loop (2,)^5 holds at most 4^5 entries: refused one entry below that, contracted at it
+    # loop (2,)^5 is predicted at 140 B per entry the plan holds and the code: refused with the budget one
+    # MB below that, contracted at it
     inst = random_instance(loop_graph((2,) * 5), seed=0)
     p = tmp_path / "loop5.json"
     p.write_text(jsonio.dumps(instance_to_obj(inst)))
-    monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5 - 1)
+    mb = -(-(140 * contraction.contraction_plan(inst.graph)[2] + errors.CODE_BYTES) // 2**20)
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", mb - 1)
     assert run(["contract", p], capsys)[0] == 3
-    monkeypatch.setattr(networks, "MAX_CONTRACTION_ENTRIES", 4**5)
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", mb)
     code, out, _ = run(["contract", p], capsys)
     assert code == 0 and json.loads(out) == jsonio.tensor_to_obj(contract_network(inst))
 

@@ -15,7 +15,8 @@ from tngeom.curves import MatrixCurve
 from tngeom.errors import FormatError, SemanticError, ShapeError
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix
-from tngeom.networks import NetworkGraph, chain_graph, contract_network, loop_graph, random_instance
+from tngeom.contraction import contract_network
+from tngeom.networks import NetworkGraph, chain_graph, loop_graph, random_instance
 from tngeom.tensors import Tensor, random_tensor
 from tngeom.varieties import certify_not_closed
 from tngeom.zoo import diagonal_splitting, mmult

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 from hypothesis import example, given, strategies as st
 
+from tngeom.contraction import contract_network, contraction_plan
 from tngeom.errors import SemanticError, ShapeError
 from tngeom.linalg import Matrix
 from tngeom.networks import (
@@ -14,9 +15,6 @@ from tngeom.networks import (
     TNSInstance,
     chain_graph,
     classify_vertex,
-    contract_network,
-    contraction_peak,
-    contraction_plan,
     expected_dim,
     identity_instance,
     loop_dim_formula,
@@ -122,15 +120,16 @@ def _connected_multigraph(rng: random.Random) -> NetworkGraph:
 
 
 def test_the_contraction_plan_admits_what_graph_order_admits():
-    # the plan holds no tensor larger than graph order does, so MAX_CONTRACTION_ENTRIES admits the same
-    # networks, and it holds no more entries at once; it is the cheapest such split, the latest on a tie
+    # the plan holds no tensor larger than graph order does, and no more entries at once; it is the
+    # cheapest such split, the latest on a tie
     splits = binding = 0
     for seed in range(1500):
         g = _connected_multigraph(random.Random(seed))
-        n, peak = len(g.vertices), contraction_peak(g)
+        n = len(g.vertices)
         costs = {k: split_cost(g, k) for k in range(1, n + 1)}
+        peak = costs[n][0]  # the largest tensor of graph order
         k, largest, held = contraction_plan(g)
-        assert (largest, held) == costs[k] and peak == costs[n][0]
+        assert (largest, held) == costs[k]
         assert largest <= peak and held <= costs[n][1]
         assert held == min(h for big, h in costs.values() if big <= peak)
         assert k == max(j for j, (big, h) in costs.items() if big <= peak and h == held)

@@ -60,11 +60,11 @@ def small_inputs(tmp_path):
 # the modules each command must not load; none of them loads dataclasses
 NOT_LOADED = {
     "contract": {"stabilizer", "varieties", "curves", "zoo"},
-    "reduce": {"stabilizer", "varieties", "curves", "zoo"},
-    "stabilizer": {"networks", "varieties", "curves", "zoo"},
-    "limit": {"networks", "stabilizer", "varieties"},
-    "certify": {"jacobian", "networks"},
-    "dim": {"stabilizer", "varieties", "curves", "zoo"},
+    "reduce": {"stabilizer", "varieties", "curves", "zoo", "contraction"},
+    "stabilizer": {"networks", "varieties", "curves", "zoo", "contraction"},
+    "limit": {"networks", "stabilizer", "varieties", "contraction"},
+    "certify": {"jacobian", "networks", "contraction"},
+    "dim": {"stabilizer", "varieties", "curves", "zoo", "contraction"},
 }
 
 
@@ -103,8 +103,9 @@ EXPORTS = {
     "tensors": ["Tensor", "apply_end", "contract_pair", "flatten", "mlrank", "mode_apply", "outer", "random_tensor",
                 "transpose_axes"],
     "networks": ["Edge", "MergeStep", "NetworkGraph", "TNSInstance", "Vertex", "chain_graph", "classify_vertex",
-                 "contract_network", "expected_dim", "identity_instance", "loop_dim_formula", "loop_graph",
-                 "random_instance", "reduce_valence_one", "reduction_preimage", "supercritical_truncate"],
+                 "expected_dim", "identity_instance", "loop_dim_formula", "loop_graph", "random_instance",
+                 "reduce_valence_one", "reduction_preimage", "supercritical_truncate"],
+    "contraction": ["contract_network"],
     "zoo": ["Splitting", "diagonal_splitting", "imm_loop", "m_tilde_formula", "mmult"],
     "stabilizer": ["StabilizerSystem", "build_system", "stabilizer_dim", "stabilizer_tuples"],
     "curves": ["MatrixCurve", "TensorLaurent", "act_curve", "curve_from_splitting", "leading_term"],

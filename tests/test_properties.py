@@ -28,8 +28,9 @@ from tngeom import (
     random_tensor,
     rank,
 )
+from tngeom.contraction import contraction_plan
 from tngeom.curves import MatrixCurve
-from tngeom.networks import NetworkGraph, contraction_plan
+from tngeom.networks import NetworkGraph
 from tngeom.tensors import Tensor, mode_apply, tensordot
 
 from oracles import (

@@ -25,10 +25,12 @@ def table(out: str) -> list[list[str]]:
 
 
 def test_certificate_sweep():
-    # the last three columns are the time, the time per nonzero of the trace tensor's system and the peak RSS
+    # the last four columns are the time, the time per nonzero of the trace tensor's system, the peak RSS
+    # and the predicted peak, which grows with e and holds the 3 MB of code
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4"))
-    assert all(float(per) > 0 and float(peak) > 0 for *_, per, peak in rows)
-    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _, _, _ in rows] == [
+    assert all(float(per) > 0 and float(peak) > 0 for *_, per, peak, _ in rows)
+    assert 3 <= float(rows[0][-1]) < float(rows[1][-1]) < float(rows[2][-1])
+    assert [(int(e), int(a), int(b), c) for e, a, b, _, c, _, _, _, _ in rows] == [
         (2, 11, 12, "not_closed_certified"),
         (3, 26, 30, "not_closed_certified"),
         (4, 47, 56, "not_closed_certified"),
@@ -36,10 +38,10 @@ def test_certificate_sweep():
 
 
 def test_certificate_sweep_over_fp():
-    # the table over Q, leading powers included; the last three columns are the time, the time per nonzero
-    # and the peak RSS
+    # the table over Q, leading powers included; the last four columns are the time, the time per nonzero,
+    # the peak RSS and the predicted peak
     rows = table(run_script("certificate_sweep.py", "--min-e", "2", "--max-e", "4", "--field", "fp"))
-    assert [row[:-3] for row in rows] == [
+    assert [row[:-4] for row in rows] == [
         ["2", "11", "12", "1", "not_closed_certified"],
         ["3", "26", "30", "1", "not_closed_certified"],
         ["4", "47", "56", "1", "not_closed_certified"],
@@ -65,22 +67,26 @@ def test_stab_classes():
 
 def test_loop_dimension_scan():
     for field in ("fp", "rational"):
-        # lower, upper, whether they meet and the formula, then the time and the peak RSS
+        # lower, upper, whether they meet and the formula, then the time, the peak RSS and the predicted peak
         rows = table(run_script("loop_dimension_scan.py", "--min-n", "3", "--max-n", "4", "--field", field))
-        assert [(row[0], *row[-6:-2]) for row in rows] == [("3", "37", "37", "yes", "37"),
+        assert [(row[0], *row[-7:-3]) for row in rows] == [("3", "37", "37", "yes", "37"),
                                                             ("4", "49", "49", "yes", "49")]
-        assert all(float(secs) >= 0 and float(peak) > 0 for *_, secs, peak in rows)
+        assert all(float(secs) >= 0 and float(peak) > 0 for *_, secs, peak, _ in rows)
+        assert 3 <= float(rows[0][-1]) < float(rows[1][-1])
 
 
 def test_contract_scan():
-    # n, the 4^n entries, the entries the plan holds at once, then the child's seconds, peak RSS
-    # and KB per entry and per held entry
+    # n, the 4^n entries, the entries the plan holds at once, then the child's seconds, peak RSS, KB per
+    # entry and per held entry, how far its peak rose past `import tngeom.cli`, and the predicted rise:
+    # 140 B per held entry and the 3 MB of code
     for field in ("rational", "fp"):
         rows = table(run_script("contract_scan.py", "--max-n", "5", "--field", field, "--seed", "3"))
         assert [(n, entries, held) for n, entries, held, *_ in rows] == [
             ("3", "64", "144"), ("4", "256", "384"), ("5", "1024", "1344")]
         assert all(float(secs) > 0 and float(peak) > 0 and float(per) > 0 and float(per_held) > 0
-                   for *_, secs, peak, per, per_held in rows)
+                   for *_, secs, peak, per, per_held, _, _ in rows)
+        assert [pred for *_, pred in rows] == [f"{(140 * held + 3 * 2**20) / 2**20:.1f}" for held in (144, 384, 1344)]
+        assert all(0 <= float(grew) <= float(pred) for *_, grew, pred in rows)
 
 
 @pytest.mark.parametrize("name, args", [("boundary_limit_diff.py", ("--e", "2")),
@@ -93,8 +99,11 @@ def test_stabilizer_scan():
     # a concise generic n x n x n tensor keeps the two scalar symmetries, and the elimination reads its cap of rows
     for field in ("fp", "rational"):
         rows = table(run_script("stabilizer_scan.py", "--min-n", "3", "--max-n", "5", "--field", field))
-        assert [(n, r, c, stab, orbit, read) for n, r, c, stab, orbit, read, _ in rows] == [
+        assert [(n, r, c, stab, orbit, read) for n, r, c, stab, orbit, read, *_ in rows] == [
             (str(n), str(n ** 3), str(3 * n * n), "2", str(3 * n * n - 2), str(3 * n * n - 2)) for n in (3, 4, 5)]
+        # then the time, the peak RSS and the predicted peak, which grows with n
+        assert all(float(peak) > 0 for *_, peak, _ in rows)
+        assert 3 <= float(rows[0][-1]) < float(rows[1][-1]) < float(rows[2][-1])
 
 
 def test_src_loc(tmp_path):
@@ -117,7 +126,8 @@ def test_startup_profile():
     assert modules["python"] == {"-"}
     assert modules["--help"] == {"tngeom", "cli", "errors", "fields"}
     common = modules["--help"] | {"_record", "jsonio", "linalg", "tensors"}
-    assert modules["contract"] == modules["reduce"] == common | {"networks"}
+    assert modules["contract"] == common | {"networks", "contraction"}
+    assert modules["reduce"] == common | {"networks"}
     assert modules["stabilizer"] == common | {"stabilizer"}
     assert modules["limit"] == common | {"curves", "zoo"}
     assert modules["certify"] == common | {"curves", "stabilizer", "varieties", "zoo"}

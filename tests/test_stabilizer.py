@@ -6,17 +6,18 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, strategies as st
 
-from tngeom import jsonio, linalg, stabilizer
+from tngeom import errors, jsonio, linalg, stabilizer
 from tngeom.curves import act_curve, curve_from_splitting
-from tngeom.errors import SemanticError, ShapeError
+from tngeom.errors import SemanticError, ShapeError, check_peak
 from tngeom.fields import DEFAULT_PRIME, QQ, PrimeField
 from tngeom.linalg import Matrix, _integral_rows, _split, rank
 from tngeom.stabilizer import (
+    _component_bytes,
     _components,
     build_system,
-    check_system_size,
     stabilizer_dim,
     stabilizer_tuples,
+    system_bytes,
 )
 from tngeom.tensors import Tensor, apply_end, outer, random_tensor
 from tngeom.zoo import imm_loop, m_tilde_formula, mmult
@@ -164,14 +165,25 @@ def test_stabilizer_tuples_over_fp():
     _assert_tuples_form_stabilizer_basis(mmult(2, 2, 2, FP), stabilizer_tuples(mmult(2, 2, 2, FP)), 11)
 
 
-def test_system_size_guard():
-    # the trace tensor's system has 3e^5 nonzeros: e = 16 fits, e = 17 does not
-    check_system_size(3 * 16**5)
-    with pytest.raises(SemanticError, match="nonzeros"):
-        check_system_size(3 * 17**5)
-    check_system_size(0, stabilizer.MAX_SYSTEM_FILL)
-    with pytest.raises(SemanticError, match="fill"):
-        check_system_size(0, stabilizer.MAX_SYSTEM_FILL + 1)
+def test_system_size_guard(monkeypatch):
+    # the trace tensor's system is priced from its e^3 nonzeros, 3 fibre entries each, and its 3e^4
+    # columns, before anything is built: e = 20 fits, and a budget one MB below its prediction refuses it
+    e = 20
+    nbytes = system_bytes(e**3, (e * e,) * 3)
+    assert nbytes == 120 * 3 * e**3 + 150 * 3 * e**4
+    check_peak(nbytes, "ranking it")
+    mb = -(-(nbytes + errors.CODE_BYTES) // 2**20)
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", mb - 1)
+    with pytest.raises(SemanticError, match=f"^ranking it is predicted to take {mb} MB, over the budget of {mb - 1} MB$"):
+        check_peak(nbytes, "ranking it")
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", mb)
+    check_peak(nbytes, "ranking it")
+
+
+def _longest_row(t: Tensor) -> int:
+    """The sum over slots of the most nonzeros of t on one fibre, counted from t's nonzeros."""
+    return sum(max(Counter(idx[:j] + idx[j + 1:] for idx, _ in t.nonzeros()).values(), default=0)
+               for j in range(t.order))
 
 
 def _component_fill(m: Matrix) -> int:
@@ -201,18 +213,22 @@ def _component_fill(m: Matrix) -> int:
 @pytest.mark.parametrize(
     "t", [mmult(2, 2, 2), mmult(3, 3, 3), m_tilde_formula(3), random_tensor((3, 4, 2), seed=2), imm_loop((2, 3, 2))]
 )
-def test_elimination_fill_sums_components(monkeypatch, t):
-    # the built system's fill budget holds the sum over its components of rows times columns
+def test_elimination_fill_sums_components(t):
+    # the components of the built system fill it: their rows times columns sum to its fill.  The peak
+    # prediction (``_component_bytes``) charges a component of m rows and n columns m * min(n, longest)
+    # row nonzeros, which bounds the nonzeros of its rows, and min(m, n) pivot rows of n slots each
     m = build_system(t).matrix
+    groups = _split(list(_integral_rows(m)), m.cols)
     fill = _component_fill(m)
-    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", fill)
-    assert build_system(t).matrix == m
-    monkeypatch.setattr(stabilizer, "MAX_SYSTEM_FILL", fill - 1)
-    with pytest.raises(SemanticError, match=f"could fill {fill} cells"):
-        build_system(t)
-    # a dense tensor's system is one component, rows times columns
+    assert sum(len(ccols) * len(crows) for ccols, crows in groups) == fill
+    longest = _longest_row(t)
+    for ccols, crows in groups:
+        assert max(map(len, crows)) <= longest
+        assert sum(map(len, crows)) <= len(crows) * min(len(ccols), longest)
+    # a dense tensor's system is one component, rows times columns, each row as long as the bound
     if all(t._nz.get(i) for i in range(m.rows)):
         assert fill == m.rows * m.cols
+        assert all(len(row) == longest for row in groups[0][1])
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 2, 2), (2, 3, 2, 3)])
@@ -425,13 +441,11 @@ def test_capped_rank_agrees_with_the_lifted_kernel_on_the_7x7x7():
 def test_stabilizer_tuples_are_unchanged(monkeypatch, name, make, digest):
     # digests of the tuples as computed before ranks were capped by the scalar rows, each
     # scalar printed as the reports print it (a residue as its digits).  The kernel is lifted one
-    # component at a time: the system is never built, so its built budget does not hold it
+    # component at a time: the system is never built
     def refuse(*args):
         raise AssertionError("built the whole system")
 
     monkeypatch.setattr(stabilizer, "build_system", refuse)
-    monkeypatch.setattr(stabilizer, "_split", refuse)
-    monkeypatch.setattr(stabilizer, "MAX_BUILT_NNZ", 0)
     tuples = [[[jsonio.scalar_to_str(x) for x in m.entries] for m in tup] for tup in stabilizer_tuples(make())]
     assert hashlib.sha256(repr(tuples).encode()).hexdigest()[:16] == digest
 
@@ -487,12 +501,12 @@ def test_components_from_fibres_are_the_components_of_the_built_system(t):
     # the components found from the fibres are those of the built system (``linalg._split``): the same
     # columns, rows, shared shapes and fill checked; keying shared shapes leaves the oracle rank
     checked = []
-    check = stabilizer.check_system_size
-    stabilizer.check_system_size = lambda *a, **k: checked.append(a) or check(*a, **k)
+    check = stabilizer.check_peak
+    stabilizer.check_peak = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
     try:
         singles, comps = _components(t)
     finally:
-        stabilizer.check_system_size = check
+        stabilizer.check_peak = check
     m = build_system(t).matrix
     groups = _split(list(_integral_rows(m)), m.cols)
     assert list(singles) == sorted(c for ccols, _ in groups if len(ccols) == 1 for c in ccols)
@@ -500,7 +514,10 @@ def test_components_from_fibres_are_the_components_of_the_built_system(t):
     shapes = Counter((len(ccols), len(crows)) for ccols, crows in want.items())
     got = {tuple(ccols): (crows, shared) for ccols, crows, _, shared in comps}
     assert got == {ccols: (crows, shapes[len(ccols), len(crows)] > 1) for ccols, crows in want.items()}
-    assert checked[-1] == (len(t._nz) * sum(t.shape), max((a * b for a, b in shapes), default=0))
+    # the peak is checked from the tensor alone, then with the most a component is predicted to hold
+    held = system_bytes(len(t._nz), t.shape)
+    longest, prime = _longest_row(t), t.field.prime or DEFAULT_PRIME
+    assert checked == [held, held + max((_component_bytes(a, b, longest, prime) for a, b in shapes), default=0)]
     if t.field is QQ:
         oracle = naive_rank(matrix_rows(m))
     else:
@@ -570,12 +587,11 @@ def test_each_system_is_searched_for_components_once(monkeypatch, field):
         assert calls == [m.cols]
 
 
-def test_only_the_whole_system_is_held_to_the_built_budget(monkeypatch):
-    # mmult(3, 3, 3) has 27 * 27 = 729 system nonzeros: with a built budget below that, building the
-    # system whole is refused before anything is built, and the streamed rank still runs
-    assert stabilizer.MAX_BUILT_NNZ <= stabilizer.MAX_SYSTEM_NNZ
-    monkeypatch.setattr(stabilizer, "MAX_BUILT_NNZ", 728)
-    monkeypatch.setattr(stabilizer, "lin_index", None)  # building the system would raise
-    with pytest.raises(SemanticError, match="building the stabilizer system would hold 729 nonzeros"):
-        build_system(mmult(3, 3, 3))
-    assert stabilizer_dim(mmult(3, 3, 3)) == 26
+def test_only_the_streamed_rank_is_held_to_the_budget(monkeypatch):
+    # build_system, the tests' reference, is held to no budget; the streamed rank is held to the one
+    # budget from the tensor alone, before its components are searched
+    monkeypatch.setattr(errors, "MAX_PEAK_MB", 0)
+    assert build_system(mmult(3, 3, 3)).matrix.cols == 243
+    monkeypatch.setattr(stabilizer, "components", None)  # finding components would raise
+    with pytest.raises(SemanticError, match="^ranking this tensor's stabilizer system is predicted to take"):
+        stabilizer_dim(mmult(3, 3, 3))

@@ -7,14 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tngeom import jacobian, linalg
-from tngeom.errors import SemanticError, ShapeError
+from tngeom.contraction import contract_network
+from tngeom.errors import SemanticError, ShapeError, check_peak
 from tngeom.fields import QQ, PrimeField
 from tngeom.linalg import Matrix, SparseArray, pivot_columns, rank
 from tngeom.networks import (
     NetworkGraph,
     TNSInstance,
     chain_graph,
-    contract_network,
     expected_dim,
     identity_instance,
     loop_dim_formula,
@@ -23,7 +23,7 @@ from tngeom.networks import (
     reduce_valence_one,
 )
 from tngeom.tensors import Tensor, apply_end, mlrank, outer, random_tensor
-from tngeom.jacobian import check_jacobian_size, contraction_jacobian, gauge_rows, tns_dim
+from tngeom.jacobian import contraction_jacobian, gauge_rows, tns_dim
 from tngeom.varieties import certify_not_closed, sub_membership
 from tngeom.zoo import Splitting, diagonal_splitting, imm_loop, mmult
 
@@ -610,15 +610,18 @@ FOLDED_TREE = NetworkGraph.build([(1, 600), (2, 26), (3, 1)], [(1, 1, 2, 10), (2
 
 
 def test_jacobian_size_budget(monkeypatch):
-    # the plan is the graph's, so both fields admit and refuse the same graphs
+    # the plan is the graph's, and the prediction prices its cells and up to min(rows, columns) packed
+    # pivot rows of J|C, whose slots are 10 bytes mod 2^31 - 1 over either field
     folded = reduce_valence_one(FOLDED_TREE)[0]
     assert jacobian._jacobian_plan(folded) == (False, True, 694860)
+    assert jacobian._layout(folded)[::2] == (15600, 6260)
+    assert jacobian._jacobian_bytes(folded, FP.prime) == 100 * 694860 + 6260 * 6260 * 10
     for g in [loop_graph((2,) * 6), loop_graph((2,) * 7), loop_graph((4, 4, 4)), loop_graph((3,) * 4),
               chain_graph((3, 9, 9, 3), (4, 4, 4)), chain_graph((3, 9, 9, 9, 3), (4, 4, 4, 4)), SEGRE6,
               *JACOBIAN_GRAPHS.values(), loop_graph((2,) * 8), loop_graph((5, 5, 5)), folded]:
-        check_jacobian_size(g)
+        check_peak(jacobian._jacobian_bytes(g, FP.prime), "sampling it")
     with pytest.raises(SemanticError, match="over the budget"):
-        check_jacobian_size(loop_graph((8,) * 4))
+        check_peak(jacobian._jacobian_bytes(loop_graph((8,) * 4), FP.prime), "sampling it")
     # tns_dim admits them over both fields: each reaches its (stubbed) sample
     monkeypatch.setattr(jacobian, "_jacobian_rank", lambda g, seed, field: (1, 1))
     for field in (QQ, FP):
