@@ -4,11 +4,11 @@
 For each e the sweep computes both stabilizer dimensions, the leading
 power of the splitting curve, and the final conclusion, then prints one
 table row with its time, that time in microseconds per nonzero of the
-trace tensor's stabilizer system, the peak RSS of the process so far, and
-the peak predicted for the run (``errors.check_peak``): the most that the
-stabilizer pipeline's checks were given, with ``errors.CODE_BYTES``.  The
-prediction is of the growth past the resident size after the imports, so
-it is compared with peak_mb less that size.  That system has e^6 rows, 3e^4
+trace tensor's stabilizer system, how far the process's peak resident
+size (VmHWM, read from /proc) has risen past its size after the imports,
+and the rise predicted for the run (``errors.check_peak``): the most that
+the stabilizer pipeline's checks were given, with ``errors.CODE_BYTES``.
+That system has e^6 rows, 3e^4
 columns and 3e^5 nonzeros.  It is
 never built: it falls apart into many small connected components, found
 from the tensor's fibres, and each class of equal components is ranked
@@ -22,10 +22,15 @@ limit's stabilizer dimension is an upper bound.  The memory budget
 from __future__ import annotations
 
 import argparse
-import resource
 import time
 
 from tngeom import QQ, PrimeField, certify_not_closed, diagonal_splitting, errors, stabilizer
+
+
+def peak_kb() -> int:
+    """The process's peak resident size (VmHWM) in KB."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 
 def main() -> int:
@@ -41,17 +46,18 @@ def main() -> int:
     check = stabilizer.check_peak
     stabilizer.check_peak = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
     print(f"{'e':>3} {'stab(mmult)':>12} {'stab(limit)':>12} "
-          f"{'power':>6} {'conclusion':>22} {'secs':>7} {'us/nnz':>7} {'peak_mb':>8} {'pred_mb':>8}")
+          f"{'power':>6} {'conclusion':>22} {'secs':>7} {'us/nnz':>7} {'grew_mb':>8} {'pred_mb':>8}")
+    base = peak_kb()
     for e in range(args.min_e, args.max_e + 1):
         checked.clear()
         start = time.perf_counter()
         cert = certify_not_closed(diagonal_splitting(e, field), e)
         secs = time.perf_counter() - start
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+        grew = (peak_kb() - base) / 1024
         pred = (max(checked) + errors.CODE_BYTES) / 2**20
         print(f"{e:>3} {cert.stab_mmult:>12} {cert.stab_mtilde:>12} "
               f"{cert.leading_power:>6} {cert.conclusion:>22} {secs:>7.2f} {secs * 1e6 / (3 * e**5):>7.2f} "
-              f"{peak:>8.1f} {pred:>8.1f}", flush=True)
+              f"{grew:>8.1f} {pred:>8.1f}", flush=True)
     return 0
 
 

@@ -13,24 +13,30 @@ Either field ranks the Jacobian of one integer instance mod a prime,
 free: on its own rows for the short loops, on a random row sketch for
 the long ones.  That rank is a lower bound, and the edge gauge orbit
 closes it from above (see tngeom.jacobian); the two fields differ only
-in the prime.  Each row ends with the time of its tns_dim, the peak RSS
-of the process so far, and the peak its sample was predicted to take
+in the prime.  Each row ends with the time of its tns_dim, how far the
+process's peak resident size (VmHWM, read from /proc) has risen past its
+size after the imports, and the rise its sample was predicted to take
 (``errors.check_peak``: the bytes its Jacobian was checked with, and
-``errors.CODE_BYTES``), a prediction of the growth past the resident size
-after the imports.  On a 2-core machine with Python 3.11,
-`--max-n 9 --field rational` took 0.58 s of wall time and peaked at
-17 MB, and `--max-n 9 --field fp` 0.65 s; on every row the bounds meet,
-and they match the formula.  When Q took its own path, `--max-n 7
+``errors.CODE_BYTES``).  On a 2-core machine with Python 3.11,
+`--max-n 9 --field rational` took 0.58 s of wall time, and its peak
+rose 0.4 MB past the imports (5.8 MB predicted at n = 9), and
+`--max-n 9 --field fp` 0.65 s; on every row the bounds meet, and they
+match the formula.  When Q took its own path, `--max-n 7
 --field rational` took 0.60 s and 40 MB, and loop (2,)^8 was refused
 over Q.
 """
 from __future__ import annotations
 
 import argparse
-import resource
 import time
 
 from tngeom import DEFAULT_PRIME, QQ, PrimeField, errors, expected_dim, jacobian, loop_graph, tns_dim
+
+
+def peak_kb() -> int:
+    """The process's peak resident size (VmHWM) in KB."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
 
 def main() -> int:
@@ -51,7 +57,8 @@ def main() -> int:
     check = jacobian.check_peak
     jacobian.check_peak = lambda nbytes, what: checked.append(nbytes) or check(nbytes, what)
     print(f"{'n':>3} {'vertex dims':>18} {'lower':>6} {'upper':>6} {'exact':>5} {'formula':>8} {'secs':>7} "
-          f"{'peak_mb':>8} {'pred_mb':>8}")
+          f"{'grew_mb':>8} {'pred_mb':>8}")
+    base = peak_kb()
     for n in range(args.min_n, args.max_n + 1):
         checked.clear()
         vdims = [e * e] * n
@@ -60,14 +67,14 @@ def main() -> int:
         start = time.perf_counter()
         lower, upper = tns_dim(g, seed=args.seed, field=field)
         secs = time.perf_counter() - start
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KB on Linux
+        grew = (peak_kb() - base) / 1024
         formula = expected_dim(g)
         shown = "?" if formula is None else str(formula)
         flag = "" if formula is None or lower <= formula <= upper else "  <-- MISMATCH"
         exact = "yes" if lower == upper else "no"
         pred = (max(checked) + errors.CODE_BYTES) / 2**20
         print(f"{n:>3} {str(tuple(vdims)):>18} {lower:>6} {upper:>6} {exact:>5} {shown:>8} {secs:>7.2f} "
-              f"{peak:>8.1f} {pred:>8.1f}{flag}", flush=True)
+              f"{grew:>8.1f} {pred:>8.1f}{flag}", flush=True)
     return 0
 
 

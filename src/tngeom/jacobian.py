@@ -62,7 +62,7 @@ from math import prod
 
 from .errors import check_peak
 from .fields import DEFAULT_PRIME, QQ, Field
-from .linalg import Matrix, _packed_eliminate, _slot_bytes, pivot_columns
+from .linalg import Matrix, _packed_eliminate, _pivot_bytes, pivot_columns
 from .networks import NetworkGraph, TNSInstance, absorb, random_instance, reduce_valence_one, require_vertices
 from .tensors import Tensor, _offsets, _strides, tensordot
 
@@ -304,7 +304,7 @@ def _jacobian_rank(g: NetworkGraph, seed: int, field: Field) -> tuple[int, int]:
         stream = (_jacobian_row(blocks, x) for x in order)
     keep = set(kept)
     rows = ({c: v % prime for c, v in row.items() if c in keep} for row in stream)
-    r = _packed_eliminate(rows, kept, prime, None) if kept else 0
+    r = len(_packed_eliminate(rows, kept, prime)[1]) if kept else 0
     return r, min(nrows, len(kept))
 
 
@@ -312,15 +312,15 @@ def _jacobian_bytes(g: NetworkGraph, prime: int) -> int:
     """Bytes that a Jacobian sample of g holds at its peak, mod prime.
 
     The cells ``_jacobian_plan`` counts, about 100 B each, and the pivot rows
-    of the packed elimination of J|C: up to min(rows, |C|) of them, |C| at
-    most the column count, each of |C| slots of ``linalg._slot_bytes``.  Peak
-    RSS past `import tngeom.cli` on a 2-core host with Python 3.11: `dim` on
-    loop (3,)^4, 39852 cells and pivot rows of 0.9 MB, grew by 6.7 MB, so its
-    cells took about 90 B each; on loop (4, 5) with vertices (40, 40), 1600
-    cells and up to 1600 pivot rows of 1600 slots of 10 B, by 21 MB.
+    of the packed elimination of J|C (``linalg._pivot_bytes``), |C| at most
+    the column count.  Peak RSS past `import tngeom.cli` on a 2-core host with
+    Python 3.11, in MB of 2**20 bytes: `dim` on loop (3,)^4, 39852 cells and
+    pivot rows of 0.9 MB, grew by 6.5 MB, so its cells took about 90 B each;
+    on loop (4, 5) with vertices (40, 40), 1600 cells and up to 1600 pivot
+    rows of 1600 slots of 10 B, by 20.7 MB.
     """
     nrows, _, ncols = _layout(g)
-    return 100 * _jacobian_plan(g)[2] + min(nrows, ncols) * ncols * _slot_bytes(prime, ncols)
+    return 100 * _jacobian_plan(g)[2] + _pivot_bytes(nrows, ncols, prime)
 
 
 def tns_dim(g: NetworkGraph, seed: int = 0, field: Field = QQ) -> tuple[int, int]:

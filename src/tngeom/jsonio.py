@@ -260,6 +260,7 @@ def tensor_from_obj(obj, field: Field) -> Tensor:
         ed = _as_dict(ent, "tensor entry")
         idx = tuple(_as_int(i, "index entry") for i in _as_list(_field_key(ed, "idx", "tensor entry"), "idx"))
         _require(len(idx) == len(shape), f"index {idx} has wrong length for shape {shape}")
+        _require(idx not in items, f"index {idx} is repeated in the tensor entries")
         items[idx] = parse_scalar(_field_key(ed, "val", "tensor entry"), field)
     return Tensor.from_nonzeros(shape, items, field)
 

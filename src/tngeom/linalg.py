@@ -5,23 +5,22 @@ of a matrix, and Jacobian ones to a rank mod p.  A linear system falls
 apart into the connected components of the graph that joins two columns
 sharing a row (a union-find, ``components``), and its rank, pivots and
 kernel are those of its components together.  A system's components are
-found once: a matrix's by ``_split``, for ``rank`` and
-``pivot_columns``; a stabilizer
-system's from the tensor, by ``stabilizer.stabilizer_dim`` and
-``stabilizer.stabilizer_tuples``, which never build it.  Each component
-is then handled on its own and never searched again.  ``_eliminate``
-ranks it mod a prime: a component of one column has rank 1 or 0, and
-every other one is eliminated densely on its own columns, each row
-packed into one Python int of W-bit slots with delayed reduction (``_packed_eliminate``, W = bit_length(p + min(rows,
-cols) * p**2) + 1).  ``_lift`` turns its eliminations into an exact
-kernel, and ``_rank`` into an exact rank.  Stabilizer systems fall apart
-into many small components; a dense system is one.  A cap, a bound on a
-component's rank vouched for by vectors known to lie in its kernel (a
-stabilizer system's scalar rows), stops its elimination early: its rows
-are read in a strided order and no further than the row that reaches the
-cap.  The 343 x 147 system of a dense 7 x 7 x 7 tensor has rank 145, its
-cap: 145 rows are read, and the exact rank over Q takes 0.04 s, against
-0.1 s for all rows, back-solve, lift and check (2-core host, Python 3.11).
+found once: a matrix's by ``_split``, a stabilizer system's from the
+tensor (``stabilizer``), which never builds it.  ``_eliminate`` takes
+each mod a prime: a component of one column has rank 1 or 0, and every
+other one is eliminated densely on its own columns, each row packed into
+one Python int of W-bit slots with delayed reduction
+(``_packed_eliminate``, W = bit_length(p + cols * p**2) + 1).  Its pivot
+rows, kept once so, are its one result: their count is the rank mod p,
+``_lift`` turns them into an exact kernel and ``_rank`` into an exact
+rank.  Stabilizer systems fall apart into many small components; a
+dense system is one.  A cap, a bound on a component's rank vouched for
+by vectors known to lie in its kernel (a stabilizer system's scalar
+rows), stops its elimination early: its rows are read in a strided order
+and no further than the row that reaches the cap.  The 343 x 147 system
+of a dense 7 x 7 x 7 tensor has rank 145, its cap: 145 rows are read,
+and the exact rank over Q takes 0.04 s, against 0.1 s for all rows,
+back-solve, lift and check (2-core host, Python 3.11).
 
 Rows are read as integers (``_integral_rows``): an int entry as it is,
 with no lcm or content pass; only a row that holds a Fraction is
@@ -63,7 +62,7 @@ is a residue in [0, p) and the operations need no branch on the field.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sized
+from collections.abc import Iterable
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 
@@ -335,25 +334,19 @@ def _split(rows: list[dict], cols: int) -> list[tuple[list[int], list[dict]]]:
     return list(groups.values())
 
 
-def _eliminate(cols: list[int], rows: list[dict], prime: int, cap: int, pivots: list | None) -> int:
-    """Rank mod prime of one component's integer rows {column: value} on its columns, stopped at cap.
+def _eliminate(cols: list[int], rows: list[dict], prime: int, cap: int) -> tuple[int, list[tuple[int, int]]]:
+    """Slot width and pivot rows mod prime of one component's integer rows {column: value}, stopped at cap.
 
     A component of one column has rank 1 if a row holds it with a value
     prime does not divide, else 0.  Every other one is eliminated densely
     on its own columns (``_packed_eliminate``), its rows read in a strided
     order (``_strided``) and no further than the row that reaches cap, a
-    bound on its rank that the caller vouches for.  Given a pivots list,
-    each pivot row, scaled to 1 at its pivot column, is appended as (pivot
-    column, {other column: residue}).  A pivot row holds no pivot column
-    found before it, which is what ``_back_solve`` needs.
+    bound on its rank that the caller vouches for.  The pivot rows are as
+    ``_packed_eliminate`` returns them; the rank is their count.
     """
     if len(cols) > 1:
-        return _packed_eliminate(_strided(rows), cols, prime, pivots, cap)
-    if any(row[cols[0]] % prime for row in rows):
-        if pivots is not None:
-            pivots.append((cols[0], {}))
-        return 1
-    return 0
+        return _packed_eliminate(_strided(rows), cols, prime, cap)
+    return 1, [(0, 1)] if any(row[cols[0]] % prime for row in rows) else []
 
 
 def _strided(rows: list) -> list:
@@ -370,14 +363,22 @@ def _strided(rows: list) -> list:
     return [rows[k * s % n] for k in range(n)]
 
 
-def _slot_bytes(prime: int, updates: int) -> int:
-    """Bytes per slot of a packed row (``_packed_eliminate``) that takes at most updates row updates."""
-    return ((prime + updates * prime * prime).bit_length() + 8) // 8
+def _slot_bytes(prime: int, cols: int) -> int:
+    """Bytes per slot of a packed row (``_packed_eliminate``) on cols columns."""
+    return ((prime + cols * prime * prime).bit_length() + 8) // 8
 
 
-def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots: list | None,
-                      cap: int | None = None) -> int:
-    """Rank mod prime of integer rows on the given columns, by dense elimination on packed rows.
+def _pivot_bytes(rows: int, cols: int, prime: int) -> int:
+    """Bytes of the pivot rows ``_packed_eliminate`` keeps on rows rows and cols columns mod prime.
+
+    At most min(rows, cols) rows of cols slots of ``_slot_bytes``.
+    """
+    return min(rows, cols) * cols * _slot_bytes(prime, cols)
+
+
+def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int,
+                      cap: int | None = None) -> tuple[int, list[tuple[int, int]]]:
+    """Slot width in bytes and pivot rows mod prime of integer rows on the given columns, by dense elimination.
 
     Each row is one Python int of W-bit slots, slot i holding column
     cols[i] mod prime, so a row update is one big-int multiply-add run in C.
@@ -386,22 +387,24 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
     each update adds (prime - v) times a pivot row whose slots are below
     prime, and only a row that becomes a pivot is reduced slot by slot and
     scaled to 1 at its column.  A slot starts below prime and takes one
-    update of less than prime**2 per earlier pivot, at most min(rows,
-    columns) of them, so W, the bit length of prime + min(rows, columns) *
-    prime**2 plus one, rounded up to whole bytes, never carries into the
-    next slot.  rows may be a stream with no length, read one row at a
-    time; W is then bounded by the column count alone.
+    update of less than prime**2 per earlier pivot, at most one per column,
+    so W, the bit length of prime + columns * prime**2 plus one, rounded up
+    to whole bytes, never carries into the next slot.  rows may be a
+    stream, read one row at a time.
 
     The elimination stops at cap pivots (by default one per column), a
     bound on the rank that the caller vouches for, so a component that
     reaches it skips its last rows, and a stream is read no further.
-    Pivot rows are appended to pivots as ``_eliminate`` says.
+    Each pivot row is kept once, in the order found, as (bit offset of its
+    pivot slot, row), its slots residues: 1 at its pivot and 0 at the
+    pivot of every row found before it, which is what ``_back_solve``
+    needs.  The rank is their count.
     """
     n = len(cols)
     local = {c: i for i, c in enumerate(cols)}
-    size = _slot_bytes(prime, min(len(rows), n) if isinstance(rows, Sized) else n)
+    size = _slot_bytes(prime, n)
     width, mask = n * size, (1 << 8 * size) - 1
-    found: list[tuple[int, int]] = []  # (bit offset of its slot, row: 1 there, 0 at earlier pivot slots)
+    found: list[tuple[int, int]] = []
     free = list(range(n))
     cap = n if cap is None else cap
 
@@ -423,20 +426,22 @@ def _packed_eliminate(rows: Iterable[dict], cols: list[int], prime: int, pivots:
                 break
         else:
             continue
-        inv, out, rest = pow(pv, -1, prime), bytearray(width), {}
+        inv, out = pow(pv, -1, prime), bytearray(width)
         out[pc * size] = 1
         for i in free[k + 1:]:
             if r := slot(buf, i) * inv % prime:
                 out[i * size:(i + 1) * size] = r.to_bytes(size, "little")
-                if pivots is not None:
-                    rest[cols[i]] = r
         found.append((8 * size * pc, int.from_bytes(out, "little")))
-        if pivots is not None:
-            pivots.append((cols[pc], rest))
         del free[k]
         if len(found) == cap:
             break
-    return len(found)
+    return size, found
+
+
+def _free(cols: list[int], size: int, found: list[tuple[int, int]]) -> list[int]:
+    """The columns of cols at no pivot of the pivot rows (``_packed_eliminate``), of slots of size bytes."""
+    taken = {at // (8 * size) for at, _ in found}
+    return [c for i, c in enumerate(cols) if i not in taken]
 
 
 def _integral(row: dict) -> dict:
@@ -470,17 +475,15 @@ def _rank(cols: list[int], rows: list[dict], field_prime: int | None, cap: int) 
     The rows are one component's, a matrix's (``rank``) or a stabilizer
     system's (``stabilizer.stabilizer_dim``); each is nonzero on cols.
 
-    Over Fp it is the rank mod p (``_eliminate``).  Over Q it is the column
-    count less the nullity of the lifted kernel (``_lift``) of whichever of
-    the rows and their transpose has fewer columns; cap, a bound on the
-    rank, ends the elimination of the rows early, and the transpose is
-    lifted uncapped.
+    Of the rows and their transpose, which have the same rank, whichever
+    has fewer columns is eliminated, stopped at cap, a bound on the rank.
+    Over Fp the rank is that of ``_eliminate``; over Q it is the column
+    count less the nullity of the lifted kernel (``_lift``).
     """
-    if field_prime is not None:
-        return _eliminate(cols, rows, field_prime, cap, None)
     if len(rows) < len(cols):
-        n = len(rows)
-        return n - len(_lift(list(range(n)), _transpose(rows), None, n)[0])
+        cols, rows, cap = list(range(len(rows))), _transpose(rows), min(cap, len(rows))
+    if field_prime is not None:
+        return len(_eliminate(cols, rows, field_prime, cap)[1])
     return len(cols) - len(_lift(cols, rows, None, cap)[0])
 
 
@@ -501,28 +504,29 @@ def pivot_columns(m: Matrix, prime: int | None = None) -> set[int]:
     the field's, or DEFAULT_PRIME over Q.  A rational matrix is read with
     its rows scaled to integers (``_integral_rows``), so any prime reads it.
     """
-    prime, pivots = prime or m.field.prime or DEFAULT_PRIME, []
+    prime, out = prime or m.field.prime or DEFAULT_PRIME, set()
     for cols, rows in _split(list(_integral_rows(m)), m.cols):
-        _eliminate(cols, rows, prime, len(cols), pivots)
-    return {pc for pc, _ in pivots}
+        out.update(set(cols).difference(_free(cols, *_eliminate(cols, rows, prime, len(cols)))))
+    return out
 
 
-def _back_solve(pivots: list, cols: list[int], prime: int) -> tuple[list[int], dict[int, dict]]:
-    """Kernel mod prime of eliminated rows on cols: the free columns, and {column c: {free f: x_f[c]}}.
+def _back_solve(cols: list[int], size: int, found: list[tuple[int, int]],
+                prime: int) -> tuple[list[int], dict[int, dict]]:
+    """Kernel mod prime of pivot rows on cols (``_eliminate``): the free columns, and {column c: {free f: x_f[c]}}.
 
     x_f is the kernel vector that is 1 at free column f and 0 at the other
-    free columns.  A pivot row holds no pivot column chosen before it, so
+    free columns.  A pivot row holds no pivot column found before it, so
     solving the rows last to first finds the other columns of each row
-    already solved.
+    already solved.  Each row is read slot by slot off one to_bytes.
     """
-    taken = {pc for pc, _ in pivots}
-    free = [c for c in cols if c not in taken]
+    free = _free(cols, size, found)
     x = {f: {f: 1} for f in free}
-    for pc, prow in reversed(pivots):
-        acc: dict = {}
-        for c, v in prow.items():
-            for f, w in x[c].items():
-                acc[f] = acc.get(f, 0) - v * w
+    for at, prow in reversed(found):
+        buf, pc, acc = prow.to_bytes(len(cols) * size, "little"), cols[at // (8 * size)], {}
+        for i, c in enumerate(cols):
+            if c != pc and (v := int.from_bytes(buf[i * size:(i + 1) * size], "little")):
+                for f, w in x[c].items():
+                    acc[f] = acc.get(f, 0) - v * w
         x[pc] = {f: r for f, s in acc.items() if (r := s % prime)}
     return free, x
 
@@ -601,16 +605,14 @@ def _lift(cols: list[int], rows: list[dict], field_prime: int | None,
     prime = field_prime or DEFAULT_PRIME
     best, modulus, x, tried, limit = (-1, []), 1, {}, 1, None
     while True:
-        pivots: list = []
-        rk = _eliminate(cols, rows, prime, cap, pivots)
-        if rk == cap:
-            taken = {pc for pc, _ in pivots}
-            free = [c for c in cols if c not in taken]
+        size, found = _eliminate(cols, rows, prime, cap)
+        if len(found) == cap:
+            free = _free(cols, size, found)
             return free, None if free else []
-        free, y = _back_solve(pivots, cols, prime)
+        free, y = _back_solve(cols, size, found, prime)
         if field_prime is not None:
             return free, _kernel_vectors(free, y)
-        seen = (rk, free)
+        seen = (len(found), free)
         if seen > best:
             best, modulus, x = seen, prime, y
         elif seen == best:

@@ -25,7 +25,7 @@ from math import prod
 from ._record import Record
 from .errors import check_peak
 from .fields import DEFAULT_PRIME
-from .linalg import Matrix, _integral, _kernel, _rank, _slot_bytes, components
+from .linalg import Matrix, _integral, _kernel, _pivot_bytes, _rank, components
 from .linalg import rank  # noqa: F401  (kept importable here for code that wraps it)
 from .tensors import Tensor, lin_index
 
@@ -35,9 +35,10 @@ def system_bytes(nnz: int, shape: tuple[int, ...]) -> int:
     That is what ``_components`` holds for the whole tensor: nnz * d fibre
     entries, about 120 B each, and a label and counts per column, sum(shape[j]**2)
     columns of about 150 B.  Both are priced from peak RSS past `import tngeom.cli`
-    on a 2-core host with Python 3.11: `stabilizer` on a dense (2,)^14 tensor,
-    229376 fibre entries and rows of 458752 nonzeros, grew by 54 MB; on (400, 400,
-    400) with one nonzero, 480000 columns and nothing else, by 57 MB.
+    on a 2-core host with Python 3.11, in MB of 2**20 bytes: `stabilizer` on a
+    dense (2,)^14 tensor, 229376 fibre entries and rows of 458752 nonzeros, grew by
+    54.7 MB; on (400, 400, 400) with one nonzero, 480000 columns and nothing else,
+    by 38.5 MB.
     """
     return 120 * nnz * len(shape) + 150 * sum(s * s for s in shape)
 
@@ -46,15 +47,13 @@ def _component_bytes(cols: int, rows: int, longest: int, prime: int) -> int:
     """Bytes that ranking one component of cols columns and rows rows holds, on rows of at most longest nonzeros.
 
     Its rows as read, at most rows * min(cols, longest) nonzeros of about 80 B,
-    and up to min(rows, cols) pivot rows of cols slots, each packed in
-    ``linalg._slot_bytes`` and kept as a dict of about 30 B a slot, which the
-    kernel lift over Q back-solves.  Measured as in ``system_bytes``: a dense
-    20 x 20 x 20 tensor over Q, one component of 8000 rows of 60 nonzeros and
-    1200 columns, grew by 81 MB against a prediction of 97 MB, 55 MB of it for
-    the pivot rows.
+    and its packed pivot rows (``linalg._pivot_bytes``), kept once over either
+    field.  Measured as in ``system_bytes``: a dense 20 x 20 x 20 tensor, one
+    component of 8000 rows of 60 nonzeros and 1200 columns, grew by 47.9 MB
+    over Q and over Fp against a prediction of 56.3 MB, 13.7 MB of it for the
+    pivot rows.
     """
-    pivots = min(rows, cols)
-    return 80 * rows * min(cols, longest) + (_slot_bytes(prime, pivots) + 30) * pivots * cols
+    return 80 * rows * min(cols, longest) + _pivot_bytes(rows, cols, prime)
 
 
 class StabilizerSystem(Record):
@@ -200,8 +199,9 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
                             yield at, c + x * nj
 
     label = components(links(), offsets[-1])
-    col_count = Counter(label)
-    row_count = Counter()
+    col_count, row_count = [0] * len(label), [0] * len(label)  # by label; most columns are labels
+    for a in label:
+        col_count[a] += 1
     for by, (_, s, off) in zip(members, slots):
         for a, keys in by.items():
             for k in range(off + a, off + s * s, s):
@@ -209,7 +209,7 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     for c, n in repeats.items():
         row_count[label[c]] -= n
     del repeats
-    shapes = Counter((col_count[a], n) for a, n in row_count.items() if col_count[a] > 1)
+    shapes = Counter((n, row_count[a]) for a, n in enumerate(col_count) if n > 1)
     # a row holds the fibre through it in each slot, so it has at most longest nonzeros
     longest = sum(max(map(len, fib.values()), default=0) for fib in fibres)
     prime = t.field.prime or DEFAULT_PRIME
@@ -219,7 +219,7 @@ def _components(t: Tensor) -> tuple[array, Iterator[tuple[list[int], list[dict],
     for c, a in enumerate(label):
         if col_count[a] > 1:
             groups.setdefault(a, []).append(c)
-        elif a in row_count:
+        elif row_count[a]:
             singles.append(c)
     del label
 

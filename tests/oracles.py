@@ -371,7 +371,7 @@ def rank_mod_p(m) -> int:
     from tngeom.linalg import _eliminate, _integral_rows, _split
 
     prime = m.field.prime or DEFAULT_PRIME
-    return sum(_eliminate(cols, rows, prime, len(cols), None)
+    return sum(len(_eliminate(cols, rows, prime, len(cols))[1])
                for cols, rows in _split(list(_integral_rows(m)), m.cols))
 
 

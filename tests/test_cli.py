@@ -133,17 +133,17 @@ def test_stabilizer_refuses_a_system_over_budget(tmp_path, monkeypatch, capsys):
 
 
 def test_stabilizer_refuses_a_system_that_could_fill_over_budget(tmp_path, monkeypatch, capsys):
-    # a dense 2x2x200 tensor: 800 nonzeros and 40008 columns, 7 MB from the tensor alone, but one
-    # component of 800 rows and 40008 columns whose 800 pivot rows of 40008 slots would take 1.2 GB
-    n = 200
+    # a dense 2x2x300 tensor: 1200 nonzeros and 90008 columns, 14 MB from the tensor alone, but one
+    # component of 1200 rows and 90008 columns whose 1200 pivot rows of 90008 slots would take 1.0 GB
+    n = 300
     path = tmp_path / "thin.json"
     entries = [{"idx": [a, b, k], "val": "1"} for a in range(2) for b in range(2) for k in range(n)]
     path.write_text(json.dumps({"shape": [2, 2, n], "entries": entries}))
-    assert stabilizer.system_bytes(800, (2, 2, n)) < 7 * 2**20
+    assert stabilizer.system_bytes(1200, (2, 2, n)) < 14 * 2**20
     monkeypatch.setattr(stabilizer, "_rank", None)  # ranking a component would raise
     code, out, err = run(["stabilizer", path], capsys)
     assert code == 3 and out == ""
-    assert err.startswith("error: ranking this tensor's stabilizer system is predicted to take 12")
+    assert err.startswith("error: ranking this tensor's stabilizer system is predicted to take 1075 MB")
     assert err.endswith(f" MB, over the budget of {errors.MAX_PEAK_MB} MB\n")
 
 
@@ -534,6 +534,21 @@ def test_exit_2_on_a_repeated_key(tmp_path, triangle_files, capsys, name):
     code, out, err = run(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: invalid JSON: key '{key}' is repeated in one object\n"
+
+
+@pytest.mark.parametrize("command", ["stabilizer", "contract"])
+def test_exit_2_on_a_repeated_tensor_index(tmp_path, capsys, command):
+    # with the last value kept, the 2x2x2 tensor would be e_000, and the run would exit 0
+    entries = [{"idx": [1, 1, 1], "val": "1"}, {"idx": [0, 0, 0], "val": "1"}, {"idx": [1, 1, 1], "val": "0"}]
+    obj = {"shape": [2, 2, 2], "entries": entries}
+    if command == "contract":  # the tensor of vertex 1 of a triangle whose vertices have dimension 2
+        inst = instance_to_obj(random_instance(loop_graph((2, 2, 2), vertex_dims=(2, 2, 2)), seed=0))
+        inst["tensors"]["1"], obj = obj, inst
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run([command, path], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: index (1, 1, 1) is repeated in the tensor entries\n"
 
 
 def test_contract_refuses_a_network_over_budget_before_absorbing(tmp_path, monkeypatch, capsys):

@@ -68,6 +68,14 @@ def test_tensor_bad_index_is_semantic_error():
         jsonio.tensor_from_obj({"shape": [2, 2], "entries": [{"idx": [0], "val": "1"}]}, QQ)
 
 
+def test_tensor_refuses_a_repeated_index():
+    # kept, the last value would win: the tensor would be read as e_000 alone
+    obj = {"shape": [2, 2, 2], "entries": [{"idx": [1, 1, 1], "val": "1"}, {"idx": [0, 0, 0], "val": "1"},
+                                            {"idx": [1, 1, 1], "val": "0"}]}
+    with pytest.raises(FormatError, match=r"^index \(1, 1, 1\) is repeated in the tensor entries$"):
+        jsonio.tensor_from_obj(obj, QQ)
+
+
 def test_graph_and_instance_round_trip():
     g = loop_graph((2, 3, 2))
     assert jsonio.graph_from_obj(jsonio.graph_to_obj(g)) == g

@@ -177,10 +177,10 @@ def _primes_used(monkeypatch, on: list | None = None) -> list:
     primes = []
     eliminate = linalg._eliminate
 
-    def counted(cols, rows, prime, cap, pivots):
+    def counted(cols, rows, prime, cap):
         if on is None or cols == on:
             primes.append(prime)
-        return eliminate(cols, rows, prime, cap, pivots)
+        return eliminate(cols, rows, prime, cap)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     return primes
@@ -383,9 +383,14 @@ def _residues(data, prime: int) -> list[dict]:
     return [{c: r for c, x in enumerate(row) if (r := x % prime)} for row in data]
 
 
-def _rank_mod(rows: list[dict], cols: int, prime: int, pivots: list | None = None) -> int:
+def _eliminations(rows: list[dict], cols: int, prime: int) -> list:
+    """(columns, slot width, pivot rows) of each component (``_split``) of integer rows on range(cols), uncapped."""
+    return [(ccols, *_eliminate(ccols, crows, prime, len(ccols))) for ccols, crows in _split(rows, cols)]
+
+
+def _rank_mod(rows: list[dict], cols: int, prime: int) -> int:
     """Rank mod prime of integer rows on range(cols), each component (``_split``) eliminated uncapped."""
-    return sum(_eliminate(ccols, crows, prime, len(ccols), pivots) for ccols, crows in _split(rows, cols))
+    return sum(len(found) for _, _, found in _eliminations(rows, cols, prime))
 
 
 @given(structured_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
@@ -448,20 +453,18 @@ def test_packed_eliminate_reads_a_stream_as_a_list(prime, n):
     last[n] = prime - 1
     cols = list(range(n + 1))
     for rows in (pivots + [last], [last] + pivots, pivots + [last] * 3):
-        want_pivots, got_pivots = [], []
-        want = linalg._packed_eliminate([dict(r) for r in rows], cols, prime, want_pivots)
-        assert linalg._packed_eliminate(_stream(rows), cols, prime, got_pivots) == want
-        assert got_pivots == want_pivots
-        assert want == naive_rank_mod_p([[r.get(c, 0) for c in cols] for r in rows], prime)
+        want = linalg._packed_eliminate([dict(r) for r in rows], cols, prime)
+        assert linalg._packed_eliminate(_stream(rows), cols, prime) == want
+        assert len(want[1]) == naive_rank_mod_p([[r.get(c, 0) for c in cols] for r in rows], prime)
 
 
 def test_packed_eliminate_stops_reading_a_stream_at_full_column_rank():
     rng = random.Random(3)
     n = 6
     rows = [{c: rng.randrange(1, FP.prime) for c in range(n)} for _ in range(40)]
-    assert linalg._packed_eliminate(_stream(rows, stop=n), list(range(n)), FP.prime, None) == n
+    assert len(linalg._packed_eliminate(_stream(rows, stop=n), list(range(n)), FP.prime)[1]) == n
     # a rank-deficient stream is read to its end
-    assert linalg._packed_eliminate(_stream([{0: 1, 1: 1}] * 5), [0, 1, 2], FP.prime, None) == 1
+    assert len(linalg._packed_eliminate(_stream([{0: 1, 1: 1}] * 5), [0, 1, 2], FP.prime)[1]) == 1
 
 @st.composite
 def block_diagonal_matrices(draw):
@@ -494,13 +497,16 @@ def block_diagonal_matrices(draw):
 @given(block_diagonal_matrices(), st.sampled_from([2, 3, 7, FP.prime]))
 def test_component_elimination_on_block_diagonal_matrices(case, prime):
     rows, cols, data = case
-    pivots: list = []
-    got = _rank_mod(_residues(data, prime), cols, prime, pivots)
+    eliminated = _eliminations(_residues(data, prime), cols, prime)
+    got = sum(len(found) for _, _, found in eliminated)
     assert got == naive_rank_mod_p(data, prime)
     if prime == FP.prime and _minor_bound(data) < prime:
         assert got == naive_rank(data)
-    # the back-solved vectors span the kernel mod p
-    vecs = _kernel_vectors(*_back_solve(pivots, list(range(cols)), prime))
+    # the back-solved vectors span the kernel mod p; a column in no component is free
+    held = {c for ccols, _, _ in eliminated for c in ccols}
+    vecs = [{c: 1} for c in range(cols) if c not in held]
+    for ccols, size, found in eliminated:
+        vecs += _kernel_vectors(*_back_solve(ccols, size, found, prime))
     assert len(vecs) == cols - got
     for vec in vecs:
         assert all(sum(row[c] * v for c, v in vec.items()) % prime == 0 for row in data)
@@ -648,6 +654,24 @@ def test_packed_check_with_fractions():
     assert not annihilates(a, Matrix.from_rows(ortho + [[1, 0, 0]]))
 
 
+@pytest.mark.parametrize("field_prime", [None, FP.prime], ids=["rational", "fp"])
+def test_a_wide_component_is_eliminated_on_its_transpose(monkeypatch, field_prime):
+    # 3 rows of rank 2 on 40 columns: over either field the elimination runs on the transpose's 3 columns
+    widths = []
+    eliminate = linalg._packed_eliminate
+
+    def recorded(rows, cols, prime, cap=None):
+        widths.append(len(cols))
+        return eliminate(rows, cols, prime, cap)
+
+    monkeypatch.setattr(linalg, "_packed_eliminate", recorded)
+    first, second = [c + 1 for c in range(40)], [(c * c) % 7 - 3 for c in range(40)]
+    data = [first, second, [a + 2 * b for a, b in zip(first, second)]]
+    rows = [{c: v for c, v in enumerate(row) if v} for row in data]
+    assert _rank(list(range(40)), rows, field_prime, 40) == naive_rank(data) == 2
+    assert widths and max(widths) == 3
+
+
 def test_packed_eliminate_stops_at_its_cap():
     # rows in the kernel of (1, 1, ..., 1): rank n - 1, and the cap ends the stream there
     rng = random.Random(5)
@@ -657,8 +681,8 @@ def test_packed_eliminate_stops_at_its_cap():
         row = {c: rng.randrange(FP.prime) for c in range(n - 1)}
         row[n - 1] = -sum(row.values()) % FP.prime
         rows.append(row)
-    assert linalg._packed_eliminate(_stream(rows, stop=n - 1), list(range(n)), FP.prime, None, n - 1) == n - 1
-    assert linalg._packed_eliminate(list(rows), list(range(n)), FP.prime, None) == n - 1
+    assert len(linalg._packed_eliminate(_stream(rows, stop=n - 1), list(range(n)), FP.prime, n - 1)[1]) == n - 1
+    assert len(linalg._packed_eliminate(list(rows), list(range(n)), FP.prime)[1]) == n - 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 343, 1000])
@@ -681,7 +705,7 @@ def _capped_ranks(m: Matrix, kernel: Matrix, prime: int | None) -> int:
     for cols, rows in _split(list(_integral_rows(m)), m.cols):
         parts = [part for row in known if (part := {c: v for c in cols if (v := row.get(c, 0) % FP.prime)})]
         held = sorted({c for part in parts for c in part})
-        total += _rank(cols, rows, prime, len(cols) - _eliminate(held, parts, FP.prime, len(held), None))
+        total += _rank(cols, rows, prime, len(cols) - len(_eliminate(held, parts, FP.prime, len(held))[1]))
     return total
 
 

@@ -386,21 +386,17 @@ def _count_component_rows(monkeypatch) -> list:
     read = []
     eliminate = linalg._packed_eliminate
 
-    def counted(rows, cols, prime, pivots, cap=None):
+    def counted(rows, cols, prime, cap=None):
         if cap is None or cap == len(cols):
-            return eliminate(rows, cols, prime, pivots, cap)
+            return eliminate(rows, cols, prime, cap)
         read.append(0)
 
-        class Counted:
-            def __len__(self):
-                return len(rows)
+        def stream():
+            for row in rows:
+                read[-1] += 1
+                yield row
 
-            def __iter__(self):
-                for row in rows:
-                    read[-1] += 1
-                    yield row
-
-        return eliminate(Counted(), cols, prime, pivots, cap)
+        return eliminate(stream(), cols, prime, cap)
 
     monkeypatch.setattr(linalg, "_packed_eliminate", counted)
     return read

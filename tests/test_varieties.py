@@ -415,7 +415,7 @@ def _count_streamed_rows(monkeypatch) -> list:
     calls = []
     eliminate = jacobian._packed_eliminate
 
-    def counted(rows, cols, prime, pivots):
+    def counted(rows, cols, prime):
         read = [0]
 
         def stream():
@@ -423,7 +423,7 @@ def _count_streamed_rows(monkeypatch) -> list:
                 read[0] += 1
                 yield row
 
-        r = eliminate(stream(), cols, prime, pivots)
+        r = eliminate(stream(), cols, prime)
         calls.append((read[0], len(cols)))
         return r
 
